@@ -8,21 +8,25 @@
 //! what makes parallel analysis exact rather than approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
-//! correlated device) and per-service/per-port device sets are
-//! [`DeviceSet`] bitmaps, so `merge` is columnar addition plus word-wise
-//! ORs. Derived queries (sorted device lists, cohorts, totals) are
-//! served memoized through [`Analysis::view`].
+//! correlated device), Table IV in a [`PortTable`], Table V in a
+//! [`ServiceTable`], and their device sets are [`DeviceSet`] bitmaps, so
+//! `merge` is columnar addition plus word-wise ORs and the per-flow
+//! fold (`fold.rs`, shared with the sharded pipeline) reaches every
+//! aggregate by array index. Derived queries (sorted device lists,
+//! cohorts, totals) are served memoized through [`Analysis::view`].
 
-use crate::classify::{classify, TrafficClass};
-pub use crate::table::{DeviceObservation, DeviceSet, DeviceTable};
+use crate::classify::TrafficClass;
+use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
+pub use crate::table::{
+    DeviceObservation, DeviceSet, DeviceTable, PortRow, PortTable, ServiceKey, ServiceStat,
+    ServiceTable,
+};
 use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
-use iotscope_net::protocol::TransportProtocol;
 use iotscope_obs::{Counter, Registry};
 use iotscope_telescope::HourTraffic;
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Metric-name suffixes for the five traffic classes, indexed by
 /// [`class_idx`].
@@ -60,7 +64,9 @@ impl AnalyzerMetrics {
     }
 }
 
-/// The Fig 10 service set: the five most-scanned protocol groups.
+/// The Fig 10 service set: the five most-scanned protocol groups — the
+/// first five of [`ScanService::ALL`], so a Table V slot below 5 is
+/// also the Fig 10 column.
 pub const TOP5_SERVICES: [ScanService; 5] = [
     ScanService::Telnet,
     ScanService::Http,
@@ -113,33 +119,19 @@ impl RealmSeries {
             devices: vec![0; hours],
         }
     }
+
+    fn add(&mut self, o: &RealmSeries) {
+        add_columns(&mut self.packets, &o.packets);
+        add_columns(&mut self.dst_ips, &o.dst_ips);
+        add_columns(&mut self.dst_ports, &o.dst_ports);
+        add_columns(&mut self.devices, &o.devices);
+    }
 }
 
-/// Key for Table V rows: a named service group or the long tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ServiceKey {
-    /// One of the 14 named groups.
-    Named(ScanService),
-    /// Every other scanned port.
-    Other,
-}
-
-/// Per-service scanning statistics, split by realm.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStat {
-    /// Packets per realm (`[consumer, cps]`).
-    pub packets: [u64; 2],
-    /// Scanning devices per realm.
-    pub devices: [DeviceSet; 2],
-}
-
-/// Per-UDP-port statistics (Table IV).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortStat {
-    /// UDP packets to the port.
-    pub packets: u64,
-    /// Devices that sent them.
-    pub devices: DeviceSet,
+fn add_columns(cur: &mut [u64], add: &[u64]) {
+    for (c, a) in cur.iter_mut().zip(add) {
+        *c += a;
+    }
 }
 
 /// Per-interval backscatter attribution (who dominated a DoS episode).
@@ -175,11 +167,12 @@ pub struct Analysis {
     /// Per-interval backscatter attribution (§IV-B1).
     pub backscatter_intervals: Vec<BackscatterInterval>,
     /// Table V statistics per service group.
-    pub scan_services: BTreeMap<ServiceKey, ServiceStat>,
+    pub scan_services: ServiceTable,
     /// Hourly scan packets for the five Fig 10 services.
     pub top5_series: Vec<[u64; 5]>,
-    /// Table IV statistics per UDP destination port.
-    pub udp_ports: HashMap<u16, PortStat>,
+    /// Table IV statistics per UDP destination port (rows ascending by
+    /// port once [`Analyzer::finish`] has run).
+    pub udp_ports: PortTable,
     /// Flows from sources not in the inventory (noise filtered out by
     /// correlation).
     pub unmatched_flows: u64,
@@ -191,6 +184,78 @@ pub struct Analysis {
 }
 
 impl Analysis {
+    /// The all-zero analysis of a window of `hours` intervals.
+    pub(crate) fn empty(hours: u32) -> Self {
+        let h = hours as usize;
+        Analysis {
+            hours,
+            devices: DeviceTable::new(),
+            protocol_packets: [[0; 3]; 2],
+            udp: [RealmSeries::new(h), RealmSeries::new(h)],
+            tcp_scan: [RealmSeries::new(h), RealmSeries::new(h)],
+            backscatter_hourly: [vec![0; h], vec![0; h]],
+            backscatter_intervals: vec![BackscatterInterval::default(); h],
+            scan_services: ServiceTable::default(),
+            top5_series: vec![[0; 5]; h],
+            udp_ports: PortTable::new(),
+            unmatched_flows: 0,
+            unmatched_packets: 0,
+            cache: ViewCache::default(),
+        }
+    }
+
+    /// Add `o`, a partial analysis of the same window built over
+    /// observations disjoint from this one's (other hours, or other
+    /// devices of the same hours): every aggregate is a sum, a set
+    /// union or an order-free maximum. `rows` merges the device tables —
+    /// [`DeviceTable::merge_from`] in general,
+    /// [`DeviceTable::concat_from`] when no device is in both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window lengths differ.
+    pub(crate) fn absorb(&mut self, o: Analysis, rows: fn(&mut DeviceTable, DeviceTable)) {
+        assert_eq!(self.hours, o.hours, "mismatched windows");
+        self.cache.reset();
+        rows(&mut self.devices, o.devices);
+        for r in 0..2 {
+            for (cur, add) in self.protocol_packets[r]
+                .iter_mut()
+                .zip(o.protocol_packets[r])
+            {
+                *cur += add;
+            }
+            self.udp[r].add(&o.udp[r]);
+            self.tcp_scan[r].add(&o.tcp_scan[r]);
+            add_columns(&mut self.backscatter_hourly[r], &o.backscatter_hourly[r]);
+        }
+        for (cur, slot) in self
+            .backscatter_intervals
+            .iter_mut()
+            .zip(o.backscatter_intervals)
+        {
+            cur.total += slot.total;
+            merge_top_victim(&mut cur.top_victim, slot.top_victim);
+        }
+        self.scan_services.merge_from(o.scan_services);
+        for (cur, row) in self.top5_series.iter_mut().zip(o.top5_series) {
+            for (c, v) in cur.iter_mut().zip(row) {
+                *c += v;
+            }
+        }
+        self.udp_ports.merge_from(o.udp_ports);
+        self.unmatched_flows += o.unmatched_flows;
+        self.unmatched_packets += o.unmatched_packets;
+    }
+
+    /// Sort device rows by id and port rows by port, so a finished
+    /// result iterates identically regardless of ingest/merge order.
+    pub(crate) fn normalize(&mut self) {
+        self.devices.normalize();
+        self.udp_ports.normalize();
+        self.cache.reset();
+    }
+
     /// The memoizing derived-query interface: sorted device lists,
     /// per-realm partitions, per-class cohorts and totals, each computed
     /// once and cached.
@@ -346,141 +411,27 @@ impl Analysis {
     }
 }
 
-/// A reusable bitmap over the 2^16 port space with a member count —
-/// per-hour distinct-port accounting without per-hour allocation.
-/// Shared with the sharded router ([`crate::shard`]), which runs the
-/// same per-hour destination-distinct accounting on the decode side.
-#[derive(Debug, Clone)]
-pub(crate) struct PortScratch {
-    words: Vec<u64>,
-    pub(crate) len: usize,
-}
-
-impl PortScratch {
-    pub(crate) fn new() -> Self {
-        PortScratch {
-            words: vec![0; (u16::MAX as usize + 1) / 64],
-            len: 0,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, port: u16) {
-        let (word, bit) = (port as usize / 64, port % 64);
-        let mask = 1u64 << bit;
-        if self.words[word] & mask == 0 {
-            self.words[word] |= mask;
-            self.len += 1;
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        if self.len > 0 {
-            self.words.fill(0);
-            self.len = 0;
-        }
-    }
-}
-
-/// Per-hour transient distinct-set state, allocated once per analyzer
-/// and cleared between hours.
-#[derive(Debug)]
-struct HourScratch {
-    /// Distinct UDP destination addresses per realm.
-    udp_ips: [HashSet<u32>; 2],
-    /// Distinct TCP-scan destination addresses per realm.
-    scan_ips: [HashSet<u32>; 2],
-    /// Distinct UDP destination ports per realm.
-    udp_ports: [PortScratch; 2],
-    /// Distinct TCP-scan destination ports per realm.
-    scan_ports: [PortScratch; 2],
-    /// Distinct UDP-emitting devices per realm.
-    udp_devs: [DeviceSet; 2],
-    /// Distinct scanning devices per realm.
-    scan_devs: [DeviceSet; 2],
-    /// Backscatter packets per device index this hour (dense, zeroed
-    /// between hours via `bs_touched`).
-    bs_counts: Vec<u64>,
-    /// Device indexes with nonzero `bs_counts` entries.
-    bs_touched: Vec<u32>,
-    /// Per-block correlation results, filled by the sorted-column
-    /// merge-join in [`HourIngest`]'s batched `visit_block` and reused
-    /// across blocks (capacity persists; contents are replaced).
-    corr: Vec<Option<(u32, Realm)>>,
-}
-
-impl HourScratch {
-    fn new(num_devices: usize) -> Self {
-        HourScratch {
-            udp_ips: [HashSet::new(), HashSet::new()],
-            scan_ips: [HashSet::new(), HashSet::new()],
-            udp_ports: [PortScratch::new(), PortScratch::new()],
-            scan_ports: [PortScratch::new(), PortScratch::new()],
-            udp_devs: [
-                DeviceSet::with_capacity(num_devices),
-                DeviceSet::with_capacity(num_devices),
-            ],
-            scan_devs: [
-                DeviceSet::with_capacity(num_devices),
-                DeviceSet::with_capacity(num_devices),
-            ],
-            bs_counts: vec![0; num_devices],
-            bs_touched: Vec::new(),
-            corr: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        for r in 0..2 {
-            self.udp_ips[r].clear();
-            self.scan_ips[r].clear();
-            self.udp_ports[r].clear();
-            self.scan_ports[r].clear();
-            self.udp_devs[r].clear();
-            self.scan_devs[r].clear();
-        }
-        for &di in &self.bs_touched {
-            self.bs_counts[di as usize] = 0;
-        }
-        self.bs_touched.clear();
-    }
-}
-
 /// Single-pass aggregator. Feed it hours, then [`finish`](Self::finish).
 #[derive(Debug)]
 pub struct Analyzer<'a> {
     db: &'a DeviceDb,
     hours: u32,
     metrics: Option<AnalyzerMetrics>,
-    scratch: HourScratch,
+    /// The hour's destination-keyed distinct state (front half).
+    dst: DstDistinct,
+    /// The hour's device-keyed scratch (device half).
+    dev: DeviceFold,
+    /// Per-block correlation results, filled by the sorted-column
+    /// merge-join in [`HourIngest`]'s batched `visit_block` and reused
+    /// across blocks (capacity persists; contents are replaced).
+    corr: Vec<Option<(u32, Realm)>>,
     result: Analysis,
 }
 
 impl<'a> Analyzer<'a> {
     /// Create an analyzer over `db` for a window of `hours` intervals.
     pub fn new(db: &'a DeviceDb, hours: u32) -> Self {
-        let h = hours as usize;
-        Analyzer {
-            db,
-            hours,
-            metrics: None,
-            scratch: HourScratch::new(db.len()),
-            result: Analysis {
-                hours,
-                devices: DeviceTable::new(),
-                protocol_packets: [[0; 3]; 2],
-                udp: [RealmSeries::new(h), RealmSeries::new(h)],
-                tcp_scan: [RealmSeries::new(h), RealmSeries::new(h)],
-                backscatter_hourly: [vec![0; h], vec![0; h]],
-                backscatter_intervals: vec![BackscatterInterval::default(); h],
-                scan_services: BTreeMap::new(),
-                top5_series: vec![[0; 5]; h],
-                udp_ports: HashMap::new(),
-                unmatched_flows: 0,
-                unmatched_packets: 0,
-                cache: ViewCache::default(),
-            },
-        }
+        Self::resume(db, Analysis::empty(hours))
     }
 
     /// Like [`new`](Self::new), but publishing per-class packet counters
@@ -503,7 +454,9 @@ impl<'a> Analyzer<'a> {
             db,
             hours: analysis.hours,
             metrics: None,
-            scratch: HourScratch::new(db.len()),
+            dst: DstDistinct::new(),
+            dev: DeviceFold::new(0..db.len() as u32),
+            corr: Vec::new(),
             result: analysis,
         }
     }
@@ -539,17 +492,12 @@ impl<'a> Analyzer<'a> {
     ///
     /// Panics if `interval` is outside the window.
     pub fn begin_hour(&mut self, interval: u32) -> HourIngest<'_, 'a> {
-        assert!(
-            interval >= 1 && interval <= self.hours,
-            "interval {interval} outside 1..={}",
-            self.hours
-        );
+        let at = HourPos::new(interval, self.hours);
         self.result.cache.reset();
-        self.scratch.clear();
+        self.dst.clear();
+        self.dev.clear();
         HourIngest {
-            interval,
-            idx: (interval - 1) as usize,
-            day: (interval - 1) / 24,
+            at,
             hour_packets: [[0; 5]; 2],
             hour_unmatched: (0, 0),
             an: self,
@@ -567,50 +515,7 @@ impl<'a> Analyzer<'a> {
     ///
     /// Panics if the window lengths differ.
     pub fn merge(&mut self, other: Analyzer<'_>) {
-        assert_eq!(self.hours, other.hours, "mismatched windows");
-        self.result.cache.reset();
-        let o = other.result;
-        self.result.devices.merge_from(o.devices);
-        for r in 0..2 {
-            for p in 0..3 {
-                self.result.protocol_packets[r][p] += o.protocol_packets[r][p];
-            }
-            for i in 0..self.hours as usize {
-                self.result.udp[r].packets[i] += o.udp[r].packets[i];
-                self.result.udp[r].dst_ips[i] += o.udp[r].dst_ips[i];
-                self.result.udp[r].dst_ports[i] += o.udp[r].dst_ports[i];
-                self.result.udp[r].devices[i] += o.udp[r].devices[i];
-                self.result.tcp_scan[r].packets[i] += o.tcp_scan[r].packets[i];
-                self.result.tcp_scan[r].dst_ips[i] += o.tcp_scan[r].dst_ips[i];
-                self.result.tcp_scan[r].dst_ports[i] += o.tcp_scan[r].dst_ports[i];
-                self.result.tcp_scan[r].devices[i] += o.tcp_scan[r].devices[i];
-                self.result.backscatter_hourly[r][i] += o.backscatter_hourly[r][i];
-            }
-        }
-        for (i, slot) in o.backscatter_intervals.into_iter().enumerate() {
-            let cur = &mut self.result.backscatter_intervals[i];
-            cur.total += slot.total;
-            merge_top_victim(&mut cur.top_victim, slot.top_victim);
-        }
-        for (key, stat) in o.scan_services {
-            let cur = self.result.scan_services.entry(key).or_default();
-            for r in 0..2 {
-                cur.packets[r] += stat.packets[r];
-                cur.devices[r].union_with(&stat.devices[r]);
-            }
-        }
-        for (i, row) in o.top5_series.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
-                self.result.top5_series[i][j] += v;
-            }
-        }
-        for (port, stat) in o.udp_ports {
-            let cur = self.result.udp_ports.entry(port).or_default();
-            cur.packets += stat.packets;
-            cur.devices.union_with(&stat.devices);
-        }
-        self.result.unmatched_flows += o.unmatched_flows;
-        self.result.unmatched_packets += o.unmatched_packets;
+        self.result.absorb(other.result, DeviceTable::merge_from);
     }
 
     /// Inspect the aggregation state accumulated so far (used by the
@@ -622,11 +527,10 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Finish and return the aggregation result, with device rows
-    /// normalized to id order — so finished results are reproducible
-    /// regardless of ingest/merge order.
+    /// normalized to id order and port rows to port order — so finished
+    /// results are reproducible regardless of ingest/merge order.
     pub fn finish(mut self) -> Analysis {
-        self.result.devices.normalize();
-        self.result.cache.reset();
+        self.result.normalize();
         self.result
     }
 }
@@ -639,9 +543,7 @@ impl<'a> Analyzer<'a> {
 #[derive(Debug)]
 pub struct HourIngest<'h, 'a> {
     an: &'h mut Analyzer<'a>,
-    interval: u32,
-    idx: usize,
-    day: u32,
+    at: HourPos,
     /// Local metric accumulators, flushed once at finish so the hot
     /// per-flow path pays nothing for instrumentation.
     hour_packets: [[u64; 5]; 2],
@@ -659,117 +561,35 @@ impl HourIngest<'_, '_> {
     /// supplies each flow's device correlation — per-record binary
     /// search for [`ingest`](Self::ingest), a precomputed merge-join
     /// column for the batched `visit_block` — so the two paths are
-    /// bit-identical by construction.
+    /// bit-identical by construction. Front half and device half run
+    /// back to back per flow.
     fn fold(
         &mut self,
         flows: &[FlowTuple],
-        mut correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
+        correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
     ) {
-        let idx = self.idx;
-        let an = &mut *self.an;
-        let scratch = &mut an.scratch;
-        let result = &mut an.result;
-
-        for (flow_i, flow) in flows.iter().enumerate() {
-            let Some((di, realm)) = correlated(flow_i, flow) else {
-                result.unmatched_flows += 1;
-                result.unmatched_packets += u64::from(flow.packets);
-                self.hour_unmatched.0 += 1;
-                self.hour_unmatched.1 += u64::from(flow.packets);
-                continue;
-            };
-            // Dense-id contract: the intern index *is* the device id.
-            let id = DeviceId(di);
-            let class = classify(flow);
-            let ci = class_idx(class);
-            let pkts = u64::from(flow.packets);
-            let r = realm_idx(realm);
-
-            result
-                .devices
-                .observe(id, realm, ci, pkts, self.interval, self.day);
-            self.hour_packets[r][ci] += pkts;
-
-            let proto_i = match flow.protocol {
-                TransportProtocol::Icmp => 0,
-                TransportProtocol::Tcp => 1,
-                TransportProtocol::Udp => 2,
-            };
-            result.protocol_packets[r][proto_i] += pkts;
-
-            match class {
-                TrafficClass::Udp => {
-                    result.udp[r].packets[idx] += pkts;
-                    scratch.udp_ips[r].insert(u32::from(flow.dst_ip));
-                    scratch.udp_ports[r].insert(flow.dst_port);
-                    scratch.udp_devs[r].insert(id);
-                    let port = result.udp_ports.entry(flow.dst_port).or_default();
-                    port.packets += pkts;
-                    port.devices.insert(id);
-                }
-                TrafficClass::TcpScan => {
-                    result.tcp_scan[r].packets[idx] += pkts;
-                    scratch.scan_ips[r].insert(u32::from(flow.dst_ip));
-                    scratch.scan_ports[r].insert(flow.dst_port);
-                    scratch.scan_devs[r].insert(id);
-                    let key = match ScanService::from_port(flow.dst_port) {
-                        Some(svc) => ServiceKey::Named(svc),
-                        None => ServiceKey::Other,
-                    };
-                    let stat = result.scan_services.entry(key).or_default();
-                    stat.packets[r] += pkts;
-                    stat.devices[r].insert(id);
-                    if let ServiceKey::Named(svc) = key {
-                        if let Some(pos) = TOP5_SERVICES.iter().position(|s| *s == svc) {
-                            result.top5_series[idx][pos] += pkts;
-                        }
-                    }
-                }
-                TrafficClass::Backscatter => {
-                    result.backscatter_hourly[r][idx] += pkts;
-                    let di = di as usize;
-                    if scratch.bs_counts[di] == 0 {
-                        scratch.bs_touched.push(di as u32);
-                    }
-                    scratch.bs_counts[di] += pkts;
-                }
-                TrafficClass::IcmpScan | TrafficClass::Other => {}
-            }
-        }
+        let at = self.at;
+        let hour_packets = &mut self.hour_packets;
+        let Analyzer {
+            dst, dev, result, ..
+        } = &mut *self.an;
+        let (flows_unmatched, packets_unmatched) = classify_flows(flows, correlated, dst, |f| {
+            hour_packets[usize::from(f.realm)][usize::from(f.class)] += u64::from(f.packets);
+            dev.observe(result, at, f);
+        });
+        result.unmatched_flows += flows_unmatched;
+        result.unmatched_packets += packets_unmatched;
+        self.hour_unmatched.0 += flows_unmatched;
+        self.hour_unmatched.1 += packets_unmatched;
     }
 
     /// Commit the hour: fold the per-hour scratch (distinct dst-IP /
     /// port / device counts, dominant backscatter victim) into the
     /// result and flush the hour's metric accumulators.
     pub fn finish(self) {
-        let idx = self.idx;
         let an = self.an;
-        let scratch = &mut an.scratch;
-        let result = &mut an.result;
-        for r in 0..2 {
-            result.udp[r].dst_ips[idx] += scratch.udp_ips[r].len() as u64;
-            result.udp[r].dst_ports[idx] += scratch.udp_ports[r].len as u64;
-            result.udp[r].devices[idx] += scratch.udp_devs[r].len() as u64;
-            result.tcp_scan[r].dst_ips[idx] += scratch.scan_ips[r].len() as u64;
-            result.tcp_scan[r].dst_ports[idx] += scratch.scan_ports[r].len as u64;
-            result.tcp_scan[r].devices[idx] += scratch.scan_devs[r].len() as u64;
-        }
-        // Attribute the hour's backscatter to its dominant victim. Ties
-        // break toward the smaller device id so the result does not
-        // depend on accumulation order.
-        let slot = &mut result.backscatter_intervals[idx];
-        let mut top: Option<(DeviceId, u64)> = None;
-        let mut total = 0u64;
-        for &di in &scratch.bs_touched {
-            let cnt = scratch.bs_counts[di as usize];
-            let id = DeviceId(di);
-            total += cnt;
-            if top.is_none_or(|(bd, bc)| cnt > bc || (cnt == bc && id < bd)) {
-                top = Some((id, cnt));
-            }
-        }
-        slot.total += total;
-        merge_top_victim(&mut slot.top_victim, top);
+        an.dst.commit(&mut an.result, self.at.idx);
+        an.dev.commit(&mut an.result, self.at.idx);
 
         if let Some(m) = &an.metrics {
             for (r, row) in self.hour_packets.iter().enumerate() {
@@ -796,10 +616,10 @@ impl iotscope_net::store::FlowSink for HourIngest<'_, '_> {
     /// per-record path.
     fn visit_block(&mut self, block: &iotscope_net::store::ColumnBlock) {
         let index = self.an.db.correlation_index();
-        let mut corr = std::mem::take(&mut self.an.scratch.corr);
+        let mut corr = std::mem::take(&mut self.an.corr);
         index.correlate_sorted_block(block.src_ip(), &mut corr);
         self.fold(block.flows(), |i, _| corr[i]);
-        self.an.scratch.corr = corr;
+        self.an.corr = corr;
     }
 }
 
@@ -1015,13 +835,23 @@ mod tests {
             ],
         ));
         let a = an.finish();
-        let telnet = &a.scan_services[&ServiceKey::Named(ScanService::Telnet)];
+        let telnet = a.scan_services.get(ServiceKey::Named(ScanService::Telnet));
         assert_eq!(telnet.packets, [2, 0]);
         assert_eq!(telnet.devices[0].len(), 1);
-        let ssh = &a.scan_services[&ServiceKey::Named(ScanService::Ssh)];
+        let ssh = a.scan_services.get(ServiceKey::Named(ScanService::Ssh));
         assert_eq!(ssh.packets, [0, 1]);
-        let other = &a.scan_services[&ServiceKey::Other];
+        let other = a.scan_services.get(ServiceKey::Other);
         assert_eq!(other.packets, [0, 1]);
+        // Only scanned groups are listed, in Table V order, tail last.
+        let listed: Vec<ServiceKey> = a.scan_services.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            listed,
+            [
+                ServiceKey::Named(ScanService::Telnet),
+                ServiceKey::Named(ScanService::Ssh),
+                ServiceKey::Other
+            ]
+        );
         // Fig 10 series: Telnet idx 0, SSH idx 2.
         assert_eq!(a.top5_series[0][0], 2);
         assert_eq!(a.top5_series[0][2], 1);

@@ -50,8 +50,10 @@ pub mod botnet;
 pub mod characterize;
 pub mod classify;
 pub mod diff;
+mod distinct;
 pub mod dos;
 pub mod fingerprint;
+mod fold;
 pub mod malicious;
 pub mod pipeline;
 pub mod query;
@@ -74,5 +76,5 @@ pub use pipeline::{
 pub use query::{DeviceDetail, QueryApi, QueryContext, RealmStats, Summary};
 pub use report::{Report, ReportContext, ReportIntel};
 pub use score::{Escalation, ScoreConfig, ScoreEngine, ScoreRow, ScoreTable, Severity};
-pub use table::{DeviceObservation, DeviceSet, DeviceTable};
+pub use table::{DeviceObservation, DeviceSet, DeviceTable, PortTable, ServiceTable};
 pub use view::AnalysisView;

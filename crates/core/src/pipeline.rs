@@ -622,7 +622,7 @@ impl<'a> AnalysisPipeline<'a> {
         let mut routers = Vec::with_capacity(partials.len());
         let mut shards = Vec::with_capacity(partials.len());
         for (i, (rp, sp)) in partials.into_iter().enumerate() {
-            PipelineMetrics::shard_devices(registry, i).set(sp.devices.len() as i64);
+            PipelineMetrics::shard_devices(registry, i).set(sp.device_count() as i64);
             routers.push(rp);
             shards.push(sp);
         }

@@ -32,16 +32,16 @@ pub struct ServiceRow {
 pub fn protocol_table(analysis: &Analysis) -> Vec<ServiceRow> {
     let total: u64 = analysis
         .scan_services
-        .values()
-        .map(|s| s.packets[0] + s.packets[1])
+        .iter()
+        .map(|(_, s)| s.packets[0] + s.packets[1])
         .sum();
     let mut named: Vec<ServiceRow> = Vec::new();
     let mut tail: Option<ServiceRow> = None;
-    for (key, stat) in &analysis.scan_services {
+    for (key, stat) in analysis.scan_services.iter() {
         let pkts = stat.packets[0] + stat.packets[1];
         let row = ServiceRow {
             service: match key {
-                ServiceKey::Named(s) => Some(*s),
+                ServiceKey::Named(s) => Some(s),
                 ServiceKey::Other => None,
             },
             label: match key {
@@ -72,7 +72,7 @@ pub fn protocol_table(analysis: &Analysis) -> Vec<ServiceRow> {
 pub fn named_coverage(analysis: &Analysis) -> f64 {
     let mut named = 0u64;
     let mut total = 0u64;
-    for (key, stat) in &analysis.scan_services {
+    for (key, stat) in analysis.scan_services.iter() {
         let pkts = stat.packets[0] + stat.packets[1];
         total += pkts;
         if matches!(key, ServiceKey::Named(_)) {

@@ -35,81 +35,20 @@
 //! [`Analyzer`]: crate::analysis::Analyzer
 //! [`FlowSink`]: iotscope_net::store::FlowSink
 
-use crate::analysis::{
-    class_idx, merge_top_victim, realm_idx, Analysis, BackscatterInterval, PortScratch,
-    RealmSeries, ServiceKey, ServiceStat, TOP5_SERVICES,
-};
-use crate::analysis::{DeviceSet, DeviceTable, PortStat};
-use crate::classify::{classify, TrafficClass};
-use crate::view::ViewCache;
-use iotscope_devicedb::{DeviceDb, DeviceId, Realm, ShardMap};
+use crate::analysis::{Analysis, DeviceTable};
+pub use crate::fold::RoutedFlow;
+use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
+use iotscope_devicedb::{DeviceDb, Realm, ShardMap};
 use iotscope_net::flowtuple::FlowTuple;
-use iotscope_net::ports::ScanService;
-use iotscope_net::protocol::TransportProtocol;
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
-/// Realm lookup by [`realm_idx`] value.
-const REALMS: [Realm; 2] = [Realm::Consumer, Realm::Cps];
-
-/// `class_idx` values a [`RoutedFlow`] can carry (asserted against
-/// [`class_idx`] in tests).
-const CLASS_TCP_SCAN: u8 = 0;
-const CLASS_BACKSCATTER: u8 = 2;
-const CLASS_UDP: u8 = 3;
-
-/// One correlated, classified flow, reduced to what a shard owner
-/// needs: 16 bytes instead of a full `FlowTuple`. The destination
-/// address is deliberately absent — destination-keyed distincts are the
-/// router's job (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutedFlow {
-    /// Dense intern index of the source device (== `DeviceId` value).
-    pub dense: u32,
-    /// Packets in the flow record.
-    pub packets: u32,
-    /// Destination port (drives per-service / per-UDP-port stats).
-    pub dst_port: u16,
-    /// [`class_idx`] of the classified flow.
-    pub class: u8,
-    /// [`realm_idx`] of the source device.
-    pub realm: u8,
-    /// Transport in Fig 4 order: ICMP 0, TCP 1, UDP 2.
-    pub proto: u8,
-}
-
-/// The hour-disjoint aggregates a router accumulates while decoding:
+/// The hour-disjoint aggregates a router accumulated while decoding:
 /// destination-keyed per-hour distinct counts and unmatched-traffic
-/// totals. Summing the partials of all routers is exact because each
-/// hour is decoded by exactly one router.
-#[derive(Debug, Clone)]
-pub struct RouterPartial {
-    /// Distinct UDP destination addresses per `[realm][interval]`.
-    pub udp_dst_ips: [Vec<u64>; 2],
-    /// Distinct UDP destination ports per `[realm][interval]`.
-    pub udp_dst_ports: [Vec<u64>; 2],
-    /// Distinct TCP-scan destination addresses per `[realm][interval]`.
-    pub scan_dst_ips: [Vec<u64>; 2],
-    /// Distinct TCP-scan destination ports per `[realm][interval]`.
-    pub scan_dst_ports: [Vec<u64>; 2],
-    /// Flows from sources outside the inventory.
-    pub unmatched_flows: u64,
-    /// Packets from unmatched sources.
-    pub unmatched_packets: u64,
-}
-
-impl RouterPartial {
-    fn new(hours: usize) -> Self {
-        RouterPartial {
-            udp_dst_ips: [vec![0; hours], vec![0; hours]],
-            udp_dst_ports: [vec![0; hours], vec![0; hours]],
-            scan_dst_ips: [vec![0; hours], vec![0; hours]],
-            scan_dst_ports: [vec![0; hours], vec![0; hours]],
-            unmatched_flows: 0,
-            unmatched_packets: 0,
-        }
-    }
-}
+/// totals, as an otherwise-zero [`Analysis`]. Summing the partials of
+/// all routers is exact because each hour is decoded by exactly one
+/// router.
+#[derive(Debug)]
+pub struct RouterPartial(Analysis);
 
 /// Correlates, classifies, and fans one hour of flows out to device
 /// shards; the decode-side half of the sharded pipeline.
@@ -123,22 +62,18 @@ impl RouterPartial {
 #[derive(Debug)]
 pub struct ShardRouter<'a> {
     db: &'a DeviceDb,
-    hours: u32,
     map: ShardMap,
-    idx: usize,
-    in_hour: bool,
+    /// The hour being routed, between `begin_hour` and `finish_hour`.
+    at: Option<HourPos>,
     /// Per-shard routed flows for the current hour.
     buffers: Vec<Vec<RoutedFlow>>,
-    /// Per-hour destination-distinct scratch, mirroring the sequential
-    /// analyzer's `HourScratch` destination half.
-    udp_ips: [HashSet<u32>; 2],
-    scan_ips: [HashSet<u32>; 2],
-    udp_ports: [PortScratch; 2],
-    scan_ports: [PortScratch; 2],
+    /// Per-hour destination-distinct state — the same front half of the
+    /// fold the sequential analyzer runs.
+    dst: DstDistinct,
     /// Per-block correlation results from the sorted-column merge-join
     /// (batched `visit_block` path); capacity reused across blocks.
     corr: Vec<Option<(u32, Realm)>>,
-    out: RouterPartial,
+    out: Analysis,
 }
 
 impl<'a> ShardRouter<'a> {
@@ -147,17 +82,12 @@ impl<'a> ShardRouter<'a> {
     pub fn new(db: &'a DeviceDb, hours: u32, map: ShardMap) -> Self {
         ShardRouter {
             db,
-            hours,
             map,
-            idx: 0,
-            in_hour: false,
+            at: None,
             buffers: (0..map.shards()).map(|_| Vec::new()).collect(),
-            udp_ips: [HashSet::new(), HashSet::new()],
-            scan_ips: [HashSet::new(), HashSet::new()],
-            udp_ports: [PortScratch::new(), PortScratch::new()],
-            scan_ports: [PortScratch::new(), PortScratch::new()],
+            dst: DstDistinct::new(),
             corr: Vec::new(),
-            out: RouterPartial::new(hours as usize),
+            out: Analysis::empty(hours),
         }
     }
 
@@ -167,19 +97,8 @@ impl<'a> ShardRouter<'a> {
     ///
     /// Panics if `interval` is outside the window.
     pub fn begin_hour(&mut self, interval: u32) {
-        assert!(
-            interval >= 1 && interval <= self.hours,
-            "interval {interval} outside 1..={}",
-            self.hours
-        );
-        self.idx = (interval - 1) as usize;
-        self.in_hour = true;
-        for r in 0..2 {
-            self.udp_ips[r].clear();
-            self.scan_ips[r].clear();
-            self.udp_ports[r].clear();
-            self.scan_ports[r].clear();
-        }
+        self.at = Some(HourPos::new(interval, self.out.hours));
+        self.dst.clear();
         for b in &mut self.buffers {
             b.clear();
         }
@@ -198,42 +117,16 @@ impl<'a> ShardRouter<'a> {
     fn fold(
         &mut self,
         flows: &[FlowTuple],
-        mut correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
+        correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
     ) {
-        debug_assert!(self.in_hour, "route() outside begin_hour/finish_hour");
-        for (flow_i, flow) in flows.iter().enumerate() {
-            let Some((dense, realm)) = correlated(flow_i, flow) else {
-                self.out.unmatched_flows += 1;
-                self.out.unmatched_packets += u64::from(flow.packets);
-                continue;
-            };
-            let class = classify(flow);
-            let r = realm_idx(realm);
-            match class {
-                TrafficClass::Udp => {
-                    self.udp_ips[r].insert(u32::from(flow.dst_ip));
-                    self.udp_ports[r].insert(flow.dst_port);
-                }
-                TrafficClass::TcpScan => {
-                    self.scan_ips[r].insert(u32::from(flow.dst_ip));
-                    self.scan_ports[r].insert(flow.dst_port);
-                }
-                _ => {}
-            }
-            let proto = match flow.protocol {
-                TransportProtocol::Icmp => 0u8,
-                TransportProtocol::Tcp => 1,
-                TransportProtocol::Udp => 2,
-            };
-            self.buffers[self.map.shard_of(dense)].push(RoutedFlow {
-                dense,
-                packets: flow.packets,
-                dst_port: flow.dst_port,
-                class: class_idx(class) as u8,
-                realm: r as u8,
-                proto,
+        debug_assert!(self.at.is_some(), "route() outside begin_hour/finish_hour");
+        let (map, buffers) = (self.map, &mut self.buffers);
+        let (flows_unmatched, packets_unmatched) =
+            classify_flows(flows, correlated, &mut self.dst, |f| {
+                buffers[map.shard_of(f.dense)].push(f);
             });
-        }
+        self.out.unmatched_flows += flows_unmatched;
+        self.out.unmatched_packets += packets_unmatched;
     }
 
     /// Commit the hour's destination distincts and take the per-shard
@@ -243,22 +136,15 @@ impl<'a> ShardRouter<'a> {
     ///
     /// Panics without a preceding [`begin_hour`](Self::begin_hour).
     pub fn finish_hour(&mut self) -> Vec<Vec<RoutedFlow>> {
-        assert!(self.in_hour, "finish_hour without begin_hour");
-        self.in_hour = false;
-        let idx = self.idx;
-        for r in 0..2 {
-            self.out.udp_dst_ips[r][idx] += self.udp_ips[r].len() as u64;
-            self.out.udp_dst_ports[r][idx] += self.udp_ports[r].len as u64;
-            self.out.scan_dst_ips[r][idx] += self.scan_ips[r].len() as u64;
-            self.out.scan_dst_ports[r][idx] += self.scan_ports[r].len as u64;
-        }
+        let at = self.at.take().expect("finish_hour without begin_hour");
+        self.dst.commit(&mut self.out, at.idx);
         let shards = self.map.shards();
         std::mem::replace(&mut self.buffers, (0..shards).map(|_| Vec::new()).collect())
     }
 
     /// Finish routing and surrender the hour-disjoint aggregates.
     pub fn into_partial(self) -> RouterPartial {
-        self.out
+        RouterPartial(self.out)
     }
 }
 
@@ -288,63 +174,26 @@ impl iotscope_net::store::FlowSink for ShardRouter<'_> {
 /// the sequential per-hour fold).
 #[derive(Debug)]
 pub struct ShardAccumulator {
-    hours: u32,
     range: Range<u32>,
-    devices: DeviceTable,
-    protocol_packets: [[u64; 3]; 2],
-    udp_packets: [Vec<u64>; 2],
-    udp_devices: [Vec<u64>; 2],
-    scan_packets: [Vec<u64>; 2],
-    scan_devices: [Vec<u64>; 2],
-    backscatter_hourly: [Vec<u64>; 2],
-    backscatter_intervals: Vec<BackscatterInterval>,
-    scan_services: BTreeMap<ServiceKey, ServiceStat>,
-    top5_series: Vec<[u64; 5]>,
-    udp_ports: HashMap<u16, PortStat>,
-    /// Per-batch scratch: distinct devices this hour, per realm.
-    udp_devs: [DeviceSet; 2],
-    scan_devs: [DeviceSet; 2],
-    /// Per-batch backscatter packets, indexed by `dense - range.start`.
-    bs_counts: Vec<u64>,
-    bs_touched: Vec<u32>,
+    /// The device half of the fold, over this shard's dense range.
+    dev: DeviceFold,
+    out: Analysis,
 }
 
 impl ShardAccumulator {
     /// An empty accumulator for the dense-index `range` of a window of
     /// `hours`.
     pub fn new(hours: u32, range: Range<u32>) -> Self {
-        let h = hours as usize;
-        let span = range.len();
         ShardAccumulator {
-            hours,
-            devices: DeviceTable::new(),
-            protocol_packets: [[0; 3]; 2],
-            udp_packets: [vec![0; h], vec![0; h]],
-            udp_devices: [vec![0; h], vec![0; h]],
-            scan_packets: [vec![0; h], vec![0; h]],
-            scan_devices: [vec![0; h], vec![0; h]],
-            backscatter_hourly: [vec![0; h], vec![0; h]],
-            backscatter_intervals: vec![BackscatterInterval::default(); h],
-            scan_services: BTreeMap::new(),
-            top5_series: vec![[0; 5]; h],
-            udp_ports: HashMap::new(),
-            udp_devs: [
-                DeviceSet::with_capacity(range.end as usize),
-                DeviceSet::with_capacity(range.end as usize),
-            ],
-            scan_devs: [
-                DeviceSet::with_capacity(range.end as usize),
-                DeviceSet::with_capacity(range.end as usize),
-            ],
-            bs_counts: vec![0; span],
-            bs_touched: Vec::new(),
+            dev: DeviceFold::new(range.clone()),
+            out: Analysis::empty(hours),
             range,
         }
     }
 
     /// Number of devices observed in this shard so far.
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.out.devices.len()
     }
 
     /// Apply one whole-hour batch of routed flows for this shard.
@@ -354,135 +203,37 @@ impl ShardAccumulator {
     /// Panics if `interval` is outside the window; debug builds also
     /// assert every flow is within the shard's dense range.
     pub fn apply_hour(&mut self, interval: u32, flows: &[RoutedFlow]) {
-        assert!(
-            interval >= 1 && interval <= self.hours,
-            "interval {interval} outside 1..={}",
-            self.hours
-        );
-        let idx = (interval - 1) as usize;
-        let day = (interval - 1) / 24;
-        for r in 0..2 {
-            self.udp_devs[r].clear();
-            self.scan_devs[r].clear();
-        }
-        for &off in &self.bs_touched {
-            self.bs_counts[off as usize] = 0;
-        }
-        self.bs_touched.clear();
-
-        for f in flows {
+        let at = HourPos::new(interval, self.out.hours);
+        self.dev.clear();
+        for &f in flows {
             debug_assert!(self.range.contains(&f.dense), "flow outside shard range");
-            let id = DeviceId(f.dense);
-            let r = f.realm as usize;
-            let pkts = u64::from(f.packets);
-            self.devices
-                .observe(id, REALMS[r], f.class as usize, pkts, interval, day);
-            self.protocol_packets[r][f.proto as usize] += pkts;
-            match f.class {
-                CLASS_UDP => {
-                    self.udp_packets[r][idx] += pkts;
-                    self.udp_devs[r].insert(id);
-                    let port = self.udp_ports.entry(f.dst_port).or_default();
-                    port.packets += pkts;
-                    port.devices.insert(id);
-                }
-                CLASS_TCP_SCAN => {
-                    self.scan_packets[r][idx] += pkts;
-                    self.scan_devs[r].insert(id);
-                    let key = match ScanService::from_port(f.dst_port) {
-                        Some(svc) => ServiceKey::Named(svc),
-                        None => ServiceKey::Other,
-                    };
-                    let stat = self.scan_services.entry(key).or_default();
-                    stat.packets[r] += pkts;
-                    stat.devices[r].insert(id);
-                    if let ServiceKey::Named(svc) = key {
-                        if let Some(pos) = TOP5_SERVICES.iter().position(|s| *s == svc) {
-                            self.top5_series[idx][pos] += pkts;
-                        }
-                    }
-                }
-                CLASS_BACKSCATTER => {
-                    self.backscatter_hourly[r][idx] += pkts;
-                    let off = (f.dense - self.range.start) as usize;
-                    if self.bs_counts[off] == 0 {
-                        self.bs_touched.push(off as u32);
-                    }
-                    self.bs_counts[off] += pkts;
-                }
-                _ => {}
-            }
+            self.dev.observe(&mut self.out, at, f);
         }
-
-        for r in 0..2 {
-            self.udp_devices[r][idx] += self.udp_devs[r].len() as u64;
-            self.scan_devices[r][idx] += self.scan_devs[r].len() as u64;
-        }
-        // This shard's dominant backscatter victim for the hour; the
-        // global per-hour victim is the merge of shard maxima (exact,
-        // because the tie-break toward the smaller id is order-free).
-        let slot = &mut self.backscatter_intervals[idx];
-        let mut top: Option<(DeviceId, u64)> = None;
-        let mut total = 0u64;
-        for &off in &self.bs_touched {
-            let cnt = self.bs_counts[off as usize];
-            let id = DeviceId(self.range.start + off);
-            total += cnt;
-            if top.is_none_or(|(bd, bc)| cnt > bc || (cnt == bc && id < bd)) {
-                top = Some((id, cnt));
-            }
-        }
-        slot.total += total;
-        merge_top_victim(&mut slot.top_victim, top);
+        // The shard's dominant backscatter victim for the hour; the
+        // global per-hour victim is the merge of shard maxima.
+        self.dev.commit(&mut self.out, at.idx);
     }
 
     /// Finish the shard: normalize the device table (on the worker, so
     /// the sort itself parallelizes across shards) and surrender the
     /// aggregates.
     pub fn finish(mut self) -> ShardPartial {
-        self.devices.normalize();
-        ShardPartial {
-            devices: self.devices,
-            protocol_packets: self.protocol_packets,
-            udp_packets: self.udp_packets,
-            udp_devices: self.udp_devices,
-            scan_packets: self.scan_packets,
-            scan_devices: self.scan_devices,
-            backscatter_hourly: self.backscatter_hourly,
-            backscatter_intervals: self.backscatter_intervals,
-            scan_services: self.scan_services,
-            top5_series: self.top5_series,
-            udp_ports: self.udp_ports,
-        }
+        self.out.devices.normalize();
+        ShardPartial(self.out)
     }
 }
 
 /// One shard's finished device-keyed aggregates, ready for
-/// [`assemble`].
+/// [`assemble`]: an [`Analysis`] restricted to the shard's devices
+/// (rows sorted by id), with no destination distincts.
 #[derive(Debug)]
-pub struct ShardPartial {
-    /// Per-device rows for this shard's dense range, sorted by id.
-    pub devices: DeviceTable,
-    /// Packets per `[realm][transport]` from this shard's devices.
-    pub protocol_packets: [[u64; 3]; 2],
-    /// UDP packets per `[realm][interval]`.
-    pub udp_packets: [Vec<u64>; 2],
-    /// Distinct UDP-emitting devices per `[realm][interval]`.
-    pub udp_devices: [Vec<u64>; 2],
-    /// TCP-scan packets per `[realm][interval]`.
-    pub scan_packets: [Vec<u64>; 2],
-    /// Distinct scanning devices per `[realm][interval]`.
-    pub scan_devices: [Vec<u64>; 2],
-    /// Backscatter packets per `[realm][interval]`.
-    pub backscatter_hourly: [Vec<u64>; 2],
-    /// Per-interval backscatter totals and this shard's top victim.
-    pub backscatter_intervals: Vec<BackscatterInterval>,
-    /// Table V statistics restricted to this shard's devices.
-    pub scan_services: BTreeMap<ServiceKey, ServiceStat>,
-    /// Fig 10 series from this shard's devices.
-    pub top5_series: Vec<[u64; 5]>,
-    /// Table IV statistics restricted to this shard's devices.
-    pub udp_ports: HashMap<u16, PortStat>,
+pub struct ShardPartial(Analysis);
+
+impl ShardPartial {
+    /// Number of devices observed in the shard.
+    pub fn device_count(&self) -> usize {
+        self.0.devices.len()
+    }
 }
 
 /// Fold router and shard partials into the final [`Analysis`].
@@ -492,88 +243,20 @@ pub struct ShardPartial {
 /// — concatenate into a globally sorted table, making the final
 /// normalize a no-op and the result bit-identical to a sequential run.
 pub fn assemble(hours: u32, routers: Vec<RouterPartial>, shards: Vec<ShardPartial>) -> Analysis {
-    let h = hours as usize;
-    let mut devices = DeviceTable::new();
-    let mut protocol_packets = [[0u64; 3]; 2];
-    let mut udp = [RealmSeries::new(h), RealmSeries::new(h)];
-    let mut tcp_scan = [RealmSeries::new(h), RealmSeries::new(h)];
-    let mut backscatter_hourly = [vec![0u64; h], vec![0u64; h]];
-    let mut backscatter_intervals = vec![BackscatterInterval::default(); h];
-    let mut scan_services: BTreeMap<ServiceKey, ServiceStat> = BTreeMap::new();
-    let mut top5_series = vec![[0u64; 5]; h];
-    let mut udp_ports: HashMap<u16, PortStat> = HashMap::new();
-    let mut unmatched_flows = 0u64;
-    let mut unmatched_packets = 0u64;
-
-    for rp in routers {
-        for r in 0..2 {
-            for i in 0..h {
-                udp[r].dst_ips[i] += rp.udp_dst_ips[r][i];
-                udp[r].dst_ports[i] += rp.udp_dst_ports[r][i];
-                tcp_scan[r].dst_ips[i] += rp.scan_dst_ips[r][i];
-                tcp_scan[r].dst_ports[i] += rp.scan_dst_ports[r][i];
-            }
-        }
-        unmatched_flows += rp.unmatched_flows;
-        unmatched_packets += rp.unmatched_packets;
+    let mut out = Analysis::empty(hours);
+    let partials = routers
+        .into_iter()
+        .map(|rp| rp.0)
+        .chain(shards.into_iter().map(|sp| sp.0));
+    for partial in partials {
+        // Router partials hold no device rows and shards are disjoint.
+        out.absorb(partial, DeviceTable::concat_from);
     }
-
-    for sp in shards {
-        devices.concat_from(sp.devices);
-        for r in 0..2 {
-            for (dst, src) in protocol_packets[r].iter_mut().zip(sp.protocol_packets[r]) {
-                *dst += src;
-            }
-            for (i, bs) in backscatter_hourly[r].iter_mut().enumerate().take(h) {
-                udp[r].packets[i] += sp.udp_packets[r][i];
-                udp[r].devices[i] += sp.udp_devices[r][i];
-                tcp_scan[r].packets[i] += sp.scan_packets[r][i];
-                tcp_scan[r].devices[i] += sp.scan_devices[r][i];
-                *bs += sp.backscatter_hourly[r][i];
-            }
-        }
-        for (i, slot) in sp.backscatter_intervals.into_iter().enumerate() {
-            let cur = &mut backscatter_intervals[i];
-            cur.total += slot.total;
-            merge_top_victim(&mut cur.top_victim, slot.top_victim);
-        }
-        for (key, stat) in sp.scan_services {
-            let cur = scan_services.entry(key).or_default();
-            for r in 0..2 {
-                cur.packets[r] += stat.packets[r];
-                cur.devices[r].union_with(&stat.devices[r]);
-            }
-        }
-        for (i, row) in sp.top5_series.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
-                top5_series[i][j] += v;
-            }
-        }
-        for (port, stat) in sp.udp_ports {
-            let cur = udp_ports.entry(port).or_default();
-            cur.packets += stat.packets;
-            cur.devices.union_with(&stat.devices);
-        }
-    }
-
-    // Ascending sorted shards concatenate already-sorted; this is a
-    // no-op then, and a safety net for out-of-order callers otherwise.
-    devices.normalize();
-    Analysis {
-        hours,
-        devices,
-        protocol_packets,
-        udp,
-        tcp_scan,
-        backscatter_hourly,
-        backscatter_intervals,
-        scan_services,
-        top5_series,
-        udp_ports,
-        unmatched_flows,
-        unmatched_packets,
-        cache: ViewCache::default(),
-    }
+    // Ascending sorted shards concatenate already-sorted; the device
+    // sort is a no-op then, and a safety net for out-of-order callers
+    // otherwise.
+    out.normalize();
+    out
 }
 
 #[cfg(test)]
@@ -581,21 +264,11 @@ mod tests {
     use super::*;
     use crate::analysis::Analyzer;
     use iotscope_devicedb::device::DeviceProfile;
-    use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, IotDevice, IspId};
+    use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceId, IotDevice, IspId};
     use iotscope_net::protocol::TcpFlags;
     use iotscope_net::time::UnixHour;
     use iotscope_telescope::HourTraffic;
     use std::net::Ipv4Addr;
-
-    #[test]
-    fn routed_class_codes_match_class_idx() {
-        assert_eq!(CLASS_TCP_SCAN as usize, class_idx(TrafficClass::TcpScan));
-        assert_eq!(
-            CLASS_BACKSCATTER as usize,
-            class_idx(TrafficClass::Backscatter)
-        );
-        assert_eq!(CLASS_UDP as usize, class_idx(TrafficClass::Udp));
-    }
 
     fn db(n: u32) -> DeviceDb {
         DeviceDb::from_devices((0..n).map(|i| IotDevice {
@@ -697,6 +370,42 @@ mod tests {
             assert_eq!(par.backscatter_intervals, seq.backscatter_intervals);
             assert_eq!(par.unmatched_flows, seq.unmatched_flows);
             assert_eq!(par.unmatched_packets, seq.unmatched_packets);
+        }
+    }
+
+    #[test]
+    fn port_table_is_the_same_via_merge_assemble_and_one_pass() {
+        let db = db(37);
+        let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 70 + u64::from(i))).collect();
+        let mut seq = Analyzer::new(&db, 8);
+        for h in &traffic {
+            seq.ingest_hour(h);
+        }
+        // Late hours first, so the merged table meets ports in another
+        // order than the sequential pass.
+        let mut merged = Analyzer::new(&db, 8);
+        let mut early = Analyzer::new(&db, 8);
+        for h in traffic.iter().rev() {
+            let half = if h.interval > 3 {
+                &mut merged
+            } else {
+                &mut early
+            };
+            half.ingest_hour(h);
+        }
+        merged.merge(early);
+        assert_eq!(merged.peek().udp_ports, seq.peek().udp_ports);
+
+        let seq = seq.finish();
+        let merged = merged.finish();
+        let par = sharded(&db, 8, &traffic, 2, 3);
+        let ports = |a: &Analysis| a.udp_ports.rows().map(|r| r.port).collect::<Vec<_>>();
+        assert!(seq.udp_ports.len() > 100, "{} ports", seq.udp_ports.len());
+        assert!(ports(&seq).windows(2).all(|w| w[0] < w[1]), "ascending");
+        for (how, other) in [("merge", &merged), ("assemble", &par)] {
+            assert_eq!(other.udp_ports, seq.udp_ports, "{how}");
+            assert_eq!(ports(other), ports(&seq), "{how}: row order");
+            assert_eq!(other.scan_services, seq.scan_services, "{how}");
         }
     }
 

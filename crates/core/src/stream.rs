@@ -270,7 +270,6 @@ pub struct StreamingAnalyzer<'a> {
     analyzer: Analyzer<'a>,
     db: &'a DeviceDb,
     config: StreamConfig,
-    seen_devices: crate::table::DeviceSet,
     backscatter: Trailing,
     services: [Trailing; 5],
     ports: [Trailing; 2],
@@ -287,7 +286,6 @@ impl<'a> StreamingAnalyzer<'a> {
             analyzer: Analyzer::new(db, hours),
             db,
             config,
-            seen_devices: crate::table::DeviceSet::with_capacity(db.len()),
             backscatter: Trailing::new(config.window),
             services: std::array::from_fn(|_| Trailing::new(config.window)),
             ports: [Trailing::new(config.window), Trailing::new(config.window)],
@@ -335,18 +333,16 @@ impl<'a> StreamingAnalyzer<'a> {
             );
         }
         self.last_interval = Some(hour.interval);
+        let known = self.analyzer.peek().device_count();
         self.analyzer.ingest_hour(hour);
         let snapshot = self.analyzer.peek();
         let idx = (hour.interval - 1) as usize;
         let mut new_alerts = Vec::new();
 
         // --- new-device discovery -----------------------------------------
-        let mut discovered = 0usize;
-        for obs in snapshot.devices.rows() {
-            if obs.first_interval == hour.interval && self.seen_devices.insert(obs.device) {
-                discovered += 1;
-            }
-        }
+        // Device rows are only ever appended, so the hour's discoveries
+        // are the rows it added.
+        let discovered = snapshot.device_count() - known;
         if discovered > 0 {
             new_alerts.push(Alert::NewDevices {
                 interval: hour.interval,
@@ -527,14 +523,20 @@ mod tests {
     #[test]
     fn new_device_alerts_cover_every_device_once() {
         let (_, analysis, alerts) = run();
-        let total: usize = alerts
-            .iter()
-            .filter_map(|a| match a {
-                Alert::NewDevices { count, .. } => Some(*count),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(total, analysis.device_count());
+        // Per-day sums of the alert counts, made cumulative, are Fig 2's
+        // discovery curve; their total is every device, once.
+        let mut per_day = vec![0usize; analysis.discovery_curve().len()];
+        for a in &alerts {
+            if let Alert::NewDevices { interval, count } = a {
+                per_day[((interval - 1) / 24) as usize] += count;
+            }
+        }
+        let mut cumulative = 0usize;
+        for (day, (all, _, _)) in analysis.discovery_curve().into_iter().enumerate() {
+            cumulative += per_day[day];
+            assert_eq!(cumulative, all, "day {day}");
+        }
+        assert_eq!(cumulative, analysis.device_count());
     }
 
     #[test]

@@ -19,11 +19,18 @@
 //! capacity-insensitive, preserving the determinism contract even on
 //! un-normalized snapshots.
 //!
+//! The two port-keyed aggregates follow the same model: [`PortTable`]
+//! (Table IV, one row per UDP destination port behind a 65,536-entry
+//! port → row index) and [`ServiceTable`] (Table V, one fixed slot per
+//! service group), so the per-flow fold reaches either with an array
+//! index and merging is columnar addition plus device-set unions.
+//!
 //! [`Analyzer::finish`]: crate::analysis::Analyzer::finish
 //! [`Analysis`]: crate::analysis::Analysis
 
 use crate::classify::TrafficClass;
 use iotscope_devicedb::{DeviceId, Realm};
+use iotscope_net::ports::ScanService;
 
 /// Number of traffic classes (see [`crate::analysis::class_idx`]).
 pub(crate) const NUM_CLASSES: usize = 5;
@@ -583,6 +590,248 @@ impl PartialEq for DeviceTable {
 
 impl Eq for DeviceTable {}
 
+/// One row of a [`PortTable`]: a UDP destination port, the packets sent
+/// to it and the devices that sent them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortRow<'a> {
+    /// The destination port.
+    pub port: u16,
+    /// UDP packets to the port.
+    pub packets: u64,
+    /// Devices that sent them.
+    pub devices: &'a DeviceSet,
+}
+
+/// Columnar per-UDP-port aggregates (Table IV): one row per observed
+/// destination port, struct-of-arrays, addressed through a dense
+/// `port → row` index over the whole 2^16 port space.
+///
+/// Rows are appended in first-seen order while ingesting;
+/// [`normalize`](Self::normalize) sorts them ascending by port, so
+/// finished results iterate identically regardless of ingest or merge
+/// order. Equality is insensitive to row order.
+#[derive(Debug, Clone)]
+pub struct PortTable {
+    /// Port per row.
+    ports: Vec<u16>,
+    /// Packets per row.
+    packets: Vec<u64>,
+    /// Sending devices per row.
+    devices: Vec<DeviceSet>,
+    /// Dense index: port → row + 1 (0 = absent), 65,536 entries.
+    row_of: Vec<u32>,
+    /// Whether rows are currently sorted by port.
+    sorted: bool,
+}
+
+impl Default for PortTable {
+    fn default() -> Self {
+        PortTable::new()
+    }
+}
+
+impl PortTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        PortTable {
+            ports: Vec::new(),
+            packets: Vec::new(),
+            devices: Vec::new(),
+            row_of: vec![0; usize::from(u16::MAX) + 1],
+            sorted: true,
+        }
+    }
+
+    /// Number of rows (distinct ports observed).
+    pub fn len(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// Whether no port has been observed.
+    pub fn is_empty(&self) -> bool {
+        self.ports.is_empty()
+    }
+
+    /// Get-or-create the row for `port`.
+    #[inline]
+    fn upsert(&mut self, port: u16) -> usize {
+        let slot = self.row_of[usize::from(port)];
+        if slot != 0 {
+            return slot as usize - 1;
+        }
+        let row = self.ports.len();
+        if self.sorted && self.ports.last().is_some_and(|last| *last > port) {
+            self.sorted = false;
+        }
+        self.ports.push(port);
+        self.packets.push(0);
+        self.devices.push(DeviceSet::new());
+        self.row_of[usize::from(port)] = (row + 1) as u32;
+        row
+    }
+
+    /// Record `pkts` UDP packets from device `id` to `port`.
+    #[inline]
+    pub fn observe(&mut self, port: u16, pkts: u64, id: DeviceId) {
+        let row = self.upsert(port);
+        self.packets[row] += pkts;
+        self.devices[row].insert(id);
+    }
+
+    fn row_at(&self, row: usize) -> PortRow<'_> {
+        PortRow {
+            port: self.ports[row],
+            packets: self.packets[row],
+            devices: &self.devices[row],
+        }
+    }
+
+    /// The row for `port`, if any packet was sent to it.
+    pub fn get(&self, port: u16) -> Option<PortRow<'_>> {
+        match self.row_of[usize::from(port)] {
+            0 => None,
+            slot => Some(self.row_at(slot as usize - 1)),
+        }
+    }
+
+    /// Iterate over rows in row order (ascending by port iff the table
+    /// is [`normalize`](Self::normalize)d).
+    pub fn rows(&self) -> impl Iterator<Item = PortRow<'_>> + '_ {
+        (0..self.len()).map(|row| self.row_at(row))
+    }
+
+    /// Total packets over all ports.
+    pub fn total_packets(&self) -> u64 {
+        self.packets.iter().sum()
+    }
+
+    /// Merge another table built over disjoint observations: matching
+    /// rows add packets and union device sets, new rows are appended.
+    pub fn merge_from(&mut self, other: PortTable) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        for (orow, devices) in other.devices.into_iter().enumerate() {
+            let row = self.upsert(other.ports[orow]);
+            self.packets[row] += other.packets[orow];
+            self.devices[row].union_with(&devices);
+        }
+    }
+
+    /// Sort rows ascending by port and rebuild the index. No-op when
+    /// already sorted.
+    pub fn normalize(&mut self) {
+        if self.sorted {
+            return;
+        }
+        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
+        perm.sort_unstable_by_key(|&r| self.ports[r as usize]);
+        self.ports = permute(&self.ports, &perm);
+        self.packets = permute(&self.packets, &perm);
+        self.devices = perm
+            .iter()
+            .map(|&r| std::mem::take(&mut self.devices[r as usize]))
+            .collect();
+        for (row, port) in self.ports.iter().enumerate() {
+            self.row_of[usize::from(*port)] = (row + 1) as u32;
+        }
+        self.sorted = true;
+    }
+}
+
+/// Row-set equality, insensitive to row order.
+impl PartialEq for PortTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.rows().all(|row| other.get(row.port) == Some(row))
+    }
+}
+
+impl Eq for PortTable {}
+
+/// Key for Table V rows: a named service group or the long tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ServiceKey {
+    /// One of the 14 named groups.
+    Named(ScanService),
+    /// Every other scanned port.
+    Other,
+}
+
+impl ServiceKey {
+    /// The key's [`ServiceTable`] slot — the value
+    /// [`ScanService::group_of_port`] gives the group's ports.
+    fn slot(self) -> usize {
+        match self {
+            ServiceKey::Named(service) => service.ordinal(),
+            ServiceKey::Other => ScanService::OTHER_GROUP,
+        }
+    }
+
+    fn from_slot(slot: usize) -> ServiceKey {
+        ScanService::ALL
+            .get(slot)
+            .map_or(ServiceKey::Other, |s| ServiceKey::Named(*s))
+    }
+}
+
+/// Per-service scanning statistics, split by realm.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServiceStat {
+    /// Packets per realm (`[consumer, cps]`).
+    pub packets: [u64; 2],
+    /// Scanning devices per realm.
+    pub devices: [DeviceSet; 2],
+}
+
+/// Table V statistics: one fixed slot per service group, in Table V
+/// order with the unnamed tail last, indexed by
+/// [`ScanService::group_of_port`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServiceTable {
+    slots: [ServiceStat; ScanService::GROUPS],
+}
+
+impl ServiceTable {
+    /// Record `pkts` scan packets from device `id` of realm index `r`
+    /// to a port of slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= ScanService::GROUPS` or `r >= 2`.
+    #[inline]
+    pub fn observe(&mut self, slot: usize, r: usize, pkts: u64, id: DeviceId) {
+        let stat = &mut self.slots[slot];
+        stat.packets[r] += pkts;
+        stat.devices[r].insert(id);
+    }
+
+    /// The statistics for `key` (all zero if it was never scanned).
+    pub fn get(&self, key: ServiceKey) -> &ServiceStat {
+        &self.slots[key.slot()]
+    }
+
+    /// The groups that were scanned by at least one device, in Table V
+    /// order with [`ServiceKey::Other`] last.
+    pub fn iter(&self) -> impl Iterator<Item = (ServiceKey, &ServiceStat)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, stat)| stat.devices.iter().any(|d| !d.is_empty()))
+            .map(|(slot, stat)| (ServiceKey::from_slot(slot), stat))
+    }
+
+    /// Merge another table built over disjoint observations.
+    pub fn merge_from(&mut self, other: ServiceTable) {
+        for (cur, stat) in self.slots.iter_mut().zip(other.slots) {
+            for r in 0..2 {
+                cur.packets[r] += stat.packets[r];
+                cur.devices[r].union_with(&stat.devices[r]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,6 +994,94 @@ mod tests {
         rev.normalize();
         assert_eq!(rev.ids(), cat.ids());
         assert_eq!(rev, cat);
+    }
+
+    #[test]
+    fn port_table_equality_ignores_fill_order_and_normalisation() {
+        let sends = [
+            (53u16, 4u64, 7u32),
+            (137, 1, 2),
+            (53, 2, 9),
+            (0, 3, 7),
+            (u16::MAX, 5, 1),
+        ];
+        let mut fwd = PortTable::new();
+        let mut rev = PortTable::new();
+        for &(port, pkts, dev) in &sends {
+            fwd.observe(port, pkts, DeviceId(dev));
+        }
+        for &(port, pkts, dev) in sends.iter().rev() {
+            rev.observe(port, pkts, DeviceId(dev));
+        }
+        let ports = |t: &PortTable| t.rows().map(|r| r.port).collect::<Vec<_>>();
+        assert_ne!(ports(&fwd), ports(&rev), "row order is first-seen");
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd.len(), 4);
+        assert_eq!(fwd.total_packets(), 15);
+        let dns = fwd.get(53).unwrap();
+        assert_eq!((dns.packets, dns.devices.len()), (6, 2));
+        assert!(fwd.get(54).is_none());
+
+        // Normalising one side, then both, keeps them equal and sorts.
+        fwd.normalize();
+        assert_eq!(fwd, rev);
+        rev.normalize();
+        assert_eq!(fwd, rev);
+        assert_eq!(ports(&fwd), [0, 53, 137, u16::MAX]);
+        assert_eq!(ports(&rev), ports(&fwd));
+        assert_eq!(rev.get(53).unwrap().packets, 6, "index rebuilt");
+
+        // Any difference in packets, devices or rows breaks equality.
+        let mut more = rev.clone();
+        more.observe(53, 1, DeviceId(7));
+        assert_ne!(more, fwd);
+        let mut wider = rev.clone();
+        wider.observe(137, 0, DeviceId(3));
+        assert_ne!(wider, fwd);
+        let mut longer = rev.clone();
+        longer.observe(1, 0, DeviceId(3));
+        assert_ne!(longer, fwd);
+
+        // Merging splits of the sends reproduces the whole.
+        let mut left = PortTable::new();
+        let mut right = PortTable::new();
+        for (i, &(port, pkts, dev)) in sends.iter().enumerate() {
+            let half = if i % 2 == 0 { &mut left } else { &mut right };
+            half.observe(port, pkts, DeviceId(dev));
+        }
+        right.merge_from(left);
+        assert_eq!(right, fwd);
+    }
+
+    #[test]
+    fn service_table_lists_scanned_groups_in_table_v_order() {
+        let mut t = ServiceTable::default();
+        assert_eq!(t.iter().count(), 0);
+        t.observe(ScanService::OTHER_GROUP, 1, 3, DeviceId(4));
+        t.observe(ScanService::group_of_port(22), 0, 2, DeviceId(1));
+        t.observe(ScanService::group_of_port(2323), 0, 0, DeviceId(1));
+        let keys: Vec<ServiceKey> = t.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                ServiceKey::Named(ScanService::Telnet),
+                ServiceKey::Named(ScanService::Ssh),
+                ServiceKey::Other
+            ]
+        );
+        assert_eq!(t.get(ServiceKey::Other).packets, [0, 3]);
+        assert_eq!(t.get(ServiceKey::Named(ScanService::Ftp)).packets, [0, 0]);
+        for slot in 0..ScanService::GROUPS {
+            assert_eq!(ServiceKey::from_slot(slot).slot(), slot);
+        }
+        let mut sum = ServiceTable::default();
+        sum.merge_from(t.clone());
+        sum.merge_from(t.clone());
+        assert_eq!(sum.get(ServiceKey::Other).packets, [0, 6]);
+        assert_eq!(
+            sum.get(ServiceKey::Other).devices,
+            t.get(ServiceKey::Other).devices
+        );
     }
 
     #[test]

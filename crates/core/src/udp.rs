@@ -24,20 +24,20 @@ pub struct UdpPortRow {
 
 /// Table IV: the top-`n` UDP destination ports by packets.
 pub fn top_ports(analysis: &Analysis, registry: &ServiceRegistry, n: usize) -> Vec<UdpPortRow> {
-    let total: u64 = analysis.udp_ports.values().map(|p| p.packets).sum();
+    let total = analysis.udp_ports.total_packets();
     let mut rows: Vec<UdpPortRow> = analysis
         .udp_ports
-        .iter()
-        .map(|(port, stat)| UdpPortRow {
-            port: *port,
-            label: registry.label(TransportProtocol::Udp, *port),
-            packets: stat.packets,
+        .rows()
+        .map(|row| UdpPortRow {
+            port: row.port,
+            label: registry.label(TransportProtocol::Udp, row.port),
+            packets: row.packets,
             pct: if total == 0 {
                 0.0
             } else {
-                100.0 * stat.packets as f64 / total as f64
+                100.0 * row.packets as f64 / total as f64
             },
-            devices: stat.devices.len(),
+            devices: row.devices.len(),
         })
         .collect();
     rows.sort_by(|a, b| b.packets.cmp(&a.packets).then(a.port.cmp(&b.port)));

@@ -65,7 +65,7 @@ impl ScanService {
     ];
 
     /// The TCP destination ports belonging to this group.
-    pub fn ports(self) -> &'static [u16] {
+    pub const fn ports(self) -> &'static [u16] {
         match self {
             ScanService::Telnet => &[23, 2323, 23231],
             ScanService::Http => &[80, 8080, 81],
@@ -89,9 +89,33 @@ impl ScanService {
         self.ports()[0]
     }
 
+    /// Number of Table V slots: the 14 named groups plus the unnamed
+    /// tail, whose [`group_of_port`](Self::group_of_port) value is
+    /// [`OTHER_GROUP`](Self::OTHER_GROUP).
+    pub const GROUPS: usize = Self::ALL.len() + 1;
+
+    /// The [`group_of_port`](Self::group_of_port) value of every port
+    /// outside the 14 named groups.
+    pub const OTHER_GROUP: usize = Self::ALL.len();
+
+    /// This group's position in [`ALL`](Self::ALL) (Table V order).
+    pub const fn ordinal(self) -> usize {
+        self as usize
+    }
+
+    /// The Table V slot of a TCP destination port: the
+    /// [`ordinal`](Self::ordinal) of its named group, or
+    /// [`OTHER_GROUP`](Self::OTHER_GROUP). One load from a 64 KiB table
+    /// derived from [`ports`](Self::ports) at compile time.
+    #[inline]
+    pub fn group_of_port(port: u16) -> usize {
+        usize::from(PORT_GROUP[usize::from(port)])
+    }
+
     /// Classify a TCP destination port into its Table V group, if any.
+    #[inline]
     pub fn from_port(port: u16) -> Option<ScanService> {
-        Self::ALL.into_iter().find(|s| s.ports().contains(&port))
+        Self::ALL.get(Self::group_of_port(port)).copied()
     }
 
     /// The label used in Table V, e.g. `"Telnet /23/2323/23231"`.
@@ -100,6 +124,22 @@ impl ScanService {
         format!("{} /{}", self, ports.join("/"))
     }
 }
+
+/// Port → Table V slot, for [`ScanService::group_of_port`].
+static PORT_GROUP: [u8; 1 << 16] = {
+    let mut table = [ScanService::OTHER_GROUP as u8; 1 << 16];
+    let mut g = 0;
+    while g < ScanService::ALL.len() {
+        let ports = ScanService::ALL[g].ports();
+        let mut i = 0;
+        while i < ports.len() {
+            table[ports[i] as usize] = g as u8;
+            i += 1;
+        }
+        g += 1;
+    }
+    table
+};
 
 impl fmt::Display for ScanService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -264,12 +304,23 @@ mod tests {
     }
 
     #[test]
-    fn scan_service_groups_are_disjoint() {
-        let mut seen = std::collections::HashSet::new();
-        for svc in ScanService::ALL {
-            for &p in svc.ports() {
-                assert!(seen.insert(p), "port {p} in two groups");
-            }
+    fn port_lookup_equals_the_ports_definition_for_every_port() {
+        for (i, svc) in ScanService::ALL.into_iter().enumerate() {
+            assert_eq!(svc.ordinal(), i);
+        }
+        for port in 0..=u16::MAX {
+            let groups: Vec<ScanService> = ScanService::ALL
+                .into_iter()
+                .filter(|s| s.ports().contains(&port))
+                .collect();
+            assert!(groups.len() <= 1, "port {port} in two groups");
+            assert_eq!(ScanService::from_port(port), groups.first().copied());
+            assert_eq!(
+                ScanService::group_of_port(port),
+                groups
+                    .first()
+                    .map_or(ScanService::OTHER_GROUP, |s| s.ordinal())
+            );
         }
     }
 

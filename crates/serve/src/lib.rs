@@ -281,9 +281,16 @@ impl TelescopeService {
             stream = stream.with_intel(&intel.index, ScoreConfig::default());
         }
         let mut pushed = 0u32;
+        let mut alert_log: Arc<Vec<Alert>> = Arc::new(Vec::new());
         for hour in traffic {
-            for alert in stream.push_hour(hour) {
-                on_alert(&alert);
+            let raised = stream.push_hour(hour);
+            for alert in &raised {
+                on_alert(alert);
+            }
+            // A quiet hour publishes the previous log again instead of
+            // copying it.
+            if !raised.is_empty() {
+                alert_log = Arc::new(stream.alerts().to_vec());
             }
             pushed += 1;
             self.cell.publish(Snapshot {
@@ -291,7 +298,7 @@ impl TelescopeService {
                 hours_ingested: base_hours + pushed,
                 last_interval: stream.last_interval(),
                 analysis: Arc::new(stream.snapshot()),
-                alerts: Arc::new(stream.alerts().to_vec()),
+                alerts: Arc::clone(&alert_log),
                 scores: stream.scores().map(|t| Arc::new(t.clone())),
             });
         }
@@ -306,7 +313,7 @@ impl TelescopeService {
             hours_ingested: base_hours + pushed,
             last_interval,
             analysis: Arc::new(analysis.clone()),
-            alerts: Arc::new(alerts.clone()),
+            alerts: alert_log,
             scores: scores.map(Arc::new),
         });
         (analysis, alerts)
