@@ -3,16 +3,17 @@
 use crate::{ArgParser, CliError, ParsedArgs};
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoreReadStats};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoreReadStats};
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
 use iotscope_core::stream::{Alert, StreamConfig};
-use iotscope_core::{attribution, behavior};
+use iotscope_core::{attribution, behavior, Analysis};
 use iotscope_devicedb::inventory_io::{self, LoadedInventory};
 use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
 use iotscope_intel::IntelContext;
 use iotscope_net::store::{FlowStore, StoreFormat, StoreOptions};
-use iotscope_net::time::AnalysisWindow;
+use iotscope_net::time::{AnalysisWindow, UnixHour};
+use iotscope_net::NetError;
 use iotscope_obs::{Registry, Snapshot};
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::TelescopeService;
@@ -123,27 +124,47 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     Ok(text)
 }
 
-/// Load the inventory + hourly traffic from a data directory.
-fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError> {
+/// A data directory's store and its work list: every hour of the paper
+/// window the store holds, with its interval. (Presence is the whole
+/// rule here; only `analyze` applies the paper's day-completeness
+/// rule.)
+struct StoredWindow {
+    store: FlowStore,
+    hours: Vec<(u32, UnixHour)>,
+}
+
+/// Open a data directory: the inventory and the stored window.
+fn open_data(dir: &Path) -> Result<(LoadedInventory, StoredWindow), CliError> {
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let store = FlowStore::open(dir.join("darknet"))?;
-    let window = AnalysisWindow::paper();
-    let mut traffic = Vec::new();
-    for (interval, hour) in window.iter_intervals() {
-        if store.has_hour(hour) {
-            traffic.push(HourTraffic {
-                interval,
-                hour,
-                flows: store.read_hour(hour)?,
-            });
-        }
-    }
-    if traffic.is_empty() {
+    let hours: Vec<_> = AnalysisWindow::paper()
+        .iter_intervals()
+        .filter(|(_, hour)| store.has_hour(*hour))
+        .collect();
+    if hours.is_empty() {
         return Err(CliError::Run(format!(
             "no hourly flowtuple files under {}/darknet",
             dir.display()
         )));
     }
+    Ok((inventory, StoredWindow { store, hours }))
+}
+
+/// Load the inventory + hourly traffic from a data directory, the
+/// whole window decoded in memory (the follow-up analyses walk it more
+/// than once).
+fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError> {
+    let (inventory, StoredWindow { store, hours }) = open_data(dir)?;
+    let traffic = hours
+        .into_iter()
+        .map(|(interval, hour)| {
+            Ok(HourTraffic {
+                interval,
+                hour,
+                flows: store.read_hour(hour)?,
+            })
+        })
+        .collect::<Result<_, NetError>>()?;
     Ok((inventory, traffic))
 }
 
@@ -162,22 +183,65 @@ fn meta_seed(inv: &LoadedInventory) -> u64 {
 }
 
 /// Synthesize a threat-intel context for `watch --intel` /
-/// `serve --intel`: batch-analyze the loaded traffic once to select
+/// `serve --intel`: batch-analyze the stored window once to select
 /// candidates, then build the synthetic stores the same way `analyze
 /// --intel` does (seeded from the inventory metadata, so every command
-/// over one data directory sees identical intel).
+/// over one data directory sees identical intel). The pass runs the
+/// store-backed pipeline on every core: it is start-up work, nothing
+/// is being served yet.
 fn build_intel_context(
     inventory: &LoadedInventory,
-    traffic: &[HourTraffic],
+    window: &StoredWindow,
 ) -> Result<IntelContext, CliError> {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let analysis = AnalysisPipeline::new(&inventory.db, AnalysisWindow::paper().num_hours())
-        .run(traffic, &AnalyzeOptions::new())?
+        .run(
+            AnalysisSource::StoreHours(&window.store, &window.hours),
+            &AnalyzeOptions::new().threads(threads),
+        )?
         .analysis;
     let api = QueryContext::batch(&analysis, &inventory.db, &inventory.isps);
     let candidates = api.candidates(4_000);
     let out = IntelBuilder::new(IntelSynthConfig::paper(meta_seed(inventory)))
         .build(&inventory.db, &candidates);
     Ok(IntelContext::from_synth(out))
+}
+
+/// Start a [`TelescopeService`] over a data directory for `watch` and
+/// `serve`: load the inventory, list the store's hours and, with
+/// `intel`, run the bootstrap pass — everything the daemon does before
+/// it is ready to ingest.
+fn start_service(dir: &Path, intel: bool) -> Result<(TelescopeService, StoredWindow), CliError> {
+    let (inventory, window) = open_data(dir)?;
+    let intel = if intel {
+        Some(build_intel_context(&inventory, &window)?)
+    } else {
+        None
+    };
+    let mut service = TelescopeService::new(
+        inventory.db,
+        inventory.isps,
+        AnalysisWindow::paper().num_hours(),
+    );
+    if let Some(ctx) = intel {
+        service = service.with_intel(ctx);
+    }
+    Ok((service, window))
+}
+
+/// Ingest the stored window into `service`, each hour read, decoded and
+/// folded in one fused pass and published before the next is read.
+fn ingest_window(
+    service: &TelescopeService,
+    window: &StoredWindow,
+    on_alert: &mut dyn FnMut(&Alert),
+) -> Result<(Analysis, Vec<Alert>), NetError> {
+    service.ingest_with(
+        &window.hours,
+        StreamConfig::default(),
+        on_alert,
+        |stream, &(interval, hour)| stream.push_store_hour(&window.store, interval, hour),
+    )
 }
 
 /// `iotscope analyze --data DIR [--intel] [--threads N] [--stats] [--metrics[=FMT]]`
@@ -289,23 +353,10 @@ pub fn watch_to(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError
         .optional_value("--metrics")
         .parse(args)?;
     let format = metrics_format(&opts)?;
-    let (inventory, traffic) = load_data(&data_dir(&opts)?)?;
-    let intel = if opts.has("--intel") {
-        Some(build_intel_context(&inventory, &traffic)?)
-    } else {
-        None
-    };
-    let mut service = TelescopeService::new(
-        inventory.db,
-        inventory.isps,
-        AnalysisWindow::paper().num_hours(),
-    );
-    if let Some(ctx) = intel {
-        service = service.with_intel(ctx);
-    }
+    let (service, window) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
     let mut discovered = 0usize;
     let mut write_err: Option<std::io::Error> = None;
-    let (analysis, alerts) = service.ingest(&traffic, StreamConfig::default(), &mut |alert| {
+    let ingested = ingest_window(&service, &window, &mut |alert| {
         if let Alert::NewDevices { count, .. } = alert {
             discovered += count;
             return;
@@ -317,10 +368,11 @@ pub fn watch_to(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError
     if let Some(e) = write_err {
         return Err(e.into());
     }
+    let (analysis, alerts) = ingested?;
     writeln!(
         out,
         "---\n{} hours replayed, {} devices discovered, {} alerts total, {} compromised devices indexed",
-        traffic.len(),
+        window.hours.len(),
         discovered,
         alerts.len(),
         analysis.device_count()
@@ -348,11 +400,28 @@ pub fn watch(args: &[String]) -> Result<String, CliError> {
 
 /// `iotscope serve --data DIR [--port N] [--once] [--intel] [--metrics[=FMT]]`
 ///
-/// The resident daemon: binds the HTTP endpoint first (readers see the
-/// empty epoch-0 snapshot immediately), then ingests DIR's hours
-/// through the shared streaming loop, publishing a snapshot per hour
-/// and streaming non-discovery alerts to `out` as they fire. With
-/// `--once` the process exits after ingest (the mode CI and tests
+/// The resident daemon, in this order:
+///
+/// 1. **start-up**, nothing listening: load the inventory, list the
+///    window hours the store holds and, with `--intel`, analyze them
+///    once through the store-backed pipeline on every core to
+///    synthesize the intel context;
+/// 2. bind the HTTP endpoint and print `serving on http://ADDR` —
+///    readers see the empty epoch-0 snapshot from here;
+/// 3. **ingest**: read, decode and fold the store's hours one at a time
+///    through the shared streaming loop (no hour is materialized, let
+///    alone the window), publishing a snapshot per hour and streaming
+///    non-discovery alerts to `out` as they fire;
+/// 4. print `ingest complete: …`.
+///
+/// The order is a contract: `serving on` means *ready to ingest* —
+/// everything before it is start-up cost, every hour is decoded after
+/// it — which is what lets an operator (and the benchmark) read
+/// start-up and ingest rate off the two lines. A read or decode error
+/// fails the command; no epoch is published for the failed hour or any
+/// after it.
+///
+/// With `--once` the process exits after ingest (the mode CI and tests
 /// drive); otherwise it keeps serving until killed. `--intel` attaches
 /// the threat-intel score stage: snapshots carry the live
 /// [`iotscope_core::ScoreTable`] and `/score/top` + `/score/{id}`
@@ -367,27 +436,14 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
         .parse(args)?;
     let format = metrics_format(&opts)?;
     let port: u16 = opts.parse_or("--port", 0)?;
-    let (inventory, traffic) = load_data(&data_dir(&opts)?)?;
-    let intel = if opts.has("--intel") {
-        Some(build_intel_context(&inventory, &traffic)?)
-    } else {
-        None
-    };
-    let mut service = TelescopeService::new(
-        inventory.db,
-        inventory.isps,
-        AnalysisWindow::paper().num_hours(),
-    );
-    if let Some(ctx) = intel {
-        service = service.with_intel(ctx);
-    }
+    let (service, window) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
     let service = Arc::new(service);
     let server = HttpServer::bind(&format!("127.0.0.1:{port}"), Arc::clone(&service))
         .map_err(|e| CliError::Run(format!("bind failed: {e}")))?;
     writeln!(out, "serving on http://{}", server.local_addr())?;
     out.flush()?;
     let mut write_err: Option<std::io::Error> = None;
-    let (analysis, alerts) = service.ingest(&traffic, StreamConfig::default(), &mut |alert| {
+    let ingested = ingest_window(&service, &window, &mut |alert| {
         if matches!(alert, Alert::NewDevices { .. }) {
             return;
         }
@@ -398,10 +454,11 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
     if let Some(e) = write_err {
         return Err(e.into());
     }
+    let (analysis, alerts) = ingested?;
     writeln!(
         out,
         "ingest complete: {} hours, {} compromised devices indexed, {} alerts",
-        traffic.len(),
+        window.hours.len(),
         analysis.device_count(),
         alerts.len()
     )?;

@@ -8,11 +8,12 @@
 //! what makes parallel analysis exact rather than approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
-//! correlated device), Table IV in a [`PortTable`], Table V in a
-//! [`ServiceTable`], and their device sets are [`DeviceSet`] bitmaps, so
-//! `merge` is columnar addition plus word-wise ORs and the per-flow
-//! fold (`fold.rs`, shared with the sharded pipeline) reaches every
-//! aggregate by array index. Derived queries (sorted device lists,
+//! correlated device), Table IV in a [`PortTable`] (per-port device
+//! runs in one shared arena), Table V in a [`ServiceTable`] of
+//! [`DeviceSet`] bitmaps, so `merge` is columnar addition plus sorted
+//! run merges and word-wise ORs, and the per-flow fold (`fold.rs`,
+//! shared with the sharded pipeline) reaches every aggregate by array
+//! index. Derived queries (sorted device lists,
 //! cohorts, totals) are served memoized through [`Analysis::view`].
 
 use crate::classify::TrafficClass;
@@ -508,8 +509,9 @@ impl<'a> Analyzer<'a> {
     /// same window and database) into this one.
     ///
     /// Per-device state merges as columnar addition
-    /// ([`DeviceTable::merge_from`]) and per-service/port device sets as
-    /// word-wise ORs — no per-key rehashing of the device axis.
+    /// ([`DeviceTable::merge_from`]), per-service device sets as
+    /// word-wise ORs and per-port device runs as sorted merges — no
+    /// per-key rehashing of the device axis.
     ///
     /// # Panics
     ///

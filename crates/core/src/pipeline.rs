@@ -86,17 +86,26 @@ impl StoreReadStats {
     }
 }
 
-/// What to analyze: hours already in memory, or a [`FlowStore`]
-/// directory (which additionally needs [`AnalyzeOptions::window`]).
+/// What to analyze: hours already in memory, a [`FlowStore`]
+/// directory (which additionally needs [`AnalyzeOptions::window`]), or
+/// a caller-chosen list of a store's hours.
 ///
-/// Constructed via `From`/`Into`, so call sites pass `&hours` or
-/// `&store` directly to [`AnalysisPipeline::run`].
+/// The first two are constructed via `From`/`Into`, so call sites pass
+/// `&hours` or `&store` directly to [`AnalysisPipeline::run`].
 #[derive(Debug, Clone, Copy)]
 pub enum AnalysisSource<'s> {
     /// Hourly traffic already decoded in memory.
     Memory(&'s [HourTraffic]),
-    /// An on-disk hourly flowtuple store.
+    /// An on-disk hourly flowtuple store: every hour of
+    /// [`AnalyzeOptions::window`] that survives the day-completeness
+    /// rule.
     Store(&'s FlowStore),
+    /// Exactly these `(interval, hour)` files of an on-disk store — no
+    /// window, no completeness rule; a listed hour that is missing is a
+    /// read error, an interval outside the pipeline's window an
+    /// [`NetError::InvalidInterval`]. What the daemon's start-up pass
+    /// uses, so it analyzes the same hours it then ingests.
+    StoreHours(&'s FlowStore, &'s [(u32, UnixHour)]),
 }
 
 impl<'s> From<&'s [HourTraffic]> for AnalysisSource<'s> {
@@ -326,7 +335,9 @@ impl<'a> AnalysisPipeline<'a> {
     ///
     /// Store-backed runs propagate read failures (corrupt files fail
     /// loudly; missing hours are handled by the day-completeness rule)
-    /// and require [`AnalyzeOptions::window`]. When several hours are
+    /// and require [`AnalyzeOptions::window`]; an explicit
+    /// [`AnalysisSource::StoreHours`] list needs no window and treats a
+    /// missing hour as a read failure. When several hours are
     /// corrupt, the error for the earliest interval is reported,
     /// matching what a sequential read would hit first. In-memory runs
     /// cannot fail.
@@ -384,29 +395,26 @@ impl<'a> AnalysisPipeline<'a> {
                 // its reads are accounted here (and only here).
                 let store = store.clone().instrumented(&registry);
                 let cov = coverage(&store, &window)?;
-                let threads = match options.mode {
-                    ParallelMode::Sharded if !cov.work.is_empty() => budget,
-                    _ if budget < cov.work.len() => budget,
-                    _ => 1, // degenerate pool: fewer hours than workers
-                };
-                // Hour-level workers leave the rest of the budget to
-                // per-worker parallel v3 block decode; the inline path
-                // gets the whole budget for it.
-                let decode = DecodeOptions {
-                    threads: (budget / threads.max(1)).max(1),
-                    quarantine: false,
-                };
-                pm.threads.set(threads as i64);
                 pm.hours_missing.add(cov.hours_missing);
                 pm.hours_skipped.add(cov.hours_skipped);
-                let analysis = if threads <= 1 {
-                    self.run_store_inline(&store, &cov.work, decode, &registry, &pm)?
-                } else if options.mode == ParallelMode::Sharded {
-                    self.run_store_sharded(&store, &cov.work, threads, decode, &registry, &pm)?
-                } else {
-                    self.run_store_pooled(&store, &cov.work, threads, decode, &registry, &pm)?
-                };
+                let (analysis, threads) =
+                    self.run_store(&store, &cov.work, options.mode, budget, &registry, &pm)?;
                 Ok((analysis, cov.dropped_days, threads))
+            }
+            AnalysisSource::StoreHours(store, work) => {
+                if let Some((interval, _)) = work
+                    .iter()
+                    .find(|(interval, _)| !(1..=self.hours).contains(interval))
+                {
+                    return Err(NetError::InvalidInterval(format!(
+                        "interval {interval} outside 1..={}",
+                        self.hours
+                    )));
+                }
+                let store = store.clone().instrumented(&registry);
+                let (analysis, threads) =
+                    self.run_store(&store, work, options.mode, budget, &registry, &pm)?;
+                Ok((analysis, Vec::new(), threads))
             }
         })();
         drop(wall);
@@ -428,6 +436,41 @@ impl<'a> AnalysisPipeline<'a> {
             stats,
             metrics,
         })
+    }
+
+    /// Store path: size the worker pool for the `work` list and run it
+    /// through the matching driver. Returns the analysis and the worker
+    /// threads used.
+    fn run_store(
+        &self,
+        store: &FlowStore,
+        work: &[(u32, UnixHour)],
+        mode: ParallelMode,
+        budget: usize,
+        registry: &Registry,
+        pm: &PipelineMetrics,
+    ) -> Result<(Analysis, usize), NetError> {
+        let threads = match mode {
+            ParallelMode::Sharded if !work.is_empty() => budget,
+            _ if budget < work.len() => budget,
+            _ => 1, // degenerate pool: fewer hours than workers
+        };
+        // Hour-level workers leave the rest of the budget to per-worker
+        // parallel v3 block decode; the inline path gets the whole
+        // budget for it.
+        let decode = DecodeOptions {
+            threads: (budget / threads.max(1)).max(1),
+            quarantine: false,
+        };
+        pm.threads.set(threads as i64);
+        let analysis = if threads <= 1 {
+            self.run_store_inline(store, work, decode, registry, pm)?
+        } else if mode == ParallelMode::Sharded {
+            self.run_store_sharded(store, work, threads, decode, registry, pm)?
+        } else {
+            self.run_store_pooled(store, work, threads, decode, registry, pm)?
+        };
+        Ok((analysis, threads))
     }
 
     /// In-memory path, sequential: one analyzer over every hour on the

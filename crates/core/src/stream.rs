@@ -18,20 +18,27 @@
 //! Baselines are trailing windows over past hours only, so detection is
 //! causal: an alert at hour *t* uses nothing later than *t*.
 
-use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
+use crate::analysis::{Analysis, Analyzer, HourIngest, TOP5_SERVICES};
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelIndex;
 use iotscope_net::ports::ScanService;
-use iotscope_obs::{Counter, Registry};
+use iotscope_net::store::{DecodeOptions, FlowStore};
+use iotscope_net::time::UnixHour;
+use iotscope_net::NetError;
+use iotscope_obs::{Counter, Gauge, Registry};
 use iotscope_telescope::HourTraffic;
+use std::convert::Infallible;
 
 /// Stream-layer metric handles (`stream.` prefix). Streaming is
 /// single-threaded and causal, so every counter is
-/// [stable](iotscope_obs::Stability::Stable).
+/// [stable](iotscope_obs::Stability::Stable); the `stream.state_bytes`
+/// gauge (heap held by the device and port tables after the last
+/// pushed hour) reads capacities and is variant like every gauge.
 #[derive(Debug, Clone)]
 struct StreamMetrics {
     hours_pushed: Counter,
+    state_bytes: Gauge,
     alerts_new_devices: Counter,
     alerts_dos_spike: Counter,
     alerts_scan_surge: Counter,
@@ -43,6 +50,7 @@ impl StreamMetrics {
     fn register(registry: &Registry) -> Self {
         StreamMetrics {
             hours_pushed: registry.counter("stream.hours_pushed"),
+            state_bytes: registry.gauge("stream.state_bytes"),
             alerts_new_devices: registry.counter("stream.alerts.new_devices"),
             alerts_dos_spike: registry.counter("stream.alerts.dos_spike"),
             alerts_scan_surge: registry.counter("stream.alerts.scan_surge"),
@@ -304,9 +312,10 @@ impl<'a> StreamingAnalyzer<'a> {
         self
     }
 
-    /// Like [`new`](Self::new), but publishing `stream.hours_pushed`
-    /// and per-kind `stream.alerts.*` counters into `registry` (and the
-    /// inner analyzer's `analysis.*` counters with them).
+    /// Like [`new`](Self::new), but publishing `stream.hours_pushed`,
+    /// per-kind `stream.alerts.*` counters and the `stream.state_bytes`
+    /// gauge into `registry` (and the inner analyzer's `analysis.*`
+    /// counters with them).
     pub fn with_metrics(
         db: &'a DeviceDb,
         hours: u32,
@@ -325,18 +334,60 @@ impl<'a> StreamingAnalyzer<'a> {
     ///
     /// Panics if hours arrive out of order or outside the window.
     pub fn push_hour(&mut self, hour: &HourTraffic) -> Vec<Alert> {
+        let Ok(alerts) = self.push_with(hour.interval, |ingest| {
+            ingest.ingest(&hour.flows);
+            Ok::<(), Infallible>(())
+        });
+        alerts
+    }
+
+    /// Ingest the next hour straight from `store` — read, columnar
+    /// decode and fold fused block by block, the hour never
+    /// materialized (the path `analyze` takes) — and return the alerts
+    /// it raised: the same alerts, from the same state, as
+    /// [`push_hour`](Self::push_hour) on the decoded hour.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read or decode failure. The analyzer then holds a
+    /// prefix of the failed hour: discard it, do not push further.
+    ///
+    /// # Panics
+    ///
+    /// As [`push_hour`](Self::push_hour).
+    pub fn push_store_hour(
+        &mut self,
+        store: &FlowStore,
+        interval: u32,
+        hour: UnixHour,
+    ) -> Result<Vec<Alert>, NetError> {
+        self.push_with(interval, |ingest| {
+            let bytes = store.fetch_hour_bytes(hour)?;
+            store.visit_hour_for(hour, &bytes, DecodeOptions::default(), ingest)?;
+            Ok(())
+        })
+    }
+
+    /// The one per-hour step: `feed` folds the hour's flows into the
+    /// analyzer, then the detectors run over the updated state.
+    fn push_with<E>(
+        &mut self,
+        interval: u32,
+        feed: impl FnOnce(&mut HourIngest<'_, 'a>) -> Result<(), E>,
+    ) -> Result<Vec<Alert>, E> {
         if let Some(last) = self.last_interval {
             assert!(
-                hour.interval > last,
-                "hours must arrive in order ({last} then {})",
-                hour.interval
+                interval > last,
+                "hours must arrive in order ({last} then {interval})"
             );
         }
-        self.last_interval = Some(hour.interval);
+        self.last_interval = Some(interval);
         let known = self.analyzer.peek().device_count();
-        self.analyzer.ingest_hour(hour);
+        let mut ingest = self.analyzer.begin_hour(interval);
+        feed(&mut ingest)?;
+        ingest.finish();
         let snapshot = self.analyzer.peek();
-        let idx = (hour.interval - 1) as usize;
+        let idx = (interval - 1) as usize;
         let mut new_alerts = Vec::new();
 
         // --- new-device discovery -----------------------------------------
@@ -345,7 +396,7 @@ impl<'a> StreamingAnalyzer<'a> {
         let discovered = snapshot.device_count() - known;
         if discovered > 0 {
             new_alerts.push(Alert::NewDevices {
-                interval: hour.interval,
+                interval,
                 count: discovered,
             });
         }
@@ -361,7 +412,7 @@ impl<'a> StreamingAnalyzer<'a> {
                     .top_victim
                     .map(|(d, p)| (d, p as f64 / bs as f64));
                 new_alerts.push(Alert::DosSpike {
-                    interval: hour.interval,
+                    interval,
                     packets: bs,
                     factor: bs as f64 / mean.max(1.0),
                     victim,
@@ -380,7 +431,7 @@ impl<'a> StreamingAnalyzer<'a> {
                     && pkts as f64 > self.config.surge_factor * mean.max(1.0)
                 {
                     new_alerts.push(Alert::ScanSurge {
-                        interval: hour.interval,
+                        interval,
                         service,
                         packets: pkts,
                         factor: pkts as f64 / mean.max(1.0),
@@ -399,7 +450,7 @@ impl<'a> StreamingAnalyzer<'a> {
                     && ports as f64 > self.config.sweep_factor * mean.max(1.0)
                 {
                     new_alerts.push(Alert::PortSweep {
-                        interval: hour.interval,
+                        interval,
                         realm,
                         ports,
                         factor: ports as f64 / mean.max(1.0),
@@ -413,7 +464,7 @@ impl<'a> StreamingAnalyzer<'a> {
         if let Some(engine) = &mut self.score {
             for esc in engine.fold(snapshot) {
                 new_alerts.push(Alert::ScoreEscalation {
-                    interval: hour.interval,
+                    interval,
                     device: esc.device,
                     tier: esc.tier,
                     points: esc.points,
@@ -423,12 +474,14 @@ impl<'a> StreamingAnalyzer<'a> {
 
         if let Some(m) = &self.metrics {
             m.hours_pushed.inc();
+            let state = snapshot.devices.heap_bytes() + snapshot.udp_ports.heap_bytes();
+            m.state_bytes.set(i64::try_from(state).unwrap_or(i64::MAX));
             for a in &new_alerts {
                 m.count(a);
             }
         }
         self.alerts.extend(new_alerts.iter().cloned());
-        new_alerts
+        Ok(new_alerts)
     }
 
     /// All alerts raised so far.

@@ -21,7 +21,8 @@
 //!
 //! The two port-keyed aggregates follow the same model: [`PortTable`]
 //! (Table IV, one row per UDP destination port behind a 65,536-entry
-//! port → row index) and [`ServiceTable`] (Table V, one fixed slot per
+//! port → row index, every row's devices an ascending run in one
+//! shared arena) and [`ServiceTable`] (Table V, one fixed slot per
 //! service group), so the per-flow fold reaches either with an array
 //! index and merging is columnar addition plus device-set unions.
 //!
@@ -598,30 +599,71 @@ pub struct PortRow<'a> {
     pub port: u16,
     /// UDP packets to the port.
     pub packets: u64,
-    /// Devices that sent them.
-    pub devices: &'a DeviceSet,
+    /// Devices that sent them, ascending by id.
+    pub devices: &'a [DeviceId],
 }
+
+/// Where one row's device run lives in the [`PortTable`] arena:
+/// `arena[offset..offset + len]` holds the devices, ascending, and the
+/// run may grow in place up to `cap` entries.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    offset: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    fn range(self) -> std::ops::Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
+}
+
+/// An arena position as a [`Run`] field.
+///
+/// # Panics
+///
+/// Panics past 2^32 entries (16 GiB of device ids).
+fn arena_index(position: usize) -> u32 {
+    u32::try_from(position).expect("port arena within 2^32 entries")
+}
+
+/// Capacity of a port's first run.
+const FIRST_RUN_CAP: u32 = 4;
 
 /// Columnar per-UDP-port aggregates (Table IV): one row per observed
 /// destination port, struct-of-arrays, addressed through a dense
 /// `port → row` index over the whole 2^16 port space.
 ///
+/// The sending devices of *all* rows live in one shared arena, each
+/// row's as an ascending run (`Run`), so the table is five
+/// allocations whatever the number of ports: cloning or dropping it is
+/// a handful of `memcpy`s/`free`s rather than one per port. A full run
+/// moves to the arena's end at twice its capacity, leaving its old
+/// slots dead; [`normalize`](Self::normalize) rewrites the arena
+/// without dead slots.
+///
 /// Rows are appended in first-seen order while ingesting;
 /// [`normalize`](Self::normalize) sorts them ascending by port, so
 /// finished results iterate identically regardless of ingest or merge
-/// order. Equality is insensitive to row order.
+/// order. Equality is insensitive to row order and arena layout.
 #[derive(Debug, Clone)]
 pub struct PortTable {
     /// Port per row.
     ports: Vec<u16>,
     /// Packets per row.
     packets: Vec<u64>,
-    /// Sending devices per row.
-    devices: Vec<DeviceSet>,
+    /// Device run per row.
+    runs: Vec<Run>,
+    /// Every row's devices; only the ranges `runs` points at are live.
+    arena: Vec<DeviceId>,
+    /// Arena slots no run covers any more (abandoned by relocation).
+    dead: usize,
     /// Dense index: port → row + 1 (0 = absent), 65,536 entries.
     row_of: Vec<u32>,
-    /// Whether rows are currently sorted by port.
-    sorted: bool,
+    /// Whether rows are sorted by port and the arena is laid out in row
+    /// order with no dead or spare slots.
+    normalized: bool,
 }
 
 impl Default for PortTable {
@@ -636,9 +678,11 @@ impl PortTable {
         PortTable {
             ports: Vec::new(),
             packets: Vec::new(),
-            devices: Vec::new(),
+            runs: Vec::new(),
+            arena: Vec::new(),
+            dead: 0,
             row_of: vec![0; usize::from(u16::MAX) + 1],
-            sorted: true,
+            normalized: true,
         }
     }
 
@@ -660,14 +704,51 @@ impl PortTable {
             return slot as usize - 1;
         }
         let row = self.ports.len();
-        if self.sorted && self.ports.last().is_some_and(|last| *last > port) {
-            self.sorted = false;
+        if self.ports.last().is_some_and(|last| *last > port) {
+            self.normalized = false;
         }
         self.ports.push(port);
         self.packets.push(0);
-        self.devices.push(DeviceSet::new());
+        self.runs.push(Run::default());
         self.row_of[usize::from(port)] = (row + 1) as u32;
         row
+    }
+
+    /// Move `row`'s run to the arena's end with room for `cap` devices.
+    fn relocate(&mut self, row: usize, cap: u32) {
+        let run = self.runs[row];
+        debug_assert!(cap >= run.len);
+        let offset = self.arena.len();
+        let end = arena_index(offset + cap as usize);
+        self.arena.resize(end as usize, DeviceId(0));
+        self.arena.copy_within(run.range(), offset);
+        self.dead += run.cap as usize;
+        self.runs[row] = Run {
+            offset: offset as u32,
+            len: run.len,
+            cap,
+        };
+        self.normalized = false;
+    }
+
+    /// Add `id` to `row`'s run, keeping it ascending and duplicate-free.
+    #[inline]
+    fn insert(&mut self, row: usize, id: DeviceId) {
+        let run = self.runs[row];
+        let devices = &self.arena[run.range()];
+        let pos = devices.partition_point(|d| *d < id);
+        if devices.get(pos) == Some(&id) {
+            return;
+        }
+        if run.len == run.cap {
+            self.relocate(row, (run.cap * 2).max(FIRST_RUN_CAP));
+        }
+        let run = &mut self.runs[row];
+        let at = run.offset as usize + pos;
+        let end = run.range().end;
+        self.arena.copy_within(at..end, at + 1);
+        self.arena[at] = id;
+        run.len += 1;
     }
 
     /// Record `pkts` UDP packets from device `id` to `port`.
@@ -675,14 +756,14 @@ impl PortTable {
     pub fn observe(&mut self, port: u16, pkts: u64, id: DeviceId) {
         let row = self.upsert(port);
         self.packets[row] += pkts;
-        self.devices[row].insert(id);
+        self.insert(row, id);
     }
 
     fn row_at(&self, row: usize) -> PortRow<'_> {
         PortRow {
             port: self.ports[row],
             packets: self.packets[row],
-            devices: &self.devices[row],
+            devices: &self.arena[self.runs[row].range()],
         }
     }
 
@@ -706,41 +787,100 @@ impl PortTable {
     }
 
     /// Merge another table built over disjoint observations: matching
-    /// rows add packets and union device sets, new rows are appended.
+    /// rows add packets and union device runs, new rows are appended.
     pub fn merge_from(&mut self, other: PortTable) {
         if self.is_empty() {
             *self = other;
             return;
         }
-        for (orow, devices) in other.devices.into_iter().enumerate() {
-            let row = self.upsert(other.ports[orow]);
-            self.packets[row] += other.packets[orow];
-            self.devices[row].union_with(&devices);
+        for theirs in other.rows() {
+            let row = self.upsert(theirs.port);
+            self.packets[row] += theirs.packets;
+            self.union_into(row, theirs.devices);
+        }
+        // Every union abandons the run it replaced; keep the arena
+        // within twice its live size however many partials are merged.
+        if self.dead * 2 > self.arena.len() {
+            self.compact();
         }
     }
 
-    /// Sort rows ascending by port and rebuild the index. No-op when
-    /// already sorted.
+    /// Replace `row`'s run by its union with the ascending `theirs`,
+    /// written in one merge pass at the arena's end.
+    fn union_into(&mut self, row: usize, theirs: &[DeviceId]) {
+        if theirs.is_empty() {
+            return;
+        }
+        let old = self.runs[row];
+        let offset = self.arena.len();
+        self.arena.reserve(old.len as usize + theirs.len());
+        let (mut a, a_end) = (old.range().start, old.range().end);
+        let mut b = 0;
+        while a < a_end && b < theirs.len() {
+            let (x, y) = (self.arena[a], theirs[b]);
+            self.arena.push(x.min(y));
+            a += usize::from(x <= y);
+            b += usize::from(y <= x);
+        }
+        self.arena.extend_from_within(a..a_end);
+        self.arena.extend_from_slice(&theirs[b..]);
+        let len = arena_index(self.arena.len()) - offset as u32;
+        self.dead += old.cap as usize;
+        self.runs[row] = Run {
+            offset: offset as u32,
+            len,
+            cap: len,
+        };
+        self.normalized = false;
+    }
+
+    /// Rewrite the arena in row order with no dead or spare slots.
+    fn compact(&mut self) {
+        let live = self.runs.iter().map(|run| run.len as usize).sum();
+        let mut arena = Vec::with_capacity(live);
+        for run in &mut self.runs {
+            let offset = arena.len() as u32;
+            arena.extend_from_slice(&self.arena[run.range()]);
+            *run = Run {
+                offset,
+                len: run.len,
+                cap: run.len,
+            };
+        }
+        self.arena = arena;
+        self.dead = 0;
+    }
+
+    /// Sort rows ascending by port, rebuild the index and rewrite the
+    /// arena compactly in port order. No-op when already so.
     pub fn normalize(&mut self) {
-        if self.sorted {
+        if self.normalized {
             return;
         }
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         perm.sort_unstable_by_key(|&r| self.ports[r as usize]);
         self.ports = permute(&self.ports, &perm);
         self.packets = permute(&self.packets, &perm);
-        self.devices = perm
-            .iter()
-            .map(|&r| std::mem::take(&mut self.devices[r as usize]))
-            .collect();
+        self.runs = permute(&self.runs, &perm);
         for (row, port) in self.ports.iter().enumerate() {
             self.row_of[usize::from(*port)] = (row + 1) as u32;
         }
-        self.sorted = true;
+        self.compact();
+        self.normalized = true;
+    }
+
+    /// Approximate heap footprint in bytes (columns, arena and index).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ports.capacity() * size_of::<u16>()
+            + self.packets.capacity() * size_of::<u64>()
+            + self.runs.capacity() * size_of::<Run>()
+            + self.arena.capacity() * size_of::<DeviceId>()
+            + self.row_of.capacity() * size_of::<u32>()
     }
 }
 
-/// Row-set equality, insensitive to row order.
+/// Row-set equality, insensitive to row order and arena layout.
 impl PartialEq for PortTable {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.rows().all(|row| other.get(row.port) == Some(row))
@@ -835,6 +975,8 @@ impl ServiceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn device_set_insert_contains_len() {
@@ -1051,6 +1193,151 @@ mod tests {
         }
         right.merge_from(left);
         assert_eq!(right, fwd);
+    }
+
+    /// The rows of `t` as plain data, in row order.
+    fn port_rows(t: &PortTable) -> Vec<(u16, u64, Vec<u32>)> {
+        t.rows()
+            .map(|r| (r.port, r.packets, r.devices.iter().map(|d| d.0).collect()))
+            .collect()
+    }
+
+    type PortModel = BTreeMap<u16, (u64, BTreeSet<u32>)>;
+
+    /// The same rows from the reference model: ascending by port, each
+    /// run ascending.
+    fn model_rows(model: &PortModel) -> Vec<(u16, u64, Vec<u32>)> {
+        model
+            .iter()
+            .map(|(port, (pkts, devs))| (*port, *pkts, devs.iter().copied().collect()))
+            .collect()
+    }
+
+    /// A few hot ports (long runs, many relocations), the two ends of
+    /// the port space, and the whole space.
+    fn port() -> impl Strategy<Value = u16> {
+        prop_oneof![
+            Just(0u16),
+            Just(u16::MAX),
+            Just(53u16),
+            0u16..8,
+            any::<u16>()
+        ]
+    }
+
+    /// Device 0, a small id space (duplicates within a run), a wide one.
+    fn device() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), 0u32..40, 0u32..5_000, any::<u32>()]
+    }
+
+    proptest! {
+        #[test]
+        fn port_table_equals_btree_model(
+            sends in proptest::collection::vec((port(), 0u64..1_000, device()), 0..2_500),
+            split in any::<u64>(),
+        ) {
+            let mut model = PortModel::new();
+            let mut whole = PortTable::new();
+            let (mut left, mut right) = (PortTable::new(), PortTable::new());
+            for (i, &(port, pkts, dev)) in sends.iter().enumerate() {
+                let entry = model.entry(port).or_default();
+                entry.0 += pkts;
+                entry.1.insert(dev);
+                whole.observe(port, pkts, DeviceId(dev));
+                let half = if (split >> (i % 64)) & 1 == 0 { &mut left } else { &mut right };
+                half.observe(port, pkts, DeviceId(dev));
+            }
+            let expected = model_rows(&model);
+            prop_assert_eq!(whole.len(), model.len());
+            prop_assert_eq!(whole.total_packets(), model.values().map(|(p, _)| p).sum::<u64>());
+            for (port, pkts, devs) in &expected {
+                let row = whole.get(*port).unwrap();
+                prop_assert_eq!(row.packets, *pkts);
+                let ids: Vec<u32> = row.devices.iter().map(|d| d.0).collect();
+                prop_assert_eq!(&ids, devs);
+            }
+
+            // Both merge orders of the split reproduce the whole, before
+            // and after either side is normalized.
+            let mut lr = left.clone();
+            lr.merge_from(right.clone());
+            let mut rl = right.clone();
+            rl.merge_from(left.clone());
+            prop_assert_eq!(&lr, &whole);
+            prop_assert_eq!(&rl, &whole);
+            prop_assert_eq!(&lr, &rl);
+            lr.normalize();
+            prop_assert_eq!(&lr, &whole);
+            prop_assert_eq!(&lr, &rl);
+            rl.normalize();
+            prop_assert_eq!(port_rows(&lr), expected.clone());
+            prop_assert_eq!(port_rows(&rl), expected.clone());
+
+            // A clone is the same table, and later observes on the
+            // original do not reach it.
+            let copy = whole.clone();
+            prop_assert_eq!(&copy, &whole);
+            whole.observe(7, 1, DeviceId(u32::MAX - 1));
+            whole.observe(u16::MAX, 1, DeviceId(3));
+            prop_assert_ne!(&copy, &whole);
+            let mut copy = copy;
+            copy.normalize();
+            prop_assert_eq!(port_rows(&copy), expected);
+            // Normalizing is idempotent and leaves a compact arena.
+            let bytes = copy.heap_bytes();
+            copy.normalize();
+            prop_assert_eq!(copy.heap_bytes(), bytes);
+            prop_assert_eq!(copy.dead, 0);
+            prop_assert_eq!(copy.arena.len(), model.values().map(|(_, d)| d.len()).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn port_table_runs_relocate_and_grow_past_4096_devices() {
+        // One hot port filled descending (every insert shifts the whole
+        // run) interleaved with 300 cold ports, so the hot run relocates
+        // a dozen times with other runs allocated in between.
+        let mut t = PortTable::new();
+        for i in (0..5_000u32).rev() {
+            t.observe(1900, 2, DeviceId(i * 3));
+            t.observe((i % 300) as u16 + 2_000, 1, DeviceId(i));
+        }
+        t.observe(1900, 0, DeviceId(0)); // already present
+        let hot = t.get(1900).unwrap();
+        assert_eq!(hot.packets, 10_000);
+        assert_eq!(hot.devices.len(), 5_000);
+        assert!(hot.devices.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(hot.devices[4_999], DeviceId(14_997));
+        assert!(t.dead > 0, "relocation leaves dead slots behind");
+        for cold in 2_000..2_300u16 {
+            let row = t.get(cold).unwrap();
+            assert!(row.devices.windows(2).all(|w| w[0] < w[1]));
+            assert!(row.devices.len() >= 16);
+        }
+
+        // Normalizing keeps every run and drops the dead slots.
+        let before = port_rows(&t);
+        let copy = t.clone();
+        t.normalize();
+        assert_eq!(t, copy);
+        assert_eq!(t.dead, 0);
+        assert_eq!(t.arena.len(), 5_000 + 5_000);
+        let mut sorted = before;
+        sorted.sort();
+        assert_eq!(port_rows(&t), sorted);
+
+        // Merging a table into itself changes packets, not devices, and
+        // keeps the arena within twice its live size.
+        let mut twice = t.clone();
+        for _ in 0..5 {
+            twice.merge_from(t.clone());
+        }
+        assert_eq!(twice.get(1900).unwrap().packets, 60_000);
+        assert_eq!(
+            twice.get(1900).unwrap().devices,
+            t.get(1900).unwrap().devices
+        );
+        assert!(twice.arena.len() <= 2 * 10_000, "{}", twice.arena.len());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! The batch pipeline answers one question per process. This crate
 //! keeps the telescope *resident*: hours ingest incrementally through
-//! [`StreamingAnalyzer`], and after every hour the service publishes an
+//! [`StreamingAnalyzer`] — from memory or straight from a store, one
+//! loop either way ([`TelescopeService::ingest_with`]) — and after
+//! every hour the service publishes an
 //! immutable [`Snapshot`] by swapping an `Arc` in a [`SnapshotCell`] —
 //! readers clone the current `Arc` and query it for as long as they
 //! like while ingest races ahead. A snapshot is never mutated after
@@ -31,8 +33,9 @@ use iotscope_core::{Analysis, Analyzer, ScoreConfig, ScoreRow, ScoreTable};
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelContext;
-use iotscope_obs::{Counter, Histogram, Registry};
+use iotscope_obs::{Counter, Histogram, Registry, Timer};
 use iotscope_telescope::HourTraffic;
+use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -159,14 +162,17 @@ impl SnapshotCell {
 }
 
 /// Per-endpoint request counters and latency histograms
-/// (`serve.requests.*`, `serve.latency.*`; all
+/// (`serve.requests.*`, `serve.latency.*`) and the per-hour publication
+/// timer (`serve.publish_time`: building the epoch's snapshot, swapping
+/// it in, dropping the one it replaced); all
 /// [variant](iotscope_obs::Stability::Variant) — request mixes and wall
-/// time are never reproducible).
+/// time are never reproducible.
 #[derive(Debug)]
 struct ServeMetrics {
     requests: [Counter; ENDPOINTS.len()],
     latency: [Histogram; ENDPOINTS.len()],
     not_found: Counter,
+    publish_time: Timer,
 }
 
 impl ServeMetrics {
@@ -180,6 +186,7 @@ impl ServeMetrics {
                 registry.histogram_variant(&format!("serve.latency.{}", ENDPOINTS[i]), &bounds)
             }),
             not_found: registry.counter_variant("serve.requests.not_found"),
+            publish_time: registry.timer("serve.publish_time"),
         }
     }
 }
@@ -253,14 +260,8 @@ impl TelescopeService {
 
     /// Ingest `traffic` hour by hour, publishing a new epoch snapshot
     /// after every hour and invoking `on_alert` for each alert as it
-    /// fires (the live alert log — the CLI streams these to stdout).
-    ///
-    /// Readers querying concurrently observe each epoch `k` as exactly
-    /// the analysis of the first `k` ingested hours: the published
-    /// clone differs from a batch run only in device-row order, which
-    /// [`Analysis`] equality ignores. Returns the final normalized
-    /// analysis and the full alert log, after republishing them at the
-    /// final epoch.
+    /// fires: [`ingest_with`](Self::ingest_with) over hours already in
+    /// memory, which cannot fail.
     ///
     /// # Panics
     ///
@@ -272,6 +273,44 @@ impl TelescopeService {
         config: StreamConfig,
         on_alert: &mut dyn FnMut(&Alert),
     ) -> (Analysis, Vec<Alert>) {
+        let Ok(done) = self.ingest_with(traffic, config, on_alert, |stream, hour| {
+            Ok::<_, Infallible>(stream.push_hour(hour))
+        });
+        done
+    }
+
+    /// The daemon's ingest loop. For each item of `hours`, `push` feeds
+    /// that hour into the streaming analyzer (from memory with
+    /// [`StreamingAnalyzer::push_hour`], from a store with
+    /// [`StreamingAnalyzer::push_store_hour`]); the loop then invokes
+    /// `on_alert` for each alert the hour raised (the live alert log —
+    /// the CLI streams these to stdout) and publishes a new epoch
+    /// snapshot.
+    ///
+    /// Readers querying concurrently observe each epoch `k` as exactly
+    /// the analysis of the first `k` ingested hours: the published
+    /// clone differs from a batch run only in device-row order, which
+    /// [`Analysis`] equality ignores. Returns the final normalized
+    /// analysis and the full alert log, after republishing them at the
+    /// final epoch.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first hour `push` fails on and returns its error.
+    /// Nothing of that hour is published: the service keeps serving the
+    /// snapshot of the hours before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if hours arrive out of order (same contract as
+    /// [`StreamingAnalyzer::push_hour`]).
+    pub fn ingest_with<H, E>(
+        &self,
+        hours: impl IntoIterator<Item = H>,
+        config: StreamConfig,
+        on_alert: &mut dyn FnMut(&Alert),
+        mut push: impl FnMut(&mut StreamingAnalyzer<'_>, H) -> Result<Vec<Alert>, E>,
+    ) -> Result<(Analysis, Vec<Alert>), E> {
         let base = self.cell.load();
         let (base_epoch, base_hours) = (base.epoch, base.hours_ingested);
         drop(base);
@@ -282,11 +321,12 @@ impl TelescopeService {
         }
         let mut pushed = 0u32;
         let mut alert_log: Arc<Vec<Alert>> = Arc::new(Vec::new());
-        for hour in traffic {
-            let raised = stream.push_hour(hour);
+        for hour in hours {
+            let raised = push(&mut stream, hour)?;
             for alert in &raised {
                 on_alert(alert);
             }
+            let publishing = self.metrics.publish_time.span();
             // A quiet hour publishes the previous log again instead of
             // copying it.
             if !raised.is_empty() {
@@ -301,6 +341,7 @@ impl TelescopeService {
                 alerts: Arc::clone(&alert_log),
                 scores: stream.scores().map(|t| Arc::new(t.clone())),
             });
+            drop(publishing);
         }
         let last_interval = stream.last_interval();
         let (analysis, alerts, scores) = stream.finish_with_scores();
@@ -316,7 +357,7 @@ impl TelescopeService {
             alerts: alert_log,
             scores: scores.map(Arc::new),
         });
-        (analysis, alerts)
+        Ok((analysis, alerts))
     }
 
     /// Answer one request: route `path`, execute it against the current
@@ -562,6 +603,49 @@ mod tests {
         assert_eq!(snap.last_interval, Some(48));
         assert_eq!(*snap.analysis, analysis);
         assert_eq!(*snap.alerts, alerts);
+    }
+
+    #[test]
+    fn publish_timer_counts_one_span_per_ingested_hour() {
+        let (service, traffic) = service_with_traffic(77);
+        service.ingest(&traffic[..36], StreamConfig::default(), &mut |_| {});
+        let snap = service.registry().snapshot();
+        match &snap.get("serve.publish_time").unwrap().value {
+            iotscope_obs::SnapshotValue::Duration { spans, total_ns } => {
+                assert_eq!(*spans, 36);
+                assert!(*total_ns > 0);
+            }
+            other => panic!("publish time must be a timer, got {other:?}"),
+        }
+        assert!(snap.gauge("stream.state_bytes").unwrap() > 0);
+        let (_, body) = service.respond("/metrics");
+        assert!(body.contains("\"serve.publish_time\""), "{body}");
+        assert!(body.contains("\"stream.state_bytes\""), "{body}");
+    }
+
+    #[test]
+    fn a_failed_hour_ends_ingest_and_publishes_nothing() {
+        let (service, traffic) = service_with_traffic(78);
+        let failed = service.ingest_with(
+            &traffic[..10],
+            StreamConfig::default(),
+            &mut |_| {},
+            |stream, hour| {
+                if hour.interval == 7 {
+                    Err("unreadable")
+                } else {
+                    Ok(stream.push_hour(hour))
+                }
+            },
+        );
+        assert_eq!(failed.unwrap_err(), "unreadable");
+        let snap = service.snapshot();
+        assert_eq!((snap.epoch, snap.last_interval), (6, Some(6)));
+        let mut reference = Analyzer::new(service.db(), 143);
+        for hour in &traffic[..6] {
+            reference.ingest_hour(hour);
+        }
+        assert_eq!(*snap.analysis, reference.finish());
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! same snapshots over a real socket.
 
 use iotscope_core::stream::StreamConfig;
-use iotscope_core::{Analysis, Analyzer, QueryApi};
+use iotscope_core::{udp, Analysis, Analyzer, QueryApi};
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig, SynthOutput};
 use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
+use iotscope_net::ports::ServiceRegistry;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
+use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::{Snapshot, TelescopeService};
@@ -147,6 +149,7 @@ proptest! {
         // (up to device-row order, which Analysis equality ignores) to
         // the batch analysis of its epoch's hour prefix.
         let mut references: BTreeMap<u64, Analysis> = BTreeMap::new();
+        let services = ServiceRegistry::standard();
         for seen in observed {
             for window in seen.windows(2) {
                 prop_assert!(
@@ -169,9 +172,85 @@ proptest! {
                     epoch,
                     epoch
                 );
+                // Table IV read off the published (un-normalized) port
+                // table is the batch prefix's Table IV.
+                prop_assert_eq!(
+                    udp::top_ports(&snap.analysis, &services, 10),
+                    udp::top_ports(reference, &services, 10)
+                );
             }
         }
     }
+}
+
+/// A reader may hold a snapshot for as long as it likes: ten further
+/// hours of ingest leave it exactly as published.
+#[test]
+fn a_held_snapshot_is_unchanged_by_later_hours() {
+    let inv = inventory();
+    let traffic = synth_traffic(&inv.db, 99, 12);
+    let service = TelescopeService::new(inv.db.clone(), inv.isps.clone(), 12);
+    service.ingest(&traffic[..2], StreamConfig::default(), &mut |_| {});
+    let held = service.snapshot();
+    let as_published = (*held.analysis).clone();
+    let services = ServiceRegistry::standard();
+    let table_iv = udp::top_ports(&held.analysis, &services, 10);
+    assert!(!table_iv.is_empty(), "the synthetic hours carry UDP");
+
+    service.ingest(&traffic[2..], StreamConfig::default(), &mut |_| {});
+    assert_eq!(service.snapshot().epoch, 12);
+    assert_eq!(held.epoch, 2);
+    assert_eq!(*held.analysis, as_published);
+    assert_eq!(udp::top_ports(&held.analysis, &services, 10), table_iv);
+    assert_ne!(*held.analysis, *service.snapshot().analysis);
+}
+
+/// Ingest fed straight from a store publishes the same epochs as ingest
+/// fed from memory, and a corrupt hour stops it: the error comes back,
+/// and the last published epoch is the hour before.
+#[test]
+fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
+    let inv = inventory();
+    let traffic = synth_traffic(&inv.db, 1234, WINDOW_HOURS);
+    let dir = std::env::temp_dir().join(format!("iotscope-serve-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = FlowStore::create(&dir, StoreOptions::default()).expect("create store");
+    for h in &traffic {
+        store.write_hour(h.hour, &h.flows).expect("write hour");
+    }
+    let hours: Vec<(u32, UnixHour)> = traffic.iter().map(|h| (h.interval, h.hour)).collect();
+    let new_service = || TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
+    let feed = |service: &TelescopeService| {
+        service.ingest_with(
+            &hours,
+            StreamConfig::default(),
+            &mut |_| {},
+            |stream, &(interval, hour)| stream.push_store_hour(&store, interval, hour),
+        )
+    };
+
+    let from_memory = new_service();
+    let expected = from_memory.ingest(&traffic, StreamConfig::default(), &mut |_| {});
+    let from_store = new_service();
+    assert_eq!(feed(&from_store).expect("clean store"), expected);
+    assert_eq!(
+        *from_store.snapshot().analysis,
+        *from_memory.snapshot().analysis
+    );
+
+    // Flip the last byte of hour 5: hours 1..=4 publish, nothing after.
+    let path = store.hour_path(traffic[4].hour);
+    let mut bytes = std::fs::read(&path).expect("read hour file");
+    *bytes.last_mut().expect("non-empty hour file") ^= 0xff;
+    std::fs::write(&path, bytes).expect("rewrite hour file");
+    let stopped = new_service();
+    let err = feed(&stopped).expect_err("corrupt hour must fail ingest");
+    assert!(err.is_checksum_mismatch(), "{err}");
+    let last = stopped.snapshot();
+    assert_eq!((last.epoch, last.hours_ingested), (4, 4));
+    assert_eq!(last.last_interval, Some(4));
+    assert_eq!(*last.analysis, prefix_analysis(&inv.db, &traffic, 4));
+    std::fs::remove_dir_all(&dir).expect("remove store");
 }
 
 /// One GET over a real socket; returns `(status, body)`.
