@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The `--metrics[=json|text]` output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +134,12 @@ struct StoredWindow {
     hours: Vec<(u32, UnixHour)>,
 }
 
-/// Open a data directory: the inventory and the stored window.
-fn open_data(dir: &Path) -> Result<(LoadedInventory, StoredWindow), CliError> {
-    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+/// The timer `analyze`, `serve` and `watch` record the inventory load
+/// under: the start-up cost every verb pays before it touches a flow.
+const INVENTORY_LOAD_TIME: &str = "inventory.load_time";
+
+/// Open a data directory's stored window.
+fn open_window(dir: &Path) -> Result<StoredWindow, CliError> {
     let store = FlowStore::open(dir.join("darknet"))?;
     let hours: Vec<_> = AnalysisWindow::paper()
         .iter_intervals()
@@ -147,14 +151,15 @@ fn open_data(dir: &Path) -> Result<(LoadedInventory, StoredWindow), CliError> {
             dir.display()
         )));
     }
-    Ok((inventory, StoredWindow { store, hours }))
+    Ok(StoredWindow { store, hours })
 }
 
 /// Load the inventory + hourly traffic from a data directory, the
 /// whole window decoded in memory (the follow-up analyses walk it more
 /// than once).
 fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError> {
-    let (inventory, StoredWindow { store, hours }) = open_data(dir)?;
+    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let StoredWindow { store, hours } = open_window(dir)?;
     let traffic = hours
         .into_iter()
         .map(|(interval, hour)| {
@@ -210,9 +215,14 @@ fn build_intel_context(
 /// Start a [`TelescopeService`] over a data directory for `watch` and
 /// `serve`: load the inventory, list the store's hours and, with
 /// `intel`, run the bootstrap pass — everything the daemon does before
-/// it is ready to ingest.
+/// it is ready to ingest, timed as one span of `serve.startup_time` in
+/// the service's registry (with `inventory.load_time` inside it), so
+/// `/metrics` can say what a restart costs.
 fn start_service(dir: &Path, intel: bool) -> Result<(TelescopeService, StoredWindow), CliError> {
-    let (inventory, window) = open_data(dir)?;
+    let started = Instant::now();
+    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let load_time = started.elapsed();
+    let window = open_window(dir)?;
     let intel = if intel {
         Some(build_intel_context(&inventory, &window)?)
     } else {
@@ -226,6 +236,11 @@ fn start_service(dir: &Path, intel: bool) -> Result<(TelescopeService, StoredWin
     if let Some(ctx) = intel {
         service = service.with_intel(ctx);
     }
+    let registry = service.registry();
+    registry.timer(INVENTORY_LOAD_TIME).record(load_time);
+    registry
+        .timer("serve.startup_time")
+        .record(started.elapsed());
     Ok((service, window))
 }
 
@@ -262,11 +277,14 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
     let dir = data_dir(&opts)?;
     let threads: usize = opts.parse_or("--threads", 8)?;
     let format = metrics_format(&opts)?;
-    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let registry = Registry::new();
+    let inventory = {
+        let _load = registry.timer(INVENTORY_LOAD_TIME).span();
+        inventory_io::load(dir.join("inventory.tsv"))?
+    };
     let store = FlowStore::open(dir.join("darknet"))?;
     let window = AnalysisWindow::paper();
     let pipeline = AnalysisPipeline::new(&inventory.db, window.num_hours());
-    let registry = Registry::new();
     let mut options = AnalyzeOptions::new()
         .window(window)
         .threads(threads)
@@ -868,6 +886,14 @@ mod tests {
         dir
     }
 
+    /// The span count of timer `name` in a `--metrics=json` section.
+    fn timer_spans(output: &str, name: &str) -> Option<u64> {
+        let entry = output.split_once(&format!("\"{name}\":{{"))?.1;
+        let entry = entry.split_once('}')?.0;
+        assert!(entry.contains("\"stability\":\"variant\",\"kind\":\"timer\""));
+        entry.split_once("\"spans\":")?.1.parse().ok()
+    }
+
     #[test]
     fn simulate_then_analyze_watch_investigate() {
         let dir = tmpdir("full");
@@ -916,8 +942,13 @@ mod tests {
         assert!(with_metrics.contains("\"pipeline.decode_time\""));
         assert!(with_metrics.contains("\"pipeline.wall_time\""));
         assert!(with_metrics.contains("\"analysis.packets.consumer.tcp_scan\""));
+        assert_eq!(timer_spans(&with_metrics, "inventory.load_time"), Some(1));
+        assert_eq!(timer_spans(&with_metrics, "serve.startup_time"), None);
 
-        let watch_out = watch(&args(&["--data", dir_s])).unwrap();
+        let watch_out = watch(&args(&["--data", dir_s, "--metrics=json"])).unwrap();
+        // Start-up is one span, the inventory load one span inside it.
+        assert_eq!(timer_spans(&watch_out, "inventory.load_time"), Some(1));
+        assert_eq!(timer_spans(&watch_out, "serve.startup_time"), Some(1));
         assert!(watch_out.contains("devices discovered"));
         assert!(watch_out.contains("1050 compromised devices indexed"));
         assert!(watch_out.contains("SWEEP"));
@@ -932,7 +963,7 @@ mod tests {
 
         let mut serve_buf = Vec::new();
         serve(
-            &args(&["--data", dir_s, "--once", "--intel"]),
+            &args(&["--data", dir_s, "--once", "--intel", "--metrics=json"]),
             &mut serve_buf,
         )
         .unwrap();
@@ -940,6 +971,9 @@ mod tests {
         assert!(serve_out.contains("serving on http://"));
         assert!(serve_out.contains("ingest complete: 143 hours"));
         assert!(serve_out.contains("devices scored by threat intel"));
+        // The registry `/metrics` serves, start-up included.
+        assert_eq!(timer_spans(&serve_out, "inventory.load_time"), Some(1));
+        assert_eq!(timer_spans(&serve_out, "serve.startup_time"), Some(1));
 
         let inv = investigate(&args(&["--data", dir_s, "--intel"])).unwrap();
         assert!(inv.contains("reference groups"));

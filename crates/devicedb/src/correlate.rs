@@ -73,7 +73,7 @@ fn tag_realm(tag: u8) -> Realm {
 /// assert_eq!(out.db.id_at(dense as usize), dev.id);
 /// assert_eq!(realm, dev.realm());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelationIndex {
     /// `bucket_starts[b]..bucket_starts[b+1]` is the slot range of
     /// /16 bucket `b` (65,537 prefix-sum entries).
@@ -85,7 +85,7 @@ pub struct CorrelationIndex {
 
 /// One indexed address: everything a correlation hit needs, packed into
 /// the 8 bytes the binary search loads anyway.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     /// Low 16 bits of the address (the bucket sort key).
     suffix: u16,
@@ -95,21 +95,37 @@ struct Slot {
     dense: u32,
 }
 
+/// The `(address, position)` pair of every device, sorted — by address
+/// and, among devices sharing one, by position, so the first of them in
+/// slice order sorts first.
+pub(crate) fn sorted_rows(devices: &[IotDevice]) -> Vec<(u32, u32)> {
+    let mut rows: Vec<(u32, u32)> = devices
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (u32::from(d.ip), i as u32))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
 impl CorrelationIndex {
     /// Build the index over `devices`, where position in the slice is
     /// the dense intern index (the [`DeviceDb`](crate::db::DeviceDb)
     /// id contract).
     pub fn build(devices: &[IotDevice]) -> Self {
-        // Sort (address, dense) pairs once; a full-address sort leaves
-        // every bucket's suffixes sorted as well.
-        let mut rows: Vec<(u32, u32)> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (u32::from(d.ip), i as u32))
-            .collect();
-        rows.sort_unstable();
+        let mut rows = sorted_rows(devices);
         rows.dedup_by_key(|&mut (ip, _)| ip);
+        Self::from_sorted_rows(rows, devices)
+    }
 
+    /// Build the index from [`sorted_rows`] of `devices` with every
+    /// address already unique — the half of [`build`](Self::build)
+    /// after the sort, for a caller that needed the sorted rows itself
+    /// ([`DeviceDb::from_devices`](crate::db::DeviceDb::from_devices)
+    /// finds duplicate addresses in them).
+    pub(crate) fn from_sorted_rows(rows: Vec<(u32, u32)>, devices: &[IotDevice]) -> Self {
+        // A full-address sort leaves every bucket's suffixes sorted as
+        // well.
         let mut bucket_starts = vec![0u32; BUCKETS + 1];
         for &(ip, _) in &rows {
             bucket_starts[(ip >> 16) as usize + 1] += 1;
@@ -118,6 +134,7 @@ impl CorrelationIndex {
             bucket_starts[b + 1] += bucket_starts[b];
         }
 
+        // A slot is as large as a row, so this collects in place.
         let slots: Vec<Slot> = rows
             .into_iter()
             .map(|(ip, di)| Slot {

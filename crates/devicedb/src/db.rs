@@ -4,21 +4,22 @@
 //! inventory, so the primary query is exact-IP lookup. Aggregation queries
 //! (by realm, country, ISP, kind) back the characterization tables.
 
-use crate::correlate::CorrelationIndex;
+use crate::correlate::{self, CorrelationIndex};
 use crate::device::{DeviceId, IotDevice};
 use crate::geo::CountryCode;
 use crate::isp::IspId;
 use crate::taxonomy::Realm;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
 /// Lazily-built derived structures over the inventory: the correlation
 /// index and the per-report aggregate counts. All are pure functions of
-/// the device list, built on first use and dropped whenever the list
-/// changes ([`DeviceDb::push`] resets the whole cache), so they never
-/// affect observable `DeviceDb` semantics. Cloning a `DeviceDb` starts
-/// with a cold cache.
+/// the device list, built on first use — the index already by
+/// [`DeviceDb::from_devices`], whose sort it shares — and dropped
+/// whenever the list changes ([`DeviceDb::push`] resets the whole
+/// cache), so they never affect observable `DeviceDb` semantics. Cloning
+/// a `DeviceDb` starts with a cold cache.
 #[derive(Default)]
 struct DbCache {
     index: OnceLock<CorrelationIndex>,
@@ -68,10 +69,14 @@ fn realm_slot(realm: Option<Realm>) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct DeviceDb {
     devices: Vec<IotDevice>,
-    /// Push-time duplicate detection only; correlation goes through the
-    /// cached [`CorrelationIndex`] (a lazy index can't absorb per-push
-    /// inserts without rebuilding, and push order must stay first-wins).
-    by_ip: HashMap<Ipv4Addr, DeviceId>,
+    /// The addresses in `devices`, for [`push`](Self::push) to reject a
+    /// duplicate in O(1). `None` until the first `push`: a bulk build
+    /// ([`from_devices`](Self::from_devices)) finds duplicates in the
+    /// index's sort instead, so a loaded inventory never builds — or
+    /// holds — a hash map, and a database that is pushed to pays for one
+    /// pass over its devices, once. The keys can come from outside the
+    /// program, so the hasher stays the keyed default.
+    seen: Option<HashSet<Ipv4Addr>>,
     cache: DbCache,
 }
 
@@ -86,23 +91,41 @@ impl DeviceDb {
     /// Devices are re-assigned dense ids in input order. If two devices
     /// share an address, the **first** one wins the IP index (mirroring a
     /// first-seen Shodan snapshot) and the duplicate is dropped.
+    ///
+    /// One sort of the addresses both finds the duplicates and becomes
+    /// the [`CorrelationIndex`], so
+    /// [`correlation_index`](Self::correlation_index) is free afterwards.
     pub fn from_devices<I: IntoIterator<Item = IotDevice>>(devices: I) -> Self {
-        let mut db = DeviceDb::new();
-        for d in devices {
-            db.push(d);
+        let mut devices: Vec<IotDevice> = devices.into_iter().collect();
+        let mut rows = correlate::sorted_rows(&devices);
+        if rows.windows(2).any(|w| w[0].0 == w[1].0) {
+            drop_later_duplicates(&mut devices, &mut rows);
         }
-        db
+        for (i, d) in devices.iter_mut().enumerate() {
+            d.id = DeviceId(i as u32);
+        }
+        let index = CorrelationIndex::from_sorted_rows(rows, &devices);
+        DeviceDb {
+            devices,
+            seen: None,
+            cache: DbCache {
+                index: index.into(),
+                ..DbCache::default()
+            },
+        }
     }
 
     /// Append a device, re-assigning its id; returns the id, or `None` if
     /// the address is already taken.
     pub fn push(&mut self, mut device: IotDevice) -> Option<DeviceId> {
-        if self.by_ip.contains_key(&device.ip) {
+        let seen = self
+            .seen
+            .get_or_insert_with(|| self.devices.iter().map(|d| d.ip).collect());
+        if !seen.insert(device.ip) {
             return None;
         }
         let id = DeviceId(self.devices.len() as u32);
         device.id = id;
-        self.by_ip.insert(device.ip, id);
         self.devices.push(device);
         self.cache = DbCache::default();
         Some(id)
@@ -161,8 +184,9 @@ impl DeviceDb {
         DeviceId(index as u32)
     }
 
-    /// The two-level correlation index over this inventory, built on
-    /// first use and reused until the next [`push`](Self::push).
+    /// The two-level correlation index over this inventory: built with
+    /// the database by [`from_devices`](Self::from_devices), otherwise on
+    /// first use, and reused until the next [`push`](Self::push).
     pub fn correlation_index(&self) -> &CorrelationIndex {
         self.cache
             .index
@@ -209,31 +233,95 @@ impl DeviceDb {
     /// the characterization tables and used to re-scan per report.
     pub fn count_by_country(&self, realm: Option<Realm>) -> &HashMap<CountryCode, usize> {
         let maps = self.cache.by_country.get_or_init(|| {
-            let mut maps: [HashMap<CountryCode, usize>; 3] = Default::default();
-            for d in &self.devices {
-                *maps[0].entry(d.country).or_insert(0) += 1;
-                *maps[realm_slot(Some(d.realm()))]
-                    .entry(d.country)
-                    .or_insert(0) += 1;
-            }
-            maps
+            count_by(&self.devices, CountryCode::count(), |d| {
+                (d.country, d.country.index())
+            })
         });
         &maps[realm_slot(realm)]
     }
 
     /// Count devices per ISP, optionally restricted to one realm; cached
-    /// like [`count_by_country`](Self::count_by_country).
+    /// like [`count_by_country`](Self::count_by_country). ISP ids are
+    /// dense in a loaded or generated inventory, so there are at most as
+    /// many as devices.
     pub fn count_by_isp(&self, realm: Option<Realm>) -> &HashMap<IspId, usize> {
         let maps = self.cache.by_isp.get_or_init(|| {
-            let mut maps: [HashMap<IspId, usize>; 3] = Default::default();
-            for d in &self.devices {
-                *maps[0].entry(d.isp).or_insert(0) += 1;
-                *maps[realm_slot(Some(d.realm()))].entry(d.isp).or_insert(0) += 1;
-            }
-            maps
+            count_by(&self.devices, self.devices.len(), |d| {
+                (d.isp, d.isp.0 as usize)
+            })
         });
         &maps[realm_slot(realm)]
     }
+}
+
+/// Count `devices` per key under each realm filter (`[realm_slot]`)
+/// without hashing per device. `key` gives a device's key and that key's
+/// index; counts go into an array over the indices, grown as they are
+/// met but never past `dense_limit` entries, and the maps are filled
+/// from it at the end. A key whose index is at or beyond the limit is
+/// counted in the maps directly, so memory stays bounded whatever the
+/// ids are.
+fn count_by<K: Copy + Eq + std::hash::Hash>(
+    devices: &[IotDevice],
+    dense_limit: usize,
+    key: impl Fn(&IotDevice) -> (K, usize),
+) -> [HashMap<K, usize>; 3] {
+    let mut dense: Vec<Option<(K, [usize; 3])>> = Vec::new();
+    let mut maps: [HashMap<K, usize>; 3] = Default::default();
+    for d in devices {
+        let slot = realm_slot(Some(d.realm()));
+        let (key, index) = key(d);
+        if index >= dense.len() && index < dense_limit {
+            dense.resize(index + 1, None);
+        }
+        match dense.get_mut(index) {
+            Some(entry) => {
+                let (_, row) = entry.get_or_insert((key, [0; 3]));
+                row[0] += 1;
+                row[slot] += 1;
+            }
+            None => {
+                *maps[0].entry(key).or_insert(0) += 1;
+                *maps[slot].entry(key).or_insert(0) += 1;
+            }
+        }
+    }
+    for (key, row) in dense.into_iter().flatten() {
+        for (map, n) in maps.iter_mut().zip(row) {
+            if n > 0 {
+                map.insert(key, n);
+            }
+        }
+    }
+    maps
+}
+
+/// Drop every device whose address an earlier one already holds, given
+/// the [`correlate::sorted_rows`] of `devices`; the rows lose the same
+/// entries and are renumbered to the surviving devices' positions.
+fn drop_later_duplicates(devices: &mut Vec<IotDevice>, rows: &mut Vec<(u32, u32)>) {
+    let mut dropped = vec![false; devices.len()];
+    for w in rows.windows(2) {
+        if w[0].0 == w[1].0 {
+            dropped[w[1].1 as usize] = true;
+        }
+    }
+    let mut kept = 0u32;
+    let new_position: Vec<u32> = dropped
+        .iter()
+        .map(|&d| {
+            let position = kept;
+            kept += u32::from(!d);
+            position
+        })
+        .collect();
+    rows.retain_mut(|(_, position)| {
+        let keep = !dropped[*position as usize];
+        *position = new_position[*position as usize];
+        keep
+    });
+    let mut dropped = dropped.into_iter();
+    devices.retain(|_| !dropped.next().expect("one flag per device"));
 }
 
 impl DeviceDb {
@@ -376,6 +464,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceProfile;
     use crate::taxonomy::ConsumerKind;
+    use proptest::prelude::*;
 
     fn dev(ip: [u8; 4], code: &str, realm: Realm) -> IotDevice {
         IotDevice {
@@ -535,6 +624,114 @@ mod tests {
             db.correlate(Ipv4Addr::new(1, 0, 0, 2)),
             Some((1, Realm::Cps))
         );
+    }
+
+    #[test]
+    fn push_after_a_bulk_build_rejects_a_present_address_and_accepts_a_new_one() {
+        // `from_devices` builds no address set; the first `push` does,
+        // from the devices already there.
+        let mut db = DeviceDb::from_devices([
+            dev([1, 0, 0, 1], "US", Realm::Consumer),
+            dev([1, 0, 0, 2], "RU", Realm::Cps),
+            dev([1, 0, 0, 1], "CN", Realm::Cps),
+        ]);
+        assert_eq!(db.len(), 2);
+        assert!(db.seen.is_none());
+        assert_eq!(db.push(dev([1, 0, 0, 2], "CN", Realm::Consumer)), None);
+        assert_eq!(db.seen.as_ref().map(HashSet::len), Some(2));
+        assert_eq!(db.len(), 2);
+        assert_eq!(
+            db.correlate(Ipv4Addr::new(1, 0, 0, 2)),
+            Some((1, Realm::Cps))
+        );
+        assert_eq!(
+            db.push(dev([1, 0, 0, 3], "CN", Realm::Consumer)),
+            Some(DeviceId(2))
+        );
+        assert_eq!(db.push(dev([1, 0, 0, 3], "CN", Realm::Consumer)), None);
+        // The index the bulk build left behind does not outlive a push.
+        assert_eq!(
+            db.correlate(Ipv4Addr::new(1, 0, 0, 3)),
+            Some((2, Realm::Consumer))
+        );
+        assert_eq!(db.device(DeviceId(2)).country.code(), "CN");
+    }
+
+    /// Devices over a handful of addresses, countries and ISP ids — some
+    /// of the ids far past the device count — so that lists repeat
+    /// addresses and every counting path is met.
+    fn device_list() -> impl Strategy<Value = Vec<IotDevice>> {
+        let isp = prop_oneof![0u32..6, 20u32..24, Just(u32::MAX)];
+        proptest::collection::vec((0u32..40, 0usize..5, isp, any::<bool>()), 0..60).prop_map(
+            |rows| {
+                rows.into_iter()
+                    .map(|(ip, country, isp, cps)| IotDevice {
+                        isp: IspId(isp),
+                        ..dev(
+                            (0x0a00_ff00 + ip * 0x101).to_be_bytes(),
+                            ["US", "RU", "CN", "PR", "GB"][country],
+                            if cps { Realm::Cps } else { Realm::Consumer },
+                        )
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bulk build is the push loop: the same devices under the
+        /// same ids, the first of each address kept, and an index —
+        /// made from the sort that found the duplicates — equal to the
+        /// one built from the finished slice.
+        #[test]
+        fn prop_from_devices_is_the_push_loop(list in device_list()) {
+            let bulk = DeviceDb::from_devices(list.clone());
+            let mut pushed = DeviceDb::new();
+            let mut accepted = 0;
+            for d in list.clone() {
+                let taken = pushed.as_slice().iter().any(|p| p.ip == d.ip);
+                let id = pushed.push(d);
+                prop_assert_eq!(id, (!taken).then_some(DeviceId(accepted)));
+                accepted += u32::from(!taken);
+            }
+            prop_assert_eq!(bulk.as_slice(), pushed.as_slice());
+            prop_assert!(bulk.cache.index.get().is_some(), "index not built with the db");
+            prop_assert_eq!(
+                bulk.correlation_index(),
+                &CorrelationIndex::build(bulk.as_slice())
+            );
+            prop_assert_eq!(bulk.correlation_index(), pushed.correlation_index());
+            // Every address a list can hold, and the ones either side.
+            for probe in (0..40).flat_map(|ip| (0x0a00_feffu32 + ip * 0x101..).take(3)) {
+                let ip = Ipv4Addr::from(probe);
+                let first = list.iter().find(|d| d.ip == ip);
+                prop_assert_eq!(
+                    bulk.correlate(ip).map(|(i, realm)| (&bulk.as_slice()[i as usize].country, realm)),
+                    first.map(|d| (&d.country, d.realm()))
+                );
+            }
+        }
+
+        /// The cached per-country and per-ISP counts are what counting
+        /// the matching devices one key at a time gives, for each of the
+        /// three realm filters.
+        #[test]
+        fn prop_counts_match_a_brute_force_count(list in device_list()) {
+            let db = DeviceDb::from_devices(list);
+            for realm in [None, Some(Realm::Consumer), Some(Realm::Cps)] {
+                let matching = || db.iter().filter(|d| realm.is_none_or(|r| d.realm() == r));
+                let by_country: HashMap<CountryCode, usize> = matching()
+                    .map(|d| (d.country, matching().filter(|o| o.country == d.country).count()))
+                    .collect();
+                prop_assert_eq!(db.count_by_country(realm), &by_country);
+                let by_isp: HashMap<IspId, usize> = matching()
+                    .map(|d| (d.isp, matching().filter(|o| o.isp == d.isp).count()))
+                    .collect();
+                prop_assert_eq!(db.count_by_isp(realm), &by_isp);
+            }
+        }
     }
 
     #[test]

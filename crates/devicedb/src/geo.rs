@@ -19,7 +19,15 @@ pub struct CountryCode(u8);
 
 impl CountryCode {
     /// Look up a code such as `"RU"`; `None` for unknown codes.
+    ///
+    /// Two upper-case ASCII letters — every code in the table — resolve
+    /// through one load from a 26×26 table; anything else takes the
+    /// linear scan, so a future code of another shape still resolves.
     pub fn from_code(code: &str) -> Option<CountryCode> {
+        if let Some(slot) = code_slot(code) {
+            let index = CODE_INDEX[slot];
+            return (index != NO_COUNTRY).then_some(CountryCode(index));
+        }
         COUNTRIES
             .iter()
             .position(|c| c.code == code)
@@ -295,6 +303,35 @@ pub static COUNTRIES: &[CountryInfo] = &[
     c("PR", "Puerto Rico", 0.03, 0.42, 0.03, 0.02),
 ];
 
+/// [`CODE_INDEX`] entry for a letter pair no country uses.
+const NO_COUNTRY: u8 = u8::MAX;
+
+/// The [`CODE_INDEX`] slot of a code made of two upper-case ASCII
+/// letters; `None` for any other shape.
+const fn code_slot(code: &str) -> Option<usize> {
+    if let &[a @ b'A'..=b'Z', b @ b'A'..=b'Z'] = code.as_bytes() {
+        Some((a - b'A') as usize * 26 + (b - b'A') as usize)
+    } else {
+        None
+    }
+}
+
+/// `CODE_INDEX[code_slot(code)]` is the [`COUNTRIES`] index of `code`, or
+/// [`NO_COUNTRY`]. Built at compile time from the table itself, so the
+/// two cannot drift apart.
+static CODE_INDEX: [u8; 26 * 26] = {
+    assert!(COUNTRIES.len() < NO_COUNTRY as usize);
+    let mut index = [NO_COUNTRY; 26 * 26];
+    let mut i = 0;
+    while i < COUNTRIES.len() {
+        if let Some(slot) = code_slot(COUNTRIES[i].code) {
+            index[slot] = i as u8;
+        }
+        i += 1;
+    }
+    index
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +353,36 @@ mod tests {
             assert_eq!(cc.info(), info);
         }
         assert_eq!(CountryCode::from_code("XX"), None);
+    }
+
+    #[test]
+    fn table_lookup_agrees_with_the_linear_scan() {
+        let scan = |code: &str| COUNTRIES.iter().position(|c| c.code == code);
+        let mut probes: Vec<String> = (b'A'..=b'Z')
+            .flat_map(|a| (b'A'..=b'Z').map(move |b| String::from_utf8(vec![a, b]).unwrap()))
+            .collect();
+        probes.extend(
+            [
+                "",
+                "R",
+                "ru",
+                "Ru",
+                "RUS",
+                " RU",
+                "RU ",
+                "R\u{dc}",
+                "\u{420}\u{423}",
+                "1A",
+            ]
+            .map(str::to_owned),
+        );
+        for code in &probes {
+            assert_eq!(
+                CountryCode::from_code(code).map(CountryCode::index),
+                scan(code),
+                "{code:?}"
+            );
+        }
     }
 
     #[test]
