@@ -155,8 +155,8 @@ fn open_window(dir: &Path) -> Result<StoredWindow, CliError> {
 }
 
 /// Load the inventory + hourly traffic from a data directory, the
-/// whole window decoded in memory (the follow-up analyses walk it more
-/// than once).
+/// whole window decoded in memory (`investigate`'s behaviour extraction
+/// walks it more than once).
 fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError> {
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let StoredWindow { store, hours } = open_window(dir)?;
@@ -171,6 +171,31 @@ fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError
         })
         .collect::<Result<_, NetError>>()?;
     Ok((inventory, traffic))
+}
+
+/// Load a data directory's inventory and batch-analyze every window
+/// hour its store holds, straight from the store (no hour is
+/// materialized). A store error names the first hour that fails to
+/// read — the one whose error the pipeline reports.
+fn analyze_window(dir: &Path, threads: usize) -> Result<(LoadedInventory, Analysis), CliError> {
+    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let window = open_window(dir)?;
+    let analysis = AnalysisPipeline::new(&inventory.db, AnalysisWindow::paper().num_hours())
+        .run(
+            AnalysisSource::StoreHours(&window.store, &window.hours),
+            &AnalyzeOptions::new().threads(threads),
+        )
+        .map_err(|e| {
+            let mut hours = window.hours.iter();
+            match hours.find(|(_, hour)| window.store.read_hour(*hour).is_err()) {
+                Some((interval, hour)) => {
+                    CliError::Run(format!("store error: {hour} (interval {interval}): {e}"))
+                }
+                None => e.into(),
+            }
+        })?
+        .analysis;
+    Ok((inventory, analysis))
 }
 
 fn data_dir(opts: &ParsedArgs) -> Result<PathBuf, CliError> {
@@ -744,18 +769,8 @@ pub fn diff(args: &[String]) -> Result<String, CliError> {
         .parse(args)?;
     let baseline: PathBuf = opts.require("--baseline", "diff")?.into();
     let threads: usize = opts.parse_or("--threads", 8)?;
-    let (inv_a, traffic_a) = load_data(&baseline)?;
-    let (inv_b, traffic_b) = load_data(&data_dir(&opts)?)?;
-    let hours = AnalysisWindow::paper().num_hours();
-    let options = AnalyzeOptions::new().threads(threads);
-    let before = AnalysisPipeline::new(&inv_a.db, hours)
-        .run(&traffic_a, &options)
-        .map_err(|e| CliError::Run(format!("analysis error: {e}")))?
-        .analysis;
-    let after = AnalysisPipeline::new(&inv_b.db, hours)
-        .run(&traffic_b, &options)
-        .map_err(|e| CliError::Run(format!("analysis error: {e}")))?
-        .analysis;
+    let (inv_a, before) = analyze_window(&baseline, threads)?;
+    let (inv_b, after) = analyze_window(&data_dir(&opts)?, threads)?;
     let d = iotscope_core::diff::diff(&before, &after);
 
     let mut out = String::new();
@@ -817,11 +832,7 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
     let dir = data_dir(&opts)?;
     let truth = GroundTruth::load(dir.join("truth.tsv"))
         .map_err(|e| CliError::Run(format!("truth ledger: {e}")))?;
-    let (inventory, traffic) = load_data(&dir)?;
-    let analysis = AnalysisPipeline::new(&inventory.db, AnalysisWindow::paper().num_hours())
-        .run(&traffic, &AnalyzeOptions::new().threads(threads))
-        .map_err(|e| CliError::Run(format!("analysis error: {e}")))?
-        .analysis;
+    let (_, analysis) = analyze_window(&dir, threads)?;
 
     let inferred: std::collections::HashSet<_> =
         analysis.compromised_devices().into_iter().collect();

@@ -8,33 +8,15 @@
 //! presence, not the batch pipeline's day-completeness rule — so a day
 //! that `analyze` would drop still reaches the daemon.
 
-use iotscope_cli::commands::{analyze, serve, simulate, watch};
+mod common;
+
+use common::{args, hour_file};
+use iotscope_cli::commands::{analyze, serve, watch};
 use iotscope_cli::CliError;
 use std::path::{Path, PathBuf};
 
-fn args(list: &[&str]) -> Vec<String> {
-    list.iter().map(|s| (*s).to_owned()).collect()
-}
-
-/// A fresh tiny store (1.6 MB, 143 hours) in a directory of its own.
 fn tiny_store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iotscope-daemon-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    simulate(&args(&[
-        "--out",
-        dir.to_str().unwrap(),
-        "--tiny",
-        "--seed",
-        "13",
-        "--scale",
-        "0.001",
-    ]))
-    .unwrap();
-    dir
-}
-
-fn hour_file(dir: &Path, day: u32, hour: u32) -> PathBuf {
-    dir.join(format!("darknet/day-{day}/hour-{hour}.ft"))
+    common::tiny_store(&format!("daemon-{name}"), "13")
 }
 
 /// `serve --once --intel` stdout after the address line (the port is

@@ -1,0 +1,54 @@
+//! What `validate` and `diff` print, pinned byte for byte, and how they
+//! fail on a corrupt hour.
+//!
+//! The golden files under `golden/` were written by the build that
+//! decoded the whole window into memory first; both verbs now analyze
+//! straight from the store and must print the same thing. Their hour
+//! list is presence (no day-completeness rule), so the short day on the
+//! `diff` side still contributes the 17 hours it has.
+
+mod common;
+
+use common::{args, hour_file, tiny_store};
+use iotscope_cli::commands::{diff, validate};
+use iotscope_cli::CliError;
+
+#[test]
+fn validate_and_diff_match_golden_and_name_a_corrupt_hour() {
+    let baseline = tiny_store("verbs-baseline", "13");
+    let current = tiny_store("verbs-current", "14");
+    for hour in 414_504..=414_510 {
+        std::fs::remove_file(hour_file(&current, 17271, hour)).unwrap();
+    }
+    let (baseline_dir, current_dir) = (baseline.to_str().unwrap(), current.to_str().unwrap());
+    let validate_args = args(&["--data", baseline_dir]);
+    let diff_args = args(&["--baseline", baseline_dir, "--data", current_dir]);
+
+    // The goldens are the old binary's stdout: the text plus `main`'s
+    // newline.
+    assert_eq!(
+        validate(&validate_args).unwrap() + "\n",
+        include_str!("golden/validate_complete.txt")
+    );
+    assert_eq!(
+        diff(&diff_args).unwrap() + "\n",
+        include_str!("golden/diff_short_day.txt")
+    );
+
+    // A corrupt hour is a run error (exit 1) naming the hour.
+    let path = hour_file(&baseline, 17270, 414_490);
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&path, bytes).unwrap();
+    const MESSAGE: &str = "store error: h414490 (interval 59): flowtuple codec error: \
+                           block 0: flowtuple codec error: checksum mismatch (corrupt block)";
+    for result in [validate(&validate_args), diff(&diff_args)] {
+        match result.unwrap_err() {
+            CliError::Run(message) => assert_eq!(message, MESSAGE),
+            other => panic!("expected a run error, got {other:?}"),
+        }
+    }
+
+    std::fs::remove_dir_all(&baseline).unwrap();
+    std::fs::remove_dir_all(&current).unwrap();
+}

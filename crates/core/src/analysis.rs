@@ -3,17 +3,19 @@
 //! [`Analyzer`] makes a single pass over hourly flowtuples, joining source
 //! addresses against the IoT inventory (§III-B's correlation algorithm)
 //! and accumulating every aggregate the paper's figures and tables need.
-//! Hours may be ingested in any order, and two analyzers over disjoint
-//! hour sets [`merge`](Analyzer::merge) into the same result — which is
-//! what makes parallel analysis exact rather than approximate.
+//! Hours may be ingested in any order; every aggregate is a sum, a set
+//! union or an order-free maximum, so partial analyses over disjoint
+//! hours or disjoint devices add up to the same result — which is what
+//! makes the sharded parallel analysis ([`crate::shard`]) exact rather
+//! than approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
 //! correlated device), Table IV in a [`PortTable`] (per-port device
 //! runs in one shared arena), Table V in a [`ServiceTable`] of
-//! [`DeviceSet`] bitmaps, so `merge` is columnar addition plus sorted
-//! run merges and word-wise ORs, and the per-flow fold (`fold.rs`,
-//! shared with the sharded pipeline) reaches every aggregate by array
-//! index. Derived queries (sorted device lists,
+//! [`DeviceSet`] bitmaps, so assembling partials is column
+//! concatenation plus sorted run merges and word-wise ORs, and the
+//! per-flow fold (`fold.rs`, shared with the sharded pipeline) reaches
+//! every aggregate by array index. Derived queries (sorted device lists,
 //! cohorts, totals) are served memoized through [`Analysis::view`].
 
 use crate::classify::TrafficClass;
@@ -206,19 +208,19 @@ impl Analysis {
     }
 
     /// Add `o`, a partial analysis of the same window built over
-    /// observations disjoint from this one's (other hours, or other
-    /// devices of the same hours): every aggregate is a sum, a set
-    /// union or an order-free maximum. `rows` merges the device tables —
-    /// [`DeviceTable::merge_from`] in general,
-    /// [`DeviceTable::concat_from`] when no device is in both.
+    /// observations disjoint from this one's — other hours with no
+    /// device rows (a router partial) or other devices of the same
+    /// hours (a shard partial), so no device is in both tables: every
+    /// aggregate is a sum, a set union or an order-free maximum, and
+    /// device rows concatenate ([`DeviceTable::concat_from`]).
     ///
     /// # Panics
     ///
     /// Panics if the window lengths differ.
-    pub(crate) fn absorb(&mut self, o: Analysis, rows: fn(&mut DeviceTable, DeviceTable)) {
+    pub(crate) fn absorb(&mut self, o: Analysis) {
         assert_eq!(self.hours, o.hours, "mismatched windows");
         self.cache.reset();
-        rows(&mut self.devices, o.devices);
+        self.devices.concat_from(o.devices);
         for r in 0..2 {
             for (cur, add) in self.protocol_packets[r]
                 .iter_mut()
@@ -372,7 +374,7 @@ impl Analysis {
     /// device table columns, which accumulate exactly what the per-hour
     /// metric flush of [`HourIngest::finish`] adds up — so the sharded
     /// pipeline, which has no per-worker `Analyzer`, publishes values
-    /// bit-identical to the sequential and pooled paths.
+    /// bit-identical to the sequential path.
     pub(crate) fn publish_packet_counters(&self, registry: &Registry) {
         let m = AnalyzerMetrics::register(registry);
         let mut totals = [[0u64; 5]; 2];
@@ -448,8 +450,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Rehydrate an analyzer from a previously finished [`Analysis`] so
-    /// more hours can be ingested or merged into it (incremental
-    /// re-aggregation, checkpoint/resume).
+    /// more hours can be ingested into it (incremental re-aggregation,
+    /// checkpoint/resume).
     pub fn resume(db: &'a DeviceDb, analysis: Analysis) -> Self {
         Analyzer {
             db,
@@ -505,21 +507,6 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Merge another analyzer's state (built over *disjoint hours* of the
-    /// same window and database) into this one.
-    ///
-    /// Per-device state merges as columnar addition
-    /// ([`DeviceTable::merge_from`]), per-service device sets as
-    /// word-wise ORs and per-port device runs as sorted merges — no
-    /// per-key rehashing of the device axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window lengths differ.
-    pub fn merge(&mut self, other: Analyzer<'_>) {
-        self.result.absorb(other.result, DeviceTable::merge_from);
-    }
-
     /// Inspect the aggregation state accumulated so far (used by the
     /// streaming analyzer to evaluate alerts after each hour). Device
     /// rows are in first-seen order until [`finish`](Self::finish)
@@ -530,7 +517,7 @@ impl<'a> Analyzer<'a> {
 
     /// Finish and return the aggregation result, with device rows
     /// normalized to id order and port rows to port order — so finished
-    /// results are reproducible regardless of ingest/merge order.
+    /// results are reproducible regardless of ingest order.
     pub fn finish(mut self) -> Analysis {
         self.result.normalize();
         self.result
@@ -906,48 +893,6 @@ mod tests {
         let (avg_all, avg_consumer) = a.daily_active_devices();
         assert!((avg_all - 1.0).abs() < 1e-9);
         assert!((avg_consumer - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let db = db();
-        let h1 = hour(1, vec![syn([1, 0, 0, 1], 23), syn([2, 0, 0, 1], 22)]);
-        let h2 = hour(
-            2,
-            vec![
-                syn([1, 0, 0, 1], 80),
-                FlowTuple::udp(
-                    Ipv4Addr::new(2, 0, 0, 1),
-                    Ipv4Addr::new(44, 0, 0, 9),
-                    1,
-                    137,
-                )
-                .with_packets(7),
-            ],
-        );
-        let mut seq = Analyzer::new(&db, 4);
-        seq.ingest_hour(&h1);
-        seq.ingest_hour(&h2);
-        let seq = seq.finish();
-
-        let mut a = Analyzer::new(&db, 4);
-        a.ingest_hour(&h1);
-        let mut b = Analyzer::new(&db, 4);
-        b.ingest_hour(&h2);
-        a.merge(b);
-        let par = a.finish();
-
-        assert_eq!(par.devices, seq.devices);
-        // Normalized tables agree row-for-row, not just as sets.
-        assert_eq!(par.devices.ids(), seq.devices.ids());
-        assert_eq!(par.protocol_packets, seq.protocol_packets);
-        assert_eq!(par.udp[0].packets, seq.udp[0].packets);
-        assert_eq!(par.udp[1].packets, seq.udp[1].packets);
-        assert_eq!(par.scan_services, seq.scan_services);
-        assert_eq!(par.udp_ports, seq.udp_ports);
-        assert_eq!(par.backscatter_intervals, seq.backscatter_intervals);
-        assert_eq!(par.unmatched_flows, seq.unmatched_flows);
-        assert_eq!(par, seq);
     }
 
     #[test]

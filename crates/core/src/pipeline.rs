@@ -7,7 +7,8 @@
 use crate::analysis::{Analysis, Analyzer};
 use crate::shard::{self, RoutedFlow, RouterPartial, ShardAccumulator, ShardPartial, ShardRouter};
 use iotscope_devicedb::{DeviceDb, ShardMap};
-use iotscope_net::store::{DecodeOptions, FlowStore};
+use iotscope_net::flowtuple::FlowTuple;
+use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, HourBytes};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
@@ -30,7 +31,8 @@ use std::time::{Duration, Instant};
 /// this run I/O-bound or decode-bound?) rather than to `wall_time`.
 #[derive(Debug, Clone, Default)]
 pub struct StoreReadStats {
-    /// Worker threads actually used (after clamping to the work list).
+    /// Worker threads actually used: the request clamped to `1..=64`,
+    /// or 1 when there was nothing to read.
     pub threads: usize,
     /// Hour files read, decoded, and ingested.
     pub hours_ingested: u64,
@@ -54,10 +56,8 @@ pub struct StoreReadStats {
     /// Time spent aggregating hours (summed across workers). For store
     /// workers this is the fused decode+ingest stage.
     pub ingest_time: Duration,
-    /// Time spent merging worker partials (single-threaded). In the
-    /// default [sharded](ParallelMode::Sharded) mode the merge is a
-    /// concatenation of disjoint device ranges, so this stays ~0; the
-    /// hour-pooled mode merges full-width partials here.
+    /// Time spent assembling worker partials (single-threaded): a
+    /// concatenation of disjoint device ranges, so this stays ~0.
     pub merge_time: Duration,
     /// End-to-end elapsed time for the whole run.
     pub wall_time: Duration,
@@ -126,32 +126,10 @@ impl<'s> From<&'s FlowStore> for AnalysisSource<'s> {
     }
 }
 
-/// How a multi-threaded run splits the work (single-threaded runs
-/// ignore the mode).
-///
-/// Both modes produce bit-identical analyses; they differ in what each
-/// worker holds and what the final merge costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParallelMode {
-    /// Partition the *device space*: every worker routes hours and owns
-    /// one contiguous dense-index shard of per-device state, so the
-    /// final merge is a concatenation of disjoint ranges plus a scalar
-    /// reduction (see [`crate::shard`]). The default: at paper scale
-    /// the hour-pooled merge of N full-width partials dominates and
-    /// loses to sequential, while sharding keeps the merge ~free.
-    #[default]
-    Sharded,
-    /// Partition the *hours*: every worker runs a full-width
-    /// [`Analyzer`] over its share of hours; partials merge
-    /// single-threaded at the end. Cheapest when the device population
-    /// is small relative to the hour count.
-    Pooled,
-}
-
 /// Options for one [`AnalysisPipeline::run`] call.
 ///
-/// A consuming builder with defaults of one thread, sharded parallel
-/// mode, no stats, no metrics, no window:
+/// A consuming builder with defaults of one thread, no stats, no
+/// metrics, no window:
 ///
 /// ```
 /// use iotscope_core::pipeline::AnalyzeOptions;
@@ -161,7 +139,6 @@ pub enum ParallelMode {
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     threads: usize,
-    mode: ParallelMode,
     stats: bool,
     metrics: Option<Registry>,
     window: Option<AnalysisWindow>,
@@ -173,20 +150,16 @@ impl AnalyzeOptions {
         AnalyzeOptions::default()
     }
 
-    /// Worker threads (clamped to `1..=64` and to the amount of work;
-    /// `0` means 1). The analysis result and every
+    /// Worker threads: `0` means 1, more than 64 means 64. One thread
+    /// runs every hour on the caller's thread; `n > 1` spawns `n`
+    /// workers that each route hours *and* own one shard of the device
+    /// space (see [`crate::shard`]) — all `n` even when the source has
+    /// fewer hours, since one hour still fans out to every shard. The
+    /// analysis result and every
     /// [stable](iotscope_obs::Stability::Stable) metric are identical
     /// whatever the thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// How multi-threaded runs split the work; defaults to
-    /// [`ParallelMode::Sharded`]. Has no effect when the run ends up
-    /// single-threaded.
-    pub fn mode(mut self, mode: ParallelMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -356,66 +329,61 @@ impl<'a> AnalysisPipeline<'a> {
         let pm = PipelineMetrics::register(&registry);
         let before = registry.snapshot();
 
-        // Worker-thread budget: pool workers take hours; whatever the
-        // work list cannot use is spent inside each worker on parallel
-        // v3 block decode, so a window of one huge hour still uses the
-        // full budget instead of serializing one worker.
         let budget = options.threads.clamp(1, 64);
 
         let wall = pm.wall_time.span();
-        let result: Result<(Analysis, Vec<u32>, usize), NetError> = (|| match source {
-            AnalysisSource::Memory(traffic) => {
-                // Sharded parallelism is over the device space, so it
-                // is worth its fan-out even for a single huge hour; the
-                // hour-pooled mode degenerates to the inline path when
-                // every worker would get at most one hour (the partial
-                // merges would do all the work the pool saved).
-                let threads = match options.mode {
-                    ParallelMode::Sharded if !traffic.is_empty() => budget,
-                    _ if budget < traffic.len() => budget,
-                    _ => 1,
-                };
-                pm.threads.set(threads as i64);
-                let analysis = if threads <= 1 {
-                    self.run_memory_inline(traffic, &registry, &pm)
-                } else if options.mode == ParallelMode::Sharded {
-                    self.run_memory_sharded(traffic, threads, &registry, &pm)
-                } else {
-                    self.run_memory_pooled(traffic, threads, &registry, &pm)
-                };
-                Ok((analysis, Vec::new(), threads))
-            }
-            AnalysisSource::Store(store) => {
-                let window = options.window.ok_or_else(|| {
-                    NetError::InvalidInterval(
-                        "store-backed analysis requires AnalyzeOptions::window".into(),
+        let result: Result<(Analysis, Vec<u32>, usize), NetError> = (|| {
+            // A store source is rebound to this run's registry, so its
+            // reads are accounted here (and only here).
+            let instrumented;
+            let cov;
+            let (hours, dropped_days) = match source {
+                AnalysisSource::Memory(traffic) => (HourSource::Memory(traffic), Vec::new()),
+                AnalysisSource::Store(store) => {
+                    let window = options.window.ok_or_else(|| {
+                        NetError::InvalidInterval(
+                            "store-backed analysis requires AnalyzeOptions::window".into(),
+                        )
+                    })?;
+                    instrumented = store.clone().instrumented(&registry);
+                    cov = coverage(&instrumented, &window)?;
+                    pm.hours_missing.add(cov.hours_missing);
+                    pm.hours_skipped.add(cov.hours_skipped);
+                    let store = &instrumented;
+                    (
+                        HourSource::Store {
+                            store,
+                            work: &cov.work,
+                        },
+                        cov.dropped_days,
                     )
-                })?;
-                // Rebind the store's counters to this run's registry so
-                // its reads are accounted here (and only here).
-                let store = store.clone().instrumented(&registry);
-                let cov = coverage(&store, &window)?;
-                pm.hours_missing.add(cov.hours_missing);
-                pm.hours_skipped.add(cov.hours_skipped);
-                let (analysis, threads) =
-                    self.run_store(&store, &cov.work, options.mode, budget, &registry, &pm)?;
-                Ok((analysis, cov.dropped_days, threads))
-            }
-            AnalysisSource::StoreHours(store, work) => {
-                if let Some((interval, _)) = work
-                    .iter()
-                    .find(|(interval, _)| !(1..=self.hours).contains(interval))
-                {
-                    return Err(NetError::InvalidInterval(format!(
-                        "interval {interval} outside 1..={}",
-                        self.hours
-                    )));
                 }
-                let store = store.clone().instrumented(&registry);
-                let (analysis, threads) =
-                    self.run_store(&store, work, options.mode, budget, &registry, &pm)?;
-                Ok((analysis, Vec::new(), threads))
-            }
+                AnalysisSource::StoreHours(store, work) => {
+                    if let Some((interval, _)) = work
+                        .iter()
+                        .find(|(interval, _)| !(1..=self.hours).contains(interval))
+                    {
+                        return Err(NetError::InvalidInterval(format!(
+                            "interval {interval} outside 1..={}",
+                            self.hours
+                        )));
+                    }
+                    instrumented = store.clone().instrumented(&registry);
+                    let store = &instrumented;
+                    (HourSource::Store { store, work }, Vec::new())
+                }
+            };
+            // Sharding is over the device space, so it is worth its
+            // fan-out even for a single huge hour; only an empty source
+            // stays on the caller's thread.
+            let threads = if hours.len() == 0 { 1 } else { budget };
+            pm.threads.set(threads as i64);
+            let analysis = if threads <= 1 {
+                self.run_inline(hours, &registry, &pm)?
+            } else {
+                self.run_sharded(hours, threads, &registry, &pm)?
+            };
+            Ok((analysis, dropped_days, threads))
         })();
         drop(wall);
 
@@ -438,270 +406,27 @@ impl<'a> AnalysisPipeline<'a> {
         })
     }
 
-    /// Store path: size the worker pool for the `work` list and run it
-    /// through the matching driver. Returns the analysis and the worker
-    /// threads used.
-    fn run_store(
+    /// Sequential driver: every hour is read, then folded into one
+    /// analyzer on the caller's thread; no partials, no merge. A store
+    /// hour is decoded and ingested in one fused pass — v3 blocks stream
+    /// straight into the analyzer, so the hour is never materialized as
+    /// a `Vec<FlowTuple>` (v1/v2 files materialize inside the visit and
+    /// arrive as a single slice).
+    fn run_inline(
         &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        mode: ParallelMode,
-        budget: usize,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<(Analysis, usize), NetError> {
-        let threads = match mode {
-            ParallelMode::Sharded if !work.is_empty() => budget,
-            _ if budget < work.len() => budget,
-            _ => 1, // degenerate pool: fewer hours than workers
-        };
-        // Hour-level workers leave the rest of the budget to per-worker
-        // parallel v3 block decode; the inline path gets the whole
-        // budget for it.
-        let decode = DecodeOptions {
-            threads: (budget / threads.max(1)).max(1),
-            quarantine: false,
-        };
-        pm.threads.set(threads as i64);
-        let analysis = if threads <= 1 {
-            self.run_store_inline(store, work, decode, registry, pm)?
-        } else if mode == ParallelMode::Sharded {
-            self.run_store_sharded(store, work, threads, decode, registry, pm)?
-        } else {
-            self.run_store_pooled(store, work, threads, decode, registry, pm)?
-        };
-        Ok((analysis, threads))
-    }
-
-    /// In-memory path, sequential: one analyzer over every hour on the
-    /// caller's thread; no partials, no merge.
-    fn run_memory_inline(
-        &self,
-        traffic: &[HourTraffic],
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
-        let worker = PipelineMetrics::worker_hours(registry, 0);
-        let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        let span = pm.ingest_time.span();
-        for hour in traffic {
-            an.ingest_hour(hour);
-            worker.inc();
-        }
-        pm.hours_ingested.add(traffic.len() as u64);
-        drop(span);
-        an.finish()
-    }
-
-    /// In-memory path, hour-pooled: hours are partitioned across
-    /// workers, partial aggregations merged. Identical result for every
-    /// thread count (see `Analyzer::merge`).
-    fn run_memory_pooled(
-        &self,
-        traffic: &[HourTraffic],
-        threads: usize,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
-        let chunk = traffic.len().div_ceil(threads);
-        let partials: Vec<Analyzer<'_>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = traffic
-                .chunks(chunk)
-                .enumerate()
-                .map(|(i, hours)| {
-                    let registry = registry.clone();
-                    let ingest_time = pm.ingest_time.clone();
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut an = Analyzer::with_metrics(self.db, self.hours, &registry);
-                        let span = ingest_time.span();
-                        for h in hours {
-                            an.ingest_hour(h);
-                            worker.inc();
-                        }
-                        drop(span);
-                        an
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("analysis worker does not panic"))
-                .collect()
-        })
-        .expect("analysis scope does not panic");
-        pm.hours_ingested.add(traffic.len() as u64);
-        let merge_span = pm.merge_time.span();
-        let mut iter = partials.into_iter();
-        let mut first = iter.next().expect("at least one partial");
-        for p in iter {
-            first.merge(p);
-        }
-        drop(merge_span);
-        first.finish()
-    }
-
-    /// In-memory path, device-sharded: every worker routes hours off a
-    /// shared work-stealing cursor *and* owns one dense-index shard of
-    /// per-device state, fed through per-worker inboxes (see
-    /// [`crate::shard`]). The end-of-run merge is a concatenation of
-    /// disjoint ranges, so `pipeline.merge_time` stays ~0 at any scale.
-    fn run_memory_sharded(
-        &self,
-        traffic: &[HourTraffic],
-        threads: usize,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
-        let map = ShardMap::new(self.db.len(), threads);
-        let next = AtomicUsize::new(0);
-        let partials: Vec<(RouterPartial, ShardPartial)> = crossbeam::scope(|scope| {
-            let channels: Vec<_> = (0..threads)
-                .map(|_| crossbeam::channel::unbounded::<ShardMsg>())
-                .collect();
-            let senders: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let rx = channels[i].1.clone();
-                    let senders = senders.clone();
-                    let next = &next;
-                    let registry = registry.clone();
-                    let ingest_time = pm.ingest_time.clone();
-                    let hours_ingested = pm.hours_ingested.clone();
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut router = ShardRouter::new(self.db, self.hours, map);
-                        let mut acc = ShardAccumulator::new(self.hours, map.range(i));
-                        let mut busy = Duration::ZERO;
-                        let mut dones = 0usize;
-                        loop {
-                            // Apply whatever other routers have sent so
-                            // far, so inboxes stay short.
-                            while let Ok(msg) = rx.try_recv() {
-                                let t = Instant::now();
-                                match msg {
-                                    ShardMsg::Batch { interval, flows } => {
-                                        acc.apply_hour(interval, &flows);
-                                    }
-                                    ShardMsg::Done => dones += 1,
-                                }
-                                busy += t.elapsed();
-                            }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= traffic.len() {
-                                break;
-                            }
-                            let hour = &traffic[k];
-                            let t = Instant::now();
-                            router.begin_hour(hour.interval);
-                            router.route(&hour.flows);
-                            for (s, flows) in router.finish_hour().into_iter().enumerate() {
-                                if flows.is_empty() {
-                                    continue;
-                                }
-                                if s == i {
-                                    acc.apply_hour(hour.interval, &flows);
-                                } else {
-                                    let batch = ShardMsg::Batch {
-                                        interval: hour.interval,
-                                        flows,
-                                    };
-                                    senders[s]
-                                        .send(batch)
-                                        .expect("shard inbox outlives workers");
-                                }
-                            }
-                            busy += t.elapsed();
-                            hours_ingested.inc();
-                            worker.inc();
-                        }
-                        // No more hours to route: tell every shard owner
-                        // this router is done, then apply stragglers
-                        // until every router has said so (per-sender
-                        // FIFO puts all batches before the Done).
-                        for tx in &senders {
-                            tx.send(ShardMsg::Done)
-                                .expect("shard inbox outlives workers");
-                        }
-                        drop(senders);
-                        while dones < threads {
-                            match rx.recv() {
-                                Ok(ShardMsg::Batch { interval, flows }) => {
-                                    let t = Instant::now();
-                                    acc.apply_hour(interval, &flows);
-                                    busy += t.elapsed();
-                                }
-                                Ok(ShardMsg::Done) => dones += 1,
-                                Err(_) => break,
-                            }
-                        }
-                        let t = Instant::now();
-                        let finished = acc.finish();
-                        busy += t.elapsed();
-                        ingest_time.record(busy);
-                        (router.into_partial(), finished)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sharded worker does not panic"))
-                .collect()
-        })
-        .expect("sharded analysis scope does not panic");
-
-        self.assemble_sharded(partials, registry, pm)
-    }
-
-    /// Fold worker partials (in worker == ascending shard order) into
-    /// the final analysis, publish per-shard gauges and the stable
-    /// `analysis.*` counters, and time the (now trivial) merge.
-    fn assemble_sharded(
-        &self,
-        partials: Vec<(RouterPartial, ShardPartial)>,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
-        let mut routers = Vec::with_capacity(partials.len());
-        let mut shards = Vec::with_capacity(partials.len());
-        for (i, (rp, sp)) in partials.into_iter().enumerate() {
-            PipelineMetrics::shard_devices(registry, i).set(sp.device_count() as i64);
-            routers.push(rp);
-            shards.push(sp);
-        }
-        let merge_span = pm.merge_time.span();
-        let analysis = shard::assemble(self.hours, routers, shards);
-        drop(merge_span);
-        // The sharded path has no live per-hour analyzer metrics;
-        // recover the stable `analysis.*` totals from the result (they
-        // are exact column sums, identical to the sequential flushes).
-        analysis.publish_packet_counters(registry);
-        analysis
-    }
-
-    /// Store path, sequential: read, then the fused decode→ingest on
-    /// the caller's thread — v3 blocks stream straight into the
-    /// analyzer via [`FlowStore::visit_hour_for`], so an hour is never
-    /// materialized as a `Vec<FlowTuple>` (v1/v2 files materialize
-    /// inside the visit and arrive as a single slice).
-    fn run_store_inline(
-        &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        decode: DecodeOptions,
+        hours: HourSource<'_>,
         registry: &Registry,
         pm: &PipelineMetrics,
     ) -> Result<Analysis, NetError> {
         let worker = PipelineMetrics::worker_hours(registry, 0);
         let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        for &(interval, hour) in work {
+        for k in 0..hours.len() {
+            let interval = hours.interval(k);
             let t0 = Instant::now();
-            // `fetch` rather than `read`: segment-resident hours arrive
-            // as zero-copy borrows of the mapped segment.
-            let bytes = store.fetch_hour_bytes(hour)?;
+            let data = hours.read(k)?;
             let t1 = Instant::now();
             let mut ingest = an.begin_hour(interval);
-            store.visit_hour_for(hour, &bytes, decode, &mut ingest)?;
+            data.visit(&mut ingest)?;
             ingest.finish();
             let t2 = Instant::now();
             pm.read_time.record(t1 - t0);
@@ -712,125 +437,23 @@ impl<'a> AnalysisPipeline<'a> {
         Ok(an.finish())
     }
 
-    /// Store path, pooled: a producer feeds `(interval, hour)` items
-    /// through a bounded channel to `threads` workers, each running
-    /// read → decode → ingest into its own [`Analyzer`]; partials are
-    /// merged at the end. On the first error a stop flag halts the
-    /// producer and the error with the smallest interval wins, so the
-    /// reported failure is deterministic.
-    fn run_store_pooled(
+    /// Device-sharded driver: every worker routes hours off a shared
+    /// work-stealing cursor *and* owns one dense-index shard of
+    /// per-device state, fed through per-worker inboxes (see
+    /// [`crate::shard`]). A routed hour is read and streamed straight
+    /// into the router (a store hour is never materialized). The
+    /// end-of-run merge is a concatenation of disjoint ranges, so
+    /// `pipeline.merge_time` stays ~0 at any scale.
+    ///
+    /// On the first error a stop flag halts further routing; the
+    /// in-flight hour protocol still runs to completion (stopped
+    /// workers keep draining their inboxes without applying), and the
+    /// error with the smallest interval wins, so the reported failure
+    /// is deterministic.
+    fn run_sharded(
         &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
+        hours: HourSource<'_>,
         threads: usize,
-        decode: DecodeOptions,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<Analysis, NetError> {
-        let stop = AtomicBool::new(false);
-        let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
-        let fail = |interval: u32, err: NetError| {
-            let mut slot = first_err.lock().expect("error slot not poisoned");
-            match &*slot {
-                Some((seen, _)) if *seen <= interval => {}
-                _ => *slot = Some((interval, err)),
-            }
-            stop.store(true, Ordering::Relaxed);
-        };
-
-        let partials: Vec<Analyzer<'_>> = crossbeam::scope(|scope| {
-            let (tx, rx) = crossbeam::channel::bounded::<(u32, UnixHour)>(threads * 2);
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let rx = rx.clone();
-                    let fail = &fail;
-                    let stop = &stop;
-                    let registry = registry.clone();
-                    let pm = PipelineMetrics::register(&registry);
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut an = Analyzer::with_metrics(self.db, self.hours, &registry);
-                        while let Ok((interval, hour)) = rx.recv() {
-                            if stop.load(Ordering::Relaxed) {
-                                continue; // drain so the producer never blocks
-                            }
-                            let t0 = Instant::now();
-                            let bytes = match store.fetch_hour_bytes(hour) {
-                                Ok(b) => b,
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            };
-                            let t1 = Instant::now();
-                            // Fused decode→ingest: blocks stream into the
-                            // analyzer as they are decoded. On error the
-                            // unfinished `HourIngest` is dropped — its
-                            // partial prefix dies with the worker partial
-                            // when the run as a whole fails.
-                            let mut ingest = an.begin_hour(interval);
-                            match store.visit_hour_for(hour, &bytes, decode, &mut ingest) {
-                                Ok(_) => ingest.finish(),
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            }
-                            let t2 = Instant::now();
-                            pm.read_time.record(t1 - t0);
-                            pm.ingest_time.record(t2 - t1);
-                            pm.hours_ingested.inc();
-                            worker.inc();
-                        }
-                        an
-                    })
-                })
-                .collect();
-            drop(rx);
-            for &(interval, hour) in work {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                if tx.send((interval, hour)).is_err() {
-                    break;
-                }
-            }
-            drop(tx);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("store worker does not panic"))
-                .collect()
-        })
-        .expect("store analysis scope does not panic");
-
-        if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
-            return Err(err);
-        }
-
-        let merge_span = pm.merge_time.span();
-        let mut iter = partials.into_iter();
-        let mut first = iter.next().expect("at least one worker partial");
-        for p in iter {
-            first.merge(p);
-        }
-        drop(merge_span);
-        Ok(first.finish())
-    }
-
-    /// Store path, device-sharded: like
-    /// [`run_memory_sharded`](Self::run_memory_sharded), but each
-    /// routed hour is read and fused-decoded straight into the router
-    /// (no `Vec<FlowTuple>` materialization). On the first error a stop
-    /// flag halts further routing; the in-flight hour protocol still
-    /// runs to completion (stopped workers keep draining their inboxes
-    /// without applying), and the error with the smallest interval
-    /// wins, as in the pooled path.
-    fn run_store_sharded(
-        &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        threads: usize,
-        decode: DecodeOptions,
         registry: &Registry,
         pm: &PipelineMetrics,
     ) -> Result<Analysis, NetError> {
@@ -859,21 +482,21 @@ impl<'a> AnalysisPipeline<'a> {
                     let next = &next;
                     let stop = &stop;
                     let fail = &fail;
-                    let registry = registry.clone();
-                    let wpm = PipelineMetrics::register(&registry);
                     scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
+                        let worker = PipelineMetrics::worker_hours(registry, i);
                         let mut router = ShardRouter::new(self.db, self.hours, map);
                         let mut acc = ShardAccumulator::new(self.hours, map.range(i));
                         let mut dones = 0usize;
                         loop {
+                            // Apply whatever other routers have sent so
+                            // far, so inboxes stay short.
                             while let Ok(msg) = rx.try_recv() {
                                 match msg {
                                     ShardMsg::Batch { interval, flows } => {
                                         if !stop.load(Ordering::Relaxed) {
                                             let t = Instant::now();
                                             acc.apply_hour(interval, &flows);
-                                            wpm.ingest_time.record(t.elapsed());
+                                            pm.ingest_time.record(t.elapsed());
                                         }
                                     }
                                     ShardMsg::Done => dones += 1,
@@ -883,30 +506,27 @@ impl<'a> AnalysisPipeline<'a> {
                                 break;
                             }
                             let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= work.len() {
+                            if k >= hours.len() {
                                 break;
                             }
-                            let (interval, hour) = work[k];
+                            let interval = hours.interval(k);
                             let t0 = Instant::now();
-                            let bytes = match store.fetch_hour_bytes(hour) {
-                                Ok(b) => b,
+                            let data = match hours.read(k) {
+                                Ok(d) => d,
                                 Err(e) => {
                                     fail(interval, e);
                                     continue;
                                 }
                             };
                             let t1 = Instant::now();
-                            // Fused decode→route. On error the hour is
-                            // abandoned unfinished: nothing was
-                            // committed or sent, and the next
-                            // begin_hour clears the buffers.
+                            // On error the hour is abandoned
+                            // unfinished: nothing was committed or
+                            // sent, and the next begin_hour clears the
+                            // buffers.
                             router.begin_hour(interval);
-                            match store.visit_hour_for(hour, &bytes, decode, &mut router) {
-                                Ok(_) => {}
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
+                            if let Err(e) = data.visit(&mut router) {
+                                fail(interval, e);
+                                continue;
                             }
                             for (s, flows) in router.finish_hour().into_iter().enumerate() {
                                 if flows.is_empty() {
@@ -922,11 +542,15 @@ impl<'a> AnalysisPipeline<'a> {
                                 }
                             }
                             let t2 = Instant::now();
-                            wpm.read_time.record(t1 - t0);
-                            wpm.ingest_time.record(t2 - t1);
-                            wpm.hours_ingested.inc();
+                            pm.read_time.record(t1 - t0);
+                            pm.ingest_time.record(t2 - t1);
+                            pm.hours_ingested.inc();
                             worker.inc();
                         }
+                        // No more hours to route: tell every shard owner
+                        // this router is done, then apply stragglers
+                        // until every router has said so (per-sender
+                        // FIFO puts all batches before the Done).
                         for tx in &senders {
                             tx.send(ShardMsg::Done)
                                 .expect("shard inbox outlives workers");
@@ -949,15 +573,104 @@ impl<'a> AnalysisPipeline<'a> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("sharded store worker does not panic"))
+                .map(|h| h.join().expect("sharded worker does not panic"))
                 .collect()
         })
-        .expect("sharded store scope does not panic");
+        .expect("sharded analysis scope does not panic");
 
         if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
             return Err(err);
         }
-        Ok(self.assemble_sharded(partials, registry, pm))
+
+        // Fold worker partials (in worker == ascending shard order) into
+        // the final analysis, publishing per-shard gauges on the way.
+        let mut routers = Vec::with_capacity(partials.len());
+        let mut shards = Vec::with_capacity(partials.len());
+        for (i, (rp, sp)) in partials.into_iter().enumerate() {
+            PipelineMetrics::shard_devices(registry, i).set(sp.device_count() as i64);
+            routers.push(rp);
+            shards.push(sp);
+        }
+        let merge_span = pm.merge_time.span();
+        let analysis = shard::assemble(self.hours, routers, shards);
+        drop(merge_span);
+        // The sharded path has no live per-hour analyzer metrics;
+        // recover the stable `analysis.*` totals from the result (they
+        // are exact column sums, identical to the sequential flushes).
+        analysis.publish_packet_counters(registry);
+        Ok(analysis)
+    }
+}
+
+/// Where a driver's hours come from. Both drivers index it by position
+/// and run the same two steps per hour — [`read`](Self::read), then
+/// [`HourData::visit`] — so memory-fed and store-fed runs share every
+/// line of driver code.
+#[derive(Clone, Copy)]
+enum HourSource<'s> {
+    /// Hours already decoded in memory.
+    Memory(&'s [HourTraffic]),
+    /// These `(interval, hour)` files of an on-disk store.
+    Store {
+        store: &'s FlowStore,
+        work: &'s [(u32, UnixHour)],
+    },
+}
+
+/// One hour as [`HourSource::read`] hands it over: decoded flows, or a
+/// store hour's still-encoded bytes.
+enum HourData<'s> {
+    Flows(&'s [FlowTuple]),
+    Bytes {
+        store: &'s FlowStore,
+        hour: UnixHour,
+        bytes: HourBytes,
+    },
+}
+
+impl<'s> HourSource<'s> {
+    fn len(&self) -> usize {
+        match self {
+            HourSource::Memory(traffic) => traffic.len(),
+            HourSource::Store { work, .. } => work.len(),
+        }
+    }
+
+    /// The 1-based window interval of hour `k`.
+    fn interval(&self, k: usize) -> u32 {
+        match self {
+            HourSource::Memory(traffic) => traffic[k].interval,
+            HourSource::Store { work, .. } => work[k].0,
+        }
+    }
+
+    /// The timed "read" stage: nothing to do for memory; for a store,
+    /// the hour's bytes — segment-resident hours arrive as zero-copy
+    /// borrows of the mapped segment.
+    fn read(&self, k: usize) -> Result<HourData<'s>, NetError> {
+        match *self {
+            HourSource::Memory(traffic) => Ok(HourData::Flows(&traffic[k].flows)),
+            HourSource::Store { store, work } => {
+                let hour = work[k].1;
+                let bytes = store.fetch_hour_bytes(hour)?;
+                Ok(HourData::Bytes { store, hour, bytes })
+            }
+        }
+    }
+}
+
+impl HourData<'_> {
+    /// Stream the hour into `sink`: one slice for memory (infallible),
+    /// the fused block-by-block decode for store bytes. On error the
+    /// sink may hold a prefix of the hour.
+    fn visit(&self, sink: &mut dyn FlowSink) -> Result<(), NetError> {
+        match self {
+            HourData::Flows(flows) => sink.on_flows(flows),
+            HourData::Bytes { store, hour, bytes } => {
+                store.visit_hour_for(*hour, bytes, DecodeOptions::default(), sink)?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -1,9 +1,9 @@
 //! Device-space sharded parallel analysis (DESIGN.md §3e).
 //!
-//! The hour-partitioned pool carries one full-width [`Analyzer`] per
-//! worker, so at paper scale the single-threaded merge of N 331k-row
-//! device tables dominates and `analyze_store_parallel4` *loses* to
-//! sequential. This module partitions the *device space* instead: a
+//! Partitioning the *hours* across workers would carry one full-width
+//! [`Analyzer`] per worker, and at paper scale the single-threaded
+//! merge of N 331k-row device tables loses to a sequential run (it was
+//! tried and removed). This module partitions the *device space*: a
 //! [`ShardMap`] assigns every dense intern index to one contiguous
 //! shard, each worker owns one shard's aggregates, and the final merge
 //! is a concatenation of disjoint dense-index ranges
@@ -33,9 +33,11 @@
 //! final [`DeviceTable::normalize`] is a no-op.
 //!
 //! [`Analyzer`]: crate::analysis::Analyzer
+//! [`DeviceTable::concat_from`]: crate::table::DeviceTable::concat_from
+//! [`DeviceTable::normalize`]: crate::table::DeviceTable::normalize
 //! [`FlowSink`]: iotscope_net::store::FlowSink
 
-use crate::analysis::{Analysis, DeviceTable};
+use crate::analysis::Analysis;
 pub use crate::fold::RoutedFlow;
 use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
 use iotscope_devicedb::{DeviceDb, Realm, ShardMap};
@@ -250,7 +252,7 @@ pub fn assemble(hours: u32, routers: Vec<RouterPartial>, shards: Vec<ShardPartia
         .chain(shards.into_iter().map(|sp| sp.0));
     for partial in partials {
         // Router partials hold no device rows and shards are disjoint.
-        out.absorb(partial, DeviceTable::concat_from);
+        out.absorb(partial);
     }
     // Ascending sorted shards concatenate already-sorted; the device
     // sort is a no-op then, and a safety net for out-of-order callers
@@ -374,39 +376,23 @@ mod tests {
     }
 
     #[test]
-    fn port_table_is_the_same_via_merge_assemble_and_one_pass() {
+    fn port_table_is_the_same_via_assemble_and_one_pass() {
         let db = db(37);
         let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 70 + u64::from(i))).collect();
         let mut seq = Analyzer::new(&db, 8);
         for h in &traffic {
             seq.ingest_hour(h);
         }
-        // Late hours first, so the merged table meets ports in another
-        // order than the sequential pass.
-        let mut merged = Analyzer::new(&db, 8);
-        let mut early = Analyzer::new(&db, 8);
-        for h in traffic.iter().rev() {
-            let half = if h.interval > 3 {
-                &mut merged
-            } else {
-                &mut early
-            };
-            half.ingest_hour(h);
-        }
-        merged.merge(early);
-        assert_eq!(merged.peek().udp_ports, seq.peek().udp_ports);
-
         let seq = seq.finish();
-        let merged = merged.finish();
+        // Two routers over three shards: the assembled table meets
+        // ports in another order than the sequential pass.
         let par = sharded(&db, 8, &traffic, 2, 3);
         let ports = |a: &Analysis| a.udp_ports.rows().map(|r| r.port).collect::<Vec<_>>();
         assert!(seq.udp_ports.len() > 100, "{} ports", seq.udp_ports.len());
         assert!(ports(&seq).windows(2).all(|w| w[0] < w[1]), "ascending");
-        for (how, other) in [("merge", &merged), ("assemble", &par)] {
-            assert_eq!(other.udp_ports, seq.udp_ports, "{how}");
-            assert_eq!(ports(other), ports(&seq), "{how}: row order");
-            assert_eq!(other.scan_services, seq.scan_services, "{how}");
-        }
+        assert_eq!(par.udp_ports, seq.udp_ports);
+        assert_eq!(ports(&par), ports(&seq), "row order");
+        assert_eq!(par.scan_services, seq.scan_services);
     }
 
     #[test]

@@ -56,10 +56,11 @@ enum SetRepr {
 /// Adaptive representation: a sorted `Vec<u32>` while the set is small
 /// (≤ 128 members, the overwhelming majority of the
 /// per-port/per-service sets), promoted to a bitmap once it grows (a
-/// 331k-device inventory fits in ~41 KiB). This keeps the union used by
-/// [`Analyzer::merge`](crate::analysis::Analyzer::merge) proportional
-/// to the *members* of small sets rather than the inventory size, while
-/// large cohorts still merge as word-wise ORs. Equality is
+/// 331k-device inventory fits in ~41 KiB). This keeps the union used
+/// when partial analyses are assembled ([`crate::shard::assemble`])
+/// proportional to the *members* of small sets rather than the
+/// inventory size, while large cohorts still merge as word-wise ORs.
+/// Equality is
 /// representation- and capacity-insensitive: two sets with the same
 /// members always compare equal.
 #[derive(Debug, Clone)]
@@ -450,36 +451,13 @@ impl DeviceTable {
         self.realms[row]
     }
 
-    /// Merge another table built over disjoint observations of the same
-    /// inventory: matching rows are added field-wise (min for
-    /// `first_interval`, OR for `days_active`), new rows are appended.
-    pub fn merge_from(&mut self, other: DeviceTable) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        for orow in 0..other.len() {
-            let id = other.ids[orow];
-            let row = self.upsert(id, other.realms[orow], other.first_interval[orow]);
-            let fi = &mut self.first_interval[row];
-            *fi = (*fi).min(other.first_interval[orow]);
-            self.flows[row] += other.flows[orow];
-            for c in 0..NUM_CLASSES {
-                self.packets[c][row] += other.packets[c][orow];
-            }
-            self.days_active[row] |= other.days_active[orow];
-        }
-    }
-
     /// Append another table's rows wholesale — the merge path for
     /// *shard-disjoint* partials, where each table covers its own range
     /// of the dense device index and no id can appear in both.
     ///
-    /// Unlike [`merge_from`](Self::merge_from), which upserts row by
-    /// row and adds columns field-wise, this is a straight
-    /// `extend_from_slice` per column plus a sparse-index fix-up:
-    /// O(rows) with no per-row branch on existing state. When partials
-    /// arrive in ascending shard order and each is already
+    /// A straight `extend_from_slice` per column plus a sparse-index
+    /// fix-up: O(rows) with no per-row branch on existing state. When
+    /// partials arrive in ascending shard order and each is already
     /// [`normalize`](Self::normalize)d, the concatenated table is
     /// globally sorted, so the final `normalize()` is a no-op and the
     /// result is bit-identical to a sequential build.
@@ -1082,23 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_matching_rows_and_appends_new() {
-        let mut a = DeviceTable::new();
-        a.observe(DeviceId(1), Realm::Consumer, 0, 10, 5, 0);
-        let mut b = DeviceTable::new();
-        b.observe(DeviceId(1), Realm::Consumer, 0, 4, 2, 1);
-        b.observe(DeviceId(8), Realm::Cps, 2, 9, 7, 1);
-        a.merge_from(b);
-        assert_eq!(a.len(), 2);
-        let one = a.get(DeviceId(1)).unwrap();
-        assert_eq!(one.first_interval, 2);
-        assert_eq!(one.flows, 2);
-        assert_eq!(one.packets_by_class[0], 14);
-        assert_eq!(one.days_active, 0b11);
-        assert_eq!(a.get(DeviceId(8)).unwrap().packets_by_class[2], 9);
-    }
-
-    #[test]
     fn concat_preserves_sort_for_ascending_shards() {
         // Two sorted shard partials over disjoint dense ranges.
         let mut lo = DeviceTable::new();
@@ -1108,9 +1069,10 @@ mod tests {
         hi.observe(DeviceId(9), Realm::Consumer, 3, 7, 4, 2);
         hi.observe(DeviceId(12), Realm::Cps, 1, 1, 6, 0);
 
-        // Reference: the same rows via the columnar-add merge.
+        // Reference: the same rows observed into one table.
         let mut reference = lo.clone();
-        reference.merge_from(hi.clone());
+        reference.observe(DeviceId(9), Realm::Consumer, 3, 7, 4, 2);
+        reference.observe(DeviceId(12), Realm::Cps, 1, 1, 6, 0);
 
         let mut cat = lo.clone();
         cat.concat_from(hi.clone());
@@ -1385,9 +1347,5 @@ mod tests {
         assert_eq!(a, b);
         b.observe(DeviceId(5), Realm::Consumer, 0, 1, 1, 0);
         assert_ne!(a, b);
-        // Merging into an empty table moves the rows wholesale.
-        let mut empty = DeviceTable::new();
-        empty.merge_from(a.clone());
-        assert_eq!(empty, a);
     }
 }

@@ -5,7 +5,6 @@
 //! ([`iotscope-devicedb`]) and the analysis pipeline ([`iotscope-core`]):
 //!
 //! * IPv4 address arithmetic and CIDR prefixes ([`addr`]),
-//! * a longest-prefix-match trie for IP-keyed metadata ([`trie`]),
 //! * transport-protocol, TCP-flag and ICMP-type taxonomies with the
 //!   backscatter classification rules used by the paper ([`protocol`]),
 //! * a registry of well-known and IoT/ICS-relevant ports ([`ports`]),
@@ -58,7 +57,6 @@ pub mod protocol;
 pub mod segment;
 pub mod store;
 pub mod time;
-pub mod trie;
 
 use std::error::Error;
 use std::fmt;

@@ -392,8 +392,8 @@ impl FlowStore {
     /// [`FlowStore::write_hour`] after compaction behaves as an
     /// overwrite without rewriting the segment.
     ///
-    /// Lets callers separate I/O from decoding — the parallel pipeline
-    /// uses this to time (and overlap) the two stages independently.
+    /// Lets callers separate I/O from decoding — the pipeline uses
+    /// this to time the two stages independently.
     ///
     /// # Errors
     ///
@@ -451,7 +451,6 @@ impl FlowStore {
     }
 
     /// As [`FlowStore::decode_hour_for`], with explicit decode options:
-    /// `opts.threads > 1` decodes v3 blocks in parallel, and
     /// `opts.quarantine` salvages an hour with corrupt v3 blocks instead
     /// of failing it (quarantined blocks are reported in the result and
     /// counted in `store.block_checksum_failures`).
@@ -549,8 +548,7 @@ impl FlowStore {
     }
 
     /// Read the flows for `hour`, quarantining corrupt v3 blocks
-    /// instead of failing the whole hour. `threads` sizes the parallel
-    /// block decode (1 = sequential).
+    /// instead of failing the whole hour.
     ///
     /// # Errors
     ///
@@ -558,20 +556,9 @@ impl FlowStore {
     /// [`NetError::Codec`] for corruption that quarantine cannot
     /// contain (bad magic, header/index corruption, or any corruption
     /// in a block-less v1/v2 file).
-    pub fn read_hour_tolerant(
-        &self,
-        hour: UnixHour,
-        threads: usize,
-    ) -> Result<DecodedHour, NetError> {
+    pub fn read_hour_tolerant(&self, hour: UnixHour) -> Result<DecodedHour, NetError> {
         let bytes = self.read_hour_bytes(hour)?;
-        self.decode_hour_for_with(
-            hour,
-            &bytes,
-            DecodeOptions {
-                threads,
-                quarantine: true,
-            },
-        )
+        self.decode_hour_for_with(hour, &bytes, DecodeOptions { quarantine: true })
     }
 
     /// Whether `hour` is readable — from a per-hour file or a segment.
@@ -1060,25 +1047,14 @@ fn encode_payload(flows: &[FlowTuple], options: StoreOptions) -> Vec<u8> {
     payload
 }
 
-/// How [`decode_hour_with`] should treat a decodable file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How [`decode_hour_with`] should treat a decodable file; the default
+/// is a strict decode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeOptions {
-    /// Threads for parallel v3 block decode (1 = sequential; v1/v2
-    /// payloads are always sequential).
-    pub threads: usize,
     /// Quarantine corrupt v3 blocks (keep the hour, report the blocks)
     /// instead of failing the whole hour. Header or index corruption —
     /// and any corruption in block-less v1/v2 files — still fails.
     pub quarantine: bool,
-}
-
-impl Default for DecodeOptions {
-    fn default() -> Self {
-        DecodeOptions {
-            threads: 1,
-            quarantine: false,
-        }
-    }
 }
 
 /// A v3 block rejected during a quarantining decode.
@@ -1122,7 +1098,7 @@ pub struct DecodedHour {
 ///   drops it from [`DecodedHour::flows`]).
 /// * On a decode **error** the sink may already have received a prefix
 ///   of the hour; callers must throw away whatever state it built.
-/// * A sequential v3 decode delivers whole blocks through
+/// * A v3 decode delivers whole blocks through
 ///   [`FlowSink::visit_block`]; its default implementation falls back
 ///   to [`FlowSink::on_flows`] over the block's materialized records,
 ///   so a sink that only implements `on_flows` observes the exact
@@ -1216,11 +1192,8 @@ pub fn decode_hour(bytes: &[u8]) -> Result<(UnixHour, Vec<FlowTuple>), NetError>
 
 /// Stream an on-disk hour file through `sink` without materializing it:
 /// v3 blocks are decoded one at a time into a reusable scratch buffer
-/// and handed to the sink as `&[FlowTuple]` slices; block-less v1/v2
-/// files decode whole and arrive as a single slice. With
-/// `opts.threads > 1`, bounded batches of blocks decode in parallel and
-/// are fed to the sink in order, so sink-observable behavior never
-/// depends on the thread count.
+/// and handed to the sink block by block; block-less v1/v2 files decode
+/// whole and arrive as a single slice.
 ///
 /// # Errors
 ///
@@ -1254,8 +1227,8 @@ pub fn decode_hour_visit(
     }
 }
 
-/// Decode an hour file with explicit [`DecodeOptions`] (parallel v3
-/// block decode and/or per-block corruption quarantine).
+/// Decode an hour file with explicit [`DecodeOptions`] (per-block
+/// corruption quarantine).
 ///
 /// # Errors
 ///
@@ -1440,15 +1413,11 @@ fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, Vec<V3Block<'_>>), NetError> {
     Ok((hour, blocks))
 }
 
-/// The streaming v3 decode: feed `sink` one block at a time. Sequential
-/// decodes reuse one [`ColumnBlock`] across blocks (zero per-block
-/// allocation) and deliver whole blocks through
-/// [`FlowSink::visit_block`]; parallel decodes run bounded batches of
-/// blocks through [`decode_blocks_parallel`] (record-at-a-time per
-/// worker) and deliver results in block order via
-/// [`FlowSink::on_flows`], so at most one batch of decoded blocks is
-/// ever resident and sink-observable behavior never depends on the
-/// thread count.
+/// The streaming v3 decode: feed `sink` one block at a time through
+/// [`FlowSink::visit_block`] (whose default falls back to the
+/// per-record `on_flows`, so non-batched sinks observe the identical
+/// stream), reusing one [`ColumnBlock`] across blocks — zero per-block
+/// allocation, whole-column un-delta passes.
 fn visit_hour_v3(
     bytes: &[u8],
     opts: DecodeOptions,
@@ -1457,60 +1426,19 @@ fn visit_hour_v3(
     let (hour, blocks) = parse_v3(bytes)?;
     let mut records = 0usize;
     let mut quarantined = Vec::new();
-    // Per-block failure handling, shared by both decode strategies so
-    // quarantine semantics cannot drift between them.
-    fn reject(
-        i: usize,
-        e: NetError,
-        block: &V3Block<'_>,
-        quarantine: bool,
-        quarantined: &mut Vec<QuarantinedBlock>,
-    ) -> Result<(), NetError> {
-        if quarantine {
-            quarantined.push(QuarantinedBlock {
+    let mut scratch = ColumnBlock::default();
+    for (i, block) in blocks.iter().enumerate() {
+        match decode_block_checked_columnar_into(block, &mut scratch) {
+            Ok(()) => {
+                records += scratch.len();
+                sink.visit_block(&scratch);
+            }
+            Err(e) if opts.quarantine => quarantined.push(QuarantinedBlock {
                 index: i,
                 records: block.count,
                 reason: format!("{e}"),
-            });
-            Ok(())
-        } else {
-            Err(NetError::Codec(format!("block {i}: {e}")))
-        }
-    }
-    if opts.threads > 1 && blocks.len() > 1 {
-        // Batch size bounds resident decoded blocks while keeping every
-        // worker busy for a few blocks per scope.
-        let batch = opts.threads * 4;
-        for (b, part) in blocks.chunks(batch).enumerate() {
-            for (j, result) in decode_blocks_parallel(part, opts.threads)
-                .into_iter()
-                .enumerate()
-            {
-                let i = b * batch + j;
-                match result {
-                    Ok(flows) => {
-                        records += flows.len();
-                        sink.on_flows(&flows);
-                    }
-                    Err(e) => reject(i, e, &blocks[i], opts.quarantine, &mut quarantined)?,
-                }
-            }
-        }
-    } else {
-        // Sequential decodes take the columnar fast path: one reused
-        // ColumnBlock, whole-column un-delta passes, and batched
-        // delivery through `visit_block` (whose default falls back to
-        // the per-record `on_flows`, so non-batched sinks observe the
-        // identical stream).
-        let mut scratch = ColumnBlock::default();
-        for (i, block) in blocks.iter().enumerate() {
-            match decode_block_checked_columnar_into(block, &mut scratch) {
-                Ok(()) => {
-                    records += scratch.len();
-                    sink.visit_block(&scratch);
-                }
-                Err(e) => reject(i, e, block, opts.quarantine, &mut quarantined)?,
-            }
+            }),
+            Err(e) => return Err(NetError::Codec(format!("block {i}: {e}"))),
         }
     }
     Ok(VisitedHour {
@@ -1521,57 +1449,14 @@ fn visit_hour_v3(
     })
 }
 
-/// Decode the index slices in parallel with scoped threads, preserving
-/// block order in the result. Corrupt blocks yield per-block errors, so
-/// quarantine semantics are identical to the sequential path.
-fn decode_blocks_parallel(
-    blocks: &[V3Block<'_>],
-    threads: usize,
-) -> Vec<Result<Vec<FlowTuple>, NetError>> {
-    let threads = threads.min(blocks.len());
-    let chunk = blocks.len().div_ceil(threads);
-    let mut results: Vec<Result<Vec<FlowTuple>, NetError>> = Vec::with_capacity(blocks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || part.iter().map(decode_block_checked).collect::<Vec<_>>())
-            })
-            .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("block decode worker panicked"));
-        }
-    });
-    results
-}
-
-/// Reusable per-block decode buffers: one `Vec<u32>` per column plus
-/// the decoded records. A sequential streaming decode carries one of
-/// these across every block of an hour (and across hours, if the
-/// caller keeps it), so the steady state allocates nothing.
+/// Decode buffers of the test-only record-at-a-time reference decoder
+/// ([`decode_block_into`]): one `Vec<u32>` per column plus the decoded
+/// records.
+#[cfg(test)]
 #[derive(Debug, Default)]
 struct BlockScratch {
     cols: [Vec<u32>; COLUMNS],
     flows: Vec<FlowTuple>,
-}
-
-/// Verify one block's checksum and decode its columns into `scratch`
-/// (records land in `scratch.flows`, replacing previous contents).
-///
-/// The checksum is *interleaved* with the decode rather than a
-/// separate pass: the RLE loop feeds every consumed byte to an FNV-1a
-/// hasher as a side effect, and the comparison happens once the decode
-/// finishes. FNV's multiply chain is pure latency (~3 cycles/byte with
-/// nothing else to do), so the decode's independent ALU work executes
-/// under it essentially for free — fusing the passes is markedly
-/// cheaper than running them back to back over the same bytes.
-fn decode_block_checked_into(
-    block: &V3Block<'_>,
-    scratch: &mut BlockScratch,
-) -> Result<(), NetError> {
-    let mut hasher = Fnv1a::new();
-    let decoded = decode_block_into(block.payload, block.count as usize, scratch, &mut hasher);
-    resolve_block_checksum(decoded, &hasher, block)
 }
 
 /// Resolve an interleaved decode-plus-hash against the block checksum
@@ -1593,13 +1478,6 @@ fn resolve_block_checksum(
         Err(_) if fnv1a(block.payload) != block.checksum => Err(mismatch()),
         Err(e) => Err(e),
     }
-}
-
-/// Verify one block's checksum and decode its columns.
-fn decode_block_checked(block: &V3Block<'_>) -> Result<Vec<FlowTuple>, NetError> {
-    let mut scratch = BlockScratch::default();
-    decode_block_checked_into(block, &mut scratch)?;
-    Ok(scratch.flows)
 }
 
 /// Encode every field of `f` except `src_ip` (already delta-encoded).
@@ -1648,7 +1526,9 @@ fn zigzag(v: i32) -> u32 {
     ((v << 1) ^ (v >> 31)) as u32
 }
 
-/// Inverse of [`zigzag`].
+/// Inverse of [`zigzag`]; production decodes un-zigzag whole columns in
+/// [`unzigzag_prefix_sum`], so this per-value form serves the tests.
+#[cfg(test)]
 fn unzigzag(v: u32) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
@@ -1954,10 +1834,15 @@ fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
 }
 
 /// Decode one v3 block of `count` records (inverse of [`encode_block`])
-/// into `scratch.flows`, reusing `scratch.cols` as column buffers.
-/// `hasher` receives the payload bytes as they are consumed (see
-/// [`get_rle_column_into`]); after an `Ok` return it has covered the
-/// whole payload.
+/// into `scratch.flows`, one record at a time with checked
+/// accumulators. `hasher` receives the payload bytes as they are
+/// consumed (see [`get_rle_column_into`]); after an `Ok` return it has
+/// covered the whole payload.
+///
+/// Test-only reference: this was the production block decoder until
+/// the columnar one ([`decode_block_columnar_into`]) replaced it; the
+/// proptests pin the two to the same flows and the same error strings.
+#[cfg(test)]
 fn decode_block_into(
     payload: &[u8],
     count: usize,
@@ -2018,9 +1903,8 @@ fn decode_block_into(
 /// un-delta'd back to record values, plus the same records materialized
 /// as [`FlowTuple`]s for per-record consumers. The column buffers and
 /// the record buffer are capacity-reused across blocks (and across
-/// hours, if the caller keeps the scratch), exactly like
-/// `BlockScratch` — a sequential decode's steady state allocates
-/// nothing.
+/// hours, if the caller keeps the scratch) — a decode's steady state
+/// allocates nothing.
 ///
 /// In a delta-encoded file (the default; see
 /// [`StoreOptions::delta_encode`]) records are sorted by
@@ -2136,7 +2020,7 @@ fn prefix_sum_wrapping(vals: &mut [u32]) {
     }
 }
 
-/// Fused [`unzigzag`] + wrapping prefix sum over a whole column: the
+/// Fused un-zigzag + wrapping prefix sum over a whole column: the
 /// batched inverse of `prev = prev.wrapping_add(unzigzag(delta))` with
 /// the predictor starting at 0. Same [`LANES`]-wide log-step scan as
 /// [`prefix_sum_wrapping`], with the zigzag bit transform folded into
@@ -2202,9 +2086,10 @@ fn first_where(vals: &[u32], bad: impl Fn(u32) -> bool) -> Option<usize> {
         .map(|i| base + i)
 }
 
-/// The column-at-a-time block decoder: same wire format, same outputs,
-/// and same error strings as the record-at-a-time [`decode_block_into`]
-/// (proptest-pinned), but structured for throughput — the RLE/SWAR
+/// The block decoder, column-at-a-time: same wire format, same outputs,
+/// and same error strings as the record-at-a-time reference
+/// (`decode_block_into`, test-only; proptest-pinned), but structured for
+/// throughput — the RLE/SWAR
 /// varint loop runs striding one column at a time, every column is
 /// un-delta'd by a [`LANES`]-wide wrapping pass, range validation is a
 /// chunked whole-column scan, and record assembly is a branch-free
@@ -2346,11 +2231,16 @@ fn decode_block_columnar_into(
     Ok(())
 }
 
-/// Verify one block's checksum and run the columnar decoder into
-/// `block` — the batched counterpart of [`decode_block_checked_into`],
-/// with identical error strings and the same interleaved
-/// checksum-while-decoding scheme (see there for why fusing the
-/// passes is faster).
+/// Verify one block's checksum and decode its columns into `block`
+/// (replacing previous contents).
+///
+/// The checksum is *interleaved* with the decode rather than a
+/// separate pass: the RLE loop feeds every consumed byte to an FNV-1a
+/// hasher as a side effect, and the comparison happens once the decode
+/// finishes. FNV's multiply chain is pure latency (~3 cycles/byte with
+/// nothing else to do), so the decode's independent ALU work executes
+/// under it essentially for free — fusing the passes is markedly
+/// cheaper than running them back to back over the same bytes.
 fn decode_block_checked_columnar_into(
     v3: &V3Block<'_>,
     block: &mut ColumnBlock,
@@ -2715,10 +2605,7 @@ mod tests {
         // Flip a byte inside the block index (just past the header).
         let mut bytes = clean.clone();
         bytes[HEADER + 2] ^= 0x40;
-        let opts = DecodeOptions {
-            threads: 1,
-            quarantine: true,
-        };
+        let opts = DecodeOptions { quarantine: true };
         let err = decode_hour_with(&bytes, opts).unwrap_err();
         assert!(
             format!("{err}").contains("checksum") || format!("{err}").contains("implausible"),
@@ -2898,24 +2785,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_parallel_decode_matches_sequential() {
-        let many = scan_like_flows(BLOCK_RECORDS as u32 * 3 + 17);
-        let bytes = encode_hour(UnixHour::new(5), &many, StoreOptions::default());
-        let seq = decode_hour_with(&bytes, DecodeOptions::default()).unwrap();
-        for threads in [2, 4, 16] {
-            let par = decode_hour_with(
-                &bytes,
-                DecodeOptions {
-                    threads,
-                    quarantine: false,
-                },
-            )
-            .unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn v3_decodes_identically_to_v2() {
         // Both formats sort delta files the same way, so the decoded
         // record sequence must match exactly, not just as multisets.
@@ -2979,7 +2848,7 @@ mod tests {
         // Strict read fails the whole hour.
         assert!(store.read_hour(hour).is_err());
         // Tolerant read keeps the other two blocks.
-        let decoded = store.read_hour_tolerant(hour, 2).unwrap();
+        let decoded = store.read_hour_tolerant(hour).unwrap();
         assert_eq!(decoded.blocks, 3);
         assert_eq!(decoded.quarantined.len(), 1);
         assert_eq!(decoded.quarantined[0].index, 1);
@@ -3048,7 +2917,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_matches_materialized_across_formats_and_threads() {
+    fn visit_matches_materialized_across_formats() {
         let many = scan_like_flows(BLOCK_RECORDS as u32 * 2 + 500);
         let hour = UnixHour::new(33);
         for (format, encode_v1) in [
@@ -3066,28 +2935,20 @@ mod tests {
                 encode_hour(hour, &many, opts)
             };
             assert_eq!(claimed_hour(&bytes).unwrap(), hour);
-            for threads in [1, 3] {
-                let opts = DecodeOptions {
-                    threads,
-                    quarantine: false,
-                };
-                let materialized = decode_hour_with(&bytes, opts).unwrap();
-                let mut sink = ChunkSink::default();
-                let visited = decode_hour_visit(&bytes, opts, &mut sink).unwrap();
-                assert_eq!(visited.hour, materialized.hour);
-                assert_eq!(visited.blocks, materialized.blocks);
-                assert_eq!(visited.records, materialized.flows.len());
-                assert_eq!(
-                    sink.flows, materialized.flows,
-                    "{format:?} threads={threads}"
-                );
-                if format == StoreFormat::V3 {
-                    // One slice per block, in order.
-                    assert_eq!(sink.chunks.len(), materialized.blocks);
-                    assert_eq!(sink.chunks[0], BLOCK_RECORDS);
-                } else {
-                    assert_eq!(sink.chunks, vec![many.len()]);
-                }
+            let opts = DecodeOptions::default();
+            let materialized = decode_hour_with(&bytes, opts).unwrap();
+            let mut sink = ChunkSink::default();
+            let visited = decode_hour_visit(&bytes, opts, &mut sink).unwrap();
+            assert_eq!(visited.hour, materialized.hour);
+            assert_eq!(visited.blocks, materialized.blocks);
+            assert_eq!(visited.records, materialized.flows.len());
+            assert_eq!(sink.flows, materialized.flows, "{format:?}");
+            if format == StoreFormat::V3 {
+                // One slice per block, in order.
+                assert_eq!(sink.chunks.len(), materialized.blocks);
+                assert_eq!(sink.chunks[0], BLOCK_RECORDS);
+            } else {
+                assert_eq!(sink.chunks, vec![many.len()]);
             }
         }
     }
@@ -3104,28 +2965,19 @@ mod tests {
         bytes[index_end + first_len + 10] ^= 0xff;
 
         // Strict streaming decode fails like the materialized one.
-        let strict = DecodeOptions {
-            threads: 1,
-            quarantine: false,
-        };
         let mut sink = ChunkSink::default();
-        assert!(decode_hour_visit(&bytes, strict, &mut sink).is_err());
+        assert!(decode_hour_visit(&bytes, DecodeOptions::default(), &mut sink).is_err());
 
-        for threads in [1, 2] {
-            let opts = DecodeOptions {
-                threads,
-                quarantine: true,
-            };
-            let materialized = decode_hour_with(&bytes, opts).unwrap();
-            let mut sink = ChunkSink::default();
-            let visited = decode_hour_visit(&bytes, opts, &mut sink).unwrap();
-            assert_eq!(sink.flows, materialized.flows, "threads={threads}");
-            assert_eq!(visited.quarantined, materialized.quarantined);
-            assert_eq!(visited.quarantined.len(), 1);
-            assert_eq!(visited.quarantined[0].index, 1);
-            // The corrupt block never reached the sink.
-            assert_eq!(sink.chunks.len(), 2);
-        }
+        let opts = DecodeOptions { quarantine: true };
+        let materialized = decode_hour_with(&bytes, opts).unwrap();
+        let mut sink = ChunkSink::default();
+        let visited = decode_hour_visit(&bytes, opts, &mut sink).unwrap();
+        assert_eq!(sink.flows, materialized.flows);
+        assert_eq!(visited.quarantined, materialized.quarantined);
+        assert_eq!(visited.quarantined.len(), 1);
+        assert_eq!(visited.quarantined[0].index, 1);
+        // The corrupt block never reached the sink.
+        assert_eq!(sink.chunks.len(), 2);
     }
 
     #[test]

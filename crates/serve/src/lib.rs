@@ -17,15 +17,12 @@
 //! `iotscope-core` — the same trait the CLI `report`/`investigate`
 //! commands consume — so an HTTP response and a batch report can never
 //! disagree about an aggregate. [`http::HttpServer`] exposes the
-//! endpoints over a zero-dependency HTTP/1.1 listener, and [`load`]
-//! provides the load-generation harness the perf bin uses to record
-//! per-endpoint p50/p99 under full-rate ingest.
+//! endpoints over a zero-dependency HTTP/1.1 listener.
 
 #![forbid(unsafe_code)]
 
 pub mod http;
 pub mod json;
-pub mod load;
 
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::stream::{Alert, StreamConfig, StreamingAnalyzer};
@@ -45,7 +42,7 @@ const CLASS_NAMES: [&str; 5] = ["tcp_scan", "icmp_scan", "backscatter", "udp", "
 
 /// The served endpoints, in routing order. Metric names derive from
 /// these (`serve.requests.<endpoint>`, `serve.latency.<endpoint>`), and
-/// the load harness and CI schema check iterate the same list.
+/// the benchmark's traced run iterates the same list.
 pub const ENDPOINTS: [&str; 10] = [
     "healthz",
     "summary",

@@ -5,10 +5,8 @@
 //! then prints each artifact (Figs 1–11, Tables I–VII) plus the headline
 //! scalar comparisons. See EXPERIMENTS.md for paper-vs-measured.
 //!
-//! Usage:
-//!
 //! ```text
-//! repro [--seed N] [--scale F] [--tiny] [--csv DIR]
+//! cargo run -p iotscope-examples --release --bin repro -- [--seed N] [--scale F] [--tiny] [--csv DIR]
 //! ```
 //!
 //! `--scale` multiplies packet budgets relative to the paper's magnitudes
@@ -31,6 +29,26 @@ struct Args {
     csv: Option<String>,
 }
 
+const USAGE: &str = "usage: repro [--seed N] [--scale F] [--tiny] [--csv DIR]";
+
+/// Print an argument error plus usage and exit 2: a typo'd `--seed`
+/// must not silently reproduce a different scenario.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; missing or malformed is a usage
+/// error.
+fn value_of<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value for {flag}: {v:?}")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         seed: 42,
@@ -41,18 +59,15 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(42),
-            "--scale" => args.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(0.01),
+            "--seed" => args.seed = value_of("--seed", &mut it),
+            "--scale" => args.scale = value_of("--scale", &mut it),
             "--tiny" => args.tiny = true,
-            "--csv" => args.csv = it.next(),
+            "--csv" => args.csv = Some(value_of("--csv", &mut it)),
             "--help" | "-h" => {
-                println!("usage: repro [--seed N] [--scale F] [--tiny] [--csv DIR]");
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     args

@@ -1,7 +1,8 @@
-//! Property tests for the columnar analysis model: the merge operation
-//! must form a commutative monoid over disjoint hour partitions, and
-//! every memoized [`AnalysisView`] query must equal a brute-force
-//! recomputation from the raw per-device rows.
+//! Property tests for the columnar analysis model: every memoized
+//! [`AnalysisView`] query must equal a brute-force recomputation from
+//! the raw per-device rows, and the device-sharded analysis must be
+//! bit-identical to the sequential pass for any assignment of hours to
+//! routers.
 
 use iotscope_core::analysis::{Analysis, Analyzer};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
@@ -32,27 +33,14 @@ fn num_hours() -> u32 {
     built.scenario.telescope().window.num_hours()
 }
 
-/// Analyze one disjoint slice of hours into a partial `Analysis`.
+/// Analyze one slice of hours.
 fn partial(hour_indices: &[usize]) -> Analysis {
     let (built, traffic) = shared();
     let mut an = Analyzer::new(&built.inventory.db, num_hours());
     for &i in hour_indices {
         an.ingest_hour(&traffic[i]);
     }
-    // Partials are merged further, so keep them un-normalized the way
-    // the parallel pipeline does: peek-equivalent state via resume.
     an.finish()
-}
-
-fn merged(parts: Vec<Analysis>) -> Analysis {
-    let (built, _) = shared();
-    let mut iter = parts.into_iter();
-    let first = iter.next().expect("at least one partial");
-    let mut acc = Analyzer::resume(&built.inventory.db, first);
-    for p in iter {
-        acc.merge(Analyzer::resume(&built.inventory.db, p));
-    }
-    acc.finish()
 }
 
 /// Strategy: a random partition of `0..n` hours into `k` disjoint
@@ -121,40 +109,6 @@ fn sharded_by_hand(groups: &[Vec<usize>], shards: usize) -> Analysis {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Merging disjoint hour partitions is commutative: any order of the
-    /// same partials produces the same finished analysis.
-    #[test]
-    fn prop_merge_is_commutative(
-        groups in partition_strategy(143, 3),
-        perm in Just([1usize, 2, 0]),
-    ) {
-        let parts: Vec<Analysis> = groups.iter().map(|g| partial(g)).collect();
-        let forward = merged(parts.clone());
-        let permuted: Vec<Analysis> = perm.iter().map(|&i| parts[i].clone()).collect();
-        let backward = merged(permuted);
-        prop_assert_eq!(forward, backward);
-    }
-
-    /// Merging is associative: ((a∪b)∪c) == (a∪(b∪c)), and both equal
-    /// the sequential single-analyzer pass over all hours.
-    #[test]
-    fn prop_merge_is_associative_and_matches_sequential(
-        groups in partition_strategy(143, 3),
-    ) {
-        let a = partial(&groups[0]);
-        let b = partial(&groups[1]);
-        let c = partial(&groups[2]);
-
-        let left = merged(vec![merged(vec![a.clone(), b.clone()]), c.clone()]);
-        let right = merged(vec![a, merged(vec![b, c])]);
-        prop_assert_eq!(&left, &right);
-
-        let all: Vec<usize> = (0..143).collect();
-        let sequential = partial(&all);
-        prop_assert_eq!(&left, &sequential);
-        prop_assert_eq!(left.devices.ids(), sequential.devices.ids());
-    }
 
     /// Every memoized view query equals a brute-force recomputation
     /// from the raw device rows, on an arbitrary subset of hours.
@@ -300,7 +254,7 @@ proptest! {
         for &(pos, mask) in &corrupt {
             victim_bytes[index_end + pos as usize % payload] ^= mask | 1;
         }
-        let opts = DecodeOptions { threads: 1, quarantine: true };
+        let opts = DecodeOptions { quarantine: true };
 
         let mut seq = Analyzer::new(db, hours);
         for (interval, bytes) in [(clean.interval, &clean_bytes), (victim.interval, &victim_bytes)] {

@@ -190,7 +190,7 @@ fn quarantined_corrupt_blocks_fold_identically_batched_and_per_record() {
 
     // Per-record reference: tolerant materialized read, then the
     // record-at-a-time ingest.
-    let decoded = store.read_hour_tolerant(hour, 1).unwrap();
+    let decoded = store.read_hour_tolerant(hour).unwrap();
     assert_eq!(decoded.quarantined.len(), 1, "exactly one block corrupt");
     let mut reference = Analyzer::new(db, 143);
     reference.ingest_hour(&HourTraffic {
@@ -200,29 +200,20 @@ fn quarantined_corrupt_blocks_fold_identically_batched_and_per_record() {
     });
     let reference = reference.finish();
 
-    // Batched columnar visit with quarantine (threads = 1) and the
-    // parallel record-at-a-time visit (threads = 2) must both match.
-    for threads in [1usize, 2] {
-        let mut analyzer = Analyzer::new(db, 143);
-        let mut ingest = analyzer.begin_hour(interval);
-        let visited = store
-            .visit_hour_for(
-                hour,
-                &bytes,
-                DecodeOptions {
-                    threads,
-                    quarantine: true,
-                },
-                &mut ingest,
-            )
-            .unwrap();
-        ingest.finish();
-        assert_eq!(
-            visited.quarantined, decoded.quarantined,
-            "threads={threads}"
-        );
-        assert_eq!(analyzer.finish(), reference, "threads={threads}");
-    }
+    // The batched columnar visit with quarantine must match.
+    let mut analyzer = Analyzer::new(db, 143);
+    let mut ingest = analyzer.begin_hour(interval);
+    let visited = store
+        .visit_hour_for(
+            hour,
+            &bytes,
+            DecodeOptions { quarantine: true },
+            &mut ingest,
+        )
+        .unwrap();
+    ingest.finish();
+    assert_eq!(visited.quarantined, decoded.quarantined);
+    assert_eq!(analyzer.finish(), reference);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,8 +4,8 @@
 //! analyzer ([`decode_hour_visit`] + [`Analyzer::begin_hour`]) must be
 //! *bit-identical* to materializing the hour and calling
 //! [`Analyzer::ingest_hour`] — same [`Analysis`], same stable metric
-//! snapshot — for random v3 hours, at every thread count, and including
-//! hours where corrupt blocks are quarantined.
+//! snapshot — for random v3 hours, including hours where corrupt blocks
+//! are quarantined.
 
 use iotscope_core::{Analysis, Analyzer};
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig};
@@ -108,19 +108,15 @@ fn streamed(
 }
 
 fn assert_paths_agree(db: &DeviceDb, bytes: &[u8], hour: UnixHour, opts: DecodeOptions) {
-    let (reference, ref_quarantined, ref_snapshot) =
-        materialized(db, bytes, hour, DecodeOptions { threads: 1, ..opts });
-    for threads in [1, 3] {
-        let (analysis, quarantined, snapshot) =
-            streamed(db, bytes, DecodeOptions { threads, ..opts });
-        assert_eq!(analysis, reference, "analysis drift at threads={threads}");
-        assert_eq!(quarantined, ref_quarantined, "quarantine drift");
-        assert_eq!(
-            snapshot.stable_only(),
-            ref_snapshot.stable_only(),
-            "stable metric drift at threads={threads}"
-        );
-    }
+    let (reference, ref_quarantined, ref_snapshot) = materialized(db, bytes, hour, opts);
+    let (analysis, quarantined, snapshot) = streamed(db, bytes, opts);
+    assert_eq!(analysis, reference, "analysis drift");
+    assert_eq!(quarantined, ref_quarantined, "quarantine drift");
+    assert_eq!(
+        snapshot.stable_only(),
+        ref_snapshot.stable_only(),
+        "stable metric drift"
+    );
 }
 
 proptest! {
@@ -171,7 +167,7 @@ proptest! {
             bytes[index_end + pos as usize % payload] ^= mask | 1;
         }
 
-        let strict = DecodeOptions { threads: 1, quarantine: false };
+        let strict = DecodeOptions::default();
         prop_assert!(decode_hour_with(&bytes, strict).is_err());
         let registry = Registry::new();
         let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
@@ -181,7 +177,7 @@ proptest! {
             prop_assert!(decode_hour_visit(&bytes, strict, &mut ingest).is_err());
         }
 
-        let quarantine = DecodeOptions { threads: 1, quarantine: true };
+        let quarantine = DecodeOptions { quarantine: true };
         let decoded = decode_hour_with(&bytes, quarantine).expect("quarantine decode succeeds");
         prop_assert!(!decoded.quarantined.is_empty());
         prop_assert!(decoded.quarantined.len() <= total_blocks);

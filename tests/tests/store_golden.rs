@@ -129,14 +129,7 @@ fn golden_files_decode_identically_across_formats() {
 #[test]
 fn golden_v3_has_multiple_independent_blocks() {
     let bytes = std::fs::read(fixture_dir().join("hour-v3.ft")).expect("v3 fixture");
-    let decoded = decode_hour_with(
-        &bytes,
-        DecodeOptions {
-            threads: 4,
-            quarantine: true,
-        },
-    )
-    .unwrap();
+    let decoded = decode_hour_with(&bytes, DecodeOptions { quarantine: true }).unwrap();
     assert_eq!(decoded.blocks, 3, "10_000 records at 4096/block");
     assert_eq!(decoded.flows, expected_flows());
 }

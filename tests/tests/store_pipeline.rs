@@ -2,12 +2,12 @@
 //! the same analysis as the in-memory path, survive the paper's
 //! data-quality rules, and fail loudly on corruption.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, ParallelMode};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::Analysis;
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::AnalysisWindow;
-use iotscope_obs::Registry;
+use iotscope_obs::{Registry, Snapshot, SnapshotEntry};
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -271,100 +271,86 @@ fn store_stats_account_for_every_byte_on_disk() {
     assert_eq!(stats.records_decoded, records);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// The stable entries of `snapshot` a memory-fed run can have too:
+/// everything but the store's own read counters.
+fn stable_sans_store(snapshot: &Snapshot) -> Vec<SnapshotEntry> {
+    let stable = snapshot.stable_only();
+    let entries = stable.entries().iter();
+    entries
+        .filter(|e| !e.name.starts_with("store."))
+        .cloned()
+        .collect()
+}
 
-    /// Any thread count — zero, more threads than hours, anything in
-    /// between — must reproduce the sequential result exactly, on both
-    /// the in-memory and the store-backed parallel paths, and the
-    /// stable (non-timing) metrics must be bit-identical to a
-    /// single-threaded run.
+/// Any thread count must reproduce the sequential result exactly, fed
+/// from the store or from memory — the same `Analysis` and the same
+/// stable (non-timing) metrics as a single-threaded run — on the full
+/// window and on a 3-hour slice (fewer hours than workers: the sharded
+/// driver runs with idle routers).
+fn assert_thread_count_matches_sequential(threads: usize) {
+    let shared = shared_store();
+    let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
+    let run = |source: AnalysisSource<'_>, threads: usize| {
+        let registry = Registry::new();
+        let options = AnalyzeOptions::new()
+            .window(shared.window)
+            .threads(threads)
+            .metrics(&registry);
+        let outcome = pipeline.run(source, &options).unwrap();
+        assert!(outcome.dropped_days.is_empty());
+        (outcome.analysis, registry.snapshot())
+    };
+
+    let (base, base_metrics) = run((&shared.store).into(), 1);
+    assert_eq!(base, shared.sequential);
+    let (stored, stored_metrics) = run((&shared.store).into(), threads);
+    assert_eq!(stored, shared.sequential, "store-fed, threads={threads}");
+    // Work counters — store bytes/records, hours ingested, analysis
+    // class totals — are deterministic; only timings/gauges vary.
+    assert_eq!(
+        stored_metrics.stable_only(),
+        base_metrics.stable_only(),
+        "store-fed stable metrics, threads={threads}"
+    );
+    let (mem, mem_metrics) = run((&shared.traffic).into(), threads);
+    assert_eq!(mem, shared.sequential, "memory-fed, threads={threads}");
+    assert_eq!(
+        stable_sans_store(&mem_metrics),
+        stable_sans_store(&base_metrics),
+        "memory-fed stable metrics, threads={threads}"
+    );
+
+    let work: Vec<_> = shared.window.iter_intervals().take(3).collect();
+    let (seq_slice, seq_slice_metrics) = run((&shared.traffic[..3]).into(), 1);
+    for (fed, source) in [
+        ("memory", AnalysisSource::from(&shared.traffic[..3])),
+        ("store", AnalysisSource::StoreHours(&shared.store, &work)),
+    ] {
+        let (slice, slice_metrics) = run(source, threads);
+        assert_eq!(slice, seq_slice, "{fed}-fed slice, threads={threads}");
+        assert_eq!(
+            stable_sans_store(&slice_metrics),
+            stable_sans_store(&seq_slice_metrics),
+            "{fed}-fed slice stable metrics, threads={threads}"
+        );
+    }
+}
+
+/// Zero, the inline driver, small pools, more workers than the 3-hour
+/// slice has hours, and more than the window has (clamped to 64).
+#[test]
+fn named_thread_counts_match_sequential() {
+    for threads in [0, 1, 2, 3, 8, 200] {
+        assert_thread_count_matches_sequential(threads);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
     #[test]
     fn prop_any_thread_count_matches_sequential(threads in 0usize..200) {
-        let shared = shared_store();
-        let pipeline =
-            AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-
-        let run_store = |threads: usize| {
-            let registry = Registry::new();
-            let outcome = pipeline
-                .run(
-                    &shared.store,
-                    &AnalyzeOptions::new()
-                        .window(shared.window)
-                        .threads(threads)
-                        .metrics(&registry),
-                )
-                .unwrap();
-            (outcome, registry.snapshot().stable_only())
-        };
-        let (base, base_stable) = run_store(1);
-        let (par, par_stable) = run_store(threads);
-        prop_assert!(par.dropped_days.is_empty());
-        prop_assert_eq!(&shared.sequential.devices, &par.analysis.devices);
-        prop_assert_eq!(&shared.sequential.scan_services, &par.analysis.scan_services);
-        prop_assert_eq!(&shared.sequential.udp_ports, &par.analysis.udp_ports);
-        prop_assert_eq!(&shared.sequential.unmatched_flows, &par.analysis.unmatched_flows);
-        prop_assert_eq!(&base.analysis.devices, &par.analysis.devices);
-
-        // Work counters — store bytes/records, hours ingested, analysis
-        // class totals — are deterministic; only timings/gauges vary.
-        prop_assert_eq!(&base_stable, &par_stable, "stable metrics differ at threads={}", threads);
-
-        let mem = pipeline
-            .run(&shared.traffic, &AnalyzeOptions::new().threads(threads))
-            .unwrap()
-            .analysis;
-        prop_assert_eq!(&shared.sequential.devices, &mem.devices);
-        prop_assert_eq!(&shared.sequential.backscatter_intervals, &mem.backscatter_intervals);
-
-        // The hour-pooled mode must match too, now that sharded is the
-        // default — same aggregates, same stable metrics.
-        let pooled_registry = Registry::new();
-        let pooled = pipeline
-            .run(
-                &shared.store,
-                &AnalyzeOptions::new()
-                    .window(shared.window)
-                    .threads(threads)
-                    .mode(ParallelMode::Pooled)
-                    .metrics(&pooled_registry),
-            )
-            .unwrap();
-        prop_assert_eq!(&shared.sequential.devices, &pooled.analysis.devices);
-        prop_assert_eq!(&shared.sequential.scan_services, &pooled.analysis.scan_services);
-        prop_assert_eq!(
-            &base_stable,
-            &pooled_registry.snapshot().stable_only(),
-            "pooled stable metrics differ at threads={}",
-            threads
-        );
-
-        // Degenerate pool: with at least as many workers as hours, the
-        // pooled mode routes to the inline path — no per-worker
-        // analyzers are built, so there is nothing to merge.
-        let slice = &shared.traffic[..3];
-        let seq_slice = pipeline.run(slice, &AnalyzeOptions::new()).unwrap().analysis;
-        let degen = pipeline
-            .run(
-                slice,
-                &AnalyzeOptions::new()
-                    .threads(threads)
-                    .mode(ParallelMode::Pooled)
-                    .stats(true),
-            )
-            .unwrap();
-        prop_assert_eq!(&seq_slice.devices, &degen.analysis.devices);
-        prop_assert_eq!(&seq_slice.udp_ports, &degen.analysis.udp_ports);
-        if threads.clamp(1, 64) >= slice.len() {
-            let stats = degen.stats.expect("stats were requested");
-            prop_assert_eq!(
-                stats.merge_time,
-                std::time::Duration::ZERO,
-                "degenerate pool must not merge (threads={})",
-                threads
-            );
-        }
+        assert_thread_count_matches_sequential(threads);
     }
 }
 

@@ -4,7 +4,7 @@
 //! before and after `compact_to_segments`, sequentially and in
 //! sharded-parallel mode, on arbitrary subsets of the paper window.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, ParallelMode};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_core::Analysis;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::TcpFlags;
@@ -107,10 +107,7 @@ proptest! {
         let pipeline =
             AnalysisPipeline::new(&shared.built.inventory.db, window.num_hours());
         let options = AnalyzeOptions::new().window(window);
-        let sharded = AnalyzeOptions::new()
-            .window(window)
-            .threads(3)
-            .mode(ParallelMode::Sharded);
+        let sharded = AnalyzeOptions::new().window(window).threads(3);
         let before = pipeline.run(&store, &options).unwrap();
         let before_sharded = pipeline.run(&store, &sharded).unwrap();
 
@@ -158,7 +155,7 @@ fn quarantine_parity_survives_compaction() {
     bytes[last] ^= 0xff;
     std::fs::write(&path, bytes).unwrap();
 
-    let before = store.read_hour_tolerant(victim, 1).unwrap();
+    let before = store.read_hour_tolerant(victim).unwrap();
     assert!(
         !before.quarantined.is_empty(),
         "corruption must land in a quarantinable block"
@@ -170,7 +167,7 @@ fn quarantine_parity_survives_compaction() {
     // instead of being silently healed or escalated.
     store.compact_to_segments(7).unwrap();
     assert!(!store.hour_path(victim).is_file(), "per-hour file removed");
-    let after = store.read_hour_tolerant(victim, 1).unwrap();
+    let after = store.read_hour_tolerant(victim).unwrap();
     assert_eq!(before.flows, after.flows, "salvaged flows must match");
     assert_eq!(before.quarantined, after.quarantined);
     let strict_after = store.read_hour(victim).unwrap_err().to_string();
