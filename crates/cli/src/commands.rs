@@ -9,7 +9,7 @@ use iotscope_core::report::{Report, ReportContext, ReportIntel};
 use iotscope_core::stream::{Alert, StreamConfig};
 use iotscope_core::{attribution, behavior, Analysis};
 use iotscope_devicedb::inventory_io::{self, LoadedInventory};
-use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
+use iotscope_intel::synth::{IntelBuilder, IntelOutput, IntelSynthConfig};
 use iotscope_intel::IntelContext;
 use iotscope_net::store::{FlowStore, StoreFormat, StoreOptions};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
@@ -18,8 +18,7 @@ use iotscope_obs::{Registry, Snapshot};
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::TelescopeService;
 use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
-use iotscope_telescope::HourTraffic;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -54,21 +53,27 @@ fn render_metrics(snapshot: &Snapshot, format: MetricsFormat) -> String {
     }
 }
 
-/// `iotscope simulate --out DIR [--seed N] [--scale F] [--tiny] [--format v2|v3] [--metrics[=FMT]]`
+/// `iotscope simulate --out DIR [--seed N] [--scale F] [--tiny] [--metrics[=FMT]]`
+///
+/// Writes the scenario's inventory, ground truth and 143 hours of
+/// traffic (in the store's one format, v3). `--scale` must be a finite
+/// number above zero.
 pub fn simulate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--out")
         .value("--seed")
         .value("--scale")
-        .value("--format")
         .boolean("--tiny")
         .optional_value("--metrics")
         .parse(args)?;
     let out: PathBuf = opts.require("--out", "simulate")?.into();
     let seed: u64 = opts.parse_or("--seed", 42)?;
     let tiny = opts.has("--tiny");
-    let scale: f64 = opts.parse_or("--scale", if tiny { 0.008 } else { 0.01 })?;
-    let store_format: StoreFormat = opts.parse_or("--format", StoreFormat::default())?;
+    let scale = match opts.get("--scale") {
+        Some(v) => PaperScenarioConfig::parse_scale(v).map_err(CliError::Usage)?,
+        None if tiny => 0.008,
+        None => 0.01,
+    };
     let format = metrics_format(&opts)?;
     let registry = Registry::new();
 
@@ -82,14 +87,8 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     let built = PaperScenario::build(config);
 
     std::fs::create_dir_all(&out)?;
-    let store = FlowStore::create(
-        out.join("darknet"),
-        StoreOptions {
-            format: store_format,
-            ..StoreOptions::default()
-        },
-    )?
-    .instrumented(&registry);
+    let store =
+        FlowStore::create(out.join("darknet"), StoreOptions::default())?.instrumented(&registry);
     let hours = built.scenario.generate();
     let flows: usize = hours.iter().map(|h| h.flows.len()).sum();
     for ht in &hours {
@@ -154,25 +153,6 @@ fn open_window(dir: &Path) -> Result<StoredWindow, CliError> {
     Ok(StoredWindow { store, hours })
 }
 
-/// Load the inventory + hourly traffic from a data directory, the
-/// whole window decoded in memory (`investigate`'s behaviour extraction
-/// walks it more than once).
-fn load_data(dir: &Path) -> Result<(LoadedInventory, Vec<HourTraffic>), CliError> {
-    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
-    let StoredWindow { store, hours } = open_window(dir)?;
-    let traffic = hours
-        .into_iter()
-        .map(|(interval, hour)| {
-            Ok(HourTraffic {
-                interval,
-                hour,
-                flows: store.read_hour(hour)?,
-            })
-        })
-        .collect::<Result<_, NetError>>()?;
-    Ok((inventory, traffic))
-}
-
 /// Load a data directory's inventory and batch-analyze every window
 /// hour its store holds, straight from the store (no hour is
 /// materialized). A store error names the first hour that fails to
@@ -205,20 +185,25 @@ fn data_dir(opts: &ParsedArgs) -> Result<PathBuf, CliError> {
         .into())
 }
 
-fn meta_seed(inv: &LoadedInventory) -> u64 {
-    inv.meta
+/// The synthetic threat intel for an analysis, built the same way by
+/// every `--intel` verb: the batch query surface picks the candidates,
+/// and the stores are seeded from the inventory metadata, so every
+/// command over one data directory sees identical intel.
+fn synth_intel(inventory: &LoadedInventory, analysis: &Analysis) -> IntelOutput {
+    let candidates =
+        QueryContext::batch(analysis, &inventory.db, &inventory.isps).candidates(4_000);
+    let seed = inventory
+        .meta
         .get("seed")
         .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+        .unwrap_or(42);
+    IntelBuilder::new(IntelSynthConfig::paper(seed)).build(&inventory.db, &candidates)
 }
 
 /// Synthesize a threat-intel context for `watch --intel` /
-/// `serve --intel`: batch-analyze the stored window once to select
-/// candidates, then build the synthetic stores the same way `analyze
-/// --intel` does (seeded from the inventory metadata, so every command
-/// over one data directory sees identical intel). The pass runs the
-/// store-backed pipeline on every core: it is start-up work, nothing
-/// is being served yet.
+/// `serve --intel` from one batch analysis of the stored window. The
+/// pass runs the store-backed pipeline on every core: it is start-up
+/// work, nothing is being served yet.
 fn build_intel_context(
     inventory: &LoadedInventory,
     window: &StoredWindow,
@@ -230,11 +215,7 @@ fn build_intel_context(
             &AnalyzeOptions::new().threads(threads),
         )?
         .analysis;
-    let api = QueryContext::batch(&analysis, &inventory.db, &inventory.isps);
-    let candidates = api.candidates(4_000);
-    let out = IntelBuilder::new(IntelSynthConfig::paper(meta_seed(inventory)))
-        .build(&inventory.db, &candidates);
-    Ok(IntelContext::from_synth(out))
+    Ok(IntelContext::from_synth(synth_intel(inventory, &analysis)))
 }
 
 /// Start a [`TelescopeService`] over a data directory for `watch` and
@@ -329,10 +310,7 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
 
     let intel_out;
     let intel = if opts.has("--intel") {
-        let api = QueryContext::batch(&analysis, &inventory.db, &inventory.isps);
-        let candidates = api.candidates(4_000);
-        intel_out = IntelBuilder::new(IntelSynthConfig::paper(meta_seed(&inventory)))
-            .build(&inventory.db, &candidates);
+        intel_out = synth_intel(&inventory, &analysis);
         Some(ReportIntel {
             threats: &intel_out.threats,
             malware: &intel_out.malware,
@@ -377,8 +355,8 @@ fn render_store_stats(stats: &StoreReadStats, dropped_days: &[u32]) -> String {
     );
     let _ = writeln!(
         out,
-        "stage times:     read {:.1?}, decode {:.1?}, ingest {:.1?}, merge {:.1?} (summed across workers)",
-        stats.read_time, stats.decode_time, stats.ingest_time, stats.merge_time
+        "stage times:     read {:.1?}, ingest {:.1?}, merge {:.1?} (summed across workers)",
+        stats.read_time, stats.ingest_time, stats.merge_time
     );
     let _ = writeln!(out, "wall time:       {:.1?}", stats.wall_time);
     out
@@ -527,6 +505,13 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
 }
 
 /// `iotscope investigate --data DIR [--intel] [--threads N]`
+///
+/// The §VI/§VII follow-ups over the stored window: behaviour vectors
+/// are folded one stored hour at a time (the window is never held in
+/// memory), then fingerprinted and clustered. `--intel` adds malware
+/// attribution; its intel comes from a store-backed analysis of
+/// `--threads` workers that runs, and is dropped, before the behaviour
+/// fold starts, so the two never hold memory at once.
 pub fn investigate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--data")
@@ -534,9 +519,21 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
         .value("--threads")
         .parse(args)?;
     let threads: usize = opts.parse_or("--threads", 8)?;
-    let (inventory, traffic) = load_data(&data_dir(&opts)?)?;
+    let dir = data_dir(&opts)?;
+    let (inventory, intel) = if opts.has("--intel") {
+        let (inventory, analysis) = analyze_window(&dir, threads)?;
+        let intel = synth_intel(&inventory, &analysis);
+        (inventory, Some(intel))
+    } else {
+        (inventory_io::load(dir.join("inventory.tsv"))?, None)
+    };
+    let window = open_window(&dir)?;
     let hours = AnalysisWindow::paper().num_hours();
-    let vectors = behavior::extract(&traffic, &inventory.db, hours);
+    let mut vectors = HashMap::new();
+    for &(interval, hour) in &window.hours {
+        let flows = window.store.read_hour(hour)?;
+        behavior::extract_hour(&mut vectors, &inventory.db, hours, interval, &flows);
+    }
     let mut out = String::new();
 
     let _ = writeln!(out, "== unindexed IoT candidates (fuzzy fingerprinting) ==");
@@ -583,17 +580,8 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
         );
     }
 
-    if opts.has("--intel") {
+    if let Some(intel) = intel {
         let _ = writeln!(out, "\n== malware attribution ==");
-        let pipeline = AnalysisPipeline::new(&inventory.db, hours);
-        let analysis = pipeline
-            .run(&traffic, &AnalyzeOptions::new().threads(threads))
-            .map_err(|e| CliError::Run(format!("analysis error: {e}")))?
-            .analysis;
-        let api = QueryContext::batch(&analysis, &inventory.db, &inventory.isps);
-        let candidates = api.candidates(4_000);
-        let intel = IntelBuilder::new(IntelSynthConfig::paper(meta_seed(&inventory)))
-            .build(&inventory.db, &candidates);
         let findings = attribution::attribute(
             &vectors,
             &inventory.db,
@@ -617,14 +605,14 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `iotscope migrate --data DIR (--format v2|v3 | --segmented [--hours-per-segment N])`
+/// `iotscope migrate --data DIR (--format v3 | --segmented [--hours-per-segment N])`
 ///
-/// With `--format`, rewrite every hour file under `DIR/darknet` in the
-/// requested store format. Reads auto-detect the format from each
-/// file's magic, so migration is only needed to standardize a directory
-/// (e.g. recompress a v2 archive as block-indexed v3, or produce v2
-/// files for an old consumer). Each hour is rewritten atomically;
-/// interrupting midway leaves a mixed-format but fully readable store.
+/// With `--format v3`, upgrade legacy hours to v3: every hour file under
+/// `DIR/darknet` is read (v1, v2 or v3 — reads auto-detect the format
+/// from each file's magic) and rewritten as v3, the only format
+/// written. Each hour is rewritten atomically; interrupting midway
+/// leaves a mixed-format but fully readable store. Any other `--format`
+/// value is a usage error.
 ///
 /// With `--segmented`, compact every per-hour file into the year-scale
 /// segment layout (`segments/seg-N.seg` behind `segments/manifest.idx`)
@@ -675,18 +663,11 @@ pub fn migrate(args: &[String]) -> Result<String, CliError> {
         .require("--format", "migrate")?
         .parse()
         .map_err(CliError::Usage)?;
-    let src = FlowStore::open(&root)?;
-    let dst = FlowStore::create(
-        &root,
-        StoreOptions {
-            format,
-            ..StoreOptions::default()
-        },
-    )?;
+    let store = FlowStore::open(&root)?;
 
     // Walk day-N/hour-M.ft rather than assuming the paper window, so
     // partial and non-standard stores migrate completely.
-    let hours = src.hours_on_disk()?;
+    let hours = store.hours_on_disk()?;
     if hours.is_empty() {
         return Err(CliError::Run(format!(
             "no hourly flowtuple files under {}",
@@ -698,11 +679,11 @@ pub fn migrate(args: &[String]) -> Result<String, CliError> {
     let mut bytes_before = 0u64;
     let mut bytes_after = 0u64;
     for &hour in &hours {
-        let path = src.hour_path(hour);
+        let path = store.hour_path(hour);
         bytes_before += std::fs::metadata(&path)?.len();
-        let flows = src.read_hour(hour)?;
+        let flows = store.read_hour(hour)?;
         records += flows.len();
-        dst.write_hour(hour, &flows)?;
+        store.write_hour(hour, &flows)?;
         bytes_after += std::fs::metadata(&path)?.len();
     }
     Ok(format!(
@@ -939,6 +920,7 @@ mod tests {
         assert!(with_stats.contains("== store read stats =="));
         assert!(with_stats.contains("threads:         3"));
         assert!(with_stats.contains("hours ingested:  143"));
+        assert!(with_stats.contains("stage times:     read "));
 
         // The acceptance command: `--store` aliases `--data`, and
         // `--metrics=json` appends a snapshot covering store reads,
@@ -950,7 +932,7 @@ mod tests {
             "metrics must append, not alter, the report"
         );
         assert!(with_metrics.contains("\"store.bytes_read\""));
-        assert!(with_metrics.contains("\"pipeline.decode_time\""));
+        assert!(with_metrics.contains("\"pipeline.ingest_time\""));
         assert!(with_metrics.contains("\"pipeline.wall_time\""));
         assert!(with_metrics.contains("\"analysis.packets.consumer.tcp_scan\""));
         assert_eq!(timer_spans(&with_metrics, "inventory.load_time"), Some(1));
@@ -995,50 +977,42 @@ mod tests {
     }
 
     #[test]
-    fn migrate_roundtrips_between_formats() {
-        let dir = tmpdir("migrate");
-        let root = dir.join("darknet");
-        // A small mixed-size store written in the default (v3) format.
-        let store = FlowStore::create(&root, StoreOptions::default()).unwrap();
-        let built = PaperScenario::build(PaperScenarioConfig::tiny(9));
-        let hours: Vec<_> = (1..=3).map(|i| built.scenario.generate_hour(i)).collect();
-        for h in &hours {
-            store.write_hour(h.hour, &h.flows).unwrap();
+    fn migrate_upgrades_legacy_hours_to_v3() {
+        // The committed golden hours (one per format, all at the same
+        // hour), each upgraded in a store of its own.
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden");
+        let hour = UnixHour::new(414_456);
+        for (name, magic) in [
+            ("hour-v1.ft", b"IOTFT01"),
+            ("hour-v2.ft", b"IOTFT02"),
+            ("hour-v3.ft", b"IOTFT03"),
+        ] {
+            let dir = tmpdir(&format!("migrate-{name}"));
+            let store = FlowStore::create(dir.join("darknet"), StoreOptions::default()).unwrap();
+            let path = store.hour_path(hour);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::copy(fixtures.join(name), &path).unwrap();
+            assert_eq!(&std::fs::read(&path).unwrap()[..7], magic);
+            let before = store.read_hour(hour).unwrap();
+
+            let dir_s = dir.to_str().unwrap();
+            let msg = migrate(&args(&["--data", dir_s, "--format", "v3"])).unwrap();
+            assert!(
+                msg.contains("migrated 1 hours (10000 records) to V3"),
+                "{msg}"
+            );
+            assert_eq!(&std::fs::read(&path).unwrap()[..7], b"IOTFT03", "{name}");
+            assert_eq!(store.read_hour(hour).unwrap(), before, "{name}");
+
+            // v3 is the only format migrate writes.
+            for format in ["v2", "v1", "v9"] {
+                match migrate(&args(&["--data", dir_s, "--format", format])) {
+                    Err(CliError::Usage(msg)) => assert!(msg.contains("v3"), "{msg}"),
+                    other => panic!("--format {format}: expected a usage error, got {other:?}"),
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let magic = |hour| {
-            let bytes = std::fs::read(store.hour_path(hour)).unwrap();
-            bytes[..7].to_vec()
-        };
-        assert_eq!(magic(hours[0].hour), b"IOTFT03");
-
-        let dir_s = dir.to_str().unwrap();
-        let msg = migrate(&args(&["--data", dir_s, "--format", "v2"])).unwrap();
-        assert!(msg.contains("migrated 3 hours"), "{msg}");
-        assert_eq!(magic(hours[0].hour), b"IOTFT02");
-        // Contents survive the downgrade bit-for-bit (v2 and v3 decode
-        // to the same sorted sequence).
-        let v3_flows: Vec<_> = hours
-            .iter()
-            .flat_map(|h| {
-                let mut f = h.flows.clone();
-                f.sort_by_key(|t| (t.src_ip, t.dst_ip, t.dst_port));
-                f
-            })
-            .collect();
-        let v2_flows: Vec<_> = hours
-            .iter()
-            .flat_map(|h| store.read_hour(h.hour).unwrap())
-            .collect();
-        assert_eq!(v2_flows, v3_flows);
-
-        let msg = migrate(&args(&["--data", dir_s, "--format", "v3"])).unwrap();
-        assert!(msg.contains("migrated 3 hours"), "{msg}");
-        assert_eq!(magic(hours[1].hour), b"IOTFT03");
-        assert!(matches!(
-            migrate(&args(&["--data", dir_s, "--format", "v9"])),
-            Err(CliError::Usage(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1058,7 +1032,7 @@ mod tests {
 
         let dir_s = dir.to_str().unwrap();
         assert!(matches!(
-            migrate(&args(&["--data", dir_s, "--format", "v2", "--segmented"])),
+            migrate(&args(&["--data", dir_s, "--format", "v3", "--segmented"])),
             Err(CliError::Usage(_))
         ));
         let msg = migrate(&args(&[
@@ -1089,18 +1063,21 @@ mod tests {
     }
 
     #[test]
-    fn simulate_format_flag_writes_v2() {
-        let dir = tmpdir("fmt-v2");
+    fn simulate_rejects_scales_that_build_no_dataset() {
+        let dir = tmpdir("bad-scale");
         let dir_s = dir.to_str().unwrap();
-        simulate(&args(&[
-            "--out", dir_s, "--tiny", "--seed", "7", "--format", "v2",
-        ]))
-        .unwrap();
-        let store = FlowStore::open(dir.join("darknet")).unwrap();
-        let hour = AnalysisWindow::paper().start();
-        let bytes = std::fs::read(store.hour_path(hour)).unwrap();
-        assert_eq!(&bytes[..7], b"IOTFT02");
-        std::fs::remove_dir_all(&dir).unwrap();
+        for scale in ["-1", "0", "NaN", "inf", "abc"] {
+            match simulate(&args(&["--out", dir_s, "--tiny", "--scale", scale])) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--scale"), "{scale}: {msg}"),
+                other => panic!("--scale {scale}: expected a usage error, got {other:?}"),
+            }
+        }
+        // `--format` is gone: v3 is the only format written.
+        assert!(matches!(
+            simulate(&args(&["--out", dir_s, "--tiny", "--format", "v3"])),
+            Err(CliError::Usage(_))
+        ));
+        assert!(!dir.exists(), "a usage error writes nothing");
     }
 
     #[test]

@@ -66,23 +66,24 @@ pub const USAGE: &str = "\
 iotscope — darknet-based IoT threat analysis (Torabi et al., DSN 2018)
 
 USAGE:
-    iotscope simulate --out DIR [--seed N] [--scale F] [--tiny] [--format v2|v3] [--metrics[=FMT]]
+    iotscope simulate --out DIR [--seed N] [--scale F] [--tiny] [--metrics[=FMT]]
     iotscope analyze --data DIR [--intel] [--threads N] [--stats] [--metrics[=FMT]]
     iotscope watch --data DIR [--intel] [--metrics[=FMT]]
     iotscope serve --data DIR [--port N] [--once] [--intel] [--metrics[=FMT]]
     iotscope investigate --data DIR [--intel] [--threads N]
-    iotscope migrate --data DIR (--format v2|v3 | --segmented [--hours-per-segment N])
+    iotscope migrate --data DIR (--format v3 | --segmented [--hours-per-segment N])
     iotscope export --data DIR --out DIR [--key K]
     iotscope diff --baseline DIR --data DIR [--threads N]
     iotscope validate --data DIR [--threads N]
 
 COMMANDS:
     simulate     build a synthetic inventory + 143 hours of telescope
-                 traffic into DIR (inventory.tsv + darknet/)
+                 traffic into DIR (inventory.tsv + darknet/); --scale
+                 is the packet-budget multiplier, a finite number > 0
     analyze      run the full pipeline over DIR and print every table
                  and figure of the paper (--intel adds Section V;
                  --threads N sizes the store reader pool, --stats
-                 appends per-stage read/decode/ingest accounting;
+                 appends per-stage read/ingest accounting;
                  --store is accepted as an alias for --data)
     watch        replay DIR hour-by-hour through the near-real-time
                  analyzer, streaming alerts as they fire (--intel adds
@@ -95,18 +96,18 @@ COMMANDS:
                  picks an ephemeral port, --once exits after ingest
                  instead of serving forever, --intel attaches the
                  threat-intel score stage behind the score endpoints
-    investigate  run the follow-up analyses over DIR: fingerprint
-                 unindexed IoT devices and cluster botnets (--intel adds
-                 malware attribution)
+    investigate  run the follow-up analyses over DIR, one stored hour at
+                 a time: fingerprint unindexed IoT devices and cluster
+                 botnets (--intel adds malware attribution)
     validate     check the pipeline's inference against the simulator's
                  ground-truth ledger (truth.tsv) in DIR
-    migrate      rewrite DIR/darknet's hour files in another store format
-                 (v2 row-encoded, or v3 block-indexed columnar — the
-                 default for new files); reads auto-detect the format, so
-                 this only standardizes a directory. --segmented instead
-                 compacts the per-hour files into mmap-read year-scale
-                 segments (darknet/segments/) behind a checksummed
-                 manifest; analysis output is unchanged either way
+    migrate      --format v3 upgrades DIR/darknet's legacy (v1/v2) hour
+                 files to v3, the only format written; reads
+                 auto-detect the format, so this only standardizes a
+                 directory. --segmented instead compacts the per-hour
+                 files into mmap-read year-scale segments
+                 (darknet/segments/) behind a checksummed manifest;
+                 analysis output is unchanged either way
     diff         compare two data directories (e.g. yesterday vs today):
                  appeared/disappeared devices, new victims and scanners,
                  per-class packet drift

@@ -1,16 +1,17 @@
-//! What `validate` and `diff` print, pinned byte for byte, and how they
-//! fail on a corrupt hour.
+//! What `validate`, `diff` and `investigate` print, pinned byte for
+//! byte, and how they fail on a corrupt hour.
 //!
 //! The golden files under `golden/` were written by the build that
-//! decoded the whole window into memory first; both verbs now analyze
-//! straight from the store and must print the same thing. Their hour
-//! list is presence (no day-completeness rule), so the short day on the
-//! `diff` side still contributes the 17 hours it has.
+//! decoded the whole window into memory first; the verbs now read
+//! straight from the store (`investigate` one hour at a time) and must
+//! print the same thing. Their hour list is presence (no
+//! day-completeness rule), so the short day on the `diff` side still
+//! contributes the 17 hours it has.
 
 mod common;
 
 use common::{args, hour_file, tiny_store};
-use iotscope_cli::commands::{diff, validate};
+use iotscope_cli::commands::{diff, investigate, validate};
 use iotscope_cli::CliError;
 
 #[test]
@@ -51,4 +52,31 @@ fn validate_and_diff_match_golden_and_name_a_corrupt_hour() {
 
     std::fs::remove_dir_all(&baseline).unwrap();
     std::fs::remove_dir_all(&current).unwrap();
+}
+
+#[test]
+fn investigate_matches_golden_with_and_without_intel() {
+    let dir = tiny_store("verbs-investigate", "13");
+    let dir_s = dir.to_str().unwrap();
+    // The golden is the in-memory build's `--intel` stdout; without
+    // `--intel` the output is its first two sections.
+    let golden = include_str!("golden/investigate_complete.txt");
+    for threads in ["1", "4"] {
+        let with_intel =
+            investigate(&args(&["--data", dir_s, "--intel", "--threads", threads])).unwrap();
+        assert_eq!(with_intel + "\n", golden, "--threads {threads}");
+    }
+    let plain = investigate(&args(&["--data", dir_s])).unwrap();
+    assert!(golden.starts_with(&plain), "{plain}");
+    assert!(!plain.contains("malware attribution"));
+
+    let path = hour_file(&dir, 17270, 414_490);
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&path, bytes).unwrap();
+    match investigate(&args(&["--data", dir_s])).unwrap_err() {
+        CliError::Run(message) => assert!(message.contains("checksum mismatch"), "{message}"),
+        other => panic!("expected a run error, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,6 +10,7 @@
 
 use crate::classify::{classify, TrafficClass};
 use iotscope_devicedb::{DeviceDb, DeviceId};
+use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::TransportProtocol;
 use iotscope_telescope::HourTraffic;
 use std::collections::{BTreeMap, HashMap};
@@ -131,40 +132,56 @@ pub fn extract(
     db: &DeviceDb,
     hours: u32,
 ) -> HashMap<Ipv4Addr, BehaviorVector> {
-    let mut out: HashMap<Ipv4Addr, BehaviorVector> = HashMap::new();
+    let mut vectors = HashMap::new();
     for hour in traffic {
-        assert!(
-            hour.interval >= 1 && hour.interval <= hours,
-            "interval {} outside 1..={hours}",
-            hour.interval
-        );
-        let idx = (hour.interval - 1) as usize;
-        for flow in &hour.flows {
-            let entry = out.entry(flow.src_ip).or_insert_with(|| {
-                BehaviorVector::new(
-                    flow.src_ip,
-                    db.lookup_ip(flow.src_ip).map(|d| d.id),
-                    hours as usize,
-                )
-            });
-            let pkts = u64::from(flow.packets);
-            entry.hourly[idx] += pkts;
-            entry.flows += 1;
-            entry.ttl_sum += u64::from(flow.ttl);
-            let proto_i = match flow.protocol {
-                TransportProtocol::Icmp => 0,
-                TransportProtocol::Tcp => 1,
-                TransportProtocol::Udp => 2,
-            };
-            entry.protocol[proto_i] += pkts;
-            let class = classify(flow);
-            entry.class[crate::analysis::class_idx(class)] += pkts;
-            if class == TrafficClass::TcpScan {
-                *entry.scan_ports.entry(flow.dst_port).or_insert(0) += pkts;
-            }
+        extract_hour(&mut vectors, db, hours, hour.interval, &hour.flows);
+    }
+    vectors
+}
+
+/// [`extract`], one hour at a time: fold the flows of the hour at
+/// 1-based `interval` into `vectors`, so a caller reading hours off a
+/// store holds one hour's flows, not the window's.
+///
+/// # Panics
+///
+/// If `interval` is outside `1..=hours`.
+pub fn extract_hour(
+    vectors: &mut HashMap<Ipv4Addr, BehaviorVector>,
+    db: &DeviceDb,
+    hours: u32,
+    interval: u32,
+    flows: &[FlowTuple],
+) {
+    assert!(
+        interval >= 1 && interval <= hours,
+        "interval {interval} outside 1..={hours}"
+    );
+    let idx = (interval - 1) as usize;
+    for flow in flows {
+        let entry = vectors.entry(flow.src_ip).or_insert_with(|| {
+            BehaviorVector::new(
+                flow.src_ip,
+                db.lookup_ip(flow.src_ip).map(|d| d.id),
+                hours as usize,
+            )
+        });
+        let pkts = u64::from(flow.packets);
+        entry.hourly[idx] += pkts;
+        entry.flows += 1;
+        entry.ttl_sum += u64::from(flow.ttl);
+        let proto_i = match flow.protocol {
+            TransportProtocol::Icmp => 0,
+            TransportProtocol::Tcp => 1,
+            TransportProtocol::Udp => 2,
+        };
+        entry.protocol[proto_i] += pkts;
+        let class = classify(flow);
+        entry.class[crate::analysis::class_idx(class)] += pkts;
+        if class == TrafficClass::TcpScan {
+            *entry.scan_ports.entry(flow.dst_port).or_insert(0) += pkts;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -172,7 +189,6 @@ mod tests {
     use super::*;
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, IotDevice, IspId};
-    use iotscope_net::flowtuple::FlowTuple;
     use iotscope_net::protocol::TcpFlags;
     use iotscope_net::time::UnixHour;
 

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 ///
 /// Stage times are summed across workers, so with N threads they can
 /// add up to roughly N× the wall time — compare them to each other (is
-/// this run I/O-bound or decode-bound?) rather than to `wall_time`.
+/// this run I/O-bound or ingest-bound?) rather than to `wall_time`.
 #[derive(Debug, Clone, Default)]
 pub struct StoreReadStats {
     /// Worker threads actually used: the request clamped to `1..=64`,
@@ -48,13 +48,9 @@ pub struct StoreReadStats {
     pub blocks_read: u64,
     /// Time spent reading files (summed across workers).
     pub read_time: Duration,
-    /// Time spent decoding payloads (summed across workers). Store
-    /// workers run the *fused* decode→ingest path (blocks stream
-    /// straight into the analyzer), so their decode time is part of
-    /// [`ingest_time`](Self::ingest_time) and this stays ~0 for them.
-    pub decode_time: Duration,
-    /// Time spent aggregating hours (summed across workers). For store
-    /// workers this is the fused decode+ingest stage.
+    /// Time spent decoding and aggregating hours (summed across
+    /// workers): store hours stream block by block straight into the
+    /// analyzer, so decode is part of this fused stage.
     pub ingest_time: Duration,
     /// Time spent assembling worker partials (single-threaded): a
     /// concatenation of disjoint device ranges, so this stays ~0.
@@ -78,7 +74,6 @@ impl StoreReadStats {
             records_decoded: after.counter_since(before, "store.records_decoded"),
             blocks_read: after.counter_since(before, "store.blocks_read"),
             read_time: after.duration_since(before, "pipeline.read_time"),
-            decode_time: after.duration_since(before, "pipeline.decode_time"),
             ingest_time: after.duration_since(before, "pipeline.ingest_time"),
             merge_time: after.duration_since(before, "pipeline.merge_time"),
             wall_time: after.duration_since(before, "pipeline.wall_time"),
@@ -218,13 +213,9 @@ struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
+    /// There is no decode timer: the fused store path decodes inside
+    /// the ingest stage, so `pipeline.ingest_time` covers both.
     fn register(registry: &Registry) -> Self {
-        // The fused store path folds decoding into the ingest stage, so
-        // nothing records `pipeline.decode_time` any more. Register it
-        // anyway: the name stays visible in snapshots (at ~0) and
-        // `StoreReadStats::decode_time` keeps its meaning for readers
-        // of older runs.
-        registry.timer("pipeline.decode_time");
         PipelineMetrics {
             hours_ingested: registry.counter("pipeline.hours_ingested"),
             hours_missing: registry.counter("pipeline.hours_missing"),

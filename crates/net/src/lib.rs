@@ -44,7 +44,7 @@
 
 // `deny` rather than `forbid`: the crate stays unsafe-free except for
 // the one audited mmap(2) FFI module below, which opts back in
-// explicitly (its safety argument is in DESIGN.md §3g).
+// explicitly (its safety argument is in DESIGN.md §3a).
 #![deny(unsafe_code)]
 
 pub mod addr;

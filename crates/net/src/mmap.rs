@@ -16,7 +16,7 @@
 //! # Safety argument
 //!
 //! This is the only `unsafe` code in the workspace, so the contract is
-//! spelled out once, here (and summarized in DESIGN.md §3g):
+//! spelled out once, here (and summarized in DESIGN.md §3a):
 //!
 //! * The mapping is `PROT_READ` + `MAP_PRIVATE` over a file we opened
 //!   read-only: nothing in this process can write through it, so the

@@ -67,6 +67,22 @@ impl PaperScenarioConfig {
         }
     }
 
+    /// Parse a command-line `--scale`: finite and positive, else the
+    /// usage message. (Zero, negative and NaN scales leave only the
+    /// unscaled events; an infinite one never finishes generating.)
+    ///
+    /// # Errors
+    ///
+    /// Anything but a finite number above zero.
+    pub fn parse_scale(value: &str) -> Result<f64, String> {
+        match value.parse::<f64>() {
+            Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+            _ => Err(format!(
+                "bad value for --scale: {value:?} (want a finite number > 0)"
+            )),
+        }
+    }
+
     /// A small, fast configuration for tests and examples (~5.5k devices,
     /// ~1k designated, ~10⁵ packets).
     pub fn tiny(seed: u64) -> Self {
@@ -1243,6 +1259,16 @@ mod tests {
 
     fn built() -> BuiltScenario {
         PaperScenario::build(PaperScenarioConfig::tiny(11))
+    }
+
+    #[test]
+    fn parse_scale_takes_only_finite_positive_values() {
+        assert_eq!(PaperScenarioConfig::parse_scale("0.05"), Ok(0.05));
+        assert_eq!(PaperScenarioConfig::parse_scale("1e-4"), Ok(1e-4));
+        for bad in ["0", "-1", "NaN", "inf", "-inf", "x", ""] {
+            let err = PaperScenarioConfig::parse_scale(bad).unwrap_err();
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
     }
 
     #[test]

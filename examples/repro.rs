@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--scale` multiplies packet budgets relative to the paper's magnitudes
-//! (default 0.01 ⇒ ≈1.2M packets). `--tiny` uses the small inventory for a
-//! fast smoke run. `--csv DIR` additionally dumps the figure series as CSV.
+//! (default 0.01 ⇒ ≈1.2M packets; a finite number > 0, anything else is a
+//! usage error). `--tiny` uses the small inventory for a fast smoke run.
+//! `--csv DIR` additionally dumps the figure series as CSV.
 
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
@@ -39,47 +40,50 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value following `flag`, parsed; missing or malformed is a usage
-/// error.
-fn value_of<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
-    let v = it
-        .next()
-        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
-    v.parse()
-        .unwrap_or_else(|_| usage_error(&format!("bad value for {flag}: {v:?}")))
+/// The value following `flag`; missing is a usage error.
+fn value_of(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} requires a value"))
 }
 
-fn parse_args() -> Args {
+/// Parse the arguments after the program name; `Err` is a usage error.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         seed: 42,
         scale: 0.01,
         tiny: false,
         csv: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => args.seed = value_of("--seed", &mut it),
-            "--scale" => args.scale = value_of("--scale", &mut it),
+            "--seed" => {
+                let v = value_of("--seed", &mut it)?;
+                args.seed = v
+                    .parse()
+                    .map_err(|_| format!("bad value for --seed: {v:?}"))?;
+            }
+            "--scale" => {
+                args.scale = PaperScenarioConfig::parse_scale(&value_of("--scale", &mut it)?)?;
+            }
             "--tiny" => args.tiny = true,
-            "--csv" => args.csv = Some(value_of("--csv", &mut it)),
+            "--csv" => args.csv = Some(value_of("--csv", &mut it)?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => usage_error(&format!("unknown argument {other}")),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg));
     let t0 = Instant::now();
 
     let config = if args.tiny {
         let mut c = PaperScenarioConfig::tiny(args.seed);
-        c.scale = args.scale.max(0.001);
+        c.scale = args.scale;
         c
     } else {
         PaperScenarioConfig::paper(args.seed, args.scale)
@@ -234,4 +238,29 @@ fn dump_csv(dir: &str, analysis: &iotscope_core::Analysis) -> std::io::Result<()
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn scale_must_be_finite_and_positive() {
+        assert_eq!(
+            parse(&["--tiny", "--scale", "0.0005"]).unwrap().scale,
+            0.0005
+        );
+        for bad in ["-1", "0", "NaN", "inf"] {
+            let err = parse(&["--tiny", "--scale", bad])
+                .err()
+                .expect("a usage error");
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
+        assert!(parse(&["--scale"]).is_err());
+        assert!(parse(&["--seed", "x"]).is_err());
+    }
 }

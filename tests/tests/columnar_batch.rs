@@ -2,14 +2,13 @@
 //! merge-join correlation + `FlowSink::visit_block`) must be
 //! bit-identical to the per-record reference: full `Analysis` equality
 //! and `stable_only()` metric snapshots, sequentially and sharded, over
-//! v1/v2/v3 and segmented stores, with quarantined corrupt blocks
-//! included.
+//! per-hour and segmented stores, with quarantined corrupt blocks
+//! included. (Legacy v1/v2 hours through the pipeline are pinned by
+//! `store_golden.rs`.)
 
 use iotscope_core::analysis::{Analysis, Analyzer};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
-use iotscope_net::store::{
-    encode_hour, encode_hour_v1, DecodeOptions, FlowStore, StoreFormat, StoreOptions,
-};
+use iotscope_net::store::{encode_hour, CollectSink, DecodeOptions, FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
 use iotscope_obs::Registry;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
@@ -52,27 +51,13 @@ fn shared() -> &'static Shared {
     })
 }
 
-/// Write the shared scenario into a fresh store of the given shape and
-/// return it (`segment_hours` folds per-hour files into segments).
-fn build_store(
-    name: &str,
-    options: StoreOptions,
-    v1: bool,
-    segment_hours: Option<usize>,
-) -> FlowStore {
+/// Write the shared scenario into a fresh store and return it
+/// (`segment_hours` folds the per-hour files into segments).
+fn build_store(name: &str, segment_hours: Option<usize>) -> FlowStore {
     let sh = shared();
     let dir = tmpdir(name);
-    let store = FlowStore::create(&dir, options).unwrap();
-    if v1 {
-        for hour in &sh.traffic {
-            let bytes = encode_hour_v1(hour.hour, &hour.flows, options);
-            let path = store.hour_path(hour.hour);
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(path, bytes).unwrap();
-        }
-    } else {
-        sh.built.scenario.write_to_store(&store).unwrap();
-    }
+    let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+    sh.built.scenario.write_to_store(&store).unwrap();
     if let Some(h) = segment_hours {
         store.compact_to_segments(h).unwrap();
     }
@@ -86,39 +71,8 @@ fn batched_paths_match_per_record_reference_across_formats() {
     let pipeline = AnalysisPipeline::new(&sh.built.inventory.db, window.num_hours());
 
     let stores: Vec<(&str, FlowStore)> = vec![
-        (
-            "v3-delta",
-            build_store("v3d", StoreOptions::default(), false, None),
-        ),
-        (
-            "v3-plain",
-            build_store(
-                "v3p",
-                StoreOptions {
-                    delta_encode: false,
-                    ..StoreOptions::default()
-                },
-                false,
-                None,
-            ),
-        ),
-        (
-            "v2",
-            build_store(
-                "v2",
-                StoreOptions {
-                    format: StoreFormat::V2,
-                    ..StoreOptions::default()
-                },
-                false,
-                None,
-            ),
-        ),
-        ("v1", build_store("v1", StoreOptions::default(), true, None)),
-        (
-            "segmented",
-            build_store("seg", StoreOptions::default(), false, Some(7)),
-        ),
+        ("per-hour", build_store("v3", None)),
+        ("segmented", build_store("seg", Some(7))),
     ];
 
     for (name, store) in &stores {
@@ -188,15 +142,23 @@ fn quarantined_corrupt_blocks_fold_identically_batched_and_per_record() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(path, &bytes).unwrap();
 
-    // Per-record reference: tolerant materialized read, then the
+    // Per-record reference: quarantining materialized read, then the
     // record-at-a-time ingest.
-    let decoded = store.read_hour_tolerant(hour).unwrap();
+    let mut collected = CollectSink::default();
+    let decoded = store
+        .visit_hour_for(
+            hour,
+            &bytes,
+            DecodeOptions { quarantine: true },
+            &mut collected,
+        )
+        .unwrap();
     assert_eq!(decoded.quarantined.len(), 1, "exactly one block corrupt");
     let mut reference = Analyzer::new(db, 143);
     reference.ingest_hour(&HourTraffic {
         interval,
         hour,
-        flows: decoded.flows.clone(),
+        flows: collected.into_flows(),
     });
     let reference = reference.finish();
 
@@ -233,8 +195,6 @@ proptest! {
         let pipeline = AnalysisPipeline::new(&sh.built.inventory.db, window.num_hours());
         let store = build_store(
             &format!("prop-{threads}-{segmented}-{seg_hours}"),
-            StoreOptions::default(),
-            false,
             segmented.then_some(seg_hours),
         );
         let outcome = pipeline

@@ -13,7 +13,7 @@ use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{
-    decode_hour_visit, decode_hour_with, encode_hour, DecodeOptions, QuarantinedBlock,
+    decode_hour, decode_hour_visit, encode_hour, CollectSink, DecodeOptions, QuarantinedBlock,
     StoreOptions, BLOCK_RECORDS,
 };
 use iotscope_net::time::UnixHour;
@@ -82,12 +82,13 @@ fn materialized(
     opts: DecodeOptions,
 ) -> (Analysis, Vec<QuarantinedBlock>, Snapshot) {
     let registry = Registry::new();
-    let decoded = decode_hour_with(bytes, opts).expect("materialized decode succeeds");
+    let mut sink = CollectSink::default();
+    let decoded = decode_hour_visit(bytes, opts, &mut sink).expect("materialized decode succeeds");
     let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
     an.ingest_hour(&HourTraffic {
         interval: 1,
         hour,
-        flows: decoded.flows,
+        flows: sink.into_flows(),
     });
     (an.finish(), decoded.quarantined, registry.snapshot())
 }
@@ -168,7 +169,7 @@ proptest! {
         }
 
         let strict = DecodeOptions::default();
-        prop_assert!(decode_hour_with(&bytes, strict).is_err());
+        prop_assert!(decode_hour(&bytes).is_err());
         let registry = Registry::new();
         let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
         {
@@ -178,7 +179,8 @@ proptest! {
         }
 
         let quarantine = DecodeOptions { quarantine: true };
-        let decoded = decode_hour_with(&bytes, quarantine).expect("quarantine decode succeeds");
+        let decoded = decode_hour_visit(&bytes, quarantine, &mut CollectSink::default())
+            .expect("quarantine decode succeeds");
         prop_assert!(!decoded.quarantined.is_empty());
         prop_assert!(decoded.quarantined.len() <= total_blocks);
         assert_paths_agree(db, &bytes, hour, quarantine);

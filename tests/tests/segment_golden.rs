@@ -13,7 +13,7 @@ use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::segment::{encode_segment, Segment};
 use iotscope_net::store::{
-    decode_hour_with, encode_hour, DecodeOptions, StoreFormat, StoreOptions,
+    decode_hour_visit, encode_hour, CollectSink, DecodeOptions, StoreFormat, StoreOptions,
 };
 use iotscope_net::time::UnixHour;
 use std::net::Ipv4Addr;
@@ -74,7 +74,6 @@ fn golden_payloads() -> Vec<(UnixHour, Vec<u8>)> {
                     &golden_hour(hour, n),
                     StoreOptions {
                         format: StoreFormat::V3,
-                        ..StoreOptions::default()
                     },
                 ),
             )
@@ -99,14 +98,16 @@ fn golden_segment_decodes_and_encoder_has_not_drifted() {
         let payload = segment
             .hour_bytes(UnixHour::new(hour))
             .expect("hour routed");
-        let decoded = decode_hour_with(payload, DecodeOptions::default())
+        let mut sink = CollectSink::default();
+        let visited = decode_hour_visit(payload, DecodeOptions::default(), &mut sink)
             .unwrap_or_else(|e| panic!("hour {hour}: {e}"));
-        assert_eq!(decoded.hour, UnixHour::new(hour));
-        assert!(decoded.quarantined.is_empty());
-        assert_eq!(decoded.flows.len(), n, "hour {hour}");
+        assert_eq!(visited.hour, UnixHour::new(hour));
+        assert!(visited.quarantined.is_empty());
+        let flows = sink.into_flows();
+        assert_eq!(flows.len(), n, "hour {hour}");
         let mut expected = golden_hour(hour, n);
         expected.sort_by_key(|f| (f.src_ip, f.dst_ip, f.dst_port));
-        assert_eq!(decoded.flows, expected, "hour {hour} decoded differently");
+        assert_eq!(flows, expected, "hour {hour} decoded differently");
     }
     assert!(segment.locate(UnixHour::new(414_459)).is_none());
 

@@ -2,20 +2,28 @@
 //!
 //! One fixed set of flows is checked into `fixtures/golden/` encoded in
 //! every format the store has ever written (v1, v2, v3). Each file must
-//! keep decoding to exactly the same records, and each encoder must
-//! keep reproducing its fixture byte for byte — so a codec change that
-//! would orphan archived telescope data fails here instead of in the
-//! field.
+//! keep decoding to exactly the same records — archived telescope hours
+//! stay readable forever, through the decoder and through the pipeline —
+//! and the v3 encoder, the only one left, must keep reproducing its
+//! fixture byte for byte, so a codec change that would orphan archived
+//! data fails here instead of in the field.
 //!
-//! To regenerate after an *intentional* format change:
+//! To regenerate `hour-v3.ft` after an *intentional* format change:
 //! `cargo test -p iotscope-tests --test store_golden -- --ignored regenerate`
+//! (the v1/v2 fixtures are archives; nothing can write them any more).
 
+use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions};
+use iotscope_devicedb::{
+    ConsumerKind, CountryCode, CpsService, DeviceDb, DeviceId, DeviceProfile, IotDevice, IspId,
+};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{
-    decode_hour_with, encode_hour, encode_hour_v1, DecodeOptions, StoreFormat, StoreOptions,
+    decode_hour, decode_hour_visit, encode_hour, restamp_hour, CollectSink, DecodeOptions,
+    FlowStore, StoreFormat, StoreOptions,
 };
 use iotscope_net::time::UnixHour;
+use iotscope_telescope::HourTraffic;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -74,67 +82,127 @@ fn expected_flows() -> Vec<FlowTuple> {
     flows
 }
 
-type Encoder = fn(UnixHour, &[FlowTuple]) -> Vec<u8>;
+/// Every archived fixture, oldest first.
+const FIXTURES: [&str; 3] = ["hour-v1.ft", "hour-v2.ft", "hour-v3.ft"];
 
-fn encoders() -> [(&'static str, Encoder); 3] {
-    [
-        ("hour-v1.ft", |h, f| {
-            encode_hour_v1(h, f, StoreOptions::default())
-        }),
-        ("hour-v2.ft", |h, f| {
-            encode_hour(
-                h,
-                f,
-                StoreOptions {
-                    format: StoreFormat::V2,
-                    ..StoreOptions::default()
-                },
-            )
-        }),
-        ("hour-v3.ft", |h, f| {
-            encode_hour(
-                h,
-                f,
-                StoreOptions {
-                    format: StoreFormat::V3,
-                    ..StoreOptions::default()
-                },
-            )
-        }),
-    ]
+fn fixture(name: &str) -> Vec<u8> {
+    let path = fixture_dir().join(name);
+    std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e}); see module docs", path.display()))
+}
+
+fn encode_v3(hour: UnixHour, flows: &[FlowTuple]) -> Vec<u8> {
+    encode_hour(
+        hour,
+        flows,
+        StoreOptions {
+            format: StoreFormat::V3,
+        },
+    )
 }
 
 #[test]
 fn golden_files_decode_identically_across_formats() {
     let expected = expected_flows();
-    for (name, encode) in encoders() {
-        let path = fixture_dir().join(name);
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            panic!("missing fixture {} ({e}); see module docs", path.display())
-        });
-
+    for name in FIXTURES {
         // Every archived format decodes to exactly the same records.
-        let decoded = decode_hour_with(&bytes, DecodeOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(decoded.hour, UnixHour::new(HOUR), "{name}");
-        assert!(decoded.quarantined.is_empty(), "{name}");
-        assert_eq!(decoded.flows, expected, "{name} decoded differently");
-
-        // And the current encoder still reproduces the archive exactly.
-        let reencoded = encode(UnixHour::new(HOUR), &golden_flows());
-        assert_eq!(reencoded, bytes, "{name}: encoder output drifted");
+        let (hour, flows) = decode_hour(&fixture(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(hour, UnixHour::new(HOUR), "{name}");
+        assert_eq!(flows, expected, "{name} decoded differently");
     }
+    // And the one encoder still reproduces its archive exactly.
+    let reencoded = encode_v3(UnixHour::new(HOUR), &golden_flows());
+    assert_eq!(
+        reencoded,
+        fixture("hour-v3.ft"),
+        "v3 encoder output drifted"
+    );
 }
 
 #[test]
 fn golden_v3_has_multiple_independent_blocks() {
-    let bytes = std::fs::read(fixture_dir().join("hour-v3.ft")).expect("v3 fixture");
-    let decoded = decode_hour_with(&bytes, DecodeOptions { quarantine: true }).unwrap();
-    assert_eq!(decoded.blocks, 3, "10_000 records at 4096/block");
-    assert_eq!(decoded.flows, expected_flows());
+    let mut sink = CollectSink::default();
+    let visited = decode_hour_visit(
+        &fixture("hour-v3.ft"),
+        DecodeOptions { quarantine: true },
+        &mut sink,
+    )
+    .unwrap();
+    assert_eq!(visited.blocks, 3, "10_000 records at 4096/block");
+    assert!(visited.quarantined.is_empty());
+    assert_eq!(sink.into_flows(), expected_flows());
 }
 
-/// Writes the fixtures. Run only after an intentional format change,
+/// Every other golden source (61 in total) is an inventory device,
+/// consumer and CPS alternating, so the analysis has matched and
+/// unmatched traffic in both realms.
+fn golden_inventory() -> DeviceDb {
+    DeviceDb::from_devices((0..61u32).step_by(2).enumerate().map(|(id, i)| IotDevice {
+        id: DeviceId(id as u32),
+        ip: Ipv4Addr::from(0x0a00_0000 | i),
+        profile: if id % 2 == 0 {
+            DeviceProfile::Consumer(ConsumerKind::Router)
+        } else {
+            DeviceProfile::Cps(vec![CpsService::TelventOasysDna])
+        },
+        country: CountryCode::from_code("US").unwrap(),
+        isp: IspId(0),
+    }))
+}
+
+#[test]
+fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
+    // One store holding all three fixtures at consecutive hours. The
+    // v1 header is outside its checksum, so its hour is patched in
+    // place; v3 is restamped; v2 keeps the hour it was archived at.
+    let dir = std::env::temp_dir().join(format!("iotscope-golden-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+    let hours = [HOUR + 1, HOUR, HOUR + 2].map(UnixHour::new);
+    for (name, hour) in FIXTURES.into_iter().zip(hours) {
+        let mut bytes = fixture(name);
+        match name {
+            "hour-v1.ft" => bytes[8..16].copy_from_slice(&hour.get().to_be_bytes()),
+            "hour-v3.ft" => restamp_hour(&mut bytes, hour).unwrap(),
+            _ => assert_eq!(hour, UnixHour::new(HOUR)),
+        }
+        let path = store.hour_path(hour);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    let db = golden_inventory();
+    let pipeline = AnalysisPipeline::new(&db, 3);
+    let work: Vec<(u32, UnixHour)> = (1..=3)
+        .map(|i| (i, UnixHour::new(HOUR + u64::from(i) - 1)))
+        .collect();
+    let traffic: Vec<HourTraffic> = work
+        .iter()
+        .map(|&(interval, hour)| HourTraffic {
+            interval,
+            hour,
+            flows: expected_flows(),
+        })
+        .collect();
+    let reference = pipeline
+        .run(&traffic, &AnalyzeOptions::new())
+        .unwrap()
+        .analysis;
+    assert!(reference.device_count() > 0, "the inventory matches");
+    for threads in [1, 4] {
+        let stored = pipeline
+            .run(
+                AnalysisSource::StoreHours(&store, &work),
+                &AnalyzeOptions::new().threads(threads),
+            )
+            .unwrap()
+            .analysis;
+        assert_eq!(stored, reference, "threads {threads}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writes the v3 fixture. Run only after an intentional format change,
 /// and commit the result: `cargo test -p iotscope-tests --test
 /// store_golden -- --ignored regenerate`.
 #[test]
@@ -142,7 +210,9 @@ fn golden_v3_has_multiple_independent_blocks() {
 fn regenerate() {
     let dir = fixture_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, encode) in encoders() {
-        std::fs::write(dir.join(name), encode(UnixHour::new(HOUR), &golden_flows())).unwrap();
-    }
+    std::fs::write(
+        dir.join("hour-v3.ft"),
+        encode_v3(UnixHour::new(HOUR), &golden_flows()),
+    )
+    .unwrap();
 }

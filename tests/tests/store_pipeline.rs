@@ -97,52 +97,6 @@ fn disk_roundtrip_preserves_the_full_report() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn plain_and_delta_encoding_agree() {
-    let built = PaperScenario::build(PaperScenarioConfig::tiny(8));
-    let window = built.scenario.telescope().window;
-    let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-
-    let dir_a = tmpdir("delta");
-    let dir_b = tmpdir("plain");
-    let store_a = FlowStore::create(
-        &dir_a,
-        StoreOptions {
-            delta_encode: true,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
-    let store_b = FlowStore::create(
-        &dir_b,
-        StoreOptions {
-            delta_encode: false,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
-    built.scenario.write_to_store(&store_a).unwrap();
-    built.scenario.write_to_store(&store_b).unwrap();
-
-    let options = AnalyzeOptions::new().window(window);
-    let a = pipeline.run(&store_a, &options).unwrap().analysis;
-    let b = pipeline.run(&store_b, &options).unwrap().analysis;
-    assert_eq!(a.devices, b.devices);
-    assert_eq!(a.udp_ports, b.udp_ports);
-
-    // Delta encoding is the smaller format.
-    let size = |d: &PathBuf| -> u64 { walkdir_size(d) };
-    assert!(
-        size(&dir_a) < size(&dir_b),
-        "{} !< {}",
-        size(&dir_a),
-        size(&dir_b)
-    );
-
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
-}
-
 fn walkdir_size(dir: &std::path::Path) -> u64 {
     let mut total = 0;
     let mut stack = vec![dir.to_path_buf()];

@@ -9,7 +9,10 @@ use iotscope_core::Analysis;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::TcpFlags;
 use iotscope_net::segment::{Manifest, SegmentStoreBuilder};
-use iotscope_net::store::{encode_hour, FlowStore, StoreFormat, StoreOptions, BLOCK_RECORDS};
+use iotscope_net::store::{
+    encode_hour, CollectSink, DecodeOptions, FlowStore, QuarantinedBlock, StoreOptions,
+    BLOCK_RECORDS,
+};
 use iotscope_net::time::UnixHour;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
@@ -133,6 +136,17 @@ proptest! {
     }
 }
 
+/// A quarantining materialised read of `hour`: the salvaged flows and
+/// the blocks dropped.
+fn read_quarantined(store: &FlowStore, hour: UnixHour) -> (Vec<FlowTuple>, Vec<QuarantinedBlock>) {
+    let bytes = store.fetch_hour_bytes(hour).unwrap();
+    let mut sink = CollectSink::default();
+    let visited = store
+        .visit_hour_for(hour, &bytes, DecodeOptions { quarantine: true }, &mut sink)
+        .unwrap();
+    (sink.into_flows(), visited.quarantined)
+}
+
 #[test]
 fn quarantine_parity_survives_compaction() {
     let shared = shared();
@@ -155,9 +169,9 @@ fn quarantine_parity_survives_compaction() {
     bytes[last] ^= 0xff;
     std::fs::write(&path, bytes).unwrap();
 
-    let before = store.read_hour_tolerant(victim).unwrap();
+    let before = read_quarantined(&store, victim);
     assert!(
-        !before.quarantined.is_empty(),
+        !before.1.is_empty(),
         "corruption must land in a quarantinable block"
     );
     let strict_before = store.read_hour(victim).unwrap_err().to_string();
@@ -167,9 +181,9 @@ fn quarantine_parity_survives_compaction() {
     // instead of being silently healed or escalated.
     store.compact_to_segments(7).unwrap();
     assert!(!store.hour_path(victim).is_file(), "per-hour file removed");
-    let after = store.read_hour_tolerant(victim).unwrap();
-    assert_eq!(before.flows, after.flows, "salvaged flows must match");
-    assert_eq!(before.quarantined, after.quarantined);
+    let after = read_quarantined(&store, victim);
+    assert_eq!(before.0, after.0, "salvaged flows must match");
+    assert_eq!(before.1, after.1);
     let strict_after = store.read_hour(victim).unwrap_err().to_string();
     assert_eq!(strict_before, strict_after);
 
@@ -201,7 +215,7 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
         .iter()
         .map(|h| {
             (
-                store.read_hour_bytes(*h).unwrap(),
+                store.fetch_hour_bytes(*h).unwrap().to_vec(),
                 store.read_hour(*h).unwrap(),
             )
         })
@@ -223,14 +237,7 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
 fn truncated_final_block_fails_loud_per_hour_and_in_segment() {
     let hour = UnixHour::new(510_000);
     let flows = synth_hour(hour.get(), BLOCK_RECORDS + 77);
-    let full = encode_hour(
-        hour,
-        &flows,
-        StoreOptions {
-            format: StoreFormat::V3,
-            ..StoreOptions::default()
-        },
-    );
+    let full = encode_hour(hour, &flows, StoreOptions::default());
     // Chop bytes off the final block's payload; the index still claims
     // the full length, so the decoder must refuse rather than read past
     // the end.
