@@ -14,12 +14,12 @@
 //! runs in one shared arena), Table V in a [`ServiceTable`] of
 //! [`DeviceSet`] bitmaps, so assembling partials is column
 //! concatenation plus sorted run merges and word-wise ORs, and the
-//! per-flow fold (`fold.rs`, shared with the sharded pipeline) reaches
+//! column fold (`fold.rs`, shared with the sharded pipeline) reaches
 //! every aggregate by array index. Derived queries (sorted device lists,
 //! cohorts, totals) are served memoized through [`Analysis::view`].
 
 use crate::classify::TrafficClass;
-use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
+use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos, RoutedFlow};
 pub use crate::table::{
     DeviceObservation, DeviceSet, DeviceTable, PortRow, PortTable, ServiceKey, ServiceStat,
     ServiceTable,
@@ -28,6 +28,7 @@ use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
+use iotscope_net::store::{ColumnBlock, FlowSink, BLOCK_RECORDS};
 use iotscope_obs::{Counter, Registry};
 use iotscope_telescope::HourTraffic;
 
@@ -41,17 +42,17 @@ const REALM_NAMES: [&str; 2] = ["consumer", "cps"];
 /// [stable](iotscope_obs::Stability::Stable): packet totals are sums
 /// over ingested hours and commute across workers.
 #[derive(Debug, Clone)]
-struct AnalyzerMetrics {
+pub(crate) struct AnalyzerMetrics {
     /// `analysis.packets.<realm>.<class>`, indexed `[realm][class]`.
-    packets: [[Counter; 5]; 2],
+    pub(crate) packets: [[Counter; 5]; 2],
     /// `analysis.flows_unmatched`: flows from sources outside the inventory.
-    unmatched_flows: Counter,
+    pub(crate) unmatched_flows: Counter,
     /// `analysis.packets_unmatched`: packets from unmatched sources.
-    unmatched_packets: Counter,
+    pub(crate) unmatched_packets: Counter,
 }
 
 impl AnalyzerMetrics {
-    fn register(registry: &Registry) -> Self {
+    pub(crate) fn register(registry: &Registry) -> Self {
         AnalyzerMetrics {
             packets: std::array::from_fn(|r| {
                 std::array::from_fn(|c| {
@@ -424,10 +425,12 @@ pub struct Analyzer<'a> {
     dst: DstDistinct,
     /// The hour's device-keyed scratch (device half).
     dev: DeviceFold,
-    /// Per-block correlation results, filled by the sorted-column
-    /// merge-join in [`HourIngest`]'s batched `visit_block` and reused
-    /// across blocks (capacity persists; contents are replaced).
+    /// Per-block scratch, capacity reused across blocks: the block's
+    /// merge-join correlation column and its routed flows, and the
+    /// columns in-memory records are copied into.
     corr: Vec<Option<(u32, Realm)>>,
+    routed: Vec<RoutedFlow>,
+    block: ColumnBlock,
     result: Analysis,
 }
 
@@ -460,6 +463,8 @@ impl<'a> Analyzer<'a> {
             dst: DstDistinct::new(),
             dev: DeviceFold::new(0..db.len() as u32),
             corr: Vec::new(),
+            routed: Vec::new(),
+            block: ColumnBlock::default(),
             result: analysis,
         }
     }
@@ -483,7 +488,7 @@ impl<'a> Analyzer<'a> {
     /// Start ingesting the hour at `interval`, flow slice by flow slice —
     /// the receiving end of the fused decode→ingest path. The returned
     /// [`HourIngest`] implements
-    /// [`FlowSink`](iotscope_net::store::FlowSink), so it plugs straight
+    /// [`FlowSink`], so it plugs straight
     /// into [`decode_hour_visit`](iotscope_net::store::decode_hour_visit);
     /// call [`HourIngest::finish`] to fold the hour's per-hour scratch
     /// (distinct counts, top backscatter victim, metric flush) into the
@@ -501,7 +506,6 @@ impl<'a> Analyzer<'a> {
         self.dev.clear();
         HourIngest {
             at,
-            hour_packets: [[0; 5]; 2],
             hour_unmatched: (0, 0),
             an: self,
         }
@@ -526,50 +530,31 @@ impl<'a> Analyzer<'a> {
 
 /// One hour's streaming ingest, produced by [`Analyzer::begin_hour`].
 ///
-/// Feed it in-order flow slices (any slicing — per v3 block, per
-/// whole hour, per record — folds identically) and then
-/// [`finish`](Self::finish) to commit the hour's per-hour aggregates.
+/// Feed it decoded blocks ([`FlowSink::visit_block`]) or in-order flow
+/// slices (any slicing — per v3 block, per whole hour, per record —
+/// folds identically) and then [`finish`](Self::finish) to commit the
+/// hour's per-hour aggregates.
 #[derive(Debug)]
 pub struct HourIngest<'h, 'a> {
     an: &'h mut Analyzer<'a>,
     at: HourPos,
-    /// Local metric accumulators, flushed once at finish so the hot
-    /// per-flow path pays nothing for instrumentation.
-    hour_packets: [[u64; 5]; 2],
+    /// Local metric accumulator, flushed once at finish so the hot
+    /// path pays nothing for instrumentation (the per-class packets
+    /// are the device fold's hour totals).
     hour_unmatched: (u64, u64),
 }
 
 impl HourIngest<'_, '_> {
-    /// Fold one slice of the hour's flows.
+    /// Fold one slice of the hour's flows: copied into columns
+    /// [`BLOCK_RECORDS`] records at a time, each chunk folded like a
+    /// decoded block.
     pub fn ingest(&mut self, flows: &[FlowTuple]) {
-        let index = self.an.db.correlation_index();
-        self.fold(flows, |_, flow| index.correlate(flow.src_ip));
-    }
-
-    /// The one per-flow fold both ingest paths share: `correlated`
-    /// supplies each flow's device correlation — per-record binary
-    /// search for [`ingest`](Self::ingest), a precomputed merge-join
-    /// column for the batched `visit_block` — so the two paths are
-    /// bit-identical by construction. Front half and device half run
-    /// back to back per flow.
-    fn fold(
-        &mut self,
-        flows: &[FlowTuple],
-        correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
-    ) {
-        let at = self.at;
-        let hour_packets = &mut self.hour_packets;
-        let Analyzer {
-            dst, dev, result, ..
-        } = &mut *self.an;
-        let (flows_unmatched, packets_unmatched) = classify_flows(flows, correlated, dst, |f| {
-            hour_packets[usize::from(f.realm)][usize::from(f.class)] += u64::from(f.packets);
-            dev.observe(result, at, f);
-        });
-        result.unmatched_flows += flows_unmatched;
-        result.unmatched_packets += packets_unmatched;
-        self.hour_unmatched.0 += flows_unmatched;
-        self.hour_unmatched.1 += packets_unmatched;
+        let mut block = std::mem::take(&mut self.an.block);
+        for chunk in flows.chunks(BLOCK_RECORDS) {
+            block.fill(chunk);
+            self.visit_block(&block);
+        }
+        self.an.block = block;
     }
 
     /// Commit the hour: fold the per-hour scratch (distinct dst-IP /
@@ -581,7 +566,7 @@ impl HourIngest<'_, '_> {
         an.dev.commit(&mut an.result, self.at.idx);
 
         if let Some(m) = &an.metrics {
-            for (r, row) in self.hour_packets.iter().enumerate() {
+            for (r, row) in an.dev.hour_packets().iter().enumerate() {
                 for (c, &pkts) in row.iter().enumerate() {
                     if pkts > 0 {
                         m.packets[r][c].add(pkts);
@@ -594,21 +579,35 @@ impl HourIngest<'_, '_> {
     }
 }
 
-impl iotscope_net::store::FlowSink for HourIngest<'_, '_> {
+impl FlowSink for HourIngest<'_, '_> {
     fn on_flows(&mut self, flows: &[FlowTuple]) {
         self.ingest(flows);
     }
 
-    /// Batched tier: correlate the whole ascending `src_ip` column in
-    /// one merge-join pass, then fold the block's flows against the
-    /// precomputed column. Same fold, same order, bit-identical to the
-    /// per-record path.
-    fn visit_block(&mut self, block: &iotscope_net::store::ColumnBlock) {
-        let index = self.an.db.correlation_index();
-        let mut corr = std::mem::take(&mut self.an.corr);
-        index.correlate_sorted_block(block.src_ip(), &mut corr);
-        self.fold(block.flows(), |i, _| corr[i]);
-        self.an.corr = corr;
+    /// The one fold every ingest takes: correlate the block's `src_ip`
+    /// column in one merge-join pass, scan the columns into routed
+    /// flows (front half), then fold those one device run at a time
+    /// (device half).
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        let Analyzer {
+            db,
+            dst,
+            dev,
+            corr,
+            routed,
+            result,
+            ..
+        } = &mut *self.an;
+        db.correlation_index()
+            .correlate_sorted_block(block.src_ip(), corr);
+        routed.clear();
+        let (flows_unmatched, packets_unmatched) =
+            classify_flows(block, corr, dst, |f| routed.push(f));
+        dev.fold(result, self.at, routed);
+        result.unmatched_flows += flows_unmatched;
+        result.unmatched_packets += packets_unmatched;
+        self.hour_unmatched.0 += flows_unmatched;
+        self.hour_unmatched.1 += packets_unmatched;
     }
 }
 

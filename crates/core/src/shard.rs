@@ -12,15 +12,17 @@
 //! Two roles cooperate, and every pool worker plays both:
 //!
 //! * a **router** ([`ShardRouter`]) decodes whole hours (it is the
-//!   [`FlowSink`] on the fused decode path), correlates each flow to a
-//!   dense index, and fans compact [`RoutedFlow`] records out to shard
-//!   owners. Destination-keyed per-hour distincts (dst IPs / dst ports)
-//!   cannot be split by source device — the same destination shows up
-//!   in several shards — so the router, which sees the whole hour,
-//!   folds them into its own [`RouterPartial`]. Hours are disjoint
-//!   across routers, so summing router partials is exact.
+//!   [`FlowSink`] on the fused decode path), runs the fold's front half
+//!   over each block's columns — merge-join correlation to dense
+//!   indexes, classification — and fans compact [`RoutedFlow`] records
+//!   out to shard owners. Destination-keyed per-hour distincts (dst
+//!   IPs / dst ports) cannot be split by source device — the same
+//!   destination shows up in several shards — so the router, which sees
+//!   the whole hour, folds them into its own [`RouterPartial`]. Hours
+//!   are disjoint across routers, so summing router partials is exact.
 //! * a **shard owner** ([`ShardAccumulator`]) applies whole-hour
-//!   batches of routed flows for its dense-index range. Everything
+//!   batches of routed flows for its dense-index range through the
+//!   fold's device half, one device run at a time. Everything
 //!   keyed by source device — the device table, per-hour distinct
 //!   device counts, per-service/per-port device sets, backscatter
 //!   attribution — is shard-disjoint, so per-shard results sum or
@@ -42,6 +44,7 @@ pub use crate::fold::RoutedFlow;
 use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
 use iotscope_devicedb::{DeviceDb, Realm, ShardMap};
 use iotscope_net::flowtuple::FlowTuple;
+use iotscope_net::store::{ColumnBlock, FlowSink, BLOCK_RECORDS};
 use std::ops::Range;
 
 /// The hour-disjoint aggregates a router accumulated while decoding:
@@ -72,9 +75,11 @@ pub struct ShardRouter<'a> {
     /// Per-hour destination-distinct state — the same front half of the
     /// fold the sequential analyzer runs.
     dst: DstDistinct,
-    /// Per-block correlation results from the sorted-column merge-join
-    /// (batched `visit_block` path); capacity reused across blocks.
+    /// Per-block scratch, capacity reused across blocks: the block's
+    /// merge-join correlation column, and the columns routed records
+    /// are copied into.
     corr: Vec<Option<(u32, Realm)>>,
+    block: ColumnBlock,
     out: Analysis,
 }
 
@@ -89,6 +94,7 @@ impl<'a> ShardRouter<'a> {
             buffers: (0..map.shards()).map(|_| Vec::new()).collect(),
             dst: DstDistinct::new(),
             corr: Vec::new(),
+            block: ColumnBlock::default(),
             out: Analysis::empty(hours),
         }
     }
@@ -106,29 +112,16 @@ impl<'a> ShardRouter<'a> {
         }
     }
 
-    /// Route one slice of the current hour's flows.
+    /// Route one slice of the current hour's flows: copied into
+    /// columns [`BLOCK_RECORDS`] records at a time, each chunk routed
+    /// like a decoded block.
     pub fn route(&mut self, flows: &[FlowTuple]) {
-        let index = self.db.correlation_index();
-        self.fold(flows, |_, flow| index.correlate(flow.src_ip));
-    }
-
-    /// Shared routing fold: `correlated` supplies each flow's device
-    /// correlation (per-record binary search from
-    /// [`route`](Self::route), a precomputed merge-join column from the
-    /// batched `visit_block`), keeping both paths bit-identical.
-    fn fold(
-        &mut self,
-        flows: &[FlowTuple],
-        correlated: impl FnMut(usize, &FlowTuple) -> Option<(u32, Realm)>,
-    ) {
-        debug_assert!(self.at.is_some(), "route() outside begin_hour/finish_hour");
-        let (map, buffers) = (self.map, &mut self.buffers);
-        let (flows_unmatched, packets_unmatched) =
-            classify_flows(flows, correlated, &mut self.dst, |f| {
-                buffers[map.shard_of(f.dense)].push(f);
-            });
-        self.out.unmatched_flows += flows_unmatched;
-        self.out.unmatched_packets += packets_unmatched;
+        let mut block = std::mem::take(&mut self.block);
+        for chunk in flows.chunks(BLOCK_RECORDS) {
+            block.fill(chunk);
+            self.visit_block(&block);
+        }
+        self.block = block;
     }
 
     /// Commit the hour's destination distincts and take the per-shard
@@ -150,20 +143,26 @@ impl<'a> ShardRouter<'a> {
     }
 }
 
-impl iotscope_net::store::FlowSink for ShardRouter<'_> {
+impl FlowSink for ShardRouter<'_> {
     fn on_flows(&mut self, flows: &[FlowTuple]) {
         self.route(flows);
     }
 
-    /// Batched tier: one merge-join pass over the block's ascending
-    /// `src_ip` column, then the shared fold routes the whole column
-    /// run — bit-identical to per-record routing.
-    fn visit_block(&mut self, block: &iotscope_net::store::ColumnBlock) {
-        let index = self.db.correlation_index();
-        let mut corr = std::mem::take(&mut self.corr);
-        index.correlate_sorted_block(block.src_ip(), &mut corr);
-        self.fold(block.flows(), |i, _| corr[i]);
-        self.corr = corr;
+    /// The front half of the fold over one block: one merge-join pass
+    /// over the block's `src_ip` column, then the column scan routes
+    /// each correlated flow to its shard's batch.
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        debug_assert!(self.at.is_some(), "route() outside begin_hour/finish_hour");
+        self.db
+            .correlation_index()
+            .correlate_sorted_block(block.src_ip(), &mut self.corr);
+        let (map, buffers) = (self.map, &mut self.buffers);
+        let (flows_unmatched, packets_unmatched) =
+            classify_flows(block, &self.corr, &mut self.dst, |f| {
+                buffers[map.shard_of(f.dense)].push(f);
+            });
+        self.out.unmatched_flows += flows_unmatched;
+        self.out.unmatched_packets += packets_unmatched;
     }
 }
 
@@ -206,11 +205,12 @@ impl ShardAccumulator {
     /// assert every flow is within the shard's dense range.
     pub fn apply_hour(&mut self, interval: u32, flows: &[RoutedFlow]) {
         let at = HourPos::new(interval, self.out.hours);
+        debug_assert!(
+            flows.iter().all(|f| self.range.contains(&f.dense)),
+            "flow outside shard range"
+        );
         self.dev.clear();
-        for &f in flows {
-            debug_assert!(self.range.contains(&f.dense), "flow outside shard range");
-            self.dev.observe(&mut self.out, at, f);
-        }
+        self.dev.fold(&mut self.out, at, flows);
         // The shard's dominant backscatter victim for the hour; the
         // global per-hour victim is the merge of shard maxima.
         self.dev.commit(&mut self.out, at.idx);

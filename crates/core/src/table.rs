@@ -391,11 +391,35 @@ impl DeviceTable {
         row
     }
 
-    /// Record one flow for `id`: `pkts` packets of class `class`
-    /// observed at `interval` on day `day`. The hot path of
-    /// [`Analyzer::ingest_hour`](crate::analysis::Analyzer::ingest_hour).
+    /// Record one run of `flows` flows from `id`, observed at `interval`
+    /// on day `day`, carrying `packets[class]` packets of each class —
+    /// one row update however long the run. The hot path of every
+    /// ingest (the device fold calls it once per source-device run).
     #[inline]
-    pub fn observe(
+    pub fn observe_run(
+        &mut self,
+        id: DeviceId,
+        realm: Realm,
+        packets: &[u64; NUM_CLASSES],
+        flows: u64,
+        interval: u32,
+        day: u32,
+    ) {
+        let row = self.upsert(id, realm, interval);
+        let fi = &mut self.first_interval[row];
+        *fi = (*fi).min(interval);
+        self.flows[row] += flows;
+        for (col, &pkts) in self.packets.iter_mut().zip(packets) {
+            col[row] += pkts;
+        }
+        self.days_active[row] |= 1 << day.min(63);
+    }
+
+    /// Record one flow for `id`: `pkts` packets of class `class`
+    /// observed at `interval` on day `day` — the per-record write the
+    /// run fold replaced, kept for the test oracle.
+    #[cfg(test)]
+    pub(crate) fn observe(
         &mut self,
         id: DeviceId,
         realm: Realm,

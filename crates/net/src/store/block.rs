@@ -1,32 +1,47 @@
 //! The block layer: one v3 block's nine columns — [`ColumnBlock`] and
 //! the kernels that encode and decode it (zero-run RLE, the SWAR varint
-//! loop, the whole-column un-delta passes, validation, the transpose to
-//! records, and the FNV-1a checksum fused into the varint loop), kept in
-//! one module so the decode hot loop is in one place.
+//! loop, the whole-column un-delta passes and validation) plus the
+//! lockstep FNV-1a checksum pass that runs before them, kept in one
+//! module so the decode hot loop is in one place.
 
 use crate::flowtuple::{get_varint, put_varint, FlowTuple};
+use crate::protocol::{TcpFlags, TransportProtocol};
 use crate::NetError;
 
 /// Number of per-record columns in a v3 block (src, dst, src_port,
 /// dst_port, protocol, ttl, tcp_flags, ip_len, packets).
 pub(super) const COLUMNS: usize = 9;
 
+/// Transport by IANA number, for the record view of validated columns
+/// (only known numbers are ever looked up, so the filler entries are
+/// unreachable). A table rather than `from_number`'s match, whose
+/// branches mispredict on mixed TCP/UDP traffic.
+const PROTO_BY_NUMBER: [TransportProtocol; 256] = {
+    let mut t = [TransportProtocol::Tcp; 256];
+    t[TransportProtocol::Icmp as usize] = TransportProtocol::Icmp;
+    t[TransportProtocol::Udp as usize] = TransportProtocol::Udp;
+    t
+};
+
 /// One decoded v3 block in struct-of-arrays form: every column fully
-/// un-delta'd back to record values, plus the same records materialized
-/// as [`FlowTuple`]s for per-record consumers. The column buffers and
-/// the record buffer are capacity-reused across blocks (and across
-/// hours, if the caller keeps the scratch) — a decode's steady state
-/// allocates nothing.
+/// un-delta'd back to validated record values. Nothing row-wise is
+/// built: consumers scan the columns, and [`ColumnBlock::flows`]
+/// transposes on demand for the few that want records. The column
+/// buffers are capacity-reused across blocks (and across hours, if the
+/// caller keeps the scratch) — a decode's steady state allocates
+/// nothing.
 ///
 /// Every hour this crate writes is sorted by `(src_ip, dst_ip,
 /// dst_port)` before blocking, so [`ColumnBlock::src_ip`] is
 /// **ascending within the block** — the invariant the merge-join
 /// correlation passes (`CorrelationIndex::correlate_sorted_block`,
 /// `IntelIndex::lookup_sorted_block` downstream) exploit to replace
-/// per-record binary searches with a forward gallop. A plain legacy
-/// hour transcoded by compaction (or any file whose delta flag is
-/// clear) carries no such guarantee; batched consumers must stay
-/// correct (if slower) on arbitrary column order.
+/// per-record binary searches with a forward gallop, and that groups
+/// each source's flows into one run. A plain legacy hour transcoded by
+/// compaction, a file whose delta flag is clear, or a block
+/// [`fill`](ColumnBlock::fill)ed from arbitrary records carries no such
+/// guarantee; batched consumers must stay correct (if slower) on
+/// arbitrary column order.
 #[derive(Debug, Default)]
 pub struct ColumnBlock {
     /// Per-column buffers in on-disk column order (src, dst, src_port,
@@ -34,19 +49,17 @@ pub struct ColumnBlock {
     /// with raw deltas by the RLE pass, then rewritten in place to
     /// reconstructed record values by the un-delta passes.
     cols: [Vec<u32>; COLUMNS],
-    /// The block's records, assembled from the reconstructed columns.
-    flows: Vec<FlowTuple>,
 }
 
 impl ColumnBlock {
     /// Records in this block.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.cols[0].len()
     }
 
     /// Whether the block holds no records.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.len() == 0
     }
 
     /// Source addresses as big-endian `u32`s, ascending when the file
@@ -55,11 +68,80 @@ impl ColumnBlock {
         &self.cols[0]
     }
 
-    /// The same records row-wise, for per-record consumers and the
-    /// [`super::FlowSink::visit_block`] fallback. `flows()[i]` is the
-    /// record whose source address `src_ip()[i]` holds.
-    pub fn flows(&self) -> &[FlowTuple] {
-        &self.flows
+    /// Destination addresses as big-endian `u32`s.
+    pub fn dst_ip(&self) -> &[u32] {
+        &self.cols[1]
+    }
+
+    /// Source ports (the ICMP type for ICMP flows), each `<= 65_535`.
+    pub fn src_port(&self) -> &[u32] {
+        &self.cols[2]
+    }
+
+    /// Destination ports (the ICMP code for ICMP flows), each
+    /// `<= 65_535`.
+    pub fn dst_port(&self) -> &[u32] {
+        &self.cols[3]
+    }
+
+    /// IANA protocol numbers, each a known [`TransportProtocol`].
+    pub fn protocol(&self) -> &[u32] {
+        &self.cols[4]
+    }
+
+    /// TCP flag bytes, each `<= 255`.
+    pub fn tcp_flags(&self) -> &[u32] {
+        &self.cols[6]
+    }
+
+    /// Packets per flow record.
+    pub fn packets(&self) -> &[u32] {
+        &self.cols[8]
+    }
+
+    /// The records row-wise, transposed on demand — for consumers that
+    /// want [`FlowTuple`]s (materialising reads, the
+    /// [`super::FlowSink::visit_block`] fallback). The `i`-th item is
+    /// the record whose source address `src_ip()[i]` holds.
+    pub fn flows(&self) -> impl ExactSizeIterator<Item = FlowTuple> + '_ {
+        let n = self.len();
+        let [src, dst, src_port, dst_port, proto, ttl, flags, ip_len, packets] = &self.cols;
+        let (src, dst, packets) = (&src[..n], &dst[..n], &packets[..n]);
+        let (src_port, dst_port, proto) = (&src_port[..n], &dst_port[..n], &proto[..n]);
+        let (ttl, flags, ip_len) = (&ttl[..n], &flags[..n], &ip_len[..n]);
+        (0..n).map(move |i| FlowTuple {
+            src_ip: std::net::Ipv4Addr::from(src[i]),
+            dst_ip: std::net::Ipv4Addr::from(dst[i]),
+            src_port: src_port[i] as u16,
+            dst_port: dst_port[i] as u16,
+            protocol: PROTO_BY_NUMBER[(proto[i] & 0xff) as usize],
+            ttl: ttl[i] as u8,
+            tcp_flags: TcpFlags::from_bits(flags[i] as u8),
+            ip_len: ip_len[i] as u16,
+            packets: packets[i],
+        })
+    }
+
+    /// Replace the block's contents with the columns of `flows`, in
+    /// order (capacity reused) — how records that did not come out of a
+    /// v3 decode (in-memory hours, legacy files) reach column consumers.
+    /// The inverse of [`flows`](Self::flows).
+    pub fn fill(&mut self, flows: &[FlowTuple]) {
+        let fields: [fn(&FlowTuple) -> u32; COLUMNS] = [
+            |f| u32::from(f.src_ip),
+            |f| u32::from(f.dst_ip),
+            |f| u32::from(f.src_port),
+            |f| u32::from(f.dst_port),
+            |f| u32::from(f.protocol.number()),
+            |f| u32::from(f.ttl),
+            |f| u32::from(f.tcp_flags.bits()),
+            |f| u32::from(f.ip_len),
+            |f| f.packets,
+        ];
+        for (col, field) in self.cols.iter_mut().zip(fields) {
+            col.clear();
+            col.extend(flows.iter().map(field));
+        }
     }
 }
 
@@ -213,20 +295,13 @@ fn rle_apply(
 /// reload, slice narrowing, and `Vec` growth checks. A varint that
 /// straddles the window end re-anchors the window at its first byte;
 /// under 8 remaining bytes fall back to the scalar [`get_varint`] so
-/// truncation errors stay byte-exact.
-///
-/// Every byte consumed from `buf` is also fed to `hasher`, exactly
-/// once and in order, so the caller can verify the block checksum as a
-/// side effect of decoding instead of a separate pass over the payload
-/// — the FNV-1a multiply chain is pure latency, and the decode work
-/// executes under it for free (see [`decode_checked`]). On an `Err`
-/// return the hasher is left mid-stream and must not be trusted; the
-/// checked wrapper re-hashes from scratch on that cold path.
+/// truncation errors stay byte-exact. The block checksum is not this
+/// loop's business: [`fnv1a_lockstep`] verified the payload before
+/// decoding started.
 pub(super) fn get_rle_column_into(
     buf: &mut &[u8],
     n: usize,
     vals: &mut Vec<u32>,
-    hasher: &mut Fnv1a,
 ) -> Result<(), NetError> {
     let overflow = || NetError::Codec("varint overflows u32".to_owned());
     vals.clear();
@@ -256,7 +331,6 @@ pub(super) fn get_rle_column_into(
                     out[idx + k] = ((word >> (8 * k)) & 0x7f) as u32;
                 }
                 idx += 8;
-                hasher.update(&buf[..8]);
                 *buf = &buf[8..];
                 continue;
             }
@@ -296,7 +370,6 @@ pub(super) fn get_rle_column_into(
             consumed = end + 1;
             rle_apply(out, &mut idx, &mut pending_run, v as u32)?;
             if !(idx < n || pending_run) {
-                hasher.update(&buf[..consumed]);
                 *buf = &buf[consumed..];
                 return Ok(());
             }
@@ -304,16 +377,13 @@ pub(super) fn get_rle_column_into(
         // A varint straddling the window end re-anchors at its first
         // byte; the next load decodes it whole (or the scalar tail
         // diagnoses truncation).
-        hasher.update(&buf[..consumed]);
         *buf = &buf[consumed..];
     }
     // Fewer than 8 bytes left: scalar decode, so a buffer that ends
     // mid-varint reports "truncated varint" exactly like the
     // byte-at-a-time decoder.
     while idx < n || pending_run {
-        let before = *buf;
         let v = get_varint(buf)?;
-        hasher.update(&before[..before.len() - buf.len()]);
         rle_apply(out, &mut idx, &mut pending_run, v)?;
     }
     Ok(())
@@ -386,9 +456,7 @@ pub(super) struct BlockScratch {
 
 /// Decode one v3 block of `count` records (inverse of [`encode_block`])
 /// into `scratch.flows`, one record at a time with checked
-/// accumulators. `hasher` receives the payload bytes as they are
-/// consumed (see [`get_rle_column_into`]); after an `Ok` return it has
-/// covered the whole payload.
+/// accumulators.
 ///
 /// Test-only reference: this was the production block decoder until
 /// the columnar one ([`decode_block_columnar_into`]) replaced it; the
@@ -398,12 +466,10 @@ pub(super) fn decode_block_into(
     payload: &[u8],
     count: usize,
     scratch: &mut BlockScratch,
-    hasher: &mut Fnv1a,
 ) -> Result<(), NetError> {
-    use crate::protocol::{TcpFlags, TransportProtocol};
     let mut buf = payload;
     for col in scratch.cols.iter_mut() {
-        get_rle_column_into(&mut buf, count, col, hasher)?;
+        get_rle_column_into(&mut buf, count, col)?;
     }
     if !buf.is_empty() {
         return Err(NetError::Codec(format!(
@@ -553,14 +619,14 @@ pub(super) fn first_where(vals: &[u32], bad: impl Fn(u32) -> bool) -> Option<usi
         .map(|i| base + i)
 }
 
-/// The block decoder, column-at-a-time: same wire format, same outputs,
+/// The block decoder, column-at-a-time: same wire format, same values
 /// and same error strings as the record-at-a-time reference
-/// (`decode_block_into`, test-only; proptest-pinned), but structured for
-/// throughput — the RLE/SWAR
-/// varint loop runs striding one column at a time, every column is
-/// un-delta'd by a [`LANES`]-wide wrapping pass, range validation is a
-/// chunked whole-column scan, and record assembly is a branch-free
-/// transpose with no serial dependencies.
+/// (`decode_block_into`, test-only; proptest-pinned through
+/// [`ColumnBlock::flows`]), but structured for throughput — the
+/// RLE/SWAR varint loop runs striding one column at a time, every
+/// column is un-delta'd by a [`LANES`]-wide wrapping pass, and range
+/// validation is a chunked whole-column scan. It stops at validated
+/// columns: no records are built.
 ///
 /// Wrapping un-delta is exact for the bounded columns too, not just
 /// the wrapping-accumulator ones: the record decoder's checked
@@ -579,20 +645,14 @@ pub(super) fn first_where(vals: &[u32], bad: impl Fn(u32) -> bool) -> Option<usi
 /// finds each column's first failure independently, then reports the
 /// failure with the smallest `(record index, field order)` — the exact
 /// error the record-at-a-time decoder would have raised.
-///
-/// `hasher` receives the payload bytes as they are consumed (see
-/// [`get_rle_column_into`]); after an `Ok` return it has covered the
-/// whole payload.
 pub(super) fn decode_block_columnar_into(
     payload: &[u8],
     count: usize,
     block: &mut ColumnBlock,
-    hasher: &mut Fnv1a,
 ) -> Result<(), NetError> {
-    use crate::protocol::{TcpFlags, TransportProtocol};
     let mut buf = payload;
     for col in block.cols.iter_mut() {
-        get_rle_column_into(&mut buf, count, col, hasher)?;
+        get_rle_column_into(&mut buf, count, col)?;
     }
     if !buf.is_empty() {
         return Err(NetError::Codec(format!(
@@ -660,75 +720,49 @@ pub(super) fn decode_block_columnar_into(
                 .map(|i| (i, NetError::Codec(format!("{field} delta out of range")))),
         );
     }
-    if let Some((_, _, e)) = first {
-        return Err(e);
+    match first {
+        Some((_, _, e)) => Err(e),
+        None => Ok(()),
     }
-    // Transpose the reconstructed columns into records. Every value was
-    // validated above, so this loop carries no error branches; the
-    // up-front reslices let the indexing elide bounds checks, and the
-    // protocol table replaces the `from_number` match, whose branches
-    // mispredict on mixed TCP/UDP traffic (only validated numbers are
-    // ever looked up, so the filler entries are unreachable).
-    const PROTO_BY_NUMBER: [TransportProtocol; 256] = {
-        let mut t = [TransportProtocol::Tcp; 256];
-        t[TransportProtocol::Icmp as usize] = TransportProtocol::Icmp;
-        t[TransportProtocol::Udp as usize] = TransportProtocol::Udp;
-        t
-    };
-    let ColumnBlock { cols, flows } = block;
-    let [src, dst, src_port, dst_port, proto, ttl, flags, ip_len, packets] = cols;
-    let (src, dst, packets) = (&src[..count], &dst[..count], &packets[..count]);
-    let (src_port, dst_port, proto) = (&src_port[..count], &dst_port[..count], &proto[..count]);
-    let (ttl, flags, ip_len) = (&ttl[..count], &flags[..count], &ip_len[..count]);
-    flows.clear();
-    flows.reserve(count);
-    for i in 0..count {
-        flows.push(FlowTuple {
-            src_ip: std::net::Ipv4Addr::from(src[i]),
-            dst_ip: std::net::Ipv4Addr::from(dst[i]),
-            src_port: src_port[i] as u16,
-            dst_port: dst_port[i] as u16,
-            protocol: PROTO_BY_NUMBER[(proto[i] & 0xff) as usize],
-            ttl: ttl[i] as u8,
-            tcp_flags: TcpFlags::from_bits(flags[i] as u8),
-            ip_len: ip_len[i] as u16,
-            packets: packets[i],
-        });
-    }
-    Ok(())
 }
 
-/// Verify one block's checksum and decode its `count` records into
-/// `block` (replacing previous contents).
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// How many block payloads [`fnv1a_lockstep`] hashes at once.
+pub(super) const CHECKSUM_LANES: usize = 4;
+
+/// 64-bit FNV-1a of up to [`CHECKSUM_LANES`] payloads at once — the
+/// block-checksum pre-pass that runs before a group of blocks decodes.
 ///
-/// The checksum is *interleaved* with the decode rather than a
-/// separate pass: the RLE loop feeds every consumed byte to an FNV-1a
-/// hasher as a side effect, and the comparison happens once the decode
-/// finishes. FNV's multiply chain is pure latency (~3 cycles/byte with
-/// nothing else to do), so the decode's independent ALU work executes
-/// under it essentially for free — fusing the passes is markedly
-/// cheaper than running them back to back over the same bytes.
-///
-/// Error precedence is checksum-first: a block that fails its checksum
-/// reports "checksum mismatch (corrupt block)" even when the payload
-/// also fails to parse, exactly as when the hash was a separate
-/// up-front pass. A decode error leaves the hasher mid-stream, so that
-/// cold path re-hashes the payload from scratch to make the call.
-pub(super) fn decode_checked(
-    payload: &[u8],
-    count: usize,
-    checksum: u64,
-    block: &mut ColumnBlock,
-) -> Result<(), NetError> {
-    let mut hasher = Fnv1a::new();
-    let decoded = decode_block_columnar_into(payload, count, block, &mut hasher);
-    let mismatch = || NetError::Codec("checksum mismatch (corrupt block)".to_owned());
-    match decoded {
-        Ok(()) if hasher.finish() == checksum => Ok(()),
-        Ok(()) => Err(mismatch()),
-        Err(_) if fnv1a(payload) != checksum => Err(mismatch()),
-        Err(e) => Err(e),
+/// One FNV-1a chain is pure latency: every byte is an xor feeding a
+/// multiply feeding the next xor, so a lone hash runs at the
+/// multiplier's latency (~4 cycles/byte) with the multiplier mostly
+/// idle. Four independent chains stepped byte by byte in lockstep keep
+/// four multiplies in flight, so the group hashes in about the time one
+/// payload did. The common prefix runs in lockstep and each longer
+/// payload finishes alone (blocks of an hour are nearly the same size,
+/// so the tails are short); unused lanes are empty slices. The values
+/// are exactly [`fnv1a`]'s.
+pub(super) fn fnv1a_lockstep(payloads: [&[u8]; CHECKSUM_LANES]) -> [u64; CHECKSUM_LANES] {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    let common = payloads.iter().map(|p| p.len()).min().unwrap_or(0);
+    let [a, b, c, d] = payloads.map(|p| &p[..common]);
+    let mut h = [FNV_OFFSET; CHECKSUM_LANES];
+    for (((&xa, &xb), &xc), &xd) in a.iter().zip(b).zip(c).zip(d) {
+        h = [
+            step(h[0], xa),
+            step(h[1], xb),
+            step(h[2], xc),
+            step(h[3], xd),
+        ];
     }
+    for (lane, payload) in h.iter_mut().zip(payloads) {
+        *lane = payload[common..].iter().fold(*lane, |acc, &x| step(acc, x));
+    }
+    h
 }
 
 /// Streaming 64-bit FNV-1a, so the checksum can cover discontiguous
@@ -740,14 +774,14 @@ pub(crate) struct Fnv1a(u64);
 impl Fnv1a {
     #[inline]
     pub(crate) fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        Fnv1a(FNV_OFFSET)
     }
 
     #[inline]
     pub(crate) fn update(&mut self, data: &[u8]) {
         for &b in data {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 

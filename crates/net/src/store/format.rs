@@ -183,40 +183,42 @@ pub struct QuarantinedBlock {
     pub reason: String,
 }
 
-/// A consumer of decoded flow slices — the receiving end of every
-/// decode ([`decode_hour_visit`]; the materialising reads are this plus
-/// a [`CollectSink`]).
+/// A consumer of decoded flows — the receiving end of every decode
+/// ([`decode_hour_visit`]; the materialising reads are this plus a
+/// [`CollectSink`]).
 ///
 /// # Contract
 ///
-/// * Slices arrive in on-disk order (v3 block order; one slice for a
-///   whole v1/v2 hour), so feeding a sink is observably identical to
-///   feeding it the materialized `Vec<FlowTuple>` in one call — the
-///   slice boundaries carry no information.
-/// * Slices borrow a reusable scratch buffer: they are only valid for
-///   the duration of the call and must be folded, not stashed.
+/// * A v3 decode delivers each verified, validated block as columns
+///   through [`FlowSink::visit_block`]; a v1/v2 hour has no blocks and
+///   arrives whole, as records, through [`FlowSink::on_flows`].
+/// * Blocks and slices arrive in on-disk order, so feeding a sink is
+///   observably identical to feeding it the materialized
+///   `Vec<FlowTuple>` in one call — the boundaries carry no
+///   information.
+/// * Both borrow reusable scratch: they are only valid for the duration
+///   of the call and must be folded, not stashed.
 /// * A quarantined block is silently skipped (it is reported in
 ///   [`VisitedHour::quarantined`]).
 /// * On a decode **error** the sink may already have received a prefix
 ///   of the hour; callers must throw away whatever state it built.
-/// * A v3 decode delivers whole blocks through
-///   [`FlowSink::visit_block`]; its default implementation falls back
-///   to [`FlowSink::on_flows`] over the block's materialized records,
-///   so a sink that only implements `on_flows` observes the exact
-///   per-record stream it always did. Sinks that override
-///   `visit_block` (batched correlation, column folds) must remain
-///   observably identical to the fallback — the slice and the block
-///   describe the same records in the same order.
+/// * `visit_block`'s default transposes the block into records
+///   ([`ColumnBlock::flows`], one allocation per block) and forwards
+///   them to `on_flows`, so a sink that only implements `on_flows`
+///   observes the exact per-record stream. Sinks on a hot path
+///   override `visit_block` to read the columns directly, and must
+///   stay observably identical to the fallback: the block and its
+///   records describe the same flows in the same order.
 pub trait FlowSink {
     /// Fold one in-order slice of decoded records.
     fn on_flows(&mut self, flows: &[FlowTuple]);
 
     /// Fold one decoded v3 block, column-at-a-time. The default
-    /// forwards the block's record view to [`FlowSink::on_flows`];
-    /// batched sinks override this to run whole-column passes (e.g.
-    /// merge-join correlation over the ascending `src_ip` column).
+    /// transposes the block and forwards the records to
+    /// [`FlowSink::on_flows`].
     fn visit_block(&mut self, block: &ColumnBlock) {
-        self.on_flows(block.flows());
+        let flows: Vec<FlowTuple> = block.flows().collect();
+        self.on_flows(&flows);
     }
 }
 
@@ -236,6 +238,12 @@ impl CollectSink {
 impl FlowSink for CollectSink {
     fn on_flows(&mut self, flows: &[FlowTuple]) {
         self.0.extend_from_slice(flows);
+    }
+
+    /// Appends the block's records straight from its columns into the
+    /// collected vector (whose capacity [`decode_hour`] pre-sizes).
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        self.0.extend(block.flows());
     }
 }
 
@@ -438,10 +446,17 @@ fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, Vec<V3Block<'_>>), NetError> {
 }
 
 /// The v3 decode: feed `sink` one block at a time through
-/// [`FlowSink::visit_block`] (whose default falls back to the
-/// per-record `on_flows`, so non-batched sinks observe the identical
-/// stream), reusing one [`ColumnBlock`] across blocks — zero per-block
-/// allocation, whole-column un-delta passes.
+/// [`FlowSink::visit_block`], reusing one [`ColumnBlock`] across blocks
+/// — zero per-block allocation, whole-column un-delta passes.
+///
+/// Blocks go in groups of [`block::CHECKSUM_LANES`]: the group's
+/// checksums are computed first, in lockstep
+/// ([`block::fnv1a_lockstep`]), then its blocks decode in order. A
+/// block that fails its checksum is rejected without being parsed, so
+/// "checksum mismatch (corrupt block)" wins over any parse error in
+/// the same block, and every failure is met (and, strictly, reported)
+/// in block order — a parse error in block 1 is reported even when
+/// block 2 of the same group fails its checksum.
 fn visit_hour_v3(
     bytes: &[u8],
     opts: DecodeOptions,
@@ -451,18 +466,33 @@ fn visit_hour_v3(
     let mut records = 0usize;
     let mut quarantined = Vec::new();
     let mut scratch = ColumnBlock::default();
-    for (i, v3) in blocks.iter().enumerate() {
-        match block::decode_checked(v3.payload, v3.count as usize, v3.checksum, &mut scratch) {
-            Ok(()) => {
-                records += scratch.len();
-                sink.visit_block(&scratch);
+    for (g, group) in blocks.chunks(block::CHECKSUM_LANES).enumerate() {
+        let mut payloads: [&[u8]; block::CHECKSUM_LANES] = Default::default();
+        for (lane, v3) in payloads.iter_mut().zip(group) {
+            *lane = v3.payload;
+        }
+        let sums = block::fnv1a_lockstep(payloads);
+        for (j, (v3, sum)) in group.iter().zip(sums).enumerate() {
+            let i = g * block::CHECKSUM_LANES + j;
+            let decoded = if sum == v3.checksum {
+                block::decode_block_columnar_into(v3.payload, v3.count as usize, &mut scratch)
+            } else {
+                Err(NetError::Codec(
+                    "checksum mismatch (corrupt block)".to_owned(),
+                ))
+            };
+            match decoded {
+                Ok(()) => {
+                    records += scratch.len();
+                    sink.visit_block(&scratch);
+                }
+                Err(e) if opts.quarantine => quarantined.push(QuarantinedBlock {
+                    index: i,
+                    records: v3.count,
+                    reason: format!("{e}"),
+                }),
+                Err(e) => return Err(NetError::Codec(format!("block {i}: {e}"))),
             }
-            Err(e) if opts.quarantine => quarantined.push(QuarantinedBlock {
-                index: i,
-                records: v3.count,
-                reason: format!("{e}"),
-            }),
-            Err(e) => return Err(NetError::Codec(format!("block {i}: {e}"))),
         }
     }
     Ok(VisitedHour {

@@ -5,8 +5,8 @@
 
 use super::block::{
     decode_block_columnar_into, decode_block_into, encode_block, first_where, fnv1a,
-    get_rle_column_into, prefix_sum_wrapping, put_rle_column, swar_varint, take_varint, unzigzag,
-    unzigzag_prefix_sum, zigzag, BlockScratch,
+    fnv1a_lockstep, get_rle_column_into, prefix_sum_wrapping, put_rle_column, swar_varint,
+    take_varint, unzigzag, unzigzag_prefix_sum, zigzag, BlockScratch, CHECKSUM_LANES,
 };
 use super::format::{encode_v3, HEADER_HASHED, INDEX_ENTRY};
 use super::legacy::{Legacy, MIN_RECORD_BYTES};
@@ -539,17 +539,14 @@ fn rle_column_roundtrips_and_rejects_overflow() {
     let mut slice = buf.as_slice();
     // Pre-populate the reuse buffer to prove it is fully replaced.
     let mut out = vec![99u32; 4];
-    let mut hasher = Fnv1a::new();
-    get_rle_column_into(&mut slice, vals.len(), &mut out, &mut hasher).unwrap();
+    get_rle_column_into(&mut slice, vals.len(), &mut out).unwrap();
     assert_eq!(out, vals);
     assert!(slice.is_empty());
-    // The interleaved hash must cover exactly the consumed bytes.
-    assert_eq!(hasher.finish(), fnv1a(&buf));
     // A zero run claiming more records than the column holds.
     let mut bad = Vec::new();
     put_varint(&mut bad, 0);
     put_varint(&mut bad, 100);
-    let err = get_rle_column_into(&mut bad.as_slice(), 3, &mut out, &mut Fnv1a::new()).unwrap_err();
+    let err = get_rle_column_into(&mut bad.as_slice(), 3, &mut out).unwrap_err();
     assert!(format!("{err}").contains("zero run"));
 }
 
@@ -905,23 +902,29 @@ proptest! {
             }
         }
         let mut scratch = BlockScratch::default();
-        let mut rh = Fnv1a::new();
-        let record = decode_block_into(&payload, flows.len(), &mut scratch, &mut rh);
+        let record = decode_block_into(&payload, flows.len(), &mut scratch);
         let mut block = ColumnBlock::default();
-        let mut ch = Fnv1a::new();
-        let columnar = decode_block_columnar_into(&payload, flows.len(), &mut block, &mut ch);
+        let columnar = decode_block_columnar_into(&payload, flows.len(), &mut block);
         match (record, columnar) {
             (Ok(()), Ok(())) => {
-                prop_assert_eq!(&scratch.flows, block.flows());
-                // The interleaved hashes covered the whole payload.
-                prop_assert_eq!(rh.finish(), fnv1a(&payload));
-                prop_assert_eq!(ch.finish(), fnv1a(&payload));
-                // The exposed src column is the decoded addresses.
-                for (f, &ip) in block.flows().iter().zip(block.src_ip()) {
-                    prop_assert_eq!(u32::from(f.src_ip), ip);
+                let got: Vec<FlowTuple> = block.flows().collect();
+                prop_assert_eq!(&scratch.flows, &got);
+                // The exposed columns are the decoded fields.
+                for (i, f) in got.iter().enumerate() {
+                    prop_assert_eq!(u32::from(f.src_ip), block.src_ip()[i]);
+                    prop_assert_eq!(u32::from(f.dst_ip), block.dst_ip()[i]);
+                    prop_assert_eq!(u32::from(f.src_port), block.src_port()[i]);
+                    prop_assert_eq!(u32::from(f.dst_port), block.dst_port()[i]);
+                    prop_assert_eq!(u32::from(f.protocol.number()), block.protocol()[i]);
+                    prop_assert_eq!(u32::from(f.tcp_flags.bits()), block.tcp_flags()[i]);
+                    prop_assert_eq!(f.packets, block.packets()[i]);
                 }
+                // `fill` is the inverse of the transpose.
+                let mut refilled = ColumnBlock::default();
+                refilled.fill(&got);
+                prop_assert_eq!(refilled.flows().collect::<Vec<_>>(), got.clone());
                 if pristine {
-                    prop_assert_eq!(block.flows(), flows.as_slice());
+                    prop_assert_eq!(&got, &flows);
                 }
             }
             (Err(a), Err(b)) => prop_assert_eq!(format!("{a}"), format!("{b}")),
@@ -948,19 +951,18 @@ proptest! {
         let payload = encode_block(&refs);
         // Exact boundary: both decoders consume the whole payload.
         let mut scratch = BlockScratch::default();
-        decode_block_into(&payload, flows.len(), &mut scratch, &mut Fnv1a::new()).unwrap();
+        decode_block_into(&payload, flows.len(), &mut scratch).unwrap();
         prop_assert_eq!(&scratch.flows, &flows);
         let mut block = ColumnBlock::default();
-        decode_block_columnar_into(&payload, flows.len(), &mut block, &mut Fnv1a::new())
-            .unwrap();
-        prop_assert_eq!(block.flows(), flows.as_slice());
+        decode_block_columnar_into(&payload, flows.len(), &mut block).unwrap();
+        prop_assert_eq!(block.flows().collect::<Vec<_>>(), flows);
         // Bytes past the boundary: identical trailing-bytes errors.
         let mut padded = payload.clone();
         padded.extend(vec![0u8; pad]);
-        let a = decode_block_into(&padded, flows.len(), &mut scratch, &mut Fnv1a::new())
+        let a = decode_block_into(&padded, flows.len(), &mut scratch)
             .unwrap_err();
         let b =
-            decode_block_columnar_into(&padded, flows.len(), &mut block, &mut Fnv1a::new())
+            decode_block_columnar_into(&padded, flows.len(), &mut block)
                 .unwrap_err();
         prop_assert_eq!(format!("{a}"), format!("{b}"));
         let msg = format!("{a}");
@@ -1067,10 +1069,130 @@ fn columnar_error_order_matches_record_decoder() {
             ],
         );
         let mut scratch = BlockScratch::default();
-        let a = decode_block_into(&payload, 2, &mut scratch, &mut Fnv1a::new()).unwrap_err();
+        let a = decode_block_into(&payload, 2, &mut scratch).unwrap_err();
         let mut block = ColumnBlock::default();
-        let b = decode_block_columnar_into(&payload, 2, &mut block, &mut Fnv1a::new()).unwrap_err();
+        let b = decode_block_columnar_into(&payload, 2, &mut block).unwrap_err();
         assert_eq!(format!("{a}"), format!("{b}"), "{name}");
         assert!(format!("{a}").contains(want), "{name}: got {a}");
+    }
+}
+
+proptest! {
+    /// The lockstep pre-pass computes exactly `fnv1a` per lane, for
+    /// lanes of unequal (and zero) lengths.
+    #[test]
+    fn prop_lockstep_checksums_equal_fnv1a(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..40), CHECKSUM_LANES),
+    ) {
+        let lanes: [&[u8]; CHECKSUM_LANES] = std::array::from_fn(|l| payloads[l].as_slice());
+        let sums = fnv1a_lockstep(lanes);
+        for (sum, payload) in sums.iter().zip(&payloads) {
+            prop_assert_eq!(*sum, fnv1a(payload));
+        }
+    }
+}
+
+/// The payload byte range of every block of a v3 file, from its index.
+fn block_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let be32 = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let blocks = be32(HEADER);
+    let mut offset = HEADER + 4 + blocks * INDEX_ENTRY;
+    (0..blocks)
+        .map(|i| {
+            let len = be32(HEADER + 4 + i * INDEX_ENTRY + 4);
+            offset += len;
+            offset - len..offset
+        })
+        .collect()
+}
+
+/// Re-stamp block `i`'s index checksum to match its (edited) payload,
+/// and the header checksum over the edited index, so only a parse can
+/// find what was done to the block.
+fn restamp_block(bytes: &mut [u8], i: usize) {
+    let ranges = block_ranges(bytes);
+    let sum = fnv1a(&bytes[ranges[i].clone()]);
+    let at = HEADER + 4 + i * INDEX_ENTRY + 8;
+    bytes[at..at + 8].copy_from_slice(&sum.to_be_bytes());
+    let index_end = HEADER + 4 + ranges.len() * INDEX_ENTRY;
+    let mut hasher = Fnv1a::new();
+    hasher.update(&bytes[..HEADER_HASHED]);
+    hasher.update(&bytes[HEADER..index_end]);
+    bytes[HEADER_HASHED..HEADER].copy_from_slice(&hasher.finish().to_be_bytes());
+}
+
+#[test]
+fn lockstep_checksums_keep_block_order_error_precedence() {
+    // Six blocks: two lockstep groups, of four blocks and of two.
+    let many = scan_like_flows(BLOCK_RECORDS as u32 * 5 + 100);
+    let hour = UnixHour::new(70);
+    let clean = encode_hour(hour, &many, StoreOptions::default());
+    let ranges = block_ranges(&clean);
+    assert_eq!(ranges.len(), 6);
+    assert_eq!(CHECKSUM_LANES, 4);
+
+    let codec = |msg: &str| format!("{}", NetError::Codec(msg.to_owned()));
+    // Eight 0xff bytes hold no varint terminator.
+    let parse = codec("varint overflows u32");
+    let mismatch = codec("checksum mismatch (corrupt block)");
+    let parse_corrupt = |bytes: &mut Vec<u8>, i: usize| {
+        bytes[ranges[i].start..ranges[i].start + 8].fill(0xff);
+        restamp_block(bytes, i);
+    };
+    let checksum_corrupt = |bytes: &mut Vec<u8>, i: usize| bytes[ranges[i].start + 10] ^= 0xff;
+
+    // (case, file, strict error, quarantined (block, reason))
+    type Case = (&'static str, Vec<u8>, String, Vec<(usize, String)>);
+    let mut cases: Vec<Case> = Vec::new();
+    let mut bytes = clean.clone();
+    parse_corrupt(&mut bytes, 1);
+    checksum_corrupt(&mut bytes, 2);
+    cases.push((
+        "parse error before a checksum error in one group",
+        bytes,
+        format!("{}", NetError::Codec(format!("block 1: {parse}"))),
+        vec![(1, parse.clone()), (2, mismatch.clone())],
+    ));
+    let mut bytes = clean.clone();
+    checksum_corrupt(&mut bytes, 5);
+    cases.push((
+        "one checksum error in the second group",
+        bytes,
+        format!("{}", NetError::Codec(format!("block 5: {mismatch}"))),
+        vec![(5, mismatch.clone())],
+    ));
+    let mut bytes = clean.clone();
+    parse_corrupt(&mut bytes, 4);
+    cases.push((
+        "one parse error in the second group",
+        bytes,
+        format!("{}", NetError::Codec(format!("block 4: {parse}"))),
+        vec![(4, parse.clone())],
+    ));
+    let mut bytes = clean.clone();
+    bytes[ranges[3].start..ranges[3].start + 8].fill(0xff);
+    cases.push((
+        "a block both unparsable and mis-checksummed reports the checksum",
+        bytes,
+        format!("{}", NetError::Codec(format!("block 3: {mismatch}"))),
+        vec![(3, mismatch.clone())],
+    ));
+
+    for (case, bytes, strict, bad) in cases {
+        let err = decode_hour(&bytes).unwrap_err();
+        assert_eq!(format!("{err}"), strict, "{case}");
+        let mut sink = CollectSink::default();
+        let visited =
+            decode_hour_visit(&bytes, DecodeOptions { quarantine: true }, &mut sink).unwrap();
+        let got: Vec<(usize, String)> = visited
+            .quarantined
+            .iter()
+            .map(|q| (q.index, q.reason.clone()))
+            .collect();
+        assert_eq!(got, bad, "{case}");
+        let lost: usize = visited.quarantined.iter().map(|q| q.records as usize).sum();
+        assert_eq!(visited.records, many.len() - lost, "{case}");
+        assert_eq!(sink.into_flows().len(), many.len() - lost, "{case}");
     }
 }
