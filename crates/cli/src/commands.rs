@@ -11,6 +11,7 @@ use iotscope_core::{attribution, behavior, Analysis};
 use iotscope_devicedb::inventory_io::{self, LoadedInventory};
 use iotscope_intel::synth::{IntelBuilder, IntelOutput, IntelSynthConfig};
 use iotscope_intel::IntelContext;
+use iotscope_net::segment::Manifest;
 use iotscope_net::store::{FlowStore, StoreFormat, StoreOptions};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_net::NetError;
@@ -22,6 +23,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,11 +55,72 @@ fn render_metrics(snapshot: &Snapshot, format: MetricsFormat) -> String {
     }
 }
 
+/// Run `work` once per item of `hours` on `workers` scoped threads and
+/// return the results in item order — the fan-out behind the write
+/// verbs (`simulate`, `migrate --format v3`), where each hour is an
+/// independent encode + tmp + fsync + rename.
+///
+/// Items are handed out in ascending order from one atomic cursor, and
+/// a worker that has taken an item always runs it; once any item fails,
+/// no worker takes another. The error returned is the failing item's
+/// with the smallest index — exactly the error a sequential loop would
+/// stop at, because every item below a taken one was taken earlier and
+/// ran to completion. Items past the first failure that were already
+/// running still finish, so a failed run may leave some later hours
+/// rewritten; each hour is written atomically, so the store stays
+/// readable either way.
+///
+/// `workers` is clamped to `1..=hours.len()`; callers pass
+/// [`available_parallelism`](std::thread::available_parallelism) (tests
+/// pin it).
+fn for_each_hour<T, R, F>(hours: &[T], workers: usize, work: F) -> Result<Vec<R>, CliError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> Result<R, CliError> + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let workers = workers.clamp(1, hours.len().max(1));
+    let mut done: Vec<(usize, Result<R, CliError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    // Check before taking: an item once taken always runs,
+                    // so the taken items are a prefix of `hours`.
+                    while !failed.load(Ordering::SeqCst) {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(hour) = hours.get(i) else { break };
+                        let result = work(hour);
+                        if result.is_err() {
+                            failed.store(true, Ordering::SeqCst);
+                        }
+                        done.push((i, result));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("hour worker panicked"))
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The worker count of the write verbs' hour fan-out: every core.
+fn write_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// `iotscope simulate --out DIR [--seed N] [--scale F] [--tiny] [--metrics[=FMT]]`
 ///
 /// Writes the scenario's inventory, ground truth and 143 hours of
-/// traffic (in the store's one format, v3). `--scale` must be a finite
-/// number above zero.
+/// traffic (in the store's one format, v3), the hours written on every
+/// core. `--scale` must be a finite number above zero.
 pub fn simulate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--out")
@@ -91,9 +154,9 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
         FlowStore::create(out.join("darknet"), StoreOptions::default())?.instrumented(&registry);
     let hours = built.scenario.generate();
     let flows: usize = hours.iter().map(|h| h.flows.len()).sum();
-    for ht in &hours {
-        store.write_hour(ht.hour, &ht.flows)?;
-    }
+    for_each_hour(&hours, write_workers(), |ht| {
+        Ok(store.write_hour(ht.hour, &ht.flows)?)
+    })?;
 
     let mut meta = BTreeMap::new();
     meta.insert("seed".to_owned(), seed.to_string());
@@ -610,17 +673,28 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
 /// With `--format v3`, upgrade legacy hours to v3: every hour file under
 /// `DIR/darknet` is read (v1, v2 or v3 — reads auto-detect the format
 /// from each file's magic) and rewritten as v3, the only format
-/// written. Each hour is rewritten atomically; interrupting midway
-/// leaves a mixed-format but fully readable store. Any other `--format`
-/// value is a usage error.
+/// written, on every core. Each hour is rewritten atomically;
+/// interrupting midway leaves a mixed-format but fully readable store,
+/// and a failing hour reports the same error a one-hour-at-a-time
+/// rewrite would (see `for_each_hour`). A store whose hours all live
+/// in segments has nothing to upgrade — compaction transcodes legacy
+/// hours, so segments hold only v3. Any other `--format` value is a
+/// usage error.
 ///
 /// With `--segmented`, compact every per-hour file into the year-scale
 /// segment layout (`segments/seg-N.seg` behind `segments/manifest.idx`)
 /// and remove the per-hour copies once the manifest is durable. Reads
 /// through `FlowStore` are unchanged — segment-resident hours resolve
 /// through the manifest, and later `write_hour` calls shadow the
-/// segment copy with a fresh per-hour file.
+/// segment copy with a fresh per-hour file. `--hours-per-segment` must
+/// be at least 1.
 pub fn migrate(args: &[String]) -> Result<String, CliError> {
+    migrate_on(args, write_workers())
+}
+
+/// [`migrate`] with the `--format v3` rewrite spread over `workers`
+/// threads.
+fn migrate_on(args: &[String], workers: usize) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--data")
         .alias("--store", "--data")
@@ -637,8 +711,10 @@ pub fn migrate(args: &[String]) -> Result<String, CliError> {
             ));
         }
         let hours_per_segment = match opts.get("--hours-per-segment") {
-            Some(v) => v.parse::<usize>().map_err(|_| {
-                CliError::Usage(format!("invalid --hours-per-segment {v:?} (want a count)"))
+            Some(v) => v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "bad value for --hours-per-segment: {v:?} (want a count of at least 1)"
+                ))
             })?,
             None => iotscope_net::segment::DEFAULT_HOURS_PER_SEGMENT,
         };
@@ -669,22 +745,35 @@ pub fn migrate(args: &[String]) -> Result<String, CliError> {
     // partial and non-standard stores migrate completely.
     let hours = store.hours_on_disk()?;
     if hours.is_empty() {
-        return Err(CliError::Run(format!(
-            "no hourly flowtuple files under {}",
-            root.display()
-        )));
+        let manifest = store.manifest_path();
+        let resident = if manifest.is_file() {
+            Manifest::load(&manifest)?.len()
+        } else {
+            0
+        };
+        if resident == 0 {
+            return Err(CliError::Run(format!(
+                "no hourly flowtuple files under {}",
+                root.display()
+            )));
+        }
+        return Ok(format!(
+            "nothing to upgrade: all {resident} hours are segment-resident, and segments hold only v3"
+        ));
     }
 
-    let mut records = 0usize;
-    let mut bytes_before = 0u64;
-    let mut bytes_after = 0u64;
-    for &hour in &hours {
+    let rewritten = for_each_hour(&hours, workers, |&hour| {
         let path = store.hour_path(hour);
-        bytes_before += std::fs::metadata(&path)?.len();
+        let before = std::fs::metadata(&path)?.len();
         let flows = store.read_hour(hour)?;
-        records += flows.len();
         store.write_hour(hour, &flows)?;
-        bytes_after += std::fs::metadata(&path)?.len();
+        Ok((before, flows.len(), std::fs::metadata(&path)?.len()))
+    })?;
+    let (mut bytes_before, mut records, mut bytes_after) = (0u64, 0usize, 0u64);
+    for (before, flows, after) in rewritten {
+        bytes_before += before;
+        records += flows;
+        bytes_after += after;
     }
     Ok(format!(
         "migrated {} hours ({records} records) to {format:?}: {bytes_before} -> {bytes_after} bytes ({:+.1}%)",
@@ -1035,6 +1124,19 @@ mod tests {
             migrate(&args(&["--data", dir_s, "--format", "v3", "--segmented"])),
             Err(CliError::Usage(_))
         ));
+        // Zero hours per segment is refused while parsing, not by the
+        // segment builder: a usage error (exit 2) that touches nothing.
+        match migrate(&args(&[
+            "--data",
+            dir_s,
+            "--segmented",
+            "--hours-per-segment",
+            "0",
+        ])) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("--hours-per-segment"), "{msg}"),
+            other => panic!("--hours-per-segment 0: expected a usage error, got {other:?}"),
+        }
+        assert!(!root.join("segments").exists());
         let msg = migrate(&args(&[
             "--data",
             dir_s,
@@ -1059,6 +1161,157 @@ mod tests {
             migrate(&args(&["--data", dir_s, "--segmented"])),
             Err(CliError::Run(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn migrate_v3_on_a_compacted_store_has_nothing_to_upgrade() {
+        let dir = tmpdir("migrate-v3-compacted");
+        let store = FlowStore::create(dir.join("darknet"), StoreOptions::default()).unwrap();
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(12));
+        for h in (1..=3).map(|i| built.scenario.generate_hour(i)) {
+            store.write_hour(h.hour, &h.flows).unwrap();
+        }
+        let dir_s = dir.to_str().unwrap();
+        migrate(&args(&["--data", dir_s, "--segmented"])).unwrap();
+        let msg = migrate(&args(&["--data", dir_s, "--format", "v3"])).unwrap();
+        assert_eq!(
+            msg,
+            "nothing to upgrade: all 3 hours are segment-resident, and segments hold only v3"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn migrate_v3_on_a_store_without_hours_fails() {
+        let dir = tmpdir("migrate-v3-empty");
+        FlowStore::create(dir.join("darknet"), StoreOptions::default()).unwrap();
+        match migrate(&args(&["--data", dir.to_str().unwrap(), "--format", "v3"])) {
+            Err(CliError::Run(msg)) => assert!(msg.contains("no hourly flowtuple files"), "{msg}"),
+            other => panic!("expected a run error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The worker counts the fan-out is pinned to: one (the sequential
+    /// loop), two, and seven (more than a CI runner has cores).
+    const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
+
+    #[test]
+    fn for_each_hour_runs_every_item_once_and_keeps_order() {
+        for workers in WORKER_COUNTS {
+            let runs = AtomicUsize::new(0);
+            let squares = for_each_hour(&(0..50u64).collect::<Vec<_>>(), workers, |&i| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                Ok(i * i)
+            })
+            .unwrap();
+            assert_eq!(squares, (0..50u64).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(runs.into_inner(), 50, "{workers} workers");
+            let none: Vec<()> = for_each_hour(&[] as &[u8], workers, |_| Ok(())).unwrap();
+            assert!(none.is_empty());
+        }
+    }
+
+    #[test]
+    fn for_each_hour_reports_the_smallest_failing_item_and_stops() {
+        // Item 1 fails first in time: item 0 cannot finish until item 1
+        // has sent. Item 0 then fails too, and its error must win —
+        // the one a sequential loop stops at. With two workers both are
+        // busy until both have failed, so no later item may start; with
+        // more, the others may legitimately run ahead before item 1's
+        // failure lands.
+        for workers in [2, 7] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let rx = std::sync::Mutex::new(rx);
+            let started = AtomicUsize::new(0);
+            let err = for_each_hour(&(0..20usize).collect::<Vec<_>>(), workers, |&i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                match i {
+                    0 => {
+                        rx.lock().unwrap().recv().unwrap();
+                        Err(CliError::Run("item 0".to_owned()))
+                    }
+                    1 => {
+                        tx.send(()).unwrap();
+                        Err(CliError::Run("item 1".to_owned()))
+                    }
+                    _ => Ok(()),
+                }
+            })
+            .unwrap_err();
+            assert_eq!(err.to_string(), "item 0", "{workers} workers");
+            if workers == 2 {
+                assert_eq!(
+                    started.into_inner(),
+                    2,
+                    "an item started after the failures"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_migrate_reports_the_earliest_corrupt_hour() {
+        let dir = tmpdir("migrate-corrupt");
+        let store = FlowStore::create(dir.join("darknet"), StoreOptions::default()).unwrap();
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(13));
+        let hours: Vec<_> = (1..=9).map(|i| built.scenario.generate_hour(i)).collect();
+        for h in &hours {
+            store.write_hour(h.hour, &h.flows).unwrap();
+        }
+        let originals: Vec<_> = hours
+            .iter()
+            .map(|h| store.read_hour(h.hour).unwrap())
+            .collect();
+        // Two corrupt hours with different errors: a bad block checksum
+        // (hour 3) and a file cut short of its header (hour 6).
+        let (early, late) = (hours[2].hour, hours[5].hour);
+        let mut bytes = std::fs::read(store.hour_path(early)).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(store.hour_path(early), bytes).unwrap();
+        std::fs::write(store.hour_path(late), b"IOTFT03").unwrap();
+        let error_of = |hour| CliError::from(store.read_hour(hour).unwrap_err()).to_string();
+        let want = error_of(early);
+        assert_ne!(want, error_of(late));
+
+        let dir_s = dir.to_str().unwrap();
+        for workers in WORKER_COUNTS {
+            let err = migrate_on(&args(&["--data", dir_s, "--format", "v3"]), workers).unwrap_err();
+            assert_eq!(err.to_string(), want, "{workers} workers");
+            for (h, flows) in hours.iter().zip(&originals) {
+                if h.hour != early && h.hour != late {
+                    assert_eq!(
+                        &store.read_hour(h.hour).unwrap(),
+                        flows,
+                        "{workers} workers"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn parallel_migrate_of_a_simulated_store_rewrites_identical_bytes() {
+        let dir = tmpdir("migrate-identical");
+        let dir_s = dir.to_str().unwrap();
+        simulate(&args(&["--out", dir_s, "--tiny", "--seed", "14"])).unwrap();
+        let store = FlowStore::open(dir.join("darknet")).unwrap();
+        let files = |store: &FlowStore| -> Vec<Vec<u8>> {
+            let hours = store.hours_on_disk().unwrap();
+            assert_eq!(hours.len(), 143);
+            hours
+                .iter()
+                .map(|h| std::fs::read(store.hour_path(*h)).unwrap())
+                .collect()
+        };
+        let written = files(&store);
+        for workers in WORKER_COUNTS {
+            let msg = migrate_on(&args(&["--data", dir_s, "--format", "v3"]), workers).unwrap();
+            assert!(msg.starts_with("migrated 143 hours"), "{msg}");
+            assert!(files(&store) == written, "{workers} workers changed a byte");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

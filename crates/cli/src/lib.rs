@@ -78,8 +78,9 @@ USAGE:
 
 COMMANDS:
     simulate     build a synthetic inventory + 143 hours of telescope
-                 traffic into DIR (inventory.tsv + darknet/); --scale
-                 is the packet-budget multiplier, a finite number > 0
+                 traffic into DIR (inventory.tsv + darknet/), writing
+                 the hours on every core; --scale is the packet-budget
+                 multiplier, a finite number > 0
     analyze      run the full pipeline over DIR and print every table
                  and figure of the paper (--intel adds Section V;
                  --threads N sizes the store reader pool, --stats
@@ -101,13 +102,15 @@ COMMANDS:
                  botnets (--intel adds malware attribution)
     validate     check the pipeline's inference against the simulator's
                  ground-truth ledger (truth.tsv) in DIR
-    migrate      --format v3 upgrades DIR/darknet's legacy (v1/v2) hour
-                 files to v3, the only format written; reads
-                 auto-detect the format, so this only standardizes a
-                 directory. --segmented instead compacts the per-hour
-                 files into mmap-read year-scale segments
-                 (darknet/segments/) behind a checksummed manifest;
-                 analysis output is unchanged either way
+    migrate      --format v3 rewrites DIR/darknet's hour files as v3,
+                 the only format written, on every core, upgrading
+                 legacy (v1/v2) hours; reads auto-detect the format,
+                 so this only standardizes a directory (segments hold
+                 only v3: a compacted store has nothing to upgrade).
+                 --segmented instead compacts the per-hour files into
+                 mmap-read year-scale segments (darknet/segments/)
+                 behind a checksummed manifest, N hours per segment
+                 (at least 1); analysis output is unchanged either way
     diff         compare two data directories (e.g. yesterday vs today):
                  appeared/disappeared devices, new victims and scanners,
                  per-class packet drift

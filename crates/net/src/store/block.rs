@@ -4,9 +4,12 @@
 //! lockstep FNV-1a checksum pass that runs before them, kept in one
 //! module so the decode hot loop is in one place.
 
-use crate::flowtuple::{get_varint, put_varint, FlowTuple};
+#[cfg(test)]
+use crate::flowtuple::put_varint;
+use crate::flowtuple::{get_varint, FlowTuple};
 use crate::protocol::{TcpFlags, TransportProtocol};
 use crate::NetError;
+use std::borrow::Borrow;
 
 /// Number of per-record columns in a v3 block (src, dst, src_port,
 /// dst_port, protocol, ttl, tcp_flags, ip_len, packets).
@@ -127,20 +130,35 @@ impl ColumnBlock {
     /// v3 decode (in-memory hours, legacy files) reach column consumers.
     /// The inverse of [`flows`](Self::flows).
     pub fn fill(&mut self, flows: &[FlowTuple]) {
-        let fields: [fn(&FlowTuple) -> u32; COLUMNS] = [
-            |f| u32::from(f.src_ip),
-            |f| u32::from(f.dst_ip),
-            |f| u32::from(f.src_port),
-            |f| u32::from(f.dst_port),
-            |f| u32::from(f.protocol.number()),
-            |f| u32::from(f.ttl),
-            |f| u32::from(f.tcp_flags.bits()),
-            |f| u32::from(f.ip_len),
-            |f| f.packets,
-        ];
-        for (col, field) in self.cols.iter_mut().zip(fields) {
-            col.clear();
-            col.extend(flows.iter().map(field));
+        self.fill_from(flows);
+    }
+
+    /// [`fill`](Self::fill) over owned or borrowed records (the encoder
+    /// passes its sorted references): one pass reads each record once
+    /// and scatters its nine fields into the columns.
+    pub(super) fn fill_from<T: Borrow<FlowTuple>>(&mut self, flows: &[T]) {
+        let n = flows.len();
+        // Every slot below `n` is overwritten, so old contents may stay.
+        for col in &mut self.cols {
+            col.resize(n, 0);
+        }
+        let [src, dst, src_port, dst_port, proto, ttl, tcp_flags, ip_len, packets] = &mut self.cols;
+        // Slicing to `n` up front lets the compiler drop the per-store
+        // bounds checks.
+        let (src, dst, packets) = (&mut src[..n], &mut dst[..n], &mut packets[..n]);
+        let (src_port, dst_port, proto) = (&mut src_port[..n], &mut dst_port[..n], &mut proto[..n]);
+        let (ttl, tcp_flags, ip_len) = (&mut ttl[..n], &mut tcp_flags[..n], &mut ip_len[..n]);
+        for (i, f) in flows.iter().enumerate() {
+            let f = f.borrow();
+            src[i] = u32::from(f.src_ip);
+            dst[i] = u32::from(f.dst_ip);
+            src_port[i] = u32::from(f.src_port);
+            dst_port[i] = u32::from(f.dst_port);
+            proto[i] = u32::from(f.protocol.number());
+            ttl[i] = u32::from(f.ttl);
+            tcp_flags[i] = u32::from(f.tcp_flags.bits());
+            ip_len[i] = u32::from(f.ip_len);
+            packets[i] = f.packets;
         }
     }
 }
@@ -157,11 +175,64 @@ pub(super) fn unzigzag(v: u32) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
+/// Write `v` as a LEB128 varint at `buf[pos..]` with one unaligned
+/// 8-byte store, returning its encoded length (1–5). The mirror image
+/// of the decoder's SWAR loop: the five 7-bit groups are spread to
+/// bytes 0–4 with constant shifts, the length comes from
+/// `leading_zeros` (`⌈bits / 7⌉`, at least 1), and the continuation
+/// bits of all but the last byte are set with one mask. The bytes past
+/// the varint are zeros the next store (or the caller's truncate)
+/// overwrites, so `buf` needs 8 bytes at `pos` whatever the length.
+#[inline]
+pub(super) fn put_varint_wide(buf: &mut [u8], pos: usize, v: u32) -> usize {
+    let bits = 32 - (v | 1).leading_zeros() as usize;
+    // ⌈bits / 7⌉ for bits in 1..=32, without a divide.
+    let len = (bits * 9 + 63) >> 6;
+    let w = u64::from(v);
+    let groups = (w & 0x7f)
+        | (w << 1 & 0x7f00)
+        | (w << 2 & 0x7f_0000)
+        | (w << 3 & 0x7f00_0000)
+        | (w << 4 & 0x0f_0000_0000);
+    let continuation = 0x8080_8080u64 >> (8 * (5 - len));
+    buf[pos..pos + 8].copy_from_slice(&(groups | continuation).to_le_bytes());
+    len
+}
+
 /// Append one column of per-record values as varints, collapsing runs
 /// of zeros: a zero value is followed by a varint count of *additional*
 /// zeros it stands for. Near-constant columns (ports, protocol, flags,
 /// packet counts — zero deltas) collapse to a few bytes per run.
+///
+/// `out` grows once per column to its worst case — 5 bytes per record
+/// (a 5-byte varint, or a zero plus its run length standing for at
+/// least one record) plus the 8-byte store's overhang — every varint
+/// goes in with [`put_varint_wide`], and the unused tail is truncated
+/// at the end.
 pub(super) fn put_rle_column(out: &mut Vec<u8>, vals: &[u32]) {
+    let start = out.len();
+    out.resize(start + 5 * vals.len() + 8, 0);
+    let buf = &mut out[start..];
+    let mut pos = 0;
+    let mut i = 0;
+    while i < vals.len() {
+        let v = vals[i];
+        pos += put_varint_wide(buf, pos, v);
+        i += 1;
+        if v == 0 {
+            let run = vals[i..].iter().take_while(|&&z| z == 0).count();
+            i += run;
+            pos += put_varint_wide(buf, pos, run as u32);
+        }
+    }
+    out.truncate(start + pos);
+}
+
+/// The per-byte column writer [`put_rle_column`] replaced: one
+/// [`put_varint`] call per varint. Test-only reference for the
+/// encoder oracle.
+#[cfg(test)]
+pub(super) fn put_rle_column_per_byte(out: &mut Vec<u8>, vals: &[u32]) {
     let mut i = 0;
     while i < vals.len() {
         let v = vals[i];
@@ -389,11 +460,56 @@ pub(super) fn get_rle_column_into(
     Ok(())
 }
 
-/// Encode one v3 block: each field becomes a delta column (predictors
-/// start at zero, so blocks decode independently). Source addresses are
-/// ascending in sorted hours, so they use plain wrapping deltas; every
-/// other field uses zigzag deltas so small oscillations stay small.
-pub(super) fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
+/// In-place wrapping deltas, predictor starting at 0: the inverse of
+/// [`prefix_sum_wrapping`]. Each output reads only two inputs, so the
+/// loop vectorizes.
+fn delta_wrapping(vals: &mut [u32]) {
+    let mut prev = 0u32;
+    for v in vals {
+        let cur = *v;
+        *v = cur.wrapping_sub(prev);
+        prev = cur;
+    }
+}
+
+/// In-place zigzag deltas, predictor starting at 0: the inverse of
+/// [`unzigzag_prefix_sum`]. For the narrow columns (ports, protocol,
+/// ttl, flags, length) the wrapping difference *is* the `i32`
+/// difference, so one formula serves every zigzag column.
+fn zigzag_delta(vals: &mut [u32]) {
+    let mut prev = 0u32;
+    for v in vals {
+        let cur = *v;
+        *v = zigzag(cur.wrapping_sub(prev) as i32);
+        prev = cur;
+    }
+}
+
+/// Encode one v3 block and append its payload to `out` — the column
+/// kernel, the mirror image of [`decode_block_columnar_into`]. One
+/// pass transposes the records into `scratch`'s nine columns
+/// ([`ColumnBlock::fill_from`]), then each column is delta'd in place
+/// by a whole-column pass (predictors start at zero, so blocks decode
+/// independently) and written by [`put_rle_column`]. Source addresses
+/// are ascending in sorted hours, so they use plain wrapping deltas;
+/// every other field uses zigzag deltas so small oscillations stay
+/// small. Byte-identical to the per-record reference encoder
+/// (`encode_block_per_record`, test-only; proptest-pinned).
+pub(super) fn encode_block(records: &[&FlowTuple], scratch: &mut ColumnBlock, out: &mut Vec<u8>) {
+    scratch.fill_from(records);
+    let [src, rest @ ..] = &mut scratch.cols;
+    delta_wrapping(src);
+    put_rle_column(out, src);
+    for col in rest {
+        zigzag_delta(col);
+        put_rle_column(out, col);
+    }
+}
+
+/// Encode one v3 block one record and one byte at a time: the encoder
+/// [`encode_block`] replaced, kept as its test-only oracle.
+#[cfg(test)]
+pub(super) fn encode_block_per_record(records: &[&FlowTuple]) -> Vec<u8> {
     let n = records.len();
     let mut out = Vec::with_capacity(n * 8);
     let mut col = Vec::with_capacity(n);
@@ -408,7 +524,7 @@ pub(super) fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
         prev = ip;
         d
     });
-    put_rle_column(&mut out, &col);
+    put_rle_column_per_byte(&mut out, &col);
     let mut prev = 0u32;
     fill(&mut col, &mut |r| {
         let ip = u32::from(r.dst_ip);
@@ -416,7 +532,7 @@ pub(super) fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
         prev = ip;
         d
     });
-    put_rle_column(&mut out, &col);
+    put_rle_column_per_byte(&mut out, &col);
     for field in [
         (&|r: &FlowTuple| i32::from(r.src_port)) as &dyn Fn(&FlowTuple) -> i32,
         &|r| i32::from(r.dst_port),
@@ -432,7 +548,7 @@ pub(super) fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
             prev = v;
             d
         });
-        put_rle_column(&mut out, &col);
+        put_rle_column_per_byte(&mut out, &col);
     }
     let mut prev = 0u32;
     fill(&mut col, &mut |r| {
@@ -440,7 +556,7 @@ pub(super) fn encode_block(records: &[&FlowTuple]) -> Vec<u8> {
         prev = r.packets;
         d
     });
-    put_rle_column(&mut out, &col);
+    put_rle_column_per_byte(&mut out, &col);
     out
 }
 

@@ -97,6 +97,11 @@ pub fn encode_hour(hour: UnixHour, flows: &[FlowTuple], options: StoreOptions) -
 /// The v3 encoder. `sorted` is the delta flag: every hour this crate
 /// writes is sorted; compaction passes `false` only to transcode a
 /// plain legacy hour without reordering its records.
+///
+/// The block count is known up front, so the header and index are
+/// reserved at the front of the output and every block payload is
+/// encoded straight into place behind them (one reused column scratch,
+/// no per-block buffer); the index and header are filled in last.
 pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Vec<u8> {
     let mut ordered: Vec<&FlowTuple> = flows.iter().collect();
     if sorted {
@@ -104,32 +109,31 @@ pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Ve
         // hour decodes to the identical record sequence.
         ordered.sort_by_key(|f| (u32::from(f.src_ip), u32::from(f.dst_ip), f.dst_port));
     }
-    let blocks: Vec<(u32, Vec<u8>)> = ordered
-        .chunks(BLOCK_RECORDS)
-        .map(|chunk| (chunk.len() as u32, block::encode_block(chunk)))
-        .collect();
-    let index_len = 4 + blocks.len() * INDEX_ENTRY;
-    let payload_len: usize = blocks.iter().map(|(_, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(HEADER + index_len + payload_len);
-    out.extend_from_slice(MAGIC_V3);
-    out.put_u8(if sorted { FLAG_DELTA } else { 0 });
-    out.put_u64(hour.get());
-    out.put_u32(flows.len() as u32);
-    let mut index = Vec::with_capacity(index_len);
-    index.put_u32(blocks.len() as u32);
-    for (count, payload) in &blocks {
-        index.put_u32(*count);
+    let num_blocks = ordered.len().div_ceil(BLOCK_RECORDS);
+    let index_end = HEADER + 4 + num_blocks * INDEX_ENTRY;
+    let mut out = vec![0u8; index_end];
+    let mut index = Vec::with_capacity(index_end - HEADER);
+    index.put_u32(num_blocks as u32);
+    let mut scratch = ColumnBlock::default();
+    for chunk in ordered.chunks(BLOCK_RECORDS) {
+        let start = out.len();
+        block::encode_block(chunk, &mut scratch, &mut out);
+        let payload = &out[start..];
+        index.put_u32(chunk.len() as u32);
         index.put_u32(payload.len() as u32);
         index.put_u64(block::fnv1a(payload));
     }
+    let mut head = Vec::with_capacity(index_end);
+    head.extend_from_slice(MAGIC_V3);
+    head.put_u8(if sorted { FLAG_DELTA } else { 0 });
+    head.put_u64(hour.get());
+    head.put_u32(flows.len() as u32);
     let mut hasher = Fnv1a::new();
-    hasher.update(&out[..HEADER_HASHED]);
+    hasher.update(&head);
     hasher.update(&index);
-    out.put_u64(hasher.finish());
-    out.extend_from_slice(&index);
-    for (_, payload) in &blocks {
-        out.extend_from_slice(payload);
-    }
+    head.put_u64(hasher.finish());
+    head.extend_from_slice(&index);
+    out[..index_end].copy_from_slice(&head);
     out
 }
 

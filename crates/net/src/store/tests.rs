@@ -4,9 +4,10 @@
 //! test-only encoders).
 
 use super::block::{
-    decode_block_columnar_into, decode_block_into, encode_block, first_where, fnv1a,
-    fnv1a_lockstep, get_rle_column_into, prefix_sum_wrapping, put_rle_column, swar_varint,
-    take_varint, unzigzag, unzigzag_prefix_sum, zigzag, BlockScratch, CHECKSUM_LANES,
+    decode_block_columnar_into, decode_block_into, encode_block, encode_block_per_record,
+    first_where, fnv1a, fnv1a_lockstep, get_rle_column_into, prefix_sum_wrapping, put_rle_column,
+    put_varint_wide, swar_varint, take_varint, unzigzag, unzigzag_prefix_sum, zigzag, BlockScratch,
+    CHECKSUM_LANES, COLUMNS,
 };
 use super::format::{encode_v3, HEADER_HASHED, INDEX_ENTRY};
 use super::legacy::{Legacy, MIN_RECORD_BYTES};
@@ -550,6 +551,163 @@ fn rle_column_roundtrips_and_rejects_overflow() {
     assert!(format!("{err}").contains("zero run"));
 }
 
+#[test]
+fn put_varint_wide_matches_put_varint_at_every_7_bit_edge() {
+    let mut edges = vec![0u32, u32::MAX];
+    for k in 1..=4 {
+        let p = 1u32 << (7 * k);
+        edges.extend([p - 1, p]);
+    }
+    for v in edges {
+        let mut want = Vec::new();
+        put_varint(&mut want, v);
+        // At the very end of a buffer, behind bytes it must not touch.
+        let mut buf = vec![0xee_u8; 3 + 8];
+        let len = put_varint_wide(&mut buf, 3, v);
+        assert_eq!(len, want.len(), "length of {v:#x}");
+        assert_eq!(&buf[3..3 + len], &want[..], "bytes of {v:#x}");
+        assert_eq!(&buf[..3], &[0xee; 3], "{v:#x} wrote before its position");
+        assert!(buf[3 + len..].iter().all(|&b| b == 0), "{v:#x} overhang");
+    }
+}
+
+/// [`encode_block`] run the way [`encode_v3`] runs it — appending to
+/// bytes already in the output, with a reused scratch — returning only
+/// the block's payload.
+fn kernel_payload(records: &[&FlowTuple], scratch: &mut ColumnBlock) -> Vec<u8> {
+    let mut out = vec![0xa5_u8; 3];
+    encode_block(records, scratch, &mut out);
+    assert_eq!(&out[..3], &[0xa5; 3], "the kernel must only append");
+    out.split_off(3)
+}
+
+/// The kernel and the per-record oracle produce the same bytes for
+/// `flows` in its given order and reversed (descending sources: every
+/// delta wraps), through one scratch; the bytes decode back to `flows`.
+fn assert_kernel_matches_oracle(flows: &[FlowTuple]) {
+    let mut scratch = ColumnBlock::default();
+    let forward: Vec<&FlowTuple> = flows.iter().collect();
+    let reversed: Vec<&FlowTuple> = flows.iter().rev().collect();
+    let payload = kernel_payload(&forward, &mut scratch);
+    assert_eq!(payload, encode_block_per_record(&forward));
+    assert_eq!(
+        kernel_payload(&reversed, &mut scratch),
+        encode_block_per_record(&reversed)
+    );
+    let mut block = ColumnBlock::default();
+    decode_block_columnar_into(&payload, flows.len(), &mut block).unwrap();
+    assert_eq!(block.flows().collect::<Vec<_>>(), flows);
+}
+
+/// A block of `n` records whose fields are laid out column by column as
+/// runs of `(kind, value, length)`, repeated to fill the block: kind 0
+/// is zero, 1 the field's maximum (5-byte varints, and `u32::MAX`
+/// deltas in the 32-bit columns next to a zero), 2 `value` held for the
+/// run (zero deltas after its first record), 3 fresh noise every
+/// record. Column `zero_column`, if in range, is zero throughout — an
+/// all-zero delta column.
+fn run_shaped_block(
+    n: usize,
+    columns: &[Vec<(u8, u32, usize)>],
+    zero_column: usize,
+) -> Vec<FlowTuple> {
+    use crate::protocol::TransportProtocol;
+    let cols: Vec<Vec<u32>> = columns
+        .iter()
+        .enumerate()
+        .map(|(c, runs)| {
+            let mut vals = Vec::with_capacity(n);
+            for &(kind, value, len) in runs.iter().cycle() {
+                for i in 0..len {
+                    vals.push(match kind {
+                        _ if c == zero_column => 0,
+                        0 => 0,
+                        1 => u32::MAX,
+                        2 => value,
+                        _ => value.wrapping_mul(0x9e37_79b9).rotate_left(i as u32 % 32) ^ i as u32,
+                    });
+                }
+                if vals.len() >= n {
+                    break;
+                }
+            }
+            vals.truncate(n);
+            vals
+        })
+        .collect();
+    (0..n)
+        .map(|i| FlowTuple {
+            src_ip: Ipv4Addr::from(cols[0][i]),
+            dst_ip: Ipv4Addr::from(cols[1][i]),
+            src_port: cols[2][i] as u16,
+            dst_port: cols[3][i] as u16,
+            protocol: TransportProtocol::ALL[cols[4][i] as usize % 3],
+            ttl: cols[5][i] as u8,
+            tcp_flags: TcpFlags::from_bits(cols[6][i] as u8),
+            ip_len: cols[7][i] as u16,
+            packets: cols[8][i],
+        })
+        .collect()
+}
+
+#[test]
+fn encode_block_matches_oracle_on_edge_shapes() {
+    let zero = FlowTuple {
+        src_ip: Ipv4Addr::from(0),
+        dst_ip: Ipv4Addr::from(0),
+        src_port: 0,
+        dst_port: 0,
+        protocol: crate::protocol::TransportProtocol::ALL[0],
+        ttl: 0,
+        tcp_flags: TcpFlags::from_bits(0),
+        ip_len: 0,
+        packets: 0,
+    };
+    let max = FlowTuple {
+        src_ip: Ipv4Addr::from(u32::MAX),
+        dst_ip: Ipv4Addr::from(0x8000_0000),
+        src_port: u16::MAX,
+        dst_port: u16::MAX,
+        protocol: crate::protocol::TransportProtocol::ALL[2],
+        ttl: u8::MAX,
+        tcp_flags: TcpFlags::from_bits(u8::MAX),
+        ip_len: u16::MAX,
+        packets: 0x8000_0000,
+    };
+    for block in [
+        vec![zero],                             // every column all-zero
+        vec![max],                              // 5-byte varints, u32::MAX zigzags
+        vec![zero, max, zero],                  // u32::MAX deltas both ways
+        vec![max; BLOCK_RECORDS],               // one value, then a 4,095-zero run
+        vec![zero; BLOCK_RECORDS],              // one run the whole block long
+        [vec![zero; 9], vec![max; 9]].concat(), // runs at both ends
+    ] {
+        assert_kernel_matches_oracle(&block);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The column kernel writes exactly the oracle's bytes on blocks of
+    /// 1…4,096 records: zero runs anywhere in a column (both ends
+    /// included), all-zero columns, 5-byte varints and `u32::MAX`
+    /// deltas, and input in any order (shuffled, sorted, or descending).
+    #[test]
+    fn prop_encode_block_matches_per_record_oracle(
+        n in 1usize..=BLOCK_RECORDS,
+        columns in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, any::<u32>(), 1usize..700), 1..10),
+            COLUMNS,
+        ),
+        zero_column in 0usize..2 * COLUMNS,
+        sort: bool,
+    ) {
+        let flows = run_shaped_block(n, &columns, zero_column);
+        assert_kernel_matches_oracle(&if sort { sorted(flows) } else { flows });
+    }
+}
+
 /// A sink that also records slice boundaries, to prove streaming
 /// really delivers per-block (and that order is preserved).
 #[derive(Default)]
@@ -893,7 +1051,7 @@ proptest! {
     ) {
         let flows = tuples_to_flows(raw);
         let refs: Vec<&FlowTuple> = flows.iter().collect();
-        let mut payload = encode_block(&refs);
+        let mut payload = encode_block_per_record(&refs);
         let pristine = mutations.is_empty() || payload.is_empty();
         for (idx, x) in mutations {
             if !payload.is_empty() {
@@ -948,7 +1106,7 @@ proptest! {
     ) {
         let flows = tuples_to_flows(raw);
         let refs: Vec<&FlowTuple> = flows.iter().collect();
-        let payload = encode_block(&refs);
+        let payload = encode_block_per_record(&refs);
         // Exact boundary: both decoders consume the whole payload.
         let mut scratch = BlockScratch::default();
         decode_block_into(&payload, flows.len(), &mut scratch).unwrap();
