@@ -3,7 +3,9 @@
 use crate::{ArgParser, CliError, ParsedArgs};
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
-use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoreReadStats};
+use iotscope_core::pipeline::{
+    AnalysisOutcome, AnalysisPipeline, AnalyzeOptions, StoreReadStats, StoredWindow,
+};
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
 use iotscope_core::stream::{Alert, StreamConfig};
@@ -111,8 +113,9 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The worker count of the write verbs' hour fan-out: every core.
-fn write_workers() -> usize {
+/// Every core: the worker count of the write verbs' hour fan-out and of
+/// the daemon's start-up analysis.
+fn all_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
@@ -154,7 +157,7 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
         FlowStore::create(out.join("darknet"), StoreOptions::default())?.instrumented(&registry);
     let hours = built.scenario.generate();
     let flows: usize = hours.iter().map(|h| h.flows.len()).sum();
-    for_each_hour(&hours, write_workers(), |ht| {
+    for_each_hour(&hours, all_cores(), |ht| {
         Ok(store.write_hour(ht.hour, &ht.flows)?)
     })?;
 
@@ -187,58 +190,79 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     Ok(text)
 }
 
-/// A data directory's store and its work list: every hour of the paper
-/// window the store holds, with its interval. (Presence is the whole
-/// rule here; only `analyze` applies the paper's day-completeness
-/// rule.)
-struct StoredWindow {
-    store: FlowStore,
-    hours: Vec<(u32, UnixHour)>,
-}
-
 /// The timer `analyze`, `serve` and `watch` record the inventory load
 /// under: the start-up cost every verb pays before it touches a flow.
 const INVENTORY_LOAD_TIME: &str = "inventory.load_time";
 
-/// Open a data directory's stored window.
-fn open_window(dir: &Path) -> Result<StoredWindow, CliError> {
+/// Open a data directory's store and apply the paper's window rule to
+/// it: every verb reads the hours of the returned [`StoredWindow`], so
+/// every verb drops the days `analyze` drops. A store that keeps no
+/// hour of the window is an error.
+fn open_window(dir: &Path) -> Result<(FlowStore, StoredWindow), CliError> {
     let store = FlowStore::open(dir.join("darknet"))?;
-    let hours: Vec<_> = AnalysisWindow::paper()
-        .iter_intervals()
-        .filter(|(_, hour)| store.has_hour(*hour))
-        .collect();
-    if hours.is_empty() {
+    let stored = StoredWindow::of(&store, AnalysisWindow::paper());
+    if stored.work.is_empty() {
         return Err(CliError::Run(format!(
             "no hourly flowtuple files under {}/darknet",
             dir.display()
         )));
     }
-    Ok(StoredWindow { store, hours })
+    Ok((store, stored))
 }
 
-/// Load a data directory's inventory and batch-analyze every window
-/// hour its store holds, straight from the store (no hour is
-/// materialized). A store error names the first hour that fails to
-/// read — the one whose error the pipeline reports.
-fn analyze_window(dir: &Path, threads: usize) -> Result<(LoadedInventory, Analysis), CliError> {
-    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
-    let window = open_window(dir)?;
-    let analysis = AnalysisPipeline::new(&inventory.db, AnalysisWindow::paper().num_hours())
-        .run(
-            AnalysisSource::StoreHours(&window.store, &window.hours),
-            &AnalyzeOptions::new().threads(threads),
-        )
+/// The line every verb prints first when the window rule dropped days,
+/// in one format; empty on a store with no short day, so output there
+/// is unchanged.
+fn dropped_days_note(label: &str, w: &StoredWindow) -> String {
+    if w.dropped_days.is_empty() {
+        return String::new();
+    }
+    let (kept, skipped, missing) = (w.work.len(), w.hours_skipped, w.hours_missing);
+    format!(
+        "{label}: dropped incomplete days {:?} ({kept} hours kept, {skipped} skipped, {missing} missing)\n",
+        w.dropped_days
+    )
+}
+
+/// A store error that names the hour it struck: how every read verb
+/// reports a bad hour.
+fn hour_error(interval: u32, hour: UnixHour, e: NetError) -> CliError {
+    CliError::Run(format!("store error: {hour} (interval {interval}): {e}"))
+}
+
+/// Batch-analyze a data directory's stored window straight from the
+/// store (no hour is materialized): the one analysis behind every verb.
+/// A store error names the first window hour that fails to read — the
+/// one whose error the pipeline reports.
+fn analyze_window(
+    inventory: &LoadedInventory,
+    store: &FlowStore,
+    stored: &StoredWindow,
+    options: AnalyzeOptions,
+) -> Result<AnalysisOutcome, CliError> {
+    AnalysisPipeline::new(&inventory.db, stored.window.num_hours())
+        .run(store, &options.window(stored.window))
         .map_err(|e| {
-            let mut hours = window.hours.iter();
-            match hours.find(|(_, hour)| window.store.read_hour(*hour).is_err()) {
-                Some((interval, hour)) => {
-                    CliError::Run(format!("store error: {hour} (interval {interval}): {e}"))
-                }
+            let mut hours = stored.work.iter();
+            match hours.find(|(_, hour)| store.read_hour(*hour).is_err()) {
+                Some(&(interval, hour)) => hour_error(interval, hour, e),
                 None => e.into(),
             }
-        })?
-        .analysis;
-    Ok((inventory, analysis))
+        })
+}
+
+/// Load a data directory's inventory and [`analyze_window`] its stored
+/// window with `threads` workers: what `validate` and each side of
+/// `diff` certify or compare.
+fn analyze_dir(
+    dir: &Path,
+    threads: usize,
+) -> Result<(LoadedInventory, StoredWindow, Analysis), CliError> {
+    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let (store, stored) = open_window(dir)?;
+    let options = AnalyzeOptions::new().threads(threads);
+    let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
+    Ok((inventory, stored, analysis))
 }
 
 fn data_dir(opts: &ParsedArgs) -> Result<PathBuf, CliError> {
@@ -263,45 +287,30 @@ fn synth_intel(inventory: &LoadedInventory, analysis: &Analysis) -> IntelOutput 
     IntelBuilder::new(IntelSynthConfig::paper(seed)).build(&inventory.db, &candidates)
 }
 
-/// Synthesize a threat-intel context for `watch --intel` /
-/// `serve --intel` from one batch analysis of the stored window. The
-/// pass runs the store-backed pipeline on every core: it is start-up
-/// work, nothing is being served yet.
-fn build_intel_context(
-    inventory: &LoadedInventory,
-    window: &StoredWindow,
-) -> Result<IntelContext, CliError> {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let analysis = AnalysisPipeline::new(&inventory.db, AnalysisWindow::paper().num_hours())
-        .run(
-            AnalysisSource::StoreHours(&window.store, &window.hours),
-            &AnalyzeOptions::new().threads(threads),
-        )?
-        .analysis;
-    Ok(IntelContext::from_synth(synth_intel(inventory, &analysis)))
-}
-
 /// Start a [`TelescopeService`] over a data directory for `watch` and
-/// `serve`: load the inventory, list the store's hours and, with
-/// `intel`, run the bootstrap pass — everything the daemon does before
-/// it is ready to ingest, timed as one span of `serve.startup_time` in
-/// the service's registry (with `inventory.load_time` inside it), so
-/// `/metrics` can say what a restart costs.
-fn start_service(dir: &Path, intel: bool) -> Result<(TelescopeService, StoredWindow), CliError> {
+/// `serve`: load the inventory, open the stored window and, with
+/// `intel`, synthesize the intel from one batch analysis of it on every
+/// core — everything the daemon does before it is ready to ingest,
+/// timed as one span of `serve.startup_time` in the service's registry
+/// (with `inventory.load_time` inside it), so `/metrics` can say what a
+/// restart costs.
+fn start_service(
+    dir: &Path,
+    intel: bool,
+) -> Result<(TelescopeService, FlowStore, StoredWindow), CliError> {
     let started = Instant::now();
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let load_time = started.elapsed();
-    let window = open_window(dir)?;
+    let (store, stored) = open_window(dir)?;
     let intel = if intel {
-        Some(build_intel_context(&inventory, &window)?)
+        let options = AnalyzeOptions::new().threads(all_cores());
+        let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
+        Some(IntelContext::from_synth(synth_intel(&inventory, &analysis)))
     } else {
         None
     };
-    let mut service = TelescopeService::new(
-        inventory.db,
-        inventory.isps,
-        AnalysisWindow::paper().num_hours(),
-    );
+    let mut service =
+        TelescopeService::new(inventory.db, inventory.isps, stored.window.num_hours());
     if let Some(ctx) = intel {
         service = service.with_intel(ctx);
     }
@@ -310,32 +319,74 @@ fn start_service(dir: &Path, intel: bool) -> Result<(TelescopeService, StoredWin
     registry
         .timer("serve.startup_time")
         .record(started.elapsed());
-    Ok((service, window))
+    Ok((service, store, stored))
 }
 
-/// Ingest the stored window into `service`, each hour read, decoded and
-/// folded in one fused pass and published before the next is read.
-fn ingest_window(
+/// Replay the stored window into `service` for `watch` and `serve`,
+/// each hour read, decoded and folded in one fused pass and published
+/// before the next is read: print the dropped-days line, then stream
+/// every alert but device discovery to `out` as it fires. Returns the
+/// final analysis, the alert log and the number of devices discovered.
+fn replay(
     service: &TelescopeService,
-    window: &StoredWindow,
-    on_alert: &mut dyn FnMut(&Alert),
-) -> Result<(Analysis, Vec<Alert>), NetError> {
-    service.ingest_with(
-        &window.hours,
+    store: &FlowStore,
+    stored: &StoredWindow,
+    out: &mut dyn io::Write,
+) -> Result<(Analysis, Vec<Alert>, usize), CliError> {
+    write!(out, "{}", dropped_days_note("window", stored))?;
+    out.flush()?;
+    let mut discovered = 0usize;
+    let mut write_err: Option<std::io::Error> = None;
+    let mut on_alert = |alert: &Alert| {
+        if let Alert::NewDevices { count, .. } = alert {
+            discovered += count;
+        } else if write_err.is_none() {
+            write_err = writeln!(out, "{alert}").and_then(|()| out.flush()).err();
+        }
+    };
+    let ingested = service.ingest_with(
+        &stored.work,
         StreamConfig::default(),
-        on_alert,
-        |stream, &(interval, hour)| stream.push_store_hour(&window.store, interval, hour),
-    )
+        &mut on_alert,
+        |stream, &(interval, hour)| {
+            stream
+                .push_store_hour(store, interval, hour)
+                .map_err(|e| hour_error(interval, hour, e))
+        },
+    );
+    if let Some(e) = write_err {
+        return Err(e.into());
+    }
+    let (analysis, alerts) = ingested?;
+    Ok((analysis, alerts, discovered))
+}
+
+/// What `watch` and `serve` print after their summary line: the count
+/// of devices the intel stage scored and, with `--metrics`, the
+/// service's registry.
+fn replay_footer(
+    service: &TelescopeService,
+    format: Option<MetricsFormat>,
+    out: &mut dyn io::Write,
+) -> Result<(), CliError> {
+    if let Some(scores) = &service.snapshot().scores {
+        writeln!(out, "{} devices scored by threat intel", scores.len())?;
+    }
+    if let Some(format) = format {
+        let snapshot = service.registry().snapshot();
+        write!(out, "{}", render_metrics(&snapshot, format))?;
+    }
+    out.flush()?;
+    Ok(())
 }
 
 /// `iotscope analyze --data DIR [--intel] [--threads N] [--stats] [--metrics[=FMT]]`
 ///
-/// Runs the store-backed pipeline: hour files are read, decoded, and
-/// aggregated by a pool of `--threads` workers (default 8) directly
-/// from `DIR/darknet`, applying the paper's day-completeness rule.
-/// `--stats` appends per-stage accounting, `--metrics` the full
-/// observability snapshot. `--store` is accepted as an alias for
-/// `--data`.
+/// Runs the store-backed pipeline over the stored window: hour files
+/// are read, decoded, and aggregated by a pool of `--threads` workers
+/// (default 8) directly from `DIR/darknet`. `--stats` appends per-stage
+/// accounting, `--metrics` the full observability snapshot. `--store`
+/// is accepted as an alias for `--data`.
 pub fn analyze(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--data")
@@ -351,24 +402,13 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
         let _load = registry.timer(INVENTORY_LOAD_TIME).span();
         inventory_io::load(dir.join("inventory.tsv"))?
     };
-    let store = FlowStore::open(dir.join("darknet"))?;
-    let window = AnalysisWindow::paper();
-    let pipeline = AnalysisPipeline::new(&inventory.db, window.num_hours());
-    let mut options = AnalyzeOptions::new()
-        .window(window)
-        .threads(threads)
-        .stats(true);
+    let (store, stored) = open_window(&dir)?;
+    let mut options = AnalyzeOptions::new().threads(threads).stats(true);
     if format.is_some() {
         options = options.metrics(&registry);
     }
-    let outcome = pipeline.run(&store, &options)?;
+    let outcome = analyze_window(&inventory, &store, &stored, options)?;
     let stats = outcome.stats.as_ref().expect("stats were requested");
-    if stats.hours_ingested == 0 {
-        return Err(CliError::Run(format!(
-            "no hourly flowtuple files under {}/darknet",
-            dir.display()
-        )));
-    }
     let analysis = outcome.analysis;
 
     let intel_out;
@@ -389,9 +429,10 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
         isps: &inventory.isps,
         intel,
     });
-    let mut text = report.render();
+    let mut text = dropped_days_note("window", &stored);
+    text.push_str(&report.render());
     if opts.has("--stats") {
-        text.push_str(&render_store_stats(stats, &outcome.dropped_days));
+        text.push_str(&render_store_stats(stats, &stored.dropped_days));
     }
     if let Some(format) = format {
         let snapshot = outcome.metrics.expect("metrics were requested");
@@ -427,9 +468,10 @@ fn render_store_stats(stats: &StoreReadStats, dropped_days: &[u32]) -> String {
 
 /// `iotscope watch --data DIR [--intel] [--metrics[=FMT]]`, streaming:
 /// alert lines reach `out` as each hour's ingest raises them, not in
-/// one buffered block at exit — the same live loop the serve daemon
-/// runs. `--intel` attaches the incremental score stage, so severity
-/// escalations stream interleaved with the behavioral alerts.
+/// one buffered block at exit — the same live loop, over the same
+/// stored window, as the serve daemon. `--intel` attaches the
+/// incremental score stage, so severity escalations stream interleaved
+/// with the behavioral alerts.
 pub fn watch_to(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
     let opts = ArgParser::new()
         .value("--data")
@@ -437,42 +479,17 @@ pub fn watch_to(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError
         .optional_value("--metrics")
         .parse(args)?;
     let format = metrics_format(&opts)?;
-    let (service, window) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
-    let mut discovered = 0usize;
-    let mut write_err: Option<std::io::Error> = None;
-    let ingested = ingest_window(&service, &window, &mut |alert| {
-        if let Alert::NewDevices { count, .. } = alert {
-            discovered += count;
-            return;
-        }
-        if write_err.is_none() {
-            write_err = writeln!(out, "{alert}").and_then(|()| out.flush()).err();
-        }
-    });
-    if let Some(e) = write_err {
-        return Err(e.into());
-    }
-    let (analysis, alerts) = ingested?;
+    let (service, store, stored) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
+    let (analysis, alerts, discovered) = replay(&service, &store, &stored, out)?;
     writeln!(
         out,
         "---\n{} hours replayed, {} devices discovered, {} alerts total, {} compromised devices indexed",
-        window.hours.len(),
+        stored.work.len(),
         discovered,
         alerts.len(),
         analysis.device_count()
     )?;
-    if let Some(scores) = &service.snapshot().scores {
-        writeln!(out, "{} devices scored by threat intel", scores.len())?;
-    }
-    if let Some(format) = format {
-        write!(
-            out,
-            "{}",
-            render_metrics(&service.registry().snapshot(), format)
-        )?;
-    }
-    out.flush()?;
-    Ok(())
+    replay_footer(&service, format, out)
 }
 
 /// Buffered [`watch_to`] (tests and the non-streaming `run` entry).
@@ -486,17 +503,20 @@ pub fn watch(args: &[String]) -> Result<String, CliError> {
 ///
 /// The resident daemon, in this order:
 ///
-/// 1. **start-up**, nothing listening: load the inventory, list the
-///    window hours the store holds and, with `--intel`, analyze them
-///    once through the store-backed pipeline on every core to
-///    synthesize the intel context;
+/// 1. **start-up**, nothing listening: load the inventory, open the
+///    stored window — the hours `analyze` reads, after the paper's
+///    day-completeness rule — and, with `--intel`, analyze them once
+///    through the store-backed pipeline on every core to synthesize the
+///    intel context;
 /// 2. bind the HTTP endpoint and print `serving on http://ADDR` —
-///    readers see the empty epoch-0 snapshot from here;
-/// 3. **ingest**: read, decode and fold the store's hours one at a time
-///    through the shared streaming loop (no hour is materialized, let
-///    alone the window), publishing a snapshot per hour and streaming
-///    non-discovery alerts to `out` as they fire;
-/// 4. print `ingest complete: …`.
+///    readers see the empty epoch-0 snapshot from here — then the
+///    dropped-days line, if the rule dropped any;
+/// 3. **ingest**: read, decode and fold the window's hours one at a
+///    time through the shared streaming loop (no hour is materialized,
+///    let alone the window), publishing a snapshot per hour and
+///    streaming non-discovery alerts to `out` as they fire;
+/// 4. print `ingest complete: …`; the final epoch is `analyze`'s
+///    analysis of the same directory.
 ///
 /// The order is a contract: `serving on` means *ready to ingest* —
 /// everything before it is start-up cost, every hour is decoded after
@@ -520,43 +540,21 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
         .parse(args)?;
     let format = metrics_format(&opts)?;
     let port: u16 = opts.parse_or("--port", 0)?;
-    let (service, window) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
+    let (service, store, stored) = start_service(&data_dir(&opts)?, opts.has("--intel"))?;
     let service = Arc::new(service);
     let server = HttpServer::bind(&format!("127.0.0.1:{port}"), Arc::clone(&service))
         .map_err(|e| CliError::Run(format!("bind failed: {e}")))?;
     writeln!(out, "serving on http://{}", server.local_addr())?;
     out.flush()?;
-    let mut write_err: Option<std::io::Error> = None;
-    let ingested = ingest_window(&service, &window, &mut |alert| {
-        if matches!(alert, Alert::NewDevices { .. }) {
-            return;
-        }
-        if write_err.is_none() {
-            write_err = writeln!(out, "{alert}").and_then(|()| out.flush()).err();
-        }
-    });
-    if let Some(e) = write_err {
-        return Err(e.into());
-    }
-    let (analysis, alerts) = ingested?;
+    let (analysis, alerts, _) = replay(&service, &store, &stored, out)?;
     writeln!(
         out,
         "ingest complete: {} hours, {} compromised devices indexed, {} alerts",
-        window.hours.len(),
+        stored.work.len(),
         analysis.device_count(),
         alerts.len()
     )?;
-    if let Some(scores) = &service.snapshot().scores {
-        writeln!(out, "{} devices scored by threat intel", scores.len())?;
-    }
-    if let Some(format) = format {
-        write!(
-            out,
-            "{}",
-            render_metrics(&service.registry().snapshot(), format)
-        )?;
-    }
-    out.flush()?;
+    replay_footer(&service, format, out)?;
     if opts.has("--once") {
         return Ok(());
     }
@@ -583,21 +581,24 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
         .parse(args)?;
     let threads: usize = opts.parse_or("--threads", 8)?;
     let dir = data_dir(&opts)?;
-    let (inventory, intel) = if opts.has("--intel") {
-        let (inventory, analysis) = analyze_window(&dir, threads)?;
-        let intel = synth_intel(&inventory, &analysis);
-        (inventory, Some(intel))
+    let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
+    let (store, stored) = open_window(&dir)?;
+    let intel = if opts.has("--intel") {
+        let options = AnalyzeOptions::new().threads(threads);
+        let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
+        Some(synth_intel(&inventory, &analysis))
     } else {
-        (inventory_io::load(dir.join("inventory.tsv"))?, None)
+        None
     };
-    let window = open_window(&dir)?;
-    let hours = AnalysisWindow::paper().num_hours();
+    let hours = stored.window.num_hours();
     let mut vectors = HashMap::new();
-    for &(interval, hour) in &window.hours {
-        let flows = window.store.read_hour(hour)?;
+    for &(interval, hour) in &stored.work {
+        let flows = store
+            .read_hour(hour)
+            .map_err(|e| hour_error(interval, hour, e))?;
         behavior::extract_hour(&mut vectors, &inventory.db, hours, interval, &flows);
     }
-    let mut out = String::new();
+    let mut out = dropped_days_note("window", &stored);
 
     let _ = writeln!(out, "== unindexed IoT candidates (fuzzy fingerprinting) ==");
     match FingerprintModel::train(&vectors) {
@@ -689,7 +690,7 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
 /// segment copy with a fresh per-hour file. `--hours-per-segment` must
 /// be at least 1.
 pub fn migrate(args: &[String]) -> Result<String, CliError> {
-    migrate_on(args, write_workers())
+    migrate_on(args, all_cores())
 }
 
 /// [`migrate`] with the `--format v3` rewrite spread over `workers`
@@ -788,6 +789,11 @@ fn migrate_on(args: &[String], workers: usize) -> Result<String, CliError> {
 /// source/destination anonymization — the §VI "share IoT-relevant
 /// malicious empirical data with the research community" path. The
 /// inventory is *not* copied (it is the sensitive part).
+///
+/// Export is a data copy, not an analysis, so it copies *every* stored
+/// hour of the window — the hours of a day the analysis rule drops
+/// too: the recipient applies the rule to the copy and drops the same
+/// days, and no hour is lost on the way.
 pub fn export(args: &[String]) -> Result<String, CliError> {
     use iotscope_net::anon::Anonymizer;
     let opts = ArgParser::new()
@@ -799,30 +805,24 @@ pub fn export(args: &[String]) -> Result<String, CliError> {
     let out: PathBuf = opts.require("--out", "export")?.into();
     let key: u64 = opts.parse_or("--key", 0x1077_5C09)?;
 
-    let src = FlowStore::open(data.join("darknet"))?;
+    let (src, stored) = open_window(&data)?;
     let dst = FlowStore::create(out.join("darknet"), StoreOptions::default())?;
     let anonymizer = Anonymizer::new(key);
-    let window = AnalysisWindow::paper();
     let mut hours = 0usize;
     let mut flows = 0usize;
-    for (_, hour) in window.iter_intervals() {
+    for (interval, hour) in stored.window.iter_intervals() {
         if !src.has_hour(hour) {
             continue;
         }
         let anonymized: Vec<_> = src
-            .read_hour(hour)?
+            .read_hour(hour)
+            .map_err(|e| hour_error(interval, hour, e))?
             .iter()
             .map(|f| anonymizer.anonymize_flow(f))
             .collect();
         flows += anonymized.len();
         dst.write_hour(hour, &anonymized)?;
         hours += 1;
-    }
-    if hours == 0 {
-        return Err(CliError::Run(format!(
-            "no hourly flowtuple files under {}/darknet",
-            data.display()
-        )));
     }
     Ok(format!(
         "exported {hours} anonymized hours ({flows} flows) to {}/darknet/\nprefix structure preserved; identities keyed to --key",
@@ -839,11 +839,12 @@ pub fn diff(args: &[String]) -> Result<String, CliError> {
         .parse(args)?;
     let baseline: PathBuf = opts.require("--baseline", "diff")?.into();
     let threads: usize = opts.parse_or("--threads", 8)?;
-    let (inv_a, before) = analyze_window(&baseline, threads)?;
-    let (inv_b, after) = analyze_window(&data_dir(&opts)?, threads)?;
+    let (inv_a, window_a, before) = analyze_dir(&baseline, threads)?;
+    let (inv_b, window_b, after) = analyze_dir(&data_dir(&opts)?, threads)?;
     let d = iotscope_core::diff::diff(&before, &after);
 
-    let mut out = String::new();
+    let mut out = dropped_days_note("baseline", &window_a);
+    out.push_str(&dropped_days_note("current ", &window_b));
     // Head the diff with each side's headline aggregates, read through
     // the same QueryApi surface the daemon serves.
     for (label, analysis, inv) in [("baseline", &before, &inv_a), ("current ", &after, &inv_b)] {
@@ -887,11 +888,11 @@ pub fn diff(args: &[String]) -> Result<String, CliError> {
 
 /// `iotscope validate --data DIR [--threads N]`
 ///
-/// Compares what the pipeline infers from DIR's traffic against the
-/// ground-truth ledger the simulator wrote (`truth.tsv`): exact recovery
-/// of the planted population, victim precision/recall, and spike-interval
-/// coverage. The command an operator runs to certify an analysis build
-/// against a known scenario.
+/// Compares what the pipeline infers from DIR's traffic — the analysis
+/// `analyze` prints — against the ground-truth ledger the simulator
+/// wrote (`truth.tsv`): exact recovery of the planted population, victim
+/// precision/recall, and spike-interval coverage. The command an
+/// operator runs to certify an analysis build against a known scenario.
 pub fn validate(args: &[String]) -> Result<String, CliError> {
     use iotscope_telescope::ground_truth::{GroundTruth, Role};
     let opts = ArgParser::new()
@@ -902,7 +903,7 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
     let dir = data_dir(&opts)?;
     let truth = GroundTruth::load(dir.join("truth.tsv"))
         .map_err(|e| CliError::Run(format!("truth ledger: {e}")))?;
-    let (_, analysis) = analyze_window(&dir, threads)?;
+    let (_, stored, analysis) = analyze_dir(&dir, threads)?;
 
     let inferred: std::collections::HashSet<_> =
         analysis.compromised_devices().into_iter().collect();
@@ -929,7 +930,7 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
         && false_pos == 0
         && victim_hits == truth_victims.len()
         && spikes_found == truth.dos_spike_intervals.len();
-    let mut out = String::new();
+    let mut out = dropped_days_note("window", &stored);
     let _ = writeln!(
         out,
         "designated devices recovered: {recovered}/{} (false positives: {false_pos})",

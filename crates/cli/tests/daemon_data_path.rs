@@ -1,17 +1,19 @@
 //! What `serve` and `watch` print, pinned byte for byte on complete and
 //! incomplete stores, and how they fail on a corrupt hour.
 //!
-//! The golden files under `golden/` were written by the build that
-//! still materialised the whole window before ingesting it; the daemon
-//! now streams the store hour by hour, and must print the same thing.
-//! Both verbs ingest *every* window hour the store holds — the rule is
-//! presence, not the batch pipeline's day-completeness rule — so a day
-//! that `analyze` would drop still reaches the daemon.
+//! The complete-store goldens under `golden/` were written by the build
+//! that still materialised the whole window before ingesting it; the
+//! daemon now streams the store hour by hour, and must print the same
+//! thing. Both verbs ingest the hours of the paper's day-completeness
+//! rule (§III-A2), the rule every verb applies: a short day that
+//! `analyze` drops never reaches the daemon either, so the final epoch
+//! is `analyze`'s analysis. The short-day goldens were re-pinned when
+//! the daemon stopped ingesting such a day.
 
 mod common;
 
 use common::{args, hour_file};
-use iotscope_cli::commands::{analyze, serve, watch};
+use iotscope_cli::commands::{analyze, investigate, serve, validate, watch};
 use iotscope_cli::CliError;
 use std::path::{Path, PathBuf};
 
@@ -75,21 +77,39 @@ fn one_missing_hour_in_a_kept_day_matches_golden() {
 }
 
 #[test]
-fn a_day_analyze_would_drop_is_still_ingested() {
+fn every_window_verb_sees_the_hours_analyze_keeps() {
     let dir = tiny_store("short-day");
+    let data = dir.to_str().unwrap();
     for hour in 414_504..=414_510 {
         std::fs::remove_file(hour_file(&dir, 17271, hour)).unwrap();
     }
-    // The batch pipeline drops the whole day (17 of 24 hours left)...
-    let stats = analyze(&args(&["--data", dir.to_str().unwrap(), "--stats"])).unwrap();
+    // 17 of day 3's 24 hours are left: every verb drops the whole day,
+    // says so first in the same line, and reads the same 119 hours.
+    const DROPPED: &str =
+        "window: dropped incomplete days [3] (119 hours kept, 17 skipped, 7 missing)\n";
+    let report = analyze(&args(&["--data", data, "--stats"])).unwrap();
+    assert!(report.starts_with(DROPPED), "{report}");
+    assert!(report.contains("hours ingested:  119 ("), "{report}");
+    let compromised = report.split("compromised devices: ").nth(1).unwrap();
+    let compromised = compromised.split(' ').next().unwrap();
+    // The daemon's final epoch is the analysis `analyze` printed.
+    let indexed = format!("{compromised} compromised devices indexed");
+    let serve_golden = include_str!("golden/serve_short_day.txt");
+    let watch_golden = include_str!("golden/watch_short_day.txt");
+    assert!(serve_golden.starts_with(DROPPED) && watch_golden.starts_with(DROPPED));
+    assert!(serve_golden.contains(&format!("ingest complete: 119 hours, {indexed}")));
+    assert!(watch_golden.contains("\n119 hours replayed, ") && watch_golden.contains(&indexed));
+    assert_golden(&dir, serve_golden, watch_golden);
+    // `validate` certifies that analysis (and fails it: the dropped day
+    // held planted devices); `investigate` folds the same hours.
+    let verdict = validate(&args(&["--data", data])).unwrap_err().to_string();
+    assert!(verdict.starts_with(DROPPED), "{verdict}");
     assert!(
-        stats.contains("hours ingested:  119 (7 missing, 17 skipped; dropped days [3])"),
-        "{stats}"
+        verdict.contains(&format!("recovered: {compromised}/")),
+        "{verdict}"
     );
-    // ...the daemon ingests the 136 hours that exist.
-    let golden = include_str!("golden/serve_short_day.txt");
-    assert!(golden.contains("ingest complete: 136 hours"));
-    assert_golden(&dir, golden, include_str!("golden/watch_short_day.txt"));
+    let investigated = investigate(&args(&["--data", data])).unwrap();
+    assert!(investigated.starts_with(DROPPED), "{investigated}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -101,9 +121,12 @@ fn a_corrupt_hour_fails_both_verbs_with_the_store_error() {
     *bytes.last_mut().unwrap() ^= 0xff;
     std::fs::write(&path, bytes).unwrap();
 
-    const MESSAGE: &str = "store error: flowtuple codec error: block 0: \
-                           flowtuple codec error: checksum mismatch (corrupt block)";
+    // Every read verb names the hour, `analyze` included.
+    const MESSAGE: &str = "store error: h414490 (interval 59): flowtuple codec error: \
+                           block 0: flowtuple codec error: checksum mismatch (corrupt block)";
     let data = dir.to_str().unwrap();
+    let err = analyze(&args(&["--data", data])).unwrap_err();
+    assert_eq!(err.to_string(), MESSAGE, "analyze");
     for intel in [&["--intel"][..], &[]] {
         let mut serve_args = args(&["--data", data, "--port", "0", "--once"]);
         serve_args.extend(args(intel));

@@ -564,12 +564,12 @@ mod tests {
     use super::*;
     use crate::analysis::{Analyzer, TOP5_SERVICES};
     use crate::classify::TrafficClass;
-    use crate::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions};
+    use crate::pipeline::{AnalysisPipeline, AnalyzeOptions};
     use crate::stream::{StreamConfig, StreamingAnalyzer};
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IotDevice, IspId};
     use iotscope_net::store::{FlowStore, StoreOptions, BLOCK_RECORDS};
-    use iotscope_net::time::UnixHour;
+    use iotscope_net::time::{AnalysisWindow, UnixHour};
     use iotscope_obs::Registry;
     use iotscope_telescope::HourTraffic;
     use proptest::prelude::*;
@@ -766,19 +766,19 @@ mod tests {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
+            // The window the odd intervals span, its even hours stored
+            // empty, so the day-completeness rule keeps every hour.
+            let window = AnalysisWindow::new(traffic[0].hour, 2 * hours - 1).unwrap();
             let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
-            let mut work = Vec::new();
+            for (_, hour) in window.iter_intervals() {
+                store.write_hour(hour, &[]).unwrap();
+            }
             for hour in &traffic {
                 store.write_hour(hour.hour, &hour.flows).unwrap();
-                work.push((hour.interval, hour.hour));
             }
             for threads in [1, 2] {
-                let out = pipeline
-                    .run(
-                        AnalysisSource::StoreHours(&store, &work),
-                        &AnalyzeOptions::new().threads(threads),
-                    )
-                    .unwrap();
+                let options = AnalyzeOptions::new().window(window).threads(threads);
+                let out = pipeline.run(&store, &options).unwrap();
                 prop_assert_eq!(&out.analysis, &reference, "store, threads={}", threads);
             }
             std::fs::remove_dir_all(&dir).unwrap();

@@ -71,7 +71,7 @@ pub mod view;
 pub use analysis::{Analysis, Analyzer};
 pub use classify::{classify, TrafficClass};
 pub use pipeline::{
-    AnalysisOutcome, AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoreReadStats,
+    AnalysisOutcome, AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoreReadStats, StoredWindow,
 };
 pub use query::{DeviceDetail, QueryApi, QueryContext, RealmStats, Summary};
 pub use report::{Report, ReportContext, ReportIntel};

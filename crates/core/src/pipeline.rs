@@ -9,7 +9,7 @@ use crate::shard::{self, RoutedFlow, RouterPartial, ShardAccumulator, ShardParti
 use iotscope_devicedb::{DeviceDb, ShardMap};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, HourBytes};
-use iotscope_net::time::{AnalysisWindow, UnixHour};
+use iotscope_net::time::{AnalysisWindow, UnixHour, HOURS_PER_DAY};
 use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
 use iotscope_telescope::HourTraffic;
@@ -81,26 +81,18 @@ impl StoreReadStats {
     }
 }
 
-/// What to analyze: hours already in memory, a [`FlowStore`]
-/// directory (which additionally needs [`AnalyzeOptions::window`]), or
-/// a caller-chosen list of a store's hours.
+/// What to analyze: hours already in memory, or a [`FlowStore`]
+/// directory (which additionally needs [`AnalyzeOptions::window`]).
 ///
-/// The first two are constructed via `From`/`Into`, so call sites pass
-/// `&hours` or `&store` directly to [`AnalysisPipeline::run`].
+/// Both are constructed via `From`/`Into`, so call sites pass `&hours`
+/// or `&store` directly to [`AnalysisPipeline::run`].
 #[derive(Debug, Clone, Copy)]
 pub enum AnalysisSource<'s> {
     /// Hourly traffic already decoded in memory.
     Memory(&'s [HourTraffic]),
-    /// An on-disk hourly flowtuple store: every hour of
-    /// [`AnalyzeOptions::window`] that survives the day-completeness
-    /// rule.
+    /// An on-disk hourly flowtuple store: the hours of
+    /// [`AnalyzeOptions::window`] its [`StoredWindow`] keeps.
     Store(&'s FlowStore),
-    /// Exactly these `(interval, hour)` files of an on-disk store — no
-    /// window, no completeness rule; a listed hour that is missing is a
-    /// read error, an interval outside the pipeline's window an
-    /// [`NetError::InvalidInterval`]. What the daemon's start-up pass
-    /// uses, so it analyzes the same hours it then ingests.
-    StoreHours(&'s FlowStore, &'s [(u32, UnixHour)]),
 }
 
 impl<'s> From<&'s [HourTraffic]> for AnalysisSource<'s> {
@@ -187,9 +179,6 @@ impl AnalyzeOptions {
 pub struct AnalysisOutcome {
     /// The aggregation, identical for every thread count.
     pub analysis: Analysis,
-    /// Day indices dropped by the completeness rule (§III-A2). Always
-    /// empty for in-memory sources.
-    pub dropped_days: Vec<u32>,
     /// Per-run accounting, present iff [`AnalyzeOptions::stats`] was
     /// requested.
     pub stats: Option<StoreReadStats>,
@@ -251,13 +240,53 @@ enum ShardMsg {
     Done,
 }
 
-/// One run's window coverage: which days are dropped, which present
-/// hours remain to be read, and how many hours fell to each rule.
-struct Coverage {
-    dropped_days: Vec<u32>,
-    work: Vec<(u32, UnixHour)>,
-    hours_missing: u64,
-    hours_skipped: u64,
+/// A store's hours under an analysis window, after the paper's
+/// day-completeness rule: the one list of hours every store-fed
+/// analysis, replay and investigation walks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoredWindow {
+    /// The window the rule was applied to.
+    pub window: AnalysisWindow,
+    /// The `(interval, hour)` pairs to read, in interval order: every
+    /// stored hour of every kept day.
+    pub work: Vec<(u32, UnixHour)>,
+    /// 0-based indices of the days the rule dropped.
+    pub dropped_days: Vec<u32>,
+    /// Window hours the store does not hold.
+    pub hours_missing: u64,
+    /// Stored hours skipped because their day was dropped.
+    pub hours_skipped: u64,
+}
+
+impl StoredWindow {
+    /// Apply the paper's day-completeness rule (§III-A2) to `store`'s
+    /// hours of `window`: a day with fewer than `hours_in_day - 1`
+    /// stored hours is dropped whole, the way the paper dropped April 18
+    /// with 15 of its 24 hours. The paper kept its final day, which has
+    /// 23 hours, so a day may miss one hour: the bar for a full day is
+    /// 23, not 24. Each hour is probed once.
+    pub fn of(store: &FlowStore, window: AnalysisWindow) -> StoredWindow {
+        let mut stored = StoredWindow {
+            window,
+            work: Vec::with_capacity(window.num_hours() as usize),
+            dropped_days: Vec::new(),
+            hours_missing: 0,
+            hours_skipped: 0,
+        };
+        let intervals: Vec<(u32, UnixHour)> = window.iter_intervals().collect();
+        // Day `d` of the window is its `d`-th run of 24 intervals.
+        for (day, hours) in (0..).zip(intervals.chunks(HOURS_PER_DAY as usize)) {
+            let present: Vec<_> = hours.iter().filter(|(_, h)| store.has_hour(*h)).collect();
+            stored.hours_missing += (hours.len() - present.len()) as u64;
+            if present.len() < (hours.len() - 1).max(1) {
+                stored.dropped_days.push(day);
+                stored.hours_skipped += present.len() as u64;
+            } else {
+                stored.work.extend(present);
+            }
+        }
+        stored
+    }
 }
 
 /// Analysis entry points bound to a device inventory and window length.
@@ -297,14 +326,12 @@ impl<'a> AnalysisPipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Store-backed runs propagate read failures (corrupt files fail
-    /// loudly; missing hours are handled by the day-completeness rule)
-    /// and require [`AnalyzeOptions::window`]; an explicit
-    /// [`AnalysisSource::StoreHours`] list needs no window and treats a
-    /// missing hour as a read failure. When several hours are
-    /// corrupt, the error for the earliest interval is reported,
-    /// matching what a sequential read would hit first. In-memory runs
-    /// cannot fail.
+    /// Store-backed runs require [`AnalyzeOptions::window`] and
+    /// propagate read failures: corrupt files fail loudly, missing
+    /// hours are handled by the day-completeness rule of
+    /// [`StoredWindow::of`]. When several hours are corrupt, the error
+    /// for the earliest interval is reported, matching what a
+    /// sequential read would hit first. In-memory runs cannot fail.
     pub fn run<'s>(
         &self,
         source: impl Into<AnalysisSource<'s>>,
@@ -323,13 +350,13 @@ impl<'a> AnalysisPipeline<'a> {
         let budget = options.threads.clamp(1, 64);
 
         let wall = pm.wall_time.span();
-        let result: Result<(Analysis, Vec<u32>, usize), NetError> = (|| {
+        let result: Result<(Analysis, usize), NetError> = (|| {
             // A store source is rebound to this run's registry, so its
             // reads are accounted here (and only here).
             let instrumented;
-            let cov;
-            let (hours, dropped_days) = match source {
-                AnalysisSource::Memory(traffic) => (HourSource::Memory(traffic), Vec::new()),
+            let stored;
+            let hours = match source {
+                AnalysisSource::Memory(traffic) => HourSource::Memory(traffic),
                 AnalysisSource::Store(store) => {
                     let window = options.window.ok_or_else(|| {
                         NetError::InvalidInterval(
@@ -337,31 +364,13 @@ impl<'a> AnalysisPipeline<'a> {
                         )
                     })?;
                     instrumented = store.clone().instrumented(&registry);
-                    cov = coverage(&instrumented, &window)?;
-                    pm.hours_missing.add(cov.hours_missing);
-                    pm.hours_skipped.add(cov.hours_skipped);
-                    let store = &instrumented;
-                    (
-                        HourSource::Store {
-                            store,
-                            work: &cov.work,
-                        },
-                        cov.dropped_days,
-                    )
-                }
-                AnalysisSource::StoreHours(store, work) => {
-                    if let Some((interval, _)) = work
-                        .iter()
-                        .find(|(interval, _)| !(1..=self.hours).contains(interval))
-                    {
-                        return Err(NetError::InvalidInterval(format!(
-                            "interval {interval} outside 1..={}",
-                            self.hours
-                        )));
+                    stored = StoredWindow::of(&instrumented, window);
+                    pm.hours_missing.add(stored.hours_missing);
+                    pm.hours_skipped.add(stored.hours_skipped);
+                    HourSource::Store {
+                        store: &instrumented,
+                        work: &stored.work,
                     }
-                    instrumented = store.clone().instrumented(&registry);
-                    let store = &instrumented;
-                    (HourSource::Store { store, work }, Vec::new())
                 }
             };
             // Sharding is over the device space, so it is worth its
@@ -374,7 +383,7 @@ impl<'a> AnalysisPipeline<'a> {
             } else {
                 self.run_sharded(hours, threads, &registry, &pm)?
             };
-            Ok((analysis, dropped_days, threads))
+            Ok((analysis, threads))
         })();
         drop(wall);
 
@@ -385,13 +394,12 @@ impl<'a> AnalysisPipeline<'a> {
             caller.absorb(&after);
             caller.snapshot()
         });
-        let (analysis, dropped_days, threads) = result?;
+        let (analysis, threads) = result?;
         let stats = options
             .stats
             .then(|| StoreReadStats::from_snapshots(threads, &before, &after));
         Ok(AnalysisOutcome {
             analysis,
-            dropped_days,
             stats,
             metrics,
         })
@@ -665,54 +673,6 @@ impl HourData<'_> {
     }
 }
 
-/// Single pass over `window` computing the paper's day-completeness
-/// rule (days with fewer than `hours_in_day - 1` present hours are
-/// dropped, §III-A2) and the resulting work list of hours to read.
-/// Each hour is probed and mapped to its day exactly once.
-fn coverage(store: &FlowStore, window: &AnalysisWindow) -> Result<Coverage, NetError> {
-    let num_days = window.num_days() as usize;
-    let mut present_per_day: Vec<u32> = vec![0; num_days];
-    let mut entries: Vec<(u32, UnixHour, u32, bool)> =
-        Vec::with_capacity(window.num_hours() as usize);
-    for (interval, hour) in window.iter_intervals() {
-        let day = window.day_of_interval(interval)?;
-        let present = store.has_hour(hour);
-        if present {
-            present_per_day[day as usize] += 1;
-        }
-        entries.push((interval, hour, day, present));
-    }
-    let mut day_kept = vec![false; num_days];
-    let mut dropped_days = Vec::new();
-    for d in 0..window.num_days() {
-        let expected = window.hours_in_day(d);
-        let bar = expected.saturating_sub(1).max(1);
-        if present_per_day[d as usize] < bar {
-            dropped_days.push(d);
-        } else {
-            day_kept[d as usize] = true;
-        }
-    }
-    let mut work = Vec::with_capacity(entries.len());
-    let mut hours_missing = 0;
-    let mut hours_skipped = 0;
-    for (interval, hour, day, present) in entries {
-        if !present {
-            hours_missing += 1;
-        } else if day_kept[day as usize] {
-            work.push((interval, hour));
-        } else {
-            hours_skipped += 1;
-        }
-    }
-    Ok(Coverage {
-        dropped_days,
-        work,
-        hours_missing,
-        hours_skipped,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,7 +734,6 @@ mod tests {
         let bare = pipeline.run(&traffic, &AnalyzeOptions::new()).unwrap();
         assert!(bare.stats.is_none());
         assert!(bare.metrics.is_none());
-        assert!(bare.dropped_days.is_empty());
         let registry = Registry::new();
         let full = pipeline
             .run(
@@ -817,11 +776,6 @@ mod tests {
                 &AnalyzeOptions::new().window(window).metrics(&registry),
             )
             .unwrap();
-        assert!(
-            out.dropped_days.is_empty(),
-            "dropped {:?}",
-            out.dropped_days
-        );
         let in_memory = pipeline
             .run(&built.scenario.generate(), &AnalyzeOptions::new())
             .unwrap()
@@ -857,7 +811,7 @@ mod tests {
         let out = pipeline
             .run(&store, &AnalyzeOptions::new().window(window))
             .unwrap();
-        assert_eq!(out.dropped_days, vec![2]);
+        assert_eq!(StoredWindow::of(&store, window).dropped_days, vec![2]);
         // No traffic attributed to day-2 intervals (49..=72).
         for i in 48..72usize {
             assert_eq!(out.analysis.tcp_scan[0].packets[i], 0, "interval {}", i + 1);
@@ -865,6 +819,63 @@ mod tests {
             assert_eq!(out.analysis.udp[0].packets[i], 0);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store holding every hour of `window` except those of `missing`.
+    fn store_without(name: &str, window: AnalysisWindow, missing: &[u32]) -> FlowStore {
+        let store = FlowStore::create(tmpdir(name), StoreOptions::default()).unwrap();
+        for (interval, hour) in window.iter_intervals() {
+            if !missing.contains(&interval) {
+                store.write_hour(hour, &[]).unwrap();
+            }
+        }
+        store
+    }
+
+    #[test]
+    fn stored_window_keeps_a_23_hour_trailing_day() {
+        // One full day, then a trailing day of 23 hours like the paper's
+        // last: each misses one hour, and each is kept.
+        let window = AnalysisWindow::new(AnalysisWindow::paper().start(), 24 + 23).unwrap();
+        let store = store_without("sw-trailing", window, &[3, 40]);
+        let stored = StoredWindow::of(&store, window);
+        assert_eq!(stored.window, window);
+        assert!(stored.dropped_days.is_empty());
+        let kept = window
+            .iter_intervals()
+            .filter(|(i, _)| ![3, 40].contains(i));
+        assert_eq!(stored.work, kept.collect::<Vec<_>>());
+        assert_eq!((stored.hours_missing, stored.hours_skipped), (2, 0));
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn stored_window_drops_a_day_with_15_of_24_hours() {
+        // Day 1 stores 15 of its 24 hours (April 18) and day 2 22 of 24:
+        // both are dropped whole, and their stored hours skipped.
+        let window = AnalysisWindow::new(AnalysisWindow::paper().start(), 72).unwrap();
+        let missing: Vec<u32> = (25 + 15..=48).chain([49, 50]).collect();
+        let store = store_without("sw-april-18", window, &missing);
+        let stored = StoredWindow::of(&store, window);
+        assert_eq!(stored.dropped_days, vec![1, 2]);
+        assert_eq!(
+            stored.work,
+            window.iter_intervals().take(24).collect::<Vec<_>>()
+        );
+        assert_eq!(stored.hours_missing, 9 + 2);
+        assert_eq!(stored.hours_skipped, 15 + 22);
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn stored_window_of_an_empty_store_has_no_work() {
+        let window = AnalysisWindow::paper();
+        let store = store_without("sw-empty", window, &(1..=143).collect::<Vec<_>>());
+        let stored = StoredWindow::of(&store, window);
+        assert!(stored.work.is_empty());
+        assert_eq!(stored.dropped_days, (0..6).collect::<Vec<_>>());
+        assert_eq!((stored.hours_missing, stored.hours_skipped), (143, 0));
+        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use format::{
 
 use crate::flowtuple::FlowTuple;
 use crate::segment::{segment_file_name, Manifest, Segment, SegmentStoreBuilder, MANIFEST_FILE};
-use crate::time::{AnalysisWindow, UnixHour, HOURS_PER_DAY};
+use crate::time::{UnixHour, HOURS_PER_DAY};
 use crate::NetError;
 use iotscope_obs::{Counter, Histogram, Registry, BYTE_SIZE_BOUNDS};
 use std::fs;
@@ -394,17 +394,6 @@ impl FlowStore {
                 .load_manifest()
                 .map(|m| m.lookup(hour).is_some())
                 .unwrap_or(false)
-    }
-
-    /// The hours of `window` that have files, in order.
-    pub fn hours_present(&self, window: &AnalysisWindow) -> Vec<UnixHour> {
-        window.iter_hours().filter(|h| self.has_hour(*h)).collect()
-    }
-
-    /// The hours of `window` with **no** file — the paper's data-quality
-    /// check that led to dropping April 18.
-    pub fn hours_missing(&self, window: &AnalysisWindow) -> Vec<UnixHour> {
-        window.iter_hours().filter(|h| !self.has_hour(*h)).collect()
     }
 
     /// The directory segments and their manifest live in.

@@ -227,14 +227,6 @@ impl AnalysisWindow {
         }
     }
 
-    /// Whether day `day` has the paper's completeness bar (a full 24 hours
-    /// of data — the paper dropped April 18, which had only 15).
-    pub fn day_is_complete(&self, day: u32) -> bool {
-        // The final day of the paper's window has 23 hours and was kept, so
-        // the bar is >= 23 hours rather than a strict 24.
-        self.hours_in_day(day) >= HOURS_PER_DAY - 1
-    }
-
     fn check_interval(&self, interval: u32) -> Result<(), NetError> {
         if interval == 0 || interval > self.num_hours {
             return Err(NetError::InvalidInterval(format!(
@@ -340,15 +332,6 @@ mod tests {
         }
         assert_eq!(w.hours_in_day(5), 23);
         assert_eq!(w.hours_in_day(6), 0);
-    }
-
-    #[test]
-    fn completeness_rule_keeps_23h_day_drops_15h_day() {
-        let w = AnalysisWindow::paper();
-        assert!(w.day_is_complete(5)); // 23-hour April 17 kept
-        let partial = AnalysisWindow::new(w.start(), 24 + 15).unwrap();
-        assert!(partial.day_is_complete(0));
-        assert!(!partial.day_is_complete(1)); // 15-hour April-18-like day dropped
     }
 
     #[test]

@@ -480,7 +480,7 @@ mod tests {
             1,
         )]);
         s.write_to_store(&store).unwrap();
-        assert_eq!(store.hours_missing(&s.telescope().window).len(), 0);
+        assert!(s.telescope().window.iter_hours().all(|h| store.has_hour(h)));
         let h1 = s.generate_hour(1);
         let mut from_disk = store.read_hour(h1.hour).unwrap();
         let mut expect = h1.flows.clone();

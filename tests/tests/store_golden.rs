@@ -12,7 +12,7 @@
 //! `cargo test -p iotscope-tests --test store_golden -- --ignored regenerate`
 //! (the v1/v2 fixtures are archives; nothing can write them any more).
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_devicedb::{
     ConsumerKind, CountryCode, CpsService, DeviceDb, DeviceId, DeviceProfile, IotDevice, IspId,
 };
@@ -22,7 +22,7 @@ use iotscope_net::store::{
     decode_hour, decode_hour_visit, encode_hour, restamp_hour, CollectSink, DecodeOptions,
     FlowStore, StoreFormat, StoreOptions,
 };
-use iotscope_net::time::UnixHour;
+use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_telescope::HourTraffic;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -173,12 +173,10 @@ fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
 
     let db = golden_inventory();
     let pipeline = AnalysisPipeline::new(&db, 3);
-    let work: Vec<(u32, UnixHour)> = (1..=3)
-        .map(|i| (i, UnixHour::new(HOUR + u64::from(i) - 1)))
-        .collect();
-    let traffic: Vec<HourTraffic> = work
-        .iter()
-        .map(|&(interval, hour)| HourTraffic {
+    let window = AnalysisWindow::new(UnixHour::new(HOUR), 3).unwrap();
+    let traffic: Vec<HourTraffic> = window
+        .iter_intervals()
+        .map(|(interval, hour)| HourTraffic {
             interval,
             hour,
             flows: expected_flows(),
@@ -190,13 +188,8 @@ fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
         .analysis;
     assert!(reference.device_count() > 0, "the inventory matches");
     for threads in [1, 4] {
-        let stored = pipeline
-            .run(
-                AnalysisSource::StoreHours(&store, &work),
-                &AnalyzeOptions::new().threads(threads),
-            )
-            .unwrap()
-            .analysis;
+        let options = AnalyzeOptions::new().window(window).threads(threads);
+        let stored = pipeline.run(&store, &options).unwrap().analysis;
         assert_eq!(stored, reference, "threads {threads}");
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -2,7 +2,7 @@
 //! the same analysis as the in-memory path, survive the paper's
 //! data-quality rules, and fail loudly on corruption.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoredWindow};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::Analysis;
 use iotscope_net::store::{FlowStore, StoreOptions};
@@ -39,17 +39,17 @@ fn shared_store() -> &'static SharedStore {
         let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
         built.scenario.write_to_store(&store).unwrap();
         let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-        let outcome = pipeline
+        let sequential = pipeline
             .run(&store, &AnalyzeOptions::new().window(window))
-            .unwrap();
-        assert!(outcome.dropped_days.is_empty());
+            .unwrap()
+            .analysis;
         let traffic = built.scenario.generate();
         SharedStore {
             built,
             window,
             store,
             traffic,
-            sequential: outcome.analysis,
+            sequential,
         }
     })
 }
@@ -69,11 +69,10 @@ fn disk_roundtrip_preserves_the_full_report() {
     let dir = tmpdir("roundtrip");
     let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
     built.scenario.write_to_store(&store).unwrap();
-    let outcome = pipeline
+    let disk = pipeline
         .run(&store, &AnalyzeOptions::new().window(window))
-        .unwrap();
-    assert!(outcome.dropped_days.is_empty());
-    let disk = outcome.analysis;
+        .unwrap()
+        .analysis;
 
     // The two paths agree on every aggregate the report uses.
     assert_eq!(mem.devices, disk.devices);
@@ -128,11 +127,11 @@ fn missing_day_is_dropped_and_reported() {
         }
     }
     let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-    let outcome = pipeline
+    assert_eq!(StoredWindow::of(&store, window).dropped_days, vec![4]);
+    let analysis = pipeline
         .run(&store, &AnalyzeOptions::new().window(window))
-        .unwrap();
-    assert_eq!(outcome.dropped_days, vec![4]);
-    let analysis = outcome.analysis;
+        .unwrap()
+        .analysis;
     // Day-4 intervals (97..=120) contribute nothing.
     for i in 96..120usize {
         assert_eq!(analysis.tcp_scan[0].packets[i], 0);
@@ -178,7 +177,6 @@ fn parallel_store_analysis_matches_sequential_on_full_window() {
                     .stats(true),
             )
             .unwrap();
-        assert!(result.dropped_days.is_empty());
         let par = result.analysis;
         assert_eq!(shared.sequential.devices, par.devices, "threads={threads}");
         assert_eq!(shared.sequential.protocol_packets, par.protocol_packets);
@@ -244,20 +242,19 @@ fn stable_sans_store(snapshot: &Snapshot) -> Vec<SnapshotEntry> {
 fn assert_thread_count_matches_sequential(threads: usize) {
     let shared = shared_store();
     let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-    let run = |source: AnalysisSource<'_>, threads: usize| {
+    let run = |source: AnalysisSource<'_>, window: AnalysisWindow, threads: usize| {
         let registry = Registry::new();
         let options = AnalyzeOptions::new()
-            .window(shared.window)
+            .window(window)
             .threads(threads)
             .metrics(&registry);
         let outcome = pipeline.run(source, &options).unwrap();
-        assert!(outcome.dropped_days.is_empty());
         (outcome.analysis, registry.snapshot())
     };
 
-    let (base, base_metrics) = run((&shared.store).into(), 1);
+    let (base, base_metrics) = run((&shared.store).into(), shared.window, 1);
     assert_eq!(base, shared.sequential);
-    let (stored, stored_metrics) = run((&shared.store).into(), threads);
+    let (stored, stored_metrics) = run((&shared.store).into(), shared.window, threads);
     assert_eq!(stored, shared.sequential, "store-fed, threads={threads}");
     // Work counters — store bytes/records, hours ingested, analysis
     // class totals — are deterministic; only timings/gauges vary.
@@ -266,7 +263,7 @@ fn assert_thread_count_matches_sequential(threads: usize) {
         base_metrics.stable_only(),
         "store-fed stable metrics, threads={threads}"
     );
-    let (mem, mem_metrics) = run((&shared.traffic).into(), threads);
+    let (mem, mem_metrics) = run((&shared.traffic).into(), shared.window, threads);
     assert_eq!(mem, shared.sequential, "memory-fed, threads={threads}");
     assert_eq!(
         stable_sans_store(&mem_metrics),
@@ -274,13 +271,14 @@ fn assert_thread_count_matches_sequential(threads: usize) {
         "memory-fed stable metrics, threads={threads}"
     );
 
-    let work: Vec<_> = shared.window.iter_intervals().take(3).collect();
-    let (seq_slice, seq_slice_metrics) = run((&shared.traffic[..3]).into(), 1);
+    // The store's first three hours fill a three-hour window.
+    let window = AnalysisWindow::new(shared.window.start(), 3).unwrap();
+    let (seq_slice, seq_slice_metrics) = run((&shared.traffic[..3]).into(), window, 1);
     for (fed, source) in [
         ("memory", AnalysisSource::from(&shared.traffic[..3])),
-        ("store", AnalysisSource::StoreHours(&shared.store, &work)),
+        ("store", AnalysisSource::from(&shared.store)),
     ] {
-        let (slice, slice_metrics) = run(source, threads);
+        let (slice, slice_metrics) = run(source, window, threads);
         assert_eq!(slice, seq_slice, "{fed}-fed slice, threads={threads}");
         assert_eq!(
             stable_sans_store(&slice_metrics),

@@ -4,7 +4,7 @@
 //! before and after `compact_to_segments`, sequentially and in
 //! sharded-parallel mode, on arbitrary subsets of the paper window.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
 use iotscope_core::Analysis;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::TcpFlags;
@@ -111,6 +111,7 @@ proptest! {
             AnalysisPipeline::new(&shared.built.inventory.db, window.num_hours());
         let options = AnalyzeOptions::new().window(window);
         let sharded = AnalyzeOptions::new().window(window).threads(3);
+        let stored = StoredWindow::of(&store, window);
         let before = pipeline.run(&store, &options).unwrap();
         let before_sharded = pipeline.run(&store, &sharded).unwrap();
 
@@ -123,7 +124,7 @@ proptest! {
         let reopened = FlowStore::open(&dir).unwrap();
         for (who, s) in [("cached", &store), ("reopened", &reopened)] {
             let after = pipeline.run(s, &options).unwrap();
-            prop_assert_eq!(&before.dropped_days, &after.dropped_days);
+            prop_assert_eq!(&StoredWindow::of(s, window), &stored);
             assert_same_analysis(&before.analysis, &after.analysis, who);
             let after_sharded = pipeline.run(s, &sharded).unwrap();
             assert_same_analysis(
@@ -304,8 +305,8 @@ fn presence_checks_see_segment_resident_hours() {
     for t in &shared.traffic {
         store.write_hour(t.hour, &t.flows).unwrap();
     }
-    let present_before = store.hours_present(&window);
-    assert_eq!(present_before.len() as u32, window.num_hours());
+    let present_before = StoredWindow::of(&store, window);
+    assert_eq!(present_before.work.len() as u32, window.num_hours());
     store.compact_to_segments(50).unwrap();
     assert!(
         store.hours_on_disk().unwrap().is_empty(),
@@ -313,8 +314,7 @@ fn presence_checks_see_segment_resident_hours() {
     );
 
     let reopened = FlowStore::open(&dir).unwrap();
-    assert_eq!(reopened.hours_present(&window), present_before);
-    assert!(reopened.hours_missing(&window).is_empty());
+    assert_eq!(StoredWindow::of(&reopened, window), present_before);
     assert!(reopened.has_hour(shared.traffic[0].hour));
     assert!(!reopened.has_hour(UnixHour::new(1)));
     std::fs::remove_dir_all(&dir).unwrap();
