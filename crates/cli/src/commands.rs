@@ -906,7 +906,7 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
     let (_, stored, analysis) = analyze_dir(&dir, threads)?;
 
     let inferred: std::collections::HashSet<_> =
-        analysis.compromised_devices().into_iter().collect();
+        analysis.view().compromised().iter().copied().collect();
     let designated: std::collections::HashSet<_> = truth.roles.keys().copied().collect();
     let recovered = designated.intersection(&inferred).count();
     let false_pos = inferred.difference(&designated).count();
@@ -916,7 +916,7 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
         .into_iter()
         .collect();
     let inferred_victims: std::collections::HashSet<_> =
-        analysis.dos_victims().into_iter().collect();
+        analysis.view().dos_victims().iter().copied().collect();
     let victim_hits = truth_victims.intersection(&inferred_victims).count();
 
     let mut spikes_found = 0usize;

@@ -10,19 +10,19 @@
 //! than approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
-//! correlated device), Table IV in a [`PortTable`] (per-port device
-//! runs in one shared arena), Table V in a [`ServiceTable`] of
-//! [`DeviceSet`] bitmaps, so assembling partials is column
-//! concatenation plus sorted run merges and word-wise ORs, and the
-//! column fold (`fold.rs`, shared with the sharded pipeline) reaches
-//! every aggregate by array index. Derived queries (sorted device lists,
-//! cohorts, totals) are served memoized through [`Analysis::view`].
+//! correlated device, Table V's scanned groups among its columns),
+//! Table IV in a [`PortTable`] (per-port device runs in one shared
+//! arena), Table V's packets in a [`ServiceTable`], so assembling
+//! partials is column concatenation plus sorted run merges and slot
+//! sums, and the column fold (`fold.rs`, shared with the sharded
+//! pipeline) reaches every aggregate by array index. Derived queries
+//! (sorted device lists, cohorts, totals) are served memoized through
+//! [`Analysis::view`] — the one way to ask them.
 
 use crate::classify::TrafficClass;
 use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos, RoutedFlow};
 pub use crate::table::{
-    DeviceObservation, DeviceSet, DeviceTable, PortRow, PortTable, ServiceKey, ServiceStat,
-    ServiceTable,
+    DeviceObservation, DeviceTable, PortRow, PortTable, ServiceKey, ServiceTable,
 };
 use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
@@ -279,48 +279,6 @@ impl Analysis {
         self.devices.len()
     }
 
-    /// All correlated (compromised) devices, sorted by id.
-    ///
-    /// Thin shim over [`view().compromised()`](AnalysisView::compromised);
-    /// prefer the view to avoid the copy.
-    pub fn compromised_devices(&self) -> Vec<DeviceId> {
-        self.view().compromised().to_vec()
-    }
-
-    /// Count of correlated devices per realm `(consumer, cps)`.
-    pub fn compromised_counts(&self) -> (usize, usize) {
-        self.view().realm_counts()
-    }
-
-    /// Total packets attributed to correlated devices.
-    pub fn total_packets(&self) -> u64 {
-        self.view().total_packets()
-    }
-
-    /// Devices that emitted any backscatter — the inferred DoS victims.
-    ///
-    /// Thin shim over [`view().dos_victims()`](AnalysisView::dos_victims);
-    /// prefer the view to avoid the copy.
-    pub fn dos_victims(&self) -> Vec<DeviceId> {
-        self.view().dos_victims().to_vec()
-    }
-
-    /// Devices that emitted TCP scanning traffic.
-    ///
-    /// Thin shim over [`view().tcp_scanners()`](AnalysisView::tcp_scanners);
-    /// prefer the view to avoid the copy.
-    pub fn tcp_scanners(&self) -> Vec<DeviceId> {
-        self.view().tcp_scanners().to_vec()
-    }
-
-    /// Devices that emitted UDP traffic.
-    ///
-    /// Thin shim over [`view().udp_devices()`](AnalysisView::udp_devices);
-    /// prefer the view to avoid the copy.
-    pub fn udp_devices(&self) -> Vec<DeviceId> {
-        self.view().udp_devices().to_vec()
-    }
-
     /// Cumulative number of devices discovered by the end of each day
     /// (Fig 2), overall and per realm: `(all, consumer, cps)` per day.
     pub fn discovery_curve(&self) -> Vec<(usize, usize, usize)> {
@@ -437,7 +395,17 @@ pub struct Analyzer<'a> {
 impl<'a> Analyzer<'a> {
     /// Create an analyzer over `db` for a window of `hours` intervals.
     pub fn new(db: &'a DeviceDb, hours: u32) -> Self {
-        Self::resume(db, Analysis::empty(hours))
+        Analyzer {
+            db,
+            hours,
+            metrics: None,
+            dst: DstDistinct::new(),
+            dev: DeviceFold::new(0..db.len() as u32),
+            corr: Vec::new(),
+            routed: Vec::new(),
+            block: ColumnBlock::default(),
+            result: Analysis::empty(hours),
+        }
     }
 
     /// Like [`new`](Self::new), but publishing per-class packet counters
@@ -450,23 +418,6 @@ impl<'a> Analyzer<'a> {
         let mut a = Self::new(db, hours);
         a.metrics = Some(AnalyzerMetrics::register(registry));
         a
-    }
-
-    /// Rehydrate an analyzer from a previously finished [`Analysis`] so
-    /// more hours can be ingested into it (incremental re-aggregation,
-    /// checkpoint/resume).
-    pub fn resume(db: &'a DeviceDb, analysis: Analysis) -> Self {
-        Analyzer {
-            db,
-            hours: analysis.hours,
-            metrics: None,
-            dst: DstDistinct::new(),
-            dev: DeviceFold::new(0..db.len() as u32),
-            corr: Vec::new(),
-            routed: Vec::new(),
-            block: ColumnBlock::default(),
-            result: analysis,
-        }
     }
 
     /// Ingest one hour of traffic.
@@ -688,7 +639,7 @@ mod tests {
         assert_eq!(a.device_count(), 1);
         assert_eq!(a.unmatched_flows, 1);
         assert_eq!(a.unmatched_packets, 1);
-        assert_eq!(a.compromised_devices(), vec![DeviceId(0)]);
+        assert_eq!(a.view().compromised(), &[DeviceId(0)]);
     }
 
     #[test]
@@ -780,10 +731,11 @@ mod tests {
         assert_eq!(consumer.total_packets(), 5);
         let cps = a.devices.get(DeviceId(1)).unwrap();
         assert_eq!(cps.packets(TrafficClass::Backscatter), 5);
-        assert_eq!(a.dos_victims(), vec![DeviceId(1)]);
-        assert_eq!(a.tcp_scanners(), vec![DeviceId(0)]);
-        assert_eq!(a.udp_devices(), vec![DeviceId(0)]);
-        assert_eq!(a.total_packets(), 10);
+        let view = a.view();
+        assert_eq!(view.dos_victims(), &[DeviceId(1)]);
+        assert_eq!(view.tcp_scanners(), &[DeviceId(0)]);
+        assert_eq!(view.udp_devices(), &[DeviceId(0)]);
+        assert_eq!(view.total_packets(), 10);
         // Fig 4 accounting: consumer r=0: icmp 1, tcp 1, udp 3.
         assert_eq!(a.protocol_packets[0], [1, 1, 3]);
         assert_eq!(a.protocol_packets[1], [0, 5, 0]);
@@ -823,13 +775,18 @@ mod tests {
             ],
         ));
         let a = an.finish();
-        let telnet = a.scan_services.get(ServiceKey::Named(ScanService::Telnet));
-        assert_eq!(telnet.packets, [2, 0]);
-        assert_eq!(telnet.devices[0].len(), 1);
-        let ssh = a.scan_services.get(ServiceKey::Named(ScanService::Ssh));
-        assert_eq!(ssh.packets, [0, 1]);
-        let other = a.scan_services.get(ServiceKey::Other);
-        assert_eq!(other.packets, [0, 1]);
+        let telnet = ServiceKey::Named(ScanService::Telnet);
+        assert_eq!(a.scan_services.get(telnet), [2, 0]);
+        let ssh = ServiceKey::Named(ScanService::Ssh);
+        assert_eq!(a.scan_services.get(ssh), [0, 1]);
+        assert_eq!(a.scan_services.get(ServiceKey::Other), [0, 1]);
+        // Each device's scanned groups, one bit per group slot.
+        let groups = |id| a.devices.services_at(a.devices.row(id).unwrap());
+        assert_eq!(groups(DeviceId(0)), 1 << telnet.slot());
+        assert_eq!(
+            groups(DeviceId(1)),
+            1 << ssh.slot() | 1 << ScanService::OTHER_GROUP
+        );
         // Only scanned groups are listed, in Table V order, tail last.
         let listed: Vec<ServiceKey> = a.scan_services.iter().map(|(k, _)| k).collect();
         assert_eq!(
@@ -892,24 +849,6 @@ mod tests {
         let (avg_all, avg_consumer) = a.daily_active_devices();
         assert!((avg_all - 1.0).abs() < 1e-9);
         assert!((avg_consumer - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resume_continues_aggregation() {
-        let db = db();
-        let h1 = hour(1, vec![syn([1, 0, 0, 1], 23)]);
-        let h2 = hour(2, vec![syn([1, 0, 0, 1], 80), syn([2, 0, 0, 1], 22)]);
-        let mut an = Analyzer::new(&db, 4);
-        an.ingest_hour(&h1);
-        let checkpoint = an.finish();
-        let mut resumed = Analyzer::resume(&db, checkpoint);
-        resumed.ingest_hour(&h2);
-        let a = resumed.finish();
-
-        let mut seq = Analyzer::new(&db, 4);
-        seq.ingest_hour(&h1);
-        seq.ingest_hour(&h2);
-        assert_eq!(a, seq.finish());
     }
 
     #[test]
@@ -998,10 +937,11 @@ mod tests {
     fn empty_analysis_is_sane() {
         let db = db();
         let a = Analyzer::new(&db, 4).finish();
-        assert!(a.compromised_devices().is_empty());
-        assert_eq!(a.compromised_counts(), (0, 0));
-        assert_eq!(a.total_packets(), 0);
-        assert!(a.dos_victims().is_empty());
+        let view = a.view();
+        assert!(view.compromised().is_empty());
+        assert_eq!(view.realm_counts(), (0, 0));
+        assert_eq!(view.total_packets(), 0);
+        assert!(view.dos_victims().is_empty());
         let curve = a.discovery_curve();
         assert_eq!(curve, vec![(0, 0, 0)]);
     }

@@ -161,7 +161,7 @@ pub fn summary(analysis: &Analysis, heavy_threshold: u64) -> DosSummary {
             heavy += 1;
         }
     }
-    let total_traffic = analysis.total_packets();
+    let total_traffic = analysis.view().total_packets();
     DosSummary {
         victims,
         cps_victim_share: if victims == 0 {

@@ -25,7 +25,7 @@
 use crate::analysis::{class_idx, merge_top_victim, realm_idx, Analysis};
 use crate::classify::classify;
 use crate::distinct::{PortScratch, U32Set};
-use crate::table::{DeviceSet, NUM_CLASSES};
+use crate::table::NUM_CLASSES;
 use iotscope_devicedb::{DeviceId, Realm};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
@@ -43,6 +43,11 @@ const REALMS: [Realm; 2] = [Realm::Consumer, Realm::Cps];
 const CLASS_TCP_SCAN: u8 = 0;
 const CLASS_BACKSCATTER: u8 = 2;
 const CLASS_UDP: u8 = 3;
+
+/// The classes whose devices the hour's scratch tracks, as `1 << class`
+/// bits: UDP and TCP-scan emitters are counted per hour, backscatter
+/// emitters compete for the hour's top victim.
+const HOUR_TRACKED: u8 = (1 << CLASS_UDP) | (1 << CLASS_TCP_SCAN) | (1 << CLASS_BACKSCATTER);
 
 /// Transport lane by IANA protocol number, in Fig 4 order: ICMP 0,
 /// TCP 1, UDP 2 (the order of [`TransportProtocol::ALL`]). Decoded
@@ -260,20 +265,23 @@ pub(crate) fn classify_flows(
 /// [`Analysis`].
 #[derive(Debug)]
 pub(crate) struct DeviceFold {
-    /// Distinct UDP-emitting / scanning devices this hour, per realm.
-    udp_devs: [DeviceSet; 2],
-    scan_devs: [DeviceSet; 2],
+    /// The [`HOUR_TRACKED`] classes each device emitted this hour, as
+    /// `1 << class` bits, indexed by `dense - base` (zeroed between
+    /// hours via `touched`).
+    flags: Vec<u8>,
     /// Backscatter packets this hour, indexed by `dense - base` (zeroed
-    /// between hours via `bs_touched`).
+    /// like `flags`).
     bs_counts: Vec<u64>,
-    /// Whether the device at `dense - base` is already in `bs_touched`.
-    /// A flag of its own because a zero-packet flow leaves `bs_counts`
-    /// at zero, so the count cannot tell; a device listed twice would
-    /// have its packets added twice by `commit`.
-    bs_listed: Vec<bool>,
-    /// This hour's backscatter emitters, each once, as `dense - base`.
-    bs_touched: Vec<u32>,
+    /// This hour's devices with any flag set, each once, as
+    /// `dense - base`. A device is listed when its flags leave zero, not
+    /// by its counts: a zero-packet flow leaves `bs_counts` at zero, and
+    /// a device listed twice would have its packets added twice by
+    /// `commit`.
+    touched: Vec<u32>,
     base: u32,
+    /// Distinct UDP-emitting / scanning devices this hour, per realm.
+    udp_devices: [u64; 2],
+    scan_devices: [u64; 2],
     /// Packets folded this hour per `[realm][class]` (the analyzer's
     /// metric flush).
     hour_packets: [[u64; NUM_CLASSES]; 2],
@@ -282,29 +290,26 @@ pub(crate) struct DeviceFold {
 impl DeviceFold {
     /// Scratch for devices whose dense index lies in `range`.
     pub(crate) fn new(range: Range<u32>) -> Self {
-        let set = || DeviceSet::with_capacity(range.end as usize);
         DeviceFold {
-            udp_devs: [set(), set()],
-            scan_devs: [set(), set()],
+            flags: vec![0; range.len()],
             bs_counts: vec![0; range.len()],
-            bs_listed: vec![false; range.len()],
-            bs_touched: Vec::new(),
+            touched: Vec::new(),
             base: range.start,
+            udp_devices: [0; 2],
+            scan_devices: [0; 2],
             hour_packets: [[0; NUM_CLASSES]; 2],
         }
     }
 
     /// Start a new hour.
     pub(crate) fn clear(&mut self) {
-        for r in 0..2 {
-            self.udp_devs[r].clear();
-            self.scan_devs[r].clear();
-        }
-        for &off in &self.bs_touched {
+        for &off in &self.touched {
+            self.flags[off as usize] = 0;
             self.bs_counts[off as usize] = 0;
-            self.bs_listed[off as usize] = false;
         }
-        self.bs_touched.clear();
+        self.touched.clear();
+        self.udp_devices = [0; 2];
+        self.scan_devices = [0; 2];
         self.hour_packets = [[0; NUM_CLASSES]; 2];
     }
 
@@ -332,10 +337,10 @@ impl DeviceFold {
     }
 
     /// Fold one non-empty run of one device's flows. The port-keyed
-    /// tables (Table IV, Table V, the Fig 10 series) take every flow;
-    /// everything keyed by the device alone — its table row, the
-    /// protocol and per-class series, the hour's device sets and
-    /// backscatter scratch — is written once, from the run's sums.
+    /// tables (Table IV, Table V's packets, the Fig 10 series) take
+    /// every flow; everything keyed by the device alone — its table row
+    /// and scanned-group mask, the protocol and per-class series, the
+    /// hour's device flags — is written once, from the run's sums.
     fn fold_run(&mut self, result: &mut Analysis, at: HourPos, run: &[RoutedFlow]) {
         // Dense-id contract: the intern index *is* the device id.
         let id = DeviceId(run[0].dense);
@@ -343,6 +348,7 @@ impl DeviceFold {
         let mut class_packets = [0u64; NUM_CLASSES];
         let mut proto_packets = [0u64; 3];
         let mut seen = 0u8;
+        let mut services = 0u16;
         for f in run {
             let pkts = u64::from(f.packets);
             class_packets[usize::from(f.class)] += pkts;
@@ -352,7 +358,8 @@ impl DeviceFold {
                 CLASS_UDP => result.udp_ports.observe(f.dst_port, pkts, id),
                 CLASS_TCP_SCAN => {
                     let slot = ScanService::group_of_port(f.dst_port);
-                    result.scan_services.observe(slot, r, pkts, id);
+                    result.scan_services.observe(slot, r, pkts);
+                    services |= 1 << slot;
                     // TOP5_SERVICES are the first five Table V groups.
                     if let Some(series) = result.top5_series[at.idx].get_mut(slot) {
                         *series += pkts;
@@ -364,10 +371,10 @@ impl DeviceFold {
         result.devices.observe_run(
             id,
             REALMS[r],
-            &class_packets,
+            at,
             run.len() as u64,
-            at.interval,
-            at.day,
+            &class_packets,
+            services,
         );
         for (total, pkts) in result.protocol_packets[r].iter_mut().zip(proto_packets) {
             *total += pkts;
@@ -377,20 +384,26 @@ impl DeviceFold {
         }
         if seen & (1 << CLASS_UDP) != 0 {
             result.udp[r].packets[at.idx] += class_packets[usize::from(CLASS_UDP)];
-            self.udp_devs[r].insert(id);
         }
         if seen & (1 << CLASS_TCP_SCAN) != 0 {
             result.tcp_scan[r].packets[at.idx] += class_packets[usize::from(CLASS_TCP_SCAN)];
-            self.scan_devs[r].insert(id);
         }
+        let tracked = seen & HOUR_TRACKED;
+        if tracked == 0 {
+            return;
+        }
+        let off = (id.0 - self.base) as usize;
+        let flags = &mut self.flags[off];
+        if *flags == 0 {
+            self.touched.push(off as u32);
+        }
+        let new = tracked & !*flags;
+        *flags |= tracked;
+        self.udp_devices[r] += u64::from((new >> CLASS_UDP) & 1);
+        self.scan_devices[r] += u64::from((new >> CLASS_TCP_SCAN) & 1);
         if seen & (1 << CLASS_BACKSCATTER) != 0 {
             let pkts = class_packets[usize::from(CLASS_BACKSCATTER)];
             result.backscatter_hourly[r][at.idx] += pkts;
-            let off = (id.0 - self.base) as usize;
-            if !self.bs_listed[off] {
-                self.bs_listed[off] = true;
-                self.bs_touched.push(off as u32);
-            }
             self.bs_counts[off] += pkts;
         }
     }
@@ -402,12 +415,15 @@ impl DeviceFold {
     /// split across folds.
     pub(crate) fn commit(&self, result: &mut Analysis, idx: usize) {
         for r in 0..2 {
-            result.udp[r].devices[idx] += self.udp_devs[r].len() as u64;
-            result.tcp_scan[r].devices[idx] += self.scan_devs[r].len() as u64;
+            result.udp[r].devices[idx] += self.udp_devices[r];
+            result.tcp_scan[r].devices[idx] += self.scan_devices[r];
         }
         let mut top: Option<(DeviceId, u64)> = None;
         let mut total = 0u64;
-        for &off in &self.bs_touched {
+        for &off in &self.touched {
+            if self.flags[off as usize] & (1 << CLASS_BACKSCATTER) == 0 {
+                continue;
+            }
             let cnt = self.bs_counts[off as usize];
             let id = DeviceId(self.base + off);
             total += cnt;
@@ -425,7 +441,7 @@ impl DeviceFold {
 /// as the oracle every optimised path is compared to: per-flow
 /// correlation (`CorrelationIndex::correlate`), per-flow [`classify`],
 /// and a per-flow device write, with plain ordered sets and maps for
-/// the hour's device-keyed scratch.
+/// the device-keyed scratch and Table V's devices.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -434,6 +450,9 @@ pub(crate) mod reference {
     use iotscope_obs::{Registry, Snapshot};
     use iotscope_telescope::HourTraffic;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// The devices that scanned each Table V group, per realm index.
+    pub(crate) type ServiceDevices = [[BTreeSet<DeviceId>; 2]; ScanService::GROUPS];
 
     /// One hour's device-keyed scratch.
     #[derive(Default)]
@@ -448,16 +467,22 @@ pub(crate) mod reference {
     fn observe(
         result: &mut Analysis,
         hour: &mut HourDevices,
+        services: &mut ServiceDevices,
         at: HourPos,
-        id: DeviceId,
-        r: usize,
+        (id, r): (DeviceId, usize),
         class: u8,
         flow: &FlowTuple,
     ) {
         let pkts = u64::from(flow.packets);
+        let slot = ScanService::group_of_port(flow.dst_port);
+        let mask = if class == CLASS_TCP_SCAN {
+            1 << slot
+        } else {
+            0
+        };
         result
             .devices
-            .observe(id, REALMS[r], usize::from(class), pkts, at.interval, at.day);
+            .observe(id, REALMS[r], usize::from(class), pkts, at, mask);
         let proto = match flow.protocol {
             TransportProtocol::Icmp => 0,
             TransportProtocol::Tcp => 1,
@@ -473,8 +498,8 @@ pub(crate) mod reference {
             CLASS_TCP_SCAN => {
                 result.tcp_scan[r].packets[at.idx] += pkts;
                 hour.scan[r].insert(id);
-                let slot = ScanService::group_of_port(flow.dst_port);
-                result.scan_services.observe(slot, r, pkts, id);
+                services[slot][r].insert(id);
+                result.scan_services.observe(slot, r, pkts);
                 if let Some(series) = result.top5_series[at.idx].get_mut(slot) {
                     *series += pkts;
                 }
@@ -488,15 +513,17 @@ pub(crate) mod reference {
     }
 
     /// The per-record analysis of `traffic` over `db` in a window of
-    /// `hours`, and the stable metric snapshot a memory-fed pipeline
-    /// run over the same hours must publish.
+    /// `hours`, the stable metric snapshot a memory-fed pipeline run
+    /// over the same hours must publish, and the devices that scanned
+    /// each Table V group.
     pub(crate) fn analyze(
         db: &DeviceDb,
         hours: u32,
         traffic: &[HourTraffic],
-    ) -> (Analysis, Snapshot) {
+    ) -> (Analysis, Snapshot, ServiceDevices) {
         let index = db.correlation_index();
         let mut result = Analysis::empty(hours);
+        let mut services = ServiceDevices::default();
         let mut dst = DstDistinct::new();
         let mut packets = [[0u64; NUM_CLASSES]; 2];
         for hour in traffic {
@@ -516,9 +543,9 @@ pub(crate) mod reference {
                 observe(
                     &mut result,
                     &mut devices,
+                    &mut services,
                     at,
-                    DeviceId(dense),
-                    r,
+                    (DeviceId(dense), r),
                     class,
                     flow,
                 );
@@ -555,7 +582,7 @@ pub(crate) mod reference {
         }
         m.unmatched_flows.add(result.unmatched_flows);
         m.unmatched_packets.add(result.unmatched_packets);
-        (result, registry.snapshot().stable_only())
+        (result, registry.snapshot().stable_only(), services)
     }
 }
 
@@ -729,14 +756,29 @@ mod tests {
             .collect()
     }
 
+    /// Table V's device counts per `[group][realm]`, from
+    /// `scan::protocol_table` — which counts the `DeviceTable` services
+    /// column — keyed by group slot.
+    fn table_v_devices(analysis: &Analysis) -> Vec<(usize, [usize; 2])> {
+        crate::scan::protocol_table(analysis)
+            .iter()
+            .map(|row| {
+                let slot = row
+                    .service
+                    .map_or(ScanService::OTHER_GROUP, |s| s.ordinal());
+                (slot, [row.consumer_devices, row.cps_devices])
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The column scan and the run fold reproduce the per-record
-        /// reference: the whole `Analysis` and the stable metric
-        /// snapshot, at one and two threads, from memory (unsorted
-        /// hours) and through the store (sorted, decoded block by
-        /// block).
+        /// reference: the whole `Analysis`, the stable metric snapshot
+        /// and Table V's devices per group, at one and two threads, from
+        /// memory (unsorted hours) and through the store (sorted,
+        /// decoded block by block).
         #[test]
         fn prop_column_fold_matches_per_record_reference(
             seed: u64,
@@ -745,7 +787,15 @@ mod tests {
         ) {
             let db = inventory();
             let traffic = random_traffic(&db, seed, hours, big);
-            let (reference, stable) = reference::analyze(&db, HOURS, &traffic);
+            let (reference, stable, services) = reference::analyze(&db, HOURS, &traffic);
+            // Every scanned group, in slot order, with its device counts
+            // from the naive sets.
+            let want_table_v: Vec<(usize, [usize; 2])> = services
+                .iter()
+                .enumerate()
+                .filter(|(_, sets)| sets.iter().any(|set| !set.is_empty()))
+                .map(|(slot, sets)| (slot, [sets[0].len(), sets[1].len()]))
+                .collect();
             let pipeline = AnalysisPipeline::new(&db, HOURS);
             for threads in [1, 2] {
                 let registry = Registry::new();
@@ -753,6 +803,9 @@ mod tests {
                     .run(&traffic, &AnalyzeOptions::new().threads(threads).metrics(&registry))
                     .unwrap();
                 prop_assert_eq!(&out.analysis, &reference, "memory, threads={}", threads);
+                let mut table_v = table_v_devices(&out.analysis);
+                table_v.sort_unstable();
+                prop_assert_eq!(&table_v, &want_table_v, "Table V, threads={}", threads);
                 prop_assert_eq!(
                     &registry.snapshot().stable_only(),
                     &stable,

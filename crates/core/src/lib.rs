@@ -76,5 +76,5 @@ pub use pipeline::{
 pub use query::{DeviceDetail, QueryApi, QueryContext, RealmStats, Summary};
 pub use report::{Report, ReportContext, ReportIntel};
 pub use score::{Escalation, ScoreConfig, ScoreEngine, ScoreRow, ScoreTable, Severity};
-pub use table::{DeviceObservation, DeviceSet, DeviceTable, PortTable, ServiceTable};
+pub use table::{DeviceObservation, DeviceTable, PortTable, ServiceTable};
 pub use view::AnalysisView;

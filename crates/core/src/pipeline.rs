@@ -781,7 +781,10 @@ mod tests {
             .unwrap()
             .analysis;
         assert_eq!(out.analysis.device_count(), in_memory.device_count());
-        assert_eq!(out.analysis.total_packets(), in_memory.total_packets());
+        assert_eq!(
+            out.analysis.view().total_packets(),
+            in_memory.view().total_packets()
+        );
         // The store's own metrics flowed into the run registry.
         let snap = out.metrics.unwrap();
         assert_eq!(

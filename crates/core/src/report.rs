@@ -473,9 +473,9 @@ mod tests {
             .run(&traffic, &AnalyzeOptions::new())
             .unwrap()
             .analysis;
-        let candidates: Vec<_> = analysis.compromised_devices();
+        let candidates = analysis.view().compromised();
         let intel =
-            IntelBuilder::new(IntelSynthConfig::paper(31)).build(&built.inventory.db, &candidates);
+            IntelBuilder::new(IntelSynthConfig::paper(31)).build(&built.inventory.db, candidates);
         let report = Report::build(&ReportContext {
             analysis: &analysis,
             db: &built.inventory.db,

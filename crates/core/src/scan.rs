@@ -30,15 +30,28 @@ pub struct ServiceRow {
 /// Table V: per-service scanning statistics, named groups sorted by
 /// packets descending, with the unnamed tail last.
 pub fn protocol_table(analysis: &Analysis) -> Vec<ServiceRow> {
+    // Devices per `[group][realm]`, in one pass over the device table's
+    // scanned-group column.
+    let table = &analysis.devices;
+    let mut devices = [[0usize; 2]; ScanService::GROUPS];
+    for row in 0..table.len() {
+        let r = realm_idx(table.realm_at(row));
+        let mut mask = table.services_at(row);
+        while mask != 0 {
+            devices[mask.trailing_zeros() as usize][r] += 1;
+            mask &= mask - 1;
+        }
+    }
     let total: u64 = analysis
         .scan_services
         .iter()
-        .map(|(_, s)| s.packets[0] + s.packets[1])
+        .map(|(_, p)| p[0] + p[1])
         .sum();
     let mut named: Vec<ServiceRow> = Vec::new();
     let mut tail: Option<ServiceRow> = None;
-    for (key, stat) in analysis.scan_services.iter() {
-        let pkts = stat.packets[0] + stat.packets[1];
+    for (key, packets) in analysis.scan_services.iter() {
+        let pkts = packets[0] + packets[1];
+        let [consumer_devices, cps_devices] = devices[key.slot()];
         let row = ServiceRow {
             service: match key {
                 ServiceKey::Named(s) => Some(s),
@@ -50,10 +63,10 @@ pub fn protocol_table(analysis: &Analysis) -> Vec<ServiceRow> {
             },
             packets: pkts,
             pct: pct(pkts, total),
-            consumer_pct: pct(stat.packets[0], pkts),
-            consumer_devices: stat.devices[0].len(),
-            cps_pct: pct(stat.packets[1], pkts),
-            cps_devices: stat.devices[1].len(),
+            consumer_pct: pct(packets[0], pkts),
+            consumer_devices,
+            cps_pct: pct(packets[1], pkts),
+            cps_devices,
         };
         match key {
             ServiceKey::Named(_) => named.push(row),
@@ -72,8 +85,8 @@ pub fn protocol_table(analysis: &Analysis) -> Vec<ServiceRow> {
 pub fn named_coverage(analysis: &Analysis) -> f64 {
     let mut named = 0u64;
     let mut total = 0u64;
-    for (key, stat) in analysis.scan_services.iter() {
-        let pkts = stat.packets[0] + stat.packets[1];
+    for (key, packets) in analysis.scan_services.iter() {
+        let pkts = packets[0] + packets[1];
         total += pkts;
         if matches!(key, ServiceKey::Named(_)) {
             named += pkts;

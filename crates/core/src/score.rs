@@ -21,14 +21,15 @@
 //! to one batch fold of the finished analysis (proptested in
 //! `tests/score_streaming.rs`).
 //!
-//! Storage follows [`DeviceTable`](crate::table::DeviceTable): columnar
-//! struct-of-arrays keyed by the inventory's dense intern index, rows
-//! first-seen ordered while folding and id-sorted after
-//! [`ScoreTable::normalize`], with order- and capacity-insensitive
-//! equality.
+//! Storage follows [`DeviceTable`](crate::table::DeviceTable), on the
+//! same row index: columnar struct-of-arrays keyed by the inventory's
+//! dense intern index, rows first-seen ordered while folding and
+//! id-sorted after [`ScoreTable::normalize`], with order- and
+//! capacity-insensitive equality.
 
 use crate::analysis::Analysis;
 use crate::classify::TrafficClass;
+use crate::table::{permute, RowIndex};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::{IntelIndex, ThreatCategory};
 use std::fmt;
@@ -166,8 +167,8 @@ impl ScoreRow {
 /// [`DeviceTable`](crate::table::DeviceTable).
 #[derive(Debug, Clone, Default)]
 pub struct ScoreTable {
-    /// Device id per row.
-    ids: Vec<DeviceId>,
+    /// Device id per row, and the id → row map.
+    index: RowIndex<DeviceId>,
     /// Realm per row.
     realms: Vec<Realm>,
     /// Packed category bitmask per row (static intel evidence).
@@ -189,19 +190,12 @@ pub struct ScoreTable {
     points: Vec<u32>,
     /// Current tier per row.
     tiers: Vec<Severity>,
-    /// Sparse index: device index → row + 1 (0 = absent).
-    row_of: Vec<u32>,
-    /// Whether rows are currently sorted by id.
-    sorted: bool,
 }
 
 impl ScoreTable {
     /// An empty table.
     pub fn new() -> Self {
-        ScoreTable {
-            sorted: true,
-            ..ScoreTable::default()
-        }
+        ScoreTable::default()
     }
 
     /// Score a finished analysis in one batch fold — the `Report::build`
@@ -220,21 +214,18 @@ impl ScoreTable {
 
     /// Number of scored devices.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.index.len()
     }
 
     /// Whether no device is scored.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// The row holding `id`, if scored.
     #[inline]
     pub fn row(&self, id: DeviceId) -> Option<usize> {
-        match self.row_of.get(id.0 as usize) {
-            Some(&r) if r != 0 => Some(r as usize - 1),
-            _ => None,
-        }
+        self.index.row(id)
     }
 
     /// Whether the device is scored.
@@ -245,7 +236,7 @@ impl ScoreTable {
     /// Device ids in row order (sorted ascending iff
     /// [`normalize`](Self::normalize)d).
     pub fn ids(&self) -> &[DeviceId] {
-        &self.ids
+        self.index.keys()
     }
 
     /// Sandbox-report indices (into `MalwareDb::reports`) for `row`.
@@ -262,7 +253,7 @@ impl ScoreTable {
     /// Panics if `row >= len()`.
     pub fn row_at(&self, row: usize) -> ScoreRow {
         ScoreRow {
-            device: self.ids[row],
+            device: self.ids()[row],
             realm: self.realms[row],
             cat_mask: self.cat_mask[row],
             samples: self.sample_len[row],
@@ -290,7 +281,7 @@ impl ScoreTable {
     pub fn top(&self, n: usize) -> Vec<ScoreRow> {
         let mut scored: Vec<(u32, DeviceId, usize)> = (0..self.len())
             .filter(|&r| self.points[r] > 0)
-            .map(|r| (self.points[r], self.ids[r], r))
+            .map(|r| (self.points[r], self.ids()[r], r))
             .collect();
         scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         scored
@@ -300,17 +291,13 @@ impl ScoreTable {
             .collect()
     }
 
-    /// Sort rows by device id and rebuild the sparse index, making row
-    /// order independent of fold order. The sample pool is left as
-    /// appended — only the per-row windows move. No-op when already
-    /// sorted.
+    /// Sort rows by device id, making row order independent of fold
+    /// order. The sample pool is left as appended — only the per-row
+    /// windows move. No-op when already sorted.
     pub fn normalize(&mut self) {
-        if self.sorted {
+        let Some(perm) = self.index.sort() else {
             return;
-        }
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_unstable_by_key(|&r| self.ids[r as usize]);
-        self.ids = permute(&self.ids, &perm);
+        };
         self.realms = permute(&self.realms, &perm);
         self.cat_mask = permute(&self.cat_mask, &perm);
         self.sample_start = permute(&self.sample_start, &perm);
@@ -320,16 +307,12 @@ impl ScoreTable {
         self.total_packets = permute(&self.total_packets, &perm);
         self.points = permute(&self.points, &perm);
         self.tiers = permute(&self.tiers, &perm);
-        for (row, id) in self.ids.iter().enumerate() {
-            self.row_of[id.0 as usize] = (row + 1) as u32;
-        }
-        self.sorted = true;
     }
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ids.capacity() * size_of::<DeviceId>()
+        self.index.heap_bytes()
             + self.realms.capacity() * size_of::<Realm>()
             + self.cat_mask.capacity()
             + self.sample_start.capacity() * size_of::<u32>()
@@ -340,69 +323,42 @@ impl ScoreTable {
             + self.total_packets.capacity() * size_of::<u64>()
             + self.points.capacity() * size_of::<u32>()
             + self.tiers.capacity() * size_of::<Severity>()
-            + self.row_of.capacity() * size_of::<u32>()
     }
 
     /// Get-or-create the row for `id`; intel evidence is resolved once,
     /// on creation.
     #[inline]
     fn upsert(&mut self, id: DeviceId, realm: Realm, cat_mask: u8, samples: &[u32]) -> usize {
-        let idx = id.0 as usize;
-        if idx >= self.row_of.len() {
-            self.row_of.resize(idx + 1, 0);
+        let (row, appended) = self.index.upsert(id);
+        if appended {
+            self.realms.push(realm);
+            self.cat_mask.push(cat_mask);
+            self.sample_start.push(self.sample_refs.len() as u32);
+            self.sample_len.push(samples.len() as u32);
+            self.sample_refs.extend_from_slice(samples);
+            self.scan_packets.push(0);
+            self.backscatter_packets.push(0);
+            self.total_packets.push(0);
+            self.points.push(0);
+            self.tiers.push(Severity::None);
         }
-        let slot = self.row_of[idx];
-        if slot != 0 {
-            return slot as usize - 1;
-        }
-        let row = self.ids.len();
-        if self.sorted && self.ids.last().is_some_and(|last| *last > id) {
-            self.sorted = false;
-        }
-        self.ids.push(id);
-        self.realms.push(realm);
-        self.cat_mask.push(cat_mask);
-        self.sample_start.push(self.sample_refs.len() as u32);
-        self.sample_len.push(samples.len() as u32);
-        self.sample_refs.extend_from_slice(samples);
-        self.scan_packets.push(0);
-        self.backscatter_packets.push(0);
-        self.total_packets.push(0);
-        self.points.push(0);
-        self.tiers.push(Severity::None);
-        self.row_of[idx] = (row + 1) as u32;
         row
     }
-}
-
-/// Gather `src` through the permutation `perm` (new row `i` = old row
-/// `perm[i]`).
-fn permute<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
-    perm.iter().map(|&r| src[r as usize]).collect()
 }
 
 /// Row-set equality, insensitive to row order, index capacity, and
 /// sample-pool layout.
 impl PartialEq for ScoreTable {
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        (0..self.len()).all(|row| {
-            let id = self.ids[row];
-            match other.row(id) {
-                Some(orow) => {
-                    self.realms[row] == other.realms[orow]
-                        && self.cat_mask[row] == other.cat_mask[orow]
-                        && self.samples_at(row) == other.samples_at(orow)
-                        && self.scan_packets[row] == other.scan_packets[orow]
-                        && self.backscatter_packets[row] == other.backscatter_packets[orow]
-                        && self.total_packets[row] == other.total_packets[orow]
-                        && self.points[row] == other.points[orow]
-                        && self.tiers[row] == other.tiers[orow]
-                }
-                None => false,
-            }
+        self.index.rows_match(&other.index, |row, orow| {
+            self.realms[row] == other.realms[orow]
+                && self.cat_mask[row] == other.cat_mask[orow]
+                && self.samples_at(row) == other.samples_at(orow)
+                && self.scan_packets[row] == other.scan_packets[orow]
+                && self.backscatter_packets[row] == other.backscatter_packets[orow]
+                && self.total_packets[row] == other.total_packets[orow]
+                && self.points[row] == other.points[orow]
+                && self.tiers[row] == other.tiers[orow]
         })
     }
 }

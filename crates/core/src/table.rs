@@ -6,257 +6,188 @@
 //! is millions. [`DeviceTable`] keeps those rows as a struct-of-arrays
 //! keyed by the inventory's dense intern index (see
 //! [`DeviceDb::index_of`](iotscope_devicedb::DeviceDb::index_of)), so
-//! merging two partial aggregations is columnar addition instead of
-//! per-key hash-map rehashing, and [`DeviceSet`] packs "which devices"
-//! sets over the same index — a sorted vec of 4-byte indexes while
-//! small, one bit per device once large, instead of a ~48-byte hash-set
-//! entry either way.
+//! merging two partial aggregations is columnar concatenation instead
+//! of per-key hash-map rehashing.
 //!
-//! Row order is *first-seen* while ingesting and *sorted by id* after
-//! [`DeviceTable::normalize`] (which [`Analyzer::finish`] calls), so a
-//! finished [`Analysis`] is bit-identical between sequential and
-//! parallel runs. Equality on both types is order- and
-//! capacity-insensitive, preserving the determinism contract even on
-//! un-normalized snapshots.
+//! Every aggregate table stands on one `RowIndex`: the key column, a
+//! dense `key → row` map, and the argsort that puts rows in key order.
+//! Row order is *first-seen* while ingesting and *sorted by key* after
+//! `normalize` (which [`Analyzer::finish`] calls), so a finished
+//! [`Analysis`] is bit-identical between sequential and parallel runs.
+//! Equality is row-order- and capacity-insensitive, preserving the
+//! determinism contract even on un-normalized snapshots.
 //!
 //! The two port-keyed aggregates follow the same model: [`PortTable`]
 //! (Table IV, one row per UDP destination port behind a 65,536-entry
 //! port → row index, every row's devices an ascending run in one
-//! shared arena) and [`ServiceTable`] (Table V, one fixed slot per
-//! service group), so the per-flow fold reaches either with an array
-//! index and merging is columnar addition plus device-set unions.
+//! shared arena) and [`ServiceTable`] (Table V's packets, one fixed slot
+//! per service group; which devices scanned a group is a `DeviceTable`
+//! column), so the per-flow fold reaches either with an array index and
+//! merging is columnar addition plus sorted run merges.
 //!
 //! [`Analyzer::finish`]: crate::analysis::Analyzer::finish
 //! [`Analysis`]: crate::analysis::Analysis
 
 use crate::classify::TrafficClass;
+use crate::fold::HourPos;
 use iotscope_devicedb::{DeviceId, Realm};
 use iotscope_net::ports::ScanService;
 
 /// Number of traffic classes (see [`crate::analysis::class_idx`]).
 pub(crate) const NUM_CLASSES: usize = 5;
 
-/// Sets at or below this many members stay in the sorted-vec
-/// representation; above it they promote to a bitmap. 128 × 4 bytes =
-/// 512 B, well under the bitmap cost for any realistic inventory, and
-/// small enough that insertion's memmove is cache-resident.
-const SPARSE_MAX: usize = 128;
-
-#[derive(Debug, Clone)]
-enum SetRepr {
-    /// Sorted, deduplicated device indexes — the common case: most
-    /// per-port / per-service sets hold a handful of devices.
-    Sparse(Vec<u32>),
-    /// Bitmap over the dense device index, for large cohorts.
-    Dense(Vec<u64>),
+/// A key that is its own dense index: a device's intern index, a port.
+pub(crate) trait DenseKey: Copy + Ord {
+    /// The key's position in the `key → row` map.
+    fn index(self) -> usize;
 }
 
-/// A compact set of devices keyed by the dense device index.
+impl DenseKey for DeviceId {
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl DenseKey for u16 {
+    #[inline]
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
+/// The row index under every aggregate table: the key column, a dense
+/// `key → row + 1` map (0 = absent), and whether rows are in key order.
 ///
-/// Adaptive representation: a sorted `Vec<u32>` while the set is small
-/// (≤ 128 members, the overwhelming majority of the
-/// per-port/per-service sets), promoted to a bitmap once it grows (a
-/// 331k-device inventory fits in ~41 KiB). This keeps the union used
-/// when partial analyses are assembled ([`crate::shard::assemble`])
-/// proportional to the *members* of small sets rather than the
-/// inventory size, while large cohorts still merge as word-wise ORs.
-/// Equality is
-/// representation- and capacity-insensitive: two sets with the same
-/// members always compare equal.
+/// A table keeps its own columns beside it, appends to them when
+/// [`upsert`](Self::upsert) reports a new row, and gathers them through
+/// the permutation [`sort`](Self::sort) returns.
 #[derive(Debug, Clone)]
-pub struct DeviceSet {
-    repr: SetRepr,
-    len: usize,
+pub(crate) struct RowIndex<K> {
+    keys: Vec<K>,
+    row_of: Vec<u32>,
+    sorted: bool,
 }
 
-impl Default for DeviceSet {
+impl<K> Default for RowIndex<K> {
     fn default() -> Self {
-        DeviceSet {
-            repr: SetRepr::Sparse(Vec::new()),
-            len: 0,
+        RowIndex {
+            keys: Vec::new(),
+            row_of: Vec::new(),
+            sorted: true,
         }
     }
 }
 
-impl DeviceSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        DeviceSet::default()
-    }
-
-    /// An empty *dense* set pre-sized for device indexes `< capacity`.
-    ///
-    /// Use for reusable scratch sets that are repeatedly filled and
-    /// [`clear`](Self::clear)ed: the bitmap allocation is made once and
-    /// no sparse→dense promotions happen on the hot path.
-    pub fn with_capacity(capacity: usize) -> Self {
-        DeviceSet {
-            repr: SetRepr::Dense(vec![0; capacity.div_ceil(64)]),
-            len: 0,
+impl<K: DenseKey> RowIndex<K> {
+    /// An empty index whose map already spans the keys below `span`.
+    fn with_span(span: usize) -> Self {
+        RowIndex {
+            row_of: vec![0; span],
+            ..RowIndex::default()
         }
     }
 
-    /// Number of devices in the set.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The keys in row order.
+    pub(crate) fn keys(&self) -> &[K] {
+        &self.keys
     }
 
-    /// Switch to the bitmap representation.
-    fn promote(&mut self) {
-        if let SetRepr::Sparse(v) = &self.repr {
-            let cap = v.last().map_or(0, |&max| max as usize + 1);
-            let mut words = vec![0u64; cap.div_ceil(64)];
-            for &i in v {
-                words[i as usize / 64] |= 1 << (i % 64);
-            }
-            self.repr = SetRepr::Dense(words);
-        }
-    }
-
-    /// Insert a device; returns `true` if it was newly added.
+    /// The row holding `key`, if any.
     #[inline]
-    pub fn insert(&mut self, id: DeviceId) -> bool {
-        match &mut self.repr {
-            SetRepr::Sparse(v) => match v.binary_search(&id.0) {
-                Ok(_) => false,
-                Err(pos) => {
-                    if v.len() == SPARSE_MAX {
-                        self.promote();
-                        return self.insert(id);
-                    }
-                    v.insert(pos, id.0);
-                    self.len += 1;
-                    true
-                }
-            },
-            SetRepr::Dense(words) => {
-                let (word, bit) = (id.0 as usize / 64, id.0 % 64);
-                if word >= words.len() {
-                    words.resize(word + 1, 0);
-                }
-                let mask = 1u64 << bit;
-                let newly = words[word] & mask == 0;
-                words[word] |= mask;
-                self.len += usize::from(newly);
-                newly
-            }
+    pub(crate) fn row(&self, key: K) -> Option<usize> {
+        match self.row_of.get(key.index()) {
+            Some(&r) if r != 0 => Some(r as usize - 1),
+            _ => None,
         }
     }
 
-    /// Whether the set contains `id`.
+    /// The row holding `key`, appending one if there is none; the flag
+    /// says whether it was appended (and the table's columns must grow).
     #[inline]
-    pub fn contains(&self, id: DeviceId) -> bool {
-        match &self.repr {
-            SetRepr::Sparse(v) => v.binary_search(&id.0).is_ok(),
-            SetRepr::Dense(words) => {
-                let (word, bit) = (id.0 as usize / 64, id.0 % 64);
-                words.get(word).is_some_and(|w| w & (1 << bit) != 0)
+    pub(crate) fn upsert(&mut self, key: K) -> (usize, bool) {
+        let idx = key.index();
+        if idx >= self.row_of.len() {
+            self.row_of.resize(idx + 1, 0);
+        }
+        let slot = self.row_of[idx];
+        if slot != 0 {
+            return (slot as usize - 1, false);
+        }
+        let row = self.keys.len();
+        if self.sorted && self.keys.last().is_some_and(|last| *last > key) {
+            self.sorted = false;
+        }
+        self.keys.push(key);
+        self.row_of[idx] = (row + 1) as u32;
+        (row, true)
+    }
+
+    /// Append `other`'s rows after these; no key may be in both.
+    fn concat(&mut self, other: &RowIndex<K>) {
+        self.sorted = self.sorted
+            && other.sorted
+            && match (self.keys.last(), other.keys.first()) {
+                (Some(last), Some(first)) => last < first,
+                _ => true,
+            };
+        let base = self.keys.len() as u32;
+        if other.row_of.len() > self.row_of.len() {
+            self.row_of.resize(other.row_of.len(), 0);
+        }
+        for (orow, &key) in other.keys.iter().enumerate() {
+            let idx = key.index();
+            if idx >= self.row_of.len() {
+                self.row_of.resize(idx + 1, 0);
             }
+            debug_assert_eq!(self.row_of[idx], 0, "concatenated rows must be disjoint");
+            self.row_of[idx] = base + orow as u32 + 1;
         }
+        self.keys.extend_from_slice(&other.keys);
     }
 
-    /// Add every member of `other`.
-    ///
-    /// Cost is O(|other|) when `other` is sparse and a word-wise OR when
-    /// both sides are bitmaps — never O(inventory) for small sets.
-    pub fn union_with(&mut self, other: &DeviceSet) {
-        match &other.repr {
-            SetRepr::Sparse(o) => {
-                for &i in o {
-                    self.insert(DeviceId(i));
-                }
-            }
-            SetRepr::Dense(o) => {
-                self.promote();
-                let SetRepr::Dense(words) = &mut self.repr else {
-                    unreachable!("just promoted");
-                };
-                if o.len() > words.len() {
-                    words.resize(o.len(), 0);
-                }
-                let mut len = 0usize;
-                for (w, &ow) in words.iter_mut().zip(o.iter()) {
-                    *w |= ow;
-                    len += w.count_ones() as usize;
-                }
-                for w in &words[o.len()..] {
-                    len += w.count_ones() as usize;
-                }
-                self.len = len;
-            }
+    /// Sort rows by key and rebuild the map. Returns the permutation the
+    /// table's columns must follow (see [`permute`]), or `None` when the
+    /// rows were already sorted. O(n log n).
+    pub(crate) fn sort(&mut self) -> Option<Vec<u32>> {
+        if self.sorted {
+            return None;
         }
+        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
+        perm.sort_unstable_by_key(|&r| self.keys[r as usize]);
+        self.keys = permute(&self.keys, &perm);
+        for (row, key) in self.keys.iter().enumerate() {
+            self.row_of[key.index()] = (row + 1) as u32;
+        }
+        self.sorted = true;
+        Some(perm)
     }
 
-    /// Remove all members, keeping the allocation (and, for dense sets,
-    /// the representation — scratch sets stay bitmaps across hours).
-    pub fn clear(&mut self) {
-        match &mut self.repr {
-            SetRepr::Sparse(v) => v.clear(),
-            SetRepr::Dense(words) => words.fill(0),
-        }
-        self.len = 0;
+    /// Row-set equality whatever the row order: the same keys, and
+    /// `same(row, other_row)` for the two rows of every key.
+    pub(crate) fn rows_match(&self, other: &Self, same: impl Fn(usize, usize) -> bool) -> bool {
+        self.len() == other.len()
+            && self
+                .keys
+                .iter()
+                .enumerate()
+                .all(|(row, &key)| other.row(key).is_some_and(|orow| same(row, orow)))
     }
 
-    /// Iterate over members in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        let (sparse, dense): (&[u32], &[u64]) = match &self.repr {
-            SetRepr::Sparse(v) => (v, &[]),
-            SetRepr::Dense(words) => (&[], words),
-        };
-        sparse
-            .iter()
-            .map(|&i| DeviceId(i))
-            .chain(dense.iter().enumerate().flat_map(|(wi, &w)| {
-                let mut rest = w;
-                std::iter::from_fn(move || {
-                    if rest == 0 {
-                        return None;
-                    }
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    Some(DeviceId((wi * 64) as u32 + bit))
-                })
-            }))
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<K>()
+            + self.row_of.capacity() * std::mem::size_of::<u32>()
     }
 }
 
-impl PartialEq for DeviceSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for DeviceSet {}
-
-impl FromIterator<DeviceId> for DeviceSet {
-    fn from_iter<I: IntoIterator<Item = DeviceId>>(iter: I) -> Self {
-        let mut set = DeviceSet::new();
-        for id in iter {
-            set.insert(id);
-        }
-        set
-    }
-}
-
-impl Extend<DeviceId> for DeviceSet {
-    fn extend<I: IntoIterator<Item = DeviceId>>(&mut self, iter: I) {
-        for id in iter {
-            self.insert(id);
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a DeviceSet {
-    type Item = DeviceId;
-    type IntoIter = Box<dyn Iterator<Item = DeviceId> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
+/// Gather `src` through the permutation `perm` (new row `i` = old row
+/// `perm[i]`).
+pub(crate) fn permute<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
+    perm.iter().map(|&r| src[r as usize]).collect()
 }
 
 /// Everything observed about one correlated device — the row type
@@ -299,15 +230,15 @@ impl DeviceObservation {
 /// struct-of-arrays.
 ///
 /// Rows are addressed two ways: by *row number* (dense, iteration order)
-/// and by [`DeviceId`] through a sparse `device index → row` table that
-/// exploits the inventory's dense id interning. While ingesting, rows
-/// are appended in first-seen order; [`normalize`](Self::normalize)
-/// sorts them by id so finished results are reproducible bit-for-bit
+/// and by [`DeviceId`] through a dense `device index → row` map that
+/// exploits the inventory's id interning. While ingesting, rows are
+/// appended in first-seen order; [`normalize`](Self::normalize) sorts
+/// them by id so finished results are reproducible bit-for-bit
 /// regardless of ingest or merge order.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceTable {
-    /// Device id per row.
-    ids: Vec<DeviceId>,
+    /// Device id per row, and the id → row map.
+    index: RowIndex<DeviceId>,
     /// Realm per row.
     realms: Vec<Realm>,
     /// First interval seen per row.
@@ -318,38 +249,35 @@ pub struct DeviceTable {
     packets: [Vec<u64>; NUM_CLASSES],
     /// Active-day bitmask per row.
     days_active: Vec<u64>,
-    /// Sparse index: device index → row + 1 (0 = absent).
-    row_of: Vec<u32>,
-    /// Whether rows are currently sorted by id.
-    sorted: bool,
+    /// Table V service groups scanned per row: bit `slot` for a TCP-scan
+    /// flow to a port of [`ScanService::group_of_port`] `slot`,
+    /// zero-packet flows included.
+    services: Vec<u16>,
 }
+
+// One bit per Table V group.
+const _: () = assert!(ScanService::GROUPS <= u16::BITS as usize);
 
 impl DeviceTable {
     /// An empty table.
     pub fn new() -> Self {
-        DeviceTable {
-            sorted: true,
-            ..DeviceTable::default()
-        }
+        DeviceTable::default()
     }
 
     /// Number of rows (correlated devices).
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.index.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// The row holding `id`, if the device has been observed.
     #[inline]
     pub fn row(&self, id: DeviceId) -> Option<usize> {
-        match self.row_of.get(id.0 as usize) {
-            Some(&r) if r != 0 => Some(r as usize - 1),
-            _ => None,
-        }
+        self.index.row(id)
     }
 
     /// Whether the device has been observed.
@@ -360,64 +288,56 @@ impl DeviceTable {
     /// Device ids in row order (sorted ascending iff the table is
     /// [`normalize`](Self::normalize)d).
     pub fn ids(&self) -> &[DeviceId] {
-        &self.ids
+        self.index.keys()
     }
 
     /// Get-or-create the row for `id`, recording `realm` and the
     /// candidate `first_interval` on creation.
     #[inline]
     pub fn upsert(&mut self, id: DeviceId, realm: Realm, first_interval: u32) -> usize {
-        let idx = id.0 as usize;
-        if idx >= self.row_of.len() {
-            self.row_of.resize(idx + 1, 0);
+        let (row, appended) = self.index.upsert(id);
+        if appended {
+            self.realms.push(realm);
+            self.first_interval.push(first_interval);
+            self.flows.push(0);
+            for col in &mut self.packets {
+                col.push(0);
+            }
+            self.days_active.push(0);
+            self.services.push(0);
         }
-        let slot = self.row_of[idx];
-        if slot != 0 {
-            return slot as usize - 1;
-        }
-        let row = self.ids.len();
-        if self.sorted && self.ids.last().is_some_and(|last| *last > id) {
-            self.sorted = false;
-        }
-        self.ids.push(id);
-        self.realms.push(realm);
-        self.first_interval.push(first_interval);
-        self.flows.push(0);
-        for col in &mut self.packets {
-            col.push(0);
-        }
-        self.days_active.push(0);
-        self.row_of[idx] = (row + 1) as u32;
         row
     }
 
-    /// Record one run of `flows` flows from `id`, observed at `interval`
-    /// on day `day`, carrying `packets[class]` packets of each class —
-    /// one row update however long the run. The hot path of every
-    /// ingest (the device fold calls it once per source-device run).
+    /// Record one run of `flows` flows from `id` in the hour `at`,
+    /// carrying `packets[class]` packets of each class and scanning the
+    /// Table V groups in the `services` mask — one row update however
+    /// long the run. The hot path of every ingest (the device fold calls
+    /// it once per source-device run).
     #[inline]
-    pub fn observe_run(
+    pub(crate) fn observe_run(
         &mut self,
         id: DeviceId,
         realm: Realm,
-        packets: &[u64; NUM_CLASSES],
+        at: HourPos,
         flows: u64,
-        interval: u32,
-        day: u32,
+        packets: &[u64; NUM_CLASSES],
+        services: u16,
     ) {
-        let row = self.upsert(id, realm, interval);
+        let row = self.upsert(id, realm, at.interval);
         let fi = &mut self.first_interval[row];
-        *fi = (*fi).min(interval);
+        *fi = (*fi).min(at.interval);
         self.flows[row] += flows;
         for (col, &pkts) in self.packets.iter_mut().zip(packets) {
             col[row] += pkts;
         }
-        self.days_active[row] |= 1 << day.min(63);
+        self.days_active[row] |= 1 << at.day.min(63);
+        self.services[row] |= services;
     }
 
-    /// Record one flow for `id`: `pkts` packets of class `class`
-    /// observed at `interval` on day `day` — the per-record write the
-    /// run fold replaced, kept for the test oracle.
+    /// Record one flow for `id`: `pkts` packets of class `class` in the
+    /// hour `at`, scanning the groups in `services` — the per-record
+    /// write the run fold replaced, kept for the test oracle.
     #[cfg(test)]
     pub(crate) fn observe(
         &mut self,
@@ -425,15 +345,12 @@ impl DeviceTable {
         realm: Realm,
         class: usize,
         pkts: u64,
-        interval: u32,
-        day: u32,
+        at: HourPos,
+        services: u16,
     ) {
-        let row = self.upsert(id, realm, interval);
-        let fi = &mut self.first_interval[row];
-        *fi = (*fi).min(interval);
-        self.flows[row] += 1;
-        self.packets[class][row] += pkts;
-        self.days_active[row] |= 1 << day.min(63);
+        let mut packets = [0; NUM_CLASSES];
+        packets[class] = pkts;
+        self.observe_run(id, realm, at, 1, &packets, services);
     }
 
     /// Materialize the observation at `row`.
@@ -443,7 +360,7 @@ impl DeviceTable {
     /// Panics if `row >= len()`.
     pub fn observation_at(&self, row: usize) -> DeviceObservation {
         DeviceObservation {
-            device: self.ids[row],
+            device: self.ids()[row],
             realm: self.realms[row],
             first_interval: self.first_interval[row],
             flows: self.flows[row],
@@ -475,11 +392,18 @@ impl DeviceTable {
         self.realms[row]
     }
 
+    /// The Table V groups the device in `row` scanned: bit `slot` for
+    /// [`ScanService::group_of_port`] `slot`.
+    #[inline]
+    pub(crate) fn services_at(&self, row: usize) -> u16 {
+        self.services[row]
+    }
+
     /// Append another table's rows wholesale — the merge path for
     /// *shard-disjoint* partials, where each table covers its own range
     /// of the dense device index and no id can appear in both.
     ///
-    /// A straight `extend_from_slice` per column plus a sparse-index
+    /// A straight `extend_from_slice` per column plus a row-index
     /// fix-up: O(rows) with no per-row branch on existing state. When
     /// partials arrive in ascending shard order and each is already
     /// [`normalize`](Self::normalize)d, the concatenated table is
@@ -497,21 +421,7 @@ impl DeviceTable {
         if other.is_empty() {
             return;
         }
-        self.sorted =
-            self.sorted && other.sorted && self.ids.last().unwrap() < other.ids.first().unwrap();
-        let base = self.ids.len() as u32;
-        if other.row_of.len() > self.row_of.len() {
-            self.row_of.resize(other.row_of.len(), 0);
-        }
-        for (orow, id) in other.ids.iter().enumerate() {
-            let idx = id.0 as usize;
-            if idx >= self.row_of.len() {
-                self.row_of.resize(idx + 1, 0);
-            }
-            debug_assert_eq!(self.row_of[idx], 0, "concat_from rows must be disjoint");
-            self.row_of[idx] = base + orow as u32 + 1;
-        }
-        self.ids.extend_from_slice(&other.ids);
+        self.index.concat(&other.index);
         self.realms.extend_from_slice(&other.realms);
         self.first_interval.extend_from_slice(&other.first_interval);
         self.flows.extend_from_slice(&other.flows);
@@ -519,18 +429,16 @@ impl DeviceTable {
             col.extend_from_slice(ocol);
         }
         self.days_active.extend_from_slice(&other.days_active);
+        self.services.extend_from_slice(&other.services);
     }
 
-    /// Sort rows by device id and rebuild the sparse index, making row
-    /// order (and therefore serialization and iteration) independent of
-    /// ingest/merge order. O(n log n); no-op when already sorted.
+    /// Sort rows by device id, making row order (and therefore
+    /// serialization and iteration) independent of ingest/merge order.
+    /// O(n log n); no-op when already sorted.
     pub fn normalize(&mut self) {
-        if self.sorted {
+        let Some(perm) = self.index.sort() else {
             return;
-        }
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_unstable_by_key(|&r| self.ids[r as usize]);
-        self.ids = permute(&self.ids, &perm);
+        };
         self.realms = permute(&self.realms, &perm);
         self.first_interval = permute(&self.first_interval, &perm);
         self.flows = permute(&self.flows, &perm);
@@ -538,16 +446,13 @@ impl DeviceTable {
             *col = permute(col, &perm);
         }
         self.days_active = permute(&self.days_active, &perm);
-        for (row, id) in self.ids.iter().enumerate() {
-            self.row_of[id.0 as usize] = (row + 1) as u32;
-        }
-        self.sorted = true;
+        self.services = permute(&self.services, &perm);
     }
 
-    /// Approximate heap footprint in bytes (columns + sparse index).
+    /// Approximate heap footprint in bytes (columns + row index).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ids.capacity() * size_of::<DeviceId>()
+        self.index.heap_bytes()
             + self.realms.capacity() * size_of::<Realm>()
             + self.first_interval.capacity() * size_of::<u32>()
             + self.flows.capacity() * size_of::<u64>()
@@ -557,14 +462,8 @@ impl DeviceTable {
                 .map(|c| c.capacity() * size_of::<u64>())
                 .sum::<usize>()
             + self.days_active.capacity() * size_of::<u64>()
-            + self.row_of.capacity() * size_of::<u32>()
+            + self.services.capacity() * size_of::<u16>()
     }
-}
-
-/// Gather `src` through the permutation `perm` (new row `i` = old row
-/// `perm[i]`).
-fn permute<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
-    perm.iter().map(|&r| src[r as usize]).collect()
 }
 
 /// Row-set equality, insensitive to row order and index capacity — two
@@ -572,21 +471,13 @@ fn permute<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
 /// built by a differently-ordered merge and not yet normalized.
 impl PartialEq for DeviceTable {
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        (0..self.len()).all(|row| {
-            let id = self.ids[row];
-            match other.row(id) {
-                Some(orow) => {
-                    self.realms[row] == other.realms[orow]
-                        && self.first_interval[row] == other.first_interval[orow]
-                        && self.flows[row] == other.flows[orow]
-                        && (0..NUM_CLASSES).all(|c| self.packets[c][row] == other.packets[c][orow])
-                        && self.days_active[row] == other.days_active[orow]
-                }
-                None => false,
-            }
+        self.index.rows_match(&other.index, |row, orow| {
+            self.realms[row] == other.realms[orow]
+                && self.first_interval[row] == other.first_interval[orow]
+                && self.flows[row] == other.flows[orow]
+                && (0..NUM_CLASSES).all(|c| self.packets[c][row] == other.packets[c][orow])
+                && self.days_active[row] == other.days_active[orow]
+                && self.services[row] == other.services[orow]
         })
     }
 }
@@ -635,7 +526,7 @@ const FIRST_RUN_CAP: u32 = 4;
 
 /// Columnar per-UDP-port aggregates (Table IV): one row per observed
 /// destination port, struct-of-arrays, addressed through a dense
-/// `port → row` index over the whole 2^16 port space.
+/// `port → row` map over the whole 2^16 port space.
 ///
 /// The sending devices of *all* rows live in one shared arena, each
 /// row's as an ascending run (`Run`), so the table is five
@@ -651,8 +542,8 @@ const FIRST_RUN_CAP: u32 = 4;
 /// order. Equality is insensitive to row order and arena layout.
 #[derive(Debug, Clone)]
 pub struct PortTable {
-    /// Port per row.
-    ports: Vec<u16>,
+    /// Port per row, and the port → row map.
+    index: RowIndex<u16>,
     /// Packets per row.
     packets: Vec<u64>,
     /// Device run per row.
@@ -661,11 +552,9 @@ pub struct PortTable {
     arena: Vec<DeviceId>,
     /// Arena slots no run covers any more (abandoned by relocation).
     dead: usize,
-    /// Dense index: port → row + 1 (0 = absent), 65,536 entries.
-    row_of: Vec<u32>,
-    /// Whether rows are sorted by port and the arena is laid out in row
-    /// order with no dead or spare slots.
-    normalized: bool,
+    /// Whether the arena is laid out in row order with no dead or spare
+    /// slots.
+    compacted: bool,
 }
 
 impl Default for PortTable {
@@ -678,41 +567,33 @@ impl PortTable {
     /// An empty table.
     pub fn new() -> Self {
         PortTable {
-            ports: Vec::new(),
+            index: RowIndex::with_span(usize::from(u16::MAX) + 1),
             packets: Vec::new(),
             runs: Vec::new(),
             arena: Vec::new(),
             dead: 0,
-            row_of: vec![0; usize::from(u16::MAX) + 1],
-            normalized: true,
+            compacted: true,
         }
     }
 
     /// Number of rows (distinct ports observed).
     pub fn len(&self) -> usize {
-        self.ports.len()
+        self.index.len()
     }
 
     /// Whether no port has been observed.
     pub fn is_empty(&self) -> bool {
-        self.ports.is_empty()
+        self.len() == 0
     }
 
     /// Get-or-create the row for `port`.
     #[inline]
     fn upsert(&mut self, port: u16) -> usize {
-        let slot = self.row_of[usize::from(port)];
-        if slot != 0 {
-            return slot as usize - 1;
+        let (row, appended) = self.index.upsert(port);
+        if appended {
+            self.packets.push(0);
+            self.runs.push(Run::default());
         }
-        let row = self.ports.len();
-        if self.ports.last().is_some_and(|last| *last > port) {
-            self.normalized = false;
-        }
-        self.ports.push(port);
-        self.packets.push(0);
-        self.runs.push(Run::default());
-        self.row_of[usize::from(port)] = (row + 1) as u32;
         row
     }
 
@@ -730,7 +611,7 @@ impl PortTable {
             len: run.len,
             cap,
         };
-        self.normalized = false;
+        self.compacted = false;
     }
 
     /// Add `id` to `row`'s run, keeping it ascending and duplicate-free.
@@ -763,7 +644,7 @@ impl PortTable {
 
     fn row_at(&self, row: usize) -> PortRow<'_> {
         PortRow {
-            port: self.ports[row],
+            port: self.index.keys()[row],
             packets: self.packets[row],
             devices: &self.arena[self.runs[row].range()],
         }
@@ -771,10 +652,7 @@ impl PortTable {
 
     /// The row for `port`, if any packet was sent to it.
     pub fn get(&self, port: u16) -> Option<PortRow<'_>> {
-        match self.row_of[usize::from(port)] {
-            0 => None,
-            slot => Some(self.row_at(slot as usize - 1)),
-        }
+        self.index.row(port).map(|row| self.row_at(row))
     }
 
     /// Iterate over rows in row order (ascending by port iff the table
@@ -833,7 +711,7 @@ impl PortTable {
             len,
             cap: len,
         };
-        self.normalized = false;
+        self.compacted = false;
     }
 
     /// Rewrite the arena in row order with no dead or spare slots.
@@ -851,41 +729,37 @@ impl PortTable {
         }
         self.arena = arena;
         self.dead = 0;
+        self.compacted = true;
     }
 
-    /// Sort rows ascending by port, rebuild the index and rewrite the
-    /// arena compactly in port order. No-op when already so.
+    /// Sort rows ascending by port and rewrite the arena compactly in
+    /// port order. No-op when already so.
     pub fn normalize(&mut self) {
-        if self.normalized {
+        if let Some(perm) = self.index.sort() {
+            self.packets = permute(&self.packets, &perm);
+            self.runs = permute(&self.runs, &perm);
+        } else if self.compacted {
             return;
         }
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_unstable_by_key(|&r| self.ports[r as usize]);
-        self.ports = permute(&self.ports, &perm);
-        self.packets = permute(&self.packets, &perm);
-        self.runs = permute(&self.runs, &perm);
-        for (row, port) in self.ports.iter().enumerate() {
-            self.row_of[usize::from(*port)] = (row + 1) as u32;
-        }
         self.compact();
-        self.normalized = true;
     }
 
     /// Approximate heap footprint in bytes (columns, arena and index).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ports.capacity() * size_of::<u16>()
+        self.index.heap_bytes()
             + self.packets.capacity() * size_of::<u64>()
             + self.runs.capacity() * size_of::<Run>()
             + self.arena.capacity() * size_of::<DeviceId>()
-            + self.row_of.capacity() * size_of::<u32>()
     }
 }
 
 /// Row-set equality, insensitive to row order and arena layout.
 impl PartialEq for PortTable {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.rows().all(|row| other.get(row.port) == Some(row))
+        self.index.rows_match(&other.index, |row, orow| {
+            self.row_at(row) == other.row_at(orow)
+        })
     }
 }
 
@@ -902,8 +776,9 @@ pub enum ServiceKey {
 
 impl ServiceKey {
     /// The key's [`ServiceTable`] slot — the value
-    /// [`ScanService::group_of_port`] gives the group's ports.
-    fn slot(self) -> usize {
+    /// [`ScanService::group_of_port`] gives the group's ports, and its
+    /// bit in the `DeviceTable` scanned-group column.
+    pub(crate) fn slot(self) -> usize {
         match self {
             ServiceKey::Named(service) => service.ordinal(),
             ServiceKey::Other => ScanService::OTHER_GROUP,
@@ -917,60 +792,55 @@ impl ServiceKey {
     }
 }
 
-/// Per-service scanning statistics, split by realm.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStat {
-    /// Packets per realm (`[consumer, cps]`).
-    pub packets: [u64; 2],
-    /// Scanning devices per realm.
-    pub devices: [DeviceSet; 2],
-}
-
-/// Table V statistics: one fixed slot per service group, in Table V
-/// order with the unnamed tail last, indexed by
-/// [`ScanService::group_of_port`].
+/// Table V packet statistics: one fixed slot per service group, in
+/// Table V order with the unnamed tail last, indexed by
+/// [`ScanService::group_of_port`]. Which devices scanned a group is a
+/// [`DeviceTable`] column, counted by
+/// [`scan::protocol_table`](crate::scan::protocol_table).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceTable {
-    slots: [ServiceStat; ScanService::GROUPS],
+    /// Scan packets per slot and realm (`[consumer, cps]`).
+    packets: [[u64; 2]; ScanService::GROUPS],
+    /// Bit `slot` set once any flow scanned the slot's group, zero-packet
+    /// flows included.
+    scanned: u16,
 }
 
 impl ServiceTable {
-    /// Record `pkts` scan packets from device `id` of realm index `r`
-    /// to a port of slot `slot`.
+    /// Record `pkts` scan packets from a device of realm index `r` to a
+    /// port of slot `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `slot >= ScanService::GROUPS` or `r >= 2`.
     #[inline]
-    pub fn observe(&mut self, slot: usize, r: usize, pkts: u64, id: DeviceId) {
-        let stat = &mut self.slots[slot];
-        stat.packets[r] += pkts;
-        stat.devices[r].insert(id);
+    pub fn observe(&mut self, slot: usize, r: usize, pkts: u64) {
+        self.packets[slot][r] += pkts;
+        self.scanned |= 1 << slot;
     }
 
-    /// The statistics for `key` (all zero if it was never scanned).
-    pub fn get(&self, key: ServiceKey) -> &ServiceStat {
-        &self.slots[key.slot()]
+    /// The packets per realm (`[consumer, cps]`) sent to `key`'s group
+    /// (zero if it was never scanned).
+    pub fn get(&self, key: ServiceKey) -> [u64; 2] {
+        self.packets[key.slot()]
     }
 
-    /// The groups that were scanned by at least one device, in Table V
-    /// order with [`ServiceKey::Other`] last.
-    pub fn iter(&self) -> impl Iterator<Item = (ServiceKey, &ServiceStat)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, stat)| stat.devices.iter().any(|d| !d.is_empty()))
-            .map(|(slot, stat)| (ServiceKey::from_slot(slot), stat))
+    /// The groups that were scanned by at least one flow, with their
+    /// packets per realm, in Table V order with [`ServiceKey::Other`]
+    /// last.
+    pub fn iter(&self) -> impl Iterator<Item = (ServiceKey, [u64; 2])> + '_ {
+        (0..ScanService::GROUPS)
+            .filter(|slot| self.scanned & (1 << slot) != 0)
+            .map(|slot| (ServiceKey::from_slot(slot), self.packets[slot]))
     }
 
     /// Merge another table built over disjoint observations.
     pub fn merge_from(&mut self, other: ServiceTable) {
-        for (cur, stat) in self.slots.iter_mut().zip(other.slots) {
-            for r in 0..2 {
-                cur.packets[r] += stat.packets[r];
-                cur.devices[r].union_with(&stat.devices[r]);
-            }
+        for (cur, add) in self.packets.iter_mut().zip(other.packets) {
+            cur[0] += add[0];
+            cur[1] += add[1];
         }
+        self.scanned |= other.scanned;
     }
 }
 
@@ -980,78 +850,21 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    #[test]
-    fn device_set_insert_contains_len() {
-        let mut s = DeviceSet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(DeviceId(3)));
-        assert!(!s.insert(DeviceId(3)));
-        assert!(s.insert(DeviceId(200)));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(DeviceId(3)));
-        assert!(!s.contains(DeviceId(4)));
-        assert!(!s.contains(DeviceId(100_000)));
-        assert_eq!(
-            s.iter().collect::<Vec<_>>(),
-            vec![DeviceId(3), DeviceId(200)]
-        );
-    }
-
-    #[test]
-    fn device_set_union_counts_and_capacity_equality() {
-        let a: DeviceSet = [DeviceId(1), DeviceId(64), DeviceId(65)]
-            .into_iter()
-            .collect();
-        let mut b: DeviceSet = [DeviceId(1), DeviceId(500)].into_iter().collect();
-        b.union_with(&a);
-        assert_eq!(b.len(), 4);
-        assert!(b.contains(DeviceId(64)));
-        // Equality ignores trailing capacity.
-        let mut big = DeviceSet::with_capacity(10_000);
-        for id in b.iter() {
-            big.insert(id);
+    /// The hour of `interval` on day `day`.
+    fn at(interval: u32, day: u32) -> HourPos {
+        HourPos {
+            interval,
+            idx: interval as usize - 1,
+            day,
         }
-        assert_eq!(big, b);
-        big.insert(DeviceId(9_999));
-        assert_ne!(big, b);
-        // Clear keeps capacity but empties membership.
-        big.clear();
-        assert!(big.is_empty());
-        assert_eq!(big, DeviceSet::new());
-    }
-
-    #[test]
-    fn device_set_promotes_past_sparse_max() {
-        // Insert descending so the sparse path exercises its memmove,
-        // then cross the promotion threshold.
-        let mut s = DeviceSet::new();
-        for i in (0..300u32).rev() {
-            assert!(s.insert(DeviceId(i * 3)));
-        }
-        assert!(!s.insert(DeviceId(0)));
-        assert_eq!(s.len(), 300);
-        assert!(s.contains(DeviceId(297 * 3)));
-        assert!(!s.contains(DeviceId(1)));
-        // Iteration stays ascending across the promotion.
-        let ids: Vec<u32> = s.iter().map(|d| d.0).collect();
-        assert_eq!(ids, (0..300u32).map(|i| i * 3).collect::<Vec<_>>());
-        // A promoted set equals a never-promoted dense set with the
-        // same members, and unions with a sparse set stay correct.
-        let mut dense = DeviceSet::with_capacity(1024);
-        dense.extend(s.iter());
-        assert_eq!(dense, s);
-        let sparse: DeviceSet = [DeviceId(1), DeviceId(898)].into_iter().collect();
-        s.union_with(&sparse);
-        assert_eq!(s.len(), 302);
-        assert!(s.contains(DeviceId(1)));
     }
 
     #[test]
     fn table_upsert_observe_get() {
         let mut t = DeviceTable::new();
-        t.observe(DeviceId(7), Realm::Cps, 0, 5, 10, 0);
-        t.observe(DeviceId(7), Realm::Cps, 3, 2, 4, 1);
-        t.observe(DeviceId(2), Realm::Consumer, 3, 1, 8, 0);
+        t.observe(DeviceId(7), Realm::Cps, 0, 5, at(10, 0), 0);
+        t.observe(DeviceId(7), Realm::Cps, 3, 2, at(4, 1), 0);
+        t.observe(DeviceId(2), Realm::Consumer, 3, 1, at(8, 0), 0);
         assert_eq!(t.len(), 2);
         let obs = t.get(DeviceId(7)).unwrap();
         assert_eq!(obs.first_interval, 4);
@@ -1066,7 +879,7 @@ mod tests {
     fn normalize_sorts_rows_and_preserves_lookup() {
         let mut t = DeviceTable::new();
         for id in [9u32, 3, 7, 1] {
-            t.observe(DeviceId(id), Realm::Consumer, 0, 1, 1, 0);
+            t.observe(DeviceId(id), Realm::Consumer, 0, 1, at(1, 0), 0);
         }
         assert_eq!(t.ids()[0], DeviceId(9));
         t.normalize();
@@ -1078,7 +891,7 @@ mod tests {
             assert_eq!(t.get(DeviceId(id)).unwrap().device, DeviceId(id));
         }
         // Already-sorted append keeps the sorted flag (normalize no-ops).
-        t.observe(DeviceId(12), Realm::Cps, 1, 1, 2, 0);
+        t.observe(DeviceId(12), Realm::Cps, 1, 1, at(2, 0), 0);
         t.normalize();
         assert_eq!(t.ids().last(), Some(&DeviceId(12)));
     }
@@ -1087,20 +900,23 @@ mod tests {
     fn concat_preserves_sort_for_ascending_shards() {
         // Two sorted shard partials over disjoint dense ranges.
         let mut lo = DeviceTable::new();
-        lo.observe(DeviceId(1), Realm::Consumer, 0, 3, 2, 0);
-        lo.observe(DeviceId(4), Realm::Cps, 2, 5, 1, 1);
+        lo.observe(DeviceId(1), Realm::Consumer, 0, 3, at(2, 0), 0);
+        lo.observe(DeviceId(4), Realm::Cps, 2, 5, at(1, 1), 0);
         let mut hi = DeviceTable::new();
-        hi.observe(DeviceId(9), Realm::Consumer, 3, 7, 4, 2);
-        hi.observe(DeviceId(12), Realm::Cps, 1, 1, 6, 0);
+        hi.observe(DeviceId(9), Realm::Consumer, 3, 7, at(4, 2), 0);
+        hi.observe(DeviceId(12), Realm::Cps, 1, 1, at(6, 0), 0);
 
         // Reference: the same rows observed into one table.
         let mut reference = lo.clone();
-        reference.observe(DeviceId(9), Realm::Consumer, 3, 7, 4, 2);
-        reference.observe(DeviceId(12), Realm::Cps, 1, 1, 6, 0);
+        reference.observe(DeviceId(9), Realm::Consumer, 3, 7, at(4, 2), 0);
+        reference.observe(DeviceId(12), Realm::Cps, 1, 1, at(6, 0), 0);
 
         let mut cat = lo.clone();
         cat.concat_from(hi.clone());
-        assert!(cat.sorted, "ascending concat must keep the sorted flag");
+        assert!(
+            cat.index.sorted,
+            "ascending concat must keep the sorted flag"
+        );
         assert_eq!(cat, reference);
         assert_eq!(
             cat.ids(),
@@ -1118,7 +934,7 @@ mod tests {
         // Out-of-order concat drops the flag; normalize restores order.
         let mut rev = hi;
         rev.concat_from(lo);
-        assert!(!rev.sorted);
+        assert!(!rev.index.sorted);
         rev.normalize();
         assert_eq!(rev.ids(), cat.ids());
         assert_eq!(rev, cat);
@@ -1330,9 +1146,10 @@ mod tests {
     fn service_table_lists_scanned_groups_in_table_v_order() {
         let mut t = ServiceTable::default();
         assert_eq!(t.iter().count(), 0);
-        t.observe(ScanService::OTHER_GROUP, 1, 3, DeviceId(4));
-        t.observe(ScanService::group_of_port(22), 0, 2, DeviceId(1));
-        t.observe(ScanService::group_of_port(2323), 0, 0, DeviceId(1));
+        t.observe(ScanService::OTHER_GROUP, 1, 3);
+        t.observe(ScanService::group_of_port(22), 0, 2);
+        // A zero-packet flow still lists its group.
+        t.observe(ScanService::group_of_port(2323), 0, 0);
         let keys: Vec<ServiceKey> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(
             keys,
@@ -1342,34 +1159,31 @@ mod tests {
                 ServiceKey::Other
             ]
         );
-        assert_eq!(t.get(ServiceKey::Other).packets, [0, 3]);
-        assert_eq!(t.get(ServiceKey::Named(ScanService::Ftp)).packets, [0, 0]);
+        assert_eq!(t.get(ServiceKey::Other), [0, 3]);
+        assert_eq!(t.get(ServiceKey::Named(ScanService::Ftp)), [0, 0]);
         for slot in 0..ScanService::GROUPS {
             assert_eq!(ServiceKey::from_slot(slot).slot(), slot);
         }
         let mut sum = ServiceTable::default();
         sum.merge_from(t.clone());
         sum.merge_from(t.clone());
-        assert_eq!(sum.get(ServiceKey::Other).packets, [0, 6]);
-        assert_eq!(
-            sum.get(ServiceKey::Other).devices,
-            t.get(ServiceKey::Other).devices
-        );
+        assert_eq!(sum.get(ServiceKey::Other), [0, 6]);
+        assert!(sum.iter().map(|(k, _)| k).eq(t.iter().map(|(k, _)| k)));
     }
 
     #[test]
     fn equality_is_row_order_insensitive() {
         let mut a = DeviceTable::new();
-        a.observe(DeviceId(5), Realm::Consumer, 0, 1, 1, 0);
-        a.observe(DeviceId(2), Realm::Cps, 1, 2, 2, 0);
+        a.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
+        a.observe(DeviceId(2), Realm::Cps, 1, 2, at(2, 0), 0);
         let mut b = DeviceTable::new();
-        b.observe(DeviceId(2), Realm::Cps, 1, 2, 2, 0);
-        b.observe(DeviceId(5), Realm::Consumer, 0, 1, 1, 0);
+        b.observe(DeviceId(2), Realm::Cps, 1, 2, at(2, 0), 0);
+        b.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
         assert_eq!(a, b);
         // Normalizing one side must not break equality with the other.
         a.normalize();
         assert_eq!(a, b);
-        b.observe(DeviceId(5), Realm::Consumer, 0, 1, 1, 0);
+        b.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
         assert_ne!(a, b);
     }
 }

@@ -1,28 +1,30 @@
-//! Cache-friendly exact-IP correlation index.
+//! The /16 address index behind both IP-keyed joins.
 //!
-//! Correlating every darknet flow's source address against the ~331k
-//! device inventory (§III-B) is the per-packet hot path of the whole
-//! system, and a `HashMap<Ipv4Addr, DeviceId>` probe pays a hash, a
-//! bucket walk over 16-byte entries scattered across the heap, and —
-//! for the realm — a further `&IotDevice` pointer chase. The
-//! [`CorrelationIndex`] replaces all of that with a two-level table:
+//! The paper's pipeline joins addresses twice: darknet sources against
+//! the ~331k-device inventory (§III-B), then inferred devices against
+//! the threat repository and malware database (§V). Both are exact-IP
+//! lookups into a static set, and both go through one structure,
+//! [`AddrIndex`], generic over what a hit returns:
 //!
 //! * **Level 1**: 65,536 `/16` buckets, stored as 65,537 prefix-sum
-//!   offsets (`bucket_starts`) into the suffix array. Indexing it is one
+//!   offsets (`bucket_starts`) into the slot array. Indexing it is one
 //!   shift and one array load; the whole level is 256 KiB and mostly
 //!   cache-resident under real traffic (darknet sources cluster heavily
 //!   by prefix).
-//! * **Level 2**: one packed 8-byte `Slot` per device — the low 16
-//!   bits of the address (sorted within its bucket), a one-byte realm
-//!   tag, and the dense intern index (== `DeviceId` value, see
-//!   [`DeviceDb::index_of`](crate::db::DeviceDb::index_of)). A bucket
-//!   binary search touches at most a few cache lines even for a fully
-//!   dense `/16`, and because the realm and dense index ride in the
-//!   same slot the search already loaded, resolving a hit costs no
-//!   further memory access — ingest never touches an [`IotDevice`].
+//! * **Level 2**: one slot per address — the low 16 bits of the address
+//!   (sorted within its bucket) next to the payload. A bucket binary
+//!   search touches at most a few cache lines even for a fully dense
+//!   `/16`, and the payload rides in the slot the search already
+//!   loaded, so resolving a hit costs no further memory access.
 //!
-//! Total size is 8 bytes per device plus the fixed 256 KiB bucket
-//! table, versus ~50 bytes per `HashMap` entry plus the device deref.
+//! [`CorrelationIndex`] is the inventory join: its payload packs the
+//! dense intern index (== `DeviceId` value, see
+//! [`DeviceDb::index_of`](crate::db::DeviceDb::index_of)) and the realm
+//! into 32 bits, so a slot is 8 bytes and ingest never touches an
+//! [`IotDevice`]. The intel crate's `IntelIndex` is the §V join over
+//! the same type. Total size is one slot per address plus the fixed
+//! 256 KiB bucket table, versus ~50 bytes per `HashMap` entry plus a
+//! pointer chase.
 
 use crate::device::IotDevice;
 use crate::taxonomy::Realm;
@@ -31,29 +33,209 @@ use std::net::Ipv4Addr;
 /// Number of `/16` buckets.
 const BUCKETS: usize = 1 << 16;
 
-/// Packed one-byte realm tags, so a lookup never dereferences a device.
-const REALM_CONSUMER: u8 = 0;
-const REALM_CPS: u8 = 1;
+/// One indexed address: the low 16 bits of the address (the bucket
+/// sort key) and what a hit on it returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot<P> {
+    suffix: u16,
+    payload: P,
+}
 
-#[inline]
-fn realm_tag(realm: Realm) -> u8 {
-    match realm {
-        Realm::Consumer => REALM_CONSUMER,
-        Realm::Cps => REALM_CPS,
+/// A /16-bucketed two-level exact-IP index over a static address set,
+/// resolving an address to the payload `P` stored with it.
+///
+/// Built once from addresses in ascending order and immutable
+/// afterwards.
+///
+/// # Example
+///
+/// ```
+/// use iotscope_devicedb::AddrIndex;
+/// use std::net::Ipv4Addr;
+///
+/// let index = AddrIndex::from_sorted([(0x0a00_0001, 'a'), (0x0a00_0102, 'b')]);
+/// assert_eq!(index.get(Ipv4Addr::new(10, 0, 1, 2)), Some('b'));
+/// assert_eq!(index.get(Ipv4Addr::new(10, 0, 0, 2)), None);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddrIndex<P> {
+    /// `bucket_starts[b]..bucket_starts[b+1]` is the slot range of
+    /// /16 bucket `b` (65,537 prefix-sum entries).
+    bucket_starts: Box<[u32]>,
+    /// One entry per indexed address, suffix-sorted within each bucket.
+    slots: Box<[Slot<P>]>,
+}
+
+impl<P: Copy> AddrIndex<P> {
+    /// Build the index over `(address, payload)` pairs given in
+    /// strictly ascending address order (a full-address sort leaves
+    /// every bucket's suffixes sorted as well).
+    pub fn from_sorted(entries: impl IntoIterator<Item = (u32, P)>) -> Self {
+        let mut bucket_starts = vec![0u32; BUCKETS + 1];
+        let mut last: Option<u32> = None;
+        // Out of a `Vec` of rows as large as a slot (the inventory's
+        // `(address, position)` pairs) this collects in place.
+        let slots: Vec<Slot<P>> = entries
+            .into_iter()
+            .map(|(ip, payload)| {
+                debug_assert!(last < Some(ip), "addresses must be strictly ascending");
+                last = Some(ip);
+                bucket_starts[(ip >> 16) as usize + 1] += 1;
+                Slot {
+                    suffix: ip as u16,
+                    payload,
+                }
+            })
+            .collect();
+        for b in 0..BUCKETS {
+            bucket_starts[b + 1] += bucket_starts[b];
+        }
+        AddrIndex {
+            bucket_starts: bucket_starts.into_boxed_slice(),
+            slots: slots.into_boxed_slice(),
+        }
+    }
+
+    /// Number of indexed addresses.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no address is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Heap footprint in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.bucket_starts) + std::mem::size_of_val(&*self.slots)
+    }
+
+    /// The payload stored with `ip`, if indexed: a bucket slice and a
+    /// binary search.
+    #[inline]
+    pub fn get(&self, ip: Ipv4Addr) -> Option<P> {
+        let ip = u32::from(ip);
+        let bucket = (ip >> 16) as usize;
+        let lo = self.bucket_starts[bucket] as usize;
+        let hi = self.bucket_starts[bucket + 1] as usize;
+        let run = &self.slots[lo..hi];
+        let i = run.binary_search_by_key(&(ip as u16), |s| s.suffix).ok()?;
+        Some(run[i].payload)
+    }
+
+    /// Resolve a whole block of addresses (big-endian `u32` form) in one
+    /// streaming merge-join pass, handing `emit` one result per input in
+    /// order, element-for-element identical to [`get`](Self::get) on
+    /// each address.
+    ///
+    /// Written for the v3 store's decoded `src_ip` column, which is
+    /// **ascending within a block** in delta-encoded files: ascending
+    /// inputs visit /16 buckets monotonically, so the bucket bounds are
+    /// recomputed only when the prefix changes (once per distinct /16
+    /// per block, not once per record), and within a bucket the slot
+    /// cursor only moves forward — a gallop (exponential probe + binary
+    /// search) bounded by the distance actually advanced, instead of a
+    /// full `log₂(bucket)` search per record. Runs of equal addresses
+    /// (the common case: one scanner emits many flows, and the sort
+    /// groups them) resolve by reusing the previous answer outright.
+    ///
+    /// Unsorted input stays **correct** — a descending step simply
+    /// resets the bucket state and restarts the gallop from the bucket
+    /// start — it just loses the monotonicity savings.
+    #[inline]
+    pub fn join_sorted(&self, ips: &[u32], mut emit: impl FnMut(Option<P>)) {
+        let mut prev: Option<(u32, Option<P>)> = None;
+        // Current bucket's slot window: `cursor` never moves backwards
+        // while the input ascends within the bucket.
+        let mut bucket = usize::MAX;
+        let mut cursor = 0usize;
+        let mut hi = 0usize;
+        for &ip in ips {
+            if let Some((prev_ip, prev_hit)) = prev {
+                if ip == prev_ip {
+                    emit(prev_hit);
+                    continue;
+                }
+                if ip < prev_ip {
+                    // Non-ascending input (non-delta file): restart the
+                    // gallop; correctness over speed.
+                    bucket = usize::MAX;
+                }
+            }
+            let b = (ip >> 16) as usize;
+            if b != bucket {
+                bucket = b;
+                cursor = self.bucket_starts[b] as usize;
+                hi = self.bucket_starts[b + 1] as usize;
+            }
+            let suffix = ip as u16;
+            cursor += gallop_lower_bound(&self.slots[cursor..hi], suffix);
+            let hit = (cursor < hi && self.slots[cursor].suffix == suffix)
+                .then(|| self.slots[cursor].payload);
+            prev = Some((ip, hit));
+            emit(hit);
+        }
     }
 }
 
+/// Index of the first slot whose suffix is `>= suffix` (`slots.len()`
+/// when none is): an exponential probe followed by a binary search over
+/// the probed window, so the cost is `O(log d)` in the distance `d`
+/// from the front — the gallop step of the sorted-block merge-join,
+/// where `d` is how far this record's suffix sits past the previous
+/// record's slot.
 #[inline]
-fn tag_realm(tag: u8) -> Realm {
-    if tag == REALM_CONSUMER {
-        Realm::Consumer
-    } else {
-        Realm::Cps
+fn gallop_lower_bound<P>(slots: &[Slot<P>], suffix: u16) -> usize {
+    let n = slots.len();
+    if n == 0 || slots[0].suffix >= suffix {
+        return 0;
+    }
+    // Invariant: slots[lo].suffix < suffix.
+    let mut lo = 0usize;
+    let mut step = 1usize;
+    while lo + step < n && slots[lo + step].suffix < suffix {
+        lo += step;
+        step <<= 1;
+    }
+    let hi = (lo + step).min(n);
+    // The answer is in (lo, hi]: binary-search the remainder.
+    lo + 1 + slots[lo + 1..hi].partition_point(|s| s.suffix < suffix)
+}
+
+/// A correlation hit packed into 32 bits: the dense intern index in the
+/// low 31, the realm in the top bit — so a correlation slot is 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DeviceRef(u32);
+
+/// The [`DeviceRef`] bit set for CPS devices.
+const CPS_BIT: u32 = 1 << 31;
+
+impl DeviceRef {
+    /// # Panics
+    ///
+    /// Panics if `dense` needs the top bit (2^31 devices or more).
+    fn new(dense: u32, realm: Realm) -> Self {
+        assert!(dense < CPS_BIT, "dense index {dense} past 2^31");
+        DeviceRef(match realm {
+            Realm::Consumer => dense,
+            Realm::Cps => dense | CPS_BIT,
+        })
+    }
+
+    #[inline]
+    fn get(self) -> (u32, Realm) {
+        let realm = if self.0 & CPS_BIT == 0 {
+            Realm::Consumer
+        } else {
+            Realm::Cps
+        };
+        (self.0 & !CPS_BIT, realm)
     }
 }
 
-/// A /16-bucketed two-level exact-IP index over a device inventory,
-/// resolving an address directly to `(dense intern index, Realm)`.
+/// The inventory's [`AddrIndex`], resolving an address directly to
+/// `(dense intern index, Realm)`.
 ///
 /// Built once per inventory (see
 /// [`DeviceDb::correlation_index`](crate::db::DeviceDb::correlation_index))
@@ -74,26 +256,7 @@ fn tag_realm(tag: u8) -> Realm {
 /// assert_eq!(realm, dev.realm());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorrelationIndex {
-    /// `bucket_starts[b]..bucket_starts[b+1]` is the slot range of
-    /// /16 bucket `b` (65,537 prefix-sum entries).
-    bucket_starts: Box<[u32]>,
-    /// One packed entry per indexed address, suffix-sorted within each
-    /// bucket.
-    slots: Box<[Slot]>,
-}
-
-/// One indexed address: everything a correlation hit needs, packed into
-/// the 8 bytes the binary search loads anyway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    /// Low 16 bits of the address (the bucket sort key).
-    suffix: u16,
-    /// Packed realm tag ([`REALM_CONSUMER`]/[`REALM_CPS`]).
-    realm: u8,
-    /// Dense intern index of the owning device.
-    dense: u32,
-}
+pub struct CorrelationIndex(AddrIndex<DeviceRef>);
 
 /// The `(address, position)` pair of every device, sorted — by address
 /// and, among devices sharing one, by position, so the first of them in
@@ -124,142 +287,40 @@ impl CorrelationIndex {
     /// ([`DeviceDb::from_devices`](crate::db::DeviceDb::from_devices)
     /// finds duplicate addresses in them).
     pub(crate) fn from_sorted_rows(rows: Vec<(u32, u32)>, devices: &[IotDevice]) -> Self {
-        // A full-address sort leaves every bucket's suffixes sorted as
-        // well.
-        let mut bucket_starts = vec![0u32; BUCKETS + 1];
-        for &(ip, _) in &rows {
-            bucket_starts[(ip >> 16) as usize + 1] += 1;
-        }
-        for b in 0..BUCKETS {
-            bucket_starts[b + 1] += bucket_starts[b];
-        }
-
-        // A slot is as large as a row, so this collects in place.
-        let slots: Vec<Slot> = rows
-            .into_iter()
-            .map(|(ip, di)| Slot {
-                suffix: (ip & 0xffff) as u16,
-                realm: realm_tag(devices[di as usize].realm()),
-                dense: di,
-            })
-            .collect();
-        CorrelationIndex {
-            bucket_starts: bucket_starts.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
-        }
+        CorrelationIndex(AddrIndex::from_sorted(
+            rows.into_iter()
+                .map(|(ip, di)| (ip, DeviceRef::new(di, devices[di as usize].realm()))),
+        ))
     }
 
     /// Number of indexed addresses.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.0.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.0.is_empty()
     }
 
     /// Resolve `ip` to `(dense intern index, realm)` — the correlation
     /// hot path.
     #[inline]
     pub fn correlate(&self, ip: Ipv4Addr) -> Option<(u32, Realm)> {
-        let ip = u32::from(ip);
-        let bucket = (ip >> 16) as usize;
-        let lo = self.bucket_starts[bucket] as usize;
-        let hi = self.bucket_starts[bucket + 1] as usize;
-        let run = &self.slots[lo..hi];
-        let suffix = (ip & 0xffff) as u16;
-        let i = run.binary_search_by_key(&suffix, |s| s.suffix).ok()?;
-        let slot = run[i];
-        Some((slot.dense, tag_realm(slot.realm)))
+        self.0.get(ip).map(DeviceRef::get)
     }
 
     /// Resolve a whole block of source addresses (big-endian `u32`
-    /// form) in one streaming merge-join pass, appending one result per
-    /// input to `out` (cleared first), element-for-element identical to
-    /// calling [`CorrelationIndex::correlate`] on each address.
-    ///
-    /// Written for the v3 store's decoded `src_ip` column, which is
-    /// **ascending within a block** in delta-encoded files: ascending
-    /// inputs visit /16 buckets monotonically, so the bucket bounds are
-    /// recomputed only when the prefix changes (once per distinct /16
-    /// per block, not once per record), and within a bucket the slot
-    /// cursor only moves forward — a gallop (exponential probe + binary
-    /// search) bounded by the distance actually advanced, instead of a
-    /// full `log₂(bucket)` search per record. Runs of equal addresses
-    /// (the common case: one scanner emits many flows, and the sort
-    /// groups them) resolve by reusing the previous answer outright.
-    ///
-    /// Unsorted input stays **correct** — a descending step simply
-    /// resets the bucket state and restarts the gallop from the bucket
-    /// start — it just loses the monotonicity savings. Batched sinks
-    /// can therefore feed every block through this path, delta-encoded
-    /// or not.
+    /// form) through [`AddrIndex::join_sorted`], appending one result
+    /// per input to `out` (cleared first), element-for-element
+    /// identical to calling [`correlate`](Self::correlate) on each
+    /// address.
     pub fn correlate_sorted_block(&self, ips: &[u32], out: &mut Vec<Option<(u32, Realm)>>) {
         out.clear();
         out.reserve(ips.len());
-        let mut prev_ip = 0u32;
-        let mut prev_res: Option<(u32, Realm)> = None;
-        let mut have_prev = false;
-        // Current bucket's slot window: `cursor` never moves backwards
-        // while the input ascends within the bucket.
-        let mut bucket = usize::MAX;
-        let mut cursor = 0usize;
-        let mut hi = 0usize;
-        for &ip in ips {
-            if have_prev && ip == prev_ip {
-                out.push(prev_res);
-                continue;
-            }
-            if have_prev && ip < prev_ip {
-                // Non-ascending input (non-delta file): restart the
-                // gallop; correctness over speed.
-                bucket = usize::MAX;
-            }
-            let b = (ip >> 16) as usize;
-            if b != bucket {
-                bucket = b;
-                cursor = self.bucket_starts[b] as usize;
-                hi = self.bucket_starts[b + 1] as usize;
-            }
-            let suffix = (ip & 0xffff) as u16;
-            cursor += gallop_lower_bound(&self.slots[cursor..hi], suffix);
-            let res = if cursor < hi && self.slots[cursor].suffix == suffix {
-                let slot = self.slots[cursor];
-                Some((slot.dense, tag_realm(slot.realm)))
-            } else {
-                None
-            };
-            prev_ip = ip;
-            prev_res = res;
-            have_prev = true;
-            out.push(res);
-        }
+        self.0
+            .join_sorted(ips, |hit| out.push(hit.map(DeviceRef::get)));
     }
-}
-
-/// Index of the first slot whose suffix is `>= suffix` (`slots.len()`
-/// when none is): an exponential probe followed by a binary search over
-/// the probed window, so the cost is `O(log d)` in the distance `d`
-/// from the front — the gallop step of the sorted-block merge-join,
-/// where `d` is how far this record's suffix sits past the previous
-/// record's slot.
-#[inline]
-fn gallop_lower_bound(slots: &[Slot], suffix: u16) -> usize {
-    let n = slots.len();
-    if n == 0 || slots[0].suffix >= suffix {
-        return 0;
-    }
-    // Invariant: slots[lo].suffix < suffix.
-    let mut lo = 0usize;
-    let mut step = 1usize;
-    while lo + step < n && slots[lo + step].suffix < suffix {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step).min(n);
-    // The answer is in (lo, hi]: binary-search the remainder.
-    lo + 1 + slots[lo + 1..hi].partition_point(|s| s.suffix < suffix)
 }
 
 /// Maps a dense intern index to a contiguous device-space shard.
@@ -428,6 +489,12 @@ mod tests {
             Some((1, Realm::Cps))
         );
         assert!(idx.correlate(Ipv4Addr::from(0x7f00_8000u32)).is_none());
+    }
+
+    /// The per-flow hot path loads one 8-byte slot per probe.
+    #[test]
+    fn correlation_slot_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Slot<DeviceRef>>(), 8);
     }
 
     /// Addresses engineered to cover empty, singleton, and dense /16

@@ -159,9 +159,9 @@ impl DeviceDb {
     ///
     /// Ids issued by [`push`](Self::push) are dense: the n-th accepted
     /// device gets `DeviceId(n)`, so ids double as array indices. The
-    /// columnar analysis structures (`DeviceTable`, `DeviceSet`) rely on
-    /// this contract; `index_of`/[`id_at`](Self::id_at) make it explicit
-    /// at call sites instead of scattering `id.0 as usize` casts.
+    /// columnar analysis structures (`DeviceTable`, the fold's scratch)
+    /// rely on this contract; `index_of`/[`id_at`](Self::id_at) make it
+    /// explicit at call sites instead of scattering `id.0 as usize` casts.
     #[inline]
     pub fn index_of(&self, id: DeviceId) -> usize {
         debug_assert!(

@@ -39,7 +39,7 @@ pub mod isp;
 pub mod synth;
 pub mod taxonomy;
 
-pub use correlate::{CorrelationIndex, ShardMap};
+pub use correlate::{AddrIndex, CorrelationIndex, ShardMap};
 pub use db::DeviceDb;
 pub use device::{DeviceId, DeviceProfile, IotDevice};
 pub use geo::CountryCode;

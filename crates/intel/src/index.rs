@@ -5,17 +5,11 @@
 //! allocates (a `Vec` of categories, a `HashSet` of hashes) after a
 //! hash-map walk. That is tolerable for a one-shot report but not for a
 //! per-hour streaming fold that re-touches every observed device. The
-//! [`IntelIndex`] flattens both stores into the same two-level shape
-//! [`CorrelationIndex`](iotscope_devicedb::CorrelationIndex) uses for
-//! device correlation:
-//!
-//! * **Level 1**: 65,536 `/16` buckets as 65,537 prefix-sum offsets
-//!   into the slot array — one shift and one load to find a bucket.
-//! * **Level 2**: one packed 12-byte `IntelSlot` per flagged address,
-//!   suffix-sorted within its bucket, carrying the category bitmask
-//!   (six Table VI categories in the low bits of a `u8`) and an
-//!   `(offset, len)` window into a shared flat array of sandbox-report
-//!   indices.
+//! [`IntelIndex`] flattens both stores into the
+//! [`AddrIndex`] the inventory correlation uses: one entry per flagged
+//! or contacted address, carrying the category bitmask (six Table VI
+//! categories in the low bits of a `u8`) and an `(offset, len)` window
+//! into a shared flat array of sandbox-report indices.
 //!
 //! A lookup is a bucket slice plus a binary search and returns borrowed
 //! data — no allocation, no second hash probe for the malware side.
@@ -26,18 +20,14 @@ use crate::malwaredb::MalwareDb;
 use crate::synth::IntelOutput;
 use crate::threat::ThreatRepo;
 use crate::FamilyResolver;
+use iotscope_devicedb::AddrIndex;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-
-/// Number of `/16` buckets.
-const BUCKETS: usize = 1 << 16;
 
 /// One flagged address: category mask plus a window into the shared
 /// sample-reference array.
 #[derive(Debug, Clone, Copy)]
-struct IntelSlot {
-    /// Low 16 bits of the address (the bucket sort key).
-    suffix: u16,
+struct IntelEntry {
     /// Packed [`ThreatCategory`](crate::ThreatCategory) bitmask
     /// (`ThreatCategory::bit` encoding).
     cat_mask: u8,
@@ -93,13 +83,9 @@ impl IntelHit<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntelIndex {
-    /// `bucket_starts[b]..bucket_starts[b+1]` is the slot range of
-    /// /16 bucket `b` (65,537 prefix-sum entries).
-    bucket_starts: Box<[u32]>,
-    /// One packed entry per flagged/contacted address, suffix-sorted
-    /// within each bucket.
-    slots: Box<[IntelSlot]>,
-    /// Flat pool of sandbox-report indices, windowed by the slots.
+    /// One entry per flagged/contacted address.
+    addrs: AddrIndex<IntelEntry>,
+    /// Flat pool of sandbox-report indices, windowed by the entries.
     sample_refs: Box<[u32]>,
 }
 
@@ -108,8 +94,7 @@ impl IntelIndex {
     /// threat repo flags it *or* a sandbox sample contacted it.
     pub fn build(threats: &ThreatRepo, malware: &MalwareDb) -> Self {
         // Merge through a BTreeMap: deterministic address order despite
-        // the HashMap-backed sources, and a full-address sort leaves
-        // every bucket's suffixes sorted too.
+        // the HashMap-backed sources.
         let mut merged: BTreeMap<u32, (u8, &[usize])> = BTreeMap::new();
         for (ip, events) in threats.iter_flagged() {
             let mut mask = 0u8;
@@ -122,29 +107,19 @@ impl IntelIndex {
             merged.entry(u32::from(ip)).or_insert((0, &[])).1 = refs;
         }
 
-        let mut bucket_starts = vec![0u32; BUCKETS + 1];
-        for ip in merged.keys() {
-            bucket_starts[(ip >> 16) as usize + 1] += 1;
-        }
-        for b in 0..BUCKETS {
-            bucket_starts[b + 1] += bucket_starts[b];
-        }
-
-        let mut slots = Vec::with_capacity(merged.len());
         let mut sample_refs = Vec::new();
-        for (ip, (cat_mask, refs)) in merged {
+        let addrs = AddrIndex::from_sorted(merged.into_iter().map(|(ip, (cat_mask, refs))| {
             let samples_start = sample_refs.len() as u32;
             sample_refs.extend(refs.iter().map(|&i| i as u32));
-            slots.push(IntelSlot {
-                suffix: (ip & 0xffff) as u16,
+            let entry = IntelEntry {
                 cat_mask,
                 samples_start,
                 samples_len: refs.len() as u32,
-            });
-        }
+            };
+            (ip, entry)
+        }));
         IntelIndex {
-            bucket_starts: bucket_starts.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
+            addrs,
             sample_refs: sample_refs.into_boxed_slice(),
         }
     }
@@ -156,128 +131,29 @@ impl IntelIndex {
 
     /// Number of indexed addresses.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.addrs.len()
     }
 
     /// Whether no address is indexed.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.addrs.is_empty()
     }
 
     /// Heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.bucket_starts.len() * std::mem::size_of::<u32>()
-            + self.slots.len() * std::mem::size_of::<IntelSlot>()
-            + self.sample_refs.len() * std::mem::size_of::<u32>()
+        self.addrs.heap_bytes() + std::mem::size_of_val(&*self.sample_refs)
     }
 
     /// Resolve `ip` against both stores — the streaming hot path.
     #[inline]
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<IntelHit<'_>> {
-        let ip = u32::from(ip);
-        let bucket = (ip >> 16) as usize;
-        let lo = self.bucket_starts[bucket] as usize;
-        let hi = self.bucket_starts[bucket + 1] as usize;
-        let run = &self.slots[lo..hi];
-        let suffix = (ip & 0xffff) as u16;
-        let i = run.binary_search_by_key(&suffix, |s| s.suffix).ok()?;
-        let slot = run[i];
-        let start = slot.samples_start as usize;
+        let entry = self.addrs.get(ip)?;
+        let start = entry.samples_start as usize;
         Some(IntelHit {
-            cat_mask: slot.cat_mask,
-            samples: &self.sample_refs[start..start + slot.samples_len as usize],
+            cat_mask: entry.cat_mask,
+            samples: &self.sample_refs[start..start + entry.samples_len as usize],
         })
     }
-
-    /// Sentinel returned by [`IntelIndex::lookup_sorted_block`] for an
-    /// address with no intel.
-    pub const NO_SLOT: u32 = u32::MAX;
-
-    /// Resolve a whole block of addresses (big-endian `u32` form) in
-    /// one streaming merge-join pass, appending one slot handle per
-    /// input to `out` (cleared first): [`IntelIndex::NO_SLOT`] for a
-    /// miss, otherwise an opaque handle [`IntelIndex::hit_at`] resolves
-    /// to the same [`IntelHit`] that [`IntelIndex::lookup`] returns.
-    ///
-    /// The same sorted-column contract as
-    /// `CorrelationIndex::correlate_sorted_block` in
-    /// `iotscope-devicedb`: the v3 store's decoded `src_ip` column is
-    /// ascending per block in delta-encoded files, so buckets are
-    /// entered monotonically and the in-bucket cursor gallops forward
-    /// instead of binary-searching from scratch per record; runs of
-    /// equal addresses reuse the previous answer. Unsorted input resets
-    /// the gallop on every descending step — correct, just not faster.
-    pub fn lookup_sorted_block(&self, ips: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(ips.len());
-        let mut prev_ip = 0u32;
-        let mut prev_slot = Self::NO_SLOT;
-        let mut have_prev = false;
-        let mut bucket = usize::MAX;
-        let mut cursor = 0usize;
-        let mut hi = 0usize;
-        for &ip in ips {
-            if have_prev && ip == prev_ip {
-                out.push(prev_slot);
-                continue;
-            }
-            if have_prev && ip < prev_ip {
-                bucket = usize::MAX;
-            }
-            let b = (ip >> 16) as usize;
-            if b != bucket {
-                bucket = b;
-                cursor = self.bucket_starts[b] as usize;
-                hi = self.bucket_starts[b + 1] as usize;
-            }
-            let suffix = (ip & 0xffff) as u16;
-            cursor += gallop_lower_bound(&self.slots[cursor..hi], suffix);
-            let slot = if cursor < hi && self.slots[cursor].suffix == suffix {
-                cursor as u32
-            } else {
-                Self::NO_SLOT
-            };
-            prev_ip = ip;
-            prev_slot = slot;
-            have_prev = true;
-            out.push(slot);
-        }
-    }
-
-    /// Resolve a slot handle from [`IntelIndex::lookup_sorted_block`]
-    /// into the hit it denotes. Panics on [`IntelIndex::NO_SLOT`] or a
-    /// handle from a different index — handles are positions, not
-    /// validated capabilities.
-    #[inline]
-    pub fn hit_at(&self, slot: u32) -> IntelHit<'_> {
-        let slot = self.slots[slot as usize];
-        let start = slot.samples_start as usize;
-        IntelHit {
-            cat_mask: slot.cat_mask,
-            samples: &self.sample_refs[start..start + slot.samples_len as usize],
-        }
-    }
-}
-
-/// Index of the first slot whose suffix is `>= suffix` (`slots.len()`
-/// when none is): exponential probe + binary search over the probed
-/// window — `O(log d)` in the distance `d` advanced, the gallop step of
-/// the sorted-block merge-join.
-#[inline]
-fn gallop_lower_bound(slots: &[IntelSlot], suffix: u16) -> usize {
-    let n = slots.len();
-    if n == 0 || slots[0].suffix >= suffix {
-        return 0;
-    }
-    // Invariant: slots[lo].suffix < suffix.
-    let mut lo = 0usize;
-    let mut step = 1usize;
-    while lo + step < n && slots[lo + step].suffix < suffix {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step).min(n);
-    lo + 1 + slots[lo + 1..hi].partition_point(|s| s.suffix < suffix)
 }
 
 /// The full §V intel surface bundled for streaming consumers: both raw
@@ -384,7 +260,7 @@ mod tests {
         assert_eq!(hit.samples, &[1]);
 
         assert!(idx.lookup(Ipv4Addr::from(0x0a00_0004u32)).is_none());
-        assert!(idx.heap_bytes() > (BUCKETS + 1) * 4);
+        assert!(idx.heap_bytes() > (1 << 16) * 4);
     }
 
     #[test]
@@ -489,53 +365,6 @@ mod tests {
             for &(ip, _) in &flagged {
                 let ip = Ipv4Addr::from(ip);
                 prop_assert_eq!(a.lookup(ip), b.lookup(ip));
-            }
-        }
-
-        /// The sorted-block merge-join resolves every address to the
-        /// same hit (or miss) as per-record `lookup`, on ascending and
-        /// on arbitrary (unsorted) blocks, and reusing the out buffer
-        /// replaces its contents.
-        #[test]
-        fn prop_sorted_block_matches_per_record(
-            flagged in proptest::collection::vec((addr_strategy(), 0u8..6), 0..100),
-            mut block in proptest::collection::vec(addr_strategy(), 0..400),
-            sort_block in any::<bool>(),
-        ) {
-            let repo: ThreatRepo = flagged
-                .iter()
-                .map(|&(ip, c)| event(ip, ThreatCategory::ALL[c as usize]))
-                .collect();
-            let idx = IntelIndex::build(&repo, &MalwareDb::new());
-            // Mix known members in so hits are common, then duplicate a
-            // prefix to exercise the equal-run fast path.
-            block.extend(flagged.iter().map(|&(ip, _)| ip));
-            let dup: Vec<u32> = block.iter().take(8).copied().collect();
-            block.extend(dup);
-            if sort_block {
-                block.sort_unstable();
-            }
-
-            let mut slots = Vec::new();
-            idx.lookup_sorted_block(&block, &mut slots);
-            prop_assert_eq!(slots.len(), block.len());
-            for (&ip, &slot) in block.iter().zip(&slots) {
-                let got = (slot != IntelIndex::NO_SLOT)
-                    .then(|| idx.hit_at(slot))
-                    .map(|h| (h.cat_mask, h.samples.to_vec()));
-                let want = idx
-                    .lookup(Ipv4Addr::from(ip))
-                    .map(|h| (h.cat_mask, h.samples.to_vec()));
-                prop_assert_eq!(got, want, "address {}", Ipv4Addr::from(ip));
-            }
-
-            // Reuse: the second pass must fully replace the first.
-            block.reverse();
-            idx.lookup_sorted_block(&block, &mut slots);
-            prop_assert_eq!(slots.len(), block.len());
-            for (&ip, &slot) in block.iter().zip(&slots) {
-                let hit = slot != IntelIndex::NO_SLOT;
-                prop_assert_eq!(hit, idx.lookup(Ipv4Addr::from(ip)).is_some());
             }
         }
     }

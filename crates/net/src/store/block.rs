@@ -37,9 +37,9 @@ const PROTO_BY_NUMBER: [TransportProtocol; 256] = {
 /// Every hour this crate writes is sorted by `(src_ip, dst_ip,
 /// dst_port)` before blocking, so [`ColumnBlock::src_ip`] is
 /// **ascending within the block** — the invariant the merge-join
-/// correlation passes (`CorrelationIndex::correlate_sorted_block`,
-/// `IntelIndex::lookup_sorted_block` downstream) exploit to replace
-/// per-record binary searches with a forward gallop, and that groups
+/// correlation pass (`CorrelationIndex::correlate_sorted_block`
+/// downstream) exploits to replace per-record binary searches with a
+/// forward gallop, and that groups
 /// each source's flows into one run. A plain legacy hour transcoded by
 /// compaction, a file whose delta flag is clear, or a block
 /// [`fill`](ColumnBlock::fill)ed from arbitrary records carries no such

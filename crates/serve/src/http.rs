@@ -3,10 +3,12 @@
 //! `std::net::TcpListener` + a thread per connection with keep-alive:
 //! no async runtime, no external crates, same discipline as
 //! `iotscope-obs`'s exporters. Handlers only ever clone the current
-//! snapshot `Arc`, so slow clients never block ingest.
+//! snapshot `Arc`, so slow clients never block ingest. What a peer can
+//! make a handler buffer is bounded: at most 100 header lines of at
+//! most 8 KiB each.
 
 use crate::{error_body, TelescopeService};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,6 +18,38 @@ use std::time::Duration;
 /// How long an idle keep-alive connection may sit between requests
 /// before the handler thread gives up on it.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request or header line read, line terminator included; a
+/// longer request line is answered `400`, a longer header `431`.
+const MAX_LINE: u64 = 8 * 1024;
+
+/// Most header lines one request may carry; one more is answered `431`.
+const MAX_HEADERS: usize = 100;
+
+/// One line read through [`read_line`].
+enum Line {
+    /// The peer closed the connection before sending anything.
+    Closed,
+    /// A line (or the peer's last, unterminated bytes) within
+    /// [`MAX_LINE`].
+    Read,
+    /// [`MAX_LINE`] bytes and no line end.
+    TooLong,
+}
+
+/// Read one line into `line` (cleared first), never buffering more than
+/// [`MAX_LINE`] bytes of it.
+fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<Line> {
+    line.clear();
+    let n = reader.by_ref().take(MAX_LINE).read_line(line)?;
+    Ok(if n == 0 {
+        Line::Closed
+    } else if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        Line::TooLong
+    } else {
+        Line::Read
+    })
+}
 
 /// The listener: an accept-loop thread spawning one handler thread per
 /// connection. Dropping (or [`shutdown`](Self::shutdown)) stops the
@@ -95,15 +129,19 @@ fn handle_connection(
     stop: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream);
+    let mut request_line = String::new();
+    let mut header = String::new();
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut request_line = String::new();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(()); // peer closed
+        match read_line(&mut reader, &mut request_line)? {
+            Line::Closed => return Ok(()),
+            Line::TooLong => return refuse(reader.get_mut(), 400, "request line too long"),
+            Line::Read => {}
         }
         let mut parts = request_line.split_whitespace();
         let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
@@ -118,14 +156,20 @@ fn handle_connection(
         // HTTP/1.0 (and anything unrecognized) closes — and an explicit
         // `Connection` header overrides either way.
         let mut keep_alive = version == "HTTP/1.1";
+        let mut headers = 0usize;
         loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                return Ok(());
+            match read_line(&mut reader, &mut header)? {
+                Line::Closed => return Ok(()),
+                Line::TooLong => return refuse(reader.get_mut(), 431, "header line too long"),
+                Line::Read => {}
             }
             let header = header.trim_end();
             if header.is_empty() {
                 break;
+            }
+            headers += 1;
+            if headers > MAX_HEADERS {
+                return refuse(reader.get_mut(), 431, "too many header lines");
             }
             if let Some(v) = header
                 .to_ascii_lowercase()
@@ -151,6 +195,11 @@ fn handle_connection(
     }
 }
 
+/// Answer `status` with an error body and close the connection.
+fn refuse(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+    write_response(stream, status, &error_body(message), false)
+}
+
 fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -162,6 +211,7 @@ fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let header = format!(

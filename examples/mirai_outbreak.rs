@@ -125,9 +125,9 @@ fn main() {
     );
     println!(
         "inferred scanners: {} (planted: {} bots + 25 background)",
-        analysis.tcp_scanners().len(),
+        analysis.view().tcp_scanners().len(),
         bots.len()
     );
-    assert_eq!(analysis.tcp_scanners().len(), bots.len() + 25);
+    assert_eq!(analysis.view().tcp_scanners().len(), bots.len() + 25);
     println!("every infected device was recovered from darknet traffic alone ✔");
 }

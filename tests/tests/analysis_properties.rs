@@ -172,14 +172,6 @@ proptest! {
         // Total packets.
         let total: u64 = analysis.devices.rows().map(|o| o.total_packets()).sum();
         prop_assert_eq!(view.total_packets(), total);
-
-        // The legacy accessor shims route through the same cache.
-        prop_assert_eq!(&analysis.compromised_devices()[..], view.compromised());
-        prop_assert_eq!(&analysis.dos_victims()[..], view.dos_victims());
-        prop_assert_eq!(&analysis.tcp_scanners()[..], view.tcp_scanners());
-        prop_assert_eq!(&analysis.udp_devices()[..], view.udp_devices());
-        prop_assert_eq!(analysis.compromised_counts(), view.realm_counts());
-        prop_assert_eq!(analysis.total_packets(), view.total_packets());
     }
 
     /// Device-sharded analysis is *bit-identical* to the sequential

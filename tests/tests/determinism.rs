@@ -49,7 +49,7 @@ fn packet_budgets_scale_linearly() {
             .run(&traffic, &AnalyzeOptions::new())
             .unwrap()
             .analysis;
-        analysis.total_packets() as f64
+        analysis.view().total_packets() as f64
     };
     let t1 = total(0.01);
     let t3 = total(0.03);

@@ -31,7 +31,7 @@ fn every_designated_device_is_inferred() {
         .chain(built.inventory.designated_cps.iter())
         .copied()
         .collect();
-    let inferred: HashSet<_> = analysis.compromised_devices().into_iter().collect();
+    let inferred: HashSet<_> = analysis.view().compromised().iter().copied().collect();
     assert_eq!(
         inferred, designated,
         "inference must recover exactly the planted set"
@@ -79,7 +79,7 @@ fn planted_victims_are_inferred_as_victims() {
         .devices_with_role(Role::DosVictim)
         .into_iter()
         .collect();
-    let inferred_victims: HashSet<_> = analysis.dos_victims().into_iter().collect();
+    let inferred_victims: HashSet<_> = analysis.view().dos_victims().iter().copied().collect();
     // Every planted victim emitted backscatter and was classified as such.
     for v in &truth_victims {
         assert!(inferred_victims.contains(v), "victim {v} not inferred");
@@ -101,7 +101,7 @@ fn planted_tcp_scanners_emit_tcp_scans() {
         .devices_with_role(Role::TcpScanner)
         .into_iter()
         .collect();
-    let inferred: HashSet<_> = analysis.tcp_scanners().into_iter().collect();
+    let inferred: HashSet<_> = analysis.view().tcp_scanners().iter().copied().collect();
     let recovered = truth_scanners.intersection(&inferred).count();
     // Nearly all planted scanners are observed scanning (tiny budgets may
     // emit only their guaranteed UDP-free discovery flow).
@@ -124,7 +124,7 @@ fn planted_udp_actors_emit_udp() {
         .devices_with_role(Role::UdpActor)
         .into_iter()
         .collect();
-    let inferred: HashSet<_> = analysis.udp_devices().into_iter().collect();
+    let inferred: HashSet<_> = analysis.view().udp_devices().iter().copied().collect();
     let recovered = truth_udp.intersection(&inferred).count();
     assert!(
         recovered as f64 > 0.95 * truth_udp.len() as f64,

@@ -41,7 +41,7 @@ fn fixture() -> &'static Fixture {
 fn headline_population_counts() {
     let f = fixture();
     // §III-B: 26,881 compromised devices, 57% consumer.
-    let (consumer, cps) = f.analysis.compromised_counts();
+    let (consumer, cps) = f.analysis.view().realm_counts();
     assert_eq!(consumer + cps, 26_881);
     assert_eq!(consumer, 15_299);
     assert_eq!(cps, 11_582);
@@ -380,7 +380,7 @@ fn scan_summary_shapes() {
     // ICMP scanning: tiny share, 56 devices, consumer-dominated (93%).
     assert_eq!(s.icmp_devices, 56);
     assert!(s.icmp_consumer_packet_share > 0.80);
-    let icmp_share = s.icmp_packets as f64 / f.analysis.total_packets() as f64;
+    let icmp_share = s.icmp_packets as f64 / f.analysis.view().total_packets() as f64;
     assert!(icmp_share < 0.01, "icmp share {icmp_share}");
     // §IV-C: no strong correlation between hourly scanners and packets.
     let c = scan::scanners_vs_packets_correlation(&f.analysis).unwrap();

@@ -120,7 +120,7 @@ fn reference_malware_correlation(
     let mut devices = Vec::new();
     let mut hashes: BTreeSet<MalwareHash> = BTreeSet::new();
     let mut domains: BTreeSet<String> = BTreeSet::new();
-    for id in analysis.compromised_devices() {
+    for &id in analysis.view().compromised() {
         let ip = db.device(id).ip;
         let sample_hashes = malware.hashes_contacting(ip);
         if sample_hashes.is_empty() {

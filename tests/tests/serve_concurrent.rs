@@ -327,7 +327,7 @@ fn http_round_trip_on_ephemeral_port() {
         "{body}"
     );
 
-    let dev = snap.analysis.compromised_devices()[0];
+    let dev = snap.analysis.view().compromised()[0];
     let (status, body) = get(&mut conn, &format!("/device/{}", dev.0));
     assert_eq!(status, 200);
     assert!(body.contains("\"ip\":"), "{body}");
@@ -404,4 +404,72 @@ fn http_1_0_connection_defaults_per_protocol() {
         let (status, _) = read_response(&mut conn);
         assert_eq!(status, 200);
     }
+}
+
+/// Send `request` on a fresh connection from a writer thread (the
+/// server may stop reading and close mid-request), then read the
+/// answer: `(status, closed afterwards)`.
+fn oversized_request(server: &HttpServer, request: Vec<u8>) -> (u16, bool) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        // The server answers before it has read everything; a reset
+        // mid-write is expected.
+        let _ = writer.write_all(&request);
+    });
+    let mut conn = BufReader::new(stream);
+    let (status, _) = read_response(&mut conn);
+    // Closed: end of stream, or a reset for the unread request bytes.
+    let closed = match conn.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    sender.join().expect("writer thread");
+    (status, closed)
+}
+
+/// A peer cannot make a handler buffer without bound: a 1 MiB request
+/// line is refused with 400 and a 101-header request with 431, each on
+/// a closed connection, and the server keeps serving fresh ones.
+#[test]
+fn http_bounds_request_line_and_header_count() {
+    let inv = inventory();
+    let service = Arc::new(TelescopeService::new(
+        inv.db.clone(),
+        inv.isps.clone(),
+        WINDOW_HOURS,
+    ));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
+
+    let mut long_line = b"GET /".to_vec();
+    long_line.resize(1 << 20, b'a');
+    long_line.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+    assert_eq!(oversized_request(&server, long_line), (400, true));
+
+    let mut many_headers = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..101 {
+        many_headers.extend_from_slice(format!("X-Filler-{i}: x\r\n").as_bytes());
+    }
+    many_headers.extend_from_slice(b"\r\n");
+    assert_eq!(oversized_request(&server, many_headers), (431, true));
+
+    // One header fewer is still served.
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut conn = BufReader::new(stream);
+    let mut hundred = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..100 {
+        hundred.extend_from_slice(format!("X-Filler-{i}: x\r\n").as_bytes());
+    }
+    hundred.extend_from_slice(b"\r\n");
+    conn.get_mut().write_all(&hundred).expect("write");
+    assert_eq!(read_response(&mut conn).0, 200);
+
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut conn = BufReader::new(stream);
+    let (status, body) = get(&mut conn, "/healthz");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
 }

@@ -139,7 +139,7 @@ fn missing_day_is_dropped_and_reported() {
         assert_eq!(analysis.backscatter_hourly[0][i], 0);
     }
     // Other days still analyzed.
-    assert!(analysis.total_packets() > 0);
+    assert!(analysis.view().total_packets() > 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
