@@ -26,9 +26,8 @@ pub use crate::table::{
 };
 use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
-use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
-use iotscope_net::store::{ColumnBlock, FlowSink, BLOCK_RECORDS};
+use iotscope_net::store::{ColumnBlock, FlowSink};
 use iotscope_obs::{Counter, Registry};
 use iotscope_telescope::HourTraffic;
 
@@ -384,11 +383,9 @@ pub struct Analyzer<'a> {
     /// The hour's device-keyed scratch (device half).
     dev: DeviceFold,
     /// Per-block scratch, capacity reused across blocks: the block's
-    /// merge-join correlation column and its routed flows, and the
-    /// columns in-memory records are copied into.
+    /// merge-join correlation column and its routed flows.
     corr: Vec<Option<(u32, Realm)>>,
     routed: Vec<RoutedFlow>,
-    block: ColumnBlock,
     result: Analysis,
 }
 
@@ -403,7 +400,6 @@ impl<'a> Analyzer<'a> {
             dev: DeviceFold::new(0..db.len() as u32),
             corr: Vec::new(),
             routed: Vec::new(),
-            block: ColumnBlock::default(),
             result: Analysis::empty(hours),
         }
     }
@@ -423,16 +419,16 @@ impl<'a> Analyzer<'a> {
     /// Ingest one hour of traffic.
     ///
     /// Thin wrapper over the block-streaming path: one
-    /// [`begin_hour`](Self::begin_hour), one slice, one finish — so the
-    /// materialized and streaming ingests share every line of per-flow
-    /// code and are bit-identical by construction.
+    /// [`begin_hour`](Self::begin_hour), the hour's records through
+    /// [`FlowSink::on_flows`], one finish — so the materialized and
+    /// streaming ingests share every line of per-flow code.
     ///
     /// # Panics
     ///
     /// Panics if the hour's interval is outside the window.
     pub fn ingest_hour(&mut self, hour: &HourTraffic) {
         let mut ingest = self.begin_hour(hour.interval);
-        ingest.ingest(&hour.flows);
+        ingest.on_flows(&hour.flows);
         ingest.finish();
     }
 
@@ -482,9 +478,9 @@ impl<'a> Analyzer<'a> {
 /// One hour's streaming ingest, produced by [`Analyzer::begin_hour`].
 ///
 /// Feed it decoded blocks ([`FlowSink::visit_block`]) or in-order flow
-/// slices (any slicing — per v3 block, per whole hour, per record —
-/// folds identically) and then [`finish`](Self::finish) to commit the
-/// hour's per-hour aggregates.
+/// slices ([`FlowSink::on_flows`]: any slicing folds identically) and
+/// then [`finish`](Self::finish) to commit the hour's per-hour
+/// aggregates.
 #[derive(Debug)]
 pub struct HourIngest<'h, 'a> {
     an: &'h mut Analyzer<'a>,
@@ -496,18 +492,6 @@ pub struct HourIngest<'h, 'a> {
 }
 
 impl HourIngest<'_, '_> {
-    /// Fold one slice of the hour's flows: copied into columns
-    /// [`BLOCK_RECORDS`] records at a time, each chunk folded like a
-    /// decoded block.
-    pub fn ingest(&mut self, flows: &[FlowTuple]) {
-        let mut block = std::mem::take(&mut self.an.block);
-        for chunk in flows.chunks(BLOCK_RECORDS) {
-            block.fill(chunk);
-            self.visit_block(&block);
-        }
-        self.an.block = block;
-    }
-
     /// Commit the hour: fold the per-hour scratch (distinct dst-IP /
     /// port / device counts, dominant backscatter victim) into the
     /// result and flush the hour's metric accumulators.
@@ -531,10 +515,6 @@ impl HourIngest<'_, '_> {
 }
 
 impl FlowSink for HourIngest<'_, '_> {
-    fn on_flows(&mut self, flows: &[FlowTuple]) {
-        self.ingest(flows);
-    }
-
     /// The one fold every ingest takes: correlate the block's `src_ip`
     /// column in one merge-join pass, scan the columns into routed
     /// flows (front half), then fold those one device run at a time
@@ -643,9 +623,9 @@ mod tests {
     }
 
     #[test]
-    fn sliced_ingest_matches_whole_hour_ingest() {
-        // begin_hour + arbitrary slicing must equal ingest_hour exactly —
-        // the contract the fused block-streaming path rides on.
+    fn dropped_hour_ingest_leaves_no_distincts() {
+        // An unfinished hour contributes flows but no per-hour distinct
+        // counts; dropping the ingest must not poison a later hour.
         let db = db();
         let mixed = vec![
             syn([1, 0, 0, 1], 23),
@@ -667,27 +647,13 @@ mod tests {
             .with_packets(5),
             syn([2, 0, 0, 1], 2323),
         ];
-        let mut whole = Analyzer::new(&db, 4);
-        whole.ingest_hour(&hour(2, mixed.clone()));
-        let whole = whole.finish();
-        for chunk in [1, 2, mixed.len()] {
-            let mut sliced = Analyzer::new(&db, 4);
-            let mut ingest = sliced.begin_hour(2);
-            for part in mixed.chunks(chunk) {
-                ingest.ingest(part);
-            }
-            ingest.finish();
-            assert_eq!(sliced.finish(), whole, "chunk={chunk}");
-        }
-        // An unfinished hour contributes flows but no per-hour distinct
-        // counts; dropping the ingest must not poison a later hour.
         let mut dropped = Analyzer::new(&db, 4);
         {
             let mut ingest = dropped.begin_hour(1);
-            ingest.ingest(&mixed);
+            ingest.on_flows(&mixed);
         }
         let mut redo = dropped.begin_hour(2);
-        redo.ingest(&mixed);
+        redo.on_flows(&mixed);
         redo.finish();
         let redone = dropped.finish();
         assert_eq!(

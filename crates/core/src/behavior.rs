@@ -162,7 +162,7 @@ pub fn extract_hour(
         let entry = vectors.entry(flow.src_ip).or_insert_with(|| {
             BehaviorVector::new(
                 flow.src_ip,
-                db.lookup_ip(flow.src_ip).map(|d| d.id),
+                db.correlate(flow.src_ip).map(|(i, _)| DeviceId(i)),
                 hours as usize,
             )
         });

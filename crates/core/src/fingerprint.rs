@@ -284,7 +284,7 @@ mod tests {
         assert_eq!(candidates.len(), 1, "{candidates:#?}");
         assert_eq!(candidates[0].ip, Ipv4Addr::new(198, 51, 7, 7));
         // Matched devices are never candidates, whatever their score.
-        assert!(candidates.iter().all(|c| db.lookup_ip(c.ip).is_none()));
+        assert!(candidates.iter().all(|c| db.correlate(c.ip).is_none()));
     }
 
     #[test]

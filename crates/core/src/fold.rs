@@ -18,9 +18,8 @@
 //! half and ships the routed flows to the
 //! [`ShardAccumulator`](crate::shard::ShardAccumulator) owning the
 //! device, which runs the device half. Same functions, same state
-//! types, so sequential ≡ sharded ≡ streaming by construction; the
-//! per-record fold they replaced is kept as a test oracle
-//! (`reference`).
+//! types for every driver; each driver is checked against the naive
+//! per-record analyzer in the `iotscope-tests` crate (`oracle`).
 
 use crate::analysis::{class_idx, merge_top_victim, realm_idx, Analysis};
 use crate::classify::classify;
@@ -437,155 +436,6 @@ impl DeviceFold {
     }
 }
 
-/// The per-record fold the column scan and the run fold replaced, kept
-/// as the oracle every optimised path is compared to: per-flow
-/// correlation (`CorrelationIndex::correlate`), per-flow [`classify`],
-/// and a per-flow device write, with plain ordered sets and maps for
-/// the device-keyed scratch and Table V's devices.
-#[cfg(test)]
-pub(crate) mod reference {
-    use super::*;
-    use crate::analysis::AnalyzerMetrics;
-    use iotscope_devicedb::DeviceDb;
-    use iotscope_obs::{Registry, Snapshot};
-    use iotscope_telescope::HourTraffic;
-    use std::collections::{BTreeMap, BTreeSet};
-
-    /// The devices that scanned each Table V group, per realm index.
-    pub(crate) type ServiceDevices = [[BTreeSet<DeviceId>; 2]; ScanService::GROUPS];
-
-    /// One hour's device-keyed scratch.
-    #[derive(Default)]
-    struct HourDevices {
-        udp: [BTreeSet<DeviceId>; 2],
-        scan: [BTreeSet<DeviceId>; 2],
-        /// Backscatter packets per emitting device.
-        backscatter: BTreeMap<DeviceId, u64>,
-    }
-
-    /// Fold one classified flow of the hour at `at` into `result`.
-    fn observe(
-        result: &mut Analysis,
-        hour: &mut HourDevices,
-        services: &mut ServiceDevices,
-        at: HourPos,
-        (id, r): (DeviceId, usize),
-        class: u8,
-        flow: &FlowTuple,
-    ) {
-        let pkts = u64::from(flow.packets);
-        let slot = ScanService::group_of_port(flow.dst_port);
-        let mask = if class == CLASS_TCP_SCAN {
-            1 << slot
-        } else {
-            0
-        };
-        result
-            .devices
-            .observe(id, REALMS[r], usize::from(class), pkts, at, mask);
-        let proto = match flow.protocol {
-            TransportProtocol::Icmp => 0,
-            TransportProtocol::Tcp => 1,
-            TransportProtocol::Udp => 2,
-        };
-        result.protocol_packets[r][proto] += pkts;
-        match class {
-            CLASS_UDP => {
-                result.udp[r].packets[at.idx] += pkts;
-                hour.udp[r].insert(id);
-                result.udp_ports.observe(flow.dst_port, pkts, id);
-            }
-            CLASS_TCP_SCAN => {
-                result.tcp_scan[r].packets[at.idx] += pkts;
-                hour.scan[r].insert(id);
-                services[slot][r].insert(id);
-                result.scan_services.observe(slot, r, pkts);
-                if let Some(series) = result.top5_series[at.idx].get_mut(slot) {
-                    *series += pkts;
-                }
-            }
-            CLASS_BACKSCATTER => {
-                result.backscatter_hourly[r][at.idx] += pkts;
-                *hour.backscatter.entry(id).or_insert(0) += pkts;
-            }
-            _ => {}
-        }
-    }
-
-    /// The per-record analysis of `traffic` over `db` in a window of
-    /// `hours`, the stable metric snapshot a memory-fed pipeline run
-    /// over the same hours must publish, and the devices that scanned
-    /// each Table V group.
-    pub(crate) fn analyze(
-        db: &DeviceDb,
-        hours: u32,
-        traffic: &[HourTraffic],
-    ) -> (Analysis, Snapshot, ServiceDevices) {
-        let index = db.correlation_index();
-        let mut result = Analysis::empty(hours);
-        let mut services = ServiceDevices::default();
-        let mut dst = DstDistinct::new();
-        let mut packets = [[0u64; NUM_CLASSES]; 2];
-        for hour in traffic {
-            let at = HourPos::new(hour.interval, hours);
-            dst.clear();
-            let mut devices = HourDevices::default();
-            for flow in &hour.flows {
-                let Some((dense, realm)) = index.correlate(flow.src_ip) else {
-                    result.unmatched_flows += 1;
-                    result.unmatched_packets += u64::from(flow.packets);
-                    continue;
-                };
-                let class = class_idx(classify(flow)) as u8;
-                let r = realm_idx(realm);
-                dst.observe(class, r, u32::from(flow.dst_ip), flow.dst_port);
-                packets[r][usize::from(class)] += u64::from(flow.packets);
-                observe(
-                    &mut result,
-                    &mut devices,
-                    &mut services,
-                    at,
-                    (DeviceId(dense), r),
-                    class,
-                    flow,
-                );
-            }
-            dst.commit(&mut result, at.idx);
-            for r in 0..2 {
-                result.udp[r].devices[at.idx] += devices.udp[r].len() as u64;
-                result.tcp_scan[r].devices[at.idx] += devices.scan[r].len() as u64;
-            }
-            // Ascending ids with a strict `>`: ties go to the smaller id.
-            let mut top: Option<(DeviceId, u64)> = None;
-            for (&id, &cnt) in &devices.backscatter {
-                if top.is_none_or(|(_, best)| cnt > best) {
-                    top = Some((id, cnt));
-                }
-            }
-            let slot = &mut result.backscatter_intervals[at.idx];
-            slot.total += devices.backscatter.values().sum::<u64>();
-            merge_top_victim(&mut slot.top_victim, top);
-        }
-        result.normalize();
-
-        let registry = Registry::new();
-        registry
-            .counter("pipeline.hours_ingested")
-            .add(traffic.len() as u64);
-        registry.counter("pipeline.hours_missing");
-        registry.counter("pipeline.hours_skipped");
-        let m = AnalyzerMetrics::register(&registry);
-        for (counters, totals) in m.packets.iter().zip(packets) {
-            for (counter, pkts) in counters.iter().zip(totals) {
-                counter.add(pkts);
-            }
-        }
-        m.unmatched_flows.add(result.unmatched_flows);
-        m.unmatched_packets.add(result.unmatched_packets);
-        (result, registry.snapshot().stable_only(), services)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,11 +445,8 @@ mod tests {
     use crate::stream::{StreamConfig, StreamingAnalyzer};
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IotDevice, IspId};
-    use iotscope_net::store::{FlowStore, StoreOptions, BLOCK_RECORDS};
-    use iotscope_net::time::{AnalysisWindow, UnixHour};
-    use iotscope_obs::Registry;
+    use iotscope_net::time::UnixHour;
     use iotscope_telescope::HourTraffic;
-    use proptest::prelude::*;
 
     /// Window length of the test hours.
     const HOURS: u32 = 8;
@@ -669,173 +516,6 @@ mod tests {
             country: CountryCode::from_code("US").unwrap(),
             isp: IspId(0),
         }))
-    }
-
-    /// A flow from `src` with every other field drawn from `r`: all
-    /// three protocols, any flag byte, ICMP types in and past 0..=255,
-    /// destinations and ports that repeat within an hour, and one flow
-    /// in seven carrying zero packets.
-    fn random_flow(src: Ipv4Addr, r: u64) -> FlowTuple {
-        FlowTuple {
-            src_ip: src,
-            dst_ip: Ipv4Addr::from(0x2c00_0000 | ((r >> 24) % 500) as u32),
-            src_port: match (r >> 2) % 3 {
-                0 => ((r >> 8) & 0xff) as u16,
-                1 => 256 + ((r >> 8) % 1_000) as u16,
-                _ => (r >> 8) as u16,
-            },
-            dst_port: ((r >> 34) % 2_000) as u16,
-            protocol: TransportProtocol::ALL[(r % 3) as usize],
-            ttl: (r >> 44) as u8,
-            tcp_flags: TcpFlags::from_bits((r >> 52) as u8),
-            ip_len: (r >> 20) as u16,
-            packets: if r.is_multiple_of(7) {
-                0
-            } else {
-                (r >> 60) as u32 + 1
-            },
-        }
-    }
-
-    /// `hours` hours of unsorted traffic from `seed`: runs of one to
-    /// five flows per source, a quarter of them from sources outside
-    /// the inventory. The first hour opens with every protocol × flag
-    /// byte; with `big` it also crosses the 4,096-record chunk boundary
-    /// inside one device's run.
-    fn random_traffic(db: &DeviceDb, seed: u64, hours: u32, big: bool) -> Vec<HourTraffic> {
-        let ips: Vec<Ipv4Addr> = db.iter().map(|d| d.ip).collect();
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        (0..hours)
-            .map(|h| {
-                let mut flows = Vec::new();
-                let mut n = 200 + (next() % 600) as usize;
-                if h == 0 {
-                    for protocol in TransportProtocol::ALL {
-                        for flags in 0..=u8::MAX {
-                            let src = ips[usize::from(flags) % ips.len()];
-                            flows.push(FlowTuple {
-                                protocol,
-                                tcp_flags: TcpFlags::from_bits(flags),
-                                ..random_flow(src, next())
-                            });
-                        }
-                    }
-                    if big {
-                        n = BLOCK_RECORDS + 300;
-                    }
-                }
-                while flows.len() < n {
-                    let r = next();
-                    let src = if r.is_multiple_of(4) {
-                        Ipv4Addr::from(0xc0a8_0000 | ((r >> 40) & 0xff) as u32)
-                    } else {
-                        ips[(r >> 8) as usize % ips.len()]
-                    };
-                    for _ in 0..=(r >> 16) % 5 {
-                        flows.push(random_flow(src, next()));
-                    }
-                }
-                if big && h == 0 {
-                    for flow in &mut flows[BLOCK_RECORDS - 6..BLOCK_RECORDS + 6] {
-                        *flow = random_flow(ips[5], next());
-                    }
-                }
-                let interval = 1 + 2 * h;
-                HourTraffic {
-                    interval,
-                    hour: UnixHour::new(2_000 + u64::from(interval)),
-                    flows,
-                }
-            })
-            .collect()
-    }
-
-    /// Table V's device counts per `[group][realm]`, from
-    /// `scan::protocol_table` — which counts the `DeviceTable` services
-    /// column — keyed by group slot.
-    fn table_v_devices(analysis: &Analysis) -> Vec<(usize, [usize; 2])> {
-        crate::scan::protocol_table(analysis)
-            .iter()
-            .map(|row| {
-                let slot = row
-                    .service
-                    .map_or(ScanService::OTHER_GROUP, |s| s.ordinal());
-                (slot, [row.consumer_devices, row.cps_devices])
-            })
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// The column scan and the run fold reproduce the per-record
-        /// reference: the whole `Analysis`, the stable metric snapshot
-        /// and Table V's devices per group, at one and two threads, from
-        /// memory (unsorted hours) and through the store (sorted,
-        /// decoded block by block).
-        #[test]
-        fn prop_column_fold_matches_per_record_reference(
-            seed: u64,
-            hours in 1u32..4,
-            big: bool,
-        ) {
-            let db = inventory();
-            let traffic = random_traffic(&db, seed, hours, big);
-            let (reference, stable, services) = reference::analyze(&db, HOURS, &traffic);
-            // Every scanned group, in slot order, with its device counts
-            // from the naive sets.
-            let want_table_v: Vec<(usize, [usize; 2])> = services
-                .iter()
-                .enumerate()
-                .filter(|(_, sets)| sets.iter().any(|set| !set.is_empty()))
-                .map(|(slot, sets)| (slot, [sets[0].len(), sets[1].len()]))
-                .collect();
-            let pipeline = AnalysisPipeline::new(&db, HOURS);
-            for threads in [1, 2] {
-                let registry = Registry::new();
-                let out = pipeline
-                    .run(&traffic, &AnalyzeOptions::new().threads(threads).metrics(&registry))
-                    .unwrap();
-                prop_assert_eq!(&out.analysis, &reference, "memory, threads={}", threads);
-                let mut table_v = table_v_devices(&out.analysis);
-                table_v.sort_unstable();
-                prop_assert_eq!(&table_v, &want_table_v, "Table V, threads={}", threads);
-                prop_assert_eq!(
-                    &registry.snapshot().stable_only(),
-                    &stable,
-                    "memory metrics, threads={}",
-                    threads
-                );
-            }
-
-            let dir = std::env::temp_dir().join(format!(
-                "iotscope-fold-{seed}-{hours}-{big}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            // The window the odd intervals span, its even hours stored
-            // empty, so the day-completeness rule keeps every hour.
-            let window = AnalysisWindow::new(traffic[0].hour, 2 * hours - 1).unwrap();
-            let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
-            for (_, hour) in window.iter_intervals() {
-                store.write_hour(hour, &[]).unwrap();
-            }
-            for hour in &traffic {
-                store.write_hour(hour.hour, &hour.flows).unwrap();
-            }
-            for threads in [1, 2] {
-                let options = AnalyzeOptions::new().window(window).threads(threads);
-                let out = pipeline.run(&store, &options).unwrap();
-                prop_assert_eq!(&out.analysis, &reference, "store, threads={}", threads);
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
     }
 
     /// Regression: a zero-packet backscatter flow followed by another

@@ -15,9 +15,9 @@ use crate::analysis::Analysis;
 use crate::classify::TrafficClass;
 use crate::score::ScoreTable;
 use crate::stats::Ecdf;
-use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
+use iotscope_devicedb::{DeviceId, Realm};
 use iotscope_intel::family::FamilyResolver;
-use iotscope_intel::{IntelIndex, MalwareDb, MalwareFamily, MalwareHash, ThreatCategory};
+use iotscope_intel::{MalwareDb, MalwareFamily, MalwareHash, ThreatCategory};
 use std::collections::BTreeSet;
 
 /// §V-A's exploration set: every DoS victim plus the top-`n` devices per
@@ -69,38 +69,26 @@ pub struct ThreatSummary {
 
 /// Read the Table VI summary for `candidates` off a finished score
 /// table. The category mask per device was resolved from the threat
-/// repository when the device was first scored; unobserved candidates
-/// (not in the table) fall back to a direct index lookup with the
-/// pre-refactor default realm.
-pub fn threat_summary(
-    score: &ScoreTable,
-    db: &DeviceDb,
-    index: &IntelIndex,
-    candidates: &[DeviceId],
-) -> ThreatSummary {
+/// repository when the device was first scored. Candidates come from
+/// [`select_candidates`] on the analysis the table scored, so every one
+/// has a row; one without a row would count as unflagged.
+pub fn threat_summary(score: &ScoreTable, candidates: &[DeviceId]) -> ThreatSummary {
     let mut flagged = Vec::new();
     let mut counts = [0usize; 6];
     let mut cps_malware = 0usize;
     let mut consumer_malware = 0usize;
     for id in candidates {
-        let (mask, realm) = match score.get(*id) {
-            Some(row) => (row.cat_mask, row.realm),
-            None => (
-                index.lookup(db.device(*id).ip).map_or(0, |h| h.cat_mask),
-                Realm::Consumer,
-            ),
-        };
-        if mask == 0 {
+        let Some(row) = score.get(*id).filter(|row| row.cat_mask != 0) else {
             continue;
-        }
+        };
         flagged.push(*id);
         for (i, cat) in ThreatCategory::ALL.iter().enumerate() {
-            if mask & cat.bit() != 0 {
+            if row.cat_mask & cat.bit() != 0 {
                 counts[i] += 1;
             }
         }
-        if mask & ThreatCategory::Malware.bit() != 0 {
-            match realm {
+        if row.cat_mask & ThreatCategory::Malware.bit() != 0 {
+            match row.realm {
                 Realm::Cps => cps_malware += 1,
                 Realm::Consumer => consumer_malware += 1,
             }
@@ -202,9 +190,9 @@ mod tests {
     use crate::analysis::Analyzer;
     use crate::score::ScoreConfig;
     use iotscope_devicedb::device::DeviceProfile;
-    use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, IotDevice, IspId};
+    use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IotDevice, IspId};
     use iotscope_intel::sandbox::{NetworkActivity, SandboxReport, SystemActivity};
-    use iotscope_intel::{ThreatEvent, ThreatRepo};
+    use iotscope_intel::{IntelIndex, ThreatEvent, ThreatRepo};
     use iotscope_net::flowtuple::FlowTuple;
     use iotscope_net::protocol::TcpFlags;
     use iotscope_net::time::UnixHour;
@@ -302,7 +290,7 @@ mod tests {
         let index = IntelIndex::build(&repo, &MalwareDb::new());
         let table = score(&a, &dbv, &index);
         let candidates = select_candidates(&a, 10);
-        let s = threat_summary(&table, &dbv, &index, &candidates);
+        let s = threat_summary(&table, &candidates);
         assert_eq!(s.explored, 4);
         assert_eq!(s.flagged.len(), 2);
         let scanning = s
@@ -376,7 +364,7 @@ mod tests {
         let index = IntelIndex::empty();
         let table = score(&a, &dbv, &index);
         let candidates = select_candidates(&a, 10);
-        let s = threat_summary(&table, &dbv, &index, &candidates);
+        let s = threat_summary(&table, &candidates);
         assert!(s.flagged.is_empty());
         assert!(s.rows.iter().all(|r| r.devices == 0));
         let f = malware_correlation(&table, &MalwareDb::new(), &FamilyResolver::new());

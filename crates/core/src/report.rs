@@ -130,7 +130,7 @@ impl Report {
                 let scores =
                     crate::score::ScoreTable::from_batch(analysis, db, &index, Default::default());
                 (
-                    Some(malicious::threat_summary(&scores, db, &index, &candidates)),
+                    Some(malicious::threat_summary(&scores, &candidates)),
                     Some(malicious::malware_correlation(
                         &scores, i.malware, i.resolver,
                     )),

@@ -43,8 +43,7 @@ use crate::analysis::Analysis;
 pub use crate::fold::RoutedFlow;
 use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
 use iotscope_devicedb::{DeviceDb, Realm, ShardMap};
-use iotscope_net::flowtuple::FlowTuple;
-use iotscope_net::store::{ColumnBlock, FlowSink, BLOCK_RECORDS};
+use iotscope_net::store::{ColumnBlock, FlowSink};
 use std::ops::Range;
 
 /// The hour-disjoint aggregates a router accumulated while decoding:
@@ -58,8 +57,8 @@ pub struct RouterPartial(Analysis);
 /// Correlates, classifies, and fans one hour of flows out to device
 /// shards; the decode-side half of the sharded pipeline.
 ///
-/// Call [`begin_hour`](Self::begin_hour), feed flow slices (directly or
-/// as the `FlowSink` of a fused store decode), then
+/// Call [`begin_hour`](Self::begin_hour), feed it as a `FlowSink`
+/// (decoded blocks from a fused store decode, or flow slices), then
 /// [`finish_hour`](Self::finish_hour) to commit the hour's
 /// destination distincts and take the per-shard batches. Skipping
 /// `finish_hour` (after a decode error) abandons the hour: nothing was
@@ -75,11 +74,9 @@ pub struct ShardRouter<'a> {
     /// Per-hour destination-distinct state — the same front half of the
     /// fold the sequential analyzer runs.
     dst: DstDistinct,
-    /// Per-block scratch, capacity reused across blocks: the block's
-    /// merge-join correlation column, and the columns routed records
-    /// are copied into.
+    /// The block's merge-join correlation column, capacity reused
+    /// across blocks.
     corr: Vec<Option<(u32, Realm)>>,
-    block: ColumnBlock,
     out: Analysis,
 }
 
@@ -94,7 +91,6 @@ impl<'a> ShardRouter<'a> {
             buffers: (0..map.shards()).map(|_| Vec::new()).collect(),
             dst: DstDistinct::new(),
             corr: Vec::new(),
-            block: ColumnBlock::default(),
             out: Analysis::empty(hours),
         }
     }
@@ -110,18 +106,6 @@ impl<'a> ShardRouter<'a> {
         for b in &mut self.buffers {
             b.clear();
         }
-    }
-
-    /// Route one slice of the current hour's flows: copied into
-    /// columns [`BLOCK_RECORDS`] records at a time, each chunk routed
-    /// like a decoded block.
-    pub fn route(&mut self, flows: &[FlowTuple]) {
-        let mut block = std::mem::take(&mut self.block);
-        for chunk in flows.chunks(BLOCK_RECORDS) {
-            block.fill(chunk);
-            self.visit_block(&block);
-        }
-        self.block = block;
     }
 
     /// Commit the hour's destination distincts and take the per-shard
@@ -144,15 +128,11 @@ impl<'a> ShardRouter<'a> {
 }
 
 impl FlowSink for ShardRouter<'_> {
-    fn on_flows(&mut self, flows: &[FlowTuple]) {
-        self.route(flows);
-    }
-
     /// The front half of the fold over one block: one merge-join pass
     /// over the block's `src_ip` column, then the column scan routes
     /// each correlated flow to its shard's batch.
     fn visit_block(&mut self, block: &ColumnBlock) {
-        debug_assert!(self.at.is_some(), "route() outside begin_hour/finish_hour");
+        debug_assert!(self.at.is_some(), "routing outside begin_hour/finish_hour");
         self.db
             .correlation_index()
             .correlate_sorted_block(block.src_ip(), &mut self.corr);
@@ -267,6 +247,7 @@ mod tests {
     use crate::analysis::Analyzer;
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceId, IotDevice, IspId};
+    use iotscope_net::flowtuple::FlowTuple;
     use iotscope_net::protocol::TcpFlags;
     use iotscope_net::time::UnixHour;
     use iotscope_telescope::HourTraffic;
@@ -322,79 +303,6 @@ mod tests {
         }
     }
 
-    /// Route hours through R routers and S shards, apply batches, and
-    /// assemble — must be bit-identical to the sequential analyzer.
-    fn sharded(
-        db: &DeviceDb,
-        hours: u32,
-        traffic: &[HourTraffic],
-        routers: usize,
-        shards: usize,
-    ) -> Analysis {
-        let map = ShardMap::new(db.len(), shards);
-        let mut accs: Vec<ShardAccumulator> = (0..shards)
-            .map(|s| ShardAccumulator::new(hours, map.range(s)))
-            .collect();
-        let mut parts = Vec::new();
-        for w in 0..routers {
-            let mut router = ShardRouter::new(db, hours, map);
-            for h in traffic.iter().skip(w).step_by(routers) {
-                router.begin_hour(h.interval);
-                router.route(&h.flows);
-                for (s, batch) in router.finish_hour().into_iter().enumerate() {
-                    accs[s].apply_hour(h.interval, &batch);
-                }
-            }
-            parts.push(router.into_partial());
-        }
-        assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
-    }
-
-    #[test]
-    fn sharded_matches_sequential_across_shapes() {
-        let db = db(37);
-        let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 40 + u64::from(i))).collect();
-        let mut seq = Analyzer::new(&db, 8);
-        for h in &traffic {
-            seq.ingest_hour(h);
-        }
-        let seq = seq.finish();
-        for (routers, shards) in [(1, 1), (1, 4), (2, 3), (3, 8), (2, 64)] {
-            let par = sharded(&db, 8, &traffic, routers, shards);
-            assert_eq!(par, seq, "routers={routers} shards={shards}");
-            assert_eq!(
-                par.devices.ids(),
-                seq.devices.ids(),
-                "concatenated table must be sorted: routers={routers} shards={shards}"
-            );
-            assert_eq!(par.udp, seq.udp);
-            assert_eq!(par.tcp_scan, seq.tcp_scan);
-            assert_eq!(par.backscatter_intervals, seq.backscatter_intervals);
-            assert_eq!(par.unmatched_flows, seq.unmatched_flows);
-            assert_eq!(par.unmatched_packets, seq.unmatched_packets);
-        }
-    }
-
-    #[test]
-    fn port_table_is_the_same_via_assemble_and_one_pass() {
-        let db = db(37);
-        let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 70 + u64::from(i))).collect();
-        let mut seq = Analyzer::new(&db, 8);
-        for h in &traffic {
-            seq.ingest_hour(h);
-        }
-        let seq = seq.finish();
-        // Two routers over three shards: the assembled table meets
-        // ports in another order than the sequential pass.
-        let par = sharded(&db, 8, &traffic, 2, 3);
-        let ports = |a: &Analysis| a.udp_ports.rows().map(|r| r.port).collect::<Vec<_>>();
-        assert!(seq.udp_ports.len() > 100, "{} ports", seq.udp_ports.len());
-        assert!(ports(&seq).windows(2).all(|w| w[0] < w[1]), "ascending");
-        assert_eq!(par.udp_ports, seq.udp_ports);
-        assert_eq!(ports(&par), ports(&seq), "row order");
-        assert_eq!(par.scan_services, seq.scan_services);
-    }
-
     #[test]
     fn abandoned_hour_leaves_no_distincts_or_batches() {
         // An hour abandoned mid-decode (no finish_hour) never reaches
@@ -407,10 +315,10 @@ mod tests {
         let map = ShardMap::new(db.len(), 2);
         let mut router = ShardRouter::new(&db, 4, map);
         router.begin_hour(2);
-        router.route(&h1.flows);
+        router.on_flows(&h1.flows);
         // …then route a clean hour.
         router.begin_hour(1);
-        router.route(&h1.flows);
+        router.on_flows(&h1.flows);
         let batches = router.finish_hour();
         let mut accs: Vec<ShardAccumulator> = (0..2)
             .map(|s| ShardAccumulator::new(4, map.range(s)))

@@ -335,24 +335,6 @@ impl DeviceTable {
         self.services[row] |= services;
     }
 
-    /// Record one flow for `id`: `pkts` packets of class `class` in the
-    /// hour `at`, scanning the groups in `services` — the per-record
-    /// write the run fold replaced, kept for the test oracle.
-    #[cfg(test)]
-    pub(crate) fn observe(
-        &mut self,
-        id: DeviceId,
-        realm: Realm,
-        class: usize,
-        pkts: u64,
-        at: HourPos,
-        services: u16,
-    ) {
-        let mut packets = [0; NUM_CLASSES];
-        packets[class] = pkts;
-        self.observe_run(id, realm, at, 1, &packets, services);
-    }
-
     /// Materialize the observation at `row`.
     ///
     /// # Panics
@@ -859,12 +841,27 @@ mod tests {
         }
     }
 
+    /// Record one flow for `id` in `t`: `pkts` packets of class `class`
+    /// in the hour `at`.
+    fn observe(
+        t: &mut DeviceTable,
+        id: DeviceId,
+        realm: Realm,
+        class: usize,
+        pkts: u64,
+        at: HourPos,
+    ) {
+        let mut packets = [0; NUM_CLASSES];
+        packets[class] = pkts;
+        t.observe_run(id, realm, at, 1, &packets, 0);
+    }
+
     #[test]
     fn table_upsert_observe_get() {
         let mut t = DeviceTable::new();
-        t.observe(DeviceId(7), Realm::Cps, 0, 5, at(10, 0), 0);
-        t.observe(DeviceId(7), Realm::Cps, 3, 2, at(4, 1), 0);
-        t.observe(DeviceId(2), Realm::Consumer, 3, 1, at(8, 0), 0);
+        observe(&mut t, DeviceId(7), Realm::Cps, 0, 5, at(10, 0));
+        observe(&mut t, DeviceId(7), Realm::Cps, 3, 2, at(4, 1));
+        observe(&mut t, DeviceId(2), Realm::Consumer, 3, 1, at(8, 0));
         assert_eq!(t.len(), 2);
         let obs = t.get(DeviceId(7)).unwrap();
         assert_eq!(obs.first_interval, 4);
@@ -879,7 +876,7 @@ mod tests {
     fn normalize_sorts_rows_and_preserves_lookup() {
         let mut t = DeviceTable::new();
         for id in [9u32, 3, 7, 1] {
-            t.observe(DeviceId(id), Realm::Consumer, 0, 1, at(1, 0), 0);
+            observe(&mut t, DeviceId(id), Realm::Consumer, 0, 1, at(1, 0));
         }
         assert_eq!(t.ids()[0], DeviceId(9));
         t.normalize();
@@ -891,7 +888,7 @@ mod tests {
             assert_eq!(t.get(DeviceId(id)).unwrap().device, DeviceId(id));
         }
         // Already-sorted append keeps the sorted flag (normalize no-ops).
-        t.observe(DeviceId(12), Realm::Cps, 1, 1, at(2, 0), 0);
+        observe(&mut t, DeviceId(12), Realm::Cps, 1, 1, at(2, 0));
         t.normalize();
         assert_eq!(t.ids().last(), Some(&DeviceId(12)));
     }
@@ -900,16 +897,16 @@ mod tests {
     fn concat_preserves_sort_for_ascending_shards() {
         // Two sorted shard partials over disjoint dense ranges.
         let mut lo = DeviceTable::new();
-        lo.observe(DeviceId(1), Realm::Consumer, 0, 3, at(2, 0), 0);
-        lo.observe(DeviceId(4), Realm::Cps, 2, 5, at(1, 1), 0);
+        observe(&mut lo, DeviceId(1), Realm::Consumer, 0, 3, at(2, 0));
+        observe(&mut lo, DeviceId(4), Realm::Cps, 2, 5, at(1, 1));
         let mut hi = DeviceTable::new();
-        hi.observe(DeviceId(9), Realm::Consumer, 3, 7, at(4, 2), 0);
-        hi.observe(DeviceId(12), Realm::Cps, 1, 1, at(6, 0), 0);
+        observe(&mut hi, DeviceId(9), Realm::Consumer, 3, 7, at(4, 2));
+        observe(&mut hi, DeviceId(12), Realm::Cps, 1, 1, at(6, 0));
 
         // Reference: the same rows observed into one table.
         let mut reference = lo.clone();
-        reference.observe(DeviceId(9), Realm::Consumer, 3, 7, at(4, 2), 0);
-        reference.observe(DeviceId(12), Realm::Cps, 1, 1, at(6, 0), 0);
+        observe(&mut reference, DeviceId(9), Realm::Consumer, 3, 7, at(4, 2));
+        observe(&mut reference, DeviceId(12), Realm::Cps, 1, 1, at(6, 0));
 
         let mut cat = lo.clone();
         cat.concat_from(hi.clone());
@@ -1174,16 +1171,16 @@ mod tests {
     #[test]
     fn equality_is_row_order_insensitive() {
         let mut a = DeviceTable::new();
-        a.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
-        a.observe(DeviceId(2), Realm::Cps, 1, 2, at(2, 0), 0);
+        observe(&mut a, DeviceId(5), Realm::Consumer, 0, 1, at(1, 0));
+        observe(&mut a, DeviceId(2), Realm::Cps, 1, 2, at(2, 0));
         let mut b = DeviceTable::new();
-        b.observe(DeviceId(2), Realm::Cps, 1, 2, at(2, 0), 0);
-        b.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
+        observe(&mut b, DeviceId(2), Realm::Cps, 1, 2, at(2, 0));
+        observe(&mut b, DeviceId(5), Realm::Consumer, 0, 1, at(1, 0));
         assert_eq!(a, b);
         // Normalizing one side must not break equality with the other.
         a.normalize();
         assert_eq!(a, b);
-        b.observe(DeviceId(5), Realm::Consumer, 0, 1, at(1, 0), 0);
+        observe(&mut b, DeviceId(5), Realm::Consumer, 0, 1, at(1, 0));
         assert_ne!(a, b);
     }
 }

@@ -10,17 +10,17 @@
 //!
 //! # Memoization contract
 //!
-//! Caches are invalidated whenever the owning [`Analyzer`] mutates the
-//! analysis (`ingest_hour`, `merge`), so streaming `peek()` snapshots
-//! stay correct. Cached values never participate in `Clone`
-//! (a clone starts cold) or `PartialEq`/`Debug` (two analyses with the
-//! same aggregates are equal regardless of which queries have been
-//! memoized) — so the sequential-vs-parallel determinism contract is
-//! unaffected by *when* views are consulted. If you mutate an
-//! `Analysis`'s public fields by hand, call
-//! [`Analysis::invalidate_views`] afterwards.
+//! Caches are reset wherever the analysis is mutated: every hour's
+//! [`Analyzer::begin_hour`], and `Analysis::absorb` / `normalize` (how
+//! sharded partials are assembled and finished results sorted), so
+//! streaming `peek()` snapshots stay correct. Cached values never
+//! participate in `Clone` (a clone starts cold) or `PartialEq`/`Debug`
+//! (two analyses with the same aggregates are equal regardless of which
+//! queries have been memoized) — so equality is unaffected by *when*
+//! views are consulted. If you mutate an `Analysis`'s public fields by
+//! hand, call [`Analysis::invalidate_views`] afterwards.
 //!
-//! [`Analyzer`]: crate::analysis::Analyzer
+//! [`Analyzer::begin_hour`]: crate::analysis::Analyzer::begin_hour
 
 use crate::analysis::{class_idx, realm_idx, Analysis};
 use crate::classify::TrafficClass;

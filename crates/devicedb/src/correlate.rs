@@ -536,7 +536,7 @@ mod tests {
                 let want = Some(model[&d.ip]);
                 prop_assert_eq!(idx.correlate(d.ip), want);
                 prop_assert_eq!(db.correlate(d.ip), want);
-                prop_assert_eq!(db.lookup_ip(d.ip).map(|x| x.id), Some(d.id));
+                prop_assert_eq!(db.correlate(d.ip).map(|(i, _)| db.id_at(i as usize)), Some(d.id));
             }
             // Probes: agree with the model in both directions.
             for &p in &probes {

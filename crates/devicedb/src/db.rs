@@ -63,8 +63,8 @@ fn realm_slot(realm: Option<Realm>) -> usize {
 ///
 /// let out = InventoryBuilder::new(SynthConfig::small(1)).build();
 /// let dev = out.db.iter().next().unwrap();
-/// let found = out.db.lookup_ip(dev.ip).unwrap();
-/// assert_eq!(found.id, dev.id);
+/// let (index, realm) = out.db.correlate(dev.ip).unwrap();
+/// assert_eq!((out.db.id_at(index as usize), realm), (dev.id, dev.realm()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DeviceDb {
@@ -198,14 +198,6 @@ impl DeviceDb {
     #[inline]
     pub fn correlate(&self, ip: Ipv4Addr) -> Option<(u32, Realm)> {
         self.correlation_index().correlate(ip)
-    }
-
-    /// The device at `ip`, if any.
-    ///
-    /// Compatibility shim over [`correlate`](Self::correlate) — prefer
-    /// that in per-flow paths, which need only the dense index and realm.
-    pub fn lookup_ip(&self, ip: Ipv4Addr) -> Option<&IotDevice> {
-        self.correlate(ip).map(|(di, _)| &self.devices[di as usize])
     }
 
     /// Iterate over all devices in id order.
@@ -514,19 +506,14 @@ mod tests {
         db.push(dev([9, 9, 9, 9], "US", Realm::Consumer)).unwrap();
         assert_eq!(db.push(dev([9, 9, 9, 9], "RU", Realm::Cps)), None);
         assert_eq!(db.len(), 1);
-        assert_eq!(
-            db.lookup_ip(Ipv4Addr::new(9, 9, 9, 9))
-                .unwrap()
-                .country
-                .code(),
-            "US"
-        );
+        let (index, _) = db.correlate(Ipv4Addr::new(9, 9, 9, 9)).unwrap();
+        assert_eq!(db.as_slice()[index as usize].country.code(), "US");
     }
 
     #[test]
     fn lookup_miss_returns_none() {
         let db = DeviceDb::from_devices([dev([1, 2, 3, 4], "US", Realm::Consumer)]);
-        assert!(db.lookup_ip(Ipv4Addr::new(4, 3, 2, 1)).is_none());
+        assert!(db.correlate(Ipv4Addr::new(4, 3, 2, 1)).is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! let out = InventoryBuilder::new(cfg.clone()).build();
 //! assert_eq!(out.db.len() as u32, cfg.total_devices());
 //! let first = out.db.iter().next().unwrap();
-//! assert!(out.db.lookup_ip(first.ip).is_some());
+//! assert!(out.db.correlate(first.ip).is_some());
 //! ```
 
 #![forbid(unsafe_code)]

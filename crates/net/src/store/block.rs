@@ -103,9 +103,9 @@ impl ColumnBlock {
     }
 
     /// The records row-wise, transposed on demand — for consumers that
-    /// want [`FlowTuple`]s (materialising reads, the
-    /// [`super::FlowSink::visit_block`] fallback). The `i`-th item is
-    /// the record whose source address `src_ip()[i]` holds.
+    /// want [`FlowTuple`]s (the materialising reads'
+    /// [`super::CollectSink`]). The `i`-th item is the record whose
+    /// source address `src_ip()[i]` holds.
     pub fn flows(&self) -> impl ExactSizeIterator<Item = FlowTuple> + '_ {
         let n = self.len();
         let [src, dst, src_port, dst_port, proto, ttl, flags, ip_len, packets] = &self.cols;

@@ -193,36 +193,39 @@ pub struct QuarantinedBlock {
 ///
 /// # Contract
 ///
-/// * A v3 decode delivers each verified, validated block as columns
-///   through [`FlowSink::visit_block`]; a v1/v2 hour has no blocks and
-///   arrives whole, as records, through [`FlowSink::on_flows`].
-/// * Blocks and slices arrive in on-disk order, so feeding a sink is
+/// * Every sink reads columns: [`FlowSink::visit_block`] is the one
+///   required method. A v3 decode delivers each verified, validated
+///   block through it.
+/// * Records reach a sink through [`FlowSink::on_flows`], the one
+///   records→columns adapter: it copies them into a local
+///   [`ColumnBlock`] [`BLOCK_RECORDS`] at a time and visits each chunk.
+///   A v1/v2 hour (no blocks) arrives whole that way, and so does an
+///   in-memory hour. A sink may override `on_flows` only to stay
+///   observably identical to the adapter ([`CollectSink`] appends the
+///   records as they are).
+/// * Blocks and chunks arrive in on-disk order, so feeding a sink is
 ///   observably identical to feeding it the materialized
 ///   `Vec<FlowTuple>` in one call — the boundaries carry no
 ///   information.
-/// * Both borrow reusable scratch: they are only valid for the duration
-///   of the call and must be folded, not stashed.
+/// * Both borrow scratch: they are only valid for the duration of the
+///   call and must be folded, not stashed.
 /// * A quarantined block is silently skipped (it is reported in
 ///   [`VisitedHour::quarantined`]).
 /// * On a decode **error** the sink may already have received a prefix
 ///   of the hour; callers must throw away whatever state it built.
-/// * `visit_block`'s default transposes the block into records
-///   ([`ColumnBlock::flows`], one allocation per block) and forwards
-///   them to `on_flows`, so a sink that only implements `on_flows`
-///   observes the exact per-record stream. Sinks on a hot path
-///   override `visit_block` to read the columns directly, and must
-///   stay observably identical to the fallback: the block and its
-///   records describe the same flows in the same order.
 pub trait FlowSink {
-    /// Fold one in-order slice of decoded records.
-    fn on_flows(&mut self, flows: &[FlowTuple]);
+    /// Fold one block of records, column-at-a-time.
+    fn visit_block(&mut self, block: &ColumnBlock);
 
-    /// Fold one decoded v3 block, column-at-a-time. The default
-    /// transposes the block and forwards the records to
-    /// [`FlowSink::on_flows`].
-    fn visit_block(&mut self, block: &ColumnBlock) {
-        let flows: Vec<FlowTuple> = block.flows().collect();
-        self.on_flows(&flows);
+    /// Fold one in-order slice of records: copied into columns
+    /// [`BLOCK_RECORDS`] records at a time, each chunk visited like a
+    /// decoded block.
+    fn on_flows(&mut self, flows: &[FlowTuple]) {
+        let mut block = ColumnBlock::default();
+        for chunk in flows.chunks(BLOCK_RECORDS) {
+            block.fill(chunk);
+            self.visit_block(&block);
+        }
     }
 }
 
@@ -240,14 +243,16 @@ impl CollectSink {
 }
 
 impl FlowSink for CollectSink {
-    fn on_flows(&mut self, flows: &[FlowTuple]) {
-        self.0.extend_from_slice(flows);
-    }
-
     /// Appends the block's records straight from its columns into the
     /// collected vector (whose capacity [`decode_hour`] pre-sizes).
     fn visit_block(&mut self, block: &ColumnBlock) {
         self.0.extend(block.flows());
+    }
+
+    /// Appends the records as they are: collecting them needs no trip
+    /// through columns.
+    fn on_flows(&mut self, flows: &[FlowTuple]) {
+        self.0.extend_from_slice(flows);
     }
 }
 

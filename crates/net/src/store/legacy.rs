@@ -34,7 +34,8 @@ pub(super) fn is_legacy(bytes: &[u8]) -> bool {
 
 /// Stream a legacy hour into `sink`: row formats have no block
 /// structure to stream over, so the hour decodes whole and arrives as
-/// one slice (and counts as one block). The caller checked the header
+/// one slice through [`FlowSink::on_flows`], the records→columns
+/// adapter (and counts as one block). The caller checked the header
 /// length and the magic.
 pub(super) fn visit(bytes: &[u8], sink: &mut dyn FlowSink) -> Result<VisitedHour, NetError> {
     let (hour, flows) = decode_hour_v12(bytes)?;

@@ -718,6 +718,11 @@ struct ChunkSink {
 }
 
 impl FlowSink for ChunkSink {
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        self.flows.extend(block.flows());
+        self.chunks.push(block.len());
+    }
+
     fn on_flows(&mut self, flows: &[FlowTuple]) {
         self.flows.extend_from_slice(flows);
         self.chunks.push(flows.len());

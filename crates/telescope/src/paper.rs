@@ -1444,7 +1444,7 @@ mod tests {
         for a in b.scenario.actors() {
             if a.device.is_none() {
                 assert_eq!(a.src_ip.octets()[0], 198);
-                assert!(b.inventory.db.lookup_ip(a.src_ip).is_none());
+                assert!(b.inventory.db.correlate(a.src_ip).is_none());
             }
         }
     }
@@ -1454,7 +1454,7 @@ mod tests {
         let b = built();
         assert_eq!(b.truth.shadow_iot.len(), 12);
         for ip in &b.truth.shadow_iot {
-            assert!(b.inventory.db.lookup_ip(*ip).is_none(), "{ip} is indexed");
+            assert!(b.inventory.db.correlate(*ip).is_none(), "{ip} is indexed");
             assert_eq!(ip.octets()[1], 51); // 198.51/16, distinct from noise
         }
         assert_eq!(b.truth.botnets.len(), 2);

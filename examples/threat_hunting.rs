@@ -43,7 +43,7 @@ fn main() {
     let scores = ScoreTable::from_batch(&analysis, &built.inventory.db, &index, Default::default());
 
     // Table VI.
-    let summary = malicious::threat_summary(&scores, &built.inventory.db, &index, &candidates);
+    let summary = malicious::threat_summary(&scores, &candidates);
     println!(
         "== Table VI: {} of {} explored devices flagged ({:.1}%) ==",
         summary.flagged.len(),

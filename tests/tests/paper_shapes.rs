@@ -473,7 +473,7 @@ fn section_v_intel_results() {
         &index,
         Default::default(),
     );
-    let summary = malicious::threat_summary(&scores, &f.built.inventory.db, &index, &candidates);
+    let summary = malicious::threat_summary(&scores, &candidates);
     // §V-A: 816 devices (9.2%) flagged.
     let flag_rate = summary.flagged.len() as f64 / summary.explored as f64;
     assert!((0.07..=0.12).contains(&flag_rate), "flag rate {flag_rate}");

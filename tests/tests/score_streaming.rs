@@ -242,7 +242,7 @@ proptest! {
         let db = &f.built.inventory.db;
         let scores = ScoreTable::from_batch(&f.analysis, db, &f.index, ScoreConfig::default());
 
-        let summary = malicious::threat_summary(&scores, db, &f.index, &f.candidates);
+        let summary = malicious::threat_summary(&scores, &f.candidates);
         let reference = reference_threat_summary(&f.analysis, db, &f.intel.threats, &f.candidates);
         prop_assert_eq!(&summary, &reference);
 

@@ -3,14 +3,14 @@
 //!
 //! The PR-7 contract: while `TelescopeService::ingest` replays hours,
 //! any reader at any moment loads a snapshot whose epoch `k` is
-//! *exactly* the analysis of the first `k` ingested hours — equal to a
-//! from-scratch batch run over that prefix, not merely consistent with
+//! *exactly* the analysis of the first `k` ingested hours — the naive
+//! reference's analysis of that prefix, not merely consistent with
 //! one. Readers never observe a torn or partially-ingested state, and
 //! epochs only move forward. The HTTP listener must round-trip the
 //! same snapshots over a real socket.
 
 use iotscope_core::stream::StreamConfig;
-use iotscope_core::{udp, Analysis, Analyzer, QueryApi};
+use iotscope_core::{udp, QueryApi};
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig, SynthOutput};
 use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
@@ -21,6 +21,7 @@ use iotscope_net::time::UnixHour;
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::{Snapshot, TelescopeService};
 use iotscope_telescope::HourTraffic;
+use iotscope_tests::oracle::{self, Naive};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -35,10 +36,9 @@ fn inventory() -> &'static SynthOutput {
     INV.get_or_init(|| InventoryBuilder::new(SynthConfig::small(9)).build())
 }
 
-/// Deterministic, cheap flow generator (same idiom as
-/// `fused_streaming`): proptest shrinks the `(seed, n)` pair instead of
-/// thousands of tuples. Half the sources hit the inventory so both the
-/// matched and unmatched paths run.
+/// Deterministic, cheap flow generator: proptest shrinks the
+/// `(seed, n)` pair instead of thousands of tuples. Half the sources hit
+/// the inventory so both the matched and unmatched paths run.
 fn synth_flows(db: &DeviceDb, seed: u64, n: usize) -> Vec<FlowTuple> {
     let ips: Vec<std::net::Ipv4Addr> = db.iter().map(|d| d.ip).collect();
     let mut s = seed | 1;
@@ -83,13 +83,9 @@ fn synth_traffic(db: &DeviceDb, seed: u64, num_hours: u32) -> Vec<HourTraffic> {
         .collect()
 }
 
-/// Batch reference: a from-scratch analysis of the first `k` hours.
-fn prefix_analysis(db: &DeviceDb, traffic: &[HourTraffic], k: usize) -> Analysis {
-    let mut an = Analyzer::new(db, WINDOW_HOURS);
-    for h in &traffic[..k] {
-        an.ingest_hour(h);
-    }
-    an.finish()
+/// The naive reference's analysis of the first `k` hours.
+fn prefix_analysis(db: &DeviceDb, traffic: &[HourTraffic], k: usize) -> Naive {
+    oracle::analyze(db, WINDOW_HOURS, &traffic[..k])
 }
 
 proptest! {
@@ -143,13 +139,12 @@ proptest! {
         prop_assert_eq!(last.epoch, u64::from(num_hours));
         prop_assert_eq!(last.hours_ingested, num_hours);
         let full = prefix_analysis(&inv.db, &traffic, num_hours as usize);
-        prop_assert_eq!(&*last.analysis, &full);
+        prop_assert_eq!(Naive::from(&*last.analysis), full);
 
-        // Every snapshot any reader caught mid-ingest is bit-identical
-        // (up to device-row order, which Analysis equality ignores) to
-        // the batch analysis of its epoch's hour prefix.
-        let mut references: BTreeMap<u64, Analysis> = BTreeMap::new();
-        let services = ServiceRegistry::standard();
+        // Every snapshot any reader caught mid-ingest — its device and
+        // port tables as published, in first-seen order — is the
+        // reference analysis of its epoch's hour prefix.
+        let mut references: BTreeMap<u64, Naive> = BTreeMap::new();
         for seen in observed {
             for window in seen.windows(2) {
                 prop_assert!(
@@ -166,17 +161,11 @@ proptest! {
                     prefix_analysis(&inv.db, &traffic, epoch as usize)
                 });
                 prop_assert_eq!(
-                    &*snap.analysis,
+                    &Naive::from(&*snap.analysis),
                     &*reference,
                     "epoch {} snapshot is not the analysis of its first {} hours",
                     epoch,
                     epoch
-                );
-                // Table IV read off the published (un-normalized) port
-                // table is the batch prefix's Table IV.
-                prop_assert_eq!(
-                    udp::top_ports(&snap.analysis, &services, 10),
-                    udp::top_ports(reference, &services, 10)
                 );
             }
         }
@@ -205,9 +194,10 @@ fn a_held_snapshot_is_unchanged_by_later_hours() {
     assert_ne!(*held.analysis, *service.snapshot().analysis);
 }
 
-/// Ingest fed straight from a store publishes the same epochs as ingest
-/// fed from memory, and a corrupt hour stops it: the error comes back,
-/// and the last published epoch is the hour before.
+/// Ingest fed straight from a store publishes the reference analysis and
+/// the same alerts as ingest fed from memory, and a corrupt hour stops
+/// it: the error comes back, and the last published epoch is the hour
+/// before.
 #[test]
 fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let inv = inventory();
@@ -229,14 +219,13 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
         )
     };
 
-    let from_memory = new_service();
-    let expected = from_memory.ingest(&traffic, StreamConfig::default(), &mut |_| {});
+    let (_, memory_alerts) = new_service().ingest(&traffic, StreamConfig::default(), &mut |_| {});
     let from_store = new_service();
-    assert_eq!(feed(&from_store).expect("clean store"), expected);
-    assert_eq!(
-        *from_store.snapshot().analysis,
-        *from_memory.snapshot().analysis
-    );
+    let (analysis, alerts) = feed(&from_store).expect("clean store");
+    let reference = prefix_analysis(&inv.db, &traffic, traffic.len());
+    assert_eq!(Naive::from(&analysis), reference);
+    assert_eq!(Naive::from(&*from_store.snapshot().analysis), reference);
+    assert_eq!(alerts, memory_alerts);
 
     // Flip the last byte of hour 5: hours 1..=4 publish, nothing after.
     let path = store.hour_path(traffic[4].hour);
@@ -249,7 +238,10 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let last = stopped.snapshot();
     assert_eq!((last.epoch, last.hours_ingested), (4, 4));
     assert_eq!(last.last_interval, Some(4));
-    assert_eq!(*last.analysis, prefix_analysis(&inv.db, &traffic, 4));
+    assert_eq!(
+        Naive::from(&*last.analysis),
+        prefix_analysis(&inv.db, &traffic, 4)
+    );
     std::fs::remove_dir_all(&dir).expect("remove store");
 }
 

@@ -1,57 +1,20 @@
-//! Cross-crate store/pipeline integration: the on-disk path must produce
-//! the same analysis as the in-memory path, survive the paper's
-//! data-quality rules, and fail loudly on corruption.
+//! Cross-crate store/pipeline integration: the on-disk path renders the
+//! same report as the in-memory path, accounts for every byte it reads,
+//! survives the paper's data-quality rules, and fails loudly on
+//! corruption. (Every path's analysis is checked against the naive
+//! reference in `oracle.rs`.)
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoredWindow};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::Analysis;
 use iotscope_net::store::{FlowStore, StoreOptions};
-use iotscope_net::time::AnalysisWindow;
-use iotscope_obs::{Registry, Snapshot, SnapshotEntry};
-use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
-use proptest::prelude::*;
+use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iotscope-it-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// One shared 143-hour scenario written to disk, so the property tests
-/// below don't rebuild it per case. The sequential store analysis is
-/// the reference every parallel configuration must reproduce.
-struct SharedStore {
-    built: BuiltScenario,
-    window: AnalysisWindow,
-    store: FlowStore,
-    traffic: Vec<iotscope_telescope::HourTraffic>,
-    sequential: Analysis,
-}
-
-fn shared_store() -> &'static SharedStore {
-    static SHARED: OnceLock<SharedStore> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let built = PaperScenario::build(PaperScenarioConfig::tiny(12));
-        let window = built.scenario.telescope().window;
-        let dir = tmpdir("shared-prop");
-        let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
-        built.scenario.write_to_store(&store).unwrap();
-        let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-        let sequential = pipeline
-            .run(&store, &AnalyzeOptions::new().window(window))
-            .unwrap()
-            .analysis;
-        let traffic = built.scenario.generate();
-        SharedStore {
-            built,
-            window,
-            store,
-            traffic,
-            sequential,
-        }
-    })
 }
 
 #[test]
@@ -73,14 +36,6 @@ fn disk_roundtrip_preserves_the_full_report() {
         .run(&store, &AnalyzeOptions::new().window(window))
         .unwrap()
         .analysis;
-
-    // The two paths agree on every aggregate the report uses.
-    assert_eq!(mem.devices, disk.devices);
-    assert_eq!(mem.protocol_packets, disk.protocol_packets);
-    assert_eq!(mem.scan_services, disk.scan_services);
-    assert_eq!(mem.udp_ports, disk.udp_ports);
-    assert_eq!(mem.backscatter_intervals, disk.backscatter_intervals);
-    assert_eq!(mem.top5_series, disk.top5_series);
 
     let report = |analysis: &Analysis| {
         Report::build(&ReportContext {
@@ -144,166 +99,32 @@ fn missing_day_is_dropped_and_reported() {
 }
 
 #[test]
-fn sequential_and_parallel_analysis_agree_end_to_end() {
-    let built = PaperScenario::build(PaperScenarioConfig::tiny(10));
-    let traffic = built.scenario.generate();
-    let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
-    let seq = pipeline
-        .run(&traffic, &AnalyzeOptions::new())
-        .unwrap()
-        .analysis;
-    for threads in [2usize, 3, 8, 64] {
-        let par = pipeline
-            .run(&traffic, &AnalyzeOptions::new().threads(threads))
-            .unwrap()
-            .analysis;
-        assert_eq!(seq.devices, par.devices, "threads={threads}");
-        assert_eq!(seq.scan_services, par.scan_services);
-        assert_eq!(seq.backscatter_intervals, par.backscatter_intervals);
-    }
-}
-
-#[test]
-fn parallel_store_analysis_matches_sequential_on_full_window() {
-    let shared = shared_store();
-    let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-    for threads in [2usize, 4, 7] {
-        let result = pipeline
-            .run(
-                &shared.store,
-                &AnalyzeOptions::new()
-                    .window(shared.window)
-                    .threads(threads)
-                    .stats(true),
-            )
-            .unwrap();
-        let par = result.analysis;
-        assert_eq!(shared.sequential.devices, par.devices, "threads={threads}");
-        assert_eq!(shared.sequential.protocol_packets, par.protocol_packets);
-        assert_eq!(shared.sequential.scan_services, par.scan_services);
-        assert_eq!(shared.sequential.udp_ports, par.udp_ports);
-        assert_eq!(
-            shared.sequential.backscatter_intervals,
-            par.backscatter_intervals
-        );
-        assert_eq!(shared.sequential.top5_series, par.top5_series);
-        assert_eq!(shared.sequential.unmatched_flows, par.unmatched_flows);
-
-        let stats = result.stats.expect("stats were requested");
-        assert_eq!(stats.threads, threads);
-        assert_eq!(stats.hours_ingested, u64::from(shared.window.num_hours()));
-        assert_eq!(stats.hours_missing, 0);
-        assert_eq!(stats.hours_skipped, 0);
-        assert!(stats.bytes_read > 0);
-        assert!(stats.records_decoded > 0);
-        assert!(stats.wall_time > std::time::Duration::ZERO);
-    }
-}
-
-#[test]
 fn store_stats_account_for_every_byte_on_disk() {
-    let shared = shared_store();
-    let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-    let result = pipeline
-        .run(
-            &shared.store,
-            &AnalyzeOptions::new()
-                .window(shared.window)
-                .threads(4)
-                .stats(true),
-        )
-        .unwrap();
-    let stats = result.stats.expect("stats were requested");
-    assert_eq!(stats.bytes_read, walkdir_size(shared.store.root()));
-    let records: u64 = shared
-        .window
+    let built = PaperScenario::build(PaperScenarioConfig::tiny(12));
+    let window = built.scenario.telescope().window;
+    let dir = tmpdir("stats");
+    let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+    built.scenario.write_to_store(&store).unwrap();
+    let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
+    let records: u64 = window
         .iter_hours()
-        .map(|h| shared.store.read_hour(h).unwrap().len() as u64)
+        .map(|h| store.read_hour(h).unwrap().len() as u64)
         .sum();
-    assert_eq!(stats.records_decoded, records);
-}
-
-/// The stable entries of `snapshot` a memory-fed run can have too:
-/// everything but the store's own read counters.
-fn stable_sans_store(snapshot: &Snapshot) -> Vec<SnapshotEntry> {
-    let stable = snapshot.stable_only();
-    let entries = stable.entries().iter();
-    entries
-        .filter(|e| !e.name.starts_with("store."))
-        .cloned()
-        .collect()
-}
-
-/// Any thread count must reproduce the sequential result exactly, fed
-/// from the store or from memory — the same `Analysis` and the same
-/// stable (non-timing) metrics as a single-threaded run — on the full
-/// window and on a 3-hour slice (fewer hours than workers: the sharded
-/// driver runs with idle routers).
-fn assert_thread_count_matches_sequential(threads: usize) {
-    let shared = shared_store();
-    let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-    let run = |source: AnalysisSource<'_>, window: AnalysisWindow, threads: usize| {
-        let registry = Registry::new();
+    for threads in [1, 4, 7] {
         let options = AnalyzeOptions::new()
             .window(window)
             .threads(threads)
-            .metrics(&registry);
-        let outcome = pipeline.run(source, &options).unwrap();
-        (outcome.analysis, registry.snapshot())
-    };
-
-    let (base, base_metrics) = run((&shared.store).into(), shared.window, 1);
-    assert_eq!(base, shared.sequential);
-    let (stored, stored_metrics) = run((&shared.store).into(), shared.window, threads);
-    assert_eq!(stored, shared.sequential, "store-fed, threads={threads}");
-    // Work counters — store bytes/records, hours ingested, analysis
-    // class totals — are deterministic; only timings/gauges vary.
-    assert_eq!(
-        stored_metrics.stable_only(),
-        base_metrics.stable_only(),
-        "store-fed stable metrics, threads={threads}"
-    );
-    let (mem, mem_metrics) = run((&shared.traffic).into(), shared.window, threads);
-    assert_eq!(mem, shared.sequential, "memory-fed, threads={threads}");
-    assert_eq!(
-        stable_sans_store(&mem_metrics),
-        stable_sans_store(&base_metrics),
-        "memory-fed stable metrics, threads={threads}"
-    );
-
-    // The store's first three hours fill a three-hour window.
-    let window = AnalysisWindow::new(shared.window.start(), 3).unwrap();
-    let (seq_slice, seq_slice_metrics) = run((&shared.traffic[..3]).into(), window, 1);
-    for (fed, source) in [
-        ("memory", AnalysisSource::from(&shared.traffic[..3])),
-        ("store", AnalysisSource::from(&shared.store)),
-    ] {
-        let (slice, slice_metrics) = run(source, window, threads);
-        assert_eq!(slice, seq_slice, "{fed}-fed slice, threads={threads}");
-        assert_eq!(
-            stable_sans_store(&slice_metrics),
-            stable_sans_store(&seq_slice_metrics),
-            "{fed}-fed slice stable metrics, threads={threads}"
-        );
+            .stats(true);
+        let stats = pipeline.run(&store, &options).unwrap().stats;
+        let stats = stats.expect("stats were requested");
+        assert_eq!(stats.threads, threads);
+        assert_eq!(stats.hours_ingested, u64::from(window.num_hours()));
+        assert_eq!((stats.hours_missing, stats.hours_skipped), (0, 0));
+        assert_eq!(stats.bytes_read, walkdir_size(store.root()));
+        assert_eq!(stats.records_decoded, records, "threads={threads}");
+        assert!(stats.wall_time > std::time::Duration::ZERO);
     }
-}
-
-/// Zero, the inline driver, small pools, more workers than the 3-hour
-/// slice has hours, and more than the window has (clamped to 64).
-#[test]
-fn named_thread_counts_match_sequential() {
-    for threads in [0, 1, 2, 3, 8, 200] {
-        assert_thread_count_matches_sequential(threads);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn prop_any_thread_count_matches_sequential(threads in 0usize..200) {
-        assert_thread_count_matches_sequential(threads);
-    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Segmented-store parity: compacting per-hour flowtuple files into
-//! IOTSG01 segments must be invisible to every reader. Analysis output,
-//! quarantine behavior, and raw hour bytes all have to be bit-identical
-//! before and after `compact_to_segments`, sequentially and in
-//! sharded-parallel mode, on arbitrary subsets of the paper window.
+//! IOTSG01 segments must be invisible to every reader. Quarantine
+//! behavior, presence checks and raw hour bytes all have to be
+//! bit-identical before and after `compact_to_segments`. (Analysis
+//! from a segmented store is checked against the naive reference in
+//! `oracle.rs`.)
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
-use iotscope_core::Analysis;
+use iotscope_core::pipeline::StoredWindow;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::TcpFlags;
 use iotscope_net::segment::{Manifest, SegmentStoreBuilder};
@@ -16,7 +16,6 @@ use iotscope_net::store::{
 use iotscope_net::time::UnixHour;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -43,21 +42,6 @@ fn shared() -> &'static Shared {
     })
 }
 
-/// The aggregates the report is built from; if these agree, the two
-/// stores are indistinguishable to everything downstream.
-fn assert_same_analysis(a: &Analysis, b: &Analysis, what: &str) {
-    assert_eq!(a.devices, b.devices, "{what}: devices");
-    assert_eq!(a.protocol_packets, b.protocol_packets, "{what}: protocol");
-    assert_eq!(a.scan_services, b.scan_services, "{what}: scans");
-    assert_eq!(a.udp_ports, b.udp_ports, "{what}: udp ports");
-    assert_eq!(
-        a.backscatter_intervals, b.backscatter_intervals,
-        "{what}: backscatter"
-    );
-    assert_eq!(a.top5_series, b.top5_series, "{what}: top5");
-    assert_eq!(a.unmatched_flows, b.unmatched_flows, "{what}: unmatched");
-}
-
 /// Deterministic synthetic hour with exactly `n` records, so block
 /// boundary cases (`n % BLOCK_RECORDS == 0`) can be pinned.
 fn synth_hour(hour: u64, n: usize) -> Vec<FlowTuple> {
@@ -81,60 +65,6 @@ fn synth_hour(hour: u64, n: usize) -> Vec<FlowTuple> {
             .with_packets(1 + (r >> 32) as u32 % 4)
         })
         .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Any subset of the window's hours, compacted at any segment
-    /// granularity, analyzes bit-identically to the per-hour layout —
-    /// sequentially and sharded-parallel.
-    #[test]
-    fn prop_segmented_analysis_matches_per_hour(
-        keep in proptest::collection::vec(any::<bool>(), 143),
-        hours_per_segment in 1usize..9,
-    ) {
-        let shared = shared();
-        let window = shared.built.scenario.telescope().window;
-        let dir = tmpdir("prop");
-        let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
-        let mut kept = 0usize;
-        for (i, t) in shared.traffic.iter().enumerate() {
-            // Always keep at least one hour so there is something to
-            // compact and analyze.
-            if keep[i % keep.len()] || kept == 0 && i == shared.traffic.len() - 1 {
-                store.write_hour(t.hour, &t.flows).unwrap();
-                kept += 1;
-            }
-        }
-        let pipeline =
-            AnalysisPipeline::new(&shared.built.inventory.db, window.num_hours());
-        let options = AnalyzeOptions::new().window(window);
-        let sharded = AnalyzeOptions::new().window(window).threads(3);
-        let stored = StoredWindow::of(&store, window);
-        let before = pipeline.run(&store, &options).unwrap();
-        let before_sharded = pipeline.run(&store, &sharded).unwrap();
-
-        let report = store.compact_to_segments(hours_per_segment).unwrap();
-        prop_assert_eq!(report.hours_compacted, kept);
-        prop_assert_eq!(report.segments_written, kept.div_ceil(hours_per_segment));
-        prop_assert!(store.manifest_path().is_file());
-
-        // Same store handle and a freshly opened one must both agree.
-        let reopened = FlowStore::open(&dir).unwrap();
-        for (who, s) in [("cached", &store), ("reopened", &reopened)] {
-            let after = pipeline.run(s, &options).unwrap();
-            prop_assert_eq!(&StoredWindow::of(s, window), &stored);
-            assert_same_analysis(&before.analysis, &after.analysis, who);
-            let after_sharded = pipeline.run(s, &sharded).unwrap();
-            assert_same_analysis(
-                &before_sharded.analysis,
-                &after_sharded.analysis,
-                &format!("{who} sharded"),
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
 /// A quarantining materialised read of `hour`: the salvaged flows and
