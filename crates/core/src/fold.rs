@@ -445,8 +445,11 @@ mod tests {
     use crate::stream::{StreamConfig, StreamingAnalyzer};
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IotDevice, IspId};
+    use iotscope_net::store::BLOCK_RECORDS;
     use iotscope_net::time::UnixHour;
     use iotscope_telescope::HourTraffic;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     /// Window length of the test hours.
     const HOURS: u32 = 8;
@@ -516,6 +519,129 @@ mod tests {
             country: CountryCode::from_code("US").unwrap(),
             isp: IspId(0),
         }))
+    }
+
+    /// `n` unsorted flows from `seed`: a quarter from sources outside
+    /// the inventory, all three protocols, any flag byte, ICMP types in
+    /// and past 0..=255, and one flow in seven carrying zero packets.
+    fn random_flows(db: &DeviceDb, seed: u64, n: usize) -> Vec<FlowTuple> {
+        let ips: Vec<Ipv4Addr> = db.iter().map(|d| d.ip).collect();
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let r = state;
+                let src_ip = if r.is_multiple_of(4) {
+                    Ipv4Addr::from(0xc0a8_0000 | ((r >> 40) & 0xff) as u32)
+                } else {
+                    ips[(r >> 8) as usize % ips.len()]
+                };
+                FlowTuple {
+                    src_ip,
+                    dst_ip: Ipv4Addr::from(0x2c00_0000 | ((r >> 24) % 500) as u32),
+                    src_port: (r >> 44) as u16 % 600,
+                    dst_port: ((r >> 34) % 2_000) as u16,
+                    protocol: TransportProtocol::ALL[(r % 3) as usize],
+                    ttl: 0,
+                    tcp_flags: TcpFlags::from_bits((r >> 52) as u8),
+                    ip_len: 0,
+                    packets: if r.is_multiple_of(7) {
+                        0
+                    } else {
+                        (r >> 60) as u32 + 1
+                    },
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The column scan and the run fold agree with a per-record count
+        /// of what they fold per device (realm, first interval, flows,
+        /// packets per class) and of the unmatched and per-transport
+        /// totals, at one and two threads, on unsorted hours — with
+        /// `big`, one crossing the 4,096-record block boundary. The whole
+        /// analysis is checked against the naive reference of the
+        /// `iotscope-tests` crate; this keeps a fold failure local.
+        #[test]
+        fn prop_column_fold_matches_per_record_reference(
+            seed: u64,
+            hours in 1u32..4,
+            big: bool,
+        ) {
+            let db = inventory();
+            let traffic: Vec<HourTraffic> = (0..hours)
+                .map(|h| {
+                    let interval = 1 + 2 * h;
+                    let n = if big && h == 0 {
+                        BLOCK_RECORDS + 300
+                    } else {
+                        200 + (seed >> (8 * h)) as usize % 600
+                    };
+                    HourTraffic {
+                        interval,
+                        hour: UnixHour::new(2_000 + u64::from(interval)),
+                        flows: random_flows(&db, seed ^ u64::from(h), n),
+                    }
+                })
+                .collect();
+
+            type Row = (Realm, u32, u64, [u64; NUM_CLASSES]);
+            let inventory: HashMap<Ipv4Addr, (DeviceId, Realm)> =
+                db.iter().map(|d| (d.ip, (d.id, d.realm()))).collect();
+            let mut want: BTreeMap<DeviceId, Row> = BTreeMap::new();
+            let mut unmatched = (0u64, 0u64);
+            let mut protocol_packets = [[0u64; 3]; 2];
+            for hour in &traffic {
+                for flow in &hour.flows {
+                    let pkts = u64::from(flow.packets);
+                    let Some(&(id, realm)) = inventory.get(&flow.src_ip) else {
+                        unmatched.0 += 1;
+                        unmatched.1 += pkts;
+                        continue;
+                    };
+                    let row = want
+                        .entry(id)
+                        .or_insert((realm, hour.interval, 0, [0; NUM_CLASSES]));
+                    row.1 = row.1.min(hour.interval);
+                    row.2 += 1;
+                    row.3[class_idx(classify(flow))] += pkts;
+                    let lane = TransportProtocol::ALL
+                        .iter()
+                        .position(|p| *p == flow.protocol)
+                        .unwrap();
+                    protocol_packets[realm_idx(realm)][lane] += pkts;
+                }
+            }
+
+            for threads in [1, 2] {
+                let analysis = AnalysisPipeline::new(&db, HOURS)
+                    .run(&traffic, &AnalyzeOptions::new().threads(threads))
+                    .unwrap()
+                    .analysis;
+                let got: BTreeMap<DeviceId, Row> = analysis
+                    .devices
+                    .rows()
+                    .map(|o| {
+                        let mut packets = [0; NUM_CLASSES];
+                        for class in TrafficClass::ALL {
+                            packets[class_idx(class)] = o.packets(class);
+                        }
+                        (o.device, (o.realm, o.first_interval, o.flows, packets))
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &want, "threads={}", threads);
+                prop_assert_eq!(
+                    (analysis.unmatched_flows, analysis.unmatched_packets),
+                    unmatched
+                );
+                prop_assert_eq!(analysis.protocol_packets, protocol_packets);
+            }
+        }
     }
 
     /// Regression: a zero-packet backscatter flow followed by another

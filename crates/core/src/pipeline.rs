@@ -687,6 +687,43 @@ mod tests {
     }
 
     #[test]
+    fn parallel_equals_sequential() {
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(21));
+        let traffic: Vec<HourTraffic> = (1..=24).map(|i| built.scenario.generate_hour(i)).collect();
+        let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
+        let seq = pipeline
+            .run(&traffic, &AnalyzeOptions::new())
+            .unwrap()
+            .analysis;
+        let par = pipeline
+            .run(&traffic, &AnalyzeOptions::new().threads(4))
+            .unwrap()
+            .analysis;
+        assert_eq!(seq, par);
+        assert_eq!(seq.devices.ids(), par.devices.ids(), "device row order");
+    }
+
+    #[test]
+    fn stable_metrics_identical_across_thread_counts() {
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(25));
+        let traffic: Vec<HourTraffic> = (1..=24).map(|i| built.scenario.generate_hour(i)).collect();
+        let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
+        let r1 = Registry::new();
+        let r4 = Registry::new();
+        pipeline
+            .run(&traffic, &AnalyzeOptions::new().metrics(&r1))
+            .unwrap();
+        pipeline
+            .run(&traffic, &AnalyzeOptions::new().threads(4).metrics(&r4))
+            .unwrap();
+        assert_eq!(
+            r1.snapshot().stable_only(),
+            r4.snapshot().stable_only(),
+            "stable counters must not depend on thread count"
+        );
+    }
+
+    #[test]
     fn outcome_carries_stats_and_metrics_only_when_requested() {
         let built = PaperScenario::build(PaperScenarioConfig::tiny(26));
         let traffic: Vec<HourTraffic> = (1..=4).map(|i| built.scenario.generate_hour(i)).collect();

@@ -303,6 +303,75 @@ mod tests {
         }
     }
 
+    /// Route hours through `routers` routers (round robin) and `shards`
+    /// shards, apply the batches, and assemble.
+    fn sharded(
+        db: &DeviceDb,
+        hours: u32,
+        traffic: &[HourTraffic],
+        routers: usize,
+        shards: usize,
+    ) -> Analysis {
+        let map = ShardMap::new(db.len(), shards);
+        let mut accs: Vec<ShardAccumulator> = (0..shards)
+            .map(|s| ShardAccumulator::new(hours, map.range(s)))
+            .collect();
+        let mut parts = Vec::new();
+        for w in 0..routers {
+            let mut router = ShardRouter::new(db, hours, map);
+            for h in traffic.iter().skip(w).step_by(routers) {
+                router.begin_hour(h.interval);
+                router.on_flows(&h.flows);
+                for (s, batch) in router.finish_hour().into_iter().enumerate() {
+                    accs[s].apply_hour(h.interval, &batch);
+                }
+            }
+            parts.push(router.into_partial());
+        }
+        assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
+    }
+
+    /// The sequential analysis of `traffic`.
+    fn sequential(db: &DeviceDb, hours: u32, traffic: &[HourTraffic]) -> Analysis {
+        let mut seq = Analyzer::new(db, hours);
+        for h in traffic {
+            seq.ingest_hour(h);
+        }
+        seq.finish()
+    }
+
+    #[test]
+    fn sharded_matches_sequential_across_shapes() {
+        let db = db(37);
+        let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 40 + u64::from(i))).collect();
+        let seq = sequential(&db, 8, &traffic);
+        for (routers, shards) in [(1, 1), (1, 4), (2, 3), (3, 8), (2, 64)] {
+            let par = sharded(&db, 8, &traffic, routers, shards);
+            assert_eq!(par, seq, "routers={routers} shards={shards}");
+            assert_eq!(
+                par.devices.ids(),
+                seq.devices.ids(),
+                "concatenated table must be sorted: routers={routers} shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn port_table_is_the_same_via_assemble_and_one_pass() {
+        let db = db(37);
+        let traffic: Vec<HourTraffic> = (1..=6).map(|i| hour(&db, i, 70 + u64::from(i))).collect();
+        let seq = sequential(&db, 8, &traffic);
+        // Two routers over three shards: the assembled table meets
+        // ports in another order than the sequential pass.
+        let par = sharded(&db, 8, &traffic, 2, 3);
+        let ports = |a: &Analysis| a.udp_ports.rows().map(|r| r.port).collect::<Vec<_>>();
+        assert!(seq.udp_ports.len() > 100, "{} ports", seq.udp_ports.len());
+        assert!(ports(&seq).windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert_eq!(par.udp_ports, seq.udp_ports);
+        assert_eq!(ports(&par), ports(&seq), "row order");
+        assert_eq!(par.scan_services, seq.scan_services);
+    }
+
     #[test]
     fn abandoned_hour_leaves_no_distincts_or_batches() {
         // An hour abandoned mid-decode (no finish_hour) never reaches

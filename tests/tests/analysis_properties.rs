@@ -1,13 +1,25 @@
-//! Property tests for the columnar analysis model: every memoized
-//! [`AnalysisView`] query must equal a brute-force recomputation from
-//! the raw per-device rows. (Every ingest path's result is checked
-//! against the naive reference in `oracle.rs`.)
+//! Property tests for the columnar analysis model on the paper
+//! scenario: every memoized [`AnalysisView`] query must equal a
+//! brute-force recomputation from the raw per-device rows, and the
+//! device-sharded analysis — any assignment of hours to routers, clean
+//! or quarantining — must equal the naive reference
+//! (`iotscope_tests::oracle`; `oracle.rs` runs every ingest path
+//! against it on generated hours).
 
 use iotscope_core::analysis::{Analysis, Analyzer};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
+use iotscope_core::shard::{assemble, ShardAccumulator, ShardRouter};
 use iotscope_core::TrafficClass;
-use iotscope_devicedb::{DeviceId, Realm};
+use iotscope_devicedb::{DeviceId, Realm, ShardMap};
+use iotscope_net::store::{
+    decode_hour_visit, encode_hour, CollectSink, DecodeOptions, FlowSink, StoreOptions,
+    BLOCK_RECORDS,
+};
+use iotscope_net::time::UnixHour;
+use iotscope_obs::Registry;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
+use iotscope_tests::oracle::{self, Naive};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -47,6 +59,43 @@ fn partition_strategy(n: usize, k: usize) -> impl Strategy<Value = Vec<Vec<usize
         }
         groups
     })
+}
+
+/// The naive reference over all 143 hours, computed once.
+fn reference_full() -> &'static Naive {
+    static REFERENCE: OnceLock<Naive> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let (built, traffic) = shared();
+        oracle::analyze(&built.inventory.db, num_hours(), traffic)
+    })
+}
+
+/// Route the shared traffic through `groups.len()` routers (each owning
+/// the hour indices of its group) into `shards` shard accumulators, and
+/// assemble the final analysis — the hand-driven equivalent of the
+/// pipeline's sharded mode.
+fn sharded_by_hand(groups: &[Vec<usize>], shards: usize) -> Analysis {
+    let (built, traffic) = shared();
+    let db = &built.inventory.db;
+    let hours = num_hours();
+    let map = ShardMap::new(db.len(), shards);
+    let mut accs: Vec<ShardAccumulator> = (0..shards)
+        .map(|s| ShardAccumulator::new(hours, map.range(s)))
+        .collect();
+    let mut parts = Vec::new();
+    for group in groups {
+        let mut router = ShardRouter::new(db, hours, map);
+        for &i in group {
+            let hour = &traffic[i];
+            router.begin_hour(hour.interval);
+            router.on_flows(&hour.flows);
+            for (s, flows) in router.finish_hour().into_iter().enumerate() {
+                accs[s].apply_hour(hour.interval, &flows);
+            }
+        }
+        parts.push(router.into_partial());
+    }
+    assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
 }
 
 proptest! {
@@ -114,6 +163,113 @@ proptest! {
         // Total packets.
         let total: u64 = analysis.devices.rows().map(|o| o.total_packets()).sum();
         prop_assert_eq!(view.total_packets(), total);
+    }
+
+    /// Device-sharded analysis is the sequential per-record reference,
+    /// for any assignment of the 143 hours to 1–4 routers and any shard
+    /// count 1..=8, with the concatenated device rows ascending; and the
+    /// pipeline's sharded mode publishes the reference's stable
+    /// counters.
+    #[test]
+    fn prop_sharded_is_bit_identical_to_sequential(
+        shards in 1usize..=8,
+        routers in 1usize..=4,
+        assignment in partition_strategy(143, 4),
+    ) {
+        // Fold the fixed-width partition down to `routers` groups, so
+        // the router count varies without a dependent strategy.
+        let mut groups = vec![Vec::new(); routers];
+        for (g, hours) in assignment.into_iter().enumerate() {
+            groups[g % routers].extend(hours);
+        }
+        let want = reference_full();
+        let sharded = sharded_by_hand(&groups, shards);
+        prop_assert_eq!(&Naive::from(&sharded), want, "shards={} routers={}", shards, routers);
+        let ids = sharded.devices.ids();
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "device rows ascending");
+
+        let (built, traffic) = shared();
+        let threads = shards.max(2);
+        let registry = Registry::new();
+        AnalysisPipeline::new(&built.inventory.db, num_hours())
+            .run(traffic, &AnalyzeOptions::new().threads(threads).metrics(&registry))
+            .unwrap();
+        let snapshot = registry.snapshot();
+        for (name, value) in want.counters(Some(143)) {
+            prop_assert_eq!(snapshot.counter(&name), Some(value), "{} at threads={}", name, threads);
+        }
+    }
+
+    /// Sharded and sequential sinks quarantine like the reference: when
+    /// a quarantining decode drops corrupt blocks of a real hour, both
+    /// fold exactly the flows a quarantining `CollectSink` keeps.
+    #[test]
+    fn prop_sharded_quarantine_matches_sequential(
+        hour_seed in 0u64..1_000,
+        corrupt in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+        shards in 1usize..=8,
+    ) {
+        let (built, traffic) = shared();
+        let db = &built.inventory.db;
+        let hours = num_hours();
+        // Encode two real hours, then corrupt payload bytes of the
+        // second so a quarantining decode drops some blocks.
+        let clean = &traffic[(hour_seed % 143) as usize];
+        let victim = &traffic[((hour_seed + 71) % 143) as usize];
+        let clean_bytes =
+            encode_hour(UnixHour::new(900_000), &clean.flows, StoreOptions::default());
+        let mut victim_bytes =
+            encode_hour(UnixHour::new(900_001), &victim.flows, StoreOptions::default());
+        // IOTFT03 layout mirror (see oracle.rs): flip only payload bytes
+        // so the header and block index stay intact.
+        const HEADER: usize = 7 + 1 + 8 + 4 + 8;
+        const INDEX_ENTRY: usize = 4 + 4 + 8;
+        let total_blocks = victim.flows.len().div_ceil(BLOCK_RECORDS);
+        let index_end = HEADER + 4 + total_blocks * INDEX_ENTRY;
+        prop_assume!(index_end < victim_bytes.len());
+        let payload = victim_bytes.len() - index_end;
+        for &(pos, mask) in &corrupt {
+            victim_bytes[index_end + pos as usize % payload] ^= mask | 1;
+        }
+        let opts = DecodeOptions { quarantine: true };
+        let files = [(clean, &clean_bytes), (victim, &victim_bytes)];
+
+        let kept: Vec<HourTraffic> = files
+            .iter()
+            .map(|&(hour, bytes)| {
+                let mut sink = CollectSink::default();
+                decode_hour_visit(bytes, opts, &mut sink).expect("quarantining decode succeeds");
+                HourTraffic { flows: sink.into_flows(), ..hour.clone() }
+            })
+            .collect();
+        let want = oracle::analyze(db, hours, &kept);
+
+        let mut seq = Analyzer::new(db, hours);
+        for &(hour, bytes) in &files {
+            let mut ingest = seq.begin_hour(hour.interval);
+            decode_hour_visit(bytes, opts, &mut ingest).expect("quarantining decode succeeds");
+            ingest.finish();
+        }
+        prop_assert_eq!(&Naive::from(&seq.finish()), &want, "sequential");
+
+        let map = ShardMap::new(db.len(), shards);
+        let mut accs: Vec<ShardAccumulator> = (0..shards)
+            .map(|s| ShardAccumulator::new(hours, map.range(s)))
+            .collect();
+        let mut router = ShardRouter::new(db, hours, map);
+        for &(hour, bytes) in &files {
+            router.begin_hour(hour.interval);
+            decode_hour_visit(bytes, opts, &mut router).expect("quarantining decode succeeds");
+            for (s, flows) in router.finish_hour().into_iter().enumerate() {
+                accs[s].apply_hour(hour.interval, &flows);
+            }
+        }
+        let sharded = assemble(
+            hours,
+            vec![router.into_partial()],
+            accs.into_iter().map(|a| a.finish()).collect(),
+        );
+        prop_assert_eq!(&Naive::from(&sharded), &want, "shards={}", shards);
     }
 }
 

@@ -1,18 +1,22 @@
-//! The columnar batched path (block-at-a-time decode + sorted-column
-//! merge-join correlation + `FlowSink::visit_block`) must be
-//! bit-identical to the per-record reference: full `Analysis` equality
-//! and `stable_only()` metric snapshots, sequentially and sharded, over
-//! per-hour and segmented stores, with quarantined corrupt blocks
-//! included. (Legacy v1/v2 hours through the pipeline are pinned by
-//! `store_golden.rs`.)
+//! The columnar batched path (block-at-a-time decode, sorted-column
+//! merge-join correlation, `FlowSink::visit_block`) on the paper
+//! scenario, against the per-record naive reference
+//! (`iotscope_tests::oracle`): sequentially and sharded, over per-hour
+//! and segmented stores, with quarantined corrupt blocks included.
+//! (`oracle.rs` runs the same paths on generated hours; legacy v1/v2
+//! hours through the pipeline are pinned by `store_golden.rs`.)
 
-use iotscope_core::analysis::{Analysis, Analyzer};
+use iotscope_core::analysis::Analyzer;
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
-use iotscope_net::store::{encode_hour, CollectSink, DecodeOptions, FlowStore, StoreOptions};
+use iotscope_net::flowtuple::FlowTuple;
+use iotscope_net::store::{
+    encode_hour, CollectSink, DecodeOptions, FlowSink, FlowStore, StoreOptions, BLOCK_RECORDS,
+};
 use iotscope_net::time::UnixHour;
 use iotscope_obs::Registry;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
+use iotscope_tests::oracle::{self, Naive};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -23,12 +27,12 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// One shared scenario plus the per-record in-memory reference analysis
-/// every store-backed batched run must reproduce exactly.
+/// One shared scenario and the reference analysis of its hours, which
+/// every store-backed batched run must reproduce.
 struct Shared {
     built: BuiltScenario,
     traffic: Vec<HourTraffic>,
-    reference: Analysis,
+    reference: Naive,
 }
 
 fn shared() -> &'static Shared {
@@ -36,13 +40,8 @@ fn shared() -> &'static Shared {
     SHARED.get_or_init(|| {
         let built = PaperScenario::build(PaperScenarioConfig::tiny(21));
         let traffic = built.scenario.generate();
-        let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
-        // In-memory ingest correlates per record — the reference the
-        // columnar merge-join paths are pinned to.
-        let reference = pipeline
-            .run(&traffic, &AnalyzeOptions::new())
-            .unwrap()
-            .analysis;
+        let hours = built.scenario.telescope().window.num_hours();
+        let reference = oracle::analyze(&built.inventory.db, hours, &traffic);
         Shared {
             built,
             traffic,
@@ -69,48 +68,42 @@ fn batched_paths_match_per_record_reference_across_formats() {
     let sh = shared();
     let window = sh.built.scenario.telescope().window;
     let pipeline = AnalysisPipeline::new(&sh.built.inventory.db, window.num_hours());
+    let counters = sh.reference.counters(Some(u64::from(window.num_hours())));
 
-    let stores: Vec<(&str, FlowStore)> = vec![
+    for (name, store) in [
         ("per-hour", build_store("v3", None)),
         ("segmented", build_store("seg", Some(7))),
-    ];
-
-    for (name, store) in &stores {
-        // Sequential (columnar visit path) and sharded (routers with the
-        // batched visit_block) both reproduce the per-record reference —
-        // full-struct equality, not per-field spot checks.
-        let seq_registry = Registry::new();
-        let seq = pipeline
-            .run(
-                store,
-                &AnalyzeOptions::new().window(window).metrics(&seq_registry),
-            )
-            .unwrap();
-        assert_eq!(seq.analysis, sh.reference, "{name} sequential");
-
-        let shard_registry = Registry::new();
-        let sharded = pipeline
-            .run(
-                store,
-                &AnalyzeOptions::new()
-                    .window(window)
-                    .threads(4)
-                    .metrics(&shard_registry),
-            )
-            .unwrap();
-        assert_eq!(sharded.analysis, sh.reference, "{name} sharded");
-        assert_eq!(
-            seq_registry.snapshot().stable_only(),
-            shard_registry.snapshot().stable_only(),
-            "{name} stable metrics"
-        );
+    ] {
+        // Sequential (the analyzer's columnar visit) and sharded
+        // (routers over the batched visit_block).
+        for threads in [1, 4] {
+            let registry = Registry::new();
+            let options = AnalyzeOptions::new()
+                .window(window)
+                .threads(threads)
+                .metrics(&registry);
+            let analysis = pipeline.run(&store, &options).unwrap().analysis;
+            assert_eq!(
+                Naive::from(&analysis),
+                sh.reference,
+                "{name}, threads={threads}"
+            );
+            let snapshot = registry.snapshot();
+            for (counter, value) in &counters {
+                assert_eq!(
+                    snapshot.counter(counter),
+                    Some(*value),
+                    "{name}, threads={threads}: {counter}"
+                );
+            }
+        }
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 }
 
-/// Pick a busy hour and inflate it past two v3 blocks so block-level
-/// behavior (and quarantine) is observable.
-fn multi_block_hour() -> (u32, UnixHour, Vec<iotscope_net::flowtuple::FlowTuple>) {
+/// A busy hour inflated past two v3 blocks, so block-level behaviour
+/// (and quarantine) is observable.
+fn multi_block_hour() -> (u32, UnixHour, Vec<FlowTuple>) {
     let sh = shared();
     let busy = sh
         .traffic
@@ -118,7 +111,7 @@ fn multi_block_hour() -> (u32, UnixHour, Vec<iotscope_net::flowtuple::FlowTuple>
         .max_by_key(|h| h.flows.len())
         .expect("scenario has hours");
     let mut flows = Vec::new();
-    while flows.len() < 2 * 4096 + 100 {
+    while flows.len() < 2 * BLOCK_RECORDS + 100 {
         flows.extend_from_slice(&busy.flows);
     }
     (busy.interval, busy.hour, flows)
@@ -140,49 +133,47 @@ fn quarantined_corrupt_blocks_fold_identically_batched_and_per_record() {
     let path = store.hour_path(hour);
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(path, &bytes).unwrap();
+    let quarantine = DecodeOptions { quarantine: true };
 
-    // Per-record reference: quarantining materialized read, then the
-    // record-at-a-time ingest.
+    // The reference folds what a quarantining materialised read keeps.
     let mut collected = CollectSink::default();
     let decoded = store
-        .visit_hour_for(
-            hour,
-            &bytes,
-            DecodeOptions { quarantine: true },
-            &mut collected,
-        )
+        .visit_hour_for(hour, &bytes, quarantine, &mut collected)
         .unwrap();
     assert_eq!(decoded.quarantined.len(), 1, "exactly one block corrupt");
-    let mut reference = Analyzer::new(db, 143);
-    reference.ingest_hour(&HourTraffic {
+    let kept = HourTraffic {
         interval,
         hour,
         flows: collected.into_flows(),
-    });
-    let reference = reference.finish();
+    };
+    let want = oracle::analyze(db, 143, std::slice::from_ref(&kept));
 
-    // The batched columnar visit with quarantine must match.
+    // The batched columnar visit with quarantine…
     let mut analyzer = Analyzer::new(db, 143);
     let mut ingest = analyzer.begin_hour(interval);
     let visited = store
-        .visit_hour_for(
-            hour,
-            &bytes,
-            DecodeOptions { quarantine: true },
-            &mut ingest,
-        )
+        .visit_hour_for(hour, &bytes, quarantine, &mut ingest)
         .unwrap();
     ingest.finish();
     assert_eq!(visited.quarantined, decoded.quarantined);
-    assert_eq!(analyzer.finish(), reference);
+    assert_eq!(Naive::from(&analyzer.finish()), want, "batched");
+
+    // …and the kept records, ingested one slice at a time.
+    let mut analyzer = Analyzer::new(db, 143);
+    let mut ingest = analyzer.begin_hour(interval);
+    for slice in kept.flows.chunks(1_000) {
+        ingest.on_flows(slice);
+    }
+    ingest.finish();
+    assert_eq!(Naive::from(&analyzer.finish()), want, "per-record slices");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any thread count over any store shape reproduces the per-record
-    /// reference analysis through the batched visit path.
+    /// Any thread count over any store shape reproduces the reference
+    /// through the batched visit path.
     #[test]
     fn prop_batched_store_analysis_matches_reference(
         threads in 0usize..48,
@@ -199,7 +190,7 @@ proptest! {
         let outcome = pipeline
             .run(&store, &AnalyzeOptions::new().window(window).threads(threads))
             .unwrap();
-        prop_assert_eq!(&outcome.analysis, &sh.reference);
+        prop_assert_eq!(&Naive::from(&outcome.analysis), &sh.reference);
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 }

@@ -1,24 +1,27 @@
-//! Fused streaming ingest vs the materialized path.
+//! Fused streaming ingest of hours with corrupt blocks.
 //!
-//! The PR-5 contract: streaming an hour file block-by-block into the
-//! analyzer ([`decode_hour_visit`] + [`Analyzer::begin_hour`]) must be
-//! *bit-identical* to materializing the hour and calling
-//! [`Analyzer::ingest_hour`] — same [`Analysis`], same stable metric
-//! snapshot — for random v3 hours, including hours where corrupt blocks
-//! are quarantined.
+//! Streaming an hour file block by block into the analyzer
+//! ([`decode_hour_visit`] + [`Analyzer::begin_hour`]) under a
+//! quarantining decode skips exactly the blocks a quarantining
+//! materialised read drops, and folds what that read keeps: the same
+//! analysis and stable counters as the naive reference
+//! (`iotscope_tests::oracle`) over the kept flows. A strict decode
+//! fails on both paths. (`oracle.rs` runs clean hours through every
+//! sink.)
 
-use iotscope_core::{Analysis, Analyzer};
+use iotscope_core::Analyzer;
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig};
 use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{
-    decode_hour, decode_hour_visit, encode_hour, CollectSink, DecodeOptions, QuarantinedBlock,
-    StoreOptions, BLOCK_RECORDS,
+    decode_hour, decode_hour_visit, encode_hour, CollectSink, DecodeOptions, StoreOptions,
+    BLOCK_RECORDS,
 };
 use iotscope_net::time::UnixHour;
-use iotscope_obs::{Registry, Snapshot};
+use iotscope_obs::Registry;
 use iotscope_telescope::HourTraffic;
+use iotscope_tests::oracle::{self, Naive};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -73,75 +76,13 @@ fn synth_flows(db: &DeviceDb, seed: u64, n: usize) -> Vec<FlowTuple> {
         .collect()
 }
 
-/// Materialized reference: decode the whole hour, then one
-/// `ingest_hour` call.
-fn materialized(
-    db: &DeviceDb,
-    bytes: &[u8],
-    hour: UnixHour,
-    opts: DecodeOptions,
-) -> (Analysis, Vec<QuarantinedBlock>, Snapshot) {
-    let registry = Registry::new();
-    let mut sink = CollectSink::default();
-    let decoded = decode_hour_visit(bytes, opts, &mut sink).expect("materialized decode succeeds");
-    let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
-    an.ingest_hour(&HourTraffic {
-        interval: 1,
-        hour,
-        flows: sink.into_flows(),
-    });
-    (an.finish(), decoded.quarantined, registry.snapshot())
-}
-
-/// Fused path: stream blocks straight into the analyzer, no
-/// intermediate `Vec<FlowTuple>`.
-fn streamed(
-    db: &DeviceDb,
-    bytes: &[u8],
-    opts: DecodeOptions,
-) -> (Analysis, Vec<QuarantinedBlock>, Snapshot) {
-    let registry = Registry::new();
-    let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
-    let mut ingest = an.begin_hour(1);
-    let visited = decode_hour_visit(bytes, opts, &mut ingest).expect("streaming decode succeeds");
-    ingest.finish();
-    (an.finish(), visited.quarantined, registry.snapshot())
-}
-
-fn assert_paths_agree(db: &DeviceDb, bytes: &[u8], hour: UnixHour, opts: DecodeOptions) {
-    let (reference, ref_quarantined, ref_snapshot) = materialized(db, bytes, hour, opts);
-    let (analysis, quarantined, snapshot) = streamed(db, bytes, opts);
-    assert_eq!(analysis, reference, "analysis drift");
-    assert_eq!(quarantined, ref_quarantined, "quarantine drift");
-    assert_eq!(
-        snapshot.stable_only(),
-        ref_snapshot.stable_only(),
-        "stable metric drift"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Clean random v3 hours, from empty through several blocks plus a
-    /// ragged tail: streaming equals materializing.
-    #[test]
-    fn streaming_matches_materialized_on_clean_hours(
-        seed in any::<u64>(),
-        blocks in 0usize..3,
-        tail in 0usize..64,
-    ) {
-        let db = inventory();
-        let n = blocks * BLOCK_RECORDS + tail;
-        let flows = synth_flows(db, seed, n);
-        let hour = UnixHour::new(500_000 + (seed % 1000));
-        let bytes = encode_hour(hour, &flows, StoreOptions::default());
-        assert_paths_agree(db, &bytes, hour, DecodeOptions::default());
-    }
-
     /// Hours with corrupt blocks: a quarantining streaming decode skips
-    /// exactly the blocks the materialized quarantining decode drops,
-    /// and a strict decode fails on both paths.
+    /// exactly the blocks the materialised quarantining decode drops and
+    /// folds the flows it keeps, and a strict decode fails on both
+    /// paths.
     #[test]
     fn streaming_quarantines_like_materialized(
         seed in any::<u64>(),
@@ -170,8 +111,7 @@ proptest! {
 
         let strict = DecodeOptions::default();
         prop_assert!(decode_hour(&bytes).is_err());
-        let registry = Registry::new();
-        let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
+        let mut an = Analyzer::new(db, WINDOW_HOURS);
         {
             // On error the sink holds a prefix; it dies with the ingest.
             let mut ingest = an.begin_hour(1);
@@ -179,10 +119,26 @@ proptest! {
         }
 
         let quarantine = DecodeOptions { quarantine: true };
-        let decoded = decode_hour_visit(&bytes, quarantine, &mut CollectSink::default())
+        let mut sink = CollectSink::default();
+        let decoded = decode_hour_visit(&bytes, quarantine, &mut sink)
             .expect("quarantine decode succeeds");
         prop_assert!(!decoded.quarantined.is_empty());
         prop_assert!(decoded.quarantined.len() <= total_blocks);
-        assert_paths_agree(db, &bytes, hour, quarantine);
+        let kept = HourTraffic { interval: 1, hour, flows: sink.into_flows() };
+        let want = oracle::analyze(db, WINDOW_HOURS, std::slice::from_ref(&kept));
+
+        let registry = Registry::new();
+        let mut an = Analyzer::with_metrics(db, WINDOW_HOURS, &registry);
+        let mut ingest = an.begin_hour(1);
+        let visited = decode_hour_visit(&bytes, quarantine, &mut ingest)
+            .expect("streaming decode succeeds");
+        ingest.finish();
+        prop_assert_eq!(&visited.quarantined, &decoded.quarantined, "quarantine drift");
+        prop_assert_eq!(visited.records, kept.flows.len());
+        prop_assert_eq!(&Naive::from(&an.finish()), &want, "analysis drift");
+        let snapshot = registry.snapshot();
+        for (name, value) in want.counters(None) {
+            prop_assert_eq!(snapshot.counter(&name), Some(value), "stable metric drift: {}", name);
+        }
     }
 }

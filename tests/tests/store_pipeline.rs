@@ -1,20 +1,189 @@
-//! Cross-crate store/pipeline integration: the on-disk path renders the
-//! same report as the in-memory path, accounts for every byte it reads,
-//! survives the paper's data-quality rules, and fails loudly on
-//! corruption. (Every path's analysis is checked against the naive
-//! reference in `oracle.rs`.)
+//! Cross-crate store/pipeline integration on the paper scenario: every
+//! thread count, fed from the store or from memory, reproduces the
+//! naive reference (`iotscope_tests::oracle`); the on-disk path renders
+//! the same report as the in-memory path, accounts for every byte it
+//! reads, survives the paper's data-quality rules, and fails loudly on
+//! corruption.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalysisSource, AnalyzeOptions, StoredWindow};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::Analysis;
 use iotscope_net::store::{FlowStore, StoreOptions};
-use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
+use iotscope_net::time::AnalysisWindow;
+use iotscope_obs::Registry;
+use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
+use iotscope_telescope::HourTraffic;
+use iotscope_tests::oracle::{self, Naive};
+use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iotscope-it-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// One shared 143-hour scenario written to disk, and the naive
+/// reference's analysis of its hours, so the thread-count tests below
+/// build neither per case.
+struct SharedStore {
+    built: BuiltScenario,
+    window: AnalysisWindow,
+    store: FlowStore,
+    traffic: Vec<HourTraffic>,
+    reference: Naive,
+}
+
+fn shared_store() -> &'static SharedStore {
+    static SHARED: OnceLock<SharedStore> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(12));
+        let window = built.scenario.telescope().window;
+        let dir = tmpdir("shared-prop");
+        let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+        built.scenario.write_to_store(&store).unwrap();
+        let traffic = built.scenario.generate();
+        let reference = oracle::analyze(&built.inventory.db, window.num_hours(), &traffic);
+        SharedStore {
+            built,
+            window,
+            store,
+            traffic,
+            reference,
+        }
+    })
+}
+
+/// Run `source` over `window` at `threads`, and check the analysis and
+/// the stable `analysis.*` and `pipeline.hours_ingested` counters
+/// against `want`.
+fn assert_run_matches(
+    source: AnalysisSource<'_>,
+    window: AnalysisWindow,
+    threads: usize,
+    want: &Naive,
+    path: &str,
+) {
+    let shared = shared_store();
+    let registry = Registry::new();
+    let options = AnalyzeOptions::new()
+        .window(window)
+        .threads(threads)
+        .metrics(&registry);
+    let analysis = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours())
+        .run(source, &options)
+        .unwrap()
+        .analysis;
+    assert_eq!(&Naive::from(&analysis), want, "{path}, threads={threads}");
+    let ids = analysis.devices.ids();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{path}: device rows");
+    let snapshot = registry.snapshot();
+    for (name, value) in want.counters(Some(u64::from(window.num_hours()))) {
+        assert_eq!(
+            snapshot.counter(&name),
+            Some(value),
+            "{path}, threads={threads}: {name}"
+        );
+    }
+}
+
+/// Any thread count reproduces the reference, fed from the store or
+/// from memory, on the full window and on a 3-hour slice (fewer hours
+/// than workers: the sharded driver runs with idle routers).
+fn assert_thread_count_matches_sequential(threads: usize) {
+    let shared = shared_store();
+    let full = shared.window;
+    // The store's first three hours fill a three-hour window.
+    let slice = &shared.traffic[..3];
+    let window = AnalysisWindow::new(full.start(), 3).unwrap();
+    let want = oracle::analyze(&shared.built.inventory.db, full.num_hours(), slice);
+    for (path, source, window, want) in [
+        (
+            "store-fed",
+            AnalysisSource::from(&shared.store),
+            full,
+            &shared.reference,
+        ),
+        (
+            "memory-fed",
+            AnalysisSource::from(&shared.traffic),
+            full,
+            &shared.reference,
+        ),
+        (
+            "memory-fed slice",
+            AnalysisSource::from(slice),
+            window,
+            &want,
+        ),
+        (
+            "store-fed slice",
+            AnalysisSource::from(&shared.store),
+            window,
+            &want,
+        ),
+    ] {
+        assert_run_matches(source, window, threads, want, path);
+    }
+}
+
+/// Zero, the inline driver, small pools, more workers than the 3-hour
+/// slice has hours, and more than the window has (clamped to 64).
+#[test]
+fn named_thread_counts_match_sequential() {
+    for threads in [0, 1, 2, 3, 8, 200] {
+        assert_thread_count_matches_sequential(threads);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn prop_any_thread_count_matches_sequential(threads in 0usize..200) {
+        assert_thread_count_matches_sequential(threads);
+    }
+}
+
+/// A second scenario from memory, sequential and at 2, 3, 8 and 64
+/// threads, end to end: every run is the reference.
+#[test]
+fn sequential_and_parallel_analysis_agree_end_to_end() {
+    let built = PaperScenario::build(PaperScenarioConfig::tiny(10));
+    let traffic = built.scenario.generate();
+    let want = oracle::analyze(&built.inventory.db, 143, &traffic);
+    let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
+    for threads in [1usize, 2, 3, 8, 64] {
+        let analysis = pipeline
+            .run(&traffic, &AnalyzeOptions::new().threads(threads))
+            .unwrap()
+            .analysis;
+        assert_eq!(Naive::from(&analysis), want, "threads={threads}");
+    }
+}
+
+/// Asking for read statistics leaves the store-fed analysis the
+/// reference at every pool size.
+#[test]
+fn parallel_store_analysis_matches_sequential_on_full_window() {
+    let shared = shared_store();
+    let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
+    for threads in [2usize, 4, 7] {
+        let options = AnalyzeOptions::new()
+            .window(shared.window)
+            .threads(threads)
+            .stats(true);
+        let result = pipeline.run(&shared.store, &options).unwrap();
+        assert_eq!(
+            Naive::from(&result.analysis),
+            shared.reference,
+            "threads={threads}"
+        );
+        let stats = result.stats.expect("stats were requested");
+        assert_eq!(stats.threads, threads);
+        assert_eq!(stats.hours_ingested, u64::from(shared.window.num_hours()));
+    }
 }
 
 #[test]
