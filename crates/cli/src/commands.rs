@@ -1,6 +1,7 @@
 //! CLI command implementations.
 
 use crate::{ArgParser, CliError, ParsedArgs};
+use iotscope_core::behavior::{BehaviorFold, BehaviorVector};
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
 use iotscope_core::pipeline::{
@@ -9,12 +10,12 @@ use iotscope_core::pipeline::{
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
 use iotscope_core::stream::{Alert, StreamConfig};
-use iotscope_core::{attribution, behavior, Analysis};
+use iotscope_core::{attribution, Analysis, Analyzer};
 use iotscope_devicedb::inventory_io::{self, LoadedInventory};
 use iotscope_intel::synth::{IntelBuilder, IntelOutput, IntelSynthConfig};
 use iotscope_intel::IntelContext;
 use iotscope_net::segment::Manifest;
-use iotscope_net::store::{FlowStore, StoreFormat, StoreOptions};
+use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, StoreFormat, StoreOptions};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_net::NetError;
 use iotscope_obs::{Registry, Snapshot};
@@ -24,6 +25,7 @@ use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
+use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -565,39 +567,54 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
     }
 }
 
-/// `iotscope investigate --data DIR [--intel] [--threads N]`
+/// Fold the stored window for `investigate` in one pass: each hour of
+/// `stored` is fetched and decoded once, into the behavior fold and —
+/// with `analyze`, which `--intel` needs for its candidates — into the
+/// sequential analysis beside it. A store error names the hour.
+fn fold_window(
+    inventory: &LoadedInventory,
+    store: &FlowStore,
+    stored: &StoredWindow,
+    analyze: bool,
+) -> Result<(HashMap<Ipv4Addr, BehaviorVector>, Option<Analysis>), CliError> {
+    let hours = stored.window.num_hours();
+    let mut behavior = BehaviorFold::new(&inventory.db, hours);
+    let mut analyzer = analyze.then(|| Analyzer::new(&inventory.db, hours));
+    for &(interval, hour) in &stored.work {
+        let visit = |sink: &mut dyn FlowSink| -> Result<(), NetError> {
+            let bytes = store.fetch_hour_bytes(hour)?;
+            store.visit_hour_for(hour, &bytes, DecodeOptions::default(), sink)?;
+            Ok(())
+        };
+        let visited = match &mut analyzer {
+            Some(an) => {
+                let mut both = (an.begin_hour(interval), behavior.begin_hour(interval));
+                visit(&mut both).map(|()| both.0.finish())
+            }
+            None => visit(&mut behavior.begin_hour(interval)),
+        };
+        visited.map_err(|e| hour_error(interval, hour, e))?;
+    }
+    Ok((behavior.finish(), analyzer.map(Analyzer::finish)))
+}
+
+/// `iotscope investigate --data DIR [--intel]`
 ///
-/// The §VI/§VII follow-ups over the stored window: behaviour vectors
-/// are folded one stored hour at a time (the window is never held in
-/// memory), then fingerprinted and clustered. `--intel` adds malware
-/// attribution; its intel comes from a store-backed analysis of
-/// `--threads` workers that runs, and is dropped, before the behaviour
-/// fold starts, so the two never hold memory at once.
+/// The §VI/§VII follow-ups over the stored window: each stored hour is
+/// read and decoded once (the window is never held in memory) into the
+/// behavior vectors, which are then fingerprinted and clustered.
+/// `--intel` adds malware attribution; its intel is synthesized from
+/// the analysis the same pass folds beside the vectors.
 pub fn investigate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--data")
         .boolean("--intel")
-        .value("--threads")
         .parse(args)?;
-    let threads: usize = opts.parse_or("--threads", 8)?;
     let dir = data_dir(&opts)?;
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let (store, stored) = open_window(&dir)?;
-    let intel = if opts.has("--intel") {
-        let options = AnalyzeOptions::new().threads(threads);
-        let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
-        Some(synth_intel(&inventory, &analysis))
-    } else {
-        None
-    };
-    let hours = stored.window.num_hours();
-    let mut vectors = HashMap::new();
-    for &(interval, hour) in &stored.work {
-        let flows = store
-            .read_hour(hour)
-            .map_err(|e| hour_error(interval, hour, e))?;
-        behavior::extract_hour(&mut vectors, &inventory.db, hours, interval, &flows);
-    }
+    let (vectors, analysis) = fold_window(&inventory, &store, &stored, opts.has("--intel"))?;
+    let intel = analysis.map(|analysis| synth_intel(&inventory, &analysis));
     let mut out = dropped_days_note("window", &stored);
 
     let _ = writeln!(out, "== unindexed IoT candidates (fuzzy fingerprinting) ==");
@@ -1063,6 +1080,33 @@ mod tests {
         assert!(inv.contains("cluster 1:"));
         assert!(inv.contains("attributions total"));
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `investigate --intel` reads the window once: its one pass
+    /// fetches each stored hour a single time for both the behavior
+    /// fold and the analysis, and that analysis is the pipeline's.
+    #[test]
+    fn investigate_reads_each_stored_hour_once() {
+        let dir = tmpdir("investigate-once");
+        simulate(&args(&[
+            "--out",
+            dir.to_str().unwrap(),
+            "--tiny",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+        let inventory = inventory_io::load(dir.join("inventory.tsv")).unwrap();
+        let (store, stored) = open_window(&dir).unwrap();
+        let registry = Registry::new();
+        let instrumented = store.clone().instrumented(&registry);
+        let (vectors, analysis) = fold_window(&inventory, &instrumented, &stored, true).unwrap();
+        let hours_read = registry.snapshot().counter("store.hours_read");
+        assert_eq!(hours_read, Some(stored.work.len() as u64));
+        assert!(!vectors.is_empty());
+        let pipeline = analyze_window(&inventory, &store, &stored, AnalyzeOptions::new());
+        assert_eq!(analysis, Some(pipeline.unwrap().analysis));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

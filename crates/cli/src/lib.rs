@@ -70,7 +70,7 @@ USAGE:
     iotscope analyze --data DIR [--intel] [--threads N] [--stats] [--metrics[=FMT]]
     iotscope watch --data DIR [--intel] [--metrics[=FMT]]
     iotscope serve --data DIR [--port N] [--once] [--intel] [--metrics[=FMT]]
-    iotscope investigate --data DIR [--intel] [--threads N]
+    iotscope investigate --data DIR [--intel]
     iotscope migrate --data DIR (--format v3 | --segmented [--hours-per-segment N])
     iotscope export --data DIR --out DIR [--key K]
     iotscope diff --baseline DIR --data DIR [--threads N]
@@ -97,9 +97,10 @@ COMMANDS:
                  picks an ephemeral port, --once exits after ingest
                  instead of serving forever, --intel attaches the
                  threat-intel score stage behind the score endpoints
-    investigate  run the follow-up analyses over DIR, one stored hour at
-                 a time: fingerprint unindexed IoT devices and cluster
-                 botnets (--intel adds malware attribution)
+    investigate  run the follow-up analyses over DIR, decoding each
+                 stored hour once: fingerprint unindexed IoT devices and
+                 cluster botnets (--intel adds malware attribution, its
+                 intel drawn from an analysis folded in the same pass)
     validate     check the pipeline's inference against the simulator's
                  ground-truth ledger (truth.tsv) in DIR
     migrate      --format v3 rewrites DIR/darknet's hour files as v3,

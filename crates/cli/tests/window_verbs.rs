@@ -3,7 +3,8 @@
 //!
 //! The complete-store goldens under `golden/` were written by the build
 //! that decoded the whole window into memory first; the verbs now read
-//! straight from the store (`investigate` one hour at a time) and must
+//! straight from the store (`investigate` decodes each hour once, for
+//! its behavior vectors and its `--intel` analysis alike) and must
 //! print the same thing. Every verb reads the hours of the paper's
 //! day-completeness rule (§III-A2), as `analyze` does, so the short day
 //! on the `diff` side is dropped whole and named in the dropped-days
@@ -65,11 +66,8 @@ fn investigate_matches_golden_with_and_without_intel() {
     // The golden is the in-memory build's `--intel` stdout; without
     // `--intel` the output is its first two sections.
     let golden = include_str!("golden/investigate_complete.txt");
-    for threads in ["1", "4"] {
-        let with_intel =
-            investigate(&args(&["--data", dir_s, "--intel", "--threads", threads])).unwrap();
-        assert_eq!(with_intel + "\n", golden, "--threads {threads}");
-    }
+    let with_intel = investigate(&args(&["--data", dir_s, "--intel"])).unwrap();
+    assert_eq!(with_intel + "\n", golden);
     let plain = investigate(&args(&["--data", dir_s])).unwrap();
     assert!(golden.starts_with(&plain), "{plain}");
     assert!(!plain.contains("malware attribution"));

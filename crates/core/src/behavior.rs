@@ -1,17 +1,20 @@
-//! Per-device behavioral feature extraction.
+//! Per-source behavioral feature extraction.
 //!
 //! §VI and §VII of the paper sketch three follow-ups that all need richer
 //! per-source features than the aggregate analysis keeps: fuzzy
 //! fingerprinting of unindexed IoT devices, malware attribution, and
-//! botnet clustering. This module makes one extra pass over the traffic
-//! and produces a [`BehaviorVector`] per source — scanned-port histogram,
-//! hourly activity series, protocol mix, and TTL profile — for both
-//! inventory devices and unmatched sources.
+//! botnet clustering. This module produces a [`BehaviorVector`] per
+//! source — scanned-port histogram, hourly activity series, protocol
+//! and class mix — for both inventory devices and unmatched sources.
+//!
+//! [`BehaviorFold`] builds them an hour at a time through a
+//! [`FlowSink`], so a store hour can be decoded once into this sink and
+//! the analysis side by side; [`extract`] is the same fold over hours
+//! held in memory.
 
-use crate::classify::{classify, TrafficClass};
+use crate::fold::{lane_and_class, HourPos, CLASS_TABLE, CLASS_TCP_SCAN};
 use iotscope_devicedb::{DeviceDb, DeviceId};
-use iotscope_net::flowtuple::FlowTuple;
-use iotscope_net::protocol::TransportProtocol;
+use iotscope_net::store::{ColumnBlock, FlowSink};
 use iotscope_telescope::HourTraffic;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -31,10 +34,6 @@ pub struct BehaviorVector {
     pub protocol: [u64; 3],
     /// Packets per traffic class (indexed by [`crate::analysis::class_idx`]).
     pub class: [u64; 5],
-    /// Sum and count of observed TTLs (for the mean TTL fingerprint).
-    ttl_sum: u64,
-    /// Number of flows.
-    pub flows: u64,
 }
 
 impl BehaviorVector {
@@ -46,8 +45,6 @@ impl BehaviorVector {
             hourly: vec![0; hours],
             protocol: [0; 3],
             class: [0; 5],
-            ttl_sum: 0,
-            flows: 0,
         }
     }
 
@@ -56,27 +53,12 @@ impl BehaviorVector {
         self.protocol.iter().sum()
     }
 
-    /// Mean observed TTL (0 when no flows).
-    pub fn mean_ttl(&self) -> f64 {
-        if self.flows == 0 {
-            0.0
-        } else {
-            self.ttl_sum as f64 / self.flows as f64
-        }
-    }
-
     /// The scanned ports sorted by descending packet count.
     pub fn top_ports(&self, n: usize) -> Vec<u16> {
         let mut v: Vec<(u16, u64)> = self.scan_ports.iter().map(|(p, c)| (*p, *c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(n);
         v.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// Cosine similarity of two scanned-port histograms (0 when either is
-    /// empty).
-    pub fn port_cosine(&self, other: &BehaviorVector) -> f64 {
-        cosine(&self.scan_ports, &other.scan_ports)
     }
 
     /// Jaccard similarity of the scanned-port *sets*.
@@ -122,73 +104,127 @@ pub fn cosine(a: &BTreeMap<u16, u64>, b: &BTreeMap<u16, u64>) -> f64 {
     }
 }
 
-/// Extract behavior vectors for every source in `traffic`.
+/// Behavior vectors for every source of a window of `hours` intervals,
+/// folded one hour at a time: [`begin_hour`](Self::begin_hour) returns
+/// the hour's [`FlowSink`], [`finish`](Self::finish) the vectors keyed
+/// by source address (matched devices carry their [`DeviceId`]).
+#[derive(Debug)]
+pub struct BehaviorFold<'a> {
+    db: &'a DeviceDb,
+    hours: u32,
+    vectors: HashMap<Ipv4Addr, BehaviorVector>,
+}
+
+impl<'a> BehaviorFold<'a> {
+    /// An empty fold over `db` for a window of `hours` intervals.
+    pub fn new(db: &'a DeviceDb, hours: u32) -> Self {
+        BehaviorFold {
+            db,
+            hours,
+            vectors: HashMap::new(),
+        }
+    }
+
+    /// The sink for the hour at 1-based `interval`.
+    ///
+    /// # Panics
+    ///
+    /// If `interval` is outside `1..=hours`.
+    pub fn begin_hour(&mut self, interval: u32) -> HourBehavior<'_, 'a> {
+        let idx = HourPos::new(interval, self.hours).idx;
+        HourBehavior { fold: self, idx }
+    }
+
+    /// The vectors folded so far.
+    pub fn finish(self) -> HashMap<Ipv4Addr, BehaviorVector> {
+        self.vectors
+    }
+}
+
+/// One hour's behavior fold, produced by [`BehaviorFold::begin_hour`].
+/// It reads columns only: each flow is classified, and its transport
+/// lane taken, by the analysis fold's class table, and each run of
+/// equal source addresses costs one map lookup. Decoded blocks are
+/// sorted by source, so a run is all of a source's flows in the block;
+/// unsorted input only makes runs shorter.
+#[derive(Debug)]
+pub struct HourBehavior<'h, 'a> {
+    fold: &'h mut BehaviorFold<'a>,
+    /// `interval - 1`, the index into the hourly series.
+    idx: usize,
+}
+
+impl FlowSink for HourBehavior<'_, '_> {
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        let n = block.len();
+        let (src_ip, src_port, dst_port) = (
+            &block.src_ip()[..n],
+            &block.src_port()[..n],
+            &block.dst_port()[..n],
+        );
+        let (protocol, flags, packets) = (
+            &block.protocol()[..n],
+            &block.tcp_flags()[..n],
+            &block.packets()[..n],
+        );
+        let table = &*CLASS_TABLE;
+        let BehaviorFold { db, hours, vectors } = &mut *self.fold;
+        let mut start = 0;
+        while start < n {
+            let src = src_ip[start];
+            let end = src_ip[start..]
+                .iter()
+                .position(|&s| s != src)
+                .map_or(n, |len| start + len);
+            let ip = Ipv4Addr::from(src);
+            let v = vectors.entry(ip).or_insert_with(|| {
+                let device = db.correlate(ip).map(|(i, _)| DeviceId(i));
+                BehaviorVector::new(ip, device, *hours as usize)
+            });
+            let mut run_packets = 0;
+            for i in start..end {
+                let (lane, class) = lane_and_class(table, protocol[i], flags[i], src_port[i]);
+                let pkts = u64::from(packets[i]);
+                run_packets += pkts;
+                v.protocol[usize::from(lane)] += pkts;
+                v.class[usize::from(class)] += pkts;
+                if class == CLASS_TCP_SCAN {
+                    *v.scan_ports.entry(dst_port[i] as u16).or_insert(0) += pkts;
+                }
+            }
+            v.hourly[self.idx] += run_packets;
+            start = end;
+        }
+    }
+}
+
+/// Extract behavior vectors for every source in `traffic`: a
+/// [`BehaviorFold`] fed each hour's records through
+/// [`FlowSink::on_flows`]. `hours` is the window length (1-based
+/// interval indices must fit).
 ///
-/// Sources are keyed by address; matched devices carry their
-/// [`DeviceId`]. `hours` is the window length (1-based interval indices
-/// must fit).
+/// # Panics
+///
+/// If an hour's interval is outside `1..=hours`.
 pub fn extract(
     traffic: &[HourTraffic],
     db: &DeviceDb,
     hours: u32,
 ) -> HashMap<Ipv4Addr, BehaviorVector> {
-    let mut vectors = HashMap::new();
+    let mut fold = BehaviorFold::new(db, hours);
     for hour in traffic {
-        extract_hour(&mut vectors, db, hours, hour.interval, &hour.flows);
+        fold.begin_hour(hour.interval).on_flows(&hour.flows);
     }
-    vectors
-}
-
-/// [`extract`], one hour at a time: fold the flows of the hour at
-/// 1-based `interval` into `vectors`, so a caller reading hours off a
-/// store holds one hour's flows, not the window's.
-///
-/// # Panics
-///
-/// If `interval` is outside `1..=hours`.
-pub fn extract_hour(
-    vectors: &mut HashMap<Ipv4Addr, BehaviorVector>,
-    db: &DeviceDb,
-    hours: u32,
-    interval: u32,
-    flows: &[FlowTuple],
-) {
-    assert!(
-        interval >= 1 && interval <= hours,
-        "interval {interval} outside 1..={hours}"
-    );
-    let idx = (interval - 1) as usize;
-    for flow in flows {
-        let entry = vectors.entry(flow.src_ip).or_insert_with(|| {
-            BehaviorVector::new(
-                flow.src_ip,
-                db.correlate(flow.src_ip).map(|(i, _)| DeviceId(i)),
-                hours as usize,
-            )
-        });
-        let pkts = u64::from(flow.packets);
-        entry.hourly[idx] += pkts;
-        entry.flows += 1;
-        entry.ttl_sum += u64::from(flow.ttl);
-        let proto_i = match flow.protocol {
-            TransportProtocol::Icmp => 0,
-            TransportProtocol::Tcp => 1,
-            TransportProtocol::Udp => 2,
-        };
-        entry.protocol[proto_i] += pkts;
-        let class = classify(flow);
-        entry.class[crate::analysis::class_idx(class)] += pkts;
-        if class == TrafficClass::TcpScan {
-            *entry.scan_ports.entry(flow.dst_port).or_insert(0) += pkts;
-        }
-    }
+    fold.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::TrafficClass;
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, IotDevice, IspId};
+    use iotscope_net::flowtuple::FlowTuple;
     use iotscope_net::protocol::TcpFlags;
     use iotscope_net::time::UnixHour;
 
@@ -211,7 +247,6 @@ mod tests {
             TcpFlags::SYN,
         )
         .with_packets(pkts)
-        .with_ttl(60)
     }
 
     fn hour(interval: u32, flows: Vec<FlowTuple>) -> HourTraffic {
@@ -239,7 +274,7 @@ mod tests {
         assert_eq!(dev.protocol, [0, 6, 0]);
         assert_eq!(dev.total_packets(), 6);
         assert_eq!(dev.top_ports(1), vec![23]);
-        assert!((dev.mean_ttl() - 60.0).abs() < 1e-9);
+        assert_eq!(dev.class, [6, 0, 0, 0, 0]);
         let noise = &vecs[&Ipv4Addr::new(9, 9, 9, 9)];
         assert_eq!(noise.device, None);
         assert_eq!(noise.scan_ports[&445], 5);
@@ -281,9 +316,9 @@ mod tests {
         let a = &vecs[&Ipv4Addr::new(1, 0, 0, 1)];
         let b = &vecs[&Ipv4Addr::new(9, 9, 9, 9)];
         let c = &vecs[&Ipv4Addr::new(8, 8, 8, 8)];
-        assert!((a.port_cosine(b) - 1.0).abs() < 1e-9);
+        assert!((cosine(&a.scan_ports, &b.scan_ports) - 1.0).abs() < 1e-9);
         assert!((a.port_jaccard(b) - 1.0).abs() < 1e-9);
-        assert_eq!(a.port_cosine(c), 0.0);
+        assert_eq!(cosine(&a.scan_ports, &c.scan_ports), 0.0);
         assert_eq!(a.port_jaccard(c), 0.0);
     }
 

@@ -39,7 +39,7 @@ const REALMS: [Realm; 2] = [Realm::Consumer, Realm::Cps];
 
 /// `class_idx` values the fold branches on (asserted against
 /// [`class_idx`] in tests).
-const CLASS_TCP_SCAN: u8 = 0;
+pub(crate) const CLASS_TCP_SCAN: u8 = 0;
 const CLASS_BACKSCATTER: u8 = 2;
 const CLASS_UDP: u8 = 3;
 
@@ -68,7 +68,9 @@ const LANE_TCP: u8 = 1;
 /// for `classify`; the UDP row is constant. A fourth, unused row lets
 /// `lane & 3` index without a bounds check. An exhaustive test pins
 /// the lookup to `classify` for every protocol × flag byte × port.
-static CLASS_TABLE: LazyLock<[[u8; 256]; 4]> = LazyLock::new(|| {
+/// The behavior fold ([`crate::behavior`]) reads flows through the same
+/// table.
+pub(crate) static CLASS_TABLE: LazyLock<[[u8; 256]; 4]> = LazyLock::new(|| {
     let mut table = [[0u8; 256]; 4];
     for protocol in TransportProtocol::ALL {
         let lane = LANE_BY_PROTOCOL[usize::from(protocol.number())];
@@ -92,7 +94,12 @@ static CLASS_TABLE: LazyLock<[[u8; 256]; 4]> = LazyLock::new(|| {
 
 /// The `(lane, class code)` of one flow from its column values.
 #[inline]
-fn lane_and_class(table: &[[u8; 256]; 4], protocol: u32, flags: u32, src_port: u32) -> (u8, u8) {
+pub(crate) fn lane_and_class(
+    table: &[[u8; 256]; 4],
+    protocol: u32,
+    flags: u32,
+    src_port: u32,
+) -> (u8, u8) {
     let lane = LANE_BY_PROTOCOL[(protocol & 0xff) as usize];
     let key = if lane == LANE_TCP {
         flags

@@ -64,7 +64,6 @@ pub mod shard;
 pub mod stats;
 pub mod stream;
 pub mod table;
-pub mod taxonomy;
 pub mod udp;
 pub mod view;
 

@@ -151,11 +151,14 @@ fn handle_connection(
         // The request target may carry a query string; routing is on
         // the path alone.
         let path = target.split('?').next().unwrap_or(&target).to_owned();
-        // Drain headers; GET requests carry no body. Persistence
-        // defaults per protocol version — HTTP/1.1 keeps alive,
-        // HTTP/1.0 (and anything unrecognized) closes — and an explicit
-        // `Connection` header overrides either way.
+        // Drain headers. Persistence defaults per protocol version —
+        // HTTP/1.1 keeps alive, HTTP/1.0 (and anything unrecognized)
+        // closes — and an explicit `Connection` header overrides either
+        // way. No handler reads a body, so a request that declares one
+        // is answered and the connection closed: left on the wire, the
+        // body would be read as the next request.
         let mut keep_alive = version == "HTTP/1.1";
+        let mut has_body = false;
         let mut headers = 0usize;
         loop {
             match read_line(&mut reader, &mut header)? {
@@ -171,18 +174,19 @@ fn handle_connection(
             if headers > MAX_HEADERS {
                 return refuse(reader.get_mut(), 431, "too many header lines");
             }
-            if let Some(v) = header
-                .to_ascii_lowercase()
-                .strip_prefix("connection:")
-                .map(str::trim)
-            {
-                match v {
-                    "close" => keep_alive = false,
-                    "keep-alive" => keep_alive = true,
-                    _ => {}
-                }
+            let header = header.to_ascii_lowercase();
+            let Some((name, value)) = header.split_once(':') else {
+                continue;
+            };
+            match (name, value.trim()) {
+                ("connection", "close") => keep_alive = false,
+                ("connection", "keep-alive") => keep_alive = true,
+                ("content-length", length) => has_body |= length.parse::<u64>() != Ok(0),
+                ("transfer-encoding", _) => has_body = true,
+                _ => {}
             }
         }
+        keep_alive &= !has_body;
         let (status, body) = if method == "GET" {
             service.respond(&path)
         } else {

@@ -1,8 +1,9 @@
 //! A live telescope operations console (§VI/§VII follow-ups combined).
 //!
 //! Streams the 143-hour window hour-by-hour through the near-real-time
-//! analyzer, printing alerts as they fire; afterwards it runs the three
-//! investigation follow-ups over the accumulated traffic:
+//! analyzer, printing alerts as they fire, and folds each hour into the
+//! per-source behavior vectors as it passes; afterwards it runs the
+//! three investigation follow-ups over those vectors:
 //!
 //! 1. fuzzy fingerprinting — unindexed sources that behave like IoT;
 //! 2. botnet clustering — synchronized scanning crews;
@@ -12,12 +13,13 @@
 //! cargo run -p iotscope-examples --release --bin live_telescope
 //! ```
 
-use iotscope_core::behavior;
+use iotscope_core::behavior::BehaviorFold;
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
 use iotscope_core::stream::{Alert, StreamConfig, StreamingAnalyzer};
 use iotscope_core::{attribution, malicious};
 use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
+use iotscope_net::store::FlowSink;
 use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 
 fn main() {
@@ -32,10 +34,11 @@ fn main() {
     // ---- phase 1: streaming watch ---------------------------------------
     println!("== streaming watch (alerts as hours arrive) ==");
     let mut stream = StreamingAnalyzer::new(&built.inventory.db, 143, StreamConfig::default());
-    let mut traffic = Vec::with_capacity(143);
+    let mut behavior = BehaviorFold::new(&built.inventory.db, 143);
     let mut printed = 0usize;
     for i in 1..=143u32 {
         let hour = built.scenario.generate_hour(i);
+        behavior.begin_hour(i).on_flows(&hour.flows);
         for alert in stream.push_hour(&hour) {
             match alert {
                 Alert::NewDevices { .. } => {} // too chatty for a console
@@ -87,7 +90,6 @@ fn main() {
                 }
             }
         }
-        traffic.push(hour);
     }
     let (analysis, alerts) = stream.finish();
     println!(
@@ -98,7 +100,7 @@ fn main() {
 
     // ---- phase 2: fingerprint unindexed IoT ------------------------------
     println!("== fingerprinting unindexed IoT devices ==");
-    let vectors = behavior::extract(&traffic, &built.inventory.db, 143);
+    let vectors = behavior.finish();
     let model = FingerprintModel::train(&vectors).expect("matched devices exist");
     let candidates = candidate_iot_devices(&model, &vectors, 0.55, 20);
     println!(

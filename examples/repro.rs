@@ -137,25 +137,6 @@ fn main() {
     });
     println!("{}", report.render());
 
-    // Source taxonomy over everything the telescope saw (the paper's
-    // scanning / backscatter / misconfiguration trichotomy, per source).
-    {
-        use iotscope_core::taxonomy::{classify_sources, SourceKind};
-        let vectors = iotscope_core::behavior::extract(&traffic, &built.inventory.db, 143);
-        let tax = classify_sources(&traffic, &vectors);
-        println!("-- source taxonomy (all sources incl. non-inventory) --");
-        for kind in [
-            SourceKind::Scanner,
-            SourceKind::UdpScanner,
-            SourceKind::DosVictim,
-            SourceKind::Misconfiguration,
-            SourceKind::Mixed,
-        ] {
-            println!("  {:<17} {:>7}", kind.to_string(), tax.count(kind));
-        }
-        println!();
-    }
-
     // Extra per-figure series excerpts (full series go to --csv).
     println!("-- Fig 10 excerpt: hourly Telnet/HTTP/SSH/BackroomNet/CWMP scan packets --");
     for i in [1usize, 32, 69, 92, 113, 119, 130, 143] {

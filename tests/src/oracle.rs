@@ -6,13 +6,15 @@
 //! Every optimised ingest path (memory- or store-fed, per-hour or
 //! segmented, sequential, sharded or streamed, quarantining or strict)
 //! is compared to [`analyze`] in `tests/oracle.rs`, through the
-//! projection `Naive::from(&Analysis)`. [`analyze`] shares no machinery
-//! with the code it checks: no column blocks, correlation index,
-//! aggregate tables or distinct sets — only [`classify()`], the per-flow
-//! rule itself. The projection reads an [`Analysis`] through its public
-//! getters alone.
+//! projection `Naive::from(&Analysis)`, and the behavior fold behind
+//! the §VI/§VII follow-ups to [`behavior`]. Neither reference shares
+//! machinery with the code it checks: no column blocks, correlation
+//! index, aggregate tables or distinct sets — only [`classify()`], the
+//! per-flow rule itself. The projection reads an [`Analysis`] through
+//! its public getters alone.
 
 use iotscope_core::analysis::{RealmSeries, ServiceKey};
+use iotscope_core::behavior::BehaviorVector;
 use iotscope_core::scan::protocol_table;
 use iotscope_core::{classify, Analysis, TrafficClass};
 use iotscope_devicedb::device::DeviceProfile;
@@ -137,6 +139,15 @@ fn class_index(class: TrafficClass) -> usize {
         .expect("ALL lists every class")
 }
 
+/// The Fig 4 transport lane: ICMP 0, TCP 1, UDP 2.
+fn transport_index(protocol: TransportProtocol) -> usize {
+    match protocol {
+        TransportProtocol::Icmp => 0,
+        TransportProtocol::Tcp => 1,
+        TransportProtocol::Udp => 2,
+    }
+}
+
 /// The metric-name segment of a class.
 fn class_name(class: TrafficClass) -> &'static str {
     match class {
@@ -232,12 +243,7 @@ pub fn analyze(db: &DeviceDb, hours: u32, traffic: &[HourTraffic]) -> Naive {
             device.flows += 1;
             device.packets[class_index(class)] += pkts;
             device.days_active |= 1 << day.min(63);
-            let transport = match flow.protocol {
-                TransportProtocol::Icmp => 0,
-                TransportProtocol::Tcp => 1,
-                TransportProtocol::Udp => 2,
-            };
-            out.protocol_packets[r][transport] += pkts;
+            out.protocol_packets[r][transport_index(flow.protocol)] += pkts;
             match class {
                 TrafficClass::Udp => {
                     out.udp[r].packets[i] += pkts;
@@ -282,6 +288,52 @@ pub fn analyze(db: &DeviceDb, hours: u32, traffic: &[HourTraffic]) -> Naive {
         stats.devices = [devices[0].len(), devices[1].len()];
     }
     out
+}
+
+/// The §VI/§VII behavior vector of every source in `traffic`, inventory
+/// or not, one record at a time: [`classify()`] per flow, the device
+/// from a map of the inventory, a source's vector opened by its first
+/// flow (a zero-packet one included, as is a zero-packet scan's port).
+///
+/// # Panics
+///
+/// Panics if an hour's interval is outside `1..=hours`.
+pub fn behavior(
+    db: &DeviceDb,
+    hours: u32,
+    traffic: &[HourTraffic],
+) -> HashMap<Ipv4Addr, BehaviorVector> {
+    let inventory: HashMap<Ipv4Addr, DeviceId> = db.iter().map(|d| (d.ip, d.id)).collect();
+    let mut vectors = HashMap::new();
+    for hour in traffic {
+        assert!(
+            (1..=hours).contains(&hour.interval),
+            "interval {} outside 1..={hours}",
+            hour.interval
+        );
+        let i = hour.interval as usize - 1;
+        for flow in &hour.flows {
+            let v = vectors
+                .entry(flow.src_ip)
+                .or_insert_with(|| BehaviorVector {
+                    ip: flow.src_ip,
+                    device: inventory.get(&flow.src_ip).copied(),
+                    scan_ports: BTreeMap::new(),
+                    hourly: vec![0; hours as usize],
+                    protocol: [0; 3],
+                    class: [0; 5],
+                });
+            let pkts = u64::from(flow.packets);
+            let class = classify(flow);
+            v.hourly[i] += pkts;
+            v.protocol[transport_index(flow.protocol)] += pkts;
+            v.class[class_index(class)] += pkts;
+            if class == TrafficClass::TcpScan {
+                *v.scan_ports.entry(flow.dst_port).or_insert(0) += pkts;
+            }
+        }
+    }
+    vectors
 }
 
 impl Naive {

@@ -5,10 +5,12 @@
 //! flows, every protocol × flag byte, ICMP types past 255, sources
 //! outside the inventory and a device run across the 4,096-record block
 //! boundary — and compares what it built, through the projection
-//! `Naive::from(&Analysis)`, with `oracle::analyze` over the same hours.
+//! `Naive::from(&Analysis)`, with `oracle::analyze` over the same hours;
+//! the behavior fold's vectors are compared with `oracle::behavior`.
 //! Metered arms compare their stable counters too. No arm compares two
 //! optimised paths with each other.
 
+use iotscope_core::behavior::{self, BehaviorFold, BehaviorVector};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
 use iotscope_core::shard::{assemble, ShardAccumulator, ShardRouter};
 use iotscope_core::stream::{StreamConfig, StreamingAnalyzer};
@@ -26,6 +28,8 @@ use iotscope_serve::TelescopeService;
 use iotscope_telescope::HourTraffic;
 use iotscope_tests::oracle::{self, Naive};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
 /// Window length: the generator's 1–4 hours sit at intervals 1, 3, 5, 7.
@@ -130,6 +134,27 @@ fn sliced<'f>(flows: &'f [FlowTuple], cuts: &[usize]) -> Vec<&'f [FlowTuple]> {
     slices
 }
 
+/// Fold `store`'s hours of `window` as `investigate --intel` does: each
+/// hour fetched and decoded once into the pair of the analyzer's and the
+/// behavior fold's sinks.
+fn fold_store(
+    db: &DeviceDb,
+    store: &FlowStore,
+    window: AnalysisWindow,
+) -> (HashMap<Ipv4Addr, BehaviorVector>, Analysis) {
+    let mut an = Analyzer::new(db, HOURS);
+    let mut fold = BehaviorFold::new(db, HOURS);
+    for (interval, hour) in StoredWindow::of(store, window).work {
+        let bytes = store.fetch_hour_bytes(hour).unwrap();
+        let mut both = (an.begin_hour(interval), fold.begin_hour(interval));
+        store
+            .visit_hour_for(hour, &bytes, DecodeOptions::default(), &mut both)
+            .unwrap();
+        both.0.finish();
+    }
+    (fold.finish(), an.finish())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -215,6 +240,44 @@ proptest! {
             assert_finished(&want, &an.finish(), path);
             assert_counters(&want, &registry, None, path);
         }
+    }
+
+    /// The behavior fold against `oracle::behavior`: memory `extract`,
+    /// `on_flows` in slices of random lengths, and a per-hour and a
+    /// segmented store decoded once per hour into the fold and the
+    /// analyzer side by side (the analysis checked too).
+    #[test]
+    fn behavior_vectors(
+        seed: u64,
+        hours in 1u32..=4,
+        big: bool,
+        cuts in proptest::collection::vec(1usize..=2 * BLOCK_RECORDS, 1..8),
+        hours_per_segment in 1usize..=4,
+    ) {
+        let db = oracle::inventory();
+        let traffic = oracle::random_traffic(&db, seed, hours, big);
+        let want = oracle::behavior(&db, HOURS, &traffic);
+        prop_assert_eq!(&behavior::extract(&traffic, &db, HOURS), &want, "extract");
+        let mut fold = BehaviorFold::new(&db, HOURS);
+        for hour in &traffic {
+            let mut sink = fold.begin_hour(hour.interval);
+            for slice in sliced(&hour.flows, &cuts) {
+                sink.on_flows(slice);
+            }
+        }
+        prop_assert_eq!(&fold.finish(), &want, "sliced on_flows");
+
+        let stored = window_hours(&traffic);
+        let want_analysis = oracle::analyze(&db, HOURS, &stored);
+        let (dir, store, window) = write_store("behavior", &stored);
+        let (vectors, analysis) = fold_store(&db, &store, window);
+        prop_assert_eq!(&vectors, &want, "per-hour store");
+        assert_finished(&want_analysis, &analysis, "per-hour store");
+        store.compact_to_segments(hours_per_segment).unwrap();
+        let (vectors, analysis) = fold_store(&db, &store, window);
+        prop_assert_eq!(&vectors, &want, "segmented store");
+        assert_finished(&want_analysis, &analysis, "segmented store");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `StreamingAnalyzer` through `push_hour` (the generated hours, gaps

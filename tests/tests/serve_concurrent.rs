@@ -398,6 +398,37 @@ fn http_1_0_connection_defaults_per_protocol() {
     }
 }
 
+/// A request body is never read as a request: a `POST` declaring
+/// `Content-Length: 5` followed by a pipelined `GET` gets one `405`,
+/// with `Connection: close`, and then the end of the stream.
+#[test]
+fn http_request_with_a_body_closes_the_connection() {
+    let inv = inventory();
+    let service = Arc::new(TelescopeService::new(
+        inv.db.clone(),
+        inv.isps.clone(),
+        WINDOW_HOURS,
+    ));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    stream
+        .write_all(
+            b"POST /summary HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello\
+              GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+        )
+        .expect("write");
+    let mut answer = String::new();
+    stream
+        .read_to_string(&mut answer)
+        .expect("the server closes the connection");
+    assert_eq!(answer.matches("HTTP/1.1 ").count(), 1, "{answer}");
+    assert!(answer.starts_with("HTTP/1.1 405 "), "{answer}");
+    assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
+}
+
 /// Send `request` on a fresh connection from a writer thread (the
 /// server may stop reading and close mid-request), then read the
 /// answer: `(status, closed afterwards)`.
