@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   7 B   "IOTSG01"
-//! flags   1 B   reserved, 0
+//! flags   1 B   reserved, 0 (any set bit is rejected)
 //! count   4 B   u32 hour entries
 //! cksum   8 B   FNV-1a over magic..count + the hour table
 //! table   count × (hour u64, len u32)
@@ -29,7 +29,7 @@
 //!
 //! ```text
 //! magic   7 B   "IOTMF01"
-//! flags   1 B   reserved, 0
+//! flags   1 B   reserved, 0 (any set bit is rejected)
 //! count   4 B   u32 entries
 //! cksum   8 B   FNV-1a over magic..count + the entries
 //! entries count × (hour u64, segment u32, offset u64, len u32)
@@ -143,6 +143,18 @@ fn segment_prefix<B: AsRef<[u8]>>(hours: &[(UnixHour, B)]) -> Result<(Vec<u8>, u
     Ok((out, payload_len))
 }
 
+/// The container flag byte is reserved: a set bit means a layout this
+/// reader does not know, so it fails rather than misread the file.
+fn reserved_flags(flags: u8, container: &str) -> Result<(), NetError> {
+    if flags == 0 {
+        Ok(())
+    } else {
+        Err(NetError::Codec(format!(
+            "unknown {container} header flags {flags:#04x} (reserved, must be 0)"
+        )))
+    }
+}
+
 /// An open segment: the mapped file plus its validated hour table.
 #[derive(Debug)]
 pub struct Segment {
@@ -174,7 +186,7 @@ impl Segment {
             return Err(NetError::Codec("bad magic (not a segment file)".to_owned()));
         }
         let mut hdr = &bytes[7..CONTAINER_HEADER];
-        let _flags = hdr.get_u8();
+        let flags = hdr.get_u8();
         let count = hdr.get_u32() as usize;
         let checksum = hdr.get_u64();
         let table_end = count
@@ -195,6 +207,7 @@ impl Segment {
                 "checksum mismatch (corrupt segment header or hour table)".to_owned(),
             ));
         }
+        reserved_flags(flags, "segment")?;
         let mut table = Vec::with_capacity(count);
         let mut entries = &bytes[CONTAINER_HEADER..table_end];
         let mut offset = table_end;
@@ -366,7 +379,7 @@ impl Manifest {
             ));
         }
         let mut hdr = &bytes[7..CONTAINER_HEADER];
-        let _flags = hdr.get_u8();
+        let flags = hdr.get_u8();
         let count = hdr.get_u32() as usize;
         let checksum = hdr.get_u64();
         let end = count
@@ -387,6 +400,7 @@ impl Manifest {
                 "checksum mismatch (corrupt manifest)".to_owned(),
             ));
         }
+        reserved_flags(flags, "manifest")?;
         let mut entries = Vec::with_capacity(count);
         let mut body = &bytes[CONTAINER_HEADER..end];
         let mut prev: Option<UnixHour> = None;
@@ -756,6 +770,47 @@ mod tests {
             },
         ]);
         assert!(dup.is_err());
+    }
+
+    /// `bytes` with a reserved header flag bit set and the container
+    /// checksum re-stamped over the header and the first `hashed_end`
+    /// bytes, so only the flag check can object.
+    fn with_reserved_flag(bytes: &[u8], hashed_end: usize) -> Vec<u8> {
+        let mut flagged = bytes.to_vec();
+        flagged[7] |= 0b10;
+        let mut hasher = Fnv1a::new();
+        hasher.update(&flagged[..CONTAINER_HASHED]);
+        hasher.update(&flagged[CONTAINER_HEADER..hashed_end]);
+        flagged[CONTAINER_HASHED..CONTAINER_HEADER].copy_from_slice(&hasher.finish().to_be_bytes());
+        flagged
+    }
+
+    #[test]
+    fn segment_rejects_reserved_flag_bits() {
+        let (hours, bytes) = sample_segment();
+        let flagged = with_reserved_flag(&bytes, CONTAINER_HEADER + hours.len() * SEGMENT_ENTRY);
+        let err = Segment::parse(&flagged).unwrap_err();
+        assert!(
+            format!("{err}").contains("unknown segment header flags 0x02"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn manifest_rejects_reserved_flag_bits() {
+        let bytes = Manifest::from_entries(vec![ManifestEntry {
+            hour: UnixHour::new(3),
+            segment: 0,
+            offset: 32,
+            len: 50,
+        }])
+        .unwrap()
+        .encode();
+        let err = Manifest::decode(&with_reserved_flag(&bytes, bytes.len())).unwrap_err();
+        assert!(
+            format!("{err}").contains("unknown manifest header flags 0x02"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The block layer: one v3 block's nine columns — [`ColumnBlock`] and
-//! the kernels that encode and decode it (zero-run RLE, the SWAR varint
-//! loop, the whole-column un-delta passes and validation) plus the
-//! lockstep FNV-1a checksum pass that runs before them, kept in one
-//! module so the decode hot loop is in one place.
+//! the kernels that encode and decode it — plus the lockstep FNV-1a
+//! checksum pass that runs before them, kept in one module so the
+//! decode hot loop is in one place.
+//!
+//! A column is stored in one of two modes. **Mode 0** ([`MODE_RLE`]) is
+//! the column's deltas as zero-run RLE varints (the SWAR varint loop,
+//! then a whole-column un-delta pass). **Mode 1** ([`MODE_PACKED`]) is
+//! frame of reference over the raw values: a varint base (the block
+//! minimum), one width byte, then `value - base` bit-packed at that
+//! width (shift-and-mask from 8-byte windows, no un-delta). The encoder
+//! writes whichever is smaller, per block and per column; in a file
+//! without the packed header flag every column is mode 0 and carries no
+//! mode byte.
 
-#[cfg(test)]
-use crate::flowtuple::put_varint;
-use crate::flowtuple::{get_varint, FlowTuple};
+use crate::flowtuple::{get_varint, put_varint, FlowTuple};
 use crate::protocol::{TcpFlags, TransportProtocol};
 use crate::NetError;
 use std::borrow::Borrow;
@@ -14,6 +21,15 @@ use std::borrow::Borrow;
 /// Number of per-record columns in a v3 block (src, dst, src_port,
 /// dst_port, protocol, ttl, tcp_flags, ip_len, packets).
 pub(super) const COLUMNS: usize = 9;
+
+/// Column mode byte 0: the column's deltas as zero-run RLE varints
+/// ([`put_rle_column`]). The only mode of a file without the packed
+/// header flag, where it is implicit.
+pub(super) const MODE_RLE: u8 = 0;
+/// Column mode byte 1: frame of reference over the raw values — a
+/// varint base, a width byte (0–32), then ⌈n·width/8⌉ bytes of
+/// `value - base` bit-packed little-endian ([`put_packed_column`]).
+pub(super) const MODE_PACKED: u8 = 1;
 
 /// Transport by IANA number, for the record view of validated columns
 /// (only known numbers are ever looked up, so the filler entries are
@@ -48,9 +64,10 @@ const PROTO_BY_NUMBER: [TransportProtocol; 256] = {
 #[derive(Debug, Default)]
 pub struct ColumnBlock {
     /// Per-column buffers in on-disk column order (src, dst, src_port,
-    /// dst_port, protocol, ttl, tcp_flags, ip_len, packets). Filled
-    /// with raw deltas by the RLE pass, then rewritten in place to
-    /// reconstructed record values by the un-delta passes.
+    /// dst_port, protocol, ttl, tcp_flags, ip_len, packets). A mode-0
+    /// column is filled with raw deltas by the RLE pass, then rewritten
+    /// in place to reconstructed record values by the un-delta passes;
+    /// a mode-1 column is unpacked straight to record values.
     cols: [Vec<u32>; COLUMNS],
 }
 
@@ -485,78 +502,233 @@ fn zigzag_delta(vals: &mut [u32]) {
     }
 }
 
-/// Encode one v3 block and append its payload to `out` — the column
-/// kernel, the mirror image of [`decode_block_columnar_into`]. One
-/// pass transposes the records into `scratch`'s nine columns
-/// ([`ColumnBlock::fill_from`]), then each column is delta'd in place
-/// by a whole-column pass (predictors start at zero, so blocks decode
-/// independently) and written by [`put_rle_column`]. Source addresses
-/// are ascending in sorted hours, so they use plain wrapping deltas;
-/// every other field uses zigzag deltas so small oscillations stay
-/// small. Byte-identical to the per-record reference encoder
+/// Encoded length of `v` as a LEB128 varint (1–5 bytes), the length
+/// [`put_varint_wide`] computes.
+fn varint_len(v: u32) -> usize {
+    let bits = 32 - (v | 1).leading_zeros() as usize;
+    (bits * 9 + 63) >> 6
+}
+
+/// The frame of a packed column — its minimum (the base) and the bit
+/// width of `max - min` (0 for a constant column) — and a floor under
+/// its mode-0 body: the varint bytes of its nonzero deltas plus two
+/// bytes per zero run (the zero and its count; exact unless a run is
+/// longer than 128). `plain` picks the delta as in [`put_column`]. One
+/// read-only pass over neighbouring triples, with no early exit and
+/// only accumulators carried, so it vectorizes.
+fn scan_column(vals: &[u32], plain: bool) -> (u32, u32, usize) {
+    let delta = |prev: u32, cur: u32| {
+        let d = cur.wrapping_sub(prev);
+        if plain {
+            d
+        } else {
+            zigzag(d as i32)
+        }
+    };
+    // A nonzero varint's length as a sum of threshold tests; 0 for a
+    // zero delta, which its run pays for.
+    let bytes = |d: u32| {
+        u32::from(d != 0)
+            + u32::from(d > 0x7f)
+            + u32::from(d > 0x3fff)
+            + u32::from(d > 0x1f_ffff)
+            + u32::from(d > 0x0fff_ffff)
+    };
+    // A delta is zero exactly when a value equals its predecessor (the
+    // zero predictor for the first), and a zero run starts where the
+    // delta before was not zero.
+    let Some(&first) = vals.first() else {
+        return (0, 0, 0);
+    };
+    let (mut lo, mut hi) = (first, first);
+    let mut floor = bytes(delta(0, first)) + 2 * u32::from(first == 0);
+    if let Some(&second) = vals.get(1) {
+        lo = lo.min(second);
+        hi = hi.max(second);
+        floor += bytes(delta(first, second)) + 2 * u32::from(second == first && first != 0);
+    }
+    let triples = vals
+        .iter()
+        .zip(&vals[1..])
+        .zip(vals.get(2..).unwrap_or(&[]));
+    for ((&a, &b), &c) in triples {
+        lo = lo.min(c);
+        hi = hi.max(c);
+        floor += bytes(delta(b, c)) + 2 * u32::from(c == b && b != a);
+    }
+    (lo, 32 - (hi - lo).leading_zeros(), floor as usize)
+}
+
+/// Append `vals` bit-packed at `width` bits over `base` (mode 1's body,
+/// after its mode byte): the varint base, the width byte, then
+/// ⌈n·width/8⌉ bytes holding value `i`'s `value - base` at bits
+/// `i·width..(i+1)·width`, little-endian. `base` must be the column
+/// minimum and `width` wide enough for the maximum ([`scan_column`]).
+///
+/// A `u64` accumulator collects the bits and goes out eight bytes at a
+/// time; the final partial word is stored whole into an 8-byte overhang
+/// that is truncated away.
+pub(super) fn put_packed_column(out: &mut Vec<u8>, vals: &[u32], base: u32, width: u32) {
+    put_varint(out, base);
+    out.push(width as u8);
+    if width == 0 {
+        return;
+    }
+    let len = (vals.len() * width as usize).div_ceil(8);
+    let start = out.len();
+    out.resize(start + len + 8, 0);
+    let buf = &mut out[start..];
+    let (mut acc, mut bits, mut pos) = (0u64, 0u32, 0usize);
+    for &v in vals {
+        let x = u64::from(v - base);
+        acc |= x << bits;
+        bits += width;
+        if bits >= 64 {
+            buf[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+            pos += 8;
+            bits -= 64;
+            // The `bits` high bits of `x` that did not fit (the shift
+            // is in 1..=width, since `bits < width` now).
+            acc = x >> (width - bits);
+        }
+    }
+    buf[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+    out.truncate(start + len);
+}
+
+/// Append one column in whichever mode is smaller, mode byte first.
+/// `plain` picks the delta of mode 0: wrapping (the source column) or
+/// zigzag (every other one).
+///
+/// Mode 1's size is known from [`scan_column`] before anything is
+/// written, and so is a floor under mode 0's. When mode 1 beats the
+/// floor (the wide, noisy columns — ports, TTL — and constant ones) it
+/// is written straight from the column. Otherwise mode 0 is written in
+/// place (the column delta'd in place, then [`put_rle_column`]); only
+/// if it came out strictly larger is it truncated, the column restored
+/// by the un-delta pass the decoder uses, and the packed body written
+/// instead. Ties go to mode 0.
+fn put_column(out: &mut Vec<u8>, vals: &mut [u32], plain: bool) {
+    let (base, width, floor) = scan_column(vals, plain);
+    let packed_len = 2 + varint_len(base) + (vals.len() * width as usize).div_ceil(8);
+    let start = out.len();
+    if packed_len <= floor {
+        out.push(MODE_PACKED);
+        put_packed_column(out, vals, base, width);
+        return;
+    }
+    out.push(MODE_RLE);
+    if plain {
+        delta_wrapping(vals);
+    } else {
+        zigzag_delta(vals);
+    }
+    put_rle_column(out, vals);
+    if out.len() - start <= packed_len {
+        return;
+    }
+    out.truncate(start);
+    if plain {
+        prefix_sum_wrapping(vals);
+    } else {
+        unzigzag_prefix_sum(vals);
+    }
+    out.push(MODE_PACKED);
+    put_packed_column(out, vals, base, width);
+}
+
+/// Encode one v3 block of a packed file and append its payload to
+/// `out` — the column kernel, the mirror image of
+/// [`decode_block_columnar_into`]. One pass transposes the records into
+/// `scratch`'s nine columns ([`ColumnBlock::fill_from`]), then each
+/// column goes out through [`put_column`] in the smaller of its two
+/// modes. Mode 0's predictors start at zero and mode 1's base is the
+/// block's own, so blocks decode independently. Source addresses are
+/// ascending in sorted hours, so mode 0 stores them as plain wrapping
+/// deltas; every other field uses zigzag deltas so small oscillations
+/// stay small. Byte-identical to the per-record reference encoder
 /// (`encode_block_per_record`, test-only; proptest-pinned).
 pub(super) fn encode_block(records: &[&FlowTuple], scratch: &mut ColumnBlock, out: &mut Vec<u8>) {
     scratch.fill_from(records);
-    let [src, rest @ ..] = &mut scratch.cols;
-    delta_wrapping(src);
-    put_rle_column(out, src);
-    for col in rest {
-        zigzag_delta(col);
-        put_rle_column(out, col);
+    for (c, col) in scratch.cols.iter_mut().enumerate() {
+        put_column(out, col, c == 0);
     }
 }
 
-/// Encode one v3 block one record and one byte at a time: the encoder
-/// [`encode_block`] replaced, kept as its test-only oracle.
+/// Mode 1's body written one bit at a time: the test-only reference for
+/// [`put_packed_column`], frame included.
 #[cfg(test)]
-pub(super) fn encode_block_per_record(records: &[&FlowTuple]) -> Vec<u8> {
-    let n = records.len();
-    let mut out = Vec::with_capacity(n * 8);
-    let mut col = Vec::with_capacity(n);
-    let fill = |vals: &mut Vec<u32>, f: &mut dyn FnMut(&FlowTuple) -> u32| {
-        vals.clear();
-        vals.extend(records.iter().map(|r| f(r)));
-    };
-    let mut prev = 0u32;
-    fill(&mut col, &mut |r| {
-        let ip = u32::from(r.src_ip);
-        let d = ip.wrapping_sub(prev);
-        prev = ip;
-        d
-    });
-    put_rle_column_per_byte(&mut out, &col);
-    let mut prev = 0u32;
-    fill(&mut col, &mut |r| {
-        let ip = u32::from(r.dst_ip);
-        let d = zigzag(ip.wrapping_sub(prev) as i32);
-        prev = ip;
-        d
-    });
-    put_rle_column_per_byte(&mut out, &col);
-    for field in [
-        (&|r: &FlowTuple| i32::from(r.src_port)) as &dyn Fn(&FlowTuple) -> i32,
-        &|r| i32::from(r.dst_port),
-        &|r| i32::from(r.protocol.number()),
-        &|r| i32::from(r.ttl),
-        &|r| i32::from(r.tcp_flags.bits()),
-        &|r| i32::from(r.ip_len),
-    ] {
-        let mut prev = 0i32;
-        fill(&mut col, &mut |r| {
-            let v = field(r);
-            let d = zigzag(v - prev);
-            prev = v;
-            d
-        });
-        put_rle_column_per_byte(&mut out, &col);
+pub(super) fn put_packed_column_per_bit(out: &mut Vec<u8>, vals: &[u32]) {
+    let base = vals.iter().copied().min().unwrap_or(0);
+    let max = vals.iter().copied().max().unwrap_or(0);
+    let width = (0..=32)
+        .find(|&w| u64::from(max - base) < 1u64 << w)
+        .unwrap();
+    put_varint(out, base);
+    out.push(width as u8);
+    let mut bytes = vec![0u8; (vals.len() * width).div_ceil(8)];
+    for (i, &v) in vals.iter().enumerate() {
+        for b in 0..width {
+            if (v - base) >> b & 1 == 1 {
+                let bit = i * width + b;
+                bytes[bit / 8] |= 1 << (bit % 8);
+            }
+        }
     }
-    let mut prev = 0u32;
-    fill(&mut col, &mut |r| {
-        let d = zigzag(r.packets.wrapping_sub(prev) as i32);
-        prev = r.packets;
-        d
-    });
-    put_rle_column_per_byte(&mut out, &col);
+    out.extend_from_slice(&bytes);
+}
+
+/// Encode one v3 block one record and one byte at a time: the encoder
+/// [`encode_block`] replaced, kept as its test-only oracle. With
+/// `packed`, each column carries its mode byte and is written in mode 1
+/// when that is strictly smaller (the layout of a file with the packed
+/// flag); without, every column is mode 0 with no mode byte (a
+/// flag-clear file).
+#[cfg(test)]
+pub(super) fn encode_block_per_record(records: &[&FlowTuple], packed: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    let fields: [&dyn Fn(&FlowTuple) -> u32; COLUMNS] = [
+        &|r| u32::from(r.src_ip),
+        &|r| u32::from(r.dst_ip),
+        &|r| u32::from(r.src_port),
+        &|r| u32::from(r.dst_port),
+        &|r| u32::from(r.protocol.number()),
+        &|r| u32::from(r.ttl),
+        &|r| u32::from(r.tcp_flags.bits()),
+        &|r| u32::from(r.ip_len),
+        &|r| r.packets,
+    ];
+    for (c, field) in fields.into_iter().enumerate() {
+        let raw: Vec<u32> = records.iter().map(|r| field(r)).collect();
+        let mut prev = 0u32;
+        let deltas: Vec<u32> = raw
+            .iter()
+            .map(|&v| {
+                let d = match c {
+                    0 => v.wrapping_sub(prev),
+                    1 | 8 => zigzag(v.wrapping_sub(prev) as i32),
+                    _ => zigzag(v as i32 - prev as i32),
+                };
+                prev = v;
+                d
+            })
+            .collect();
+        let mut rle = Vec::new();
+        put_rle_column_per_byte(&mut rle, &deltas);
+        if !packed {
+            out.extend_from_slice(&rle);
+            continue;
+        }
+        let mut bits = Vec::new();
+        put_packed_column_per_bit(&mut bits, &raw);
+        if bits.len() < rle.len() {
+            out.push(MODE_PACKED);
+            out.extend_from_slice(&bits);
+        } else {
+            out.push(MODE_RLE);
+            out.extend_from_slice(&rle);
+        }
+    }
     out
 }
 
@@ -570,9 +742,47 @@ pub(super) struct BlockScratch {
     pub(super) flows: Vec<FlowTuple>,
 }
 
-/// Decode one v3 block of `count` records (inverse of [`encode_block`])
-/// into `scratch.flows`, one record at a time with checked
-/// accumulators.
+/// Read one mode-1 body one bit at a time: the test-only reference for
+/// [`get_packed_column_into`], with the same error strings.
+#[cfg(test)]
+fn get_packed_column_per_bit(
+    buf: &mut &[u8],
+    n: usize,
+    vals: &mut Vec<u32>,
+) -> Result<(), NetError> {
+    let base = get_varint(buf)?;
+    let Some((&width, rest)) = buf.split_first() else {
+        return Err(NetError::Codec("truncated packed column header".to_owned()));
+    };
+    if width > 32 {
+        return Err(NetError::Codec(format!(
+            "packed column width {width} exceeds 32 bits"
+        )));
+    }
+    let width = usize::from(width);
+    let len = (n * width).div_ceil(8);
+    if rest.len() < len {
+        return Err(NetError::Codec(format!(
+            "truncated packed column ({len} bytes for {n} values, {} left)",
+            rest.len()
+        )));
+    }
+    vals.clear();
+    for i in 0..n {
+        let mut x = 0u32;
+        for b in 0..width {
+            let bit = i * width + b;
+            x |= u32::from(rest[bit / 8] >> (bit % 8) & 1) << b;
+        }
+        vals.push(base.wrapping_add(x));
+    }
+    *buf = &rest[len..];
+    Ok(())
+}
+
+/// Decode one v3 block of `count` records (inverse of [`encode_block`],
+/// or of the flag-clear layout when `packed` is false) into
+/// `scratch.flows`, one record at a time with checked accumulators.
 ///
 /// Test-only reference: this was the production block decoder until
 /// the columnar one ([`decode_block_columnar_into`]) replaced it; the
@@ -581,11 +791,24 @@ pub(super) struct BlockScratch {
 pub(super) fn decode_block_into(
     payload: &[u8],
     count: usize,
+    packed: bool,
     scratch: &mut BlockScratch,
 ) -> Result<(), NetError> {
     let mut buf = payload;
-    for col in scratch.cols.iter_mut() {
-        get_rle_column_into(&mut buf, count, col)?;
+    let mut modes = [MODE_RLE; COLUMNS];
+    for (col, mode) in scratch.cols.iter_mut().zip(&mut modes) {
+        if packed {
+            let Some((&m, rest)) = buf.split_first() else {
+                return Err(NetError::Codec("truncated column mode".to_owned()));
+            };
+            buf = rest;
+            *mode = m;
+        }
+        match *mode {
+            MODE_RLE => get_rle_column_into(&mut buf, count, col)?,
+            MODE_PACKED => get_packed_column_per_bit(&mut buf, count, col)?,
+            m => return Err(NetError::Codec(format!("unknown column mode {m}"))),
+        }
     }
     if !buf.is_empty() {
         return Err(NetError::Codec(format!(
@@ -594,16 +817,38 @@ pub(super) fn decode_block_into(
         )));
     }
     let [src, dst, src_port, dst_port, proto, ttl, flags, ip_len, packets] = &scratch.cols;
+    let is_packed = modes.map(|m| m == MODE_PACKED);
     // Checked accumulators: bounded fields must land back in range, or
-    // the block is structurally corrupt.
-    fn bounded(prev: &mut i32, delta: u32, max: i32, field: &str) -> Result<i32, NetError> {
-        let v = prev
-            .checked_add(unzigzag(delta))
-            .filter(|v| (0..=max).contains(v))
-            .ok_or_else(|| NetError::Codec(format!("{field} delta out of range")))?;
+    // the block is structurally corrupt. A packed column holds the field
+    // itself, so only its range is checked.
+    fn bounded(
+        prev: &mut i32,
+        stored: u32,
+        packed: bool,
+        max: i32,
+        field: &str,
+    ) -> Result<i32, NetError> {
+        let v = if packed {
+            i32::try_from(stored)
+                .ok()
+                .filter(|v| *v <= max)
+                .ok_or_else(|| NetError::Codec(format!("{field} value out of range")))?
+        } else {
+            prev.checked_add(unzigzag(stored))
+                .filter(|v| (0..=max).contains(v))
+                .ok_or_else(|| NetError::Codec(format!("{field} delta out of range")))?
+        };
         *prev = v;
         Ok(v)
     }
+    let wrapping = |prev: &mut u32, stored: u32, packed: bool, zigzagged: bool| {
+        *prev = match (packed, zigzagged) {
+            (true, _) => stored,
+            (false, true) => prev.wrapping_add(unzigzag(stored) as u32),
+            (false, false) => prev.wrapping_add(stored),
+        };
+        *prev
+    };
     let flows = &mut scratch.flows;
     flows.clear();
     flows.reserve(count);
@@ -611,22 +856,28 @@ pub(super) fn decode_block_into(
     let (mut p_sp, mut p_dp, mut p_proto, mut p_ttl, mut p_fl, mut p_len) =
         (0i32, 0i32, 0i32, 0i32, 0i32, 0i32);
     for i in 0..count {
-        p_src = p_src.wrapping_add(src[i]);
-        p_dst = p_dst.wrapping_add(unzigzag(dst[i]) as u32);
-        p_pk = p_pk.wrapping_add(unzigzag(packets[i]) as u32);
-        let proto_num = bounded(&mut p_proto, proto[i], 255, "protocol")? as u8;
+        let src_ip = wrapping(&mut p_src, src[i], is_packed[0], false);
+        let dst_ip = wrapping(&mut p_dst, dst[i], is_packed[1], true);
+        let packets = wrapping(&mut p_pk, packets[i], is_packed[8], true);
+        // Fields are checked in the order the error contract names.
+        let proto_num = bounded(&mut p_proto, proto[i], is_packed[4], 255, "protocol")? as u8;
         let protocol = TransportProtocol::from_number(proto_num)
             .ok_or_else(|| NetError::Codec(format!("unknown protocol number {proto_num}")))?;
+        let src_port = bounded(&mut p_sp, src_port[i], is_packed[2], 65_535, "src_port")?;
+        let dst_port = bounded(&mut p_dp, dst_port[i], is_packed[3], 65_535, "dst_port")?;
+        let ttl = bounded(&mut p_ttl, ttl[i], is_packed[5], 255, "ttl")?;
+        let tcp_flags = bounded(&mut p_fl, flags[i], is_packed[6], 255, "tcp_flags")?;
+        let ip_len = bounded(&mut p_len, ip_len[i], is_packed[7], 65_535, "ip_len")?;
         flows.push(FlowTuple {
-            src_ip: std::net::Ipv4Addr::from(p_src),
-            dst_ip: std::net::Ipv4Addr::from(p_dst),
-            src_port: bounded(&mut p_sp, src_port[i], 65_535, "src_port")? as u16,
-            dst_port: bounded(&mut p_dp, dst_port[i], 65_535, "dst_port")? as u16,
+            src_ip: std::net::Ipv4Addr::from(src_ip),
+            dst_ip: std::net::Ipv4Addr::from(dst_ip),
+            src_port: src_port as u16,
+            dst_port: dst_port as u16,
             protocol,
-            ttl: bounded(&mut p_ttl, ttl[i], 255, "ttl")? as u8,
-            tcp_flags: TcpFlags::from_bits(bounded(&mut p_fl, flags[i], 255, "tcp_flags")? as u8),
-            ip_len: bounded(&mut p_len, ip_len[i], 65_535, "ip_len")? as u16,
-            packets: p_pk,
+            ttl: ttl as u8,
+            tcp_flags: TcpFlags::from_bits(tcp_flags as u8),
+            ip_len: ip_len as u16,
+            packets,
         });
     }
     Ok(())
@@ -735,14 +986,111 @@ pub(super) fn first_where(vals: &[u32], bad: impl Fn(u32) -> bool) -> Option<usi
         .map(|i| base + i)
 }
 
+/// Read the mode byte that starts every column of a packed file's
+/// block.
+fn take_mode(buf: &mut &[u8]) -> Result<u8, NetError> {
+    let Some((&mode, rest)) = buf.split_first() else {
+        return Err(NetError::Codec("truncated column mode".to_owned()));
+    };
+    if mode > MODE_PACKED {
+        return Err(NetError::Codec(format!("unknown column mode {mode}")));
+    }
+    *buf = rest;
+    Ok(mode)
+}
+
+/// Read back `n` column values written by [`put_packed_column`] into a
+/// reusable buffer (previous contents are replaced), returning the
+/// bitwise OR of the values for range validation.
+///
+/// Value `i` is shift-and-mask from the little-endian 8-byte window at
+/// byte `i·width/8`: at most 32 + 7 bits are needed, so one window
+/// always holds it, and there is no data-dependent branch. Values go
+/// in groups of eight, whose window offsets repeat every `width` bytes.
+/// The window may run past the column into the next column's bytes,
+/// which the mask drops, so only the last values (under 8 bytes before
+/// the payload's end, or past the last whole group) take the
+/// zero-padded tail load. A value is `base + packed` (mod 2³²), so
+/// there is no un-delta pass.
+///
+/// # Errors
+///
+/// [`NetError::Codec`] for a truncated or overflowing base varint, a
+/// missing width byte, a width over 32, or fewer bytes than the packed
+/// values need.
+pub(super) fn get_packed_column_into(
+    buf: &mut &[u8],
+    n: usize,
+    vals: &mut Vec<u32>,
+) -> Result<u32, NetError> {
+    let base = get_varint(buf)?;
+    let Some((&width, rest)) = buf.split_first() else {
+        return Err(NetError::Codec("truncated packed column header".to_owned()));
+    };
+    if width > 32 {
+        return Err(NetError::Codec(format!(
+            "packed column width {width} exceeds 32 bits"
+        )));
+    }
+    let w = usize::from(width);
+    let len = (n * w).div_ceil(8);
+    if rest.len() < len {
+        return Err(NetError::Codec(format!(
+            "truncated packed column ({len} bytes for {n} values, {} left)",
+            rest.len()
+        )));
+    }
+    *buf = &rest[len..];
+    vals.clear();
+    if w == 0 {
+        vals.resize(n, base);
+        return Ok(if n == 0 { 0 } else { base });
+    }
+    vals.resize(n, 0);
+    let mask = (u64::MAX >> (64 - w)) as u32;
+    let mut or = 0u32;
+    // The value at bit `bit` of a column, from the window at its byte.
+    let mut value = |window: [u8; 8], bit: usize| {
+        let v = base.wrapping_add((u64::from_le_bytes(window) >> (bit & 7)) as u32 & mask);
+        or |= v;
+        v
+    };
+    // Groups whose last window (value 7's) lies inside `rest`.
+    let last_window = ((7 * w) >> 3) + 8;
+    let fast = (n / 8).min((rest.len() + w).saturating_sub(last_window) / w);
+    let (head, tail) = vals.split_at_mut(fast * 8);
+    // Eight values are `w` whole bytes, so group `g` starts at byte
+    // `g·w` and its k-th value at bit `k·w` of it.
+    for (group, out) in head.chunks_exact_mut(8).enumerate() {
+        let bytes = &rest[group * w..];
+        for (k, out) in out.iter_mut().enumerate() {
+            let bit = k * w;
+            let window = bytes[bit >> 3..].first_chunk().expect("window inside rest");
+            *out = value(*window, bit);
+        }
+    }
+    for (i, out) in (fast * 8..).zip(tail) {
+        let bit = i * w;
+        let bytes = &rest[bit >> 3..];
+        let mut window = [0u8; 8];
+        let k = bytes.len().min(8);
+        window[..k].copy_from_slice(&bytes[..k]);
+        *out = value(window, bit);
+    }
+    Ok(or)
+}
+
 /// The block decoder, column-at-a-time: same wire format, same values
 /// and same error strings as the record-at-a-time reference
 /// (`decode_block_into`, test-only; proptest-pinned through
-/// [`ColumnBlock::flows`]), but structured for throughput — the
-/// RLE/SWAR varint loop runs striding one column at a time, every
-/// column is un-delta'd by a [`LANES`]-wide wrapping pass, and range
-/// validation is a chunked whole-column scan. It stops at validated
-/// columns: no records are built.
+/// [`ColumnBlock::flows`]), but structured for throughput. With
+/// `packed` (the header flag) each column starts with its mode byte;
+/// without, every column is mode 0. A mode-0 column runs the RLE/SWAR
+/// varint loop, then a [`LANES`]-wide wrapping un-delta pass; a mode-1
+/// column is unpacked to record values directly
+/// ([`get_packed_column_into`]). Range validation is a chunked
+/// whole-column scan. It stops at validated columns: no records are
+/// built.
 ///
 /// Wrapping un-delta is exact for the bounded columns too, not just
 /// the wrapping-accumulator ones: the record decoder's checked
@@ -751,24 +1099,33 @@ pub(super) fn first_where(vals: &[u32], bad: impl Fn(u32) -> bool) -> Option<usi
 /// small accumulator negative — and a negative `i32` is a huge `u32`.
 /// Hence the first record where the checked recurrence fails (overflow
 /// or out of range) is exactly the first record whose *wrapping*
-/// reconstruction exceeds `max` as a `u32`. Values past a column's
-/// first failure are garbage, but the block is rejected before
-/// anything reads them.
+/// reconstruction exceeds `max` as a `u32`. A packed value is checked
+/// as it stands. Values past a column's first failure are garbage, but
+/// the block is rejected before anything reads them.
 ///
 /// Error-order contract: the record decoder fails at the *first* bad
 /// record, checking fields in the order protocol → src_port → dst_port
-/// → ttl → tcp_flags → ip_len within a record. Columnar validation
-/// finds each column's first failure independently, then reports the
-/// failure with the smallest `(record index, field order)` — the exact
-/// error the record-at-a-time decoder would have raised.
+/// → ttl → tcp_flags → ip_len within a record, whatever each column's
+/// mode. Columnar validation finds each column's first failure
+/// independently, then reports the failure with the smallest `(record
+/// index, field order)` — the exact error the record-at-a-time decoder
+/// would have raised.
 pub(super) fn decode_block_columnar_into(
     payload: &[u8],
     count: usize,
+    packed: bool,
     block: &mut ColumnBlock,
 ) -> Result<(), NetError> {
     let mut buf = payload;
-    for col in block.cols.iter_mut() {
-        get_rle_column_into(&mut buf, count, col)?;
+    let mut ors = [0u32; COLUMNS];
+    let mut is_packed = [false; COLUMNS];
+    for (c, col) in block.cols.iter_mut().enumerate() {
+        if packed && take_mode(&mut buf)? == MODE_PACKED {
+            ors[c] = get_packed_column_into(&mut buf, count, col)?;
+            is_packed[c] = true;
+        } else {
+            get_rle_column_into(&mut buf, count, col)?;
+        }
     }
     if !buf.is_empty() {
         return Err(NetError::Codec(format!(
@@ -776,10 +1133,13 @@ pub(super) fn decode_block_columnar_into(
             buf.len()
         )));
     }
-    prefix_sum_wrapping(&mut block.cols[0]); // src: plain deltas
-    let mut ors = [0u32; COLUMNS];
-    for (or, col) in ors.iter_mut().zip(block.cols.iter_mut()).skip(1) {
-        *or = unzigzag_prefix_sum(col); // every other column: zigzag deltas
+    if !is_packed[0] {
+        prefix_sum_wrapping(&mut block.cols[0]); // src: plain deltas
+    }
+    for c in 1..COLUMNS {
+        if !is_packed[c] {
+            ors[c] = unzigzag_prefix_sum(&mut block.cols[c]); // zigzag deltas
+        }
     }
     // Validation: the OR aggregates prove the bounded columns in range
     // with no extra pass (every limit is `2^k - 1`); only a corrupt
@@ -791,6 +1151,7 @@ pub(super) fn decode_block_columnar_into(
     // per-record check (`from_number`) at the same field rank; an
     // unknown-but-in-range number only reports when no earlier record
     // failed, which the min-(record, rank) resolution guarantees.
+    let stored = |col: usize| if is_packed[col] { "value" } else { "delta" };
     let mut first: Option<(usize, usize, NetError)> = None;
     let mut consider = |rank: usize, failed: Option<(usize, NetError)>| {
         if let Some((i, e)) = failed {
@@ -811,7 +1172,10 @@ pub(super) fn decode_block_columnar_into(
         .map(|i| {
             let v = proto[i];
             if v > 255 {
-                (i, NetError::Codec("protocol delta out of range".to_owned()))
+                (
+                    i,
+                    NetError::Codec(format!("protocol {} out of range", stored(4))),
+                )
             } else {
                 (
                     i,
@@ -832,8 +1196,12 @@ pub(super) fn decode_block_columnar_into(
         }
         consider(
             rank,
-            first_where(&block.cols[col], |v| v > max)
-                .map(|i| (i, NetError::Codec(format!("{field} delta out of range")))),
+            first_where(&block.cols[col], |v| v > max).map(|i| {
+                (
+                    i,
+                    NetError::Codec(format!("{field} {} out of range", stored(col))),
+                )
+            }),
         );
     }
     match first {

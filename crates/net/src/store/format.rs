@@ -12,13 +12,19 @@ use crate::NetError;
 use bytes::{Buf, BufMut};
 
 /// Block format: the hour is split into fixed-size record blocks, each
-/// independently checksummed and fully delta+varint encoded (every
-/// field, column-wise), behind a block index the header checksum covers.
+/// independently checksummed and stored column-wise (every field, each
+/// column as RLE varint deltas or bit-packed over a base), behind a
+/// block index the header checksum covers.
 const MAGIC_V3: &[u8; 7] = b"IOTFT03";
 /// Header flag bit 0: records are sorted by `(src_ip, dst_ip,
 /// dst_port)` and the source column is delta-encoded. Every hour this
 /// crate writes sets it; legacy files may not.
 pub(super) const FLAG_DELTA: u8 = 0b0000_0001;
+/// Header flag bit 1: every column of every block payload starts with a
+/// mode byte ([`block::MODE_RLE`] or [`block::MODE_PACKED`]). Every v3
+/// hour this crate writes sets it; a v3 file without it (archived
+/// before bit-packing) has no mode bytes and every column is mode 0.
+pub(super) const FLAG_PACKED: u8 = 0b0000_0010;
 
 /// Header layout, shared by every format: magic (7) + flags (1) + hour
 /// (8) + count (4) + checksum (8). The checksum field itself is never
@@ -36,12 +42,13 @@ pub const BLOCK_RECORDS: usize = 4096;
 /// FNV-1a checksum (8). Byte offsets are the prefix sums of the
 /// lengths, so they are implicit.
 pub(super) const INDEX_ENTRY: usize = 4 + 4 + 8;
-/// Every column of a non-empty block emits at least one byte, so a
+/// Every column of a non-empty block emits at least one byte (a packed
+/// file's columns at least two: the mode byte and a varint), so a
 /// block payload shorter than this cannot hold any records. Zero-run
-/// RLE means a *full* block can legally be as small as `COLUMNS * 3`
-/// bytes; the preallocation clamp for v3 is therefore structural —
-/// per-block counts are capped at [`BLOCK_RECORDS`] and decoded
-/// incrementally — rather than a bytes-per-record ratio.
+/// RLE and width-0 packing mean a *full* block can legally be as small
+/// as `COLUMNS * 3` bytes; the preallocation clamp for v3 is therefore
+/// structural — per-block counts are capped at [`BLOCK_RECORDS`] and
+/// decoded incrementally — rather than a bytes-per-record ratio.
 const MIN_BLOCK_BYTES: usize = COLUMNS;
 
 /// The on-disk format [`super::FlowStore::write_hour`] emits: v3, the
@@ -84,7 +91,9 @@ pub struct StoreOptions {
 /// Encode one hour's flows in the v3 block format, the only format
 /// written: records are sorted by `(src_ip, dst_ip, dst_port)`, split
 /// into [`BLOCK_RECORDS`]-sized blocks, each block stores every field as
-/// a delta+varint column (zero runs collapsed), and the header is
+/// a column in the smaller of two modes — delta varints with zero runs
+/// collapsed, or bit-packed over the block minimum — and the header
+/// (with header flag bit 1 set: every column carries a mode byte) is
 /// followed by a block index of `(record count, payload length,
 /// checksum)` entries that the header checksum covers.
 pub fn encode_hour(hour: UnixHour, flows: &[FlowTuple], options: StoreOptions) -> Vec<u8> {
@@ -96,13 +105,33 @@ pub fn encode_hour(hour: UnixHour, flows: &[FlowTuple], options: StoreOptions) -
 
 /// The v3 encoder. `sorted` is the delta flag: every hour this crate
 /// writes is sorted; compaction passes `false` only to transcode a
-/// plain legacy hour without reordering its records.
+/// plain legacy hour without reordering its records. Blocks go through
+/// the column kernel ([`block::encode_block`]), so [`FLAG_PACKED`] is
+/// always set.
+pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Vec<u8> {
+    let mut scratch = ColumnBlock::default();
+    encode_v3_with(hour, flows, sorted, FLAG_PACKED, |chunk, out| {
+        block::encode_block(chunk, &mut scratch, out)
+    })
+}
+
+/// The v3 container around a block encoder: sort (if `sorted`), block,
+/// index and header, with `flags` (plus [`FLAG_DELTA`] if sorted) in
+/// the header. `encode` appends one block's payload to the output.
+/// Tests pass the flag-clear reference encoder to build archived-layout
+/// hours.
 ///
 /// The block count is known up front, so the header and index are
 /// reserved at the front of the output and every block payload is
-/// encoded straight into place behind them (one reused column scratch,
-/// no per-block buffer); the index and header are filled in last.
-pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Vec<u8> {
+/// encoded straight into place behind them (no per-block buffer); the
+/// index and header are filled in last.
+pub(super) fn encode_v3_with(
+    hour: UnixHour,
+    flows: &[FlowTuple],
+    sorted: bool,
+    flags: u8,
+    mut encode: impl FnMut(&[&FlowTuple], &mut Vec<u8>),
+) -> Vec<u8> {
     let mut ordered: Vec<&FlowTuple> = flows.iter().collect();
     if sorted {
         // The key legacy delta files were sorted by, so a transcoded
@@ -114,10 +143,9 @@ pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Ve
     let mut out = vec![0u8; index_end];
     let mut index = Vec::with_capacity(index_end - HEADER);
     index.put_u32(num_blocks as u32);
-    let mut scratch = ColumnBlock::default();
     for chunk in ordered.chunks(BLOCK_RECORDS) {
         let start = out.len();
-        block::encode_block(chunk, &mut scratch, &mut out);
+        encode(chunk, &mut out);
         let payload = &out[start..];
         index.put_u32(chunk.len() as u32);
         index.put_u32(payload.len() as u32);
@@ -125,7 +153,7 @@ pub(super) fn encode_v3(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Ve
     }
     let mut head = Vec::with_capacity(index_end);
     head.extend_from_slice(MAGIC_V3);
-    head.put_u8(if sorted { FLAG_DELTA } else { 0 });
+    head.put_u8(if sorted { flags | FLAG_DELTA } else { flags });
     head.put_u64(hour.get());
     head.put_u32(flows.len() as u32);
     let mut hasher = Fnv1a::new();
@@ -405,11 +433,12 @@ struct V3Block<'a> {
     payload: &'a [u8],
 }
 
-/// Validate a v3 header + block index and slice out the block payloads.
+/// Validate a v3 header + block index and slice out the block payloads,
+/// with whether the payloads carry mode bytes ([`FLAG_PACKED`]).
 /// Everything past this point can trust counts and bounds.
-fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, Vec<V3Block<'_>>), NetError> {
+fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, bool, Vec<V3Block<'_>>), NetError> {
     let mut hdr = &bytes[7..HEADER];
-    let _flags = hdr.get_u8();
+    let flags = hdr.get_u8();
     let hour = UnixHour::new(hdr.get_u64());
     let count = hdr.get_u32() as usize;
     let checksum = hdr.get_u64();
@@ -421,6 +450,13 @@ fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, Vec<V3Block<'_>>), NetError> {
         return Err(NetError::Codec(
             "checksum mismatch (corrupt v3 header or block index)".to_owned(),
         ));
+    }
+    // A bit this decoder does not know may change the payload layout:
+    // fail rather than decode garbage.
+    if flags & !(FLAG_DELTA | FLAG_PACKED) != 0 {
+        return Err(NetError::Codec(format!(
+            "unknown v3 header flags {flags:#04x}"
+        )));
     }
     // Walk the (now trusted) index, slicing each block's payload.
     let mut blocks = Vec::with_capacity(num_blocks);
@@ -460,7 +496,7 @@ fn parse_v3(bytes: &[u8]) -> Result<(UnixHour, Vec<V3Block<'_>>), NetError> {
             "header claims {count} records but blocks hold {total_records}"
         )));
     }
-    Ok((hour, blocks))
+    Ok((hour, flags & FLAG_PACKED != 0, blocks))
 }
 
 /// The v3 decode: feed `sink` one block at a time through
@@ -480,7 +516,7 @@ fn visit_hour_v3(
     opts: DecodeOptions,
     sink: &mut dyn FlowSink,
 ) -> Result<VisitedHour, NetError> {
-    let (hour, blocks) = parse_v3(bytes)?;
+    let (hour, packed, blocks) = parse_v3(bytes)?;
     let mut records = 0usize;
     let mut quarantined = Vec::new();
     let mut scratch = ColumnBlock::default();
@@ -493,7 +529,12 @@ fn visit_hour_v3(
         for (j, (v3, sum)) in group.iter().zip(sums).enumerate() {
             let i = g * block::CHECKSUM_LANES + j;
             let decoded = if sum == v3.checksum {
-                block::decode_block_columnar_into(v3.payload, v3.count as usize, &mut scratch)
+                block::decode_block_columnar_into(
+                    v3.payload,
+                    v3.count as usize,
+                    packed,
+                    &mut scratch,
+                )
             } else {
                 Err(NetError::Codec(
                     "checksum mismatch (corrupt block)".to_owned(),

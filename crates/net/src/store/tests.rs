@@ -5,11 +5,12 @@
 
 use super::block::{
     decode_block_columnar_into, decode_block_into, encode_block, encode_block_per_record,
-    first_where, fnv1a, fnv1a_lockstep, get_rle_column_into, prefix_sum_wrapping, put_rle_column,
+    first_where, fnv1a, fnv1a_lockstep, get_packed_column_into, get_rle_column_into,
+    prefix_sum_wrapping, put_packed_column, put_packed_column_per_bit, put_rle_column,
     put_varint_wide, swar_varint, take_varint, unzigzag, unzigzag_prefix_sum, zigzag, BlockScratch,
-    CHECKSUM_LANES, COLUMNS,
+    CHECKSUM_LANES, COLUMNS, MODE_PACKED, MODE_RLE,
 };
-use super::format::{encode_v3, HEADER_HASHED, INDEX_ENTRY};
+use super::format::{encode_v3, encode_v3_with, FLAG_PACKED, HEADER_HASHED, INDEX_ENTRY};
 use super::legacy::{Legacy, MIN_RECORD_BYTES};
 use super::*;
 use crate::flowtuple::{get_varint, put_varint};
@@ -78,6 +79,15 @@ fn sorted(mut v: Vec<FlowTuple>) -> Vec<FlowTuple> {
     v
 }
 
+/// A v3 hour in the layout archived before bit-packing — header flag
+/// clear, no mode bytes, every column RLE varint deltas — built by the
+/// per-record oracle.
+fn encode_v3_flag_clear(hour: UnixHour, flows: &[FlowTuple], sorted: bool) -> Vec<u8> {
+    encode_v3_with(hour, flows, sorted, 0, |chunk, out| {
+        out.extend_from_slice(&encode_block_per_record(chunk, false))
+    })
+}
+
 #[test]
 fn roundtrip_delta_and_plain() {
     for delta in [true, false] {
@@ -98,9 +108,10 @@ fn plain_mode_preserves_order() {
 
 #[test]
 fn delta_mode_is_smaller_for_clustered_sources() {
-    // Sources in one /24, in scrambled order: sorted, they delta-encode
-    // to 0/1 steps; unsorted, every backwards step is a 5-byte varint.
-    let many: Vec<FlowTuple> = (0..500u32)
+    // Sources in one /24, in scrambled order. Unsorted, the source
+    // column bit-packs at 8 bits a record, which sorting into 0/1 delta
+    // steps cannot beat by much; it must not lose, though.
+    let scrambled: Vec<FlowTuple> = (0..500u32)
         .map(|i| {
             FlowTuple::tcp(
                 Ipv4Addr::from(0xC000_0200 + (i.wrapping_mul(2_654_435_761) >> 24)),
@@ -111,8 +122,25 @@ fn delta_mode_is_smaller_for_clustered_sources() {
             )
         })
         .collect();
-    let d = encode_v3(UnixHour::new(1), &many, true);
-    let p = encode_v3(UnixHour::new(1), &many, false);
+    let d = encode_v3(UnixHour::new(1), &scrambled, true);
+    let p = encode_v3(UnixHour::new(1), &scrambled, false);
+    assert!(d.len() <= p.len(), "delta {} vs plain {}", d.len(), p.len());
+    // Long per-source runs across a /16, interleaved: unsorted, the
+    // source column needs 16 bits a record however it is stored;
+    // sorted, each source is one delta and one zero run.
+    let runs: Vec<FlowTuple> = (0..4096u32)
+        .map(|i| {
+            FlowTuple::tcp(
+                Ipv4Addr::from(0xC0A8_0000 + (i % 64) * 1021),
+                Ipv4Addr::new(44, 0, 0, 1),
+                40000,
+                23,
+                TcpFlags::SYN,
+            )
+        })
+        .collect();
+    let d = encode_v3(UnixHour::new(1), &runs, true);
+    let p = encode_v3(UnixHour::new(1), &runs, false);
     assert!(d.len() < p.len(), "delta {} vs plain {}", d.len(), p.len());
 }
 
@@ -584,20 +612,129 @@ fn kernel_payload(records: &[&FlowTuple], scratch: &mut ColumnBlock) -> Vec<u8> 
 
 /// The kernel and the per-record oracle produce the same bytes for
 /// `flows` in its given order and reversed (descending sources: every
-/// delta wraps), through one scratch; the bytes decode back to `flows`.
-fn assert_kernel_matches_oracle(flows: &[FlowTuple]) {
+/// delta wraps), through one scratch; the bytes decode back to `flows`,
+/// and so do the oracle's flag-clear bytes. Returns the kernel's
+/// payload.
+fn assert_kernel_matches_oracle(flows: &[FlowTuple]) -> Vec<u8> {
     let mut scratch = ColumnBlock::default();
     let forward: Vec<&FlowTuple> = flows.iter().collect();
     let reversed: Vec<&FlowTuple> = flows.iter().rev().collect();
     let payload = kernel_payload(&forward, &mut scratch);
-    assert_eq!(payload, encode_block_per_record(&forward));
+    assert_eq!(payload, encode_block_per_record(&forward, true));
     assert_eq!(
         kernel_payload(&reversed, &mut scratch),
-        encode_block_per_record(&reversed)
+        encode_block_per_record(&reversed, true)
     );
     let mut block = ColumnBlock::default();
-    decode_block_columnar_into(&payload, flows.len(), &mut block).unwrap();
+    decode_block_columnar_into(&payload, flows.len(), true, &mut block).unwrap();
     assert_eq!(block.flows().collect::<Vec<_>>(), flows);
+    let flag_clear = encode_block_per_record(&forward, false);
+    decode_block_columnar_into(&flag_clear, flows.len(), false, &mut block).unwrap();
+    assert_eq!(block.flows().collect::<Vec<_>>(), flows);
+    payload
+}
+
+/// Each column's `(mode, packed width)` in a packed block payload of
+/// `n` records (width `None` for mode 0).
+fn column_modes(payload: &[u8], n: usize) -> Vec<(u8, Option<u8>)> {
+    let mut buf = payload;
+    let mut vals = Vec::new();
+    (0..COLUMNS)
+        .map(|_| {
+            let mode = buf[0];
+            buf = &buf[1..];
+            if mode == MODE_PACKED {
+                let mut head = buf;
+                get_varint(&mut head).unwrap();
+                let width = head[0];
+                get_packed_column_into(&mut buf, n, &mut vals).unwrap();
+                (mode, Some(width))
+            } else {
+                get_rle_column_into(&mut buf, n, &mut vals).unwrap();
+                (mode, None)
+            }
+        })
+        .collect()
+}
+
+/// A block of `n` records whose every column holds `base + noise`, the
+/// noise exactly `width` bits wide (record 0 at the base, record 1 at
+/// the top), each narrow field capped to its own width. With `high`,
+/// the base is the highest one that fits (`u32::MAX - (2^width - 1)` in
+/// the 32-bit columns); otherwise it is small. Protocols stay valid.
+fn packed_shape(n: usize, width: u32, high: bool) -> Vec<FlowTuple> {
+    use crate::protocol::TransportProtocol;
+    let mut state = 0x2545_f491_4f6c_dd1du64 ^ u64::from(width);
+    let field = |bits: u32, i: usize, r: u64| {
+        let w = width.min(bits);
+        let mask = ((1u64 << w) - 1) as u32;
+        let noise = match i {
+            0 => 0,
+            1 => mask,
+            _ => r as u32 & mask,
+        };
+        let top = ((1u64 << bits) - 1) as u32;
+        let base = if high { top - mask } else { 3.min(top - mask) };
+        base + noise
+    };
+    (0..n)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let r = state;
+            FlowTuple {
+                src_ip: Ipv4Addr::from(field(32, i, r)),
+                dst_ip: Ipv4Addr::from(field(32, i, r >> 3)),
+                src_port: field(16, i, r >> 5) as u16,
+                dst_port: field(16, i, r >> 7) as u16,
+                protocol: TransportProtocol::ALL[i % 3],
+                ttl: field(8, i, r >> 11) as u8,
+                tcp_flags: TcpFlags::from_bits(field(8, i, r >> 13) as u8),
+                ip_len: field(16, i, r >> 17) as u16,
+                packets: field(32, i, r >> 19),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn packed_column_matches_per_bit_reference_at_every_width() {
+    for width in 0..=32u32 {
+        let top = ((1u64 << width) - 1) as u32;
+        for base in [0, 1.min(u32::MAX - top), u32::MAX - top] {
+            for n in [1usize, 2, 7, 8, 9, 63, 64, 65, BLOCK_RECORDS] {
+                let vals: Vec<u32> = (0..n)
+                    .map(|i| match i {
+                        0 => base,
+                        1 => base + top,
+                        _ => base + ((i as u32).wrapping_mul(0x9e37_79b9) & top),
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                put_packed_column_per_bit(&mut want, &vals);
+                let mut got = vec![0x5a_u8; 2];
+                put_packed_column(&mut got, &vals, vals.iter().copied().min().unwrap(), {
+                    let max = vals.iter().copied().max().unwrap();
+                    32 - (max - base).leading_zeros()
+                });
+                assert_eq!(&got[..2], &[0x5a; 2], "width {width}: must only append");
+                assert_eq!(&got[2..], &want[..], "width {width} base {base:#x} n {n}");
+                // At the payload's very end (tail loads) and followed by
+                // unrelated bytes (windows past the column).
+                for trailer in [&[][..], &[0xff; 9][..]] {
+                    let mut bytes = want.clone();
+                    bytes.extend_from_slice(trailer);
+                    let mut buf = bytes.as_slice();
+                    let mut out = vec![7u32; 3];
+                    let or = get_packed_column_into(&mut buf, n, &mut out).unwrap();
+                    assert_eq!(out, vals, "width {width} base {base:#x} n {n}");
+                    assert_eq!(or, vals.iter().fold(0, |a, v| a | v));
+                    assert_eq!(buf, trailer);
+                }
+            }
+        }
+    }
 }
 
 /// A block of `n` records whose fields are laid out column by column as
@@ -684,6 +821,39 @@ fn encode_block_matches_oracle_on_edge_shapes() {
         [vec![zero; 9], vec![max; 9]].concat(), // runs at both ends
     ] {
         assert_kernel_matches_oracle(&block);
+    }
+    // Packed columns at the widths that matter — 0 (constant), 1, a
+    // byte either side of 8, 16, 31 and 32 — over small bases and bases
+    // near `u32::MAX`, in full blocks and in blocks short enough that
+    // the last column unpacks through the tail load.
+    for width in [0, 1, 7, 8, 16, 31, 32] {
+        for high in [false, true] {
+            for n in [3, BLOCK_RECORDS] {
+                let block = packed_shape(n, width, high);
+                let payload = assert_kernel_matches_oracle(&block);
+                if n < BLOCK_RECORDS {
+                    continue; // three records: RLE often wins
+                }
+                let modes = column_modes(&payload, n);
+                // The destination column, noise of exactly `width` bits.
+                // A constant near `u32::MAX` is a 5-byte base, which
+                // loses to one zigzag delta and a zero run.
+                if width > 0 || !high {
+                    assert_eq!(
+                        modes[1],
+                        (MODE_PACKED, Some(width as u8)),
+                        "width {width} high {high} n {n}"
+                    );
+                }
+                // Ports and the packet count pack too once noise is
+                // wider than a byte.
+                if width >= 8 {
+                    for c in [2, 3, 8] {
+                        assert_eq!(modes[c].0, MODE_PACKED, "column {c} width {width}");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1043,9 +1213,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The columnar decoder is bit-identical to the record-at-a-time
-    /// decoder: same flows on valid payloads (mutations included when
-    /// they happen to stay decodable), and byte-identical error
-    /// strings on corrupt ones.
+    /// decoder, in both layouts (packed: mode bytes, each column RLE or
+    /// bit-packed; flag-clear: RLE only): same flows on valid payloads
+    /// (mutations included when they happen to stay decodable), and
+    /// byte-identical error strings on corrupt ones — mode bytes,
+    /// widths, bases and packed bits included.
     #[test]
     fn prop_columnar_decode_matches_record_decoder(
         raw in proptest::collection::vec(
@@ -1054,10 +1226,11 @@ proptest! {
         ),
         mutations in proptest::collection::vec(
             (any::<usize>(), 1u8..=255), 0..3),
+        packed: bool,
     ) {
         let flows = tuples_to_flows(raw);
         let refs: Vec<&FlowTuple> = flows.iter().collect();
-        let mut payload = encode_block_per_record(&refs);
+        let mut payload = encode_block_per_record(&refs, packed);
         let pristine = mutations.is_empty() || payload.is_empty();
         for (idx, x) in mutations {
             if !payload.is_empty() {
@@ -1066,9 +1239,9 @@ proptest! {
             }
         }
         let mut scratch = BlockScratch::default();
-        let record = decode_block_into(&payload, flows.len(), &mut scratch);
+        let record = decode_block_into(&payload, flows.len(), packed, &mut scratch);
         let mut block = ColumnBlock::default();
-        let columnar = decode_block_columnar_into(&payload, flows.len(), &mut block);
+        let columnar = decode_block_columnar_into(&payload, flows.len(), packed, &mut block);
         match (record, columnar) {
             (Ok(()), Ok(())) => {
                 let got: Vec<FlowTuple> = block.flows().collect();
@@ -1097,11 +1270,12 @@ proptest! {
         }
     }
 
-    /// Satellite: the varint scalar-tail window. Every block payload
-    /// ends exactly at the buffer boundary, so its final columns
-    /// decode through the < 8-byte scalar fallback; both decoders
-    /// must agree with the encoder at the exact boundary and must
-    /// reject bytes past it with the same error.
+    /// Satellite: the varint scalar-tail and packed tail-load windows.
+    /// Every block payload ends exactly at the buffer boundary, so its
+    /// final columns decode through the < 8-byte scalar fallback (mode
+    /// 0) or the zero-padded tail load (mode 1); both decoders must
+    /// agree with the encoder at the exact boundary, in both layouts,
+    /// and must reject bytes past it with the same error.
     #[test]
     fn prop_varint_tail_and_block_boundary(
         raw in proptest::collection::vec(
@@ -1109,24 +1283,25 @@ proptest! {
             1..8,
         ),
         pad in 1usize..8,
+        packed: bool,
     ) {
         let flows = tuples_to_flows(raw);
         let refs: Vec<&FlowTuple> = flows.iter().collect();
-        let payload = encode_block_per_record(&refs);
+        let payload = encode_block_per_record(&refs, packed);
         // Exact boundary: both decoders consume the whole payload.
         let mut scratch = BlockScratch::default();
-        decode_block_into(&payload, flows.len(), &mut scratch).unwrap();
+        decode_block_into(&payload, flows.len(), packed, &mut scratch).unwrap();
         prop_assert_eq!(&scratch.flows, &flows);
         let mut block = ColumnBlock::default();
-        decode_block_columnar_into(&payload, flows.len(), &mut block).unwrap();
+        decode_block_columnar_into(&payload, flows.len(), packed, &mut block).unwrap();
         prop_assert_eq!(block.flows().collect::<Vec<_>>(), flows);
         // Bytes past the boundary: identical trailing-bytes errors.
         let mut padded = payload.clone();
         padded.extend(vec![0u8; pad]);
-        let a = decode_block_into(&padded, flows.len(), &mut scratch)
+        let a = decode_block_into(&padded, flows.len(), packed, &mut scratch)
             .unwrap_err();
         let b =
-            decode_block_columnar_into(&padded, flows.len(), &mut block)
+            decode_block_columnar_into(&padded, flows.len(), packed, &mut block)
                 .unwrap_err();
         prop_assert_eq!(format!("{a}"), format!("{b}"));
         let msg = format!("{a}");
@@ -1232,13 +1407,190 @@ fn columnar_error_order_matches_record_decoder() {
                 &good.1, &src_port, &good.3, &proto, &ttl, &good.6, &good.7, &good.8,
             ],
         );
-        let mut scratch = BlockScratch::default();
-        let a = decode_block_into(&payload, 2, &mut scratch).unwrap_err();
-        let mut block = ColumnBlock::default();
-        let b = decode_block_columnar_into(&payload, 2, &mut block).unwrap_err();
-        assert_eq!(format!("{a}"), format!("{b}"), "{name}");
-        assert!(format!("{a}").contains(want), "{name}: got {a}");
+        assert_same_error(&payload, 2, false, want, name);
+        // The packed layout with every column in mode 0: same errors.
+        use Column::{Plain, Zigzag};
+        let payload = packed_payload(&[
+            Plain(&good.0),
+            Zigzag(&good.1),
+            Zigzag(&src_port),
+            Zigzag(&good.3),
+            Zigzag(&proto),
+            Zigzag(&ttl),
+            Zigzag(&good.6),
+            Zigzag(&good.7),
+            Zigzag(&good.8),
+        ]);
+        assert_same_error(&payload, 2, true, want, name);
     }
+
+    // Across modes: packed columns hold values, RLE columns deltas, and
+    // the first bad (record, field) still wins whichever mode each
+    // column is in.
+    use Column::{Bytes, Packed, Plain, Zigzag};
+    let raw_good: [&[u32]; COLUMNS] = [
+        &[0, 1],
+        &[0, 0],
+        &[80, 80],
+        &[443, 443],
+        &[6, 6],
+        &[64, 64],
+        &[2, 2],
+        &[40, 40],
+        &[1, 1],
+    ];
+    let deltas_good: [&[i32]; COLUMNS] = [
+        &[0, 1],
+        &[0, 0],
+        &[80, 0],
+        &[443, 0],
+        &[6, 0],
+        &[64, 0],
+        &[2, 0],
+        &[40, 0],
+        &[1, 0],
+    ];
+    // (name, overrides by column, expected error)
+    type Mixed<'a> = (&'static str, Vec<(usize, Column<'a>)>, &'static str);
+    let mixed: Vec<Mixed> = vec![
+        (
+            "RLE ttl at record 0 beats a packed port at record 1",
+            vec![(2, Packed(&[80, 70_000])), (5, Zigzag(&[300, 0]))],
+            "ttl delta out of range",
+        ),
+        (
+            "RLE port at record 0 beats a packed ttl at record 1",
+            vec![(2, Zigzag(&[70_000, 0])), (5, Packed(&[64, 300]))],
+            "src_port delta out of range",
+        ),
+        (
+            "packed protocol beats an RLE port in the same record",
+            vec![(4, Packed(&[300, 6])), (2, Zigzag(&[70_000, 0]))],
+            "protocol value out of range",
+        ),
+        (
+            "packed unknown protocol",
+            vec![(4, Packed(&[6, 2]))],
+            "unknown protocol number 2",
+        ),
+        (
+            "packed dst_port alone",
+            vec![(3, Packed(&[443, 65_536]))],
+            "dst_port value out of range",
+        ),
+        (
+            "packed ttl alone",
+            vec![(5, Packed(&[256, 64]))],
+            "ttl value out of range",
+        ),
+        (
+            "width 33",
+            vec![(1, Bytes(&[MODE_PACKED, 0, 33, 0, 0, 0, 0, 0, 0, 0, 0, 0]))],
+            "packed column width 33 exceeds 32 bits",
+        ),
+        (
+            "mode byte 2",
+            vec![(3, Bytes(&[2, 0, 0]))],
+            "unknown column mode 2",
+        ),
+        (
+            "truncated packed bits",
+            vec![(8, Bytes(&[MODE_PACKED, 1, 16, 0xff]))],
+            "truncated packed column (4 bytes for 2 values, 1 left)",
+        ),
+        (
+            "truncated base varint",
+            vec![(8, Bytes(&[MODE_PACKED, 0x80]))],
+            "truncated varint",
+        ),
+        (
+            "missing width byte",
+            vec![(8, Bytes(&[MODE_PACKED, 1]))],
+            "truncated packed column header",
+        ),
+        (
+            "missing mode byte",
+            vec![(8, Bytes(&[]))],
+            "truncated column mode",
+        ),
+    ];
+    for (name, overrides, want) in mixed {
+        // Every column not overridden alternates modes, so each case
+        // runs with both around it.
+        let mut cols: Vec<Column> = (0..COLUMNS)
+            .map(|c| match c {
+                0 => Plain(&[0, 1]),
+                _ if c % 2 == 1 => Packed(raw_good[c]),
+                _ => Zigzag(deltas_good[c]),
+            })
+            .collect();
+        for (c, col) in overrides {
+            cols[c] = col;
+        }
+        assert_same_error(&packed_payload(&cols), 2, true, want, name);
+    }
+    // A bad packed value inside a whole group of eight, which the group
+    // kernel unpacks rather than the tail load.
+    let zeros = [0i32; 16];
+    let mut ttl = [64u32; 16];
+    ttl[9] = 300;
+    let cols = [
+        Plain(&[0; 16]),
+        Zigzag(&zeros),
+        Zigzag(&zeros),
+        Zigzag(&zeros),
+        Packed(&[6; 16]),
+        Packed(&ttl),
+        Zigzag(&zeros),
+        Zigzag(&zeros),
+        Zigzag(&zeros),
+    ];
+    let payload = packed_payload(&cols);
+    assert_same_error(&payload, 16, true, "ttl value out of range", "whole group");
+}
+
+/// One column of a hand-built packed-layout block: mode 0 over plain
+/// (source) or zigzag deltas, mode 1 over raw values, or raw bytes.
+enum Column<'a> {
+    Plain(&'a [u32]),
+    Zigzag(&'a [i32]),
+    Packed(&'a [u32]),
+    Bytes(&'a [u8]),
+}
+
+/// A packed-layout block payload: each column's mode byte and body.
+fn packed_payload(cols: &[Column]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for col in cols {
+        match col {
+            Column::Plain(deltas) => {
+                out.push(MODE_RLE);
+                put_rle_column(&mut out, deltas);
+            }
+            Column::Zigzag(deltas) => {
+                out.push(MODE_RLE);
+                let enc: Vec<u32> = deltas.iter().map(|&d| zigzag(d)).collect();
+                put_rle_column(&mut out, &enc);
+            }
+            Column::Packed(vals) => {
+                out.push(MODE_PACKED);
+                put_packed_column_per_bit(&mut out, vals);
+            }
+            Column::Bytes(bytes) => out.extend_from_slice(bytes),
+        }
+    }
+    out
+}
+
+/// Both block decoders reject `payload` with the same error, and it
+/// says `want`.
+fn assert_same_error(payload: &[u8], n: usize, packed: bool, want: &str, name: &str) {
+    let mut scratch = BlockScratch::default();
+    let a = decode_block_into(payload, n, packed, &mut scratch).unwrap_err();
+    let mut block = ColumnBlock::default();
+    let b = decode_block_columnar_into(payload, n, packed, &mut block).unwrap_err();
+    assert_eq!(format!("{a}"), format!("{b}"), "{name} (packed {packed})");
+    assert!(format!("{a}").contains(want), "{name}: got {a}");
 }
 
 proptest! {
@@ -1291,72 +1643,116 @@ fn lockstep_checksums_keep_block_order_error_precedence() {
     // Six blocks: two lockstep groups, of four blocks and of two.
     let many = scan_like_flows(BLOCK_RECORDS as u32 * 5 + 100);
     let hour = UnixHour::new(70);
-    let clean = encode_hour(hour, &many, StoreOptions::default());
-    let ranges = block_ranges(&clean);
-    assert_eq!(ranges.len(), 6);
     assert_eq!(CHECKSUM_LANES, 4);
-
     let codec = |msg: &str| format!("{}", NetError::Codec(msg.to_owned()));
-    // Eight 0xff bytes hold no varint terminator.
-    let parse = codec("varint overflows u32");
-    let mismatch = codec("checksum mismatch (corrupt block)");
-    let parse_corrupt = |bytes: &mut Vec<u8>, i: usize| {
-        bytes[ranges[i].start..ranges[i].start + 8].fill(0xff);
-        restamp_block(bytes, i);
-    };
-    let checksum_corrupt = |bytes: &mut Vec<u8>, i: usize| bytes[ranges[i].start + 10] ^= 0xff;
+    // Both layouts, each with a parse error planted at a block's start:
+    // a packed file's first mode byte set to 2; in a flag-clear file,
+    // eight 0xff bytes, which hold no varint terminator.
+    let packed = encode_hour(hour, &many, StoreOptions::default());
+    assert_ne!(packed[7] & FLAG_PACKED, 0);
+    // (layout, clean file, plant a parse error in a payload, its error)
+    type Layout = (&'static str, Vec<u8>, fn(&mut [u8]), String);
+    let layouts: [Layout; 2] = [
+        (
+            "packed",
+            packed,
+            |payload| payload[0] = 2,
+            codec("unknown column mode 2"),
+        ),
+        (
+            "flag-clear",
+            encode_v3_flag_clear(hour, &many, true),
+            |payload| payload[..8].fill(0xff),
+            codec("varint overflows u32"),
+        ),
+    ];
+    for (layout, clean, plant, parse) in layouts {
+        let ranges = block_ranges(&clean);
+        assert_eq!(ranges.len(), 6);
+        let mismatch = codec("checksum mismatch (corrupt block)");
+        let parse_corrupt = |bytes: &mut Vec<u8>, i: usize| {
+            plant(&mut bytes[ranges[i].clone()]);
+            restamp_block(bytes, i);
+        };
+        let checksum_corrupt = |bytes: &mut Vec<u8>, i: usize| bytes[ranges[i].start + 10] ^= 0xff;
 
-    // (case, file, strict error, quarantined (block, reason))
-    type Case = (&'static str, Vec<u8>, String, Vec<(usize, String)>);
-    let mut cases: Vec<Case> = Vec::new();
-    let mut bytes = clean.clone();
-    parse_corrupt(&mut bytes, 1);
-    checksum_corrupt(&mut bytes, 2);
-    cases.push((
-        "parse error before a checksum error in one group",
-        bytes,
-        format!("{}", NetError::Codec(format!("block 1: {parse}"))),
-        vec![(1, parse.clone()), (2, mismatch.clone())],
-    ));
-    let mut bytes = clean.clone();
-    checksum_corrupt(&mut bytes, 5);
-    cases.push((
-        "one checksum error in the second group",
-        bytes,
-        format!("{}", NetError::Codec(format!("block 5: {mismatch}"))),
-        vec![(5, mismatch.clone())],
-    ));
-    let mut bytes = clean.clone();
-    parse_corrupt(&mut bytes, 4);
-    cases.push((
-        "one parse error in the second group",
-        bytes,
-        format!("{}", NetError::Codec(format!("block 4: {parse}"))),
-        vec![(4, parse.clone())],
-    ));
-    let mut bytes = clean.clone();
-    bytes[ranges[3].start..ranges[3].start + 8].fill(0xff);
-    cases.push((
-        "a block both unparsable and mis-checksummed reports the checksum",
-        bytes,
-        format!("{}", NetError::Codec(format!("block 3: {mismatch}"))),
-        vec![(3, mismatch.clone())],
-    ));
+        // (case, file, strict error, quarantined (block, reason))
+        type Case = (&'static str, Vec<u8>, String, Vec<(usize, String)>);
+        let mut cases: Vec<Case> = Vec::new();
+        let mut bytes = clean.clone();
+        parse_corrupt(&mut bytes, 1);
+        checksum_corrupt(&mut bytes, 2);
+        cases.push((
+            "parse error before a checksum error in one group",
+            bytes,
+            format!("{}", NetError::Codec(format!("block 1: {parse}"))),
+            vec![(1, parse.clone()), (2, mismatch.clone())],
+        ));
+        let mut bytes = clean.clone();
+        checksum_corrupt(&mut bytes, 5);
+        cases.push((
+            "one checksum error in the second group",
+            bytes,
+            format!("{}", NetError::Codec(format!("block 5: {mismatch}"))),
+            vec![(5, mismatch.clone())],
+        ));
+        let mut bytes = clean.clone();
+        parse_corrupt(&mut bytes, 4);
+        cases.push((
+            "one parse error in the second group",
+            bytes,
+            format!("{}", NetError::Codec(format!("block 4: {parse}"))),
+            vec![(4, parse.clone())],
+        ));
+        let mut bytes = clean.clone();
+        plant(&mut bytes[ranges[3].clone()]);
+        cases.push((
+            "a block both unparsable and mis-checksummed reports the checksum",
+            bytes,
+            format!("{}", NetError::Codec(format!("block 3: {mismatch}"))),
+            vec![(3, mismatch.clone())],
+        ));
 
-    for (case, bytes, strict, bad) in cases {
-        let err = decode_hour(&bytes).unwrap_err();
-        assert_eq!(format!("{err}"), strict, "{case}");
-        let mut sink = CollectSink::default();
-        let visited =
-            decode_hour_visit(&bytes, DecodeOptions { quarantine: true }, &mut sink).unwrap();
-        let got: Vec<(usize, String)> = visited
-            .quarantined
-            .iter()
-            .map(|q| (q.index, q.reason.clone()))
-            .collect();
-        assert_eq!(got, bad, "{case}");
-        let lost: usize = visited.quarantined.iter().map(|q| q.records as usize).sum();
-        assert_eq!(visited.records, many.len() - lost, "{case}");
-        assert_eq!(sink.into_flows().len(), many.len() - lost, "{case}");
+        for (case, bytes, strict, bad) in cases {
+            let err = decode_hour(&bytes).unwrap_err();
+            assert_eq!(format!("{err}"), strict, "{layout}: {case}");
+            let mut sink = CollectSink::default();
+            let visited =
+                decode_hour_visit(&bytes, DecodeOptions { quarantine: true }, &mut sink).unwrap();
+            let got: Vec<(usize, String)> = visited
+                .quarantined
+                .iter()
+                .map(|q| (q.index, q.reason.clone()))
+                .collect();
+            assert_eq!(got, bad, "{layout}: {case}");
+            let lost: usize = visited.quarantined.iter().map(|q| q.records as usize).sum();
+            assert_eq!(visited.records, many.len() - lost, "{layout}: {case}");
+            // The surviving blocks decode to exactly their records.
+            let mut want = sorted(many.clone());
+            for q in visited.quarantined.iter().rev() {
+                let start = q.index * BLOCK_RECORDS;
+                want.drain(start..start + q.records as usize);
+            }
+            assert_eq!(sink.into_flows(), want, "{layout}: {case}");
+        }
     }
+}
+
+#[test]
+fn v3_rejects_unknown_header_flags() {
+    let mut bytes = encode_hour(UnixHour::new(8), &flows(), StoreOptions::default());
+    assert_eq!(decode_hour(&bytes).unwrap().1, sorted(flows()));
+    bytes[7] |= 0b100;
+    let index_end = HEADER + 4 + INDEX_ENTRY;
+    let mut hasher = Fnv1a::new();
+    hasher.update(&bytes[..HEADER_HASHED]);
+    hasher.update(&bytes[HEADER..index_end]);
+    bytes[HEADER_HASHED..HEADER].copy_from_slice(&hasher.finish().to_be_bytes());
+    let err = decode_hour(&bytes).unwrap_err();
+    assert!(
+        format!("{err}").contains("unknown v3 header flags 0x07"),
+        "{err}"
+    );
+    let opts = DecodeOptions { quarantine: true };
+    assert!(decode_hour_visit(&bytes, opts, &mut CollectSink::default()).is_err());
 }

@@ -1,12 +1,16 @@
 //! Golden-file compatibility for the IOTSG01 segment container.
 //!
-//! A fixed three-hour segment is checked into `fixtures/golden/`; the
-//! encoder must keep reproducing it byte for byte, and the reader must
-//! keep decoding it to the same records — so a container or codec
-//! change that would orphan compacted telescope archives fails here,
-//! exactly as `store_golden` does for the per-hour formats.
+//! A fixed three-hour segment is checked into `fixtures/golden/` twice:
+//! `segment-v1.seg`, archived when every v3 column was RLE varint
+//! deltas (header flag `FLAG_PACKED` clear), and `segment-v1-packed.seg`,
+//! whose hours carry bit-packed columns where those are smaller. The
+//! reader must keep decoding both to the same records, and the encoder
+//! must keep reproducing the packed one byte for byte — so a container
+//! or codec change that would orphan compacted telescope archives fails
+//! here, exactly as `store_golden` does for the per-hour formats.
 //!
-//! To regenerate after an *intentional* format change:
+//! To regenerate `segment-v1-packed.seg` after an *intentional* format
+//! change (the flag-clear segment is an archive):
 //! `cargo test -p iotscope-tests --test segment_golden -- --ignored regenerate`
 
 use iotscope_net::flowtuple::FlowTuple;
@@ -24,9 +28,17 @@ use std::path::PathBuf;
 /// block, and a tiny hour.
 const HOURS: [(u64, usize); 3] = [(414_456, 5_000), (414_457, 1_200), (414_458, 17)];
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/golden/segment-v1.seg")
+fn fixture_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures/golden")
+        .join(name)
 }
+
+/// The archived flag-clear segment, then the one the encoder writes.
+const FIXTURES: [&str; 2] = ["segment-v1.seg", "segment-v1-packed.seg"];
+
+/// v3 header flag bit 1: every block column carries a mode byte.
+const FLAG_PACKED: u8 = 0b10;
 
 /// Deterministic per-hour records (xorshift, seeded by the hour).
 /// MUST NOT change — the committed fixture is derived from it.
@@ -83,46 +95,55 @@ fn golden_payloads() -> Vec<(UnixHour, Vec<u8>)> {
 
 #[test]
 fn golden_segment_decodes_and_encoder_has_not_drifted() {
-    let path = fixture_path();
-    let bytes = std::fs::read(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e}); see module docs", path.display()));
+    for (name, packed) in FIXTURES.into_iter().zip([false, true]) {
+        let path = fixture_path(name);
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!("missing fixture {} ({e}); see module docs", path.display())
+        });
 
-    // The archived segment still opens, routes, and decodes.
-    let segment = Segment::open(&path).unwrap();
-    assert_eq!(segment.len(), HOURS.len());
-    assert_eq!(
-        segment.hours().collect::<Vec<_>>(),
-        HOURS.map(|(h, _)| UnixHour::new(h)).to_vec()
-    );
-    for (hour, n) in HOURS {
-        let payload = segment
-            .hour_bytes(UnixHour::new(hour))
-            .expect("hour routed");
-        let mut sink = CollectSink::default();
-        let visited = decode_hour_visit(payload, DecodeOptions::default(), &mut sink)
-            .unwrap_or_else(|e| panic!("hour {hour}: {e}"));
-        assert_eq!(visited.hour, UnixHour::new(hour));
-        assert!(visited.quarantined.is_empty());
-        let flows = sink.into_flows();
-        assert_eq!(flows.len(), n, "hour {hour}");
-        let mut expected = golden_hour(hour, n);
-        expected.sort_by_key(|f| (f.src_ip, f.dst_ip, f.dst_port));
-        assert_eq!(flows, expected, "hour {hour} decoded differently");
+        // The segment still opens, routes, and decodes.
+        let segment = Segment::open(&path).unwrap();
+        assert_eq!(segment.len(), HOURS.len(), "{name}");
+        assert_eq!(
+            segment.hours().collect::<Vec<_>>(),
+            HOURS.map(|(h, _)| UnixHour::new(h)).to_vec()
+        );
+        for (hour, n) in HOURS {
+            let payload = segment
+                .hour_bytes(UnixHour::new(hour))
+                .expect("hour routed");
+            assert_eq!(payload[7] & FLAG_PACKED != 0, packed, "{name} hour {hour}");
+            let mut sink = CollectSink::default();
+            let visited = decode_hour_visit(payload, DecodeOptions::default(), &mut sink)
+                .unwrap_or_else(|e| panic!("{name} hour {hour}: {e}"));
+            assert_eq!(visited.hour, UnixHour::new(hour));
+            assert!(visited.quarantined.is_empty());
+            let flows = sink.into_flows();
+            assert_eq!(flows.len(), n, "{name} hour {hour}");
+            let mut expected = golden_hour(hour, n);
+            expected.sort_by_key(|f| (f.src_ip, f.dst_ip, f.dst_port));
+            assert_eq!(flows, expected, "{name} hour {hour} decoded differently");
+        }
+        assert!(segment.locate(UnixHour::new(414_459)).is_none());
+
+        if packed {
+            // The current encoder reproduces the packed segment exactly,
+            // and it is smaller than the archive.
+            let reencoded = encode_segment(&golden_payloads()).unwrap();
+            assert_eq!(reencoded, bytes, "segment encoder output drifted");
+            let archived = std::fs::metadata(fixture_path(FIXTURES[0])).unwrap();
+            assert!((bytes.len() as u64) < archived.len());
+        }
     }
-    assert!(segment.locate(UnixHour::new(414_459)).is_none());
-
-    // And the current encoder still reproduces the archive exactly.
-    let reencoded = encode_segment(&golden_payloads()).unwrap();
-    assert_eq!(reencoded, bytes, "segment encoder output drifted");
 }
 
-/// Writes the fixture. Run only after an intentional format change, and
-/// commit the result: `cargo test -p iotscope-tests --test
+/// Writes the packed fixture. Run only after an intentional format
+/// change, and commit the result: `cargo test -p iotscope-tests --test
 /// segment_golden -- --ignored regenerate`.
 #[test]
 #[ignore]
 fn regenerate() {
-    let path = fixture_path();
+    let path = fixture_path(FIXTURES[1]);
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, encode_segment(&golden_payloads()).unwrap()).unwrap();
 }

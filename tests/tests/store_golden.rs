@@ -1,16 +1,21 @@
 //! Golden-file compatibility for the flowtuple store formats.
 //!
 //! One fixed set of flows is checked into `fixtures/golden/` encoded in
-//! every format the store has ever written (v1, v2, v3). Each file must
-//! keep decoding to exactly the same records — archived telescope hours
-//! stay readable forever, through the decoder and through the pipeline —
-//! and the v3 encoder, the only one left, must keep reproducing its
-//! fixture byte for byte, so a codec change that would orphan archived
-//! data fails here instead of in the field.
+//! every layout the store has ever written: v1, v2, v3 with every column
+//! RLE varint deltas (`hour-v3.ft`, header flag `FLAG_PACKED` clear),
+//! and v3 with each column in the smaller of RLE and bit-packing
+//! (`hour-v3-packed.ft`). Each file must keep decoding to exactly the
+//! same records — archived telescope hours stay readable forever,
+//! through the decoder and through the pipeline — and the v3 encoder,
+//! the only one left, must keep reproducing the packed fixture byte for
+//! byte, so a codec change that would orphan archived data fails here
+//! instead of in the field.
 //!
-//! To regenerate `hour-v3.ft` after an *intentional* format change:
+//! To regenerate `hour-v3-packed.ft` after an *intentional* format
+//! change:
 //! `cargo test -p iotscope-tests --test store_golden -- --ignored regenerate`
-//! (the v1/v2 fixtures are archives; nothing can write them any more).
+//! (the v1/v2 and flag-clear v3 fixtures are archives; nothing writes
+//! them any more).
 
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_devicedb::{
@@ -82,8 +87,16 @@ fn expected_flows() -> Vec<FlowTuple> {
     flows
 }
 
-/// Every archived fixture, oldest first.
-const FIXTURES: [&str; 3] = ["hour-v1.ft", "hour-v2.ft", "hour-v3.ft"];
+/// Every fixture, oldest first; the last is the one the encoder writes.
+const FIXTURES: [&str; 4] = [
+    "hour-v1.ft",
+    "hour-v2.ft",
+    "hour-v3.ft",
+    "hour-v3-packed.ft",
+];
+
+/// v3 header flag bit 1: every block column carries a mode byte.
+const FLAG_PACKED: u8 = 0b10;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = fixture_dir().join(name);
@@ -110,27 +123,31 @@ fn golden_files_decode_identically_across_formats() {
         assert_eq!(hour, UnixHour::new(HOUR), "{name}");
         assert_eq!(flows, expected, "{name} decoded differently");
     }
-    // And the one encoder still reproduces its archive exactly.
+    // The archived v3 hour predates bit-packing; the packed one is
+    // smaller.
+    let (archived, packed) = (fixture("hour-v3.ft"), fixture("hour-v3-packed.ft"));
+    assert_eq!(archived[7] & FLAG_PACKED, 0, "hour-v3.ft is flag-clear");
+    assert_ne!(packed[7] & FLAG_PACKED, 0, "hour-v3-packed.ft is packed");
+    assert!(packed.len() < archived.len());
+    // And the one encoder still reproduces its fixture exactly.
     let reencoded = encode_v3(UnixHour::new(HOUR), &golden_flows());
-    assert_eq!(
-        reencoded,
-        fixture("hour-v3.ft"),
-        "v3 encoder output drifted"
-    );
+    assert_eq!(reencoded, packed, "v3 encoder output drifted");
 }
 
 #[test]
 fn golden_v3_has_multiple_independent_blocks() {
-    let mut sink = CollectSink::default();
-    let visited = decode_hour_visit(
-        &fixture("hour-v3.ft"),
-        DecodeOptions { quarantine: true },
-        &mut sink,
-    )
-    .unwrap();
-    assert_eq!(visited.blocks, 3, "10_000 records at 4096/block");
-    assert!(visited.quarantined.is_empty());
-    assert_eq!(sink.into_flows(), expected_flows());
+    for name in ["hour-v3.ft", "hour-v3-packed.ft"] {
+        let mut sink = CollectSink::default();
+        let visited = decode_hour_visit(
+            &fixture(name),
+            DecodeOptions { quarantine: true },
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(visited.blocks, 3, "{name}: 10_000 records at 4096/block");
+        assert!(visited.quarantined.is_empty(), "{name}");
+        assert_eq!(sink.into_flows(), expected_flows(), "{name}");
+    }
 }
 
 /// Every other golden source (61 in total) is an inventory device,
@@ -152,19 +169,19 @@ fn golden_inventory() -> DeviceDb {
 
 #[test]
 fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
-    // One store holding all three fixtures at consecutive hours. The
-    // v1 header is outside its checksum, so its hour is patched in
-    // place; v3 is restamped; v2 keeps the hour it was archived at.
+    // One store holding every fixture at consecutive hours. The v1
+    // header is outside its checksum, so its hour is patched in place;
+    // the v3 hours are restamped; v2 keeps the hour it was archived at.
     let dir = std::env::temp_dir().join(format!("iotscope-golden-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
-    let hours = [HOUR + 1, HOUR, HOUR + 2].map(UnixHour::new);
+    let hours = [HOUR + 1, HOUR, HOUR + 2, HOUR + 3].map(UnixHour::new);
     for (name, hour) in FIXTURES.into_iter().zip(hours) {
         let mut bytes = fixture(name);
         match name {
             "hour-v1.ft" => bytes[8..16].copy_from_slice(&hour.get().to_be_bytes()),
-            "hour-v3.ft" => restamp_hour(&mut bytes, hour).unwrap(),
-            _ => assert_eq!(hour, UnixHour::new(HOUR)),
+            "hour-v2.ft" => assert_eq!(hour, UnixHour::new(HOUR)),
+            _ => restamp_hour(&mut bytes, hour).unwrap(),
         }
         let path = store.hour_path(hour);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -172,8 +189,8 @@ fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
     }
 
     let db = golden_inventory();
-    let pipeline = AnalysisPipeline::new(&db, 3);
-    let window = AnalysisWindow::new(UnixHour::new(HOUR), 3).unwrap();
+    let pipeline = AnalysisPipeline::new(&db, 4);
+    let window = AnalysisWindow::new(UnixHour::new(HOUR), 4).unwrap();
     let traffic: Vec<HourTraffic> = window
         .iter_intervals()
         .map(|(interval, hour)| HourTraffic {
@@ -195,8 +212,8 @@ fn golden_hours_of_every_format_analyze_identically_through_the_pipeline() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Writes the v3 fixture. Run only after an intentional format change,
-/// and commit the result: `cargo test -p iotscope-tests --test
+/// Writes the packed v3 fixture. Run only after an intentional format
+/// change, and commit the result: `cargo test -p iotscope-tests --test
 /// store_golden -- --ignored regenerate`.
 #[test]
 #[ignore]
@@ -204,7 +221,7 @@ fn regenerate() {
     let dir = fixture_dir();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
-        dir.join("hour-v3.ft"),
+        dir.join("hour-v3-packed.ft"),
         encode_v3(UnixHour::new(HOUR), &golden_flows()),
     )
     .unwrap();
