@@ -5,7 +5,7 @@ use iotscope_core::behavior::{BehaviorFold, BehaviorVector};
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
 use iotscope_core::pipeline::{
-    AnalysisOutcome, AnalysisPipeline, AnalyzeOptions, StoreReadStats, StoredWindow,
+    AnalysisOutcome, AnalysisPipeline, AnalyzeOptions, HourSource, StoreReadStats, StoredWindow,
 };
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
@@ -15,9 +15,8 @@ use iotscope_devicedb::inventory_io::{self, LoadedInventory};
 use iotscope_intel::synth::{IntelBuilder, IntelOutput, IntelSynthConfig};
 use iotscope_intel::IntelContext;
 use iotscope_net::segment::Manifest;
-use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, StoreFormat, StoreOptions};
+use iotscope_net::store::{CollectSink, FlowStore, StoreFormat, StoreOptions};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
-use iotscope_net::NetError;
 use iotscope_obs::{Registry, Snapshot};
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::TelescopeService;
@@ -62,7 +61,7 @@ fn render_metrics(snapshot: &Snapshot, format: MetricsFormat) -> String {
 /// Run `work` once per item of `hours` on `workers` scoped threads and
 /// return the results in item order — the fan-out behind the write
 /// verbs (`simulate`, `migrate --format v3`), where each hour is an
-/// independent encode + tmp + fsync + rename.
+/// independent generate or read, then encode + tmp + fsync + rename.
 ///
 /// Items are handed out in ascending order from one atomic cursor, and
 /// a worker that has taken an item always runs it; once any item fails,
@@ -157,11 +156,15 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     std::fs::create_dir_all(&out)?;
     let store =
         FlowStore::create(out.join("darknet"), StoreOptions::default())?.instrumented(&registry);
-    let hours = built.scenario.generate();
-    let flows: usize = hours.iter().map(|h| h.flows.len()).sum();
-    for_each_hour(&hours, all_cores(), |ht| {
-        Ok(store.write_hour(ht.hour, &ht.flows)?)
+    // Each hour is generated by the worker that writes it, so no more of
+    // the window is resident than the hours being written.
+    let intervals: Vec<u32> = (1..=built.scenario.telescope().window.num_hours()).collect();
+    let written = for_each_hour(&intervals, all_cores(), |&interval| {
+        let ht = built.scenario.generate_hour(interval);
+        store.write_hour(ht.hour, &ht.flows)?;
+        Ok(ht.flows.len())
     })?;
+    let flows: usize = written.iter().sum();
 
     let mut meta = BTreeMap::new();
     meta.insert("seed".to_owned(), seed.to_string());
@@ -226,31 +229,17 @@ fn dropped_days_note(label: &str, w: &StoredWindow) -> String {
     )
 }
 
-/// A store error that names the hour it struck: how every read verb
-/// reports a bad hour.
-fn hour_error(interval: u32, hour: UnixHour, e: NetError) -> CliError {
-    CliError::Run(format!("store error: {hour} (interval {interval}): {e}"))
-}
-
 /// Batch-analyze a data directory's stored window straight from the
 /// store (no hour is materialized): the one analysis behind every verb.
-/// A store error names the first window hour that fails to read — the
-/// one whose error the pipeline reports.
+/// A store error names the earliest window hour that failed.
 fn analyze_window(
     inventory: &LoadedInventory,
     store: &FlowStore,
     stored: &StoredWindow,
     options: AnalyzeOptions,
 ) -> Result<AnalysisOutcome, CliError> {
-    AnalysisPipeline::new(&inventory.db, stored.window.num_hours())
-        .run(store, &options.window(stored.window))
-        .map_err(|e| {
-            let mut hours = stored.work.iter();
-            match hours.find(|(_, hour)| store.read_hour(*hour).is_err()) {
-                Some(&(interval, hour)) => hour_error(interval, hour, e),
-                None => e.into(),
-            }
-        })
+    let pipeline = AnalysisPipeline::new(&inventory.db, stored.window.num_hours());
+    Ok(pipeline.run(store, &options.window(stored.window))?)
 }
 
 /// Load a data directory's inventory and [`analyze_window`] its stored
@@ -346,15 +335,12 @@ fn replay(
             write_err = writeln!(out, "{alert}").and_then(|()| out.flush()).err();
         }
     };
+    let source = HourSource::stored(store, stored);
     let ingested = service.ingest_with(
-        &stored.work,
+        0..source.len(),
         StreamConfig::default(),
         &mut on_alert,
-        |stream, &(interval, hour)| {
-            stream
-                .push_store_hour(store, interval, hour)
-                .map_err(|e| hour_error(interval, hour, e))
-        },
+        |stream, k| stream.push_from(&source, k),
     );
     if let Some(e) = write_err {
         return Err(e.into());
@@ -570,7 +556,7 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
 /// Fold the stored window for `investigate` in one pass: each hour of
 /// `stored` is fetched and decoded once, into the behavior fold and —
 /// with `analyze`, which `--intel` needs for its candidates — into the
-/// sequential analysis beside it. A store error names the hour.
+/// sequential analysis beside it.
 fn fold_window(
     inventory: &LoadedInventory,
     store: &FlowStore,
@@ -580,20 +566,17 @@ fn fold_window(
     let hours = stored.window.num_hours();
     let mut behavior = BehaviorFold::new(&inventory.db, hours);
     let mut analyzer = analyze.then(|| Analyzer::new(&inventory.db, hours));
-    for &(interval, hour) in &stored.work {
-        let visit = |sink: &mut dyn FlowSink| -> Result<(), NetError> {
-            let bytes = store.fetch_hour_bytes(hour)?;
-            store.visit_hour_for(hour, &bytes, DecodeOptions::default(), sink)?;
-            Ok(())
-        };
-        let visited = match &mut analyzer {
+    let source = HourSource::stored(store, stored);
+    for k in 0..source.len() {
+        let interval = source.interval(k);
+        match &mut analyzer {
             Some(an) => {
                 let mut both = (an.begin_hour(interval), behavior.begin_hour(interval));
-                visit(&mut both).map(|()| both.0.finish())
+                source.visit(k, &mut both)?;
+                both.0.finish();
             }
-            None => visit(&mut behavior.begin_hour(interval)),
-        };
-        visited.map_err(|e| hour_error(interval, hour, e))?;
+            None => source.visit(k, &mut behavior.begin_hour(interval))?,
+        }
     }
     Ok((behavior.finish(), analyzer.map(Analyzer::finish)))
 }
@@ -823,26 +806,32 @@ pub fn export(args: &[String]) -> Result<String, CliError> {
     let key: u64 = opts.parse_or("--key", 0x1077_5C09)?;
 
     let (src, stored) = open_window(&data)?;
+    let present: Vec<(u32, UnixHour)> = stored
+        .window
+        .iter_intervals()
+        .filter(|(_, hour)| src.has_hour(*hour))
+        .collect();
+    let source = HourSource::Store {
+        store: &src,
+        work: &present,
+    };
     let dst = FlowStore::create(out.join("darknet"), StoreOptions::default())?;
     let anonymizer = Anonymizer::new(key);
-    let mut hours = 0usize;
     let mut flows = 0usize;
-    for (interval, hour) in stored.window.iter_intervals() {
-        if !src.has_hour(hour) {
-            continue;
-        }
-        let anonymized: Vec<_> = src
-            .read_hour(hour)
-            .map_err(|e| hour_error(interval, hour, e))?
+    for (k, &(_, hour)) in present.iter().enumerate() {
+        let mut read = CollectSink::default();
+        source.visit(k, &mut read)?;
+        let anonymized: Vec<_> = read
+            .into_flows()
             .iter()
             .map(|f| anonymizer.anonymize_flow(f))
             .collect();
         flows += anonymized.len();
         dst.write_hour(hour, &anonymized)?;
-        hours += 1;
     }
     Ok(format!(
-        "exported {hours} anonymized hours ({flows} flows) to {}/darknet/\nprefix structure preserved; identities keyed to --key",
+        "exported {} anonymized hours ({flows} flows) to {}/darknet/\nprefix structure preserved; identities keyed to --key",
+        present.len(),
         out.display()
     ))
 }
@@ -937,8 +926,17 @@ pub fn validate(args: &[String]) -> Result<String, CliError> {
     let victim_hits = truth_victims.intersection(&inferred_victims).count();
 
     let mut spikes_found = 0usize;
-    for i in &truth.dos_spike_intervals {
-        if analysis.backscatter_intervals[(*i - 1) as usize].total > 0 {
+    for &i in &truth.dos_spike_intervals {
+        let spike = (i as usize)
+            .checked_sub(1)
+            .and_then(|k| analysis.backscatter_intervals.get(k))
+            .ok_or_else(|| {
+                CliError::Run(format!(
+                    "truth ledger: spike interval {i} is outside the {}-hour window",
+                    stored.window.num_hours()
+                ))
+            })?;
+        if spike.total > 0 {
             spikes_found += 1;
         }
     }
@@ -1107,6 +1105,41 @@ mod tests {
         assert!(!vectors.is_empty());
         let pipeline = analyze_window(&inventory, &store, &stored, AnalyzeOptions::new());
         assert_eq!(analysis, Some(pipeline.unwrap().analysis));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A corrupt hour fails `analyze_window` with the hour named, and no
+    /// hour is read twice on the way: one sequential pass stops at the
+    /// bad hour, interval 59.
+    #[test]
+    fn analyze_window_reads_each_hour_once_when_one_is_corrupt() {
+        let dir = tmpdir("analyze-corrupt-once");
+        simulate(&args(&[
+            "--out",
+            dir.to_str().unwrap(),
+            "--tiny",
+            "--seed",
+            "4",
+        ]))
+        .unwrap();
+        let inventory = inventory_io::load(dir.join("inventory.tsv")).unwrap();
+        let (store, stored) = open_window(&dir).unwrap();
+        let hour = stored.window.hour_of_interval(59).unwrap();
+        let path = store.hour_path(hour);
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&path, bytes).unwrap();
+
+        let registry = Registry::new();
+        let instrumented = store.clone().instrumented(&registry);
+        let options = AnalyzeOptions::new().threads(1).metrics(&registry);
+        let err = analyze_window(&inventory, &instrumented, &stored, options).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with(&format!("store error: {hour} (interval 59): ")),
+            "{err}"
+        );
+        assert_eq!(registry.snapshot().counter("store.hours_read"), Some(59));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1462,8 +1495,23 @@ mod tests {
         let truth_path = dir.join("truth.tsv");
         let mut text = std::fs::read_to_string(&truth_path).unwrap();
         text.push_str("role|999999|1|DosVictim\n");
-        std::fs::write(&truth_path, text).unwrap();
+        std::fs::write(&truth_path, &text).unwrap();
         assert!(validate(&args(&["--data", dir_s])).is_err());
+        // A spike interval outside the window is a run error naming it.
+        for interval in [0, 500] {
+            let mut bad = text.clone();
+            bad.push_str(&format!("spike|{interval}\n"));
+            std::fs::write(&truth_path, bad).unwrap();
+            match validate(&args(&["--data", dir_s])) {
+                Err(CliError::Run(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "truth ledger: spike interval {interval} is outside the 143-hour window"
+                    )
+                ),
+                other => panic!("spike|{interval}: expected a run error, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

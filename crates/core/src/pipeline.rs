@@ -230,16 +230,6 @@ impl PipelineMetrics {
     }
 }
 
-/// Inter-worker message of the sharded drivers: one whole hour's routed
-/// flows for one shard, or a router's end-of-work marker.
-enum ShardMsg {
-    Batch {
-        interval: u32,
-        flows: Vec<RoutedFlow>,
-    },
-    Done,
-}
-
 /// A store's hours under an analysis window, after the paper's
 /// day-completeness rule: the one list of hours every store-fed
 /// analysis, replay and investigation walks.
@@ -327,8 +317,9 @@ impl<'a> AnalysisPipeline<'a> {
     /// # Errors
     ///
     /// Store-backed runs require [`AnalyzeOptions::window`] and
-    /// propagate read failures: corrupt files fail loudly, missing
-    /// hours are handled by the day-completeness rule of
+    /// propagate read failures, each naming its hour
+    /// ([`NetError::Hour`]): corrupt files fail loudly, missing hours
+    /// are handled by the day-completeness rule of
     /// [`StoredWindow::of`]. When several hours are corrupt, the error
     /// for the earliest interval is reported, matching what a
     /// sequential read would hit first. In-memory runs cannot fail.
@@ -367,16 +358,13 @@ impl<'a> AnalysisPipeline<'a> {
                     stored = StoredWindow::of(&instrumented, window);
                     pm.hours_missing.add(stored.hours_missing);
                     pm.hours_skipped.add(stored.hours_skipped);
-                    HourSource::Store {
-                        store: &instrumented,
-                        work: &stored.work,
-                    }
+                    HourSource::stored(&instrumented, &stored)
                 }
             };
             // Sharding is over the device space, so it is worth its
             // fan-out even for a single huge hour; only an empty source
             // stays on the caller's thread.
-            let threads = if hours.len() == 0 { 1 } else { budget };
+            let threads = if hours.is_empty() { 1 } else { budget };
             pm.threads.set(threads as i64);
             let analysis = if threads <= 1 {
                 self.run_inline(hours, &registry, &pm)?
@@ -470,13 +458,15 @@ impl<'a> AnalysisPipeline<'a> {
         let map = ShardMap::new(self.db.len(), threads);
         let next = AtomicUsize::new(0);
         let partials: Vec<(RouterPartial, ShardPartial)> = crossbeam::scope(|scope| {
-            let channels: Vec<_> = (0..threads)
-                .map(|_| crossbeam::channel::unbounded::<ShardMsg>())
-                .collect();
-            let senders: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let rx = channels[i].1.clone();
+            // One inbox per shard owner, each message one whole hour's
+            // routed flows for that shard.
+            let (senders, inboxes): (Vec<_>, Vec<_>) = (0..threads)
+                .map(|_| crossbeam::channel::unbounded::<(u32, Vec<RoutedFlow>)>())
+                .unzip();
+            let handles: Vec<_> = inboxes
+                .into_iter()
+                .enumerate()
+                .map(|(i, rx)| {
                     let senders = senders.clone();
                     let next = &next;
                     let stop = &stop;
@@ -485,20 +475,14 @@ impl<'a> AnalysisPipeline<'a> {
                         let worker = PipelineMetrics::worker_hours(registry, i);
                         let mut router = ShardRouter::new(self.db, self.hours, map);
                         let mut acc = ShardAccumulator::new(self.hours, map.range(i));
-                        let mut dones = 0usize;
                         loop {
                             // Apply whatever other routers have sent so
                             // far, so inboxes stay short.
-                            while let Ok(msg) = rx.try_recv() {
-                                match msg {
-                                    ShardMsg::Batch { interval, flows } => {
-                                        if !stop.load(Ordering::Relaxed) {
-                                            let t = Instant::now();
-                                            acc.apply_hour(interval, &flows);
-                                            pm.ingest_time.record(t.elapsed());
-                                        }
-                                    }
-                                    ShardMsg::Done => dones += 1,
+                            while let Ok((interval, flows)) = rx.try_recv() {
+                                if !stop.load(Ordering::Relaxed) {
+                                    let t = Instant::now();
+                                    acc.apply_hour(interval, &flows);
+                                    pm.ingest_time.record(t.elapsed());
                                 }
                             }
                             if stop.load(Ordering::Relaxed) {
@@ -534,9 +518,8 @@ impl<'a> AnalysisPipeline<'a> {
                                 if s == i {
                                     acc.apply_hour(interval, &flows);
                                 } else {
-                                    let batch = ShardMsg::Batch { interval, flows };
                                     senders[s]
-                                        .send(batch)
+                                        .send((interval, flows))
                                         .expect("shard inbox outlives workers");
                                 }
                             }
@@ -546,30 +529,23 @@ impl<'a> AnalysisPipeline<'a> {
                             pm.hours_ingested.inc();
                             worker.inc();
                         }
-                        // No more hours to route: tell every shard owner
-                        // this router is done, then apply stragglers
-                        // until every router has said so (per-sender
-                        // FIFO puts all batches before the Done).
-                        for tx in &senders {
-                            tx.send(ShardMsg::Done)
-                                .expect("shard inbox outlives workers");
-                        }
+                        // No more hours to route: hang up, then apply
+                        // stragglers until every router has hung up
+                        // (per-sender FIFO puts each router's batches
+                        // before its hang-up).
                         drop(senders);
-                        while dones < threads {
-                            match rx.recv() {
-                                Ok(ShardMsg::Batch { interval, flows }) => {
-                                    if !stop.load(Ordering::Relaxed) {
-                                        acc.apply_hour(interval, &flows);
-                                    }
-                                }
-                                Ok(ShardMsg::Done) => dones += 1,
-                                Err(_) => break,
+                        while let Ok((interval, flows)) = rx.recv() {
+                            if !stop.load(Ordering::Relaxed) {
+                                acc.apply_hour(interval, &flows);
                             }
                         }
                         (router.into_partial(), acc.finish())
                     })
                 })
                 .collect();
+            // Every sender left is a worker's: an inbox disconnects once
+            // the last router is done.
+            drop(senders);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("sharded worker does not panic"))
@@ -601,17 +577,24 @@ impl<'a> AnalysisPipeline<'a> {
     }
 }
 
-/// Where a driver's hours come from. Both drivers index it by position
-/// and run the same two steps per hour — [`read`](Self::read), then
-/// [`HourData::visit`] — so memory-fed and store-fed runs share every
-/// line of driver code.
-#[derive(Clone, Copy)]
-enum HourSource<'s> {
+/// Where a window's hours come from: the one way every walker reads
+/// them — both pipeline drivers, the streaming analyzer (and through it
+/// the daemon's replay), `investigate` and `export`. A walker indexes
+/// the source by position and takes one hour at a time, so it never
+/// holds more of the window than the hour it is on.
+///
+/// A store hour that fails to read or decode fails as
+/// [`NetError::Hour`], which names the hour and its interval; this is
+/// the one place a failure is given its hour. Memory hours cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub enum HourSource<'s> {
     /// Hours already decoded in memory.
     Memory(&'s [HourTraffic]),
-    /// These `(interval, hour)` files of an on-disk store.
+    /// These `(interval, hour)` hours of an on-disk store.
     Store {
+        /// The store the hours are read from.
         store: &'s FlowStore,
+        /// The hours to read, in walk order.
         work: &'s [(u32, UnixHour)],
     },
 }
@@ -622,51 +605,98 @@ enum HourData<'s> {
     Flows(&'s [FlowTuple]),
     Bytes {
         store: &'s FlowStore,
+        interval: u32,
         hour: UnixHour,
         bytes: HourBytes,
     },
 }
 
+/// Wrap a read or decode failure of `hour` with its name and interval.
+fn hour_failed(interval: u32, hour: UnixHour) -> impl FnOnce(NetError) -> NetError {
+    move |cause| NetError::Hour {
+        hour,
+        interval,
+        cause: Box::new(cause),
+    }
+}
+
 impl<'s> HourSource<'s> {
-    fn len(&self) -> usize {
+    /// The hours of `stored`'s work list in `store`.
+    pub fn stored(store: &'s FlowStore, stored: &'s StoredWindow) -> Self {
+        HourSource::Store {
+            store,
+            work: &stored.work,
+        }
+    }
+
+    /// How many hours the source holds.
+    pub fn len(&self) -> usize {
         match self {
             HourSource::Memory(traffic) => traffic.len(),
             HourSource::Store { work, .. } => work.len(),
         }
     }
 
+    /// Whether the source holds no hour.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The 1-based window interval of hour `k`.
-    fn interval(&self, k: usize) -> u32 {
+    pub fn interval(&self, k: usize) -> u32 {
         match self {
             HourSource::Memory(traffic) => traffic[k].interval,
             HourSource::Store { work, .. } => work[k].0,
         }
     }
 
-    /// The timed "read" stage: nothing to do for memory; for a store,
-    /// the hour's bytes — segment-resident hours arrive as zero-copy
-    /// borrows of the mapped segment.
+    /// Stream hour `k` into `sink`: one slice for memory, the fused
+    /// block-by-block decode for a store hour, which is never
+    /// materialized. On error the sink may hold a prefix of the hour.
+    ///
+    /// # Errors
+    ///
+    /// A store hour's read or decode failure, as [`NetError::Hour`].
+    pub fn visit(&self, k: usize, sink: &mut dyn FlowSink) -> Result<(), NetError> {
+        self.read(k)?.visit(sink)
+    }
+
+    /// The drivers' timed "read" stage: nothing to do for memory; for a
+    /// store, the hour's bytes — segment-resident hours arrive as
+    /// zero-copy borrows of the mapped segment.
     fn read(&self, k: usize) -> Result<HourData<'s>, NetError> {
         match *self {
             HourSource::Memory(traffic) => Ok(HourData::Flows(&traffic[k].flows)),
             HourSource::Store { store, work } => {
-                let hour = work[k].1;
-                let bytes = store.fetch_hour_bytes(hour)?;
-                Ok(HourData::Bytes { store, hour, bytes })
+                let (interval, hour) = work[k];
+                let bytes = store
+                    .fetch_hour_bytes(hour)
+                    .map_err(hour_failed(interval, hour))?;
+                Ok(HourData::Bytes {
+                    store,
+                    interval,
+                    hour,
+                    bytes,
+                })
             }
         }
     }
 }
 
 impl HourData<'_> {
-    /// Stream the hour into `sink`: one slice for memory (infallible),
-    /// the fused block-by-block decode for store bytes. On error the
-    /// sink may hold a prefix of the hour.
+    /// The drivers' "ingest" stage: stream the hour into `sink`.
     fn visit(&self, sink: &mut dyn FlowSink) -> Result<(), NetError> {
         match self {
             HourData::Flows(flows) => sink.on_flows(flows),
-            HourData::Bytes { store, hour, bytes } => {
-                store.visit_hour_for(*hour, bytes, DecodeOptions::default(), sink)?;
+            HourData::Bytes {
+                store,
+                interval,
+                hour,
+                bytes,
+            } => {
+                store
+                    .visit_hour_for(*hour, bytes, DecodeOptions::default(), sink)
+                    .map_err(hour_failed(*interval, *hour))?;
             }
         }
         Ok(())

@@ -33,13 +33,11 @@ use std::net::Ipv4Addr;
 /// header of every report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
-    /// Publication epoch (0 = nothing ingested; batch runs report the
-    /// ingested hour count).
+    /// Publication epoch: the hours ingested so far (0 = nothing
+    /// ingested; a batch run has ingested its whole window).
     pub epoch: u64,
     /// Window length in hours.
     pub hours_window: u32,
-    /// Hours ingested so far.
-    pub hours_ingested: u32,
     /// Correlated (compromised) devices.
     pub devices: usize,
     /// Compromised consumer devices.
@@ -159,19 +157,17 @@ pub struct QueryContext<'a> {
     alerts: &'a [Alert],
     scores: Option<&'a ScoreTable>,
     epoch: u64,
-    hours_ingested: u32,
 }
 
 impl<'a> QueryContext<'a> {
-    /// A context over a live snapshot: `epoch` publications,
-    /// `hours_ingested` hours so far, `alerts` raised so far.
+    /// A context over a live snapshot: `epoch` hours ingested so far,
+    /// `alerts` raised so far.
     pub fn new(
         analysis: &'a Analysis,
         db: &'a DeviceDb,
         isps: &'a IspRegistry,
         alerts: &'a [Alert],
         epoch: u64,
-        hours_ingested: u32,
     ) -> Self {
         QueryContext {
             analysis,
@@ -180,7 +176,6 @@ impl<'a> QueryContext<'a> {
             alerts,
             scores: None,
             epoch,
-            hours_ingested,
         }
     }
 
@@ -201,7 +196,6 @@ impl<'a> QueryContext<'a> {
             alerts: &[],
             scores: None,
             epoch: u64::from(analysis.hours),
-            hours_ingested: analysis.hours,
         }
     }
 
@@ -230,7 +224,6 @@ impl QueryApi for QueryContext<'_> {
         Summary {
             epoch: self.epoch,
             hours_window: self.analysis.hours,
-            hours_ingested: self.hours_ingested,
             devices: self.analysis.device_count(),
             consumer,
             cps,
@@ -344,7 +337,6 @@ mod tests {
             characterize::compromised_country_count(&analysis, &built.inventory.db)
         );
         assert_eq!(s.epoch, 143);
-        assert_eq!(s.hours_ingested, 143);
         assert_eq!(s.alerts, 0);
     }
 

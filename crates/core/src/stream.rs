@@ -18,17 +18,15 @@
 //! Baselines are trailing windows over past hours only, so detection is
 //! causal: an alert at hour *t* uses nothing later than *t*.
 
-use crate::analysis::{Analysis, Analyzer, HourIngest, TOP5_SERVICES};
+use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
+use crate::pipeline::HourSource;
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelIndex;
 use iotscope_net::ports::ScanService;
-use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore};
-use iotscope_net::time::UnixHour;
 use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry};
 use iotscope_telescope::HourTraffic;
-use std::convert::Infallible;
 
 /// Stream-layer metric handles (`stream.` prefix). Streaming is
 /// single-threaded and causal, so every counter is
@@ -334,47 +332,27 @@ impl<'a> StreamingAnalyzer<'a> {
     ///
     /// Panics if hours arrive out of order or outside the window.
     pub fn push_hour(&mut self, hour: &HourTraffic) -> Vec<Alert> {
-        let Ok(alerts) = self.push_with(hour.interval, |ingest| {
-            ingest.on_flows(&hour.flows);
-            Ok::<(), Infallible>(())
-        });
-        alerts
+        self.push_from(&HourSource::Memory(std::slice::from_ref(hour)), 0)
+            .expect("an in-memory hour cannot fail")
     }
 
-    /// Ingest the next hour straight from `store` — read, columnar
-    /// decode and fold fused block by block, the hour never
-    /// materialized (the path `analyze` takes) — and return the alerts
-    /// it raised: the same alerts, from the same state, as
+    /// Ingest hour `k` of `hours` as the next hour and return the
+    /// alerts it raised. A store hour is read, decoded and folded block
+    /// by block, never materialized (the path `analyze` takes), and
+    /// raises the same alerts, from the same state, as
     /// [`push_hour`](Self::push_hour) on the decoded hour.
     ///
     /// # Errors
     ///
-    /// Propagates the read or decode failure. The analyzer then holds a
-    /// prefix of the failed hour: discard it, do not push further.
+    /// The hour's read or decode failure, naming the hour
+    /// ([`NetError::Hour`]). The analyzer then holds a prefix of the
+    /// failed hour: discard it, do not push further.
     ///
     /// # Panics
     ///
     /// As [`push_hour`](Self::push_hour).
-    pub fn push_store_hour(
-        &mut self,
-        store: &FlowStore,
-        interval: u32,
-        hour: UnixHour,
-    ) -> Result<Vec<Alert>, NetError> {
-        self.push_with(interval, |ingest| {
-            let bytes = store.fetch_hour_bytes(hour)?;
-            store.visit_hour_for(hour, &bytes, DecodeOptions::default(), ingest)?;
-            Ok(())
-        })
-    }
-
-    /// The one per-hour step: `feed` folds the hour's flows into the
-    /// analyzer, then the detectors run over the updated state.
-    fn push_with<E>(
-        &mut self,
-        interval: u32,
-        feed: impl FnOnce(&mut HourIngest<'_, 'a>) -> Result<(), E>,
-    ) -> Result<Vec<Alert>, E> {
+    pub fn push_from(&mut self, hours: &HourSource<'_>, k: usize) -> Result<Vec<Alert>, NetError> {
+        let interval = hours.interval(k);
         if let Some(last) = self.last_interval {
             assert!(
                 interval > last,
@@ -384,7 +362,7 @@ impl<'a> StreamingAnalyzer<'a> {
         self.last_interval = Some(interval);
         let known = self.analyzer.peek().device_count();
         let mut ingest = self.analyzer.begin_hour(interval);
-        feed(&mut ingest)?;
+        hours.visit(k, &mut ingest)?;
         ingest.finish();
         let snapshot = self.analyzer.peek();
         let idx = (interval - 1) as usize;

@@ -77,6 +77,16 @@ pub enum NetError {
     Io(std::io::Error),
     /// A time interval was invalid (e.g. end before start).
     InvalidInterval(String),
+    /// A stored hour failed to read or decode: the hour, its 1-based
+    /// window interval, and why.
+    Hour {
+        /// The hour that failed.
+        hour: time::UnixHour,
+        /// Its interval within the analysis window.
+        interval: u32,
+        /// The read or decode failure.
+        cause: Box<NetError>,
+    },
 }
 
 impl NetError {
@@ -84,9 +94,13 @@ impl NetError {
     /// corruption detected, as opposed to truncation or bad structure.
     /// The store metrics use this to count `store.checksum_failures`.
     pub fn is_checksum_mismatch(&self) -> bool {
-        // `contains` rather than `starts_with`: v3 block failures are
-        // reported as "block N: checksum mismatch ...".
-        matches!(self, NetError::Codec(msg) if msg.contains("checksum mismatch"))
+        match self {
+            // `contains` rather than `starts_with`: v3 block failures are
+            // reported as "block N: checksum mismatch ...".
+            NetError::Codec(msg) => msg.contains("checksum mismatch"),
+            NetError::Hour { cause, .. } => cause.is_checksum_mismatch(),
+            _ => false,
+        }
     }
 }
 
@@ -100,6 +114,11 @@ impl fmt::Display for NetError {
             NetError::Codec(s) => write!(f, "flowtuple codec error: {s}"),
             NetError::Io(e) => write!(f, "i/o error: {e}"),
             NetError::InvalidInterval(s) => write!(f, "invalid interval: {s}"),
+            NetError::Hour {
+                hour,
+                interval,
+                cause,
+            } => write!(f, "{hour} (interval {interval}): {cause}"),
         }
     }
 }
@@ -108,6 +127,7 @@ impl Error for NetError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
+            NetError::Hour { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
     }
@@ -137,6 +157,21 @@ mod tests {
         let msg = format!("{e}");
         assert!(msg.starts_with("invalid prefix length"));
         assert!(!msg.ends_with('.'));
+    }
+
+    #[test]
+    fn hour_variant_names_the_hour_and_looks_through_to_its_cause() {
+        let e = NetError::Hour {
+            hour: time::UnixHour::new(414_490),
+            interval: 59,
+            cause: Box::new(NetError::Codec("block 0: checksum mismatch".into())),
+        };
+        assert_eq!(
+            e.to_string(),
+            "h414490 (interval 59): flowtuple codec error: block 0: checksum mismatch"
+        );
+        assert!(e.is_checksum_mismatch());
+        assert!(e.source().is_some());
     }
 
     #[test]

@@ -128,8 +128,9 @@ fn json_u64_array(values: &[u64]) -> String {
     out
 }
 
-/// Escape a metric name as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Render `s` as a JSON string literal, quotes included: the one
+/// escaper behind the metrics export and the daemon's JSON payloads.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

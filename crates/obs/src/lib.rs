@@ -49,6 +49,7 @@ mod metric;
 mod registry;
 mod snapshot;
 
+pub use export::json_string;
 pub use metric::{Counter, Gauge, Histogram, Span, Stability, Timer};
 pub use registry::Registry;
 pub use snapshot::{Snapshot, SnapshotEntry, SnapshotValue};

@@ -1,29 +1,6 @@
-//! Minimal hand-rolled JSON emission (the crate is zero-dependency,
-//! like `iotscope-obs`'s exporters). Only what the endpoint payloads
-//! need: escaped strings, number formatting, and array joining.
-
-use std::fmt::Write as _;
-
-/// Render `s` as a JSON string literal, quotes included.
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+//! Minimal hand-rolled JSON emission: what the endpoint payloads need
+//! beyond [`iotscope_obs::json_string`]'s escaped strings, number
+//! formatting and array joining.
 
 /// Render an `f64` as a JSON number (`null` for non-finite values,
 /// which JSON cannot carry).
@@ -53,12 +30,14 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotscope_obs::json_string;
 
+    /// The payloads' strings go through the metrics exporter's escaper.
     #[test]
     fn escapes_specials() {
-        assert_eq!(string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("plain"), "\"plain\"");
     }
 
     #[test]

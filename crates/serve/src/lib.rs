@@ -30,7 +30,7 @@ use iotscope_core::{Analysis, Analyzer, ScoreConfig, ScoreRow, ScoreTable};
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelContext;
-use iotscope_obs::{Counter, Histogram, Registry, Timer};
+use iotscope_obs::{json_string, Counter, Histogram, Registry, Timer};
 use iotscope_telescope::HourTraffic;
 use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
@@ -79,8 +79,6 @@ pub struct Snapshot {
     /// Structurally-equal republications (the normalized final state)
     /// keep their epoch, so each epoch maps to exactly one hour prefix.
     pub epoch: u64,
-    /// Hours ingested so far.
-    pub hours_ingested: u32,
     /// Interval of the most recently ingested hour.
     pub last_interval: Option<u32>,
     /// The analysis over exactly the first `epoch` ingested hours.
@@ -98,7 +96,6 @@ impl Snapshot {
     pub fn empty(db: &DeviceDb, hours: u32) -> Snapshot {
         Snapshot {
             epoch: 0,
-            hours_ingested: 0,
             last_interval: None,
             analysis: Arc::new(Analyzer::new(db, hours).finish()),
             alerts: Arc::new(Vec::new()),
@@ -108,15 +105,8 @@ impl Snapshot {
 
     /// A [`QueryApi`] view over this snapshot.
     pub fn query<'a>(&'a self, db: &'a DeviceDb, isps: &'a IspRegistry) -> QueryContext<'a> {
-        QueryContext::new(
-            &self.analysis,
-            db,
-            isps,
-            &self.alerts,
-            self.epoch,
-            self.hours_ingested,
-        )
-        .with_scores(self.scores.as_deref())
+        QueryContext::new(&self.analysis, db, isps, &self.alerts, self.epoch)
+            .with_scores(self.scores.as_deref())
     }
 }
 
@@ -277,9 +267,9 @@ impl TelescopeService {
     }
 
     /// The daemon's ingest loop. For each item of `hours`, `push` feeds
-    /// that hour into the streaming analyzer (from memory with
-    /// [`StreamingAnalyzer::push_hour`], from a store with
-    /// [`StreamingAnalyzer::push_store_hour`]); the loop then invokes
+    /// that hour into the streaming analyzer (an hour in memory with
+    /// [`StreamingAnalyzer::push_hour`]; a position in a store's hour
+    /// source with [`StreamingAnalyzer::push_from`]); the loop then invokes
     /// `on_alert` for each alert the hour raised (the live alert log —
     /// the CLI streams these to stdout) and publishes a new epoch
     /// snapshot.
@@ -308,15 +298,13 @@ impl TelescopeService {
         on_alert: &mut dyn FnMut(&Alert),
         mut push: impl FnMut(&mut StreamingAnalyzer<'_>, H) -> Result<Vec<Alert>, E>,
     ) -> Result<(Analysis, Vec<Alert>), E> {
-        let base = self.cell.load();
-        let (base_epoch, base_hours) = (base.epoch, base.hours_ingested);
-        drop(base);
+        let base_epoch = self.cell.load().epoch;
         let mut stream =
             StreamingAnalyzer::with_metrics(&self.db, self.hours, config, &self.registry);
         if let Some(intel) = &self.intel {
             stream = stream.with_intel(&intel.index, ScoreConfig::default());
         }
-        let mut pushed = 0u32;
+        let mut pushed = 0u64;
         let mut alert_log: Arc<Vec<Alert>> = Arc::new(Vec::new());
         for hour in hours {
             let raised = push(&mut stream, hour)?;
@@ -331,8 +319,7 @@ impl TelescopeService {
             }
             pushed += 1;
             self.cell.publish(Snapshot {
-                epoch: base_epoch + u64::from(pushed),
-                hours_ingested: base_hours + pushed,
+                epoch: base_epoch + pushed,
                 last_interval: stream.last_interval(),
                 analysis: Arc::new(stream.snapshot()),
                 alerts: Arc::clone(&alert_log),
@@ -347,8 +334,7 @@ impl TelescopeService {
         // with device rows in id order, so readers keep their
         // epoch↔prefix mapping.
         self.cell.publish(Snapshot {
-            epoch: base_epoch + u64::from(pushed),
-            hours_ingested: base_hours + pushed,
+            epoch: base_epoch + pushed,
             last_interval,
             analysis: Arc::new(analysis.clone()),
             alerts: alert_log,
@@ -415,11 +401,12 @@ impl TelescopeService {
         }
     }
 
+    /// The `hours_ingested` key repeats the epoch: the two are one count.
     fn render_healthz(&self, snap: &Snapshot) -> String {
         format!(
             "{{\"status\":\"ok\",\"epoch\":{},\"hours_ingested\":{},\"last_interval\":{}}}",
             snap.epoch,
-            snap.hours_ingested,
+            snap.epoch,
             match snap.last_interval {
                 Some(i) => i.to_string(),
                 None => "null".to_owned(),
@@ -430,9 +417,10 @@ impl TelescopeService {
 
 /// A JSON error payload.
 pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":{}}}", json::string(message))
+    format!("{{\"error\":{}}}", json_string(message))
 }
 
+/// The `hours_ingested` key repeats the epoch: the two are one count.
 fn render_summary(s: &iotscope_core::query::Summary) -> String {
     format!(
         "{{\"epoch\":{},\"hours_window\":{},\"hours_ingested\":{},\"devices\":{},\
@@ -440,7 +428,7 @@ fn render_summary(s: &iotscope_core::query::Summary) -> String {
          \"unmatched_flows\":{},\"unmatched_packets\":{},\"alerts\":{}}}",
         s.epoch,
         s.hours_window,
-        s.hours_ingested,
+        s.epoch,
         s.devices,
         s.consumer,
         s.cps,
@@ -456,7 +444,7 @@ fn render_realms(realms: &[iotscope_core::query::RealmStats; 2]) -> String {
     let rows = realms.iter().map(|r| {
         format!(
             "{{\"realm\":{},\"deployed\":{},\"compromised\":{},\"packets\":{}}}",
-            json::string(&r.realm.to_string()),
+            json_string(&r.realm.to_string()),
             r.deployed,
             r.compromised,
             r.packets,
@@ -469,7 +457,7 @@ fn render_countries(rows: &[iotscope_core::characterize::CountryRow]) -> String 
     let top = rows.iter().take(15).map(|r| {
         format!(
             "{{\"country\":{},\"consumer\":{},\"cps\":{},\"pct_compromised\":{}}}",
-            json::string(r.country.name()),
+            json_string(r.country.name()),
             r.consumer,
             r.cps,
             match r.pct_compromised {
@@ -486,8 +474,8 @@ fn render_isps(api: &dyn QueryApi) -> String {
         json::array(api.isps(realm, 5).into_iter().map(|r| {
             format!(
                 "{{\"name\":{},\"country\":{},\"devices\":{},\"pct\":{}}}",
-                json::string(&r.name),
-                json::string(&r.country),
+                json_string(&r.name),
+                json_string(&r.country),
                 r.devices,
                 json::number(r.pct),
             )
@@ -506,7 +494,7 @@ fn render_alerts(alerts: &[Alert]) -> String {
         .rev()
         .take(50)
         .rev()
-        .map(|a| json::string(&a.to_string()));
+        .map(|a| json_string(&a.to_string()));
     format!(
         "{{\"count\":{},\"recent\":{}}}",
         alerts.len(),
@@ -515,13 +503,13 @@ fn render_alerts(alerts: &[Alert]) -> String {
 }
 
 fn render_score(r: &ScoreRow) -> String {
-    let categories = json::array(r.categories().iter().map(|c| json::string(&c.to_string())));
+    let categories = json::array(r.categories().iter().map(|c| json_string(&c.to_string())));
     format!(
         "{{\"id\":{},\"realm\":{},\"tier\":{},\"points\":{},\"categories\":{categories},\
          \"samples\":{},\"scan_packets\":{},\"backscatter_packets\":{},\"total_packets\":{}}}",
         r.device.0,
-        json::string(&r.realm.to_string()),
-        json::string(&r.tier.to_string()),
+        json_string(&r.realm.to_string()),
+        json_string(&r.tier.to_string()),
         r.points,
         r.samples,
         r.scan_packets,
@@ -542,7 +530,7 @@ fn render_device(d: &iotscope_core::query::DeviceDetail) -> String {
     let packets = CLASS_NAMES
         .iter()
         .zip(d.packets_by_class)
-        .map(|(name, n)| format!("{}:{n}", json::string(name)))
+        .map(|(name, n)| format!("{}:{n}", json_string(name)))
         .collect::<Vec<_>>()
         .join(",");
     format!(
@@ -550,10 +538,10 @@ fn render_device(d: &iotscope_core::query::DeviceDetail) -> String {
          \"first_interval\":{},\"days_active\":{},\"flows\":{},\
          \"total_packets\":{},\"packets\":{{{packets}}}}}",
         d.id.0,
-        json::string(&d.ip.to_string()),
-        json::string(&d.realm.to_string()),
-        json::string(&d.country),
-        json::string(&d.isp),
+        json_string(&d.ip.to_string()),
+        json_string(&d.realm.to_string()),
+        json_string(&d.country),
+        json_string(&d.isp),
         d.first_interval,
         d.days_active,
         d.flows,
@@ -564,6 +552,7 @@ fn render_device(d: &iotscope_core::query::DeviceDetail) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotscope_core::pipeline::HourSource;
     use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 
     fn service_with_traffic(seed: u64) -> (TelescopeService, Vec<HourTraffic>) {
@@ -596,7 +585,6 @@ mod tests {
         assert_eq!(alert_count, alerts.len());
         let snap = service.snapshot();
         assert_eq!(snap.epoch, 48);
-        assert_eq!(snap.hours_ingested, 48);
         assert_eq!(snap.last_interval, Some(48));
         assert_eq!(*snap.analysis, analysis);
         assert_eq!(*snap.alerts, alerts);
@@ -620,19 +608,19 @@ mod tests {
         assert!(body.contains("\"stream.state_bytes\""), "{body}");
     }
 
+    /// Driven as the CLI drives a store: the items are positions in an
+    /// hour source, and the hour at interval 7 fails.
     #[test]
     fn a_failed_hour_ends_ingest_and_publishes_nothing() {
         let (service, traffic) = service_with_traffic(78);
+        let source = HourSource::Memory(&traffic[..10]);
         let failed = service.ingest_with(
-            &traffic[..10],
+            0..source.len(),
             StreamConfig::default(),
             &mut |_| {},
-            |stream, hour| {
-                if hour.interval == 7 {
-                    Err("unreadable")
-                } else {
-                    Ok(stream.push_hour(hour))
-                }
+            |stream, k| match source.interval(k) {
+                7 => Err("unreadable"),
+                _ => Ok(stream.push_from(&source, k).expect("a memory hour")),
             },
         );
         assert_eq!(failed.unwrap_err(), "unreadable");

@@ -11,7 +11,7 @@
 //! optimised paths with each other.
 
 use iotscope_core::behavior::{self, BehaviorFold, BehaviorVector};
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, StoredWindow};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, HourSource, StoredWindow};
 use iotscope_core::shard::{assemble, ShardAccumulator, ShardRouter};
 use iotscope_core::stream::{StreamConfig, StreamingAnalyzer};
 use iotscope_core::{Analysis, Analyzer};
@@ -144,12 +144,12 @@ fn fold_store(
 ) -> (HashMap<Ipv4Addr, BehaviorVector>, Analysis) {
     let mut an = Analyzer::new(db, HOURS);
     let mut fold = BehaviorFold::new(db, HOURS);
-    for (interval, hour) in StoredWindow::of(store, window).work {
-        let bytes = store.fetch_hour_bytes(hour).unwrap();
+    let stored = StoredWindow::of(store, window);
+    let source = HourSource::stored(store, &stored);
+    for k in 0..source.len() {
+        let interval = source.interval(k);
         let mut both = (an.begin_hour(interval), fold.begin_hour(interval));
-        store
-            .visit_hour_for(hour, &bytes, DecodeOptions::default(), &mut both)
-            .unwrap();
+        source.visit(k, &mut both).unwrap();
         both.0.finish();
     }
     (fold.finish(), an.finish())
@@ -281,15 +281,17 @@ proptest! {
     }
 
     /// `StreamingAnalyzer` through `push_hour` (the generated hours, gaps
-    /// and all) and through `push_store_hour` (a store's window): every
-    /// epoch is the reference of the hours pushed so far.
+    /// and all) and through `push_from` a store's hour source (a store's
+    /// window): every epoch is the reference of the hours pushed so far.
     #[test]
     fn streaming(seed: u64, hours in 1u32..=4, big: bool) {
         let db = oracle::inventory();
         let traffic = oracle::random_traffic(&db, seed, hours, big);
         let stored = window_hours(&traffic);
         let (dir, store, _) = write_store("streaming", &stored);
-        for (path, pushed) in [("push_hour", &traffic), ("push_store_hour", &stored)] {
+        let work: Vec<(u32, UnixHour)> = stored.iter().map(|h| (h.interval, h.hour)).collect();
+        let source = HourSource::Store { store: &store, work: &work };
+        for (path, pushed) in [("push_hour", &traffic), ("push_from store", &stored)] {
             let registry = Registry::new();
             let config = StreamConfig::default();
             let mut stream = StreamingAnalyzer::with_metrics(&db, HOURS, config, &registry);
@@ -297,7 +299,7 @@ proptest! {
                 if path == "push_hour" {
                     stream.push_hour(hour);
                 } else {
-                    stream.push_store_hour(&store, hour.interval, hour.hour).unwrap();
+                    stream.push_from(&source, k).unwrap();
                 }
                 let epoch = oracle::analyze(&db, HOURS, &pushed[..=k]);
                 prop_assert_eq!(&Naive::from(&stream.snapshot()), &epoch, "{} epoch {}", path, k + 1);
@@ -438,7 +440,7 @@ proptest! {
         let service = TelescopeService::new(db, isps, HOURS);
         let (analysis, _) = service.ingest(&traffic, StreamConfig::default(), &mut |_| {});
         let last = service.snapshot();
-        prop_assert_eq!((last.epoch, last.hours_ingested), (u64::from(hours), hours));
+        prop_assert_eq!(last.epoch, u64::from(hours));
         prop_assert_eq!(&Naive::from(&*last.analysis), &want, "final epoch");
         assert_finished(&want, &analysis, "service");
     }

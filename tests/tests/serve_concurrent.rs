@@ -9,6 +9,7 @@
 //! epochs only move forward. The HTTP listener must round-trip the
 //! same snapshots over a real socket.
 
+use iotscope_core::pipeline::HourSource;
 use iotscope_core::stream::StreamConfig;
 use iotscope_core::{udp, QueryApi};
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig, SynthOutput};
@@ -137,7 +138,6 @@ proptest! {
         // The settled state is the full window's batch analysis.
         let last = service.snapshot();
         prop_assert_eq!(last.epoch, u64::from(num_hours));
-        prop_assert_eq!(last.hours_ingested, num_hours);
         let full = prefix_analysis(&inv.db, &traffic, num_hours as usize);
         prop_assert_eq!(Naive::from(&*last.analysis), full);
 
@@ -156,7 +156,6 @@ proptest! {
             }
             for (epoch, snap) in seen {
                 prop_assert!(epoch <= u64::from(num_hours));
-                prop_assert_eq!(u64::from(snap.hours_ingested), epoch);
                 let reference = references.entry(epoch).or_insert_with(|| {
                     prefix_analysis(&inv.db, &traffic, epoch as usize)
                 });
@@ -208,14 +207,18 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     for h in &traffic {
         store.write_hour(h.hour, &h.flows).expect("write hour");
     }
-    let hours: Vec<(u32, UnixHour)> = traffic.iter().map(|h| (h.interval, h.hour)).collect();
+    let work: Vec<(u32, UnixHour)> = traffic.iter().map(|h| (h.interval, h.hour)).collect();
+    let source = HourSource::Store {
+        store: &store,
+        work: &work,
+    };
     let new_service = || TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
     let feed = |service: &TelescopeService| {
         service.ingest_with(
-            &hours,
+            0..source.len(),
             StreamConfig::default(),
             &mut |_| {},
-            |stream, &(interval, hour)| stream.push_store_hour(&store, interval, hour),
+            |stream, k| stream.push_from(&source, k),
         )
     };
 
@@ -235,8 +238,10 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let stopped = new_service();
     let err = feed(&stopped).expect_err("corrupt hour must fail ingest");
     assert!(err.is_checksum_mismatch(), "{err}");
+    let named = format!("{} (interval 5): ", traffic[4].hour);
+    assert!(err.to_string().starts_with(&named), "{err}");
     let last = stopped.snapshot();
-    assert_eq!((last.epoch, last.hours_ingested), (4, 4));
+    assert_eq!(last.epoch, 4);
     assert_eq!(last.last_interval, Some(4));
     assert_eq!(
         Naive::from(&*last.analysis),

@@ -329,6 +329,10 @@ fn corrupt_hour_surfaces_codec_error_from_parallel_path() {
             format!("{err}").contains("checksum"),
             "threads={threads} got: {err}"
         );
+        assert!(
+            format!("{err}").starts_with(&format!("{victim} (interval {victim_interval}): ")),
+            "threads={threads} got: {err}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
