@@ -3,15 +3,18 @@
 //! Segments pack hundreds of hour payloads into one file; reading them
 //! through a map means the block decoder borrows `&[u8]` straight out
 //! of the page cache instead of copying every hour into a fresh
-//! `Vec<u8>` first — the year-scale streaming path stays flat in RSS
-//! because only the pages actually touched are ever resident, and the
-//! kernel can reclaim them behind the cursor.
+//! `Vec<u8>` first. Only the pages a reader touches are ever resident,
+//! and the reader gives them back behind its cursor: when a fetched
+//! hour's bytes drop, the store calls [`Mmap::release`] on the hour's
+//! range, which `madvise(MADV_DONTNEED)`s its whole
+//! [`RELEASE_GRANULE`]s. A walk over a year of segments therefore
+//! holds one hour's pages, not every page it has served.
 //!
 //! Zero-dependency discipline, like the rest of the workspace: the map
-//! is a raw `mmap(2)`/`munmap(2)` FFI pair on 64-bit unix (std already
-//! links libc there), and everywhere else [`Mmap::open`] silently falls
-//! back to reading the file into an owned buffer, so callers never
-//! branch on platform.
+//! is a raw `mmap(2)`/`munmap(2)`/`madvise(2)` binding on 64-bit unix
+//! (std already links libc there), and everywhere else [`Mmap::open`]
+//! silently falls back to reading the file into an owned buffer, so
+//! callers never branch on platform.
 //!
 //! # Safety argument
 //!
@@ -29,6 +32,15 @@
 //!   comes from a successful `mmap` call of exactly that length and is
 //!   unmapped only in `Drop`, after every borrow is gone (the borrows
 //!   are tied to `&self`).
+//! * [`Mmap::release`] only drops resident pages; it never unmaps. No
+//!   page of a `PROT_READ` + `MAP_PRIVATE` mapping is ever a private
+//!   copy (nothing writes to it), so the next touch of a released page
+//!   maps the same page-cache bytes of the same immutable file again.
+//!   A live `&[u8]` over a released page — a neighbouring hour that
+//!   shares it, another thread's hour, or [`Mmap::bytes`] itself —
+//!   therefore reads identical bytes before and after. The call is
+//!   only advice: its error is ignored, and the owned fallback has no
+//!   pages to give back.
 //! * An *external* writer truncating the file under the map could still
 //!   fault the process (`SIGBUS`), exactly as it always could corrupt a
 //!   plain `read`. That is outside the trust boundary; within it, the
@@ -38,7 +50,15 @@
 use crate::NetError;
 use std::fs;
 use std::io::Read as _;
+use std::ops::Range;
 use std::path::Path;
+
+/// The unit [`Mmap::release`] gives back: 64 KiB, a multiple of every
+/// base page size the workspace maps on (4 KiB, 16 KiB, 64 KiB), so a
+/// granule boundary is always page-aligned. It is also Linux's default
+/// fault-around window, so the pages a fault maps around it never lie
+/// before the granule its own range's release starts at.
+pub const RELEASE_GRANULE: usize = 64 * 1024;
 
 /// A read-only view of an entire file: memory-mapped where supported,
 /// an owned in-memory copy otherwise. Either way [`Mmap::bytes`] hands
@@ -102,6 +122,28 @@ impl Mmap {
         self.bytes().is_empty()
     }
 
+    /// Give back the resident pages of `range`, both ends rounded
+    /// *down* to a [`RELEASE_GRANULE`] boundary: the granule holding
+    /// `range.start` is released, the one holding `range.end` is kept.
+    /// A forward walk that releases each range it has read thus
+    /// releases every page once, by the first range that ends past it,
+    /// and keeps at most one granule resident. Bytes stay readable: a
+    /// released page is mapped again on its next touch (see the module
+    /// docs). A no-op on the owned fallback.
+    pub fn release(&self, range: Range<usize>) {
+        let start = range.start - range.start % RELEASE_GRANULE;
+        let end = range.end.min(self.len());
+        let end = end - end % RELEASE_GRANULE;
+        if start >= end {
+            return;
+        }
+        match &self.inner {
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Inner::Mapped(map) => map.dont_need(start, end),
+            Inner::Owned(_) => {}
+        }
+    }
+
     /// Whether this view is an actual memory map (false on the owned
     /// fallback). Only observability — the slice behaves identically.
     pub fn is_mapped(&self) -> bool {
@@ -127,9 +169,9 @@ impl AsRef<[u8]> for Mmap {
     }
 }
 
-/// The raw `mmap(2)` binding. Kept to the two calls the reader needs;
-/// constants are the values Linux and the BSDs agree on for this flag
-/// subset.
+/// The raw `mmap(2)` binding. Kept to the three calls the reader needs;
+/// constants are the values Linux, macOS and the BSDs agree on for this
+/// flag subset.
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod sys {
     use std::fs::File;
@@ -139,6 +181,7 @@ mod sys {
 
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
+    const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         fn mmap(
@@ -150,6 +193,7 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     /// An owned `mmap` region: unmapped on drop.
@@ -193,6 +237,28 @@ mod sys {
             // returned borrow cannot outlive `&self` (see module docs
             // for the immutability argument).
             unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
+        }
+
+        /// Drop the resident pages of `start..end`; `start` must be
+        /// page-aligned. The mapping stays; a later touch re-maps the
+        /// file's bytes (module docs).
+        pub(super) fn dont_need(&self, start: usize, end: usize) {
+            assert!(start < end && end <= self.len, "release out of the map");
+            // SAFETY: start..end lies inside the live mapping and
+            // `start` is page-aligned (the caller rounds to
+            // RELEASE_GRANULE). MADV_DONTNEED on a read-only private
+            // file mapping with no private copies only drops page-table
+            // entries: outstanding `&[u8]` borrows stay valid and read
+            // the same file bytes on their next touch. The call is
+            // advice, so a failure (EINVAL on an unexpected page size)
+            // leaves the pages resident and is ignored.
+            unsafe {
+                madvise(
+                    self.ptr.cast::<u8>().add(start).cast::<c_void>(),
+                    end - start,
+                    MADV_DONTNEED,
+                );
+            }
         }
     }
 
@@ -249,6 +315,30 @@ mod tests {
         let map = Mmap::open(&path).unwrap();
         assert!(map.is_mapped());
         assert_eq!(&map[..5], b"hello");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn released_ranges_read_back_unchanged() {
+        let payload: Vec<u8> = (0..=250u8)
+            .cycle()
+            .take(3 * RELEASE_GRANULE + 999)
+            .collect();
+        let path = tmpfile("release", &payload);
+        let map = Mmap::open(&path).unwrap();
+        // A borrow taken before the release, across a granule boundary.
+        let held = &map.bytes()[RELEASE_GRANULE - 10..RELEASE_GRANULE + 10];
+        assert_eq!(held, &payload[RELEASE_GRANULE - 10..RELEASE_GRANULE + 10]);
+        for range in [
+            0..10,
+            5..RELEASE_GRANULE + 1,
+            100..payload.len(),
+            0..usize::MAX,
+        ] {
+            map.release(range);
+            assert_eq!(held, &payload[RELEASE_GRANULE - 10..RELEASE_GRANULE + 10]);
+            assert_eq!(map.bytes(), &payload[..]);
+        }
         let _ = fs::remove_file(&path);
     }
 

@@ -243,6 +243,14 @@ impl Segment {
         self.map.bytes()
     }
 
+    /// Give back the resident pages of the payload at
+    /// `offset..offset + len`, rounded as [`Mmap::release`] rounds: a
+    /// reader done with an hour releases it, so a forward walk keeps
+    /// one hour of the segment resident, not every hour it has read.
+    pub fn release(&self, offset: usize, len: usize) {
+        self.map.release(offset..offset + len);
+    }
+
     /// Whether the file is really memory-mapped (false on the owned
     /// fallback — see [`Mmap::is_mapped`]).
     pub fn is_mapped(&self) -> bool {

@@ -130,8 +130,9 @@ impl StoreMetrics {
 
 /// Capacity of the segment LRU. Reads are hour-sequential, so two (the
 /// current segment plus its successor during the boundary crossing)
-/// keep a year-scale scan from ever re-opening files while bounding
-/// resident mappings.
+/// keep a year-scale scan from ever re-opening and re-validating a
+/// file. Residency is not bounded here: a fetched hour releases its own
+/// pages when it drops ([`HourBytes`]), whatever stays open.
 const OPEN_SEGMENTS: usize = 2;
 
 /// Lazily loaded segment-routing state shared by clones of a store:
@@ -312,11 +313,11 @@ impl FlowStore {
                         self.metrics.bytes_read.add(len as u64);
                         self.metrics.hours_read.inc();
                         Ok(HourBytes {
-                            inner: HourBytesInner::Mapped {
+                            inner: HourBytesInner::Mapped(MappedHour {
                                 segment,
                                 offset,
                                 len,
-                            },
+                            }),
                         })
                     }
                     None => Err(NetError::Io(e)),
@@ -616,7 +617,9 @@ pub struct CompactionReport {
 /// Raw bytes of one hour as fetched by [`FlowStore::fetch_hour_bytes`]:
 /// either an owned read of a per-hour file or a zero-copy borrow out of
 /// a mapped segment (the `Arc` keeps the mapping alive for as long as
-/// any fetched hour is). Dereferences to `&[u8]` either way.
+/// any fetched hour is). Dereferences to `&[u8]` either way. Dropping a
+/// mapped hour releases its pages ([`Segment::release`]), so holding an
+/// hour, not its segment, is what keeps bytes resident.
 #[derive(Debug)]
 pub struct HourBytes {
     inner: HourBytesInner,
@@ -625,11 +628,21 @@ pub struct HourBytes {
 #[derive(Debug)]
 enum HourBytesInner {
     Owned(Vec<u8>),
-    Mapped {
-        segment: Arc<Segment>,
-        offset: usize,
-        len: usize,
-    },
+    Mapped(MappedHour),
+}
+
+/// One hour's byte range in a mapped segment.
+#[derive(Debug)]
+struct MappedHour {
+    segment: Arc<Segment>,
+    offset: usize,
+    len: usize,
+}
+
+impl Drop for MappedHour {
+    fn drop(&mut self) {
+        self.segment.release(self.offset, self.len);
+    }
 }
 
 impl HourBytes {
@@ -641,7 +654,7 @@ impl HourBytes {
     pub fn is_mapped(&self) -> bool {
         match &self.inner {
             HourBytesInner::Owned(_) => false,
-            HourBytesInner::Mapped { segment, .. } => segment.is_mapped(),
+            HourBytesInner::Mapped(hour) => hour.segment.is_mapped(),
         }
     }
 }
@@ -652,11 +665,9 @@ impl std::ops::Deref for HourBytes {
     fn deref(&self) -> &[u8] {
         match &self.inner {
             HourBytesInner::Owned(bytes) => bytes,
-            HourBytesInner::Mapped {
-                segment,
-                offset,
-                len,
-            } => &segment.bytes()[*offset..*offset + *len],
+            HourBytesInner::Mapped(hour) => {
+                &hour.segment.bytes()[hour.offset..hour.offset + hour.len]
+            }
         }
     }
 }

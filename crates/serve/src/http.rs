@@ -3,17 +3,27 @@
 //! `std::net::TcpListener` + a thread per connection with keep-alive:
 //! no async runtime, no external crates, same discipline as
 //! `iotscope-obs`'s exporters. Handlers only ever clone the current
-//! snapshot `Arc`, so slow clients never block ingest. What a peer can
-//! make a handler buffer is bounded: at most 100 header lines of at
-//! most 8 KiB each.
+//! snapshot `Arc`, so slow clients never block ingest. What peers can
+//! make the server hold is bounded: at most [`MAX_CONNECTIONS`] live
+//! connections (one more is answered `503`), each buffering at most 100
+//! header lines of at most 8 KiB.
 
 use crate::{error_body, TelescopeService};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Most connections served at once. The next one is answered `503`
+/// with `Connection: close` on the accept thread, before its request is
+/// read, and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent
+/// error does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// How long an idle keep-alive connection may sit between requests
 /// before the handler thread gives up on it.
@@ -51,10 +61,21 @@ fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result
     })
 }
 
+/// One live connection's place under [`MAX_CONNECTIONS`]; given back
+/// when the handler ends, or when its thread could not be spawned.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// The listener: an accept-loop thread spawning one handler thread per
-/// connection. Dropping (or [`shutdown`](Self::shutdown)) stops the
-/// accept loop and refuses further connections; in-flight handlers
-/// drain on their own read timeouts.
+/// connection, at most [`MAX_CONNECTIONS`] at once. Dropping (or
+/// [`shutdown`](Self::shutdown)) stops the accept loop and refuses
+/// further connections; in-flight handlers drain on their own read
+/// timeouts.
 #[derive(Debug)]
 pub struct HttpServer {
     addr: SocketAddr,
@@ -68,25 +89,44 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures (port in use, permission).
+    /// Propagates bind failures (port in use, permission) and a refused
+    /// accept thread.
     pub fn bind(addr: &str, service: Arc<TelescopeService>) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
-        let accept = std::thread::spawn(move || {
+        let live = Arc::new(AtomicUsize::new(0));
+        let accept = thread::Builder::new().spawn(move || {
             for conn in listener.incoming() {
                 if stop_accept.load(Ordering::Acquire) {
                     break;
                 }
-                let Ok(stream) = conn else { continue };
+                let mut stream = match conn {
+                    Ok(stream) => stream,
+                    Err(_) => {
+                        thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    }
+                };
+                // Only this thread takes slots, so the check cannot race.
+                if live.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+                    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+                    let _ = refuse(&mut stream, 503, "too many connections");
+                    continue;
+                }
+                live.fetch_add(1, Ordering::AcqRel);
+                let slot = Slot(Arc::clone(&live));
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop_accept);
-                std::thread::spawn(move || {
+                // A refused spawn drops the closure, and with it the
+                // connection and its slot.
+                let _ = thread::Builder::new().spawn(move || {
+                    let _slot = slot;
                     let _ = handle_connection(stream, &service, &stop);
                 });
             }
-        });
+        })?;
         Ok(HttpServer {
             addr: local,
             stop,
@@ -216,6 +256,7 @@ fn write_response(
         404 => "Not Found",
         405 => "Method Not Allowed",
         431 => "Request Header Fields Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
     let header = format!(

@@ -19,7 +19,7 @@ use iotscope_net::ports::ServiceRegistry;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
-use iotscope_serve::http::HttpServer;
+use iotscope_serve::http::{HttpServer, MAX_CONNECTIONS};
 use iotscope_serve::{Snapshot, TelescopeService};
 use iotscope_telescope::HourTraffic;
 use iotscope_tests::oracle::{self, Naive};
@@ -29,6 +29,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 const WINDOW_HOURS: u32 = 8;
 
@@ -500,4 +501,62 @@ fn http_bounds_request_line_and_header_count() {
     let (status, body) = get(&mut conn, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
+}
+
+/// A connection flood cannot stop the daemon accepting: with
+/// `MAX_CONNECTIONS` connections held open the next one reads `503`
+/// with `Connection: close`, and once one of them closes a fresh
+/// connection is served again.
+#[test]
+fn http_connections_past_the_cap_get_503_until_one_closes() {
+    let inv = inventory();
+    let service = Arc::new(TelescopeService::new(
+        inv.db.clone(),
+        inv.isps.clone(),
+        WINDOW_HOURS,
+    ));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
+    // Each held connection has been answered once, so a handler holds
+    // its slot.
+    let mut held: Vec<BufReader<TcpStream>> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut conn =
+                BufReader::new(TcpStream::connect(server.local_addr()).expect("connect"));
+            assert_eq!(get(&mut conn, "/healthz").0, 200);
+            conn
+        })
+        .collect();
+
+    // The refusal comes before the request is read: send nothing.
+    let mut over = TcpStream::connect(server.local_addr()).expect("connect");
+    over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut answer = String::new();
+    over.read_to_string(&mut answer)
+        .expect("the server answers and closes");
+    assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+    assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
+
+    // Closing one held connection frees its slot once its handler reads
+    // the end of the stream; until then a new one may still read 503.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let served = loop {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut answer = String::new();
+        let sent = stream.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        if sent.is_ok() && stream.read_to_string(&mut answer).is_ok() {
+            if answer.starts_with("HTTP/1.1 200 ") {
+                break answer;
+            }
+            assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+        }
+        assert!(Instant::now() < deadline, "no slot came free");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(served.contains("\"status\":\"ok\""), "{served}");
+    // The connections still held are still served.
+    assert_eq!(get(&mut held[0], "/healthz").0, 200);
 }

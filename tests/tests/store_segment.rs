@@ -7,6 +7,7 @@
 
 use iotscope_core::pipeline::StoredWindow;
 use iotscope_net::flowtuple::FlowTuple;
+use iotscope_net::mmap::RELEASE_GRANULE;
 use iotscope_net::protocol::TcpFlags;
 use iotscope_net::segment::{Manifest, SegmentStoreBuilder};
 use iotscope_net::store::{
@@ -161,6 +162,114 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
         assert_eq!(decoded.len(), n);
         assert_eq!(&decoded, flows, "hour {hour} flows drifted");
     }
+
+    // A dropped hour releases its pages, and the first two hours share
+    // the first segment and its first release granule: whichever of the
+    // two drops first, the one still held (and a re-fetch of the one
+    // dropped) reads its pre-compaction bytes.
+    assert!(
+        per_hour[0].0.len() + per_hour[1].0.len() > RELEASE_GRANULE,
+        "hour 1 must end past the first granule, so dropping it releases hour 0's pages"
+    );
+    for (dropped, held) in [(0, 1), (1, 0)] {
+        let kept = store.fetch_hour_bytes(hours[held]).unwrap();
+        let gone = store.fetch_hour_bytes(hours[dropped]).unwrap();
+        assert_eq!(&*gone, &per_hour[dropped].0[..]);
+        assert_eq!(&*kept, &per_hour[held].0[..]);
+        drop(gone);
+        assert_eq!(
+            &*kept,
+            &per_hour[held].0[..],
+            "hour {held} changed under a release"
+        );
+        let again = store.fetch_hour_bytes(hours[dropped]).unwrap();
+        assert_eq!(
+            &*again,
+            &per_hour[dropped].0[..],
+            "hour {dropped} re-fetch drifted"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Resident size of this process's mapping of a file under `dir` that
+/// contains `addr`, from `/proc/self/smaps`, or `None` once that file
+/// is unmapped (the address may since have been reused).
+#[cfg(target_os = "linux")]
+fn mapping_rss_bytes(addr: usize, dir: &std::path::Path) -> Option<usize> {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+    let dir = std::fs::canonicalize(dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    let mut inside = false;
+    for line in smaps.lines() {
+        let first = line.split_whitespace().next().unwrap_or("");
+        if let Some((lo, hi)) = first.split_once('-') {
+            if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+            {
+                inside = (lo..hi).contains(&addr) && line.contains(dir);
+                continue;
+            }
+        }
+        if inside {
+            if let Some(kb) = line.strip_prefix("Rss:") {
+                let kb = kb.trim().trim_end_matches("kB").trim();
+                return Some(kb.parse::<usize>().unwrap() * 1024);
+            }
+        }
+    }
+    None
+}
+
+/// A walk over a segmented store holds the hour it is on, not the
+/// segment: once every hour has been fetched, decoded and dropped, each
+/// segment mapping still open keeps at most one release granule
+/// resident, not the bytes it served.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_segment_walk_keeps_no_dropped_hour_resident() {
+    let shared = shared();
+    let dir = tmpdir("residency");
+    let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+    let traffic = &shared.traffic[..48];
+    for t in traffic {
+        store.write_hour(t.hour, &t.flows).unwrap();
+    }
+    assert_eq!(store.compact_to_segments(16).unwrap().segments_written, 3);
+    // Per segment: an address inside its mapping and the bytes decoded
+    // out of it.
+    let mut segments: Vec<(usize, usize)> = Vec::new();
+    for (i, t) in traffic.iter().enumerate() {
+        let bytes = store.fetch_hour_bytes(t.hour).unwrap();
+        assert!(bytes.is_mapped(), "hour {} should be mmap-backed", t.hour);
+        let mut sink = CollectSink::default();
+        store
+            .visit_hour_for(t.hour, &bytes, DecodeOptions::default(), &mut sink)
+            .unwrap();
+        assert_eq!(sink.into_flows().len(), t.flows.len());
+        if i % 16 == 0 {
+            segments.push((bytes.as_ptr() as usize, 0));
+        }
+        segments.last_mut().unwrap().1 += bytes.len();
+    }
+    let mut checked = 0;
+    for (addr, decoded) in segments {
+        let Some(rss) = mapping_rss_bytes(addr, &store.segments_dir()) else {
+            continue; // evicted from the open-segment cache: unmapped
+        };
+        assert!(
+            decoded > 4 * RELEASE_GRANULE,
+            "{decoded} decoded bytes cannot tell a released segment from a resident one"
+        );
+        assert!(
+            rss <= RELEASE_GRANULE,
+            "{rss} bytes of a segment stay resident after its {decoded} bytes were walked"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 1,
+        "the open-segment cache keeps the last segment mapped"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
