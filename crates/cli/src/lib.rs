@@ -109,9 +109,9 @@ COMMANDS:
                  so this only standardizes a directory (segments hold
                  only v3: a compacted store has nothing to upgrade).
                  --segmented instead compacts the per-hour files into
-                 mmap-read year-scale segments (darknet/segments/)
-                 behind a checksummed manifest, N hours per segment
-                 (at least 1); analysis output is unchanged either way
+                 year-scale segments (darknet/segments/) behind a
+                 checksummed manifest, N hours per segment (at least
+                 1); analysis output is unchanged either way
     diff         compare two data directories (e.g. yesterday vs today):
                  appeared/disappeared devices, new victims and scanners,
                  per-class packet drift

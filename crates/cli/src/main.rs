@@ -1,6 +1,8 @@
 //! `iotscope` binary entry point; all logic lives in the library so the
 //! commands are testable.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // run_to streams watch/serve output live; buffered commands write

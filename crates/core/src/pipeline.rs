@@ -662,8 +662,8 @@ impl<'s> HourSource<'s> {
     }
 
     /// The drivers' timed "read" stage: nothing to do for memory; for a
-    /// store, the hour's bytes — segment-resident hours arrive as
-    /// zero-copy borrows of the mapped segment.
+    /// store, the hour's bytes, read into owned memory from its
+    /// per-hour file or its segment alike.
     fn read(&self, k: usize) -> Result<HourData<'s>, NetError> {
         match *self {
             HourSource::Memory(traffic) => Ok(HourData::Flows(&traffic[k].flows)),

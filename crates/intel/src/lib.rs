@@ -17,6 +17,7 @@
 //! pipeline's Section V joins exercise the same dataflow as the paper.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod family;
 pub mod index;

@@ -13,8 +13,7 @@
 //! * an hourly flowtuple file store mirroring the UCSD telescope data
 //!   layout ([`store`]),
 //! * a year-scale segment container packing many hours behind a
-//!   checksummed manifest, read zero-copy through read-only memory
-//!   maps ([`segment`], [`mmap`]),
+//!   checksummed manifest, each hour one positioned read ([`segment`]),
 //! * hour-granularity time intervals and the paper's 143-hour analysis
 //!   window ([`time`]).
 //!
@@ -42,16 +41,12 @@
 //! [`iotscope-devicedb`]: https://example.org/iotscope
 //! [`iotscope-core`]: https://example.org/iotscope
 
-// `deny` rather than `forbid`: the crate stays unsafe-free except for
-// the one audited mmap(2) FFI module below, which opts back in
-// explicitly (its safety argument is in DESIGN.md §3a).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod addr;
 pub mod anon;
 pub mod flowtuple;
-#[allow(unsafe_code)]
-pub mod mmap;
 pub mod ports;
 pub mod protocol;
 pub mod segment;

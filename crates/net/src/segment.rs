@@ -2,12 +2,14 @@
 //!
 //! One file per hour works for the paper's 143-hour window but falls
 //! over at telescope scale: a synthetic year is 8,760 files of a few
-//! hundred KB each, and every read pays an open + a full copy into a
-//! `Vec<u8>`. A **segment** packs many complete hour files (any
-//! `IOTFT` version; the compactor writes `IOTFT03`) into one
-//! container behind an hour table, and a store-level **manifest** maps
-//! each hour to its segment and byte range, so a year of traffic is a
-//! few dozen files read zero-copy through [`Mmap`].
+//! hundred KB each, and every read pays an open. A **segment** packs
+//! many complete hour files (any `IOTFT` version; the compactor writes
+//! `IOTFT03`) into one container behind an hour table, and a
+//! store-level **manifest** maps each hour to its segment and byte
+//! range, so a year of traffic is a few dozen files. An open
+//! [`Segment`] keeps its file and validated table; each hour is one
+//! positioned read into owned bytes, the same shape as a per-hour
+//! file read.
 //!
 //! # Segment layout (`IOTSG01`)
 //!
@@ -40,14 +42,14 @@
 //! segment's own table, so a stale or tampered manifest fails loudly
 //! instead of serving the wrong hour.
 
-use crate::mmap::Mmap;
 use crate::store::{claimed_hour, Fnv1a, HEADER};
 use crate::time::UnixHour;
 use crate::NetError;
 use bytes::{Buf, BufMut};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const MAGIC_SEGMENT: &[u8; 7] = b"IOTSG01";
 const MAGIC_MANIFEST: &[u8; 7] = b"IOTMF01";
@@ -155,53 +157,69 @@ fn reserved_flags(flags: u8, container: &str) -> Result<(), NetError> {
     }
 }
 
-/// An open segment: the mapped file plus its validated hour table.
+/// An open segment: its file and the hour table [`Segment::open`]
+/// validated against the file's length. An hour is read on demand, by
+/// a seek and an exact read under the file's lock, into owned bytes.
 #[derive(Debug)]
 pub struct Segment {
-    map: Mmap,
+    file: Mutex<fs::File>,
     /// `(hour, offset, len)`, ascending by hour.
     table: Vec<(UnixHour, usize, usize)>,
 }
 
 impl Segment {
-    /// Map and validate a segment file.
+    /// Open a segment file and validate its header and hour table.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Io`] if the file cannot be opened and
+    /// Returns [`NetError::Io`] if the file cannot be opened or read and
     /// [`NetError::Codec`] if the header, checksum, or hour table is
     /// malformed.
     pub fn open(path: &Path) -> Result<Segment, NetError> {
-        let map = Mmap::open(path)?;
-        let table = Segment::parse(map.bytes())?;
-        Ok(Segment { map, table })
+        let mut file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let table = Segment::parse(&mut file, len)?;
+        Ok(Segment {
+            file: Mutex::new(file),
+            table,
+        })
     }
 
-    /// Validate header + hour table and compute payload offsets.
-    fn parse(bytes: &[u8]) -> Result<Vec<(UnixHour, usize, usize)>, NetError> {
-        if bytes.len() < CONTAINER_HEADER {
+    /// Read header + hour table from the start of `reader`, a segment
+    /// of `file_len` bytes, validate them against that length, and compute
+    /// payload offsets. The payloads themselves are not read.
+    fn parse(
+        reader: &mut impl Read,
+        file_len: u64,
+    ) -> Result<Vec<(UnixHour, usize, usize)>, NetError> {
+        let file_len = usize::try_from(file_len)
+            .map_err(|_| NetError::Codec(format!("{file_len}-byte segment too large to read")))?;
+        if file_len < CONTAINER_HEADER {
             return Err(NetError::Codec("segment shorter than header".to_owned()));
         }
-        if &bytes[..7] != MAGIC_SEGMENT {
+        let mut header = [0u8; CONTAINER_HEADER];
+        reader.read_exact(&mut header)?;
+        if &header[..7] != MAGIC_SEGMENT {
             return Err(NetError::Codec("bad magic (not a segment file)".to_owned()));
         }
-        let mut hdr = &bytes[7..CONTAINER_HEADER];
+        let mut hdr = &header[7..];
         let flags = hdr.get_u8();
         let count = hdr.get_u32() as usize;
         let checksum = hdr.get_u64();
         let table_end = count
             .checked_mul(SEGMENT_ENTRY)
             .and_then(|n| n.checked_add(CONTAINER_HEADER))
-            .filter(|end| *end <= bytes.len())
+            .filter(|end| *end <= file_len)
             .ok_or_else(|| {
                 NetError::Codec(format!(
-                    "implausible hour count {count} for {}-byte segment",
-                    bytes.len()
+                    "implausible hour count {count} for {file_len}-byte segment"
                 ))
             })?;
+        let mut entries = vec![0u8; table_end - CONTAINER_HEADER];
+        reader.read_exact(&mut entries)?;
         let mut hasher = Fnv1a::new();
-        hasher.update(&bytes[..CONTAINER_HASHED]);
-        hasher.update(&bytes[CONTAINER_HEADER..table_end]);
+        hasher.update(&header[..CONTAINER_HASHED]);
+        hasher.update(&entries);
         if hasher.finish() != checksum {
             return Err(NetError::Codec(
                 "checksum mismatch (corrupt segment header or hour table)".to_owned(),
@@ -209,7 +227,7 @@ impl Segment {
         }
         reserved_flags(flags, "segment")?;
         let mut table = Vec::with_capacity(count);
-        let mut entries = &bytes[CONTAINER_HEADER..table_end];
+        let mut entries = &entries[..];
         let mut offset = table_end;
         let mut prev: Option<UnixHour> = None;
         for i in 0..count {
@@ -221,7 +239,7 @@ impl Segment {
                 )));
             }
             prev = Some(hour);
-            if len < HEADER || offset + len > bytes.len() {
+            if len < HEADER || offset + len > file_len {
                 return Err(NetError::Codec(format!(
                     "segment entry {i} ({hour}): implausible payload length {len}"
                 )));
@@ -229,32 +247,13 @@ impl Segment {
             table.push((hour, offset, len));
             offset += len;
         }
-        if offset != bytes.len() {
+        if offset != file_len {
             return Err(NetError::Codec(format!(
                 "{} trailing bytes after {count} segment hours",
-                bytes.len() - offset
+                file_len - offset
             )));
         }
         Ok(table)
-    }
-
-    /// The whole mapped file.
-    pub fn bytes(&self) -> &[u8] {
-        self.map.bytes()
-    }
-
-    /// Give back the resident pages of the payload at
-    /// `offset..offset + len`, rounded as [`Mmap::release`] rounds: a
-    /// reader done with an hour releases it, so a forward walk keeps
-    /// one hour of the segment resident, not every hour it has read.
-    pub fn release(&self, offset: usize, len: usize) {
-        self.map.release(offset..offset + len);
-    }
-
-    /// Whether the file is really memory-mapped (false on the owned
-    /// fallback — see [`Mmap::is_mapped`]).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
     }
 
     /// Hours in this segment, ascending.
@@ -281,10 +280,22 @@ impl Segment {
             .map(|i| (self.table[i].1, self.table[i].2))
     }
 
-    /// Borrow `hour`'s complete hour-file payload, zero-copy.
-    pub fn hour_bytes(&self, hour: UnixHour) -> Option<&[u8]> {
-        self.locate(hour)
-            .map(|(offset, len)| &self.bytes()[offset..offset + len])
+    /// Read `hour`'s complete hour-file payload into owned bytes, or
+    /// `None` if the segment does not hold the hour.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Io`] if the read fails — among others when
+    /// the file has been truncated since [`Segment::open`] validated it.
+    pub fn hour_bytes(&self, hour: UnixHour) -> Result<Option<Vec<u8>>, NetError> {
+        let Some((offset, len)) = self.locate(hour) else {
+            return Ok(None);
+        };
+        let mut bytes = vec![0u8; len];
+        let mut file = self.file.lock().expect("segment file lock poisoned");
+        file.seek(SeekFrom::Start(offset as u64))?;
+        file.read_exact(&mut bytes)?;
+        Ok(Some(bytes))
     }
 }
 
@@ -685,9 +696,22 @@ mod tests {
             hours.iter().map(|(h, _)| *h).collect::<Vec<_>>()
         );
         for (h, payload) in &hours {
-            assert_eq!(seg.hour_bytes(*h).unwrap(), &payload[..]);
+            assert_eq!(seg.hour_bytes(*h).unwrap().unwrap(), payload[..]);
         }
-        assert!(seg.hour_bytes(UnixHour::new(102)).is_none());
+        assert!(seg.hour_bytes(UnixHour::new(102)).unwrap().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_or_empty_segment_files_fail_open() {
+        let dir = std::env::temp_dir().join(format!("iotscope-seg-empty-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let missing = Segment::open(&dir.join("missing.seg")).unwrap_err();
+        assert!(matches!(missing, NetError::Io(_)), "{missing}");
+        let path = dir.join("empty.seg");
+        fs::write(&path, b"").unwrap();
+        let err = Segment::open(&path).unwrap_err();
+        assert!(format!("{err}").contains("shorter than header"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -797,7 +821,7 @@ mod tests {
     fn segment_rejects_reserved_flag_bits() {
         let (hours, bytes) = sample_segment();
         let flagged = with_reserved_flag(&bytes, CONTAINER_HEADER + hours.len() * SEGMENT_ENTRY);
-        let err = Segment::parse(&flagged).unwrap_err();
+        let err = Segment::parse(&mut &flagged[..], flagged.len() as u64).unwrap_err();
         assert!(
             format!("{err}").contains("unknown segment header flags 0x02"),
             "{err}"

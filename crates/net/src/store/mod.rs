@@ -1,7 +1,7 @@
 //! The store layer: [`FlowStore`], a directory of hourly flowtuple
 //! files — its layout, atomic reads and writes, compaction into segments
-//! and segment routing, zero-copy [`HourBytes`], and the `store.*`
-//! metrics.
+//! and segment routing, owned [`HourBytes`] for either shape, and the
+//! `store.*` metrics.
 //!
 //! Mirrors the UCSD telescope data layout the paper consumed: one file
 //! per hour, grouped in per-day directories. Every file carries a magic
@@ -100,7 +100,7 @@ pub struct StoreMetrics {
     /// Segment opens served from the LRU handle cache
     /// (`store.segment_cache.hits`).
     pub segment_cache_hits: Counter,
-    /// Segment opens that had to map a file
+    /// Segment opens that had to open and validate a file
     /// (`store.segment_cache.misses`). A high miss rate on a
     /// sequential scan means the access pattern hops between more
     /// segments than the cache holds.
@@ -128,15 +128,15 @@ impl StoreMetrics {
     }
 }
 
-/// Capacity of the segment LRU. Reads are hour-sequential, so two (the
+/// Capacity of the segment LRU, which caches file handles and validated
+/// hour tables, not bytes. Reads are hour-sequential, so two (the
 /// current segment plus its successor during the boundary crossing)
 /// keep a year-scale scan from ever re-opening and re-validating a
-/// file. Residency is not bounded here: a fetched hour releases its own
-/// pages when it drops ([`HourBytes`]), whatever stays open.
+/// file.
 const OPEN_SEGMENTS: usize = 2;
 
 /// Lazily loaded segment-routing state shared by clones of a store:
-/// the parsed manifest and a small LRU of open (mapped) segments.
+/// the parsed manifest and a small LRU of open segments.
 #[derive(Debug, Default)]
 struct SegmentCache {
     /// `None` until first use; reset when compaction rewrites routing.
@@ -279,10 +279,10 @@ impl FlowStore {
         Ok(flows)
     }
 
-    /// Fetch the raw on-disk bytes for `hour` without decoding them:
-    /// an owned read of the per-hour file when one exists, otherwise a
-    /// zero-copy borrow out of the mapped segment the manifest routes
-    /// the hour to. A per-hour file *shadows* a segment copy, so
+    /// Fetch the raw on-disk bytes for `hour` without decoding them,
+    /// as owned bytes: the per-hour file when one exists, otherwise one
+    /// positioned read of the segment the manifest routes the hour to.
+    /// A per-hour file *shadows* a segment copy, so
     /// [`FlowStore::write_hour`] after compaction behaves as an
     /// overwrite without rewriting the segment.
     ///
@@ -292,39 +292,24 @@ impl FlowStore {
     /// # Errors
     ///
     /// Returns [`NetError::Io`] if the hour is in neither a per-hour
-    /// file nor a segment (kind `NotFound`, like the pre-segment API),
-    /// and [`NetError::Codec`] if the manifest or segment routing the
-    /// hour is corrupt.
+    /// file nor a segment (kind `NotFound`, like the pre-segment API) or
+    /// its read fails, and [`NetError::Codec`] if the manifest or
+    /// segment routing the hour is corrupt.
     pub fn fetch_hour_bytes(&self, hour: UnixHour) -> Result<HourBytes, NetError> {
-        let path = self.hour_path(hour);
-        match fs::File::open(&path) {
+        let bytes = match fs::File::open(self.hour_path(hour)) {
             Ok(mut f) => {
                 let mut bytes = Vec::new();
                 f.read_to_end(&mut bytes)?;
-                self.metrics.bytes_read.add(bytes.len() as u64);
-                self.metrics.hours_read.inc();
-                Ok(HourBytes {
-                    inner: HourBytesInner::Owned(bytes),
-                })
+                bytes
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                match self.segment_lookup(hour)? {
-                    Some((segment, offset, len)) => {
-                        self.metrics.bytes_read.add(len as u64);
-                        self.metrics.hours_read.inc();
-                        Ok(HourBytes {
-                            inner: HourBytesInner::Mapped(MappedHour {
-                                segment,
-                                offset,
-                                len,
-                            }),
-                        })
-                    }
-                    None => Err(NetError::Io(e)),
-                }
+                self.segment_hour(hour)?.ok_or(NetError::Io(e))?
             }
-            Err(e) => Err(NetError::Io(e)),
-        }
+            Err(e) => return Err(NetError::Io(e)),
+        };
+        self.metrics.bytes_read.add(bytes.len() as u64);
+        self.metrics.hours_read.inc();
+        Ok(HourBytes(bytes))
     }
 
     /// Stream the flows for `hour` out of previously fetched bytes into
@@ -542,31 +527,27 @@ impl FlowStore {
         Ok(manifest)
     }
 
-    /// Resolve `hour` through the manifest to its mapped segment and
-    /// byte range, cross-checking the manifest's routing against the
-    /// segment's own hour table so a stale manifest fails loudly.
-    fn segment_lookup(
-        &self,
-        hour: UnixHour,
-    ) -> Result<Option<(Arc<Segment>, usize, usize)>, NetError> {
+    /// Read `hour` out of the segment the manifest routes it to, if
+    /// any, cross-checking the manifest's routing against the segment's
+    /// own hour table so a stale manifest fails loudly.
+    fn segment_hour(&self, hour: UnixHour) -> Result<Option<Vec<u8>>, NetError> {
         let manifest = self.load_manifest()?;
         let Some(entry) = manifest.lookup(hour) else {
             return Ok(None);
         };
         let segment = self.open_segment(entry.segment)?;
-        let range = (entry.offset as usize, entry.len as usize);
-        if segment.locate(hour) != Some(range) {
+        if segment.locate(hour) != Some((entry.offset as usize, entry.len as usize)) {
             return Err(NetError::Codec(format!(
                 "manifest routes {hour} to segment {} at {}+{}, but the segment disagrees",
                 entry.segment, entry.offset, entry.len
             )));
         }
-        Ok(Some((segment, range.0, range.1)))
+        segment.hour_bytes(hour)
     }
 
     /// Open (and validate) segment `id`, through the LRU handle cache
     /// of [`OPEN_SEGMENTS`] entries. A hit moves the segment to the
-    /// front; a miss maps the file, inserts it at the front, and evicts
+    /// front; a miss opens the file, inserts it at the front, and evicts
     /// the least-recently-used handle past capacity.
     fn open_segment(&self, id: u32) -> Result<Arc<Segment>, NetError> {
         let mut open = self.segments.open.lock().expect("segment cache poisoned");
@@ -615,47 +596,17 @@ pub struct CompactionReport {
 }
 
 /// Raw bytes of one hour as fetched by [`FlowStore::fetch_hour_bytes`]:
-/// either an owned read of a per-hour file or a zero-copy borrow out of
-/// a mapped segment (the `Arc` keeps the mapping alive for as long as
-/// any fetched hour is). Dereferences to `&[u8]` either way. Dropping a
-/// mapped hour releases its pages ([`Segment::release`]), so holding an
-/// hour, not its segment, is what keeps bytes resident.
+/// owned, whichever store shape the hour came from. Dereferences to
+/// `&[u8]`.
 #[derive(Debug)]
-pub struct HourBytes {
-    inner: HourBytesInner,
-}
-
-#[derive(Debug)]
-enum HourBytesInner {
-    Owned(Vec<u8>),
-    Mapped(MappedHour),
-}
-
-/// One hour's byte range in a mapped segment.
-#[derive(Debug)]
-struct MappedHour {
-    segment: Arc<Segment>,
-    offset: usize,
-    len: usize,
-}
-
-impl Drop for MappedHour {
-    fn drop(&mut self) {
-        self.segment.release(self.offset, self.len);
-    }
-}
+pub struct HourBytes(Vec<u8>);
 
 impl HourBytes {
-    /// Whether these bytes borrow a mapped segment (false for per-hour
-    /// file reads and for segment reads on the non-mmap fallback —
-    /// see [`crate::mmap::Mmap::is_mapped`]; the slice behaves
-    /// identically either way, this is observability for tests and
-    /// benchmarks).
+    /// Always `false`: the bytes are owned whichever store shape they
+    /// came from. Kept only because the benchmark's trace still reads
+    /// it.
     pub fn is_mapped(&self) -> bool {
-        match &self.inner {
-            HourBytesInner::Owned(_) => false,
-            HourBytesInner::Mapped(hour) => hour.segment.is_mapped(),
-        }
+        false
     }
 }
 
@@ -663,11 +614,6 @@ impl std::ops::Deref for HourBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        match &self.inner {
-            HourBytesInner::Owned(bytes) => bytes,
-            HourBytesInner::Mapped(hour) => {
-                &hour.segment.bytes()[hour.offset..hour.offset + hour.len]
-            }
-        }
+        &self.0
     }
 }

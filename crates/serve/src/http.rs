@@ -6,7 +6,9 @@
 //! snapshot `Arc`, so slow clients never block ingest. What peers can
 //! make the server hold is bounded: at most [`MAX_CONNECTIONS`] live
 //! connections (one more is answered `503`), each buffering at most 100
-//! header lines of at most 8 KiB.
+//! header lines of at most 8 KiB, which must all arrive within
+//! [`READ_TIMEOUT`] of the request's first byte (or it is answered
+//! `408`).
 
 use crate::{error_body, TelescopeService};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -14,7 +16,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Most connections served at once. The next one is answered `503`
 /// with `Connection: close` on the accept thread, before its request is
@@ -26,8 +28,11 @@ pub const MAX_CONNECTIONS: usize = 64;
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// How long an idle keep-alive connection may sit between requests
-/// before the handler thread gives up on it.
-const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// before the handler thread gives up on it, and how long a request's
+/// line and headers may take to arrive, counted from its first byte.
+/// A request that runs out of it is answered `408` and closed, so a
+/// peer trickling bytes cannot hold a connection slot for longer.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Longest request or header line read, line terminator included; a
 /// longer request line is answered `400`, a longer header `431`.
@@ -45,13 +50,19 @@ enum Line {
     Read,
     /// [`MAX_LINE`] bytes and no line end.
     TooLong,
+    /// The request ran past its [`Deadline`].
+    TimedOut,
 }
 
 /// Read one line into `line` (cleared first), never buffering more than
 /// [`MAX_LINE`] bytes of it.
-fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<Line> {
+fn read_line(reader: &mut BufReader<Deadline>, line: &mut String) -> io::Result<Line> {
+    use io::ErrorKind::{TimedOut, WouldBlock};
     line.clear();
-    let n = reader.by_ref().take(MAX_LINE).read_line(line)?;
+    let n = match reader.by_ref().take(MAX_LINE).read_line(line) {
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Ok(Line::TimedOut),
+        n => n?,
+    };
     Ok(if n == 0 {
         Line::Closed
     } else if n as u64 == MAX_LINE && !line.ends_with('\n') {
@@ -59,6 +70,38 @@ fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result
     } else {
         Line::Read
     })
+}
+
+/// A connection's read half. While a request is being read, every read
+/// waits only until that request's deadline; between requests, up to
+/// [`READ_TIMEOUT`].
+struct Deadline {
+    stream: TcpStream,
+    /// When the request being read runs out of time; `None` between
+    /// requests.
+    deadline: Option<Instant>,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = match self.deadline {
+            None => READ_TIMEOUT,
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                left
+            }
+        };
+        self.stream.set_read_timeout(Some(timeout))?;
+        self.stream.read(buf)
+    }
+}
+
+/// The socket under a connection's reader, to answer on.
+fn socket(reader: &mut BufReader<Deadline>) -> &mut TcpStream {
+    &mut reader.get_mut().stream
 }
 
 /// One live connection's place under [`MAX_CONNECTIONS`]; given back
@@ -168,19 +211,28 @@ fn handle_connection(
     service: &TelescopeService,
     stop: &AtomicBool,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        deadline: None,
+    });
     let mut request_line = String::new();
     let mut header = String::new();
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
+        // Wait for the next request's first byte; its line and headers
+        // then have until the deadline.
+        if reader.fill_buf()?.is_empty() {
+            return Ok(());
+        }
+        reader.get_mut().deadline = Some(Instant::now() + READ_TIMEOUT);
         match read_line(&mut reader, &mut request_line)? {
             Line::Closed => return Ok(()),
-            Line::TooLong => return refuse(reader.get_mut(), 400, "request line too long"),
+            Line::TooLong => return refuse(socket(&mut reader), 400, "request line too long"),
+            Line::TimedOut => return refuse(socket(&mut reader), 408, "request timed out"),
             Line::Read => {}
         }
         let mut parts = request_line.split_whitespace();
@@ -203,7 +255,8 @@ fn handle_connection(
         loop {
             match read_line(&mut reader, &mut header)? {
                 Line::Closed => return Ok(()),
-                Line::TooLong => return refuse(reader.get_mut(), 431, "header line too long"),
+                Line::TooLong => return refuse(socket(&mut reader), 431, "header line too long"),
+                Line::TimedOut => return refuse(socket(&mut reader), 408, "request timed out"),
                 Line::Read => {}
             }
             let header = header.trim_end();
@@ -212,7 +265,7 @@ fn handle_connection(
             }
             headers += 1;
             if headers > MAX_HEADERS {
-                return refuse(reader.get_mut(), 431, "too many header lines");
+                return refuse(socket(&mut reader), 431, "too many header lines");
             }
             let header = header.to_ascii_lowercase();
             let Some((name, value)) = header.split_once(':') else {
@@ -226,13 +279,14 @@ fn handle_connection(
                 _ => {}
             }
         }
+        reader.get_mut().deadline = None;
         keep_alive &= !has_body;
         let (status, body) = if method == "GET" {
             service.respond(&path)
         } else {
             (405, error_body("only GET is served"))
         };
-        write_response(reader.get_mut(), status, &body, keep_alive)?;
+        write_response(socket(&mut reader), status, &body, keep_alive)?;
         if !keep_alive {
             return Ok(());
         }
@@ -255,6 +309,7 @@ fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",

@@ -20,6 +20,7 @@
 //! endpoints over a zero-dependency HTTP/1.1 listener.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod http;
 pub mod json;

@@ -111,10 +111,11 @@ fn golden_segment_decodes_and_encoder_has_not_drifted() {
         for (hour, n) in HOURS {
             let payload = segment
                 .hour_bytes(UnixHour::new(hour))
+                .unwrap()
                 .expect("hour routed");
             assert_eq!(payload[7] & FLAG_PACKED != 0, packed, "{name} hour {hour}");
             let mut sink = CollectSink::default();
-            let visited = decode_hour_visit(payload, DecodeOptions::default(), &mut sink)
+            let visited = decode_hour_visit(&payload, DecodeOptions::default(), &mut sink)
                 .unwrap_or_else(|e| panic!("{name} hour {hour}: {e}"));
             assert_eq!(visited.hour, UnixHour::new(hour));
             assert!(visited.quarantined.is_empty());

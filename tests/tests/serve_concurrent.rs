@@ -19,7 +19,7 @@ use iotscope_net::ports::ServiceRegistry;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
-use iotscope_serve::http::{HttpServer, MAX_CONNECTIONS};
+use iotscope_serve::http::{HttpServer, MAX_CONNECTIONS, READ_TIMEOUT};
 use iotscope_serve::{Snapshot, TelescopeService};
 use iotscope_telescope::HourTraffic;
 use iotscope_tests::oracle::{self, Naive};
@@ -559,4 +559,84 @@ fn http_connections_past_the_cap_get_503_until_one_closes() {
     assert!(served.contains("\"status\":\"ok\""), "{served}");
     // The connections still held are still served.
     assert_eq!(get(&mut held[0], "/healthz").0, 200);
+}
+
+/// Slow-loris: a request's line and headers must all arrive within
+/// `READ_TIMEOUT` of its first byte. Clients holding every slot by
+/// trickling one byte every 4 s are answered `408` and closed when it
+/// runs out, so a fresh client is served within `READ_TIMEOUT` + 1 s.
+#[test]
+fn http_trickling_clients_cannot_hold_every_slot() {
+    let inv = inventory();
+    let service = Arc::new(TelescopeService::new(
+        inv.db.clone(),
+        inv.isps.clone(),
+        WINDOW_HOURS,
+    ));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
+    let request = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    let mut tricklers: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+            conn.write_all(&request[..1]).expect("first byte");
+            conn
+        })
+        .collect();
+    // Every slot is held: the next connection reads 503.
+    let mut over = TcpStream::connect(server.local_addr()).expect("connect");
+    over.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let mut answer = String::new();
+    over.read_to_string(&mut answer)
+        .expect("the server answers and closes");
+    assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+    let held = Instant::now();
+
+    let mut watched = tricklers[0].try_clone().expect("clone stream");
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for &byte in &request[1..] {
+                let next = Instant::now() + Duration::from_secs(4);
+                while Instant::now() < next {
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                for conn in &mut tricklers {
+                    let _ = conn.write_all(&[byte]);
+                }
+            }
+        })
+    };
+    let served = loop {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut answer = String::new();
+        let sent = stream.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        if sent.is_ok() && stream.read_to_string(&mut answer).is_ok() {
+            if answer.starts_with("HTTP/1.1 200 ") {
+                break held.elapsed();
+            }
+            assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+        }
+        assert!(
+            held.elapsed() < 2 * READ_TIMEOUT,
+            "trickling clients still hold every slot"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    stop.store(true, Ordering::Release);
+    trickle.join().expect("trickle thread");
+    assert!(
+        served <= READ_TIMEOUT + Duration::from_secs(1),
+        "a fresh client waited {served:?}"
+    );
+    // The trickler was answered 408 and closed.
+    watched.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let mut answer = String::new();
+    let _ = watched.read_to_string(&mut answer);
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer}");
+    assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
 }

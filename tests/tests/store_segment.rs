@@ -5,9 +5,8 @@
 //! from a segmented store is checked against the naive reference in
 //! `oracle.rs`.)
 
-use iotscope_core::pipeline::StoredWindow;
+use iotscope_core::pipeline::{HourSource, StoredWindow};
 use iotscope_net::flowtuple::FlowTuple;
-use iotscope_net::mmap::RELEASE_GRANULE;
 use iotscope_net::protocol::TcpFlags;
 use iotscope_net::segment::{Manifest, SegmentStoreBuilder};
 use iotscope_net::store::{
@@ -15,6 +14,7 @@ use iotscope_net::store::{
     BLOCK_RECORDS,
 };
 use iotscope_net::time::UnixHour;
+use iotscope_net::NetError;
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
 use std::net::Ipv4Addr;
@@ -119,7 +119,7 @@ fn quarantine_parity_survives_compaction() {
     let strict_after = store.read_hour(victim).unwrap_err().to_string();
     assert_eq!(strict_before, strict_after);
 
-    // And the healthy hours read back identically through the mapped
+    // And the healthy hours read back identically through the segment
     // path.
     let healthy_after: Vec<Vec<FlowTuple>> = shared.traffic[..24]
         .iter()
@@ -135,7 +135,7 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
     let dir = tmpdir("blockmult");
     let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
     // One block exactly, two blocks exactly, and one record over — the
-    // boundary cases for the v3 index math, per-hour and mapped.
+    // boundary cases for the v3 index math, per-hour and in a segment.
     let sizes = [BLOCK_RECORDS, 2 * BLOCK_RECORDS, 2 * BLOCK_RECORDS + 1];
     let hours: Vec<UnixHour> = (0..sizes.len() as u64)
         .map(|i| UnixHour::new(500_000 + i))
@@ -155,22 +155,15 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
     store.compact_to_segments(2).unwrap();
     for ((hour, n), (bytes, flows)) in hours.iter().zip(sizes).zip(&per_hour) {
         let fetched = store.fetch_hour_bytes(*hour).unwrap();
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        assert!(fetched.is_mapped(), "hour {hour} should be mmap-backed");
         assert_eq!(&*fetched, &bytes[..], "hour {hour} bytes drifted");
         let decoded = store.read_hour(*hour).unwrap();
         assert_eq!(decoded.len(), n);
         assert_eq!(&decoded, flows, "hour {hour} flows drifted");
     }
 
-    // A dropped hour releases its pages, and the first two hours share
-    // the first segment and its first release granule: whichever of the
-    // two drops first, the one still held (and a re-fetch of the one
+    // The first two hours share the first segment: whichever of the two
+    // drops first, the one still held (and a re-fetch of the one
     // dropped) reads its pre-compaction bytes.
-    assert!(
-        per_hour[0].0.len() + per_hour[1].0.len() > RELEASE_GRANULE,
-        "hour 1 must end past the first granule, so dropping it releases hour 0's pages"
-    );
     for (dropped, held) in [(0, 1), (1, 0)] {
         let kept = store.fetch_hour_bytes(hours[held]).unwrap();
         let gone = store.fetch_hour_bytes(hours[dropped]).unwrap();
@@ -180,7 +173,7 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
         assert_eq!(
             &*kept,
             &per_hour[held].0[..],
-            "hour {held} changed under a release"
+            "hour {held} changed when hour {dropped} dropped"
         );
         let again = store.fetch_hour_bytes(hours[dropped]).unwrap();
         assert_eq!(
@@ -192,38 +185,10 @@ fn exact_block_multiple_hours_roundtrip_through_segments() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Resident size of this process's mapping of a file under `dir` that
-/// contains `addr`, from `/proc/self/smaps`, or `None` once that file
-/// is unmapped (the address may since have been reused).
-#[cfg(target_os = "linux")]
-fn mapping_rss_bytes(addr: usize, dir: &std::path::Path) -> Option<usize> {
-    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
-    let dir = std::fs::canonicalize(dir).unwrap();
-    let dir = dir.to_str().unwrap();
-    let mut inside = false;
-    for line in smaps.lines() {
-        let first = line.split_whitespace().next().unwrap_or("");
-        if let Some((lo, hi)) = first.split_once('-') {
-            if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
-            {
-                inside = (lo..hi).contains(&addr) && line.contains(dir);
-                continue;
-            }
-        }
-        if inside {
-            if let Some(kb) = line.strip_prefix("Rss:") {
-                let kb = kb.trim().trim_end_matches("kB").trim();
-                return Some(kb.parse::<usize>().unwrap() * 1024);
-            }
-        }
-    }
-    None
-}
-
 /// A walk over a segmented store holds the hour it is on, not the
-/// segment: once every hour has been fetched, decoded and dropped, each
-/// segment mapping still open keeps at most one release granule
-/// resident, not the bytes it served.
+/// segment: every hour is read into owned bytes, so once the walk is
+/// done this process maps no segment file at all — not even the ones
+/// the open-segment cache still holds.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_segment_walk_keeps_no_dropped_hour_resident() {
@@ -235,41 +200,66 @@ fn a_segment_walk_keeps_no_dropped_hour_resident() {
         store.write_hour(t.hour, &t.flows).unwrap();
     }
     assert_eq!(store.compact_to_segments(16).unwrap().segments_written, 3);
-    // Per segment: an address inside its mapping and the bytes decoded
-    // out of it.
-    let mut segments: Vec<(usize, usize)> = Vec::new();
-    for (i, t) in traffic.iter().enumerate() {
+    for t in traffic {
         let bytes = store.fetch_hour_bytes(t.hour).unwrap();
-        assert!(bytes.is_mapped(), "hour {} should be mmap-backed", t.hour);
         let mut sink = CollectSink::default();
         store
             .visit_hour_for(t.hour, &bytes, DecodeOptions::default(), &mut sink)
             .unwrap();
         assert_eq!(sink.into_flows().len(), t.flows.len());
-        if i % 16 == 0 {
-            segments.push((bytes.as_ptr() as usize, 0));
-        }
-        segments.last_mut().unwrap().1 += bytes.len();
     }
-    let mut checked = 0;
-    for (addr, decoded) in segments {
-        let Some(rss) = mapping_rss_bytes(addr, &store.segments_dir()) else {
-            continue; // evicted from the open-segment cache: unmapped
-        };
-        assert!(
-            decoded > 4 * RELEASE_GRANULE,
-            "{decoded} decoded bytes cannot tell a released segment from a resident one"
-        );
-        assert!(
-            rss <= RELEASE_GRANULE,
-            "{rss} bytes of a segment stay resident after its {decoded} bytes were walked"
-        );
-        checked += 1;
+    let segments = std::fs::canonicalize(store.segments_dir()).unwrap();
+    let segments = segments.to_str().unwrap();
+    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+    let mapped: Vec<&str> = maps.lines().filter(|l| l.contains(segments)).collect();
+    assert!(mapped.is_empty(), "segment files still mapped: {mapped:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment truncated under an open store is an error, not a crash:
+/// the hour table validated at open still routes the hour, and its read
+/// comes up short. A walk names the hour that failed.
+#[test]
+fn a_segment_truncated_after_open_fails_the_hour_it_cuts() {
+    let dir = tmpdir("truncated-open");
+    let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+    let hours: Vec<UnixHour> = (0..3).map(|i| UnixHour::new(530_000 + i)).collect();
+    for hour in &hours {
+        let flows = synth_hour(hour.get(), 4 * BLOCK_RECORDS);
+        store.write_hour(*hour, &flows).unwrap();
     }
+    // Hour 2 is cut in half below: whole pages must lie past the new
+    // end of the file, not only a page's tail.
+    let last_len = std::fs::metadata(store.hour_path(hours[2])).unwrap().len();
     assert!(
-        checked >= 1,
-        "the open-segment cache keeps the last segment mapped"
+        last_len > 64 * 1024,
+        "hour 2 spans {last_len} bytes, too few whole pages"
     );
+    assert_eq!(store.compact_to_segments(3).unwrap().segments_written, 1);
+    // Hour 0's read opens the segment into the store's cache.
+    let first = store.fetch_hour_bytes(hours[0]).unwrap().to_vec();
+    let segment = std::fs::OpenOptions::new()
+        .write(true)
+        .open(store.segments_dir().join("seg-0.seg"))
+        .unwrap();
+    let len = segment.metadata().unwrap().len();
+    segment.set_len(len - last_len / 2).unwrap();
+    drop(segment);
+
+    let work: Vec<(u32, UnixHour)> = (1..).zip(hours.iter().copied()).collect();
+    let source = HourSource::Store {
+        store: &store,
+        work: &work,
+    };
+    let mut sink = CollectSink::default();
+    source.visit(0, &mut sink).unwrap();
+    source.visit(1, &mut sink).unwrap();
+    match source.visit(2, &mut sink).unwrap_err() {
+        NetError::Hour { hour, interval, .. } => assert_eq!((hour, interval), (hours[2], 3)),
+        e => panic!("expected the walk to name hour 2, got {e}"),
+    }
+    assert!(store.fetch_hour_bytes(hours[2]).is_err());
+    assert_eq!(store.fetch_hour_bytes(hours[0]).unwrap().to_vec(), first);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -295,7 +285,7 @@ fn truncated_final_block_fails_loud_per_hour_and_in_segment() {
     );
 
     // The same truncated hour inside a segment fails with the same
-    // error through the mapped read path.
+    // error through the segment read path.
     std::fs::remove_file(&path).unwrap();
     let mut builder =
         SegmentStoreBuilder::new(&store.segments_dir(), 4, Manifest::default()).unwrap();
@@ -303,8 +293,8 @@ fn truncated_final_block_fails_loud_per_hour_and_in_segment() {
     builder.finish().unwrap();
     let reopened = FlowStore::open(&dir).unwrap();
     assert!(reopened.has_hour(hour));
-    let mapped_err = reopened.read_hour(hour).unwrap_err().to_string();
-    assert_eq!(per_hour_err, mapped_err);
+    let segment_err = reopened.read_hour(hour).unwrap_err().to_string();
+    assert_eq!(per_hour_err, segment_err);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -324,7 +314,11 @@ fn write_hour_shadows_the_segment_copy() {
     let replacement = synth_hour(hour.get() + 99, 300);
     store.write_hour(hour, &replacement).unwrap();
     let fetched = store.fetch_hour_bytes(hour).unwrap();
-    assert!(!fetched.is_mapped(), "per-hour file must win");
+    assert_eq!(
+        &*fetched,
+        &std::fs::read(store.hour_path(hour)).unwrap()[..],
+        "per-hour file must win"
+    );
     let read_back = store.read_hour(hour).unwrap();
     assert_eq!(read_back.len(), replacement.len());
     assert_ne!(read_back, original_sorted);
