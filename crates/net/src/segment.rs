@@ -703,11 +703,37 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_empty_segment_files_fail_open() {
+    fn hour_bytes_read_file_ranges_exactly() {
+        // Hours larger than a page, read out of order and twice over one
+        // open file: each read seeks to its own range.
+        let hours = vec![hour_file(200, 3_000), hour_file(201, 1), hour_file(202, 4_000)];
+        let bytes = encode_segment(&hours).unwrap();
+        let dir = std::env::temp_dir().join(format!("iotscope-seg-exact-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_file_name(0));
+        fs::write(&path, &bytes).unwrap();
+        let seg = Segment::open(&path).unwrap();
+        for i in [2, 0, 1, 2, 1, 0] {
+            let (h, payload) = &hours[i];
+            let (offset, len) = seg.locate(*h).unwrap();
+            let read = seg.hour_bytes(*h).unwrap().unwrap();
+            assert_eq!(read, payload[..]);
+            assert_eq!(read, bytes[offset..offset + len]);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_segment_file_is_an_io_error() {
+        let path = std::env::temp_dir().join("iotscope-seg-definitely-missing.seg");
+        let err = Segment::open(&path).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "{err}");
+    }
+
+    #[test]
+    fn empty_segment_file_fails_open() {
         let dir = std::env::temp_dir().join(format!("iotscope-seg-empty-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let missing = Segment::open(&dir.join("missing.seg")).unwrap_err();
-        assert!(matches!(missing, NetError::Io(_)), "{missing}");
         let path = dir.join("empty.seg");
         fs::write(&path, b"").unwrap();
         let err = Segment::open(&path).unwrap_err();
