@@ -5,7 +5,8 @@ use iotscope_core::behavior::{BehaviorFold, BehaviorVector};
 use iotscope_core::botnet::{self, BotnetConfig};
 use iotscope_core::fingerprint::{candidate_iot_devices, FingerprintModel};
 use iotscope_core::pipeline::{
-    AnalysisOutcome, AnalysisPipeline, AnalyzeOptions, HourSource, StoreReadStats, StoredWindow,
+    route_ahead, AnalysisOutcome, AnalysisPipeline, AnalyzeOptions, HourSource, StoreReadStats,
+    StoredWindow,
 };
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
@@ -17,6 +18,7 @@ use iotscope_intel::IntelContext;
 use iotscope_net::segment::Manifest;
 use iotscope_net::store::{CollectSink, FlowStore, StoreFormat, StoreOptions};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
+use iotscope_net::NetError;
 use iotscope_obs::{Registry, Snapshot};
 use iotscope_serve::http::HttpServer;
 use iotscope_serve::TelescopeService;
@@ -115,7 +117,8 @@ where
 }
 
 /// Every core: the worker count of the write verbs' hour fan-out and of
-/// the daemon's start-up analysis.
+/// the daemon's start-up analysis. The daemon's replay takes two: one
+/// routes hours ahead ([`route_ahead`]), one folds and publishes them.
 fn all_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -281,7 +284,8 @@ fn synth_intel(inventory: &LoadedInventory, analysis: &Analysis) -> IntelOutput 
 /// Start a [`TelescopeService`] over a data directory for `watch` and
 /// `serve`: load the inventory, open the stored window and, with
 /// `intel`, synthesize the intel from one batch analysis of it on every
-/// core — everything the daemon does before it is ready to ingest,
+/// core — everything the daemon does before it is ready to ingest (the
+/// replay's router thread starts with [`replay`], not here),
 /// timed as one span of `serve.startup_time` in the service's registry
 /// (with `inventory.load_time` inside it), so `/metrics` can say what a
 /// restart costs.
@@ -313,11 +317,14 @@ fn start_service(
     Ok((service, store, stored))
 }
 
-/// Replay the stored window into `service` for `watch` and `serve`,
-/// each hour read, decoded and folded in one fused pass and published
-/// before the next is read: print the dropped-days line, then stream
-/// every alert but device discovery to `out` as it fires. Returns the
-/// final analysis, the alert log and the number of devices discovered.
+/// Replay the stored window into `service` for `watch` and `serve`:
+/// hours are read, decoded and routed ahead on one router thread
+/// ([`route_ahead`]) while this thread folds and publishes them
+/// in window order, one epoch per hour. Print the dropped-days line,
+/// then stream every alert but device discovery to `out` as it fires.
+/// Returns the final analysis, the alert log and the number of devices
+/// discovered; a bad hour ends the replay with its named error, after
+/// every earlier hour is published.
 fn replay(
     service: &TelescopeService,
     store: &FlowStore,
@@ -336,12 +343,15 @@ fn replay(
         }
     };
     let source = HourSource::stored(store, stored);
-    let ingested = service.ingest_with(
-        0..source.len(),
-        StreamConfig::default(),
-        &mut on_alert,
-        |stream, k| stream.push_from(&source, k),
-    );
+    let hours = stored.window.num_hours();
+    let ingested = route_ahead(service.db(), hours, source, |feed| {
+        service.ingest_with(
+            feed,
+            StreamConfig::default(),
+            &mut on_alert,
+            |stream, hour| Ok::<_, NetError>(stream.push_routed(&hour?)),
+        )
+    });
     if let Some(e) = write_err {
         return Err(e.into());
     }

@@ -20,7 +20,7 @@
 //! [`Analysis::view`] — the one way to ask them.
 
 use crate::classify::TrafficClass;
-use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos, RoutedFlow};
+use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos, RoutedFlow, RoutedHour};
 pub use crate::table::{
     DeviceObservation, DeviceTable, PortRow, PortTable, ServiceKey, ServiceTable,
 };
@@ -458,6 +458,44 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// Fold one routed hour — the device half over its flows, then its
+    /// destination distincts, unmatched totals and metric flush — as
+    /// [`begin_hour`](Self::begin_hour), its records and
+    /// [`HourIngest::finish`] would have: the back half of the fold for
+    /// an hour whose front half ran elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hour's interval is outside the window.
+    pub(crate) fn apply_routed(&mut self, hour: &RoutedHour) {
+        let at = HourPos::new(hour.interval(), self.hours);
+        self.result.cache.reset();
+        self.dev.clear();
+        for batch in &hour.batches {
+            self.dev.fold(&mut self.result, at, batch);
+        }
+        self.dev.commit(&mut self.result, at.idx);
+        hour.commit_hour_keyed(&mut self.result);
+        self.flush_hour_metrics(hour.unmatched);
+    }
+
+    /// Publish the hour's per-class packets (the device fold's hour
+    /// totals) and its `(flows, packets)` from unmatched sources.
+    fn flush_hour_metrics(&self, unmatched: (u64, u64)) {
+        let Some(m) = &self.metrics else {
+            return;
+        };
+        for (r, row) in self.dev.hour_packets().iter().enumerate() {
+            for (c, &pkts) in row.iter().enumerate() {
+                if pkts > 0 {
+                    m.packets[r][c].add(pkts);
+                }
+            }
+        }
+        m.unmatched_flows.add(unmatched.0);
+        m.unmatched_packets.add(unmatched.1);
+    }
+
     /// Inspect the aggregation state accumulated so far (used by the
     /// streaming analyzer to evaluate alerts after each hour). Device
     /// rows are in first-seen order until [`finish`](Self::finish)
@@ -499,18 +537,7 @@ impl HourIngest<'_, '_> {
         let an = self.an;
         an.dst.commit(&mut an.result, self.at.idx);
         an.dev.commit(&mut an.result, self.at.idx);
-
-        if let Some(m) = &an.metrics {
-            for (r, row) in an.dev.hour_packets().iter().enumerate() {
-                for (c, &pkts) in row.iter().enumerate() {
-                    if pkts > 0 {
-                        m.packets[r][c].add(pkts);
-                    }
-                }
-            }
-            m.unmatched_flows.add(self.hour_unmatched.0);
-            m.unmatched_packets.add(self.hour_unmatched.1);
-        }
+        an.flush_hour_metrics(self.hour_unmatched);
     }
 }
 

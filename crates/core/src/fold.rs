@@ -13,13 +13,16 @@
 //!   by the *source device* into an [`Analysis`].
 //!
 //! The sequential [`Analyzer`](crate::analysis::Analyzer) runs the two
-//! back to back per block. The sharded pipeline splits them across
-//! threads: a [`ShardRouter`](crate::shard::ShardRouter) runs the front
-//! half and ships the routed flows to the
-//! [`ShardAccumulator`](crate::shard::ShardAccumulator) owning the
-//! device, which runs the device half. Same functions, same state
-//! types for every driver; each driver is checked against the naive
-//! per-record analyzer in the `iotscope-tests` crate (`oracle`).
+//! back to back per block. The sharded pipeline and the daemon split
+//! them across threads: a [`ShardRouter`](crate::shard::ShardRouter)
+//! runs the front half over a whole hour and hands it over as one
+//! [`RoutedHour`]; the sharded pipeline ships its batches to the
+//! [`ShardAccumulator`](crate::shard::ShardAccumulator) owning each
+//! device, the daemon folds it whole, in hour order
+//! ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)).
+//! Same functions, same state types for every driver; each driver is
+//! checked against the naive per-record analyzer in the
+//! `iotscope-tests` crate (`oracle`).
 
 use crate::analysis::{class_idx, merge_top_victim, realm_idx, Analysis};
 use crate::classify::classify;
@@ -129,6 +132,42 @@ pub struct RoutedFlow {
     pub proto: u8,
 }
 
+/// One hour through the front half, as one value: its routed flows
+/// (one batch per shard of the router's map, each in record order), its
+/// destination-distinct counts and its unmatched totals. It is
+/// everything the device half and the hour-keyed series need, so an
+/// hour can be routed on one thread and folded on another. A
+/// [`ShardRouter`](crate::shard::ShardRouter) produces it.
+#[derive(Debug)]
+pub struct RoutedHour {
+    pub(crate) at: HourPos,
+    pub(crate) batches: Vec<Vec<RoutedFlow>>,
+    pub(crate) dst: DstCounts,
+    /// Flows and packets from sources outside the inventory.
+    pub(crate) unmatched: (u64, u64),
+}
+
+impl RoutedHour {
+    /// The hour's 1-based interval.
+    pub fn interval(&self) -> u32 {
+        self.at.interval
+    }
+
+    /// The per-shard batches of routed flows, indexed by shard
+    /// (possibly empty for quiet shards).
+    pub fn into_batches(self) -> Vec<Vec<RoutedFlow>> {
+        self.batches
+    }
+
+    /// Add the hour-keyed aggregates — the destination distincts and
+    /// the unmatched totals — to `result`.
+    pub(crate) fn commit_hour_keyed(&self, result: &mut Analysis) {
+        self.dst.add_to(result, self.at.idx);
+        result.unmatched_flows += self.unmatched.0;
+        result.unmatched_packets += self.unmatched.1;
+    }
+}
+
 /// Where in the window an hour falls.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HourPos {
@@ -202,13 +241,40 @@ impl DstDistinct {
         }
     }
 
+    /// The hour's distinct destination counts.
+    pub(crate) fn counts(&mut self) -> DstCounts {
+        DstCounts {
+            udp_ips: self.udp_ips.each_mut().map(|s| s.len() as u64),
+            udp_ports: self.udp_ports.each_ref().map(|s| s.len() as u64),
+            scan_ips: self.scan_ips.each_mut().map(|s| s.len() as u64),
+            scan_ports: self.scan_ports.each_ref().map(|s| s.len() as u64),
+        }
+    }
+
     /// Add the hour's distinct destination counts to `result`.
     pub(crate) fn commit(&mut self, result: &mut Analysis, idx: usize) {
+        self.counts().add_to(result, idx);
+    }
+}
+
+/// One hour's distinct destination addresses and ports per realm, as
+/// [`DstDistinct`] counted them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DstCounts {
+    udp_ips: [u64; 2],
+    udp_ports: [u64; 2],
+    scan_ips: [u64; 2],
+    scan_ports: [u64; 2],
+}
+
+impl DstCounts {
+    /// Add the counts to `result`'s hourly series at `idx`.
+    fn add_to(&self, result: &mut Analysis, idx: usize) {
         for r in 0..2 {
-            result.udp[r].dst_ips[idx] += self.udp_ips[r].len() as u64;
-            result.udp[r].dst_ports[idx] += self.udp_ports[r].len() as u64;
-            result.tcp_scan[r].dst_ips[idx] += self.scan_ips[r].len() as u64;
-            result.tcp_scan[r].dst_ports[idx] += self.scan_ports[r].len() as u64;
+            result.udp[r].dst_ips[idx] += self.udp_ips[r];
+            result.udp[r].dst_ports[idx] += self.udp_ports[r];
+            result.tcp_scan[r].dst_ips[idx] += self.scan_ips[r];
+            result.tcp_scan[r].dst_ports[idx] += self.scan_ports[r];
         }
     }
 }

@@ -5,7 +5,9 @@
 //! counters).
 
 use crate::analysis::{Analysis, Analyzer};
-use crate::shard::{self, RoutedFlow, RouterPartial, ShardAccumulator, ShardPartial, ShardRouter};
+use crate::shard::{
+    self, RoutedFlow, RoutedHour, RouterPartial, ShardAccumulator, ShardPartial, ShardRouter,
+};
 use iotscope_devicedb::{DeviceDb, ShardMap};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, HourBytes};
@@ -14,6 +16,7 @@ use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
 use iotscope_telescope::HourTraffic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -474,6 +477,7 @@ impl<'a> AnalysisPipeline<'a> {
                     scope.spawn(move |_| {
                         let worker = PipelineMetrics::worker_hours(registry, i);
                         let mut router = ShardRouter::new(self.db, self.hours, map);
+                        let mut partial = RouterPartial::new(self.hours);
                         let mut acc = ShardAccumulator::new(self.hours, map.range(i));
                         loop {
                             // Apply whatever other routers have sent so
@@ -504,14 +508,16 @@ impl<'a> AnalysisPipeline<'a> {
                             let t1 = Instant::now();
                             // On error the hour is abandoned
                             // unfinished: nothing was committed or
-                            // sent, and the next begin_hour clears the
-                            // buffers.
+                            // sent, and the next begin_hour discards
+                            // it.
                             router.begin_hour(interval);
                             if let Err(e) = data.visit(&mut router) {
                                 fail(interval, e);
                                 continue;
                             }
-                            for (s, flows) in router.finish_hour().into_iter().enumerate() {
+                            let routed = router.finish_hour();
+                            partial.add(&routed);
+                            for (s, flows) in routed.into_batches().into_iter().enumerate() {
                                 if flows.is_empty() {
                                     continue;
                                 }
@@ -539,7 +545,7 @@ impl<'a> AnalysisPipeline<'a> {
                                 acc.apply_hour(interval, &flows);
                             }
                         }
-                        (router.into_partial(), acc.finish())
+                        (partial, acc.finish())
                     })
                 })
                 .collect();
@@ -578,8 +584,8 @@ impl<'a> AnalysisPipeline<'a> {
 }
 
 /// Where a window's hours come from: the one way every walker reads
-/// them — both pipeline drivers, the streaming analyzer (and through it
-/// the daemon's replay), `investigate` and `export`. A walker indexes
+/// them — both pipeline drivers, the streaming analyzer, the daemon's
+/// routed feed ([`route_ahead`]), `investigate` and `export`. A walker indexes
 /// the source by position and takes one hour at a time, so it never
 /// holds more of the window than the hour it is on.
 ///
@@ -661,6 +667,20 @@ impl<'s> HourSource<'s> {
         self.read(k)?.visit(sink)
     }
 
+    /// Route hour `k` through `router`'s front half — read, decode,
+    /// correlate, classify and count its destinations — and take it as
+    /// one [`RoutedHour`], ready to fold on any thread.
+    ///
+    /// # Errors
+    ///
+    /// A store hour's read or decode failure, as [`NetError::Hour`];
+    /// nothing of the hour leaves the router.
+    pub fn route(&self, k: usize, router: &mut ShardRouter<'_>) -> Result<RoutedHour, NetError> {
+        router.begin_hour(self.interval(k));
+        self.visit(k, router)?;
+        Ok(router.finish_hour())
+    }
+
     /// The drivers' timed "read" stage: nothing to do for memory; for a
     /// store, the hour's bytes, read into owned memory from its
     /// per-hour file or its segment alike.
@@ -680,6 +700,61 @@ impl<'s> HourSource<'s> {
                 })
             }
         }
+    }
+}
+
+/// Route `source`'s hours on one router thread ahead of `consume`,
+/// which runs on the calling thread and receives them in source order
+/// as a [`RoutedFeed`].
+///
+/// The router hands each hour over through a channel of depth one, so
+/// it runs at most two hours ahead of the consumer (one handed over,
+/// one being routed) and stops after the first hour that fails. The
+/// router has exited when this returns, however `consume` ends — having
+/// read the whole feed, stopped at an error, or panicked (dropping the
+/// feed hangs up on a router waiting to hand over).
+///
+/// # Panics
+///
+/// Re-raises a panic of `consume` or of the router (an interval outside
+/// the window of `hours`), once the router has exited.
+pub fn route_ahead<T>(
+    db: &DeviceDb,
+    hours: u32,
+    source: HourSource<'_>,
+    consume: impl FnOnce(RoutedFeed) -> T,
+) -> T {
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        scope.spawn(move || {
+            let mut router = ShardRouter::new(db, hours, ShardMap::new(db.len(), 1));
+            for k in 0..source.len() {
+                let routed = source.route(k, &mut router);
+                let failed = routed.is_err();
+                // A hung-up feed wants no more hours.
+                if tx.send(routed).is_err() || failed {
+                    break;
+                }
+            }
+        });
+        consume(RoutedFeed(rx))
+    })
+}
+
+/// The hours of a source, routed ahead by [`route_ahead`]'s thread and
+/// yielded in source order: hour `k`'s [`RoutedHour`], or the read or
+/// decode failure of hour `k` ([`NetError::Hour`]) after every earlier
+/// hour, which ends the feed.
+#[derive(Debug)]
+pub struct RoutedFeed(Receiver<Result<RoutedHour, NetError>>);
+
+impl Iterator for RoutedFeed {
+    type Item = Result<RoutedHour, NetError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // The router hangs up after the last hour, after a failed one,
+        // or on a panic, which `route_ahead` re-raises.
+        self.0.recv().ok()
     }
 }
 

@@ -14,12 +14,14 @@
 //! * a **router** ([`ShardRouter`]) decodes whole hours (it is the
 //!   [`FlowSink`] on the fused decode path), runs the fold's front half
 //!   over each block's columns — merge-join correlation to dense
-//!   indexes, classification — and fans compact [`RoutedFlow`] records
-//!   out to shard owners. Destination-keyed per-hour distincts (dst
-//!   IPs / dst ports) cannot be split by source device — the same
-//!   destination shows up in several shards — so the router, which sees
-//!   the whole hour, folds them into its own [`RouterPartial`]. Hours
-//!   are disjoint across routers, so summing router partials is exact.
+//!   indexes, classification — and hands each hour over as one
+//!   [`RoutedHour`]: compact [`RoutedFlow`] records batched per shard
+//!   owner, plus the hour's destination-keyed distincts (dst IPs / dst
+//!   ports) and unmatched totals. Those cannot be split by source
+//!   device — the same destination shows up in several shards — so the
+//!   worker that routed the hour adds them to its own [`RouterPartial`].
+//!   Hours are disjoint across routers, so summing router partials is
+//!   exact.
 //! * a **shard owner** ([`ShardAccumulator`]) applies whole-hour
 //!   batches of routed flows for its dense-index range through the
 //!   fold's device half, one device run at a time. Everything
@@ -40,44 +42,55 @@
 //! [`FlowSink`]: iotscope_net::store::FlowSink
 
 use crate::analysis::Analysis;
-pub use crate::fold::RoutedFlow;
-use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos};
+use crate::fold::{classify_flows, DeviceFold, DstCounts, DstDistinct, HourPos};
+pub use crate::fold::{RoutedFlow, RoutedHour};
 use iotscope_devicedb::{DeviceDb, Realm, ShardMap};
 use iotscope_net::store::{ColumnBlock, FlowSink};
 use std::ops::Range;
 
-/// The hour-disjoint aggregates a router accumulated while decoding:
+/// The hour-keyed aggregates of the hours one worker routed:
 /// destination-keyed per-hour distinct counts and unmatched-traffic
 /// totals, as an otherwise-zero [`Analysis`]. Summing the partials of
-/// all routers is exact because each hour is decoded by exactly one
-/// router.
+/// all workers is exact because each hour is routed by exactly one.
 #[derive(Debug)]
 pub struct RouterPartial(Analysis);
 
+impl RouterPartial {
+    /// The zero partial of a window of `hours`.
+    pub fn new(hours: u32) -> Self {
+        RouterPartial(Analysis::empty(hours))
+    }
+
+    /// Add `hour`'s destination distincts and unmatched totals; its
+    /// flows go to the shards separately
+    /// ([`RoutedHour::into_batches`]).
+    pub fn add(&mut self, hour: &RoutedHour) {
+        hour.commit_hour_keyed(&mut self.0);
+    }
+}
+
 /// Correlates, classifies, and fans one hour of flows out to device
-/// shards; the decode-side half of the sharded pipeline.
+/// shards: the fold's front half, on whichever thread reads the hour.
 ///
 /// Call [`begin_hour`](Self::begin_hour), feed it as a `FlowSink`
 /// (decoded blocks from a fused store decode, or flow slices), then
-/// [`finish_hour`](Self::finish_hour) to commit the hour's
-/// destination distincts and take the per-shard batches. Skipping
-/// `finish_hour` (after a decode error) abandons the hour: nothing was
-/// committed, and the next `begin_hour` clears the buffers.
+/// [`finish_hour`](Self::finish_hour) to take the hour as one
+/// [`RoutedHour`]. Skipping `finish_hour` (after a decode error)
+/// abandons the hour: nothing of it leaves the router, and the next
+/// `begin_hour` discards it.
 #[derive(Debug)]
 pub struct ShardRouter<'a> {
     db: &'a DeviceDb,
+    hours: u32,
     map: ShardMap,
     /// The hour being routed, between `begin_hour` and `finish_hour`.
-    at: Option<HourPos>,
-    /// Per-shard routed flows for the current hour.
-    buffers: Vec<Vec<RoutedFlow>>,
+    hour: Option<RoutedHour>,
     /// Per-hour destination-distinct state — the same front half of the
     /// fold the sequential analyzer runs.
     dst: DstDistinct,
     /// The block's merge-join correlation column, capacity reused
     /// across blocks.
     corr: Vec<Option<(u32, Realm)>>,
-    out: Analysis,
 }
 
 impl<'a> ShardRouter<'a> {
@@ -86,12 +99,11 @@ impl<'a> ShardRouter<'a> {
     pub fn new(db: &'a DeviceDb, hours: u32, map: ShardMap) -> Self {
         ShardRouter {
             db,
+            hours,
             map,
-            at: None,
-            buffers: (0..map.shards()).map(|_| Vec::new()).collect(),
+            hour: None,
             dst: DstDistinct::new(),
             corr: Vec::new(),
-            out: Analysis::empty(hours),
         }
     }
 
@@ -101,29 +113,25 @@ impl<'a> ShardRouter<'a> {
     ///
     /// Panics if `interval` is outside the window.
     pub fn begin_hour(&mut self, interval: u32) {
-        self.at = Some(HourPos::new(interval, self.out.hours));
         self.dst.clear();
-        for b in &mut self.buffers {
-            b.clear();
-        }
+        self.hour = Some(RoutedHour {
+            at: HourPos::new(interval, self.hours),
+            batches: (0..self.map.shards()).map(|_| Vec::new()).collect(),
+            dst: DstCounts::default(),
+            unmatched: (0, 0),
+        });
     }
 
-    /// Commit the hour's destination distincts and take the per-shard
-    /// batches (indexed by shard; possibly empty for quiet shards).
+    /// Take the hour: its per-shard batches, destination distincts and
+    /// unmatched totals.
     ///
     /// # Panics
     ///
     /// Panics without a preceding [`begin_hour`](Self::begin_hour).
-    pub fn finish_hour(&mut self) -> Vec<Vec<RoutedFlow>> {
-        let at = self.at.take().expect("finish_hour without begin_hour");
-        self.dst.commit(&mut self.out, at.idx);
-        let shards = self.map.shards();
-        std::mem::replace(&mut self.buffers, (0..shards).map(|_| Vec::new()).collect())
-    }
-
-    /// Finish routing and surrender the hour-disjoint aggregates.
-    pub fn into_partial(self) -> RouterPartial {
-        RouterPartial(self.out)
+    pub fn finish_hour(&mut self) -> RoutedHour {
+        let mut hour = self.hour.take().expect("finish_hour without begin_hour");
+        hour.dst = self.dst.counts();
+        hour
     }
 }
 
@@ -132,17 +140,19 @@ impl FlowSink for ShardRouter<'_> {
     /// over the block's `src_ip` column, then the column scan routes
     /// each correlated flow to its shard's batch.
     fn visit_block(&mut self, block: &ColumnBlock) {
-        debug_assert!(self.at.is_some(), "routing outside begin_hour/finish_hour");
+        let hour = self
+            .hour
+            .as_mut()
+            .expect("routing outside begin_hour/finish_hour");
         self.db
             .correlation_index()
             .correlate_sorted_block(block.src_ip(), &mut self.corr);
-        let (map, buffers) = (self.map, &mut self.buffers);
-        let (flows_unmatched, packets_unmatched) =
-            classify_flows(block, &self.corr, &mut self.dst, |f| {
-                buffers[map.shard_of(f.dense)].push(f);
-            });
-        self.out.unmatched_flows += flows_unmatched;
-        self.out.unmatched_packets += packets_unmatched;
+        let (map, batches) = (self.map, &mut hour.batches);
+        let (flows, packets) = classify_flows(block, &self.corr, &mut self.dst, |f| {
+            batches[map.shard_of(f.dense)].push(f);
+        });
+        hour.unmatched.0 += flows;
+        hour.unmatched.1 += packets;
     }
 }
 
@@ -319,14 +329,17 @@ mod tests {
         let mut parts = Vec::new();
         for w in 0..routers {
             let mut router = ShardRouter::new(db, hours, map);
+            let mut part = RouterPartial::new(hours);
             for h in traffic.iter().skip(w).step_by(routers) {
                 router.begin_hour(h.interval);
                 router.on_flows(&h.flows);
-                for (s, batch) in router.finish_hour().into_iter().enumerate() {
+                let routed = router.finish_hour();
+                part.add(&routed);
+                for (s, batch) in routed.into_batches().into_iter().enumerate() {
                     accs[s].apply_hour(h.interval, &batch);
                 }
             }
-            parts.push(router.into_partial());
+            parts.push(part);
         }
         assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
     }
@@ -374,11 +387,9 @@ mod tests {
 
     #[test]
     fn abandoned_hour_leaves_no_distincts_or_batches() {
-        // An hour abandoned mid-decode (no finish_hour) never reaches
-        // the shards and commits no per-hour distincts; only the
-        // unmatched totals — committed per flow, like the sequential
-        // sink — retain it. The pipeline aborts the whole run on a
-        // decode error, so that leak is never observable there.
+        // An hour abandoned mid-decode (no finish_hour) never leaves the
+        // router: no batches reach the shards, and neither its
+        // per-hour distincts nor its unmatched totals are committed.
         let db = db(9);
         let h1 = hour(&db, 1, 99);
         let map = ShardMap::new(db.len(), 2);
@@ -388,16 +399,19 @@ mod tests {
         // …then route a clean hour.
         router.begin_hour(1);
         router.on_flows(&h1.flows);
-        let batches = router.finish_hour();
+        let routed = router.finish_hour();
+        assert_eq!(routed.interval(), 1);
+        let mut part = RouterPartial::new(4);
+        part.add(&routed);
         let mut accs: Vec<ShardAccumulator> = (0..2)
             .map(|s| ShardAccumulator::new(4, map.range(s)))
             .collect();
-        for (s, batch) in batches.into_iter().enumerate() {
+        for (s, batch) in routed.into_batches().into_iter().enumerate() {
             accs[s].apply_hour(1, &batch);
         }
         let got = assemble(
             4,
-            vec![router.into_partial()],
+            vec![part],
             accs.into_iter().map(|a| a.finish()).collect(),
         );
 
@@ -412,7 +426,8 @@ mod tests {
         assert_eq!(got.tcp_scan, seq.tcp_scan);
         assert_eq!(got.backscatter_intervals, seq.backscatter_intervals);
         assert_eq!(got.udp[0].dst_ips[1], 0);
-        assert_eq!(got.unmatched_flows, 2 * seq.unmatched_flows);
-        assert_eq!(got.unmatched_packets, 2 * seq.unmatched_packets);
+        assert!(seq.unmatched_flows > 0, "the hour carries noise");
+        assert_eq!(got.unmatched_flows, seq.unmatched_flows);
+        assert_eq!(got.unmatched_packets, seq.unmatched_packets);
     }
 }

@@ -21,7 +21,8 @@
 use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
 use crate::pipeline::HourSource;
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
-use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
+use crate::shard::{RoutedHour, ShardRouter};
+use iotscope_devicedb::{DeviceDb, DeviceId, Realm, ShardMap};
 use iotscope_intel::IntelIndex;
 use iotscope_net::ports::ScanService;
 use iotscope_net::NetError;
@@ -269,12 +270,20 @@ impl Trailing {
 }
 
 /// Hour-by-hour streaming analyzer. Feed hours in arrival order with
-/// [`push_hour`](Self::push_hour); call [`finish`](Self::finish) for the
-/// final batch-equivalent [`Analysis`] plus the full alert log.
+/// [`push_hour`](Self::push_hour), [`push_from`](Self::push_from) or,
+/// routed elsewhere, [`push_routed`](Self::push_routed); call
+/// [`finish`](Self::finish) for the final batch-equivalent [`Analysis`]
+/// plus the full alert log.
 #[derive(Debug)]
 pub struct StreamingAnalyzer<'a> {
     analyzer: Analyzer<'a>,
+    /// The front half for hours pushed with [`push_hour`](Self::push_hour)
+    /// or [`push_from`](Self::push_from), built by the first of them (an
+    /// analyzer fed only [`push_routed`](Self::push_routed) never needs
+    /// it): one shard, so a routed hour's flows stay in record order.
+    router: Option<ShardRouter<'a>>,
     db: &'a DeviceDb,
+    hours: u32,
     config: StreamConfig,
     backscatter: Trailing,
     services: [Trailing; 5],
@@ -290,7 +299,9 @@ impl<'a> StreamingAnalyzer<'a> {
     pub fn new(db: &'a DeviceDb, hours: u32, config: StreamConfig) -> Self {
         StreamingAnalyzer {
             analyzer: Analyzer::new(db, hours),
+            router: None,
             db,
+            hours,
             config,
             backscatter: Trailing::new(config.window),
             services: std::array::from_fn(|_| Trailing::new(config.window)),
@@ -326,7 +337,8 @@ impl<'a> StreamingAnalyzer<'a> {
         s
     }
 
-    /// Ingest the next hour and return the alerts it raised.
+    /// Ingest the next hour and return the alerts it raised: routed on
+    /// this thread, then [`push_routed`](Self::push_routed).
     ///
     /// # Panics
     ///
@@ -337,22 +349,42 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Ingest hour `k` of `hours` as the next hour and return the
-    /// alerts it raised. A store hour is read, decoded and folded block
-    /// by block, never materialized (the path `analyze` takes), and
-    /// raises the same alerts, from the same state, as
-    /// [`push_hour`](Self::push_hour) on the decoded hour.
+    /// alerts it raised: the hour is routed on this thread
+    /// ([`HourSource::route`]; a store hour is read and decoded block
+    /// by block, never materialized), then
+    /// [`push_routed`](Self::push_routed). It raises the same alerts,
+    /// from the same state, as [`push_hour`](Self::push_hour) on the
+    /// decoded hour.
     ///
     /// # Errors
     ///
     /// The hour's read or decode failure, naming the hour
-    /// ([`NetError::Hour`]). The analyzer then holds a prefix of the
-    /// failed hour: discard it, do not push further.
+    /// ([`NetError::Hour`]). Nothing of the failed hour is folded.
     ///
     /// # Panics
     ///
     /// As [`push_hour`](Self::push_hour).
     pub fn push_from(&mut self, hours: &HourSource<'_>, k: usize) -> Result<Vec<Alert>, NetError> {
-        let interval = hours.interval(k);
+        let (db, window) = (self.db, self.hours);
+        let router = self
+            .router
+            .get_or_insert_with(|| ShardRouter::new(db, window, ShardMap::new(db.len(), 1)));
+        let routed = hours.route(k, router)?;
+        Ok(self.push_routed(&routed))
+    }
+
+    /// Fold `hour`, routed on any thread by a one-shard
+    /// [`ShardRouter`] (a [`RoutedFeed`](crate::pipeline::RoutedFeed)
+    /// item), as the next hour and return the alerts it raised: the one
+    /// fold every push takes. The device fold, the `analysis.*` counter
+    /// flush, alert detection and the score fold all run here, in hour
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if hours arrive out of order or outside the window.
+    pub fn push_routed(&mut self, hour: &RoutedHour) -> Vec<Alert> {
+        let interval = hour.interval();
         if let Some(last) = self.last_interval {
             assert!(
                 interval > last,
@@ -361,9 +393,7 @@ impl<'a> StreamingAnalyzer<'a> {
         }
         self.last_interval = Some(interval);
         let known = self.analyzer.peek().device_count();
-        let mut ingest = self.analyzer.begin_hour(interval);
-        hours.visit(k, &mut ingest)?;
-        ingest.finish();
+        self.analyzer.apply_routed(hour);
         let snapshot = self.analyzer.peek();
         let idx = (interval - 1) as usize;
         let mut new_alerts = Vec::new();
@@ -459,7 +489,7 @@ impl<'a> StreamingAnalyzer<'a> {
             }
         }
         self.alerts.extend(new_alerts.iter().cloned());
-        Ok(new_alerts)
+        new_alerts
     }
 
     /// All alerts raised so far.

@@ -706,7 +706,11 @@ mod tests {
     fn hour_bytes_read_file_ranges_exactly() {
         // Hours larger than a page, read out of order and twice over one
         // open file: each read seeks to its own range.
-        let hours = vec![hour_file(200, 3_000), hour_file(201, 1), hour_file(202, 4_000)];
+        let hours = vec![
+            hour_file(200, 3_000),
+            hour_file(201, 1),
+            hour_file(202, 4_000),
+        ];
         let bytes = encode_segment(&hours).unwrap();
         let dir = std::env::temp_dir().join(format!("iotscope-seg-exact-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();

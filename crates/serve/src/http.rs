@@ -8,11 +8,14 @@
 //! connections (one more is answered `503`), each buffering at most 100
 //! header lines of at most 8 KiB, which must all arrive within
 //! [`READ_TIMEOUT`] of the request's first byte (or it is answered
-//! `408`).
+//! `408`). A handler that panics answers `500` and closes its
+//! connection; the counter `serve.handler_panics` counts them.
 
 use crate::{error_body, TelescopeService};
+use iotscope_obs::Counter;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -211,6 +214,25 @@ fn handle_connection(
     service: &TelescopeService,
     stop: &AtomicBool,
 ) -> io::Result<()> {
+    serve_connection(
+        stream,
+        stop,
+        &|path| service.respond(path),
+        service.handler_panics(),
+    )
+}
+
+/// [`handle_connection`] over any responder. A request whose responder
+/// panics is answered `500` with `Connection: close`, counted in
+/// `panics`, and ends the connection; the server and its other
+/// connections carry on. Readers only ever load immutable snapshots, so
+/// a panicking handler leaves nothing half-written behind.
+fn serve_connection(
+    stream: TcpStream,
+    stop: &AtomicBool,
+    respond: &dyn Fn(&str) -> (u16, String),
+    panics: &Counter,
+) -> io::Result<()> {
     stream.set_write_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(Deadline {
@@ -281,10 +303,14 @@ fn handle_connection(
         }
         reader.get_mut().deadline = None;
         keep_alive &= !has_body;
-        let (status, body) = if method == "GET" {
-            service.respond(&path)
+        let answered = if method == "GET" {
+            panic::catch_unwind(AssertUnwindSafe(|| respond(&path)))
         } else {
-            (405, error_body("only GET is served"))
+            Ok((405, error_body("only GET is served")))
+        };
+        let Ok((status, body)) = answered else {
+            panics.inc();
+            return refuse(socket(&mut reader), 500, "internal error");
         };
         write_response(socket(&mut reader), status, &body, keep_alive)?;
         if !keep_alive {
@@ -322,4 +348,47 @@ fn write_response(
     stream.write_all(header.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iotscope_obs::Registry;
+
+    /// A responder that panics on `/boom`: its request reads `500` with
+    /// `Connection: close` and is counted, and the connection closes;
+    /// a request before it on the same connection is answered as usual.
+    #[test]
+    fn a_panicking_handler_answers_500_and_is_counted() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let registry = Registry::new();
+        let panics = registry.counter_variant("serve.handler_panics");
+        let stop = AtomicBool::new(false);
+        let respond = |path: &str| -> (u16, String) {
+            assert_ne!(path, "/boom", "handler bug");
+            (200, "{}".to_owned())
+        };
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        thread::scope(|s| {
+            let served = s.spawn(|| serve_connection(server, &stop, &respond, &panics));
+            client
+                .write_all(b"GET /ok HTTP/1.1\r\n\r\nGET /boom HTTP/1.1\r\n\r\n")
+                .unwrap();
+            let mut answer = String::new();
+            client.read_to_string(&mut answer).unwrap();
+            served.join().unwrap().unwrap();
+            let (ok, boom) = answer.split_once("}").unwrap();
+            assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{answer}");
+            assert!(ok.contains("Connection: keep-alive\r\n"), "{answer}");
+            assert!(
+                boom.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+                "{answer}"
+            );
+            assert!(boom.contains("Connection: close\r\n"), "{answer}");
+            assert!(boom.ends_with("{\"error\":\"internal error\"}"), "{answer}");
+        });
+        assert_eq!(registry.snapshot().counter("serve.handler_panics"), Some(1));
+    }
 }

@@ -2,9 +2,10 @@
 //!
 //! The batch pipeline answers one question per process. This crate
 //! keeps the telescope *resident*: hours ingest incrementally through
-//! [`StreamingAnalyzer`] — from memory or straight from a store, one
-//! loop either way ([`TelescopeService::ingest_with`]) — and after
-//! every hour the service publishes an
+//! [`StreamingAnalyzer`] — from memory or straight from a store, routed
+//! ahead on another core and folded in hour order, one loop either way
+//! ([`TelescopeService::ingest_with`]) — and after every hour the
+//! service publishes an
 //! immutable [`Snapshot`] by swapping an `Arc` in a [`SnapshotCell`] —
 //! readers clone the current `Arc` and query it for as long as they
 //! like while ingest races ahead. A snapshot is never mutated after
@@ -25,6 +26,7 @@
 pub mod http;
 pub mod json;
 
+use iotscope_core::pipeline::{route_ahead, HourSource};
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::stream::{Alert, StreamConfig, StreamingAnalyzer};
 use iotscope_core::{Analysis, Analyzer, ScoreConfig, ScoreRow, ScoreTable};
@@ -143,16 +145,25 @@ impl SnapshotCell {
             .clone()
     }
 
-    /// Atomically replace the current snapshot.
+    /// Atomically replace the current snapshot. The one it replaces is
+    /// swapped out under the lock and dropped after it, so freeing it —
+    /// the analysis, scores and alert log no reader holds any more —
+    /// never locks readers out.
     pub fn publish(&self, snapshot: Snapshot) {
-        *self.inner.write().expect("snapshot cell not poisoned") = Arc::new(snapshot);
+        let next = Arc::new(snapshot);
+        let replaced = std::mem::replace(
+            &mut *self.inner.write().expect("snapshot cell not poisoned"),
+            next,
+        );
+        drop(replaced);
     }
 }
 
 /// Per-endpoint request counters and latency histograms
-/// (`serve.requests.*`, `serve.latency.*`) and the per-hour publication
-/// timer (`serve.publish_time`: building the epoch's snapshot, swapping
-/// it in, dropping the one it replaced); all
+/// (`serve.requests.*`, `serve.latency.*`), the count of requests whose
+/// handler panicked (`serve.handler_panics`, each answered `500`) and
+/// the per-hour publication timer (`serve.publish_time`: building the
+/// epoch's snapshot, swapping it in, dropping the one it replaced); all
 /// [variant](iotscope_obs::Stability::Variant) — request mixes and wall
 /// time are never reproducible.
 #[derive(Debug)]
@@ -160,6 +171,7 @@ struct ServeMetrics {
     requests: [Counter; ENDPOINTS.len()],
     latency: [Histogram; ENDPOINTS.len()],
     not_found: Counter,
+    handler_panics: Counter,
     publish_time: Timer,
 }
 
@@ -174,6 +186,7 @@ impl ServeMetrics {
                 registry.histogram_variant(&format!("serve.latency.{}", ENDPOINTS[i]), &bounds)
             }),
             not_found: registry.counter_variant("serve.requests.not_found"),
+            handler_panics: registry.counter_variant("serve.handler_panics"),
             publish_time: registry.timer("serve.publish_time"),
         }
     }
@@ -246,10 +259,16 @@ impl TelescopeService {
         self.cell.load()
     }
 
+    /// `serve.handler_panics`, which the HTTP listener counts.
+    pub(crate) fn handler_panics(&self) -> &Counter {
+        &self.metrics.handler_panics
+    }
+
     /// Ingest `traffic` hour by hour, publishing a new epoch snapshot
     /// after every hour and invoking `on_alert` for each alert as it
-    /// fires: [`ingest_with`](Self::ingest_with) over hours already in
-    /// memory, which cannot fail.
+    /// fires: [`ingest_with`](Self::ingest_with) over the hours routed
+    /// ahead on another thread ([`route_ahead`]), which cannot fail for
+    /// hours already in memory.
     ///
     /// # Panics
     ///
@@ -261,16 +280,21 @@ impl TelescopeService {
         config: StreamConfig,
         on_alert: &mut dyn FnMut(&Alert),
     ) -> (Analysis, Vec<Alert>) {
-        let Ok(done) = self.ingest_with(traffic, config, on_alert, |stream, hour| {
-            Ok::<_, Infallible>(stream.push_hour(hour))
-        });
-        done
+        let source = HourSource::Memory(traffic);
+        route_ahead(&self.db, self.hours, source, |feed| {
+            let Ok(done) = self.ingest_with(feed, config, on_alert, |stream, hour| {
+                let hour = hour.expect("an in-memory hour cannot fail");
+                Ok::<_, Infallible>(stream.push_routed(&hour))
+            });
+            done
+        })
     }
 
     /// The daemon's ingest loop. For each item of `hours`, `push` feeds
-    /// that hour into the streaming analyzer (an hour in memory with
-    /// [`StreamingAnalyzer::push_hour`]; a position in a store's hour
-    /// source with [`StreamingAnalyzer::push_from`]); the loop then invokes
+    /// that hour into the streaming analyzer (a routed hour of a
+    /// [`RoutedFeed`](iotscope_core::pipeline::RoutedFeed) with
+    /// [`StreamingAnalyzer::push_routed`]; an hour in memory with
+    /// [`StreamingAnalyzer::push_hour`]); the loop then invokes
     /// `on_alert` for each alert the hour raised (the live alert log —
     /// the CLI streams these to stdout) and publishes a new epoch
     /// snapshot.
@@ -553,7 +577,6 @@ fn render_device(d: &iotscope_core::query::DeviceDetail) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotscope_core::pipeline::HourSource;
     use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 
     fn service_with_traffic(seed: u64) -> (TelescopeService, Vec<HourTraffic>) {

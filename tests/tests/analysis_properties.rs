@@ -8,7 +8,7 @@
 
 use iotscope_core::analysis::{Analysis, Analyzer};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
-use iotscope_core::shard::{assemble, ShardAccumulator, ShardRouter};
+use iotscope_core::shard::{assemble, RouterPartial, ShardAccumulator, ShardRouter};
 use iotscope_core::TrafficClass;
 use iotscope_devicedb::{DeviceId, Realm, ShardMap};
 use iotscope_net::store::{
@@ -85,15 +85,18 @@ fn sharded_by_hand(groups: &[Vec<usize>], shards: usize) -> Analysis {
     let mut parts = Vec::new();
     for group in groups {
         let mut router = ShardRouter::new(db, hours, map);
+        let mut partial = RouterPartial::new(hours);
         for &i in group {
             let hour = &traffic[i];
             router.begin_hour(hour.interval);
             router.on_flows(&hour.flows);
-            for (s, flows) in router.finish_hour().into_iter().enumerate() {
+            let routed = router.finish_hour();
+            partial.add(&routed);
+            for (s, flows) in routed.into_batches().into_iter().enumerate() {
                 accs[s].apply_hour(hour.interval, &flows);
             }
         }
-        parts.push(router.into_partial());
+        parts.push(partial);
     }
     assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
 }
@@ -257,16 +260,19 @@ proptest! {
             .map(|s| ShardAccumulator::new(hours, map.range(s)))
             .collect();
         let mut router = ShardRouter::new(db, hours, map);
+        let mut partial = RouterPartial::new(hours);
         for &(hour, bytes) in &files {
             router.begin_hour(hour.interval);
             decode_hour_visit(bytes, opts, &mut router).expect("quarantining decode succeeds");
-            for (s, flows) in router.finish_hour().into_iter().enumerate() {
+            let routed = router.finish_hour();
+            partial.add(&routed);
+            for (s, flows) in routed.into_batches().into_iter().enumerate() {
                 accs[s].apply_hour(hour.interval, &flows);
             }
         }
         let sharded = assemble(
             hours,
-            vec![router.into_partial()],
+            vec![partial],
             accs.into_iter().map(|a| a.finish()).collect(),
         );
         prop_assert_eq!(&Naive::from(&sharded), &want, "shards={}", shards);

@@ -11,8 +11,10 @@
 //! optimised paths with each other.
 
 use iotscope_core::behavior::{self, BehaviorFold, BehaviorVector};
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, HourSource, StoredWindow};
-use iotscope_core::shard::{assemble, ShardAccumulator, ShardRouter};
+use iotscope_core::pipeline::{
+    route_ahead, AnalysisPipeline, AnalyzeOptions, HourSource, StoredWindow,
+};
+use iotscope_core::shard::{assemble, RouterPartial, ShardAccumulator, ShardRouter};
 use iotscope_core::stream::{StreamConfig, StreamingAnalyzer};
 use iotscope_core::{Analysis, Analyzer};
 use iotscope_devicedb::isp::IspRegistry;
@@ -312,6 +314,47 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The daemon's data path: `route_ahead` over a store's hour source,
+    /// each routed hour folded in order by `push_routed`. Every epoch is
+    /// the reference of the hours pushed so far and the counters match;
+    /// the alert log, which the reference does not model, is inline
+    /// `push_from`'s.
+    #[test]
+    fn routed_feed(seed: u64, hours in 1u32..=4, big: bool) {
+        let db = oracle::inventory();
+        let traffic = oracle::random_traffic(&db, seed, hours, big);
+        let stored = window_hours(&traffic);
+        let (dir, store, _) = write_store("routed-feed", &stored);
+        let work: Vec<(u32, UnixHour)> = stored.iter().map(|h| (h.interval, h.hour)).collect();
+        let source = HourSource::Store { store: &store, work: &work };
+        let config = StreamConfig::default();
+        let mut inline = StreamingAnalyzer::new(&db, HOURS, config);
+        for k in 0..source.len() {
+            inline.push_from(&source, k).unwrap();
+        }
+        let (_, inline_alerts) = inline.finish();
+        let want = oracle::analyze(&db, HOURS, &stored);
+        let path = "routed feed";
+        let registry = Registry::new();
+        let mut stream = StreamingAnalyzer::with_metrics(&db, HOURS, config, &registry);
+        let pushed = route_ahead(&db, HOURS, source, |feed| {
+            let mut pushed = 0;
+            for (k, hour) in feed.enumerate() {
+                stream.push_routed(&hour.unwrap());
+                let epoch = oracle::analyze(&db, HOURS, &stored[..=k]);
+                prop_assert_eq!(&Naive::from(&stream.snapshot()), &epoch, "{} epoch {}", path, k + 1);
+                pushed += 1;
+            }
+            Ok(pushed)
+        })?;
+        prop_assert_eq!(pushed, stored.len(), "{}", path);
+        let (analysis, alerts) = stream.finish();
+        assert_finished(&want, &analysis, path);
+        assert_counters(&want, &registry, None, path);
+        prop_assert_eq!(&alerts, &inline_alerts, "{}", path);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// `ShardRouter`s, `ShardAccumulator`s and `assemble` driven by hand:
     /// each hour to a random one of 1–4 routers, fed decoded blocks or
     /// records, over 1–8 shards.
@@ -330,24 +373,26 @@ proptest! {
         let mut accs: Vec<ShardAccumulator> = (0..shards)
             .map(|s| ShardAccumulator::new(HOURS, map.range(s)))
             .collect();
-        let mut pool: Vec<ShardRouter> = (0..routers)
-            .map(|_| ShardRouter::new(&db, HOURS, map))
+        let mut pool: Vec<(ShardRouter, RouterPartial)> = (0..routers)
+            .map(|_| (ShardRouter::new(&db, HOURS, map), RouterPartial::new(HOURS)))
             .collect();
         for (hour, &(r, decode)) in traffic.iter().zip(&plan) {
-            let router = &mut pool[r % routers];
+            let (router, partial) = &mut pool[r % routers];
             router.begin_hour(hour.interval);
             if decode {
                 decode_hour_visit(&encoded(hour), DecodeOptions::default(), &mut *router).unwrap();
             } else {
                 router.on_flows(&hour.flows);
             }
-            for (s, batch) in router.finish_hour().into_iter().enumerate() {
+            let routed = router.finish_hour();
+            partial.add(&routed);
+            for (s, batch) in routed.into_batches().into_iter().enumerate() {
                 accs[s].apply_hour(hour.interval, &batch);
             }
         }
         let analysis = assemble(
             HOURS,
-            pool.into_iter().map(ShardRouter::into_partial).collect(),
+            pool.into_iter().map(|(_, partial)| partial).collect(),
             accs.into_iter().map(ShardAccumulator::finish).collect(),
         );
         let want = oracle::analyze(&db, HOURS, &traffic);
@@ -413,17 +458,20 @@ proptest! {
             .map(|s| ShardAccumulator::new(HOURS, map.range(s)))
             .collect();
         let mut router = ShardRouter::new(&db, HOURS, map);
+        let mut partial = RouterPartial::new(HOURS);
         for (hour, bytes) in kept.iter().zip(&files) {
             router.begin_hour(hour.interval);
             let visited = decode_hour_visit(bytes, quarantine, &mut router).unwrap();
             prop_assert_eq!(visited.records, hour.flows.len(), "sharded");
-            for (s, batch) in router.finish_hour().into_iter().enumerate() {
+            let routed = router.finish_hour();
+            partial.add(&routed);
+            for (s, batch) in routed.into_batches().into_iter().enumerate() {
                 accs[s].apply_hour(hour.interval, &batch);
             }
         }
         let analysis = assemble(
             HOURS,
-            vec![router.into_partial()],
+            vec![partial],
             accs.into_iter().map(ShardAccumulator::finish).collect(),
         );
         assert_finished(&want, &analysis, &format!("quarantined, {shards} shards"));

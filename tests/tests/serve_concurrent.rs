@@ -9,7 +9,7 @@
 //! epochs only move forward. The HTTP listener must round-trip the
 //! same snapshots over a real socket.
 
-use iotscope_core::pipeline::HourSource;
+use iotscope_core::pipeline::{route_ahead, HourSource};
 use iotscope_core::stream::StreamConfig;
 use iotscope_core::{udp, QueryApi};
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig, SynthOutput};
@@ -19,6 +19,7 @@ use iotscope_net::ports::ServiceRegistry;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
+use iotscope_net::NetError;
 use iotscope_serve::http::{HttpServer, MAX_CONNECTIONS, READ_TIMEOUT};
 use iotscope_serve::{Snapshot, TelescopeService};
 use iotscope_telescope::HourTraffic;
@@ -28,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const WINDOW_HOURS: u32 = 8;
@@ -194,10 +195,13 @@ fn a_held_snapshot_is_unchanged_by_later_hours() {
     assert_ne!(*held.analysis, *service.snapshot().analysis);
 }
 
-/// Ingest fed straight from a store publishes the reference analysis and
-/// the same alerts as ingest fed from memory, and a corrupt hour stops
-/// it: the error comes back, and the last published epoch is the hour
-/// before.
+/// Ingest fed straight from a store, routed ahead on a router thread
+/// as `serve` and `watch` feed it, publishes the reference analysis and
+/// the same alerts as ingest fed from memory. A corrupt hour stops it,
+/// with the router ahead of it: the error names the hour, the last
+/// published epoch is the hour before, and the router thread has exited
+/// (`route_ahead` joins it before it returns, so a router left waiting
+/// to hand over an hour would hang the run past its minute).
 #[test]
 fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let inv = inventory();
@@ -209,26 +213,39 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
         store.write_hour(h.hour, &h.flows).expect("write hour");
     }
     let work: Vec<(u32, UnixHour)> = traffic.iter().map(|h| (h.interval, h.hour)).collect();
-    let source = HourSource::Store {
-        store: &store,
-        work: &work,
-    };
-    let new_service = || TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
-    let feed = |service: &TelescopeService| {
-        service.ingest_with(
-            0..source.len(),
-            StreamConfig::default(),
-            &mut |_| {},
-            |stream, k| stream.push_from(&source, k),
-        )
+    // A fresh service fed the store through the routed feed, on its own
+    // thread: the ingest result and the last published snapshot.
+    let feed = || {
+        let (store, work) = (store.clone(), work.clone());
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let service = TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
+            let source = HourSource::Store {
+                store: &store,
+                work: &work,
+            };
+            let ingested = route_ahead(service.db(), WINDOW_HOURS, source, |hours| {
+                service.ingest_with(
+                    hours,
+                    StreamConfig::default(),
+                    &mut |_| {},
+                    |stream, hour| Ok::<_, NetError>(stream.push_routed(&hour?)),
+                )
+            });
+            let _ = done.send((ingested, service.snapshot()));
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("ingest ends and its router thread exits within a minute")
     };
 
-    let (_, memory_alerts) = new_service().ingest(&traffic, StreamConfig::default(), &mut |_| {});
-    let from_store = new_service();
-    let (analysis, alerts) = feed(&from_store).expect("clean store");
+    let memory = TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
+    let (_, memory_alerts) = memory.ingest(&traffic, StreamConfig::default(), &mut |_| {});
     let reference = prefix_analysis(&inv.db, &traffic, traffic.len());
+    let (ingested, last) = feed();
+    let (analysis, alerts) = ingested.expect("clean store");
     assert_eq!(Naive::from(&analysis), reference);
-    assert_eq!(Naive::from(&*from_store.snapshot().analysis), reference);
+    assert_eq!(Naive::from(&*last.analysis), reference);
     assert_eq!(alerts, memory_alerts);
 
     // Flip the last byte of hour 5: hours 1..=4 publish, nothing after.
@@ -236,12 +253,11 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let mut bytes = std::fs::read(&path).expect("read hour file");
     *bytes.last_mut().expect("non-empty hour file") ^= 0xff;
     std::fs::write(&path, bytes).expect("rewrite hour file");
-    let stopped = new_service();
-    let err = feed(&stopped).expect_err("corrupt hour must fail ingest");
-    assert!(err.is_checksum_mismatch(), "{err}");
     let named = format!("{} (interval 5): ", traffic[4].hour);
+    let (ingested, last) = feed();
+    let err = ingested.expect_err("corrupt hour must fail ingest");
+    assert!(err.is_checksum_mismatch(), "{err}");
     assert!(err.to_string().starts_with(&named), "{err}");
-    let last = stopped.snapshot();
     assert_eq!(last.epoch, 4);
     assert_eq!(last.last_interval, Some(4));
     assert_eq!(
