@@ -4,19 +4,18 @@
 //! addresses against the IoT inventory (§III-B's correlation algorithm)
 //! and accumulating every aggregate the paper's figures and tables need.
 //! Hours may be ingested in any order; every aggregate is a sum, a set
-//! union or an order-free maximum, so partial analyses over disjoint
-//! hours or disjoint devices add up to the same result — which is what
-//! makes the sharded parallel analysis ([`crate::shard`]) exact rather
-//! than approximate.
+//! union or an order-free maximum, so one analyzer folding routed hours
+//! in whatever order N routers finish them
+//! ([`Analyzer::apply_routed`], DESIGN.md §3e) is exact, not
+//! approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
 //! correlated device, Table V's scanned groups among its columns),
 //! Table IV in a [`PortTable`] (per-port device runs in one shared
-//! arena), Table V's packets in a [`ServiceTable`], so assembling
-//! partials is column concatenation plus sorted run merges and slot
-//! sums, and the column fold (`fold.rs`, shared with the sharded
-//! pipeline) reaches every aggregate by array index. Derived queries
-//! (sorted device lists, cohorts, totals) are served memoized through
+//! arena), Table V's packets in a [`ServiceTable`], so the column fold
+//! ([`crate::fold`], shared with the parallel pipeline and the daemon)
+//! reaches every aggregate by array index. Derived queries (sorted
+//! device lists, cohorts, totals) are served memoized through
 //! [`Analysis::view`] — the one way to ask them.
 
 use crate::classify::TrafficClass;
@@ -122,19 +121,6 @@ impl RealmSeries {
             devices: vec![0; hours],
         }
     }
-
-    fn add(&mut self, o: &RealmSeries) {
-        add_columns(&mut self.packets, &o.packets);
-        add_columns(&mut self.dst_ips, &o.dst_ips);
-        add_columns(&mut self.dst_ports, &o.dst_ports);
-        add_columns(&mut self.devices, &o.devices);
-    }
-}
-
-fn add_columns(cur: &mut [u64], add: &[u64]) {
-    for (c, a) in cur.iter_mut().zip(add) {
-        *c += a;
-    }
 }
 
 /// Per-interval backscatter attribution (who dominated a DoS episode).
@@ -207,52 +193,8 @@ impl Analysis {
         }
     }
 
-    /// Add `o`, a partial analysis of the same window built over
-    /// observations disjoint from this one's — other hours with no
-    /// device rows (a router partial) or other devices of the same
-    /// hours (a shard partial), so no device is in both tables: every
-    /// aggregate is a sum, a set union or an order-free maximum, and
-    /// device rows concatenate ([`DeviceTable::concat_from`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window lengths differ.
-    pub(crate) fn absorb(&mut self, o: Analysis) {
-        assert_eq!(self.hours, o.hours, "mismatched windows");
-        self.cache.reset();
-        self.devices.concat_from(o.devices);
-        for r in 0..2 {
-            for (cur, add) in self.protocol_packets[r]
-                .iter_mut()
-                .zip(o.protocol_packets[r])
-            {
-                *cur += add;
-            }
-            self.udp[r].add(&o.udp[r]);
-            self.tcp_scan[r].add(&o.tcp_scan[r]);
-            add_columns(&mut self.backscatter_hourly[r], &o.backscatter_hourly[r]);
-        }
-        for (cur, slot) in self
-            .backscatter_intervals
-            .iter_mut()
-            .zip(o.backscatter_intervals)
-        {
-            cur.total += slot.total;
-            merge_top_victim(&mut cur.top_victim, slot.top_victim);
-        }
-        self.scan_services.merge_from(o.scan_services);
-        for (cur, row) in self.top5_series.iter_mut().zip(o.top5_series) {
-            for (c, v) in cur.iter_mut().zip(row) {
-                *c += v;
-            }
-        }
-        self.udp_ports.merge_from(o.udp_ports);
-        self.unmatched_flows += o.unmatched_flows;
-        self.unmatched_packets += o.unmatched_packets;
-    }
-
     /// Sort device rows by id and port rows by port, so a finished
-    /// result iterates identically regardless of ingest/merge order.
+    /// result iterates identically regardless of ingest order.
     pub(crate) fn normalize(&mut self) {
         self.devices.normalize();
         self.udp_ports.normalize();
@@ -323,36 +265,6 @@ impl Analysis {
         days
     }
 
-    /// Publish the analyzer-layer stable counters
-    /// (`analysis.packets.<realm>.<class>`, `analysis.flows_unmatched`,
-    /// `analysis.packets_unmatched`) for a finished analysis into
-    /// `registry`.
-    ///
-    /// The per-`[realm][class]` packet totals are recovered from the
-    /// device table columns, which accumulate exactly what the per-hour
-    /// metric flush of [`HourIngest::finish`] adds up — so the sharded
-    /// pipeline, which has no per-worker `Analyzer`, publishes values
-    /// bit-identical to the sequential path.
-    pub(crate) fn publish_packet_counters(&self, registry: &Registry) {
-        let m = AnalyzerMetrics::register(registry);
-        let mut totals = [[0u64; 5]; 2];
-        for o in self.devices.rows() {
-            let r = realm_idx(o.realm);
-            for (c, &pkts) in o.packets_by_class.iter().enumerate() {
-                totals[r][c] += pkts;
-            }
-        }
-        for (r, row) in totals.iter().enumerate() {
-            for (c, &pkts) in row.iter().enumerate() {
-                if pkts > 0 {
-                    m.packets[r][c].add(pkts);
-                }
-            }
-        }
-        m.unmatched_flows.add(self.unmatched_flows);
-        m.unmatched_packets.add(self.unmatched_packets);
-    }
-
     /// Average number of distinct devices active per day `(all, consumer)`.
     pub fn daily_active_devices(&self) -> (f64, f64) {
         let num_days = self.hours.div_ceil(24).max(1);
@@ -397,7 +309,7 @@ impl<'a> Analyzer<'a> {
             hours,
             metrics: None,
             dst: DstDistinct::new(),
-            dev: DeviceFold::new(0..db.len() as u32),
+            dev: DeviceFold::new(db.len()),
             corr: Vec::new(),
             routed: Vec::new(),
             result: Analysis::empty(hours),
@@ -462,18 +374,17 @@ impl<'a> Analyzer<'a> {
     /// destination distincts, unmatched totals and metric flush — as
     /// [`begin_hour`](Self::begin_hour), its records and
     /// [`HourIngest::finish`] would have: the back half of the fold for
-    /// an hour whose front half ran elsewhere.
+    /// an hour whose front half ran elsewhere
+    /// ([`Router`](crate::fold::Router)). Hours may arrive in any order.
     ///
     /// # Panics
     ///
     /// Panics if the hour's interval is outside the window.
-    pub(crate) fn apply_routed(&mut self, hour: &RoutedHour) {
+    pub fn apply_routed(&mut self, hour: &RoutedHour) {
         let at = HourPos::new(hour.interval(), self.hours);
         self.result.cache.reset();
         self.dev.clear();
-        for batch in &hour.batches {
-            self.dev.fold(&mut self.result, at, batch);
-        }
+        self.dev.fold(&mut self.result, at, &hour.flows);
         self.dev.commit(&mut self.result, at.idx);
         hour.commit_hour_keyed(&mut self.result);
         self.flush_hour_metrics(hour.unmatched);
@@ -570,7 +481,7 @@ impl FlowSink for HourIngest<'_, '_> {
 }
 
 /// Keep the dominant `(victim, packets)` pair; ties break toward the
-/// smaller device id (determinism across merge orders).
+/// smaller device id (determinism across accumulation orders).
 pub(crate) fn merge_top_victim(
     current: &mut Option<(DeviceId, u64)>,
     candidate: Option<(DeviceId, u64)>,

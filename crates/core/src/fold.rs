@@ -2,24 +2,24 @@
 //!
 //! Every decoded block passes through two halves:
 //!
-//! * the **front half** ([`classify_flows`]) scans a [`ColumnBlock`]'s
+//! * the **front half** (`classify_flows`) scans a [`ColumnBlock`]'s
 //!   columns next to the block's correlation column, classifies each
 //!   correlated flow by table lookup and counts the hour's distinct
-//!   destinations ([`DstDistinct`]) — state keyed by *destination*,
+//!   destinations (`DstDistinct`) — state keyed by *destination*,
 //!   which needs the whole hour in one place. It emits one
-//!   [`RoutedFlow`] per correlated flow;
-//! * the **device half** ([`DeviceFold::fold`]) takes those routed
+//!   `RoutedFlow` per correlated flow;
+//! * the **device half** (`DeviceFold::fold`) takes those routed
 //!   flows one source-device run at a time and writes everything keyed
 //!   by the *source device* into an [`Analysis`].
 //!
 //! The sequential [`Analyzer`](crate::analysis::Analyzer) runs the two
-//! back to back per block. The sharded pipeline and the daemon split
-//! them across threads: a [`ShardRouter`](crate::shard::ShardRouter)
-//! runs the front half over a whole hour and hands it over as one
-//! [`RoutedHour`]; the sharded pipeline ships its batches to the
-//! [`ShardAccumulator`](crate::shard::ShardAccumulator) owning each
-//! device, the daemon folds it whole, in hour order
-//! ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)).
+//! back to back per block. The parallel pipeline and the daemon split
+//! them across threads: a [`Router`] runs the front half over a whole
+//! hour and hands it over as one [`RoutedHour`], and one analyzer folds
+//! it whole ([`Analyzer::apply_routed`](crate::analysis::Analyzer::apply_routed)):
+//! the parallel pipeline's N routers feed one fold in any hour order
+//! (DESIGN.md §3e), the daemon's one router feeds its fold in hour
+//! order ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)).
 //! Same functions, same state types for every driver; each driver is
 //! checked against the naive per-record analyzer in the
 //! `iotscope-tests` crate (`oracle`).
@@ -28,13 +28,12 @@ use crate::analysis::{class_idx, merge_top_victim, realm_idx, Analysis};
 use crate::classify::classify;
 use crate::distinct::{PortScratch, U32Set};
 use crate::table::NUM_CLASSES;
-use iotscope_devicedb::{DeviceId, Realm};
+use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
 use iotscope_net::protocol::{TcpFlags, TransportProtocol};
-use iotscope_net::store::ColumnBlock;
+use iotscope_net::store::{ColumnBlock, FlowSink};
 use std::net::Ipv4Addr;
-use std::ops::Range;
 use std::sync::LazyLock;
 
 /// Realm lookup by [`realm_idx`] value.
@@ -117,7 +116,7 @@ pub(crate) fn lane_and_class(
 /// address is deliberately absent — destination-keyed distincts belong
 /// to the front half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutedFlow {
+pub(crate) struct RoutedFlow {
     /// Dense intern index of the source device (== `DeviceId` value).
     pub dense: u32,
     /// Packets in the flow record.
@@ -132,16 +131,15 @@ pub struct RoutedFlow {
     pub proto: u8,
 }
 
-/// One hour through the front half, as one value: its routed flows
-/// (one batch per shard of the router's map, each in record order), its
-/// destination-distinct counts and its unmatched totals. It is
-/// everything the device half and the hour-keyed series need, so an
-/// hour can be routed on one thread and folded on another. A
-/// [`ShardRouter`](crate::shard::ShardRouter) produces it.
+/// One hour through the front half, as one value: its routed flows (in
+/// record order), its destination-distinct counts and its unmatched
+/// totals. It is everything the device half and the hour-keyed series
+/// need, so an hour can be routed on one thread and folded on another.
+/// A [`Router`] produces it.
 #[derive(Debug)]
 pub struct RoutedHour {
     pub(crate) at: HourPos,
-    pub(crate) batches: Vec<Vec<RoutedFlow>>,
+    pub(crate) flows: Vec<RoutedFlow>,
     pub(crate) dst: DstCounts,
     /// Flows and packets from sources outside the inventory.
     pub(crate) unmatched: (u64, u64),
@@ -153,18 +151,94 @@ impl RoutedHour {
         self.at.interval
     }
 
-    /// The per-shard batches of routed flows, indexed by shard
-    /// (possibly empty for quiet shards).
-    pub fn into_batches(self) -> Vec<Vec<RoutedFlow>> {
-        self.batches
-    }
-
     /// Add the hour-keyed aggregates — the destination distincts and
     /// the unmatched totals — to `result`.
     pub(crate) fn commit_hour_keyed(&self, result: &mut Analysis) {
         self.dst.add_to(result, self.at.idx);
         result.unmatched_flows += self.unmatched.0;
         result.unmatched_packets += self.unmatched.1;
+    }
+}
+
+/// Correlates and classifies one hour of flows into a [`RoutedHour`]:
+/// the fold's front half, on whichever thread reads the hour.
+///
+/// Call [`begin_hour`](Self::begin_hour), feed it as a `FlowSink`
+/// (decoded blocks from a fused store decode, or flow slices), then
+/// [`finish_hour`](Self::finish_hour) to take the hour. Skipping
+/// `finish_hour` (after a decode error) abandons the hour: nothing of
+/// it leaves the router, and the next `begin_hour` discards it.
+#[derive(Debug)]
+pub struct Router<'a> {
+    db: &'a DeviceDb,
+    hours: u32,
+    /// The hour being routed, between `begin_hour` and `finish_hour`.
+    hour: Option<RoutedHour>,
+    /// Per-hour destination-distinct state — the same front half of the
+    /// fold the sequential analyzer runs.
+    dst: DstDistinct,
+    /// The block's merge-join correlation column, capacity reused
+    /// across blocks.
+    corr: Vec<Option<(u32, Realm)>>,
+}
+
+impl<'a> Router<'a> {
+    /// A router over `db` for a window of `hours`.
+    pub fn new(db: &'a DeviceDb, hours: u32) -> Self {
+        Router {
+            db,
+            hours,
+            hour: None,
+            dst: DstDistinct::new(),
+            corr: Vec::new(),
+        }
+    }
+
+    /// Start routing the hour at `interval` (1-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is outside the window.
+    pub fn begin_hour(&mut self, interval: u32) {
+        self.dst.clear();
+        self.hour = Some(RoutedHour {
+            at: HourPos::new(interval, self.hours),
+            flows: Vec::new(),
+            dst: DstCounts::default(),
+            unmatched: (0, 0),
+        });
+    }
+
+    /// Take the hour: its routed flows, destination distincts and
+    /// unmatched totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding [`begin_hour`](Self::begin_hour).
+    pub fn finish_hour(&mut self) -> RoutedHour {
+        let mut hour = self.hour.take().expect("finish_hour without begin_hour");
+        hour.dst = self.dst.counts();
+        hour
+    }
+}
+
+impl FlowSink for Router<'_> {
+    /// The front half of the fold over one block: one merge-join pass
+    /// over the block's `src_ip` column, then the column scan appends
+    /// each correlated flow to the hour.
+    fn visit_block(&mut self, block: &ColumnBlock) {
+        let hour = self
+            .hour
+            .as_mut()
+            .expect("routing outside begin_hour/finish_hour");
+        self.db
+            .correlation_index()
+            .correlate_sorted_block(block.src_ip(), &mut self.corr);
+        let flows = &mut hour.flows;
+        let (unmatched, packets) =
+            classify_flows(block, &self.corr, &mut self.dst, |f| flows.push(f));
+        hour.unmatched.0 += unmatched;
+        hour.unmatched.1 += packets;
     }
 }
 
@@ -332,25 +406,22 @@ pub(crate) fn classify_flows(
     unmatched
 }
 
-/// The device half of the fold: per-hour scratch for the devices of one
-/// dense-index range, plus the run-at-a-time write into an
-/// [`Analysis`].
+/// The device half of the fold: per-hour scratch for every device of
+/// the inventory, plus the run-at-a-time write into an [`Analysis`].
 #[derive(Debug)]
 pub(crate) struct DeviceFold {
     /// The [`HOUR_TRACKED`] classes each device emitted this hour, as
-    /// `1 << class` bits, indexed by `dense - base` (zeroed between
-    /// hours via `touched`).
+    /// `1 << class` bits, indexed by dense index (zeroed between hours
+    /// via `touched`).
     flags: Vec<u8>,
-    /// Backscatter packets this hour, indexed by `dense - base` (zeroed
+    /// Backscatter packets this hour, indexed by dense index (zeroed
     /// like `flags`).
     bs_counts: Vec<u64>,
-    /// This hour's devices with any flag set, each once, as
-    /// `dense - base`. A device is listed when its flags leave zero, not
-    /// by its counts: a zero-packet flow leaves `bs_counts` at zero, and
-    /// a device listed twice would have its packets added twice by
-    /// `commit`.
+    /// This hour's devices with any flag set, each once, by dense index.
+    /// A device is listed when its flags leave zero, not by its counts:
+    /// a zero-packet flow leaves `bs_counts` at zero, and a device
+    /// listed twice would have its packets added twice by `commit`.
     touched: Vec<u32>,
-    base: u32,
     /// Distinct UDP-emitting / scanning devices this hour, per realm.
     udp_devices: [u64; 2],
     scan_devices: [u64; 2],
@@ -360,13 +431,12 @@ pub(crate) struct DeviceFold {
 }
 
 impl DeviceFold {
-    /// Scratch for devices whose dense index lies in `range`.
-    pub(crate) fn new(range: Range<u32>) -> Self {
+    /// Scratch for an inventory of `devices` devices.
+    pub(crate) fn new(devices: usize) -> Self {
         DeviceFold {
-            flags: vec![0; range.len()],
-            bs_counts: vec![0; range.len()],
+            flags: vec![0; devices],
+            bs_counts: vec![0; devices],
             touched: Vec::new(),
-            base: range.start,
             udp_devices: [0; 2],
             scan_devices: [0; 2],
             hour_packets: [[0; NUM_CLASSES]; 2],
@@ -375,9 +445,9 @@ impl DeviceFold {
 
     /// Start a new hour.
     pub(crate) fn clear(&mut self) {
-        for &off in &self.touched {
-            self.flags[off as usize] = 0;
-            self.bs_counts[off as usize] = 0;
+        for &dense in &self.touched {
+            self.flags[dense as usize] = 0;
+            self.bs_counts[dense as usize] = 0;
         }
         self.touched.clear();
         self.udp_devices = [0; 2];
@@ -464,10 +534,10 @@ impl DeviceFold {
         if tracked == 0 {
             return;
         }
-        let off = (id.0 - self.base) as usize;
-        let flags = &mut self.flags[off];
+        let dense = id.0 as usize;
+        let flags = &mut self.flags[dense];
         if *flags == 0 {
-            self.touched.push(off as u32);
+            self.touched.push(id.0);
         }
         let new = tracked & !*flags;
         *flags |= tracked;
@@ -476,15 +546,14 @@ impl DeviceFold {
         if seen & (1 << CLASS_BACKSCATTER) != 0 {
             let pkts = class_packets[usize::from(CLASS_BACKSCATTER)];
             result.backscatter_hourly[r][at.idx] += pkts;
-            self.bs_counts[off] += pkts;
+            self.bs_counts[dense] += pkts;
         }
     }
 
     /// Commit the hour: add the distinct-device counts and attribute
-    /// the hour's backscatter to its dominant victim among this fold's
-    /// devices. Ties break toward the smaller device id, so the result
-    /// depends neither on accumulation order nor on how devices are
-    /// split across folds.
+    /// the hour's backscatter to its dominant victim. Ties break toward
+    /// the smaller device id, so the result does not depend on
+    /// accumulation order.
     pub(crate) fn commit(&self, result: &mut Analysis, idx: usize) {
         for r in 0..2 {
             result.udp[r].devices[idx] += self.udp_devices[r];
@@ -492,12 +561,12 @@ impl DeviceFold {
         }
         let mut top: Option<(DeviceId, u64)> = None;
         let mut total = 0u64;
-        for &off in &self.touched {
-            if self.flags[off as usize] & (1 << CLASS_BACKSCATTER) == 0 {
+        for &dense in &self.touched {
+            if self.flags[dense as usize] & (1 << CLASS_BACKSCATTER) == 0 {
                 continue;
             }
-            let cnt = self.bs_counts[off as usize];
-            let id = DeviceId(self.base + off);
+            let cnt = self.bs_counts[dense as usize];
+            let id = DeviceId(dense);
             total += cnt;
             if top.is_none_or(|(bd, bc)| cnt > bc || (cnt == bc && id < bd)) {
                 top = Some((id, cnt));
@@ -720,8 +789,8 @@ mod tests {
     /// Regression: a zero-packet backscatter flow followed by another
     /// from the same device listed the device twice, doubling its
     /// packets in the hour's backscatter total (the top victim was
-    /// right). Checked sequentially, across two shards and streaming,
-    /// with the two flows adjacent and apart.
+    /// right). Checked sequentially, at two threads and streaming, with
+    /// the two flows adjacent and apart.
     #[test]
     fn zero_packet_backscatter_is_counted_once() {
         let db = inventory();
@@ -748,7 +817,7 @@ mod tests {
             }];
             let mut sequential = Analyzer::new(&db, HOURS);
             sequential.ingest_hour(&traffic[0]);
-            let sharded = AnalysisPipeline::new(&db, HOURS)
+            let parallel = AnalysisPipeline::new(&db, HOURS)
                 .run(&traffic, &AnalyzeOptions::new().threads(2))
                 .unwrap()
                 .analysis;
@@ -756,7 +825,7 @@ mod tests {
             streaming.push_hour(&traffic[0]);
             for (path, analysis) in [
                 ("sequential", sequential.finish()),
-                ("sharded", sharded),
+                ("parallel", parallel),
                 ("streaming", streaming.snapshot()),
             ] {
                 let slot = &analysis.backscatter_intervals[0];
@@ -764,5 +833,113 @@ mod tests {
                 assert_eq!(slot.top_victim, Some((DeviceId(0), 5)), "{path}");
             }
         }
+    }
+
+    /// `hours` hours of `random_flows` at intervals 1..=hours, from
+    /// `seed`.
+    fn random_hours(db: &DeviceDb, seed: u64, hours: u32) -> Vec<HourTraffic> {
+        (1..=hours)
+            .map(|interval| HourTraffic {
+                interval,
+                hour: UnixHour::new(2_000 + u64::from(interval)),
+                flows: random_flows(db, seed ^ u64::from(interval), 300),
+            })
+            .collect()
+    }
+
+    /// Route hour `i` of `traffic` on router `i % routers`, then fold the
+    /// routed hours into one analyzer in the order of `order`, a
+    /// permutation of the hour indices.
+    fn routed(db: &DeviceDb, traffic: &[HourTraffic], routers: usize, order: &[usize]) -> Analysis {
+        let mut pool: Vec<Router> = (0..routers).map(|_| Router::new(db, HOURS)).collect();
+        let mut hours: Vec<Option<RoutedHour>> = traffic
+            .iter()
+            .enumerate()
+            .map(|(i, h)| {
+                let router = &mut pool[i % routers];
+                router.begin_hour(h.interval);
+                router.on_flows(&h.flows);
+                Some(router.finish_hour())
+            })
+            .collect();
+        let mut an = Analyzer::new(db, HOURS);
+        for &i in order {
+            an.apply_routed(&hours[i].take().expect("each hour folded once"));
+        }
+        an.finish()
+    }
+
+    /// The sequential analysis of `traffic`.
+    fn sequential(db: &DeviceDb, traffic: &[HourTraffic]) -> Analysis {
+        let mut seq = Analyzer::new(db, HOURS);
+        for h in traffic {
+            seq.ingest_hour(h);
+        }
+        seq.finish()
+    }
+
+    #[test]
+    fn sharded_matches_sequential_across_shapes() {
+        let db = inventory();
+        let traffic = random_hours(&db, 40, 6);
+        let seq = sequential(&db, &traffic);
+        let orders: [[usize; 6]; 3] = [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]];
+        for routers in 1..=4 {
+            for order in &orders {
+                let par = routed(&db, &traffic, routers, order);
+                assert_eq!(par, seq, "routers={routers} order={order:?}");
+                assert_eq!(
+                    par.devices.ids(),
+                    seq.devices.ids(),
+                    "finished table must be sorted: routers={routers} order={order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn port_table_is_the_same_via_routed_fold_and_one_pass() {
+        let db = inventory();
+        let traffic = random_hours(&db, 70, 6);
+        let seq = sequential(&db, &traffic);
+        // Two routers, hours folded last first: the fold meets ports in
+        // another order than the sequential pass.
+        let par = routed(&db, &traffic, 2, &[5, 4, 3, 2, 1, 0]);
+        let ports = |a: &Analysis| a.udp_ports.rows().map(|r| r.port).collect::<Vec<_>>();
+        assert!(seq.udp_ports.len() > 100, "{} ports", seq.udp_ports.len());
+        assert!(ports(&seq).windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert_eq!(par.udp_ports, seq.udp_ports);
+        assert_eq!(ports(&par), ports(&seq), "row order");
+        assert_eq!(par.scan_services, seq.scan_services);
+    }
+
+    #[test]
+    fn abandoned_hour_leaves_no_distincts_or_batches() {
+        // An hour abandoned mid-decode (no finish_hour) never leaves the
+        // router: none of its flows are folded, and neither its per-hour
+        // distincts nor its unmatched totals are committed.
+        let db = inventory();
+        let h1 = &random_hours(&db, 99, 1)[0];
+        let mut router = Router::new(&db, HOURS);
+        router.begin_hour(2);
+        router.on_flows(&h1.flows);
+        // …then route a clean hour.
+        router.begin_hour(1);
+        router.on_flows(&h1.flows);
+        let routed = router.finish_hour();
+        assert_eq!(routed.interval(), 1);
+        let mut an = Analyzer::new(&db, HOURS);
+        an.apply_routed(&routed);
+        let got = an.finish();
+
+        let seq = sequential(&db, std::slice::from_ref(h1));
+        assert_eq!(got.devices, seq.devices, "abandoned flows never applied");
+        assert_eq!(got.udp, seq.udp, "no distincts committed for hour 2");
+        assert_eq!(got.tcp_scan, seq.tcp_scan);
+        assert_eq!(got.backscatter_intervals, seq.backscatter_intervals);
+        assert_eq!(got.udp[0].dst_ips[1], 0);
+        assert!(seq.unmatched_flows > 0, "the hour carries noise");
+        assert_eq!(got.unmatched_flows, seq.unmatched_flows);
+        assert_eq!(got.unmatched_packets, seq.unmatched_packets);
     }
 }

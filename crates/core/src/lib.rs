@@ -42,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod analysis;
 pub mod attribution;
@@ -53,14 +54,13 @@ pub mod diff;
 mod distinct;
 pub mod dos;
 pub mod fingerprint;
-mod fold;
+pub mod fold;
 pub mod malicious;
 pub mod pipeline;
 pub mod query;
 pub mod report;
 pub mod scan;
 pub mod score;
-pub mod shard;
 pub mod stats;
 pub mod stream;
 pub mod table;

@@ -3,12 +3,16 @@
 //! per-run accounting and a metrics registry threaded through every
 //! layer (store reads, decode, per-stage timings, per-class packet
 //! counters).
+//!
+//! One thread reads and folds every hour on the caller's thread. More
+//! threads route hours in parallel — read, decode, correlate, classify, count
+//! destinations ([`Router`]) — and feed one fold on the calling thread
+//! (DESIGN.md §3e). [`HourSource`] is the one way any walker reads a
+//! window's hours, and [`route_ahead`] is the daemon's in-order feed.
 
 use crate::analysis::{Analysis, Analyzer};
-use crate::shard::{
-    self, RoutedFlow, RoutedHour, RouterPartial, ShardAccumulator, ShardPartial, ShardRouter,
-};
-use iotscope_devicedb::{DeviceDb, ShardMap};
+use crate::fold::{RoutedHour, Router};
+use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore, HourBytes};
 use iotscope_net::time::{AnalysisWindow, UnixHour, HOURS_PER_DAY};
@@ -16,7 +20,7 @@ use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
 use iotscope_telescope::HourTraffic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -34,8 +38,9 @@ use std::time::{Duration, Instant};
 /// this run I/O-bound or ingest-bound?) rather than to `wall_time`.
 #[derive(Debug, Clone, Default)]
 pub struct StoreReadStats {
-    /// Worker threads actually used: the request clamped to `1..=64`,
-    /// or 1 when there was nothing to read.
+    /// Worker threads actually used: the request clamped to `1..=64`
+    /// and to the number of hours to read (1 when there was nothing to
+    /// read).
     pub threads: usize,
     /// Hour files read, decoded, and ingested.
     pub hours_ingested: u64,
@@ -55,8 +60,8 @@ pub struct StoreReadStats {
     /// workers): store hours stream block by block straight into the
     /// analyzer, so decode is part of this fused stage.
     pub ingest_time: Duration,
-    /// Time spent assembling worker partials (single-threaded): a
-    /// concatenation of disjoint device ranges, so this stays ~0.
+    /// Time spent finishing the fold (sorting the device and port rows),
+    /// on the parallel driver only.
     pub merge_time: Duration,
     /// End-to-end elapsed time for the whole run.
     pub wall_time: Duration,
@@ -140,12 +145,11 @@ impl AnalyzeOptions {
         AnalyzeOptions::default()
     }
 
-    /// Worker threads: `0` means 1, more than 64 means 64. One thread
-    /// runs every hour on the caller's thread; `n > 1` spawns `n`
-    /// workers that each route hours *and* own one shard of the device
-    /// space (see [`crate::shard`]) — all `n` even when the source has
-    /// fewer hours, since one hour still fans out to every shard. The
-    /// analysis result and every
+    /// Worker threads: `0` means 1, more than 64 means 64, and never
+    /// more than the source has hours. One thread runs every hour on the
+    /// caller's thread; `n > 1` routes hours on the caller's thread and
+    /// `n − 1` more, and folds them all on the caller's thread
+    /// (DESIGN.md §3e). The analysis result and every
     /// [stable](iotscope_obs::Stability::Stable) metric are identical
     /// whatever the thread count.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -224,12 +228,6 @@ impl PipelineMetrics {
     /// hour depends on scheduling).
     fn worker_hours(registry: &Registry, worker: usize) -> Counter {
         registry.counter_variant(&format!("pipeline.worker.{worker}.hours"))
-    }
-
-    /// The per-shard device-count gauge for sharded runs (variant: the
-    /// shard layout depends on the thread count).
-    fn shard_devices(registry: &Registry, shard: usize) -> Gauge {
-        registry.gauge(&format!("pipeline.shard.{shard}.devices"))
     }
 }
 
@@ -364,15 +362,13 @@ impl<'a> AnalysisPipeline<'a> {
                     HourSource::stored(&instrumented, &stored)
                 }
             };
-            // Sharding is over the device space, so it is worth its
-            // fan-out even for a single huge hour; only an empty source
-            // stays on the caller's thread.
-            let threads = if hours.is_empty() { 1 } else { budget };
+            // A worker beyond the hours would route nothing.
+            let threads = budget.min(hours.len()).max(1);
             pm.threads.set(threads as i64);
             let analysis = if threads <= 1 {
                 self.run_inline(hours, &registry, &pm)?
             } else {
-                self.run_sharded(hours, threads, &registry, &pm)?
+                self.run_parallel(hours, threads, &registry, &pm)?
             };
             Ok((analysis, threads))
         })();
@@ -427,20 +423,21 @@ impl<'a> AnalysisPipeline<'a> {
         Ok(an.finish())
     }
 
-    /// Device-sharded driver: every worker routes hours off a shared
-    /// work-stealing cursor *and* owns one dense-index shard of
-    /// per-device state, fed through per-worker inboxes (see
-    /// [`crate::shard`]). A routed hour is read and streamed straight
-    /// into the router (a store hour is never materialized). The
-    /// end-of-run merge is a concatenation of disjoint ranges, so
-    /// `pipeline.merge_time` stays ~0 at any scale.
+    /// Parallel driver: `threads` workers take hours off one atomic
+    /// cursor and route them (read, then streamed into a [`Router`]; a
+    /// store hour is never materialized). The calling thread is one of
+    /// them and the one fold owner: between its own routes it drains the
+    /// hours the `threads − 1` scoped router threads send through one
+    /// bounded channel, folding each into one analyzer as it arrives
+    /// ([`Analyzer::apply_routed`] takes hours in any order), and times
+    /// the final [`Analyzer::finish`] as `pipeline.merge_time`.
     ///
-    /// On the first error a stop flag halts further routing; the
-    /// in-flight hour protocol still runs to completion (stopped
-    /// workers keep draining their inboxes without applying), and the
-    /// error with the smallest interval wins, so the reported failure
-    /// is deterministic.
-    fn run_sharded(
+    /// On the first error a stop flag halts further routing; the fold
+    /// owner keeps draining, without folding, until every router has
+    /// hung up, so no router stays blocked on a full channel. The error
+    /// with the smallest interval wins, so the reported failure is
+    /// deterministic.
+    fn run_parallel(
         &self,
         hours: HourSource<'_>,
         threads: usize,
@@ -449,136 +446,95 @@ impl<'a> AnalysisPipeline<'a> {
     ) -> Result<Analysis, NetError> {
         let stop = AtomicBool::new(false);
         let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
-        let fail = |interval: u32, err: NetError| {
-            let mut slot = first_err.lock().expect("error slot not poisoned");
-            match &*slot {
-                Some((seen, _)) if *seen <= interval => {}
-                _ => *slot = Some((interval, err)),
+        let next = AtomicUsize::new(0);
+        // Route the next hour off the cursor: `None` once the cursor is
+        // spent or an hour has failed (this one, recorded for the run,
+        // or another worker's).
+        let route_next = |router: &mut Router<'_>, worker: &Counter| {
+            if stop.load(Ordering::Relaxed) {
+                return None;
             }
-            stop.store(true, Ordering::Relaxed);
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= hours.len() {
+                return None;
+            }
+            let interval = hours.interval(k);
+            let t0 = Instant::now();
+            let routed = hours.read(k).and_then(|data| {
+                let t1 = Instant::now();
+                router.begin_hour(interval);
+                data.visit(router)?;
+                pm.read_time.record(t1 - t0);
+                pm.ingest_time.record(t1.elapsed());
+                Ok(router.finish_hour())
+            });
+            match routed {
+                Ok(routed) => {
+                    pm.hours_ingested.inc();
+                    worker.inc();
+                    Some(routed)
+                }
+                Err(err) => {
+                    let mut slot = first_err.lock().expect("error slot not poisoned");
+                    if slot.as_ref().is_none_or(|(seen, _)| interval < *seen) {
+                        *slot = Some((interval, err));
+                    }
+                    stop.store(true, Ordering::Relaxed);
+                    None
+                }
+            }
         };
 
-        let map = ShardMap::new(self.db.len(), threads);
-        let next = AtomicUsize::new(0);
-        let partials: Vec<(RouterPartial, ShardPartial)> = crossbeam::scope(|scope| {
-            // One inbox per shard owner, each message one whole hour's
-            // routed flows for that shard.
-            let (senders, inboxes): (Vec<_>, Vec<_>) = (0..threads)
-                .map(|_| crossbeam::channel::unbounded::<(u32, Vec<RoutedFlow>)>())
-                .unzip();
-            let handles: Vec<_> = inboxes
-                .into_iter()
-                .enumerate()
-                .map(|(i, rx)| {
-                    let senders = senders.clone();
-                    let next = &next;
-                    let stop = &stop;
-                    let fail = &fail;
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(registry, i);
-                        let mut router = ShardRouter::new(self.db, self.hours, map);
-                        let mut partial = RouterPartial::new(self.hours);
-                        let mut acc = ShardAccumulator::new(self.hours, map.range(i));
-                        loop {
-                            // Apply whatever other routers have sent so
-                            // far, so inboxes stay short.
-                            while let Ok((interval, flows)) = rx.try_recv() {
-                                if !stop.load(Ordering::Relaxed) {
-                                    let t = Instant::now();
-                                    acc.apply_hour(interval, &flows);
-                                    pm.ingest_time.record(t.elapsed());
-                                }
-                            }
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= hours.len() {
-                                break;
-                            }
-                            let interval = hours.interval(k);
-                            let t0 = Instant::now();
-                            let data = match hours.read(k) {
-                                Ok(d) => d,
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            };
-                            let t1 = Instant::now();
-                            // On error the hour is abandoned
-                            // unfinished: nothing was committed or
-                            // sent, and the next begin_hour discards
-                            // it.
-                            router.begin_hour(interval);
-                            if let Err(e) = data.visit(&mut router) {
-                                fail(interval, e);
-                                continue;
-                            }
-                            let routed = router.finish_hour();
-                            partial.add(&routed);
-                            for (s, flows) in routed.into_batches().into_iter().enumerate() {
-                                if flows.is_empty() {
-                                    continue;
-                                }
-                                if s == i {
-                                    acc.apply_hour(interval, &flows);
-                                } else {
-                                    senders[s]
-                                        .send((interval, flows))
-                                        .expect("shard inbox outlives workers");
-                                }
-                            }
-                            let t2 = Instant::now();
-                            pm.read_time.record(t1 - t0);
-                            pm.ingest_time.record(t2 - t1);
-                            pm.hours_ingested.inc();
-                            worker.inc();
+        let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
+        let mut fold = |routed: RoutedHour| {
+            if !stop.load(Ordering::Relaxed) {
+                let t = Instant::now();
+                an.apply_routed(&routed);
+                pm.ingest_time.record(t.elapsed());
+            }
+        };
+        std::thread::scope(|scope| {
+            // Room for four routed hours per worker: the routers keep
+            // routing while the fold owner routes an hour of its own,
+            // and block, rather than pile up hours, only when the fold
+            // falls behind. One hour per router stalled them at two
+            // threads (EXPERIMENTS.md "One fold").
+            let (tx, rx) = sync_channel::<RoutedHour>(4 * threads);
+            for i in 1..threads {
+                let (tx, route_next) = (tx.clone(), &route_next);
+                scope.spawn(move || {
+                    let worker = PipelineMetrics::worker_hours(registry, i);
+                    let mut router = Router::new(self.db, self.hours);
+                    while let Some(routed) = route_next(&mut router, &worker) {
+                        // A hung-up fold owner wants no more hours.
+                        if tx.send(routed).is_err() {
+                            break;
                         }
-                        // No more hours to route: hang up, then apply
-                        // stragglers until every router has hung up
-                        // (per-sender FIFO puts each router's batches
-                        // before its hang-up).
-                        drop(senders);
-                        while let Ok((interval, flows)) = rx.recv() {
-                            if !stop.load(Ordering::Relaxed) {
-                                acc.apply_hour(interval, &flows);
-                            }
-                        }
-                        (partial, acc.finish())
-                    })
-                })
-                .collect();
-            // Every sender left is a worker's: an inbox disconnects once
-            // the last router is done.
-            drop(senders);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sharded worker does not panic"))
-                .collect()
-        })
-        .expect("sharded analysis scope does not panic");
+                    }
+                });
+            }
+            drop(tx);
+            let worker = PipelineMetrics::worker_hours(registry, 0);
+            let mut router = Router::new(self.db, self.hours);
+            loop {
+                while let Ok(routed) = rx.try_recv() {
+                    fold(routed);
+                }
+                let Some(routed) = route_next(&mut router, &worker) else {
+                    break;
+                };
+                fold(routed);
+            }
+            // The routers' last hours, until every router has hung up.
+            rx.into_iter().for_each(fold);
+        });
 
         if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
             return Err(err);
         }
-
-        // Fold worker partials (in worker == ascending shard order) into
-        // the final analysis, publishing per-shard gauges on the way.
-        let mut routers = Vec::with_capacity(partials.len());
-        let mut shards = Vec::with_capacity(partials.len());
-        for (i, (rp, sp)) in partials.into_iter().enumerate() {
-            PipelineMetrics::shard_devices(registry, i).set(sp.device_count() as i64);
-            routers.push(rp);
-            shards.push(sp);
-        }
         let merge_span = pm.merge_time.span();
-        let analysis = shard::assemble(self.hours, routers, shards);
+        let analysis = an.finish();
         drop(merge_span);
-        // The sharded path has no live per-hour analyzer metrics;
-        // recover the stable `analysis.*` totals from the result (they
-        // are exact column sums, identical to the sequential flushes).
-        analysis.publish_packet_counters(registry);
         Ok(analysis)
     }
 }
@@ -675,7 +631,7 @@ impl<'s> HourSource<'s> {
     ///
     /// A store hour's read or decode failure, as [`NetError::Hour`];
     /// nothing of the hour leaves the router.
-    pub fn route(&self, k: usize, router: &mut ShardRouter<'_>) -> Result<RoutedHour, NetError> {
+    pub fn route(&self, k: usize, router: &mut Router<'_>) -> Result<RoutedHour, NetError> {
         router.begin_hour(self.interval(k));
         self.visit(k, router)?;
         Ok(router.finish_hour())
@@ -727,7 +683,7 @@ pub fn route_ahead<T>(
     std::thread::scope(|scope| {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         scope.spawn(move || {
-            let mut router = ShardRouter::new(db, hours, ShardMap::new(db.len(), 1));
+            let mut router = Router::new(db, hours);
             for k in 0..source.len() {
                 let routed = source.route(k, &mut router);
                 let failed = routed.is_err();

@@ -19,10 +19,10 @@
 //! causal: an alert at hour *t* uses nothing later than *t*.
 
 use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
+use crate::fold::{RoutedHour, Router};
 use crate::pipeline::HourSource;
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
-use crate::shard::{RoutedHour, ShardRouter};
-use iotscope_devicedb::{DeviceDb, DeviceId, Realm, ShardMap};
+use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelIndex;
 use iotscope_net::ports::ScanService;
 use iotscope_net::NetError;
@@ -280,8 +280,8 @@ pub struct StreamingAnalyzer<'a> {
     /// The front half for hours pushed with [`push_hour`](Self::push_hour)
     /// or [`push_from`](Self::push_from), built by the first of them (an
     /// analyzer fed only [`push_routed`](Self::push_routed) never needs
-    /// it): one shard, so a routed hour's flows stay in record order.
-    router: Option<ShardRouter<'a>>,
+    /// it).
+    router: Option<Router<'a>>,
     db: &'a DeviceDb,
     hours: u32,
     config: StreamConfig,
@@ -366,16 +366,14 @@ impl<'a> StreamingAnalyzer<'a> {
     /// As [`push_hour`](Self::push_hour).
     pub fn push_from(&mut self, hours: &HourSource<'_>, k: usize) -> Result<Vec<Alert>, NetError> {
         let (db, window) = (self.db, self.hours);
-        let router = self
-            .router
-            .get_or_insert_with(|| ShardRouter::new(db, window, ShardMap::new(db.len(), 1)));
+        let router = self.router.get_or_insert_with(|| Router::new(db, window));
         let routed = hours.route(k, router)?;
         Ok(self.push_routed(&routed))
     }
 
-    /// Fold `hour`, routed on any thread by a one-shard
-    /// [`ShardRouter`] (a [`RoutedFeed`](crate::pipeline::RoutedFeed)
-    /// item), as the next hour and return the alerts it raised: the one
+    /// Fold `hour`, routed on any thread by a [`Router`] (a
+    /// [`RoutedFeed`](crate::pipeline::RoutedFeed) item), as the next
+    /// hour and return the alerts it raised: the one
     /// fold every push takes. The device fold, the `analysis.*` counter
     /// flush, alert detection and the score fold all run here, in hour
     /// order.

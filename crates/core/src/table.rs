@@ -6,8 +6,8 @@
 //! is millions. [`DeviceTable`] keeps those rows as a struct-of-arrays
 //! keyed by the inventory's dense intern index (see
 //! [`DeviceDb::index_of`](iotscope_devicedb::DeviceDb::index_of)), so
-//! merging two partial aggregations is columnar concatenation instead
-//! of per-key hash-map rehashing.
+//! the fold reaches a device's row by array index instead of by
+//! per-key hashing.
 //!
 //! Every aggregate table stands on one `RowIndex`: the key column, a
 //! dense `key → row` map, and the argsort that puts rows in key order.
@@ -22,8 +22,7 @@
 //! port → row index, every row's devices an ascending run in one
 //! shared arena) and [`ServiceTable`] (Table V's packets, one fixed slot
 //! per service group; which devices scanned a group is a `DeviceTable`
-//! column), so the per-flow fold reaches either with an array index and
-//! merging is columnar addition plus sorted run merges.
+//! column), so the per-flow fold reaches either with an array index.
 //!
 //! [`Analyzer::finish`]: crate::analysis::Analyzer::finish
 //! [`Analysis`]: crate::analysis::Analysis
@@ -127,29 +126,6 @@ impl<K: DenseKey> RowIndex<K> {
         (row, true)
     }
 
-    /// Append `other`'s rows after these; no key may be in both.
-    fn concat(&mut self, other: &RowIndex<K>) {
-        self.sorted = self.sorted
-            && other.sorted
-            && match (self.keys.last(), other.keys.first()) {
-                (Some(last), Some(first)) => last < first,
-                _ => true,
-            };
-        let base = self.keys.len() as u32;
-        if other.row_of.len() > self.row_of.len() {
-            self.row_of.resize(other.row_of.len(), 0);
-        }
-        for (orow, &key) in other.keys.iter().enumerate() {
-            let idx = key.index();
-            if idx >= self.row_of.len() {
-                self.row_of.resize(idx + 1, 0);
-            }
-            debug_assert_eq!(self.row_of[idx], 0, "concatenated rows must be disjoint");
-            self.row_of[idx] = base + orow as u32 + 1;
-        }
-        self.keys.extend_from_slice(&other.keys);
-    }
-
     /// Sort rows by key and rebuild the map. Returns the permutation the
     /// table's columns must follow (see [`permute`]), or `None` when the
     /// rows were already sorted. O(n log n).
@@ -234,7 +210,7 @@ impl DeviceObservation {
 /// exploits the inventory's id interning. While ingesting, rows are
 /// appended in first-seen order; [`normalize`](Self::normalize) sorts
 /// them by id so finished results are reproducible bit-for-bit
-/// regardless of ingest or merge order.
+/// regardless of ingest order.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceTable {
     /// Device id per row, and the id → row map.
@@ -381,41 +357,8 @@ impl DeviceTable {
         self.services[row]
     }
 
-    /// Append another table's rows wholesale — the merge path for
-    /// *shard-disjoint* partials, where each table covers its own range
-    /// of the dense device index and no id can appear in both.
-    ///
-    /// A straight `extend_from_slice` per column plus a row-index
-    /// fix-up: O(rows) with no per-row branch on existing state. When
-    /// partials arrive in ascending shard order and each is already
-    /// [`normalize`](Self::normalize)d, the concatenated table is
-    /// globally sorted, so the final `normalize()` is a no-op and the
-    /// result is bit-identical to a sequential build.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds assert that no id of `other` is already present.
-    pub fn concat_from(&mut self, other: DeviceTable) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        if other.is_empty() {
-            return;
-        }
-        self.index.concat(&other.index);
-        self.realms.extend_from_slice(&other.realms);
-        self.first_interval.extend_from_slice(&other.first_interval);
-        self.flows.extend_from_slice(&other.flows);
-        for (col, ocol) in self.packets.iter_mut().zip(&other.packets) {
-            col.extend_from_slice(ocol);
-        }
-        self.days_active.extend_from_slice(&other.days_active);
-        self.services.extend_from_slice(&other.services);
-    }
-
     /// Sort rows by device id, making row order (and therefore
-    /// serialization and iteration) independent of ingest/merge order.
+    /// serialization and iteration) independent of ingest order.
     /// O(n log n); no-op when already sorted.
     pub fn normalize(&mut self) {
         let Some(perm) = self.index.sort() else {
@@ -450,7 +393,7 @@ impl DeviceTable {
 
 /// Row-set equality, insensitive to row order and index capacity — two
 /// tables describing the same devices compare equal even if one was
-/// built by a differently-ordered merge and not yet normalized.
+/// built in another order and not yet normalized.
 impl PartialEq for DeviceTable {
     fn eq(&self, other: &Self) -> bool {
         self.index.rows_match(&other.index, |row, orow| {
@@ -520,8 +463,8 @@ const FIRST_RUN_CAP: u32 = 4;
 ///
 /// Rows are appended in first-seen order while ingesting;
 /// [`normalize`](Self::normalize) sorts them ascending by port, so
-/// finished results iterate identically regardless of ingest or merge
-/// order. Equality is insensitive to row order and arena layout.
+/// finished results iterate identically regardless of ingest order.
+/// Equality is insensitive to row order and arena layout.
 #[derive(Debug, Clone)]
 pub struct PortTable {
     /// Port per row, and the port → row map.
@@ -648,54 +591,6 @@ impl PortTable {
         self.packets.iter().sum()
     }
 
-    /// Merge another table built over disjoint observations: matching
-    /// rows add packets and union device runs, new rows are appended.
-    pub fn merge_from(&mut self, other: PortTable) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        for theirs in other.rows() {
-            let row = self.upsert(theirs.port);
-            self.packets[row] += theirs.packets;
-            self.union_into(row, theirs.devices);
-        }
-        // Every union abandons the run it replaced; keep the arena
-        // within twice its live size however many partials are merged.
-        if self.dead * 2 > self.arena.len() {
-            self.compact();
-        }
-    }
-
-    /// Replace `row`'s run by its union with the ascending `theirs`,
-    /// written in one merge pass at the arena's end.
-    fn union_into(&mut self, row: usize, theirs: &[DeviceId]) {
-        if theirs.is_empty() {
-            return;
-        }
-        let old = self.runs[row];
-        let offset = self.arena.len();
-        self.arena.reserve(old.len as usize + theirs.len());
-        let (mut a, a_end) = (old.range().start, old.range().end);
-        let mut b = 0;
-        while a < a_end && b < theirs.len() {
-            let (x, y) = (self.arena[a], theirs[b]);
-            self.arena.push(x.min(y));
-            a += usize::from(x <= y);
-            b += usize::from(y <= x);
-        }
-        self.arena.extend_from_within(a..a_end);
-        self.arena.extend_from_slice(&theirs[b..]);
-        let len = arena_index(self.arena.len()) - offset as u32;
-        self.dead += old.cap as usize;
-        self.runs[row] = Run {
-            offset: offset as u32,
-            len,
-            cap: len,
-        };
-        self.compacted = false;
-    }
-
     /// Rewrite the arena in row order with no dead or spare slots.
     fn compact(&mut self) {
         let live = self.runs.iter().map(|run| run.len as usize).sum();
@@ -815,15 +710,6 @@ impl ServiceTable {
             .filter(|slot| self.scanned & (1 << slot) != 0)
             .map(|slot| (ServiceKey::from_slot(slot), self.packets[slot]))
     }
-
-    /// Merge another table built over disjoint observations.
-    pub fn merge_from(&mut self, other: ServiceTable) {
-        for (cur, add) in self.packets.iter_mut().zip(other.packets) {
-            cur[0] += add[0];
-            cur[1] += add[1];
-        }
-        self.scanned |= other.scanned;
-    }
 }
 
 #[cfg(test)]
@@ -894,50 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_preserves_sort_for_ascending_shards() {
-        // Two sorted shard partials over disjoint dense ranges.
-        let mut lo = DeviceTable::new();
-        observe(&mut lo, DeviceId(1), Realm::Consumer, 0, 3, at(2, 0));
-        observe(&mut lo, DeviceId(4), Realm::Cps, 2, 5, at(1, 1));
-        let mut hi = DeviceTable::new();
-        observe(&mut hi, DeviceId(9), Realm::Consumer, 3, 7, at(4, 2));
-        observe(&mut hi, DeviceId(12), Realm::Cps, 1, 1, at(6, 0));
-
-        // Reference: the same rows observed into one table.
-        let mut reference = lo.clone();
-        observe(&mut reference, DeviceId(9), Realm::Consumer, 3, 7, at(4, 2));
-        observe(&mut reference, DeviceId(12), Realm::Cps, 1, 1, at(6, 0));
-
-        let mut cat = lo.clone();
-        cat.concat_from(hi.clone());
-        assert!(
-            cat.index.sorted,
-            "ascending concat must keep the sorted flag"
-        );
-        assert_eq!(cat, reference);
-        assert_eq!(
-            cat.ids(),
-            &[DeviceId(1), DeviceId(4), DeviceId(9), DeviceId(12)]
-        );
-        // Lookups work through the rebuilt sparse index.
-        assert_eq!(cat.get(DeviceId(9)).unwrap().packets_by_class[3], 7);
-        assert_eq!(cat.get(DeviceId(4)).unwrap().first_interval, 1);
-
-        // Concatenating onto an empty table moves rows wholesale.
-        let mut empty = DeviceTable::new();
-        empty.concat_from(cat.clone());
-        assert_eq!(empty, cat);
-
-        // Out-of-order concat drops the flag; normalize restores order.
-        let mut rev = hi;
-        rev.concat_from(lo);
-        assert!(!rev.index.sorted);
-        rev.normalize();
-        assert_eq!(rev.ids(), cat.ids());
-        assert_eq!(rev, cat);
-    }
-
-    #[test]
     fn port_table_equality_ignores_fill_order_and_normalisation() {
         let sends = [
             (53u16, 4u64, 7u32),
@@ -983,15 +825,15 @@ mod tests {
         longer.observe(1, 0, DeviceId(3));
         assert_ne!(longer, fwd);
 
-        // Merging splits of the sends reproduces the whole.
-        let mut left = PortTable::new();
-        let mut right = PortTable::new();
-        for (i, &(port, pkts, dev)) in sends.iter().enumerate() {
-            let half = if i % 2 == 0 { &mut left } else { &mut right };
-            half.observe(port, pkts, DeviceId(dev));
+        // One table fed the odd sends, then the even ones, is the whole.
+        let mut split = PortTable::new();
+        for parity in [1, 0] {
+            for (_, &(port, pkts, dev)) in sends.iter().enumerate().filter(|(i, _)| i % 2 == parity)
+            {
+                split.observe(port, pkts, DeviceId(dev));
+            }
         }
-        right.merge_from(left);
-        assert_eq!(right, fwd);
+        assert_eq!(split, fwd);
     }
 
     /// The rows of `t` as plain data, in row order.
@@ -1037,14 +879,14 @@ mod tests {
         ) {
             let mut model = PortModel::new();
             let mut whole = PortTable::new();
-            let (mut left, mut right) = (PortTable::new(), PortTable::new());
+            let (mut left, mut right) = (Vec::new(), Vec::new());
             for (i, &(port, pkts, dev)) in sends.iter().enumerate() {
                 let entry = model.entry(port).or_default();
                 entry.0 += pkts;
                 entry.1.insert(dev);
                 whole.observe(port, pkts, DeviceId(dev));
                 let half = if (split >> (i % 64)) & 1 == 0 { &mut left } else { &mut right };
-                half.observe(port, pkts, DeviceId(dev));
+                half.push((port, pkts, dev));
             }
             let expected = model_rows(&model);
             prop_assert_eq!(whole.len(), model.len());
@@ -1056,12 +898,17 @@ mod tests {
                 prop_assert_eq!(&ids, devs);
             }
 
-            // Both merge orders of the split reproduce the whole, before
-            // and after either side is normalized.
-            let mut lr = left.clone();
-            lr.merge_from(right.clone());
-            let mut rl = right.clone();
-            rl.merge_from(left.clone());
+            // One table fed either half of the split first is the whole,
+            // before and after either side is normalized.
+            let fed = |first: &[(u16, u64, u32)], second: &[(u16, u64, u32)]| {
+                let mut t = PortTable::new();
+                for &(port, pkts, dev) in first.iter().chain(second) {
+                    t.observe(port, pkts, DeviceId(dev));
+                }
+                t
+            };
+            let mut lr = fed(&left, &right);
+            let mut rl = fed(&right, &left);
             prop_assert_eq!(&lr, &whole);
             prop_assert_eq!(&rl, &whole);
             prop_assert_eq!(&lr, &rl);
@@ -1125,18 +972,23 @@ mod tests {
         sorted.sort();
         assert_eq!(port_rows(&t), sorted);
 
-        // Merging a table into itself changes packets, not devices, and
-        // keeps the arena within twice its live size.
-        let mut twice = t.clone();
+        // Observing every row's sends five times more changes packets,
+        // not devices, and grows no run.
+        let mut again = t.clone();
         for _ in 0..5 {
-            twice.merge_from(t.clone());
+            for (port, pkts, devices) in port_rows(&t) {
+                again.observe(port, pkts, DeviceId(devices[0]));
+                for dev in devices {
+                    again.observe(port, 0, DeviceId(dev));
+                }
+            }
         }
-        assert_eq!(twice.get(1900).unwrap().packets, 60_000);
+        assert_eq!(again.get(1900).unwrap().packets, 60_000);
         assert_eq!(
-            twice.get(1900).unwrap().devices,
+            again.get(1900).unwrap().devices,
             t.get(1900).unwrap().devices
         );
-        assert!(twice.arena.len() <= 2 * 10_000, "{}", twice.arena.len());
+        assert_eq!(again.arena.len(), 10_000);
     }
 
     #[test]
@@ -1161,11 +1013,16 @@ mod tests {
         for slot in 0..ScanService::GROUPS {
             assert_eq!(ServiceKey::from_slot(slot).slot(), slot);
         }
-        let mut sum = ServiceTable::default();
-        sum.merge_from(t.clone());
-        sum.merge_from(t.clone());
-        assert_eq!(sum.get(ServiceKey::Other), [0, 6]);
-        assert!(sum.iter().map(|(k, _)| k).eq(t.iter().map(|(k, _)| k)));
+        // The same observations twice double the packets and list the
+        // same groups.
+        let mut twice = ServiceTable::default();
+        for _ in 0..2 {
+            twice.observe(ScanService::OTHER_GROUP, 1, 3);
+            twice.observe(ScanService::group_of_port(22), 0, 2);
+            twice.observe(ScanService::group_of_port(2323), 0, 0);
+        }
+        assert_eq!(twice.get(ServiceKey::Other), [0, 6]);
+        assert!(twice.iter().map(|(k, _)| k).eq(t.iter().map(|(k, _)| k)));
     }
 
     #[test]

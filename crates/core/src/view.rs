@@ -11,9 +11,9 @@
 //! # Memoization contract
 //!
 //! Caches are reset wherever the analysis is mutated: every hour's
-//! [`Analyzer::begin_hour`], and `Analysis::absorb` / `normalize` (how
-//! sharded partials are assembled and finished results sorted), so
-//! streaming `peek()` snapshots stay correct. Cached values never
+//! [`Analyzer::begin_hour`] or [`Analyzer::apply_routed`], and
+//! `normalize` (how finished results are sorted), so streaming `peek()`
+//! snapshots stay correct. Cached values never
 //! participate in `Clone` (a clone starts cold) or `PartialEq`/`Debug`
 //! (two analyses with the same aggregates are equal regardless of which
 //! queries have been memoized) — so equality is unaffected by *when*
@@ -21,6 +21,7 @@
 //! hand, call [`Analysis::invalidate_views`] afterwards.
 //!
 //! [`Analyzer::begin_hour`]: crate::analysis::Analyzer::begin_hour
+//! [`Analyzer::apply_routed`]: crate::analysis::Analyzer::apply_routed
 
 use crate::analysis::{class_idx, realm_idx, Analysis};
 use crate::classify::TrafficClass;

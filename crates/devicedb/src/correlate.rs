@@ -323,90 +323,6 @@ impl CorrelationIndex {
     }
 }
 
-/// Maps a dense intern index to a contiguous device-space shard.
-///
-/// The parallel analysis pipeline partitions *device state* (not hours)
-/// across workers: worker `s` owns every device whose dense index falls
-/// in `range(s)`. Shard width is rounded up to a power of two so the
-/// hot-path lookup is a single shift — no division, no modulo — which
-/// keeps routing cost negligible next to the correlation probe that
-/// produced the dense index in the first place.
-///
-/// Ranges are contiguous and ascending in shard order, which is the
-/// contract that lets per-shard device tables be *concatenated* (not
-/// columnar-added) into the final sorted table. See `DESIGN.md` §3e.
-///
-/// # Example
-///
-/// ```
-/// use iotscope_devicedb::ShardMap;
-///
-/// let map = ShardMap::new(331_000, 4);
-/// assert_eq!(map.shards(), 4);
-/// let mut seen = 0u32;
-/// for s in 0..map.shards() {
-///     let r = map.range(s);
-///     assert_eq!(r.start, seen);
-///     seen = r.end;
-/// }
-/// assert_eq!(seen, 331_000);
-/// assert_eq!(map.shard_of(0), 0);
-/// // Power-of-two widths (here 131 072) can leave trailing shards
-/// // empty: the last device lands in shard 2 and shard 3 is empty.
-/// assert_eq!(map.shard_of(330_999), 2);
-/// assert!(map.range(3).is_empty());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `dense >> shift` is the owning shard.
-    shift: u32,
-    /// Number of shards (≥ 1).
-    shards: u32,
-    /// Number of devices covered (exclusive upper bound on dense).
-    len: u32,
-}
-
-impl ShardMap {
-    /// Partition `num_devices` dense indices into `shards` contiguous
-    /// ranges. `shards` is clamped to at least 1; a shard count larger
-    /// than the device count simply leaves trailing shards empty.
-    pub fn new(num_devices: usize, shards: usize) -> Self {
-        let shards = shards.max(1) as u32;
-        let len = u32::try_from(num_devices).expect("device count fits u32");
-        // Power-of-two width >= ceil(len / shards), so every dense
-        // index lands in 0..shards after the shift.
-        let width = (len.div_ceil(shards)).next_power_of_two().max(1);
-        ShardMap {
-            shift: width.trailing_zeros(),
-            shards,
-            len,
-        }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// The owning shard of a dense intern index — the hot path: one
-    /// shift, no branch.
-    #[inline]
-    pub fn shard_of(&self, dense: u32) -> usize {
-        debug_assert!(dense < self.len, "dense {dense} out of inventory");
-        (dense >> self.shift) as usize
-    }
-
-    /// The contiguous dense-index range owned by `shard` (possibly
-    /// empty for trailing shards of a small inventory).
-    pub fn range(&self, shard: usize) -> std::ops::Range<u32> {
-        let width = 1u64 << self.shift;
-        let start = (shard as u64 * width).min(u64::from(self.len)) as u32;
-        let end = ((shard as u64 + 1) * width).min(u64::from(self.len)) as u32;
-        start..end
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,49 +506,5 @@ mod tests {
                 prop_assert_eq!(out[i], idx.correlate(Ipv4Addr::from(ip)));
             }
         }
-
-        /// Shard ranges tile the device space exactly: contiguous,
-        /// ascending, disjoint, and `shard_of` agrees with `range`.
-        #[test]
-        fn prop_shard_ranges_tile_device_space(
-            num_devices in 0usize..500_000,
-            shards in 1usize..64,
-        ) {
-            let map = ShardMap::new(num_devices, shards);
-            prop_assert_eq!(map.shards(), shards);
-            let mut cursor = 0u32;
-            for s in 0..map.shards() {
-                let r = map.range(s);
-                prop_assert_eq!(r.start, cursor);
-                prop_assert!(r.end >= r.start);
-                cursor = r.end;
-            }
-            prop_assert_eq!(cursor as usize, num_devices);
-            // Spot-check membership at range boundaries.
-            for s in 0..map.shards() {
-                let r = map.range(s);
-                if r.start < r.end {
-                    prop_assert_eq!(map.shard_of(r.start), s);
-                    prop_assert_eq!(map.shard_of(r.end - 1), s);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_map_degenerate_shapes() {
-        // Empty inventory: every shard range is empty.
-        let empty = ShardMap::new(0, 4);
-        for s in 0..4 {
-            assert!(empty.range(s).is_empty());
-        }
-        // More shards than devices: trailing shards are empty.
-        let tiny = ShardMap::new(3, 8);
-        let owned: usize = (0..8).map(|s| tiny.range(s).len()).sum();
-        assert_eq!(owned, 3);
-        // Single shard owns everything.
-        let one = ShardMap::new(123, 1);
-        assert_eq!(one.range(0), 0..123);
-        assert_eq!(one.shard_of(122), 0);
     }
 }

@@ -29,6 +29,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod correlate;
 pub mod db;
@@ -39,7 +40,7 @@ pub mod isp;
 pub mod synth;
 pub mod taxonomy;
 
-pub use correlate::{AddrIndex, CorrelationIndex, ShardMap};
+pub use correlate::{AddrIndex, CorrelationIndex};
 pub use db::DeviceDb;
 pub use device::{DeviceId, DeviceProfile, IotDevice};
 pub use geo::CountryCode;

@@ -4,7 +4,8 @@
 //! and sets.
 //!
 //! Every optimised ingest path (memory- or store-fed, per-hour or
-//! segmented, sequential, sharded or streamed, quarantining or strict)
+//! segmented, sequential, routed in parallel or streamed, quarantining
+//! or strict)
 //! is compared to [`analyze`] in `tests/oracle.rs`, through the
 //! projection `Naive::from(&Analysis)`, and the behavior fold behind
 //! the §VI/§VII follow-ups to [`behavior`]. Neither reference shares

@@ -1,16 +1,17 @@
 //! Property tests for the columnar analysis model on the paper
 //! scenario: every memoized [`AnalysisView`] query must equal a
 //! brute-force recomputation from the raw per-device rows, and the
-//! device-sharded analysis — any assignment of hours to routers, clean
-//! or quarantining — must equal the naive reference
+//! routed analysis — any assignment of hours to routers, folded by one
+//! analyzer in any order, clean or quarantining — must equal the naive
+//! reference
 //! (`iotscope_tests::oracle`; `oracle.rs` runs every ingest path
 //! against it on generated hours).
 
 use iotscope_core::analysis::{Analysis, Analyzer};
+use iotscope_core::fold::{RoutedHour, Router};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
-use iotscope_core::shard::{assemble, RouterPartial, ShardAccumulator, ShardRouter};
 use iotscope_core::TrafficClass;
-use iotscope_devicedb::{DeviceId, Realm, ShardMap};
+use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_net::store::{
     decode_hour_visit, encode_hour, CollectSink, DecodeOptions, FlowSink, StoreOptions,
     BLOCK_RECORDS,
@@ -70,35 +71,39 @@ fn reference_full() -> &'static Naive {
     })
 }
 
+/// Fold `routed` hours into one analyzer in the order of `keys` (the
+/// indices sorted by key: a random permutation for random keys), as the
+/// parallel pipeline's fold owner takes them in whatever order its
+/// routers finish.
+fn fold_in_key_order(db: &DeviceDb, routed: Vec<RoutedHour>, keys: &[u64]) -> Analysis {
+    let mut order: Vec<usize> = (0..routed.len()).collect();
+    order.sort_by_key(|&k| keys[k]);
+    let mut routed: Vec<Option<RoutedHour>> = routed.into_iter().map(Some).collect();
+    let mut an = Analyzer::new(db, num_hours());
+    for k in order {
+        an.apply_routed(&routed[k].take().expect("each hour folds once"));
+    }
+    an.finish()
+}
+
 /// Route the shared traffic through `groups.len()` routers (each owning
-/// the hour indices of its group) into `shards` shard accumulators, and
-/// assemble the final analysis — the hand-driven equivalent of the
-/// pipeline's sharded mode.
-fn sharded_by_hand(groups: &[Vec<usize>], shards: usize) -> Analysis {
+/// the hour indices of its group) and fold the routed hours in the
+/// order of `keys` — the hand-driven equivalent of the pipeline's
+/// parallel driver.
+fn routed_by_hand(groups: &[Vec<usize>], keys: &[u64]) -> Analysis {
     let (built, traffic) = shared();
     let db = &built.inventory.db;
-    let hours = num_hours();
-    let map = ShardMap::new(db.len(), shards);
-    let mut accs: Vec<ShardAccumulator> = (0..shards)
-        .map(|s| ShardAccumulator::new(hours, map.range(s)))
-        .collect();
-    let mut parts = Vec::new();
+    let mut routed = Vec::new();
     for group in groups {
-        let mut router = ShardRouter::new(db, hours, map);
-        let mut partial = RouterPartial::new(hours);
+        let mut router = Router::new(db, num_hours());
         for &i in group {
             let hour = &traffic[i];
             router.begin_hour(hour.interval);
             router.on_flows(&hour.flows);
-            let routed = router.finish_hour();
-            partial.add(&routed);
-            for (s, flows) in routed.into_batches().into_iter().enumerate() {
-                accs[s].apply_hour(hour.interval, &flows);
-            }
+            routed.push(router.finish_hour());
         }
-        parts.push(partial);
     }
-    assemble(hours, parts, accs.into_iter().map(|a| a.finish()).collect())
+    fold_in_key_order(db, routed, keys)
 }
 
 proptest! {
@@ -168,16 +173,16 @@ proptest! {
         prop_assert_eq!(view.total_packets(), total);
     }
 
-    /// Device-sharded analysis is the sequential per-record reference,
-    /// for any assignment of the 143 hours to 1–4 routers and any shard
-    /// count 1..=8, with the concatenated device rows ascending; and the
-    /// pipeline's sharded mode publishes the reference's stable
-    /// counters.
+    /// Routed analysis is the sequential per-record reference, for any
+    /// assignment of the 143 hours to 1–4 routers and any order of the
+    /// routed hours into the fold, with the finished device rows
+    /// ascending; and the pipeline's parallel driver publishes the
+    /// reference's stable counters.
     #[test]
     fn prop_sharded_is_bit_identical_to_sequential(
-        shards in 1usize..=8,
         routers in 1usize..=4,
         assignment in partition_strategy(143, 4),
+        order in proptest::collection::vec(any::<u64>(), 143),
     ) {
         // Fold the fixed-width partition down to `routers` groups, so
         // the router count varies without a dependent strategy.
@@ -186,13 +191,13 @@ proptest! {
             groups[g % routers].extend(hours);
         }
         let want = reference_full();
-        let sharded = sharded_by_hand(&groups, shards);
-        prop_assert_eq!(&Naive::from(&sharded), want, "shards={} routers={}", shards, routers);
-        let ids = sharded.devices.ids();
+        let routed = routed_by_hand(&groups, &order);
+        prop_assert_eq!(&Naive::from(&routed), want, "routers={}", routers);
+        let ids = routed.devices.ids();
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "device rows ascending");
 
         let (built, traffic) = shared();
-        let threads = shards.max(2);
+        let threads = routers.max(2);
         let registry = Registry::new();
         AnalysisPipeline::new(&built.inventory.db, num_hours())
             .run(traffic, &AnalyzeOptions::new().threads(threads).metrics(&registry))
@@ -203,14 +208,17 @@ proptest! {
         }
     }
 
-    /// Sharded and sequential sinks quarantine like the reference: when
+    /// Routed and sequential sinks quarantine like the reference: when
     /// a quarantining decode drops corrupt blocks of a real hour, both
-    /// fold exactly the flows a quarantining `CollectSink` keeps.
+    /// fold exactly the flows a quarantining `CollectSink` keeps, the two
+    /// hours routed round robin on 1–4 routers and folded in either
+    /// order.
     #[test]
     fn prop_sharded_quarantine_matches_sequential(
         hour_seed in 0u64..1_000,
         corrupt in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
-        shards in 1usize..=8,
+        routers in 1usize..=4,
+        order in proptest::collection::vec(any::<u64>(), 2),
     ) {
         let (built, traffic) = shared();
         let db = &built.inventory.db;
@@ -255,27 +263,16 @@ proptest! {
         }
         prop_assert_eq!(&Naive::from(&seq.finish()), &want, "sequential");
 
-        let map = ShardMap::new(db.len(), shards);
-        let mut accs: Vec<ShardAccumulator> = (0..shards)
-            .map(|s| ShardAccumulator::new(hours, map.range(s)))
-            .collect();
-        let mut router = ShardRouter::new(db, hours, map);
-        let mut partial = RouterPartial::new(hours);
-        for &(hour, bytes) in &files {
+        let mut pool: Vec<Router> = (0..routers).map(|_| Router::new(db, hours)).collect();
+        let mut routed = Vec::new();
+        for (k, &(hour, bytes)) in files.iter().enumerate() {
+            let router = &mut pool[k % routers];
             router.begin_hour(hour.interval);
-            decode_hour_visit(bytes, opts, &mut router).expect("quarantining decode succeeds");
-            let routed = router.finish_hour();
-            partial.add(&routed);
-            for (s, flows) in routed.into_batches().into_iter().enumerate() {
-                accs[s].apply_hour(hour.interval, &flows);
-            }
+            decode_hour_visit(bytes, opts, &mut *router).expect("quarantining decode succeeds");
+            routed.push(router.finish_hour());
         }
-        let sharded = assemble(
-            hours,
-            vec![partial],
-            accs.into_iter().map(|a| a.finish()).collect(),
-        );
-        prop_assert_eq!(&Naive::from(&sharded), &want, "shards={}", shards);
+        let folded = fold_in_key_order(db, routed, &order);
+        prop_assert_eq!(&Naive::from(&folded), &want, "routers={}", routers);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The columnar batched path (block-at-a-time decode, sorted-column
 //! merge-join correlation, `FlowSink::visit_block`) on the paper
 //! scenario, against the per-record naive reference
-//! (`iotscope_tests::oracle`): sequentially and sharded, over per-hour
+//! (`iotscope_tests::oracle`): sequentially and routed in parallel, over per-hour
 //! and segmented stores, with quarantined corrupt blocks included.
 //! (`oracle.rs` runs the same paths on generated hours; legacy v1/v2
 //! hours through the pipeline are pinned by `store_golden.rs`.)
@@ -74,8 +74,8 @@ fn batched_paths_match_per_record_reference_across_formats() {
         ("per-hour", build_store("v3", None)),
         ("segmented", build_store("seg", Some(7))),
     ] {
-        // Sequential (the analyzer's columnar visit) and sharded
-        // (routers over the batched visit_block).
+        // Sequential (the analyzer's columnar visit) and parallel
+        // (routers over the batched visit_block, one fold).
         for threads in [1, 4] {
             let registry = Registry::new();
             let options = AnalyzeOptions::new()

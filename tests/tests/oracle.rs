@@ -11,14 +11,14 @@
 //! optimised paths with each other.
 
 use iotscope_core::behavior::{self, BehaviorFold, BehaviorVector};
+use iotscope_core::fold::{RoutedHour, Router};
 use iotscope_core::pipeline::{
     route_ahead, AnalysisPipeline, AnalyzeOptions, HourSource, StoredWindow,
 };
-use iotscope_core::shard::{assemble, RouterPartial, ShardAccumulator, ShardRouter};
 use iotscope_core::stream::{StreamConfig, StreamingAnalyzer};
 use iotscope_core::{Analysis, Analyzer};
 use iotscope_devicedb::isp::IspRegistry;
-use iotscope_devicedb::{DeviceDb, ShardMap};
+use iotscope_devicedb::DeviceDb;
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::store::{
     decode_hour, decode_hour_visit, encode_hour, CollectSink, DecodeOptions, FlowSink, FlowStore,
@@ -134,6 +134,35 @@ fn sliced<'f>(flows: &'f [FlowTuple], cuts: &[usize]) -> Vec<&'f [FlowTuple]> {
         rest = tail;
     }
     slices
+}
+
+/// The indices `0..keys.len()` ordered by `keys`: a random permutation
+/// for random keys.
+fn permutation(keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&k| keys[k]);
+    order
+}
+
+/// Fold `routed` hours into a metered analyzer in the order of `keys`
+/// ([`permutation`]), as the parallel pipeline's fold owner takes them
+/// in whatever order its routers finish; check the result and the
+/// counters against `want`.
+fn fold_in_any_order(
+    db: &DeviceDb,
+    routed: Vec<RoutedHour>,
+    keys: &[u64],
+    want: &Naive,
+    path: &str,
+) {
+    let mut routed: Vec<Option<RoutedHour>> = routed.into_iter().map(Some).collect();
+    let registry = Registry::new();
+    let mut an = Analyzer::with_metrics(db, HOURS, &registry);
+    for k in permutation(&keys[..routed.len()]) {
+        an.apply_routed(&routed[k].take().expect("each hour folds once"));
+    }
+    assert_finished(want, &an.finish(), path);
+    assert_counters(want, &registry, None, path);
 }
 
 /// Fold `store`'s hours of `window` as `investigate --intel` does: each
@@ -355,60 +384,47 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `ShardRouter`s, `ShardAccumulator`s and `assemble` driven by hand:
-    /// each hour to a random one of 1–4 routers, fed decoded blocks or
-    /// records, over 1–8 shards.
+    /// `Router`s and one `Analyzer` driven by hand: each hour to a
+    /// random one of 1–4 routers, fed decoded blocks or records, and the
+    /// routed hours folded by `apply_routed` in a random order.
     #[test]
     fn hand_driven_shards(
         seed: u64,
         hours in 1u32..=4,
         big: bool,
-        shards in 1usize..=8,
         routers in 1usize..=4,
         plan in proptest::collection::vec((0usize..4, any::<bool>()), 4),
+        order in proptest::collection::vec(any::<u64>(), 4),
     ) {
         let db = oracle::inventory();
         let traffic = oracle::random_traffic(&db, seed, hours, big);
-        let map = ShardMap::new(db.len(), shards);
-        let mut accs: Vec<ShardAccumulator> = (0..shards)
-            .map(|s| ShardAccumulator::new(HOURS, map.range(s)))
-            .collect();
-        let mut pool: Vec<(ShardRouter, RouterPartial)> = (0..routers)
-            .map(|_| (ShardRouter::new(&db, HOURS, map), RouterPartial::new(HOURS)))
-            .collect();
+        let mut pool: Vec<Router> = (0..routers).map(|_| Router::new(&db, HOURS)).collect();
+        let mut routed = Vec::new();
         for (hour, &(r, decode)) in traffic.iter().zip(&plan) {
-            let (router, partial) = &mut pool[r % routers];
+            let router = &mut pool[r % routers];
             router.begin_hour(hour.interval);
             if decode {
                 decode_hour_visit(&encoded(hour), DecodeOptions::default(), &mut *router).unwrap();
             } else {
                 router.on_flows(&hour.flows);
             }
-            let routed = router.finish_hour();
-            partial.add(&routed);
-            for (s, batch) in routed.into_batches().into_iter().enumerate() {
-                accs[s].apply_hour(hour.interval, &batch);
-            }
+            routed.push(router.finish_hour());
         }
-        let analysis = assemble(
-            HOURS,
-            pool.into_iter().map(|(_, partial)| partial).collect(),
-            accs.into_iter().map(ShardAccumulator::finish).collect(),
-        );
         let want = oracle::analyze(&db, HOURS, &traffic);
-        assert_finished(&want, &analysis, &format!("{routers} routers, {shards} shards"));
+        fold_in_any_order(&db, routed, &order, &want, &format!("{routers} routers"));
     }
 
     /// A corrupt hour next to clean ones under a quarantining decode,
-    /// into the sequential analyzer and into one router over 1–8 shards:
-    /// both fold exactly the flows a quarantining `CollectSink` keeps,
-    /// and count only those as decoded. A strict decode of the corrupt
-    /// hour fails.
+    /// into the sequential analyzer and into 1–4 routers whose hours are
+    /// folded in a random order: both fold exactly the flows a
+    /// quarantining `CollectSink` keeps, and count only those as
+    /// decoded. A strict decode of the corrupt hour fails.
     #[test]
     fn quarantined_blocks(
         seed: u64,
         hours in 1u32..=4,
-        shards in 1usize..=8,
+        routers in 1usize..=4,
+        order in proptest::collection::vec(any::<u64>(), 4),
         corrupt in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
     ) {
         let db = oracle::inventory();
@@ -453,28 +469,16 @@ proptest! {
         }
         assert_finished(&want, &an.finish(), "quarantined, sequential");
 
-        let map = ShardMap::new(db.len(), shards);
-        let mut accs: Vec<ShardAccumulator> = (0..shards)
-            .map(|s| ShardAccumulator::new(HOURS, map.range(s)))
-            .collect();
-        let mut router = ShardRouter::new(&db, HOURS, map);
-        let mut partial = RouterPartial::new(HOURS);
-        for (hour, bytes) in kept.iter().zip(&files) {
+        let mut pool: Vec<Router> = (0..routers).map(|_| Router::new(&db, HOURS)).collect();
+        let mut routed = Vec::new();
+        for (k, (hour, bytes)) in kept.iter().zip(&files).enumerate() {
+            let router = &mut pool[k % routers];
             router.begin_hour(hour.interval);
-            let visited = decode_hour_visit(bytes, quarantine, &mut router).unwrap();
-            prop_assert_eq!(visited.records, hour.flows.len(), "sharded");
-            let routed = router.finish_hour();
-            partial.add(&routed);
-            for (s, batch) in routed.into_batches().into_iter().enumerate() {
-                accs[s].apply_hour(hour.interval, &batch);
-            }
+            let visited = decode_hour_visit(bytes, quarantine, &mut *router).unwrap();
+            prop_assert_eq!(visited.records, hour.flows.len(), "routed");
+            routed.push(router.finish_hour());
         }
-        let analysis = assemble(
-            HOURS,
-            vec![partial],
-            accs.into_iter().map(ShardAccumulator::finish).collect(),
-        );
-        assert_finished(&want, &analysis, &format!("quarantined, {shards} shards"));
+        fold_in_any_order(&db, routed, &order, &want, &format!("quarantined, {routers} routers"));
     }
 
     /// `TelescopeService::ingest`: the final epoch and the returned

@@ -70,12 +70,22 @@ fn assert_run_matches(
     let options = AnalyzeOptions::new()
         .window(window)
         .threads(threads)
+        .stats(true)
         .metrics(&registry);
-    let analysis = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours())
+    let outcome = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours())
         .run(source, &options)
-        .unwrap()
-        .analysis;
+        .unwrap();
+    let analysis = outcome.analysis;
     assert_eq!(&Naive::from(&analysis), want, "{path}, threads={threads}");
+    // One worker per hour at most: a worker beyond the hours would
+    // route nothing.
+    let stats = outcome.stats.expect("stats were requested");
+    let hours = stats.hours_ingested as usize;
+    assert_eq!(
+        stats.threads,
+        threads.clamp(1, 64).min(hours),
+        "{path}, threads={threads}"
+    );
     let ids = analysis.devices.ids();
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "{path}: device rows");
     let snapshot = registry.snapshot();
@@ -90,7 +100,7 @@ fn assert_run_matches(
 
 /// Any thread count reproduces the reference, fed from the store or
 /// from memory, on the full window and on a 3-hour slice (fewer hours
-/// than workers: the sharded driver runs with idle routers).
+/// than the request: the driver runs one worker per hour).
 fn assert_thread_count_matches_sequential(threads: usize) {
     let shared = shared_store();
     let full = shared.window;
@@ -129,7 +139,8 @@ fn assert_thread_count_matches_sequential(threads: usize) {
 }
 
 /// Zero, the inline driver, small pools, more workers than the 3-hour
-/// slice has hours, and more than the window has (clamped to 64).
+/// slice has hours (3 run), and more than the window has (clamped to
+/// 64).
 #[test]
 fn named_thread_counts_match_sequential() {
     for threads in [0, 1, 2, 3, 8, 200] {
@@ -296,6 +307,8 @@ fn store_stats_account_for_every_byte_on_disk() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Two corrupt hours: every thread count reports the earlier one, as a
+/// sequential read would hit it first.
 #[test]
 fn corrupt_hour_surfaces_codec_error_from_parallel_path() {
     let built = PaperScenario::build(PaperScenarioConfig::tiny(13));
@@ -304,21 +317,26 @@ fn corrupt_hour_surfaces_codec_error_from_parallel_path() {
     let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
     built.scenario.write_to_store(&store).unwrap();
     // Corrupt an hour in the middle of the window so workers are busy
-    // on both sides of it when the failure hits.
+    // on both sides of it when the failure hits, and a later one.
     let victim_interval = window.num_hours() / 2;
-    let victim = window
-        .iter_intervals()
-        .find(|(i, _)| *i == victim_interval)
-        .map(|(_, h)| h)
-        .unwrap();
-    let path = store.hour_path(victim);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    std::fs::write(&path, bytes).unwrap();
+    let hour_of = |interval: u32| {
+        window
+            .iter_intervals()
+            .find(|(i, _)| *i == interval)
+            .map(|(_, h)| h)
+            .unwrap()
+    };
+    for interval in [victim_interval, victim_interval + 30] {
+        let path = store.hour_path(hour_of(interval));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let victim = hour_of(victim_interval);
 
     let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-    for threads in [1usize, 4, 16] {
+    for threads in [1usize, 2, 4, 16] {
         let err = pipeline
             .run(
                 &store,
