@@ -565,8 +565,9 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
 
 /// Fold the stored window for `investigate` in one pass: each hour of
 /// `stored` is fetched and decoded once, into the behavior fold and —
-/// with `analyze`, which `--intel` needs for its candidates — into the
-/// sequential analysis beside it.
+/// with `analyze`, which `--intel` needs for its candidates — into an
+/// analyzer's hour sink beside it, which routes the hour and folds it
+/// at `finish`.
 fn fold_window(
     inventory: &LoadedInventory,
     store: &FlowStore,

@@ -3,10 +3,13 @@
 //! [`Analyzer`] makes a single pass over hourly flowtuples, joining source
 //! addresses against the IoT inventory (§III-B's correlation algorithm)
 //! and accumulating every aggregate the paper's figures and tables need.
-//! Hours may be ingested in any order; every aggregate is a sum, a set
-//! union or an order-free maximum, so one analyzer folding routed hours
-//! in whatever order N routers finish them
-//! ([`Analyzer::apply_routed`], DESIGN.md §3e) is exact, not
+//! Every hour takes one path: a [`Router`] correlates and classifies it
+//! into a [`RoutedHour`], and [`Analyzer::apply_routed`] folds it
+//! ([`crate::fold`]). [`Analyzer::begin_hour`] is that path as a
+//! [`FlowSink`], with a router of the analyzer's own. Hours may be
+//! ingested in any order; every aggregate is a sum, a set union or an
+//! order-free maximum, so one analyzer folding routed hours in whatever
+//! order N routers finish them (DESIGN.md §3e) is exact, not
 //! approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
@@ -19,7 +22,7 @@
 //! [`Analysis::view`] — the one way to ask them.
 
 use crate::classify::TrafficClass;
-use crate::fold::{classify_flows, DeviceFold, DstDistinct, HourPos, RoutedFlow, RoutedHour};
+use crate::fold::{DeviceFold, HourPos, RoutedHour, Router};
 pub use crate::table::{
     DeviceObservation, DeviceTable, PortRow, PortTable, ServiceKey, ServiceTable,
 };
@@ -290,14 +293,14 @@ pub struct Analyzer<'a> {
     db: &'a DeviceDb,
     hours: u32,
     metrics: Option<AnalyzerMetrics>,
-    /// The hour's destination-keyed distinct state (front half).
-    dst: DstDistinct,
+    /// The front half for hours ingested through
+    /// [`begin_hour`](Self::begin_hour) or pushed by a
+    /// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), built by
+    /// the first of them (an analyzer fed only routed hours never needs
+    /// it).
+    router: Option<Router<'a>>,
     /// The hour's device-keyed scratch (device half).
     dev: DeviceFold,
-    /// Per-block scratch, capacity reused across blocks: the block's
-    /// merge-join correlation column and its routed flows.
-    corr: Vec<Option<(u32, Realm)>>,
-    routed: Vec<RoutedFlow>,
     result: Analysis,
 }
 
@@ -308,10 +311,8 @@ impl<'a> Analyzer<'a> {
             db,
             hours,
             metrics: None,
-            dst: DstDistinct::new(),
+            router: None,
             dev: DeviceFold::new(db.len()),
-            corr: Vec::new(),
-            routed: Vec::new(),
             result: Analysis::empty(hours),
         }
     }
@@ -319,21 +320,17 @@ impl<'a> Analyzer<'a> {
     /// Like [`new`](Self::new), but publishing per-class packet counters
     /// (`analysis.packets.<realm>.<class>`) and unmatched-traffic counters
     /// into `registry`. Counters are accumulated locally per hour and
-    /// flushed with one atomic add each at the end of
-    /// [`ingest_hour`](Self::ingest_hour), so the hot per-flow path pays
-    /// nothing for instrumentation.
+    /// flushed with one atomic add each when the hour is folded, so the
+    /// hot per-flow path pays nothing for instrumentation.
     pub fn with_metrics(db: &'a DeviceDb, hours: u32, registry: &Registry) -> Self {
         let mut a = Self::new(db, hours);
         a.metrics = Some(AnalyzerMetrics::register(registry));
         a
     }
 
-    /// Ingest one hour of traffic.
-    ///
-    /// Thin wrapper over the block-streaming path: one
+    /// Ingest one hour of traffic: one
     /// [`begin_hour`](Self::begin_hour), the hour's records through
-    /// [`FlowSink::on_flows`], one finish — so the materialized and
-    /// streaming ingests share every line of per-flow code.
+    /// [`FlowSink::on_flows`], one [`HourIngest::finish`].
     ///
     /// # Panics
     ///
@@ -344,38 +341,34 @@ impl<'a> Analyzer<'a> {
         ingest.finish();
     }
 
-    /// Start ingesting the hour at `interval`, flow slice by flow slice —
-    /// the receiving end of the fused decode→ingest path. The returned
-    /// [`HourIngest`] implements
-    /// [`FlowSink`], so it plugs straight
-    /// into [`decode_hour_visit`](iotscope_net::store::decode_hour_visit);
-    /// call [`HourIngest::finish`] to fold the hour's per-hour scratch
-    /// (distinct counts, top backscatter victim, metric flush) into the
-    /// result. Dropping it without finishing discards the hour's
-    /// contribution to those per-hour aggregates — which is what a caller
-    /// wants after a mid-hour decode error.
+    /// Start ingesting the hour at `interval`, flow slice by flow slice:
+    /// the analyzer's router starts routing the hour. The returned
+    /// [`HourIngest`] implements [`FlowSink`], so it plugs straight into
+    /// [`decode_hour_visit`](iotscope_net::store::decode_hour_visit);
+    /// [`HourIngest::finish`] folds the routed hour into the result.
+    /// Until then nothing of the hour reaches the result, so dropping the
+    /// ingest unfinished (after a mid-hour decode error) leaves no trace
+    /// of the hour: no device rows, packets, unmatched totals or
+    /// distincts.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is outside the window.
     pub fn begin_hour(&mut self, interval: u32) -> HourIngest<'_, 'a> {
-        let at = HourPos::new(interval, self.hours);
-        self.result.cache.reset();
-        self.dst.clear();
-        self.dev.clear();
-        HourIngest {
-            at,
-            hour_unmatched: (0, 0),
-            an: self,
-        }
+        self.router().begin_hour(interval);
+        HourIngest { an: self }
+    }
+
+    /// The analyzer's own router, built on first use.
+    pub(crate) fn router(&mut self) -> &mut Router<'a> {
+        let (db, hours) = (self.db, self.hours);
+        self.router.get_or_insert_with(|| Router::new(db, hours))
     }
 
     /// Fold one routed hour — the device half over its flows, then its
-    /// destination distincts, unmatched totals and metric flush — as
-    /// [`begin_hour`](Self::begin_hour), its records and
-    /// [`HourIngest::finish`] would have: the back half of the fold for
-    /// an hour whose front half ran elsewhere
-    /// ([`Router`](crate::fold::Router)). Hours may arrive in any order.
+    /// destination distincts, unmatched totals and metric flush: the
+    /// back half of the fold, for an hour routed by any
+    /// [`Router`]. Hours may arrive in any order.
     ///
     /// # Panics
     ///
@@ -384,7 +377,7 @@ impl<'a> Analyzer<'a> {
         let at = HourPos::new(hour.interval(), self.hours);
         self.result.cache.reset();
         self.dev.clear();
-        self.dev.fold(&mut self.result, at, &hour.flows);
+        self.dev.fold(&mut self.result, at, &hour.runs, &hour.flows);
         self.dev.commit(&mut self.result, at.idx);
         hour.commit_hour_keyed(&mut self.result);
         self.flush_hour_metrics(hour.unmatched);
@@ -427,56 +420,31 @@ impl<'a> Analyzer<'a> {
 /// One hour's streaming ingest, produced by [`Analyzer::begin_hour`].
 ///
 /// Feed it decoded blocks ([`FlowSink::visit_block`]) or in-order flow
-/// slices ([`FlowSink::on_flows`]: any slicing folds identically) and
-/// then [`finish`](Self::finish) to commit the hour's per-hour
-/// aggregates.
+/// slices ([`FlowSink::on_flows`]: any slicing folds identically), which
+/// go to the analyzer's router, then [`finish`](Self::finish) to fold the
+/// hour.
 #[derive(Debug)]
 pub struct HourIngest<'h, 'a> {
     an: &'h mut Analyzer<'a>,
-    at: HourPos,
-    /// Local metric accumulator, flushed once at finish so the hot
-    /// path pays nothing for instrumentation (the per-class packets
-    /// are the device fold's hour totals).
-    hour_unmatched: (u64, u64),
 }
 
 impl HourIngest<'_, '_> {
-    /// Commit the hour: fold the per-hour scratch (distinct dst-IP /
-    /// port / device counts, dominant backscatter victim) into the
-    /// result and flush the hour's metric accumulators.
+    /// Fold the hour: take it from the router, fold it
+    /// ([`Analyzer::apply_routed`]) and hand its buffers back to the
+    /// router for the next hour.
     pub fn finish(self) {
         let an = self.an;
-        an.dst.commit(&mut an.result, self.at.idx);
-        an.dev.commit(&mut an.result, self.at.idx);
-        an.flush_hour_metrics(self.hour_unmatched);
+        let hour = an.router().finish_hour();
+        an.apply_routed(&hour);
+        an.router().recycle(hour);
     }
 }
 
 impl FlowSink for HourIngest<'_, '_> {
-    /// The one fold every ingest takes: correlate the block's `src_ip`
-    /// column in one merge-join pass, scan the columns into routed
-    /// flows (front half), then fold those one device run at a time
-    /// (device half).
+    /// Route the block: the analyzer's router correlates and classifies
+    /// it into the hour.
     fn visit_block(&mut self, block: &ColumnBlock) {
-        let Analyzer {
-            db,
-            dst,
-            dev,
-            corr,
-            routed,
-            result,
-            ..
-        } = &mut *self.an;
-        db.correlation_index()
-            .correlate_sorted_block(block.src_ip(), corr);
-        routed.clear();
-        let (flows_unmatched, packets_unmatched) =
-            classify_flows(block, corr, dst, |f| routed.push(f));
-        dev.fold(result, self.at, routed);
-        result.unmatched_flows += flows_unmatched;
-        result.unmatched_packets += packets_unmatched;
-        self.hour_unmatched.0 += flows_unmatched;
-        self.hour_unmatched.1 += packets_unmatched;
+        self.an.router().visit_block(block);
     }
 }
 
@@ -562,8 +530,9 @@ mod tests {
 
     #[test]
     fn dropped_hour_ingest_leaves_no_distincts() {
-        // An unfinished hour contributes flows but no per-hour distinct
-        // counts; dropping the ingest must not poison a later hour.
+        // An hour whose ingest is dropped unfinished leaves nothing of
+        // itself — no device rows, packets, unmatched totals, distincts
+        // or counters — and does not poison a later hour.
         let db = db();
         let mixed = vec![
             syn([1, 0, 0, 1], 23),
@@ -585,20 +554,31 @@ mod tests {
             .with_packets(5),
             syn([2, 0, 0, 1], 2323),
         ];
-        let mut dropped = Analyzer::new(&db, 4);
+        let registry = Registry::new();
+        let mut dropped = Analyzer::with_metrics(&db, 4, &registry);
         {
             let mut ingest = dropped.begin_hour(1);
             ingest.on_flows(&mixed);
         }
+        assert_eq!(
+            dropped.peek(),
+            &Analysis::empty(4),
+            "dropped hour left nothing"
+        );
+        assert_eq!(dropped.peek().devices.len(), 0, "no device rows");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("analysis.packets.consumer.udp"), Some(0));
+        assert_eq!(snap.counter("analysis.flows_unmatched"), Some(0));
+
         let mut redo = dropped.begin_hour(2);
         redo.on_flows(&mixed);
         redo.finish();
-        let redone = dropped.finish();
-        assert_eq!(
-            redone.udp[0].devices[0], 0,
-            "dropped hour left no distincts"
-        );
-        assert_eq!(redone.udp[0].devices[1], 1);
+        let mut clean = Analyzer::new(&db, 4);
+        clean.ingest_hour(&hour(2, mixed));
+        let (redone, clean) = (dropped.finish(), clean.finish());
+        assert_eq!(redone, clean, "the later hour folds as on a fresh analyzer");
+        assert_eq!(redone.udp[0].devices[..2], [0, 1]);
+        assert_eq!((redone.unmatched_flows, redone.unmatched_packets), (1, 1));
     }
 
     #[test]

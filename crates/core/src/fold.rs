@@ -1,28 +1,30 @@
 //! The ingest fold (DESIGN.md §3d), written once.
 //!
-//! Every decoded block passes through two halves:
+//! A [`Router`] turns an hour into a [`RoutedHour`], and
+//! [`Analyzer::apply_routed`](crate::analysis::Analyzer::apply_routed)
+//! folds it. Every driver takes that one path: the pipeline at one
+//! thread or N (N routers feed one fold in any hour order, DESIGN.md
+//! §3e), the stream's inline push and the daemon's routed feed
+//! ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)),
+//! and the analyzer's own [`begin_hour`](crate::analysis::Analyzer::begin_hour)
+//! sink, which routes with a router of its own and folds at
+//! [`HourIngest::finish`](crate::analysis::HourIngest::finish).
 //!
-//! * the **front half** (`classify_flows`) scans a [`ColumnBlock`]'s
-//!   columns next to the block's correlation column, classifies each
-//!   correlated flow by table lookup and counts the hour's distinct
-//!   destinations (`DstDistinct`) — state keyed by *destination*,
-//!   which needs the whole hour in one place. It emits one
-//!   `RoutedFlow` per correlated flow;
-//! * the **device half** (`DeviceFold::fold`) takes those routed
-//!   flows one source-device run at a time and writes everything keyed
-//!   by the *source device* into an [`Analysis`].
+//! * The **front half** (`classify_flows`, in the router) scans each
+//!   decoded [`ColumnBlock`]'s columns next to the block's correlation
+//!   column, classifies each correlated flow by table lookup and counts
+//!   the hour's distinct destinations (`DstDistinct`) — state keyed by
+//!   *destination*, which needs the whole hour in one place. It appends
+//!   one 8-byte `RoutedFlow` per correlated flow to the hour, grouped
+//!   into `DeviceRun`s of consecutive flows from one source device.
+//! * The **device half** (`DeviceFold::fold`) takes the hour one device
+//!   run at a time and writes everything keyed by the *source device*
+//!   into an [`Analysis`].
 //!
-//! The sequential [`Analyzer`](crate::analysis::Analyzer) runs the two
-//! back to back per block. The parallel pipeline and the daemon split
-//! them across threads: a [`Router`] runs the front half over a whole
-//! hour and hands it over as one [`RoutedHour`], and one analyzer folds
-//! it whole ([`Analyzer::apply_routed`](crate::analysis::Analyzer::apply_routed)):
-//! the parallel pipeline's N routers feed one fold in any hour order
-//! (DESIGN.md §3e), the daemon's one router feeds its fold in hour
-//! order ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)).
-//! Same functions, same state types for every driver; each driver is
-//! checked against the naive per-record analyzer in the
-//! `iotscope-tests` crate (`oracle`).
+//! A folded hour's buffers go back to a router (`Router::recycle`),
+//! so routing an hour reuses the last one's capacity instead of growing
+//! new buffers. Each driver is checked against the naive per-record
+//! analyzer in the `iotscope-tests` crate (`oracle`).
 
 use crate::analysis::{class_idx, merge_top_victim, realm_idx, Analysis};
 use crate::classify::classify;
@@ -112,33 +114,43 @@ pub(crate) fn lane_and_class(
 }
 
 /// One correlated, classified flow, reduced to what the device half
-/// needs: 16 bytes instead of a full `FlowTuple`. The destination
-/// address is deliberately absent — destination-keyed distincts belong
-/// to the front half.
+/// needs: 8 bytes instead of a full `FlowTuple`. Its source device is
+/// its run's ([`DeviceRun`]); the destination address is deliberately
+/// absent — destination-keyed distincts belong to the front half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RoutedFlow {
-    /// Dense intern index of the source device (== `DeviceId` value).
-    pub dense: u32,
     /// Packets in the flow record.
     pub packets: u32,
     /// Destination port (drives per-service / per-UDP-port stats).
     pub dst_port: u16,
     /// [`class_idx`] of the classified flow.
     pub class: u8,
-    /// [`realm_idx`] of the source device.
-    pub realm: u8,
     /// Transport in Fig 4 order: ICMP 0, TCP 1, UDP 2.
     pub proto: u8,
 }
 
+/// A maximal run of consecutive routed flows from one source device.
+/// A stored hour is sorted by source, so it routes as one run per
+/// device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DeviceRun {
+    /// Dense intern index of the source device (== `DeviceId` value).
+    pub dense: u32,
+    /// The run's flows: the next `len` of the hour's routed flows.
+    pub len: u32,
+    /// [`realm_idx`] of the source device.
+    pub realm: u8,
+}
+
 /// One hour through the front half, as one value: its routed flows (in
-/// record order), its destination-distinct counts and its unmatched
-/// totals. It is everything the device half and the hour-keyed series
-/// need, so an hour can be routed on one thread and folded on another.
-/// A [`Router`] produces it.
+/// record order, as device runs), its destination-distinct counts and
+/// its unmatched totals. It is everything the device half and the
+/// hour-keyed series need, so an hour can be routed on one thread and
+/// folded on another. A [`Router`] produces it.
 #[derive(Debug)]
 pub struct RoutedHour {
     pub(crate) at: HourPos,
+    pub(crate) runs: Vec<DeviceRun>,
     pub(crate) flows: Vec<RoutedFlow>,
     pub(crate) dst: DstCounts,
     /// Flows and packets from sources outside the inventory.
@@ -165,7 +177,9 @@ impl RoutedHour {
 ///
 /// Call [`begin_hour`](Self::begin_hour), feed it as a `FlowSink`
 /// (decoded blocks from a fused store decode, or flow slices), then
-/// [`finish_hour`](Self::finish_hour) to take the hour. Skipping
+/// [`finish_hour`](Self::finish_hour) to take the hour; the crate's
+/// drivers hand a folded hour back (`recycle`) so the next one reuses
+/// its buffers. Skipping
 /// `finish_hour` (after a decode error) abandons the hour: nothing of
 /// it leaves the router, and the next `begin_hour` discards it.
 #[derive(Debug)]
@@ -174,8 +188,10 @@ pub struct Router<'a> {
     hours: u32,
     /// The hour being routed, between `begin_hour` and `finish_hour`.
     hour: Option<RoutedHour>,
-    /// Per-hour destination-distinct state — the same front half of the
-    /// fold the sequential analyzer runs.
+    /// A recycled hour, emptied, whose buffers the next `begin_hour`
+    /// routes into.
+    spare: Option<RoutedHour>,
+    /// Per-hour destination-distinct state.
     dst: DstDistinct,
     /// The block's merge-join correlation column, capacity reused
     /// across blocks.
@@ -189,6 +205,7 @@ impl<'a> Router<'a> {
             db,
             hours,
             hour: None,
+            spare: None,
             dst: DstDistinct::new(),
             corr: Vec::new(),
         }
@@ -200,10 +217,19 @@ impl<'a> Router<'a> {
     ///
     /// Panics if `interval` is outside the window.
     pub fn begin_hour(&mut self, interval: u32) {
+        let at = HourPos::new(interval, self.hours);
+        if let Some(abandoned) = self.hour.take() {
+            self.recycle(abandoned);
+        }
         self.dst.clear();
+        let (runs, flows) = self
+            .spare
+            .take()
+            .map_or_else(Default::default, |spare| (spare.runs, spare.flows));
         self.hour = Some(RoutedHour {
-            at: HourPos::new(interval, self.hours),
-            flows: Vec::new(),
+            at,
+            runs,
+            flows,
             dst: DstCounts::default(),
             unmatched: (0, 0),
         });
@@ -220,6 +246,15 @@ impl<'a> Router<'a> {
         hour.dst = self.dst.counts();
         hour
     }
+
+    /// Hand back a folded hour (routed here or by any router), so the
+    /// next [`begin_hour`](Self::begin_hour) routes into its emptied
+    /// buffers.
+    pub(crate) fn recycle(&mut self, mut hour: RoutedHour) {
+        hour.runs.clear();
+        hour.flows.clear();
+        self.spare = Some(hour);
+    }
 }
 
 impl FlowSink for Router<'_> {
@@ -234,9 +269,13 @@ impl FlowSink for Router<'_> {
         self.db
             .correlation_index()
             .correlate_sorted_block(block.src_ip(), &mut self.corr);
-        let flows = &mut hour.flows;
-        let (unmatched, packets) =
-            classify_flows(block, &self.corr, &mut self.dst, |f| flows.push(f));
+        let (unmatched, packets) = classify_flows(
+            block,
+            &self.corr,
+            &mut self.dst,
+            &mut hour.runs,
+            &mut hour.flows,
+        );
         hour.unmatched.0 += unmatched;
         hour.unmatched.1 += packets;
     }
@@ -272,7 +311,7 @@ impl HourPos {
 
 /// One hour's destination-keyed distinct state, per realm.
 #[derive(Debug)]
-pub(crate) struct DstDistinct {
+struct DstDistinct {
     udp_ips: [U32Set; 2],
     scan_ips: [U32Set; 2],
     udp_ports: [PortScratch; 2],
@@ -280,7 +319,7 @@ pub(crate) struct DstDistinct {
 }
 
 impl DstDistinct {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         DstDistinct {
             udp_ips: [U32Set::new(), U32Set::new()],
             scan_ips: [U32Set::new(), U32Set::new()],
@@ -290,7 +329,7 @@ impl DstDistinct {
     }
 
     /// Start a new hour.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         for r in 0..2 {
             self.udp_ips[r].clear();
             self.scan_ips[r].clear();
@@ -316,18 +355,13 @@ impl DstDistinct {
     }
 
     /// The hour's distinct destination counts.
-    pub(crate) fn counts(&mut self) -> DstCounts {
+    fn counts(&mut self) -> DstCounts {
         DstCounts {
             udp_ips: self.udp_ips.each_mut().map(|s| s.len() as u64),
             udp_ports: self.udp_ports.each_ref().map(|s| s.len() as u64),
             scan_ips: self.scan_ips.each_mut().map(|s| s.len() as u64),
             scan_ports: self.scan_ports.each_ref().map(|s| s.len() as u64),
         }
-    }
-
-    /// Add the hour's distinct destination counts to `result`.
-    pub(crate) fn commit(&mut self, result: &mut Analysis, idx: usize) {
-        self.counts().add_to(result, idx);
     }
 }
 
@@ -356,19 +390,22 @@ impl DstCounts {
 /// The front half of the fold over one block of an hour: a scan of the
 /// block's columns, with `corr[i]` the device correlation of record
 /// `i` (the block's merge-join column). Correlated flows are classified
-/// through the class table, counted into `dst` and handed to `sink` in
-/// record order. Returns the `(flows, packets)` of the sources outside
+/// through the class table, counted into `dst` and appended to `flows`
+/// in record order, each extending the last of `runs` when it comes
+/// from the same device (across the block boundary too) and opening a
+/// run otherwise. Returns the `(flows, packets)` of the sources outside
 /// the inventory.
 ///
 /// # Panics
 ///
 /// Panics if `corr` is shorter than the block.
 #[inline]
-pub(crate) fn classify_flows(
+fn classify_flows(
     block: &ColumnBlock,
     corr: &[Option<(u32, Realm)>],
     dst: &mut DstDistinct,
-    mut sink: impl FnMut(RoutedFlow),
+    runs: &mut Vec<DeviceRun>,
+    flows: &mut Vec<RoutedFlow>,
 ) -> (u64, u64) {
     let n = block.len();
     let corr = &corr[..n];
@@ -394,14 +431,20 @@ pub(crate) fn classify_flows(
         let r = realm_idx(realm);
         let port = dst_port[i] as u16;
         dst.observe(class, r, dst_ip[i], port);
-        sink(RoutedFlow {
-            dense,
+        flows.push(RoutedFlow {
             packets: packets[i],
             dst_port: port,
             class,
-            realm: r as u8,
             proto: lane,
         });
+        match runs.last_mut() {
+            Some(run) if run.dense == dense => run.len += 1,
+            _ => runs.push(DeviceRun {
+                dense,
+                len: 1,
+                realm: r as u8,
+            }),
+        }
     }
     unmatched
 }
@@ -461,19 +504,24 @@ impl DeviceFold {
         &self.hour_packets
     }
 
-    /// Fold an in-order slice of the hour at `at`'s routed flows into
-    /// `result`, one run of consecutive flows from the same device at a
-    /// time. A sorted hour is one run per device per block; any order
+    /// Fold the hour at `at`'s routed flows into `result`, one device
+    /// run at a time. A sorted hour is one run per device; any order
     /// folds to the same result, since a device's runs only add up.
-    pub(crate) fn fold(&mut self, result: &mut Analysis, at: HourPos, flows: &[RoutedFlow]) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runs cover more than `flows`.
+    pub(crate) fn fold(
+        &mut self,
+        result: &mut Analysis,
+        at: HourPos,
+        runs: &[DeviceRun],
+        flows: &[RoutedFlow],
+    ) {
         let mut rest = flows;
-        while let Some(first) = rest.first() {
-            let len = rest
-                .iter()
-                .position(|f| f.dense != first.dense)
-                .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(len);
-            self.fold_run(result, at, run);
+        for run in runs {
+            let (head, tail) = rest.split_at(run.len as usize);
+            self.fold_run(result, at, run, head);
             rest = tail;
         }
     }
@@ -483,10 +531,16 @@ impl DeviceFold {
     /// every flow; everything keyed by the device alone — its table row
     /// and scanned-group mask, the protocol and per-class series, the
     /// hour's device flags — is written once, from the run's sums.
-    fn fold_run(&mut self, result: &mut Analysis, at: HourPos, run: &[RoutedFlow]) {
+    fn fold_run(
+        &mut self,
+        result: &mut Analysis,
+        at: HourPos,
+        device: &DeviceRun,
+        run: &[RoutedFlow],
+    ) {
         // Dense-id contract: the intern index *is* the device id.
-        let id = DeviceId(run[0].dense);
-        let r = usize::from(run[0].realm);
+        let id = DeviceId(device.dense);
+        let r = usize::from(device.realm);
         let mut class_packets = [0u64; NUM_CLASSES];
         let mut proto_packets = [0u64; 3];
         let mut seen = 0u8;
@@ -614,6 +668,13 @@ mod tests {
             );
         }
         assert_eq!(LANE_BY_PROTOCOL[TransportProtocol::Tcp as usize], LANE_TCP);
+    }
+
+    /// An hour is held whole between router and fold: its flows stay at
+    /// 8 bytes (DESIGN.md §3d, "The hour buffer").
+    #[test]
+    fn routed_flow_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<RoutedFlow>(), 8);
     }
 
     #[test]
@@ -847,24 +908,21 @@ mod tests {
             .collect()
     }
 
-    /// Route hour `i` of `traffic` on router `i % routers`, then fold the
-    /// routed hours into one analyzer in the order of `order`, a
-    /// permutation of the hour indices.
+    /// Fold the hours of `traffic` into one analyzer in the order of
+    /// `order`, a permutation of the hour indices, routing hour `i` on
+    /// router `i % routers` just before it is folded; every folded hour
+    /// goes back to the router that routed it, whose next hour reuses
+    /// its buffer.
     fn routed(db: &DeviceDb, traffic: &[HourTraffic], routers: usize, order: &[usize]) -> Analysis {
         let mut pool: Vec<Router> = (0..routers).map(|_| Router::new(db, HOURS)).collect();
-        let mut hours: Vec<Option<RoutedHour>> = traffic
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let router = &mut pool[i % routers];
-                router.begin_hour(h.interval);
-                router.on_flows(&h.flows);
-                Some(router.finish_hour())
-            })
-            .collect();
         let mut an = Analyzer::new(db, HOURS);
         for &i in order {
-            an.apply_routed(&hours[i].take().expect("each hour folded once"));
+            let router = &mut pool[i % routers];
+            router.begin_hour(traffic[i].interval);
+            router.on_flows(&traffic[i].flows);
+            let hour = router.finish_hour();
+            an.apply_routed(&hour);
+            router.recycle(hour);
         }
         an.finish()
     }

@@ -4,11 +4,12 @@
 //! layer (store reads, decode, per-stage timings, per-class packet
 //! counters).
 //!
-//! One thread reads and folds every hour on the caller's thread. More
-//! threads route hours in parallel — read, decode, correlate, classify, count
-//! destinations ([`Router`]) — and feed one fold on the calling thread
-//! (DESIGN.md §3e). [`HourSource`] is the one way any walker reads a
-//! window's hours, and [`route_ahead`] is the daemon's in-order feed.
+//! Every hour is routed — read, decode, correlate, classify, count
+//! destinations ([`Router`]) — and folded into one analyzer on the
+//! calling thread. The calling thread routes hours of its own; more
+//! threads add routers that feed the same fold (DESIGN.md §3e).
+//! [`HourSource`] is the one way any walker reads a window's hours, and
+//! [`route_ahead`] is the daemon's in-order feed.
 
 use crate::analysis::{Analysis, Analyzer};
 use crate::fold::{RoutedHour, Router};
@@ -56,12 +57,11 @@ pub struct StoreReadStats {
     pub blocks_read: u64,
     /// Time spent reading files (summed across workers).
     pub read_time: Duration,
-    /// Time spent decoding and aggregating hours (summed across
-    /// workers): store hours stream block by block straight into the
-    /// analyzer, so decode is part of this fused stage.
+    /// Time spent decoding, routing and folding hours (summed across
+    /// workers): store hours stream block by block straight into a
+    /// router, so decode is part of this stage.
     pub ingest_time: Duration,
-    /// Time spent finishing the fold (sorting the device and port rows),
-    /// on the parallel driver only.
+    /// Time spent finishing the fold (sorting the device and port rows).
     pub merge_time: Duration,
     /// End-to-end elapsed time for the whole run.
     pub wall_time: Duration,
@@ -146,10 +146,10 @@ impl AnalyzeOptions {
     }
 
     /// Worker threads: `0` means 1, more than 64 means 64, and never
-    /// more than the source has hours. One thread runs every hour on the
-    /// caller's thread; `n > 1` routes hours on the caller's thread and
-    /// `n − 1` more, and folds them all on the caller's thread
-    /// (DESIGN.md §3e). The analysis result and every
+    /// more than the source has hours. `n` threads route hours on the
+    /// caller's thread and `n − 1` more, and fold them all on the
+    /// caller's thread (DESIGN.md §3e); one thread routes and folds each
+    /// hour in turn. The analysis result and every
     /// [stable](iotscope_obs::Stability::Stable) metric are identical
     /// whatever the thread count.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -307,8 +307,10 @@ impl<'a> AnalysisPipeline<'a> {
     }
 
     /// Analyze `source` under `options` — the single entry point behind
-    /// every analysis mode (sequential/parallel × memory/store, with or
-    /// without stats and metrics).
+    /// every analysis mode (any thread count × memory/store, with or
+    /// without stats and metrics). At every thread count the calling
+    /// thread routes hours and folds every routed hour; each thread past
+    /// the first adds one router thread.
     ///
     /// The aggregation result and every
     /// [stable](iotscope_obs::Stability::Stable) metric are identical
@@ -365,11 +367,7 @@ impl<'a> AnalysisPipeline<'a> {
             // A worker beyond the hours would route nothing.
             let threads = budget.min(hours.len()).max(1);
             pm.threads.set(threads as i64);
-            let analysis = if threads <= 1 {
-                self.run_inline(hours, &registry, &pm)?
-            } else {
-                self.run_parallel(hours, threads, &registry, &pm)?
-            };
+            let analysis = self.run_parallel(hours, threads, &registry, &pm)?;
             Ok((analysis, threads))
         })();
         drop(wall);
@@ -392,45 +390,18 @@ impl<'a> AnalysisPipeline<'a> {
         })
     }
 
-    /// Sequential driver: every hour is read, then folded into one
-    /// analyzer on the caller's thread; no partials, no merge. A store
-    /// hour is decoded and ingested in one fused pass — v3 blocks stream
-    /// straight into the analyzer, so the hour is never materialized as
-    /// a `Vec<FlowTuple>` (v1/v2 files materialize inside the visit and
-    /// arrive as a single slice).
-    fn run_inline(
-        &self,
-        hours: HourSource<'_>,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<Analysis, NetError> {
-        let worker = PipelineMetrics::worker_hours(registry, 0);
-        let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        for k in 0..hours.len() {
-            let interval = hours.interval(k);
-            let t0 = Instant::now();
-            let data = hours.read(k)?;
-            let t1 = Instant::now();
-            let mut ingest = an.begin_hour(interval);
-            data.visit(&mut ingest)?;
-            ingest.finish();
-            let t2 = Instant::now();
-            pm.read_time.record(t1 - t0);
-            pm.ingest_time.record(t2 - t1);
-            pm.hours_ingested.inc();
-            worker.inc();
-        }
-        Ok(an.finish())
-    }
-
-    /// Parallel driver: `threads` workers take hours off one atomic
+    /// The one driver: `threads` workers take hours off one atomic
     /// cursor and route them (read, then streamed into a [`Router`]; a
     /// store hour is never materialized). The calling thread is one of
     /// them and the one fold owner: between its own routes it drains the
     /// hours the `threads − 1` scoped router threads send through one
     /// bounded channel, folding each into one analyzer as it arrives
     /// ([`Analyzer::apply_routed`] takes hours in any order), and times
-    /// the final [`Analyzer::finish`] as `pipeline.merge_time`.
+    /// the final [`Analyzer::finish`] as `pipeline.merge_time`. At one
+    /// thread there is no router thread: the caller routes and folds
+    /// each hour in turn. The caller's router gets each of its own
+    /// hours back once folded, so it routes the next into the same
+    /// buffers.
     ///
     /// On the first error a stop flag halts further routing; the fold
     /// owner keeps draining, without folding, until every router has
@@ -486,20 +457,24 @@ impl<'a> AnalysisPipeline<'a> {
         };
 
         let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        let mut fold = |routed: RoutedHour| {
+        let mut fold = |routed: &RoutedHour| {
             if !stop.load(Ordering::Relaxed) {
                 let t = Instant::now();
-                an.apply_routed(&routed);
+                an.apply_routed(routed);
                 pm.ingest_time.record(t.elapsed());
             }
         };
         std::thread::scope(|scope| {
-            // Room for four routed hours per worker: the routers keep
-            // routing while the fold owner routes an hour of its own,
-            // and block, rather than pile up hours, only when the fold
+            // Room for eight routed hours, whatever the thread count, so
+            // the hours in flight are bounded by a constant: the routers
+            // keep routing while the fold owner routes an hour of its
+            // own, and block, rather than pile up hours, when the fold
             // falls behind. One hour per router stalled them at two
-            // threads (EXPERIMENTS.md "One fold").
-            let (tx, rx) = sync_channel::<RoutedHour>(4 * threads);
+            // threads, where eight was measured best; at four threads
+            // on two cores, `4 × threads` held ≈ 1.6 MB more for a wall
+            // time within 2 % (EXPERIMENTS.md "One fold", "One fold
+            // path").
+            let (tx, rx) = sync_channel::<RoutedHour>(8);
             for i in 1..threads {
                 let (tx, route_next) = (tx.clone(), &route_next);
                 scope.spawn(move || {
@@ -518,15 +493,16 @@ impl<'a> AnalysisPipeline<'a> {
             let mut router = Router::new(self.db, self.hours);
             loop {
                 while let Ok(routed) = rx.try_recv() {
-                    fold(routed);
+                    fold(&routed);
                 }
                 let Some(routed) = route_next(&mut router, &worker) else {
                     break;
                 };
-                fold(routed);
+                fold(&routed);
+                router.recycle(routed);
             }
             // The routers' last hours, until every router has hung up.
-            rx.into_iter().for_each(fold);
+            rx.into_iter().for_each(|routed| fold(&routed));
         });
 
         if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
@@ -540,7 +516,7 @@ impl<'a> AnalysisPipeline<'a> {
 }
 
 /// Where a window's hours come from: the one way every walker reads
-/// them — both pipeline drivers, the streaming analyzer, the daemon's
+/// them — the pipeline, the streaming analyzer, the daemon's
 /// routed feed ([`route_ahead`]), `investigate` and `export`. A walker indexes
 /// the source by position and takes one hour at a time, so it never
 /// holds more of the window than the hour it is on.

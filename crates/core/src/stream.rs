@@ -19,7 +19,7 @@
 //! causal: an alert at hour *t* uses nothing later than *t*.
 
 use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
-use crate::fold::{RoutedHour, Router};
+use crate::fold::RoutedHour;
 use crate::pipeline::HourSource;
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
@@ -277,13 +277,7 @@ impl Trailing {
 #[derive(Debug)]
 pub struct StreamingAnalyzer<'a> {
     analyzer: Analyzer<'a>,
-    /// The front half for hours pushed with [`push_hour`](Self::push_hour)
-    /// or [`push_from`](Self::push_from), built by the first of them (an
-    /// analyzer fed only [`push_routed`](Self::push_routed) never needs
-    /// it).
-    router: Option<Router<'a>>,
     db: &'a DeviceDb,
-    hours: u32,
     config: StreamConfig,
     backscatter: Trailing,
     services: [Trailing; 5],
@@ -299,9 +293,7 @@ impl<'a> StreamingAnalyzer<'a> {
     pub fn new(db: &'a DeviceDb, hours: u32, config: StreamConfig) -> Self {
         StreamingAnalyzer {
             analyzer: Analyzer::new(db, hours),
-            router: None,
             db,
-            hours,
             config,
             backscatter: Trailing::new(config.window),
             services: std::array::from_fn(|_| Trailing::new(config.window)),
@@ -349,12 +341,12 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Ingest hour `k` of `hours` as the next hour and return the
-    /// alerts it raised: the hour is routed on this thread
-    /// ([`HourSource::route`]; a store hour is read and decoded block
-    /// by block, never materialized), then
-    /// [`push_routed`](Self::push_routed). It raises the same alerts,
-    /// from the same state, as [`push_hour`](Self::push_hour) on the
-    /// decoded hour.
+    /// alerts it raised: the hour is routed on this thread by the
+    /// analyzer's router ([`HourSource::route`]; a store hour is read
+    /// and decoded block by block, never materialized), then
+    /// [`push_routed`](Self::push_routed), and its buffers go back to
+    /// the router. It raises the same alerts, from the same state, as
+    /// [`push_hour`](Self::push_hour) on the decoded hour.
     ///
     /// # Errors
     ///
@@ -365,16 +357,17 @@ impl<'a> StreamingAnalyzer<'a> {
     ///
     /// As [`push_hour`](Self::push_hour).
     pub fn push_from(&mut self, hours: &HourSource<'_>, k: usize) -> Result<Vec<Alert>, NetError> {
-        let (db, window) = (self.db, self.hours);
-        let router = self.router.get_or_insert_with(|| Router::new(db, window));
-        let routed = hours.route(k, router)?;
-        Ok(self.push_routed(&routed))
+        let routed = hours.route(k, self.analyzer.router())?;
+        let alerts = self.push_routed(&routed);
+        self.analyzer.router().recycle(routed);
+        Ok(alerts)
     }
 
-    /// Fold `hour`, routed on any thread by a [`Router`] (a
+    /// Fold `hour`, routed on any thread by a
+    /// [`Router`](crate::fold::Router) (a
     /// [`RoutedFeed`](crate::pipeline::RoutedFeed) item), as the next
-    /// hour and return the alerts it raised: the one
-    /// fold every push takes. The device fold, the `analysis.*` counter
+    /// hour and return the alerts it raised: the one fold every push
+    /// takes. The device fold, the `analysis.*` counter
     /// flush, alert detection and the score fold all run here, in hour
     /// order.
     ///

@@ -11,7 +11,7 @@
 //! # Memoization contract
 //!
 //! Caches are reset wherever the analysis is mutated: every hour's
-//! [`Analyzer::begin_hour`] or [`Analyzer::apply_routed`], and
+//! [`Analyzer::apply_routed`] (which every ingest ends in), and
 //! `normalize` (how finished results are sorted), so streaming `peek()`
 //! snapshots stay correct. Cached values never
 //! participate in `Clone` (a clone starts cold) or `PartialEq`/`Debug`
@@ -20,7 +20,6 @@
 //! views are consulted. If you mutate an `Analysis`'s public fields by
 //! hand, call [`Analysis::invalidate_views`] afterwards.
 //!
-//! [`Analyzer::begin_hour`]: crate::analysis::Analyzer::begin_hour
 //! [`Analyzer::apply_routed`]: crate::analysis::Analyzer::apply_routed
 
 use crate::analysis::{class_idx, realm_idx, Analysis};
