@@ -117,8 +117,10 @@ where
 }
 
 /// Every core: the worker count of the write verbs' hour fan-out and of
-/// the daemon's start-up analysis. The daemon's replay takes two: one
-/// routes hours ahead ([`route_ahead`]), one folds and publishes them.
+/// the daemon's start-up analysis. The daemon's replay takes two
+/// threads on any box ([`route_ahead`]): a router thread, and the
+/// publisher, which folds and publishes hours in order and routes the
+/// next ones itself whenever the hour it needs has not arrived.
 fn all_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -284,10 +286,11 @@ fn synth_intel(inventory: &LoadedInventory, analysis: &Analysis) -> IntelOutput 
 /// Start a [`TelescopeService`] over a data directory for `watch` and
 /// `serve`: load the inventory, open the stored window and, with
 /// `intel`, synthesize the intel from one batch analysis of it on every
-/// core — everything the daemon does before it is ready to ingest (the
-/// replay's router thread starts with [`replay`], not here),
-/// timed as one span of `serve.startup_time` in the service's registry
-/// (with `inventory.load_time` inside it), so `/metrics` can say what a
+/// core (the routed feed at [`all_cores`] workers) — everything the
+/// daemon does before it is ready to ingest (the replay's feed starts
+/// with [`replay`], not here), timed as one span of
+/// `serve.startup_time` in the service's registry (with
+/// `inventory.load_time` inside it), so `/metrics` can say what a
 /// restart costs.
 fn start_service(
     dir: &Path,
@@ -319,12 +322,13 @@ fn start_service(
 
 /// Replay the stored window into `service` for `watch` and `serve`:
 /// hours are read, decoded and routed ahead on one router thread
-/// ([`route_ahead`]) while this thread folds and publishes them
-/// in window order, one epoch per hour. Print the dropped-days line,
-/// then stream every alert but device discovery to `out` as it fires.
-/// Returns the final analysis, the alert log and the number of devices
-/// discovered; a bad hour ends the replay with its named error, after
-/// every earlier hour is published.
+/// ([`route_ahead`]) while this thread folds and publishes them in
+/// window order, one epoch per hour, and routes the next hours itself
+/// whenever the one it must publish has not arrived. Print the
+/// dropped-days line, then stream every alert but device discovery to
+/// `out` as it fires. Returns the final analysis, the alert log and the
+/// number of devices discovered; a bad hour ends the replay with its
+/// named error, after every earlier hour is published.
 fn replay(
     service: &TelescopeService,
     store: &FlowStore,

@@ -3,8 +3,9 @@
 //! A [`Router`] turns an hour into a [`RoutedHour`], and
 //! [`Analyzer::apply_routed`](crate::analysis::Analyzer::apply_routed)
 //! folds it. Every driver takes that one path: the pipeline at one
-//! thread or N (N routers feed one fold in any hour order, DESIGN.md
-//! §3e), the stream's inline push and the daemon's routed feed
+//! thread or N (the routed feed: N workers route, one fold takes the
+//! hours in source order, DESIGN.md §3e), the stream's inline push and
+//! the daemon's routed feed
 //! ([`StreamingAnalyzer::push_routed`](crate::stream::StreamingAnalyzer::push_routed)),
 //! and the analyzer's own [`begin_hour`](crate::analysis::Analyzer::begin_hour)
 //! sink, which routes with a router of its own and folds at

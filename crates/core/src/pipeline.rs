@@ -6,10 +6,13 @@
 //!
 //! Every hour is routed — read, decode, correlate, classify, count
 //! destinations ([`Router`]) — and folded into one analyzer on the
-//! calling thread. The calling thread routes hours of its own; more
-//! threads add routers that feed the same fold (DESIGN.md §3e).
-//! [`HourSource`] is the one way any walker reads a window's hours, and
-//! [`route_ahead`] is the daemon's in-order feed.
+//! calling thread. Both drivers read their hours from one
+//! [`RoutedFeed`], which yields them in source order: the calling
+//! thread routes hours of its own whenever the one it needs next has
+//! not arrived, and more threads add routers (DESIGN.md §3e). The batch
+//! pipeline runs the feed at its thread count, the daemon at two
+//! ([`route_ahead`]). [`HourSource`] is the one way any walker reads a
+//! window's hours.
 
 use crate::analysis::{Analysis, Analyzer};
 use crate::fold::{RoutedHour, Router};
@@ -20,9 +23,8 @@ use iotscope_net::time::{AnalysisWindow, UnixHour, HOURS_PER_DAY};
 use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
 use iotscope_telescope::HourTraffic;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Accounting for one analysis run, materialized as a *view over the
@@ -390,24 +392,17 @@ impl<'a> AnalysisPipeline<'a> {
         })
     }
 
-    /// The one driver: `threads` workers take hours off one atomic
-    /// cursor and route them (read, then streamed into a [`Router`]; a
-    /// store hour is never materialized). The calling thread is one of
-    /// them and the one fold owner: between its own routes it drains the
-    /// hours the `threads − 1` scoped router threads send through one
-    /// bounded channel, folding each into one analyzer as it arrives
-    /// ([`Analyzer::apply_routed`] takes hours in any order), and times
-    /// the final [`Analyzer::finish`] as `pipeline.merge_time`. At one
+    /// The one driver: the routed feed at `threads` workers
+    /// ([`RoutedFeed`]: the calling thread and `threads − 1` router
+    /// threads), each hour folded into one analyzer on the calling
+    /// thread as the feed yields it, in source order, then the final
+    /// [`Analyzer::finish`] timed as `pipeline.merge_time`. At one
     /// thread there is no router thread: the caller routes and folds
-    /// each hour in turn. The caller's router gets each of its own
-    /// hours back once folded, so it routes the next into the same
-    /// buffers.
+    /// each hour in turn. A folded hour's buffers go back to the feed,
+    /// so the next hour is routed into them.
     ///
-    /// On the first error a stop flag halts further routing; the fold
-    /// owner keeps draining, without folding, until every router has
-    /// hung up, so no router stays blocked on a full channel. The error
-    /// with the smallest interval wins, so the reported failure is
-    /// deterministic.
+    /// The feed yields a read or decode failure at its hour's place, so
+    /// the run fails with the earliest failing hour of the source.
     fn run_parallel(
         &self,
         hours: HourSource<'_>,
@@ -415,99 +410,18 @@ impl<'a> AnalysisPipeline<'a> {
         registry: &Registry,
         pm: &PipelineMetrics,
     ) -> Result<Analysis, NetError> {
-        let stop = AtomicBool::new(false);
-        let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
-        let next = AtomicUsize::new(0);
-        // Route the next hour off the cursor: `None` once the cursor is
-        // spent or an hour has failed (this one, recorded for the run,
-        // or another worker's).
-        let route_next = |router: &mut Router<'_>, worker: &Counter| {
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= hours.len() {
-                return None;
-            }
-            let interval = hours.interval(k);
-            let t0 = Instant::now();
-            let routed = hours.read(k).and_then(|data| {
-                let t1 = Instant::now();
-                router.begin_hour(interval);
-                data.visit(router)?;
-                pm.read_time.record(t1 - t0);
-                pm.ingest_time.record(t1.elapsed());
-                Ok(router.finish_hour())
-            });
-            match routed {
-                Ok(routed) => {
-                    pm.hours_ingested.inc();
-                    worker.inc();
-                    Some(routed)
-                }
-                Err(err) => {
-                    let mut slot = first_err.lock().expect("error slot not poisoned");
-                    if slot.as_ref().is_none_or(|(seen, _)| interval < *seen) {
-                        *slot = Some((interval, err));
-                    }
-                    stop.store(true, Ordering::Relaxed);
-                    None
-                }
-            }
-        };
-
         let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        let mut fold = |routed: &RoutedHour| {
-            if !stop.load(Ordering::Relaxed) {
+        let metrics = Some((registry, pm));
+        feed(self.db, self.hours, hours, threads, metrics, |mut feed| {
+            while let Some(hour) = feed.next() {
+                let hour = hour?;
                 let t = Instant::now();
-                an.apply_routed(routed);
+                an.apply_routed(&hour);
                 pm.ingest_time.record(t.elapsed());
+                feed.recycle(hour);
             }
-        };
-        std::thread::scope(|scope| {
-            // Room for eight routed hours, whatever the thread count, so
-            // the hours in flight are bounded by a constant: the routers
-            // keep routing while the fold owner routes an hour of its
-            // own, and block, rather than pile up hours, when the fold
-            // falls behind. One hour per router stalled them at two
-            // threads, where eight was measured best; at four threads
-            // on two cores, `4 × threads` held ≈ 1.6 MB more for a wall
-            // time within 2 % (EXPERIMENTS.md "One fold", "One fold
-            // path").
-            let (tx, rx) = sync_channel::<RoutedHour>(8);
-            for i in 1..threads {
-                let (tx, route_next) = (tx.clone(), &route_next);
-                scope.spawn(move || {
-                    let worker = PipelineMetrics::worker_hours(registry, i);
-                    let mut router = Router::new(self.db, self.hours);
-                    while let Some(routed) = route_next(&mut router, &worker) {
-                        // A hung-up fold owner wants no more hours.
-                        if tx.send(routed).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let worker = PipelineMetrics::worker_hours(registry, 0);
-            let mut router = Router::new(self.db, self.hours);
-            loop {
-                while let Ok(routed) = rx.try_recv() {
-                    fold(&routed);
-                }
-                let Some(routed) = route_next(&mut router, &worker) else {
-                    break;
-                };
-                fold(&routed);
-                router.recycle(routed);
-            }
-            // The routers' last hours, until every router has hung up.
-            rx.into_iter().for_each(|routed| fold(&routed));
-        });
-
-        if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
-            return Err(err);
-        }
+            Ok::<_, NetError>(())
+        })?;
         let merge_span = pm.merge_time.span();
         let analysis = an.finish();
         drop(merge_span);
@@ -635,16 +549,16 @@ impl<'s> HourSource<'s> {
     }
 }
 
-/// Route `source`'s hours on one router thread ahead of `consume`,
-/// which runs on the calling thread and receives them in source order
-/// as a [`RoutedFeed`].
+/// Route `source`'s hours ahead of `consume`, which runs on the calling
+/// thread and receives them in source order as a [`RoutedFeed`]: the
+/// feed at two workers, one router thread and the consumer. Whenever
+/// the hour the consumer takes next has not arrived, the consumer
+/// routes the next unclaimed hour itself instead of waiting, so the
+/// daemon's publisher routes while it would otherwise idle.
 ///
-/// The router hands each hour over through a channel of depth one, so
-/// it runs at most two hours ahead of the consumer (one handed over,
-/// one being routed) and stops after the first hour that fails. The
-/// router has exited when this returns, however `consume` ends — having
-/// read the whole feed, stopped at an error, or panicked (dropping the
-/// feed hangs up on a router waiting to hand over).
+/// The router thread has exited when this returns, however `consume`
+/// ends — having read the whole feed, stopped at an error, or panicked
+/// (dropping the feed hangs up on the router).
 ///
 /// # Panics
 ///
@@ -654,39 +568,276 @@ pub fn route_ahead<T>(
     db: &DeviceDb,
     hours: u32,
     source: HourSource<'_>,
-    consume: impl FnOnce(RoutedFeed) -> T,
+    consume: impl FnOnce(RoutedFeed<'_>) -> T,
 ) -> T {
+    feed(db, hours, source, 2, None, consume)
+}
+
+/// How many hours a feed may claim past the one its consumer takes
+/// next, per worker: the routed hours in flight — being routed, or
+/// waiting in the stash — are at most twice the worker count.
+const AHEAD_PER_WORKER: usize = 2;
+
+/// Run the routed feed of `source` at `workers` workers (the calling
+/// thread and `workers − 1` scoped router threads) and hand it to
+/// `consume` on the calling thread. With `metrics`, every routed hour
+/// is timed into the pipeline's read and ingest stages and counted,
+/// per worker, as `pipeline.worker.N.hours` (the consumer is worker 0).
+fn feed<'a, T>(
+    db: &'a DeviceDb,
+    hours: u32,
+    source: HourSource<'a>,
+    workers: usize,
+    metrics: Option<(&'a Registry, &'a PipelineMetrics)>,
+    consume: impl FnOnce(RoutedFeed<'_>) -> T,
+) -> T {
+    let workers = workers.max(1);
+    let shared = Feed {
+        source,
+        workers,
+        metrics,
+        state: Mutex::new(FeedState {
+            cursor: 0,
+            next: 0,
+            stash: BTreeMap::new(),
+            spares: Vec::new(),
+            routers: workers - 1,
+            closed: false,
+        }),
+        arrived: Condvar::new(),
+        room: Condvar::new(),
+    };
     std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        scope.spawn(move || {
-            let mut router = Router::new(db, hours);
-            for k in 0..source.len() {
-                let routed = source.route(k, &mut router);
-                let failed = routed.is_err();
-                // A hung-up feed wants no more hours.
-                if tx.send(routed).is_err() || failed {
-                    break;
-                }
-            }
-        });
-        consume(RoutedFeed(rx))
+        for worker in 1..workers {
+            let shared = &shared;
+            scope.spawn(move || shared.run_router(Router::new(db, hours), worker));
+        }
+        consume(RoutedFeed {
+            feed: &shared,
+            router: Router::new(db, hours),
+            worker: shared.worker_hours(0),
+            done: false,
+        })
     })
 }
 
-/// The hours of a source, routed ahead by [`route_ahead`]'s thread and
-/// yielded in source order: hour `k`'s [`RoutedHour`], or the read or
+/// What a feed's workers share: the source, and behind one lock the
+/// cursor every worker claims hours off, the reorder stash and the
+/// recycled hour buffers.
+struct Feed<'a> {
+    source: HourSource<'a>,
+    /// The consumer and the router threads; the shelf keeps one spare
+    /// hour per worker.
+    workers: usize,
+    metrics: Option<(&'a Registry, &'a PipelineMetrics)>,
+    state: Mutex<FeedState>,
+    /// Signalled when an hour reaches the stash or a router exits.
+    arrived: Condvar,
+    /// Signalled when the consumer takes an hour or hangs up.
+    room: Condvar,
+}
+
+impl std::fmt::Debug for Feed<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Feed")
+            .field("workers", &self.workers)
+            .finish()
+    }
+}
+
+struct FeedState {
+    /// The next unclaimed hour; past the end after a failed hour.
+    cursor: usize,
+    /// The hour the consumer takes next; every earlier one is yielded.
+    next: usize,
+    /// Hours routed before their turn (or their failure), by position.
+    stash: BTreeMap<usize, Result<RoutedHour, NetError>>,
+    /// Folded hours, emptied, for the next routes to fill.
+    spares: Vec<RoutedHour>,
+    /// Router threads still running.
+    routers: usize,
+    /// Routing is over: the consumer hung up, or a router panicked.
+    closed: bool,
+}
+
+impl Feed<'_> {
+    fn lock(&self) -> MutexGuard<'_, FeedState> {
+        // The lock is never held across routing or folding, so a panic
+        // cannot leave the state half-written.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn worker_hours(&self, worker: usize) -> Option<Counter> {
+        self.metrics
+            .map(|(registry, _)| PipelineMetrics::worker_hours(registry, worker))
+    }
+
+    /// Claim the next hour for `router` if the window has room, giving
+    /// the router a spare hour's buffers to route it into.
+    fn claim(&self, st: &mut FeedState, router: &mut Router<'_>) -> Option<usize> {
+        let len = self.source.len();
+        let window = AHEAD_PER_WORKER * self.workers;
+        if st.closed || st.cursor >= len.min(st.next + window) {
+            return None;
+        }
+        let k = st.cursor;
+        st.cursor += 1;
+        if let Some(spare) = st.spares.pop() {
+            router.recycle(spare);
+        }
+        Some(k)
+    }
+
+    /// Route hour `k`, timed and counted when the feed has metrics.
+    fn route(
+        &self,
+        k: usize,
+        router: &mut Router<'_>,
+        worker: Option<&Counter>,
+    ) -> Result<RoutedHour, NetError> {
+        let Some((_, pm)) = self.metrics else {
+            return self.source.route(k, router);
+        };
+        let t0 = Instant::now();
+        let data = self.source.read(k)?;
+        let t1 = Instant::now();
+        router.begin_hour(self.source.interval(k));
+        data.visit(router)?;
+        pm.read_time.record(t1 - t0);
+        pm.ingest_time.record(t1.elapsed());
+        pm.hours_ingested.inc();
+        if let Some(worker) = worker {
+            worker.inc();
+        }
+        Ok(router.finish_hour())
+    }
+
+    /// Put routed hour `k` where the consumer finds it. No hour after a
+    /// failed one is claimed: the feed ends at the failure.
+    fn stash(&self, st: &mut FeedState, k: usize, routed: Result<RoutedHour, NetError>) {
+        if routed.is_err() {
+            st.cursor = usize::MAX;
+        }
+        st.stash.insert(k, routed);
+        self.arrived.notify_one();
+    }
+
+    /// A router thread: claim, route and stash hours until the cursor is
+    /// spent or the feed is closed, waiting while the window is full.
+    fn run_router(&self, mut router: Router<'_>, worker: usize) {
+        // Counts the router out however it ends; a panicking one closes
+        // the feed, so the consumer stops waiting for the hour it held.
+        struct Exit<'f, 'a>(&'f Feed<'a>);
+        impl Drop for Exit<'_, '_> {
+            fn drop(&mut self) {
+                let mut st = self.0.lock();
+                st.routers -= 1;
+                if std::thread::panicking() {
+                    st.closed = true;
+                    self.0.room.notify_all();
+                }
+                self.0.arrived.notify_one();
+            }
+        }
+        let _exit = Exit(self);
+        let counter = self.worker_hours(worker);
+        let mut st = self.lock();
+        loop {
+            let Some(k) = self.claim(&mut st, &mut router) else {
+                if st.closed || st.cursor >= self.source.len() {
+                    return;
+                }
+                st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(st);
+            let routed = self.route(k, &mut router, counter.as_ref());
+            st = self.lock();
+            self.stash(&mut st, k, routed);
+        }
+    }
+}
+
+/// A source's hours, routed by the feed's workers and yielded in source
+/// order: hour `k`'s [`RoutedHour`], or the read or
 /// decode failure of hour `k` ([`NetError::Hour`]) after every earlier
 /// hour, which ends the feed.
+///
+/// Every worker — the consumer and the router threads — claims the next
+/// hour off one cursor, at most `2 × workers` hours past the one the
+/// consumer takes next. Hours that arrive before their turn wait in a
+/// reorder stash. When the consumer asks for an hour that has not
+/// arrived, it routes the next unclaimed hour itself, and waits only
+/// when none is left to claim. A consumer that hands its hours back
+/// ([`recycle`](Self::recycle)) has later hours routed into their
+/// buffers. Dropping the feed hangs up on the router threads.
 #[derive(Debug)]
-pub struct RoutedFeed(Receiver<Result<RoutedHour, NetError>>);
+pub struct RoutedFeed<'f> {
+    feed: &'f Feed<'f>,
+    router: Router<'f>,
+    worker: Option<Counter>,
+    done: bool,
+}
 
-impl Iterator for RoutedFeed {
+impl RoutedFeed<'_> {
+    /// Yield `routed` as the consumer's next hour.
+    fn take(
+        &mut self,
+        mut st: MutexGuard<'_, FeedState>,
+        routed: Result<RoutedHour, NetError>,
+    ) -> Result<RoutedHour, NetError> {
+        st.next += 1;
+        self.feed.room.notify_all();
+        self.done = routed.is_err();
+        routed
+    }
+
+    /// Hand back a consumed hour, so a later hour is routed into its
+    /// buffers instead of into fresh ones.
+    pub fn recycle(&mut self, hour: RoutedHour) {
+        let mut st = self.feed.lock();
+        if st.spares.len() < self.feed.workers {
+            st.spares.push(hour);
+        }
+    }
+}
+
+impl Iterator for RoutedFeed<'_> {
     type Item = Result<RoutedHour, NetError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // The router hangs up after the last hour, after a failed one,
-        // or on a panic, which `route_ahead` re-raises.
-        self.0.recv().ok()
+        let feed = self.feed;
+        let mut st = feed.lock();
+        while !self.done {
+            let next = st.next;
+            if let Some(routed) = st.stash.remove(&next) {
+                return Some(self.take(st, routed));
+            }
+            if let Some(k) = feed.claim(&mut st, &mut self.router) {
+                drop(st);
+                let routed = feed.route(k, &mut self.router, self.worker.as_ref());
+                st = feed.lock();
+                feed.stash(&mut st, k, routed);
+            } else if st.next >= feed.source.len() || st.closed || st.routers == 0 {
+                // Nothing to claim, and no hour left to wait for: every
+                // hour is yielded, or a router panicked holding the next
+                // one (the scope re-raises it).
+                self.done = true;
+            } else {
+                st = feed
+                    .arrived
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        None
+    }
+}
+
+impl Drop for RoutedFeed<'_> {
+    fn drop(&mut self) {
+        self.feed.lock().closed = true;
+        self.feed.room.notify_all();
     }
 }
 
@@ -738,6 +889,80 @@ mod tests {
             .analysis;
         assert_eq!(seq, par);
         assert_eq!(seq.devices.ids(), par.devices.ids(), "device row order");
+    }
+
+    /// The routed feed at 1–4 workers over a store: every hour arrives
+    /// once, in source order, and the workers' hour counts add up to
+    /// the hours, however the routing was shared out.
+    #[test]
+    fn feed_yields_each_hour_once_in_source_order_at_any_worker_count() {
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(27));
+        let window = built.scenario.telescope().window;
+        let dir = tmpdir("feed");
+        let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
+        built.scenario.write_to_store(&store).unwrap();
+        let stored = StoredWindow::of(&store, window);
+        let source = HourSource::stored(&store, &stored);
+        let want: Vec<u32> = stored.work.iter().map(|(interval, _)| *interval).collect();
+        let db = &built.inventory.db;
+        for workers in 1..=4 {
+            let registry = Registry::new();
+            let pm = PipelineMetrics::register(&registry);
+            let metrics = Some((&registry, &pm));
+            let got = feed(
+                db,
+                window.num_hours(),
+                source,
+                workers,
+                metrics,
+                |mut feed| {
+                    let mut got = Vec::new();
+                    while let Some(hour) = feed.next() {
+                        let hour = hour.unwrap();
+                        got.push(hour.interval());
+                        // Every other hour goes back, so routers take spares.
+                        if got.len() % 2 == 0 {
+                            feed.recycle(hour);
+                        }
+                    }
+                    got
+                },
+            );
+            assert_eq!(got, want, "{workers} workers");
+            let snap = registry.snapshot();
+            let routed: u64 = (0..workers)
+                .map(|w| snap.counter(&format!("pipeline.worker.{w}.hours")).unwrap())
+                .sum();
+            assert_eq!(routed, want.len() as u64, "{workers} workers");
+            assert_eq!(snap.counter("pipeline.hours_ingested"), Some(routed));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An hour outside the window panics whichever worker routes it;
+    /// the feed ends rather than waiting for it while the other routers
+    /// wait for room, and the panic reaches the caller once every
+    /// router has exited.
+    #[test]
+    fn feed_reraises_a_routing_panic_without_hanging() {
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(28));
+        let mut traffic: Vec<HourTraffic> =
+            (1..=24).map(|i| built.scenario.generate_hour(i)).collect();
+        traffic[6].interval = 99;
+        let db = &built.inventory.db;
+        for workers in (1..=4).cycle().take(16) {
+            let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                feed(
+                    db,
+                    24,
+                    HourSource::Memory(&traffic),
+                    workers,
+                    None,
+                    |feed| feed.count(),
+                )
+            }));
+            assert!(routed.is_err(), "{workers} workers");
+        }
     }
 
     #[test]

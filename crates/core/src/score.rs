@@ -29,6 +29,7 @@
 
 use crate::analysis::Analysis;
 use crate::classify::TrafficClass;
+use crate::fold::RoutedHour;
 use crate::table::{permute, RowIndex};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::{IntelIndex, ThreatCategory};
@@ -432,7 +433,8 @@ impl<'a> ScoreEngine<'a> {
     }
 
     /// Fold the current cumulative `analysis` into the table and return
-    /// the tier crossings, in `analysis` row order.
+    /// the tier crossings, in `analysis` row order: every row is
+    /// rescored (the batch fold of [`ScoreTable::from_batch`]).
     ///
     /// Behavioral columns are overwritten (the analysis is cumulative),
     /// intel columns are resolved once per device, and a device alerts
@@ -440,8 +442,38 @@ impl<'a> ScoreEngine<'a> {
     /// replaying the same snapshot is a no-op, and an hour that raises
     /// a device by several tiers emits exactly one escalation.
     pub fn fold(&mut self, analysis: &Analysis) -> Vec<Escalation> {
+        self.fold_rows(analysis, 0..analysis.devices.len())
+    }
+
+    /// Fold `analysis` just after `hour` was applied to it, rescoring
+    /// only the rows of the devices the hour's runs touched: a row the
+    /// hour did not touch holds the same counts as at the last fold, so
+    /// its points cannot move. The escalations are [`fold`](Self::fold)'s,
+    /// in the same `analysis` row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device of `hour` has no row in `analysis`.
+    pub(crate) fn fold_hour(&mut self, analysis: &Analysis, hour: &RoutedHour) -> Vec<Escalation> {
+        let mut rows: Vec<usize> = (hour.runs.iter())
+            .map(|run| analysis.devices.row(DeviceId(run.dense)))
+            .map(|row| row.expect("a folded hour's devices have rows"))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        self.fold_rows(analysis, rows.into_iter())
+    }
+
+    /// Rescore `rows` of `analysis`, ascending, and return their tier
+    /// crossings in that order.
+    fn fold_rows(
+        &mut self,
+        analysis: &Analysis,
+        rows: impl Iterator<Item = usize>,
+    ) -> Vec<Escalation> {
         let mut escalations = Vec::new();
-        for obs in analysis.devices.rows() {
+        for at in rows {
+            let obs = analysis.devices.observation_at(at);
             let row = match self.table.row(obs.device) {
                 Some(row) => row,
                 None => {

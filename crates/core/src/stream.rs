@@ -307,7 +307,10 @@ impl<'a> StreamingAnalyzer<'a> {
 
     /// Attach the intel scoring stage: every pushed hour also folds the
     /// cumulative analysis into a [`ScoreEngine`] over `index`, and tier
-    /// crossings surface as [`Alert::ScoreEscalation`]s.
+    /// crossings surface as [`Alert::ScoreEscalation`]s. A push rescores
+    /// only the devices its hour touched — no other device's evidence
+    /// moved — except the first push after a late attach, which scores
+    /// every device the earlier hours observed.
     pub fn with_intel(mut self, index: &'a IntelIndex, config: ScoreConfig) -> Self {
         self.score = Some(ScoreEngine::new(self.db, index, config));
         self
@@ -461,7 +464,14 @@ impl<'a> StreamingAnalyzer<'a> {
 
         // --- intel scoring ----------------------------------------------------
         if let Some(engine) = &mut self.score {
-            for esc in engine.fold(snapshot) {
+            // Every device of an earlier hour is scored already, unless
+            // the engine was attached after that hour: then score all.
+            let escalations = if engine.table().len() == known {
+                engine.fold_hour(snapshot, hour)
+            } else {
+                engine.fold(snapshot)
+            };
+            for esc in escalations {
                 new_alerts.push(Alert::ScoreEscalation {
                     interval,
                     device: esc.device,
@@ -756,6 +766,29 @@ mod tests {
         // Streaming table ≡ one batch fold of the full analysis.
         let from_batch = ScoreTable::from_batch(&batch, &built.inventory.db, &index, cfg);
         assert_eq!(scores, from_batch);
+    }
+
+    #[test]
+    fn intel_stage_attached_mid_stream_scores_every_device() {
+        use crate::score::{ScoreConfig, ScoreTable};
+        use iotscope_intel::IntelIndex;
+
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(61));
+        let db = &built.inventory.db;
+        let index = IntelIndex::empty();
+        let cfg = ScoreConfig::default();
+        let mut stream = StreamingAnalyzer::new(db, 143, StreamConfig::default());
+        for i in 1..=12 {
+            stream.push_hour(&built.scenario.generate_hour(i));
+        }
+        let mut stream = stream.with_intel(&index, cfg);
+        for i in 13..=24 {
+            stream.push_hour(&built.scenario.generate_hour(i));
+        }
+        let (analysis, _, scores) = stream.finish_with_scores();
+        let scores = scores.unwrap();
+        assert_eq!(scores.len(), analysis.device_count());
+        assert_eq!(scores, ScoreTable::from_batch(&analysis, db, &index, cfg));
     }
 
     #[test]

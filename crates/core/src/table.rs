@@ -458,8 +458,11 @@ const FIRST_RUN_CAP: u32 = 4;
 /// allocations whatever the number of ports: cloning or dropping it is
 /// a handful of `memcpy`s/`free`s rather than one per port. A full run
 /// moves to the arena's end at twice its capacity, leaving its old
-/// slots dead; [`normalize`](Self::normalize) rewrites the arena
-/// without dead slots.
+/// slots dead; where that would make the dead slots more than a quarter
+/// of the arena, the move also closes every gap in place, so a clone
+/// taken mid-ingest copies few dead slots.
+/// [`normalize`](Self::normalize) rewrites the arena without dead or
+/// spare slots.
 ///
 /// Rows are appended in first-seen order while ingesting;
 /// [`normalize`](Self::normalize) sorts them ascending by port, so
@@ -549,7 +552,17 @@ impl PortTable {
             return;
         }
         if run.len == run.cap {
-            self.relocate(row, (run.cap * 2).max(FIRST_RUN_CAP));
+            let cap = (run.cap * 2).max(FIRST_RUN_CAP);
+            // Moving the run leaves its old slots dead. Where that would
+            // make the dead slots more than a quarter of the arena, the
+            // move also closes every gap. (Moves alone keep them just
+            // under half: each leaves `cap / 2` dead behind `cap` new
+            // slots.)
+            if 4 * (self.dead + run.cap as usize) > self.arena.len() + cap as usize {
+                self.relocate_reclaiming(row, cap);
+            } else {
+                self.relocate(row, cap);
+            }
         }
         let run = &mut self.runs[row];
         let at = run.offset as usize + pos;
@@ -589,6 +602,33 @@ impl PortTable {
     /// Total packets over all ports.
     pub fn total_packets(&self) -> u64 {
         self.packets.iter().sum()
+    }
+
+    /// Move `row`'s run to the arena's end with room for `cap` devices,
+    /// then close every gap in place: each run moves down over the dead
+    /// slots before it (keeping their arena order) and loses its spare
+    /// ones, all but `row`, which is last. The arena keeps its
+    /// capacity, so the moves that follow fill it instead of growing it.
+    fn relocate_reclaiming(&mut self, row: usize, cap: u32) {
+        self.relocate(row, cap);
+        // Rows in arena order, as `offset << 32 | row` keys.
+        let mut order: Vec<u64> = (self.runs.iter().enumerate())
+            .map(|(r, run)| u64::from(run.offset) << 32 | r as u64)
+            .collect();
+        order.sort_unstable();
+        let mut end = 0;
+        for key in order {
+            let r = key as u32 as usize;
+            let run = &mut self.runs[r];
+            self.arena.copy_within(run.range(), end);
+            if r != row {
+                run.cap = run.len;
+            }
+            run.offset = arena_index(end);
+            end += run.cap as usize;
+        }
+        self.arena.truncate(end);
+        self.dead = 0;
     }
 
     /// Rewrite the arena in row order with no dead or spare slots.
@@ -843,6 +883,12 @@ mod tests {
             .collect()
     }
 
+    /// The row of `port` as plain data.
+    fn port_row(t: &PortTable, port: u16) -> (u16, u64, Vec<u32>) {
+        let row = t.get(port).expect("observed port has a row");
+        (port, row.packets, row.devices.iter().map(|d| d.0).collect())
+    }
+
     type PortModel = BTreeMap<u16, (u64, BTreeSet<u32>)>;
 
     /// The same rows from the reference model: ascending by port, each
@@ -884,7 +930,21 @@ mod tests {
                 let entry = model.entry(port).or_default();
                 entry.0 += pkts;
                 entry.1.insert(dev);
+                let dead = whole.dead;
                 whole.observe(port, pkts, DeviceId(dev));
+                // The dead slots stay at most a quarter of the arena, and
+                // the arena rewrite that keeps them there loses no device.
+                prop_assert!(4 * whole.dead <= whole.arena.len());
+                let rows = if whole.dead < dead {
+                    port_rows(&whole)
+                } else {
+                    vec![port_row(&whole, port)]
+                };
+                for (port, pkts, devs) in rows {
+                    let (want_pkts, want_devs) = &model[&port];
+                    prop_assert_eq!(pkts, *want_pkts);
+                    prop_assert!(devs.iter().eq(want_devs.iter()));
+                }
                 let half = if (split >> (i % 64)) & 1 == 0 { &mut left } else { &mut right };
                 half.push((port, pkts, dev));
             }
@@ -941,20 +1001,34 @@ mod tests {
     #[test]
     fn port_table_runs_relocate_and_grow_past_4096_devices() {
         // One hot port filled descending (every insert shifts the whole
-        // run) interleaved with 300 cold ports, so the hot run relocates
-        // a dozen times with other runs allocated in between.
+        // run) interleaved with 300 cold ports, so the hot run grows a
+        // dozen times with other runs allocated in between. Runs move
+        // (leaving dead slots) and the arena is rewritten (dropping
+        // them), keeping the dead slots to a quarter of it.
         let mut t = PortTable::new();
+        let (mut moved, mut rewritten) = (false, false);
         for i in (0..5_000u32).rev() {
-            t.observe(1900, 2, DeviceId(i * 3));
-            t.observe((i % 300) as u16 + 2_000, 1, DeviceId(i));
+            for (port, id) in [(1900, i * 3), ((i % 300) as u16 + 2_000, i)] {
+                let dead = t.dead;
+                t.observe(port, u64::from(port == 1900) + 1, DeviceId(id));
+                moved |= t.dead > dead;
+                rewritten |= t.dead < dead;
+                assert!(
+                    4 * t.dead <= t.arena.len(),
+                    "{} of {}",
+                    t.dead,
+                    t.arena.len()
+                );
+            }
         }
+        assert!(moved && rewritten);
+        assert!(t.arena.len() <= 2 * 10_000, "arena {}", t.arena.len());
         t.observe(1900, 0, DeviceId(0)); // already present
         let hot = t.get(1900).unwrap();
         assert_eq!(hot.packets, 10_000);
         assert_eq!(hot.devices.len(), 5_000);
         assert!(hot.devices.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(hot.devices[4_999], DeviceId(14_997));
-        assert!(t.dead > 0, "relocation leaves dead slots behind");
         for cold in 2_000..2_300u16 {
             let row = t.get(cold).unwrap();
             assert!(row.devices.windows(2).all(|w| w[0] < w[1]));

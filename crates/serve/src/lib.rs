@@ -267,8 +267,8 @@ impl TelescopeService {
     /// Ingest `traffic` hour by hour, publishing a new epoch snapshot
     /// after every hour and invoking `on_alert` for each alert as it
     /// fires: [`ingest_with`](Self::ingest_with) over the hours routed
-    /// ahead on another thread ([`route_ahead`]), which cannot fail for
-    /// hours already in memory.
+    /// ahead on another thread, and by this one while it would wait
+    /// ([`route_ahead`]), which cannot fail for hours already in memory.
     ///
     /// # Panics
     ///

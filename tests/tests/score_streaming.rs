@@ -14,7 +14,7 @@ use iotscope_core::malicious::{
     self, select_candidates, MalwareFindings, ThreatRow, ThreatSummary,
 };
 use iotscope_core::query::QueryContext;
-use iotscope_core::score::{ScoreConfig, ScoreTable, Severity};
+use iotscope_core::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
 use iotscope_core::stats::Ecdf;
 use iotscope_core::stream::{Alert, StreamConfig, StreamingAnalyzer};
 use iotscope_core::{Analysis, Analyzer, Report, ReportContext, ReportIntel};
@@ -231,6 +231,44 @@ proptest! {
             .collect();
         let alerted: BTreeSet<DeviceId> = last.keys().copied().collect();
         prop_assert_eq!(alerted, expected, "streamed alert set != batch tier set");
+    }
+
+    /// After every hour, the stream's score fold — which rescores only
+    /// the devices the hour touched — leaves the same table as an
+    /// engine rescanning every row of the same analysis, and raises the
+    /// same escalations in the same (analysis row) order.
+    #[test]
+    fn touched_row_fold_matches_rescanning_every_row(
+        seed in 0u64..10_000,
+        hours in 6u32..40,
+    ) {
+        let f = fixture(seed, hours);
+        let db = &f.built.inventory.db;
+        let cfg = ScoreConfig::default();
+        let mut stream =
+            StreamingAnalyzer::new(db, 143, StreamConfig::default()).with_intel(&f.index, cfg);
+        let mut rescan = ScoreEngine::new(db, &f.index, cfg);
+        for h in &f.traffic {
+            let touched: Vec<(DeviceId, Severity, u32)> = stream
+                .push_hour(h)
+                .into_iter()
+                .filter_map(|a| match a {
+                    Alert::ScoreEscalation { device, tier, points, .. } => {
+                        Some((device, tier, points))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let every: Vec<(DeviceId, Severity, u32)> = rescan
+                .fold(&stream.snapshot())
+                .into_iter()
+                .map(|e| (e.device, e.tier, e.points))
+                .collect();
+            prop_assert_eq!(&touched, &every, "escalations at interval {}", h.interval);
+            let table = stream.scores().expect("intel stage attached");
+            prop_assert_eq!(table, rescan.table(), "table at interval {}", h.interval);
+            prop_assert_eq!(table.ids(), rescan.table().ids(), "row order at {}", h.interval);
+        }
     }
 
     /// The refactored thin-read consumers reproduce the pre-refactor

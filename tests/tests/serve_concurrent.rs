@@ -195,17 +195,20 @@ fn a_held_snapshot_is_unchanged_by_later_hours() {
     assert_ne!(*held.analysis, *service.snapshot().analysis);
 }
 
-/// Ingest fed straight from a store, routed ahead on a router thread
-/// as `serve` and `watch` feed it, publishes the reference analysis and
-/// the same alerts as ingest fed from memory. A corrupt hour stops it,
-/// with the router ahead of it: the error names the hour, the last
-/// published epoch is the hour before, and the router thread has exited
-/// (`route_ahead` joins it before it returns, so a router left waiting
-/// to hand over an hour would hang the run past its minute).
+/// Ingest fed straight from a store, routed ahead as `serve` and
+/// `watch` feed it (a router thread and the publisher), publishes the
+/// reference analysis and the same alerts as ingest fed from memory.
+/// Two corrupt hours stop it at the first, whichever worker routed
+/// either: the error names interval 5, the last published epoch is 4,
+/// and the router thread has exited (`route_ahead` joins it before it
+/// returns, so a router left waiting would hang the run past its
+/// minute).
 #[test]
 fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
+    // Long enough for a corrupt hour at interval 9.
+    const HOURS: u32 = 12;
     let inv = inventory();
-    let traffic = synth_traffic(&inv.db, 1234, WINDOW_HOURS);
+    let traffic = synth_traffic(&inv.db, 1234, HOURS);
     let dir = std::env::temp_dir().join(format!("iotscope-serve-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = FlowStore::create(&dir, StoreOptions::default()).expect("create store");
@@ -219,12 +222,12 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
         let (store, work) = (store.clone(), work.clone());
         let (done, finished) = mpsc::channel();
         std::thread::spawn(move || {
-            let service = TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
+            let service = TelescopeService::new(inv.db.clone(), inv.isps.clone(), HOURS);
             let source = HourSource::Store {
                 store: &store,
                 work: &work,
             };
-            let ingested = route_ahead(service.db(), WINDOW_HOURS, source, |hours| {
+            let ingested = route_ahead(service.db(), HOURS, source, |hours| {
                 service.ingest_with(
                     hours,
                     StreamConfig::default(),
@@ -239,31 +242,34 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
             .expect("ingest ends and its router thread exits within a minute")
     };
 
-    let memory = TelescopeService::new(inv.db.clone(), inv.isps.clone(), WINDOW_HOURS);
+    let memory = TelescopeService::new(inv.db.clone(), inv.isps.clone(), HOURS);
     let (_, memory_alerts) = memory.ingest(&traffic, StreamConfig::default(), &mut |_| {});
-    let reference = prefix_analysis(&inv.db, &traffic, traffic.len());
+    let reference = oracle::analyze(&inv.db, HOURS, &traffic);
     let (ingested, last) = feed();
     let (analysis, alerts) = ingested.expect("clean store");
     assert_eq!(Naive::from(&analysis), reference);
     assert_eq!(Naive::from(&*last.analysis), reference);
     assert_eq!(alerts, memory_alerts);
 
-    // Flip the last byte of hour 5: hours 1..=4 publish, nothing after.
-    let path = store.hour_path(traffic[4].hour);
-    let mut bytes = std::fs::read(&path).expect("read hour file");
-    *bytes.last_mut().expect("non-empty hour file") ^= 0xff;
-    std::fs::write(&path, bytes).expect("rewrite hour file");
+    // Flip the last byte of hours 5 and 9: hours 1..=4 publish, nothing
+    // after, on every run whichever worker reaches either hour first.
+    for k in [4, 8] {
+        let path = store.hour_path(traffic[k].hour);
+        let mut bytes = std::fs::read(&path).expect("read hour file");
+        *bytes.last_mut().expect("non-empty hour file") ^= 0xff;
+        std::fs::write(&path, bytes).expect("rewrite hour file");
+    }
     let named = format!("{} (interval 5): ", traffic[4].hour);
-    let (ingested, last) = feed();
-    let err = ingested.expect_err("corrupt hour must fail ingest");
-    assert!(err.is_checksum_mismatch(), "{err}");
-    assert!(err.to_string().starts_with(&named), "{err}");
-    assert_eq!(last.epoch, 4);
-    assert_eq!(last.last_interval, Some(4));
-    assert_eq!(
-        Naive::from(&*last.analysis),
-        prefix_analysis(&inv.db, &traffic, 4)
-    );
+    let prefix = oracle::analyze(&inv.db, HOURS, &traffic[..4]);
+    for _ in 0..8 {
+        let (ingested, last) = feed();
+        let err = ingested.expect_err("corrupt hour must fail ingest");
+        assert!(err.is_checksum_mismatch(), "{err}");
+        assert!(err.to_string().starts_with(&named), "{err}");
+        assert_eq!(last.epoch, 4);
+        assert_eq!(last.last_interval, Some(4));
+        assert_eq!(Naive::from(&*last.analysis), prefix);
+    }
     std::fs::remove_dir_all(&dir).expect("remove store");
 }
 
