@@ -548,13 +548,17 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
         .map_err(|e| CliError::Run(format!("bind failed: {e}")))?;
     writeln!(out, "serving on http://{}", server.local_addr())?;
     out.flush()?;
-    let (analysis, alerts, _) = replay(&service, &store, &stored, out)?;
+    // Only the counts outlive the replay: the finished analysis and its
+    // alert log drop here, so the resident daemon holds the published
+    // epoch and nothing more.
+    let (devices, alerts) = {
+        let (analysis, alerts, _) = replay(&service, &store, &stored, out)?;
+        (analysis.device_count(), alerts.len())
+    };
     writeln!(
         out,
-        "ingest complete: {} hours, {} compromised devices indexed, {} alerts",
+        "ingest complete: {} hours, {devices} compromised devices indexed, {alerts} alerts",
         stored.work.len(),
-        analysis.device_count(),
-        alerts.len()
     )?;
     replay_footer(&service, format, out)?;
     if opts.has("--once") {

@@ -208,7 +208,13 @@ impl Analysis {
     /// per-realm partitions, per-class cohorts and totals, each computed
     /// once and cached.
     pub fn view(&self) -> AnalysisView<'_> {
-        AnalysisView::new(self)
+        AnalysisView::new(
+            self.hours,
+            &self.devices,
+            self.protocol_packets,
+            (self.unmatched_flows, self.unmatched_packets),
+            &self.cache,
+        )
     }
 
     /// Drop every memoized view result. Only needed if you mutate the

@@ -5,6 +5,7 @@
 use crate::analysis::{realm_idx, Analysis};
 use crate::classify::TrafficClass;
 use crate::stats::Ecdf;
+use crate::view::AnalysisView;
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IspId, Realm};
 use std::collections::HashMap;
@@ -55,10 +56,10 @@ pub fn country_deployment(db: &DeviceDb) -> Vec<CountryRow> {
 
 /// Fig 1b: compromised devices per country, descending, with the
 /// percent-compromised line (compromised / deployed in that country).
-pub fn compromised_by_country(analysis: &Analysis, db: &DeviceDb) -> Vec<CountryRow> {
+pub fn compromised_by_country(view: AnalysisView<'_>, db: &DeviceDb) -> Vec<CountryRow> {
     let deployed = db.count_by_country(None);
     let mut map: HashMap<CountryCode, (usize, usize)> = HashMap::new();
-    for obs in analysis.devices.rows() {
+    for obs in view.devices().rows() {
         let d = db.device(obs.device);
         let e = map.entry(d.country).or_default();
         match obs.realm {
@@ -165,7 +166,7 @@ pub struct IspRow {
 
 /// Tables I / II: the top-`n` ISPs hosting compromised devices of `realm`.
 pub fn top_isps(
-    analysis: &Analysis,
+    view: AnalysisView<'_>,
     db: &DeviceDb,
     isps: &IspRegistry,
     realm: Realm,
@@ -173,7 +174,7 @@ pub fn top_isps(
 ) -> Vec<IspRow> {
     let mut counts: HashMap<IspId, usize> = HashMap::new();
     let mut total = 0usize;
-    for obs in analysis.devices.rows() {
+    for obs in view.devices().rows() {
         if obs.realm != realm {
             continue;
         }
@@ -378,7 +379,7 @@ mod tests {
     fn compromised_ranking_and_pct() {
         let db = test_db();
         let a = analysis(&db);
-        let rows = compromised_by_country(&a, &db);
+        let rows = compromised_by_country(a.view(), &db);
         let ru = rows.iter().find(|r| r.country == cc("RU")).unwrap();
         assert_eq!(ru.total(), 2);
         assert_eq!(ru.pct_compromised, Some(100.0));
@@ -420,7 +421,7 @@ mod tests {
         let db = test_db();
         let a = analysis(&db);
         let isps = IspRegistry::bootstrap("44.0.0.0/8".parse().unwrap());
-        let rows = top_isps(&a, &db, &isps, Realm::Consumer, 5);
+        let rows = top_isps(a.view(), &db, &isps, Realm::Consumer, 5);
         assert!(!rows.is_empty());
         assert_eq!(rows[0].devices, 2); // IspId(0) hosts both RU consumer devices
         assert!((rows[0].pct - 66.6667).abs() < 0.01);
@@ -462,7 +463,7 @@ mod tests {
     fn empty_analysis_yields_empty_tables() {
         let db = test_db();
         let a = Analyzer::new(&db, 4).finish();
-        assert!(compromised_by_country(&a, &db).is_empty());
+        assert!(compromised_by_country(a.view(), &db).is_empty());
         assert!(cps_service_breakdown(&a, &db).is_empty());
         assert!(realm_packet_test(&a).is_none());
         let mix = protocol_mix(&a);

@@ -73,7 +73,7 @@ pub use pipeline::{
     AnalysisOutcome, AnalysisPipeline, AnalysisSource, AnalyzeOptions, HourSource, StoreReadStats,
     StoredWindow,
 };
-pub use query::{DeviceDetail, QueryApi, QueryContext, RealmStats, Summary};
+pub use query::{DeviceDetail, QueryApi, QueryContext, QueryState, RealmStats, Summary};
 pub use report::{Report, ReportContext, ReportIntel};
 pub use score::{Escalation, ScoreConfig, ScoreEngine, ScoreRow, ScoreTable, Severity};
 pub use table::{DeviceObservation, DeviceTable, PortTable, ServiceTable};

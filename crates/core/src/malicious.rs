@@ -11,10 +11,10 @@
 //!
 //! [`ScoreTable`]: crate::score::ScoreTable
 
-use crate::analysis::Analysis;
 use crate::classify::TrafficClass;
 use crate::score::ScoreTable;
 use crate::stats::Ecdf;
+use crate::view::AnalysisView;
 use iotscope_devicedb::{DeviceId, Realm};
 use iotscope_intel::family::FamilyResolver;
 use iotscope_intel::{MalwareDb, MalwareFamily, MalwareHash, ThreatCategory};
@@ -23,11 +23,11 @@ use std::collections::BTreeSet;
 /// §V-A's exploration set: every DoS victim plus the top-`n` devices per
 /// realm by generated scanning+UDP packets (the paper used n = 4,000 on
 /// top of the 839 victims, totaling 8,839).
-pub fn select_candidates(analysis: &Analysis, top_n_per_realm: usize) -> Vec<DeviceId> {
-    let mut set: BTreeSet<DeviceId> = analysis.view().dos_victims().iter().copied().collect();
+pub fn select_candidates(view: AnalysisView<'_>, top_n_per_realm: usize) -> Vec<DeviceId> {
+    let mut set: BTreeSet<DeviceId> = view.dos_victims().iter().copied().collect();
     for realm in [Realm::Consumer, Realm::Cps] {
-        let mut devices: Vec<(u64, DeviceId)> = analysis
-            .devices
+        let mut devices: Vec<(u64, DeviceId)> = view
+            .devices()
             .rows()
             .filter(|o| o.realm == realm)
             .map(|o| (o.scan_packets() + o.packets(TrafficClass::Udp), o.device))
@@ -187,7 +187,7 @@ pub fn malware_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Analyzer;
+    use crate::analysis::{Analysis, Analyzer};
     use crate::score::ScoreConfig;
     use iotscope_devicedb::device::DeviceProfile;
     use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, IotDevice, IspId};
@@ -259,7 +259,7 @@ mod tests {
         let dbv = db();
         let a = analysis(&dbv);
         // top 1 per realm + victims.
-        let c = select_candidates(&a, 1);
+        let c = select_candidates(a.view(), 1);
         // Victim = device 2.0.0.1 (id 1). Top consumer = id 0 (100 pkts),
         // top CPS = id 3 (30 pkts).
         assert_eq!(c.len(), 3);
@@ -267,7 +267,7 @@ mod tests {
         assert!(c.contains(&DeviceId(0)));
         assert!(c.contains(&DeviceId(3)));
         // Larger n brings in the small scanner too.
-        assert_eq!(select_candidates(&a, 10).len(), 4);
+        assert_eq!(select_candidates(a.view(), 10).len(), 4);
     }
 
     #[test]
@@ -289,7 +289,7 @@ mod tests {
         }
         let index = IntelIndex::build(&repo, &MalwareDb::new());
         let table = score(&a, &dbv, &index);
-        let candidates = select_candidates(&a, 10);
+        let candidates = select_candidates(a.view(), 10);
         let s = threat_summary(&table, &candidates);
         assert_eq!(s.explored, 4);
         assert_eq!(s.flagged.len(), 2);
@@ -323,7 +323,7 @@ mod tests {
         });
         let index = IntelIndex::build(&repo, &MalwareDb::new());
         let table = score(&a, &dbv, &index);
-        let candidates = select_candidates(&a, 10);
+        let candidates = select_candidates(a.view(), 10);
         let (all, flagged) = packet_cdfs(&table, &candidates);
         assert_eq!(all.len(), 4);
         assert_eq!(flagged.len(), 1);
@@ -363,7 +363,7 @@ mod tests {
         let a = analysis(&dbv);
         let index = IntelIndex::empty();
         let table = score(&a, &dbv, &index);
-        let candidates = select_candidates(&a, 10);
+        let candidates = select_candidates(a.view(), 10);
         let s = threat_summary(&table, &candidates);
         assert!(s.flagged.is_empty());
         assert!(s.rows.iter().all(|r| r.devices == 0));

@@ -17,13 +17,21 @@
 //! `&dyn QueryApi` without knowing whether it queries a live epoch
 //! snapshot or a finished batch run.
 //!
-//! [`AnalysisView`]: crate::view::AnalysisView
+//! [`QueryContext`] reads an analysis through one borrowed
+//! [`AnalysisView`], which a whole [`Analysis`] provides (the batch
+//! path, no copy) and so does a [`QueryState`]: the window length, the
+//! device table, the per-realm transport packets and the unmatched
+//! totals, owned — exactly what the queries read, and what the serve
+//! daemon publishes as one epoch instead of a clone of the whole
+//! analysis.
 
 use crate::analysis::{realm_idx, Analysis};
 use crate::characterize::{self, CountryRow, IspRow};
 use crate::malicious;
 use crate::score::{ScoreRow, ScoreTable};
 use crate::stream::Alert;
+use crate::table::DeviceTable;
+use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use std::collections::HashSet;
@@ -101,6 +109,70 @@ pub struct RealmStats {
     pub packets: u64,
 }
 
+/// What [`QueryContext`] reads of an analysis, owned: the window
+/// length, the device table, the per-realm transport packets and the
+/// unmatched totals, with a memo of its own for the
+/// [`AnalysisView`] over them. No query reads an analysis's hourly
+/// series, Table IV's port table, Table V or the backscatter
+/// attribution, so this is all a published epoch needs to hold.
+///
+/// Equality is an [`Analysis`]'s restricted to these fields:
+/// insensitive to device-row order and to which view queries have been
+/// memoized.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryState {
+    hours: u32,
+    devices: DeviceTable,
+    protocol_packets: [[u64; 3]; 2],
+    unmatched_flows: u64,
+    unmatched_packets: u64,
+    cache: ViewCache,
+}
+
+impl QueryState {
+    /// The state of a window of `hours` before anything is ingested.
+    pub fn empty(hours: u32) -> Self {
+        QueryState {
+            hours,
+            devices: DeviceTable::new(),
+            protocol_packets: [[0; 3]; 2],
+            unmatched_flows: 0,
+            unmatched_packets: 0,
+            cache: ViewCache::default(),
+        }
+    }
+
+    /// The query state of `analysis`: one clone of its device table and
+    /// four scalars.
+    pub fn of(analysis: &Analysis) -> Self {
+        QueryState {
+            hours: analysis.hours,
+            devices: analysis.devices.clone(),
+            protocol_packets: analysis.protocol_packets,
+            unmatched_flows: analysis.unmatched_flows,
+            unmatched_packets: analysis.unmatched_packets,
+            cache: ViewCache::default(),
+        }
+    }
+
+    /// The memoizing view the queries read.
+    pub fn view(&self) -> AnalysisView<'_> {
+        AnalysisView::new(
+            self.hours,
+            &self.devices,
+            self.protocol_packets,
+            (self.unmatched_flows, self.unmatched_packets),
+            &self.cache,
+        )
+    }
+
+    /// Heap bytes held by the state: its device table (the memo is
+    /// filled by readers, after publication, and not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.devices.heap_bytes()
+    }
+}
+
 /// The query surface every consumer reads through.
 ///
 /// Implemented by [`QueryContext`] over `(analysis, inventory, alerts)`;
@@ -151,7 +223,7 @@ pub trait QueryApi {
 /// analysis, the inventory it was correlated against, and the alert log.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryContext<'a> {
-    analysis: &'a Analysis,
+    view: AnalysisView<'a>,
     db: &'a DeviceDb,
     isps: &'a IspRegistry,
     alerts: &'a [Alert],
@@ -160,17 +232,17 @@ pub struct QueryContext<'a> {
 }
 
 impl<'a> QueryContext<'a> {
-    /// A context over a live snapshot: `epoch` hours ingested so far,
-    /// `alerts` raised so far.
+    /// A context over a live snapshot's `view`: `epoch` hours ingested
+    /// so far, `alerts` raised so far.
     pub fn new(
-        analysis: &'a Analysis,
+        view: AnalysisView<'a>,
         db: &'a DeviceDb,
         isps: &'a IspRegistry,
         alerts: &'a [Alert],
         epoch: u64,
     ) -> Self {
         QueryContext {
-            analysis,
+            view,
             db,
             isps,
             alerts,
@@ -190,19 +262,13 @@ impl<'a> QueryContext<'a> {
     /// hours (everything ingested).
     pub fn batch(analysis: &'a Analysis, db: &'a DeviceDb, isps: &'a IspRegistry) -> Self {
         QueryContext {
-            analysis,
+            view: analysis.view(),
             db,
             isps,
             alerts: &[],
             scores: None,
             epoch: u64::from(analysis.hours),
         }
-    }
-
-    /// The underlying analysis (for consumers that need aggregates the
-    /// trait does not abstract, e.g. the full report's figure series).
-    pub fn analysis(&self) -> &'a Analysis {
-        self.analysis
     }
 }
 
@@ -212,25 +278,24 @@ impl QueryApi for QueryContext<'_> {
     }
 
     fn summary(&self) -> Summary {
-        let view = self.analysis.view();
+        let view = self.view;
         let (consumer, cps) = view.realm_counts();
-        let countries = self
-            .analysis
-            .devices
+        let countries = view
+            .devices()
             .rows()
             .map(|o| self.db.device(o.device).country)
             .collect::<HashSet<_>>()
             .len();
         Summary {
             epoch: self.epoch,
-            hours_window: self.analysis.hours,
-            devices: self.analysis.device_count(),
+            hours_window: view.hours(),
+            devices: view.device_count(),
             consumer,
             cps,
             countries,
             total_packets: view.total_packets(),
-            unmatched_flows: self.analysis.unmatched_flows,
-            unmatched_packets: self.analysis.unmatched_packets,
+            unmatched_flows: view.unmatched_flows(),
+            unmatched_packets: view.unmatched_packets(),
             alerts: self.alerts.len(),
         }
     }
@@ -239,7 +304,7 @@ impl QueryApi for QueryContext<'_> {
         if id.0 as usize >= self.db.len() {
             return None;
         }
-        let obs = self.analysis.devices.get(id)?;
+        let obs = self.view.devices().get(id)?;
         let dev = self.db.device(id);
         Some(DeviceDetail {
             id,
@@ -256,8 +321,9 @@ impl QueryApi for QueryContext<'_> {
 
     fn realms(&self) -> [RealmStats; 2] {
         let (dep_consumer, dep_cps) = self.db.realm_counts();
-        let (consumer, cps) = self.analysis.view().realm_counts();
-        let packets = |r: usize| -> u64 { self.analysis.protocol_packets[r].iter().sum() };
+        let (consumer, cps) = self.view.realm_counts();
+        let protocol_packets = self.view.protocol_packets();
+        let packets = |r: usize| -> u64 { protocol_packets[r].iter().sum() };
         [
             RealmStats {
                 realm: Realm::Consumer,
@@ -275,11 +341,11 @@ impl QueryApi for QueryContext<'_> {
     }
 
     fn countries(&self) -> Vec<CountryRow> {
-        characterize::compromised_by_country(self.analysis, self.db)
+        characterize::compromised_by_country(self.view, self.db)
     }
 
     fn isps(&self, realm: Realm, n: usize) -> Vec<IspRow> {
-        characterize::top_isps(self.analysis, self.db, self.isps, realm, n)
+        characterize::top_isps(self.view, self.db, self.isps, realm, n)
     }
 
     fn alerts(&self) -> &[Alert] {
@@ -287,7 +353,7 @@ impl QueryApi for QueryContext<'_> {
     }
 
     fn candidates(&self, top_n_per_realm: usize) -> Vec<DeviceId> {
-        malicious::select_candidates(self.analysis, top_n_per_realm)
+        malicious::select_candidates(self.view, top_n_per_realm)
     }
 
     fn top_scores(&self, n: usize) -> Vec<ScoreRow> {
@@ -373,13 +439,13 @@ mod tests {
         let rows = api.countries();
         assert_eq!(
             rows,
-            characterize::compromised_by_country(&analysis, &built.inventory.db)
+            characterize::compromised_by_country(analysis.view(), &built.inventory.db)
         );
         assert_eq!(rows.len(), api.summary().countries);
         assert_eq!(
             api.isps(Realm::Consumer, 5),
             characterize::top_isps(
-                &analysis,
+                analysis.view(),
                 &built.inventory.db,
                 &built.inventory.isps,
                 Realm::Consumer,
@@ -388,7 +454,7 @@ mod tests {
         );
         assert_eq!(
             api.candidates(100),
-            malicious::select_candidates(&analysis, 100)
+            malicious::select_candidates(analysis.view(), 100)
         );
     }
 
@@ -408,10 +474,11 @@ mod tests {
             report.countries,
             characterize::compromised_country_count(&analysis, &built.inventory.db)
         );
-        let fig1b: Vec<_> = characterize::compromised_by_country(&analysis, &built.inventory.db)
-            .into_iter()
-            .take(15)
-            .collect();
+        let fig1b: Vec<_> =
+            characterize::compromised_by_country(analysis.view(), &built.inventory.db)
+                .into_iter()
+                .take(15)
+                .collect();
         assert_eq!(report.fig1b, fig1b);
     }
 
@@ -452,6 +519,31 @@ mod tests {
         // Trait stays object-safe with the new methods.
         let dyn_api: &dyn QueryApi = &api;
         assert_eq!(dyn_api.top_scores(1).len(), 1);
+    }
+
+    #[test]
+    fn a_query_state_answers_as_its_analysis() {
+        let (built, analysis) = built_and_analysis();
+        let (db, isps) = (&built.inventory.db, &built.inventory.isps);
+        let state = QueryState::of(&analysis);
+        // A clone allocates its columns at their length, without the
+        // growth slack the analysis's own table carries.
+        assert!(state.heap_bytes() > 0);
+        assert!(state.heap_bytes() <= analysis.devices.heap_bytes());
+        let batch = QueryContext::batch(&analysis, db, isps);
+        let published = QueryContext::new(state.view(), db, isps, &[], 143);
+        assert_eq!(published.summary(), batch.summary());
+        assert_eq!(published.realms(), batch.realms());
+        assert_eq!(published.countries(), batch.countries());
+        assert_eq!(published.isps(Realm::Cps, 5), batch.isps(Realm::Cps, 5));
+        assert_eq!(published.candidates(100), batch.candidates(100));
+        let id = analysis.view().compromised()[0];
+        assert_eq!(published.device(id), batch.device(id));
+
+        let empty = QueryState::empty(143);
+        assert_eq!(empty.heap_bytes(), 0);
+        let summary = QueryContext::new(empty.view(), db, isps, &[], 0).summary();
+        assert_eq!((summary.devices, summary.hours_window), (0, 143));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use crate::analysis::{Analysis, Analyzer, TOP5_SERVICES};
 use crate::fold::RoutedHour;
 use crate::pipeline::HourSource;
+use crate::query::QueryState;
 use crate::score::{ScoreConfig, ScoreEngine, ScoreTable, Severity};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelIndex;
@@ -503,16 +504,27 @@ impl<'a> StreamingAnalyzer<'a> {
         self.last_interval
     }
 
-    /// A structural clone of the analysis as of the last pushed hour —
-    /// what the serve daemon publishes as one epoch's snapshot.
+    /// A structural clone of the whole analysis as of the last pushed
+    /// hour, the hourly series and Table IV's port table included.
+    /// The serve daemon does not publish this: its epochs hold
+    /// [`query_state`](Self::query_state), all that its endpoints read.
     ///
     /// [`finish`](Self::finish) only normalizes device-row order and
     /// resets the memo cache, and [`Analysis`] equality is
     /// row-order-insensitive, so this clone compares equal to a
-    /// from-scratch batch analysis of exactly the hours pushed so far
-    /// (the concurrent-reader property test holds the daemon to that).
+    /// from-scratch batch analysis of exactly the hours pushed so far.
     pub fn snapshot(&self) -> Analysis {
         self.analyzer.peek().clone()
+    }
+
+    /// The query state as of the last pushed hour — what the serve
+    /// daemon publishes as one epoch: one clone of the device table and
+    /// four scalars ([`QueryState::of`]). It equals the query state of
+    /// a from-scratch batch analysis of exactly the hours pushed so far,
+    /// for the reason [`snapshot`](Self::snapshot) gives (the
+    /// concurrent-reader tests hold the daemon to that).
+    pub fn query_state(&self) -> QueryState {
+        QueryState::of(self.analyzer.peek())
     }
 
     /// The in-progress score table, if the intel stage is attached
@@ -718,7 +730,7 @@ mod tests {
             .run(&traffic, &crate::pipeline::AnalyzeOptions::new())
             .unwrap()
             .analysis;
-        let candidates = crate::malicious::select_candidates(&batch, 200);
+        let candidates = crate::malicious::select_candidates(batch.view(), 200);
         let intel =
             IntelBuilder::new(IntelSynthConfig::paper(60)).build(&built.inventory.db, &candidates);
         let index = IntelIndex::build(&intel.threats, &intel.malware);

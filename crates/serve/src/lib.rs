@@ -8,11 +8,13 @@
 //! service publishes an
 //! immutable [`Snapshot`] by swapping an `Arc` in a [`SnapshotCell`] —
 //! readers clone the current `Arc` and query it for as long as they
-//! like while ingest races ahead. A snapshot is never mutated after
+//! like while ingest races ahead. A snapshot holds what the endpoints
+//! read — the [`QueryState`], the alert log and the score table — not
+//! the whole analysis. It is never mutated after
 //! publication, so there are no torn reads by construction; the
 //! concurrent-reader property test in `iotscope-tests` further pins
-//! every published epoch to a from-scratch batch analysis of exactly
-//! that epoch's hour prefix.
+//! every published epoch to the query state of a from-scratch analysis
+//! of exactly that epoch's hour prefix.
 //!
 //! Queries go through the unified [`QueryApi`] surface from
 //! `iotscope-core` — the same trait the CLI `report`/`investigate`
@@ -27,13 +29,13 @@ pub mod http;
 pub mod json;
 
 use iotscope_core::pipeline::{route_ahead, HourSource};
-use iotscope_core::query::{QueryApi, QueryContext};
+use iotscope_core::query::{QueryApi, QueryContext, QueryState};
 use iotscope_core::stream::{Alert, StreamConfig, StreamingAnalyzer};
-use iotscope_core::{Analysis, Analyzer, ScoreConfig, ScoreRow, ScoreTable};
+use iotscope_core::{Analysis, ScoreConfig, ScoreRow, ScoreTable};
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelContext;
-use iotscope_obs::{json_string, Counter, Histogram, Registry, Timer};
+use iotscope_obs::{json_string, Counter, Gauge, Histogram, Registry, Timer};
 use iotscope_telescope::HourTraffic;
 use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
@@ -73,8 +75,10 @@ pub fn latency_bounds_ns() -> Vec<u64> {
     bounds
 }
 
-/// One immutable published analysis state. Readers hold it by `Arc`;
-/// nothing mutates it after publication.
+/// One immutable published epoch: what the endpoints read of the
+/// analysis of the first `epoch` hours — its [`QueryState`], the alert
+/// log and, with intel, the score table — and nothing else of it.
+/// Readers hold it by `Arc`; nothing mutates it after publication.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Publication sequence number: the number of hours ingested when
@@ -84,8 +88,8 @@ pub struct Snapshot {
     pub epoch: u64,
     /// Interval of the most recently ingested hour.
     pub last_interval: Option<u32>,
-    /// The analysis over exactly the first `epoch` ingested hours.
-    pub analysis: Arc<Analysis>,
+    /// The query state of exactly the first `epoch` ingested hours.
+    pub analysis: Arc<QueryState>,
     /// Alerts raised up to and including the last ingested hour.
     pub alerts: Arc<Vec<Alert>>,
     /// Per-device maliciousness scores over exactly the same hour
@@ -96,11 +100,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The empty pre-ingest snapshot for a window of `hours`.
-    pub fn empty(db: &DeviceDb, hours: u32) -> Snapshot {
+    pub fn empty(hours: u32) -> Snapshot {
         Snapshot {
             epoch: 0,
             last_interval: None,
-            analysis: Arc::new(Analyzer::new(db, hours).finish()),
+            analysis: Arc::new(QueryState::empty(hours)),
             alerts: Arc::new(Vec::new()),
             scores: None,
         }
@@ -108,8 +112,16 @@ impl Snapshot {
 
     /// A [`QueryApi`] view over this snapshot.
     pub fn query<'a>(&'a self, db: &'a DeviceDb, isps: &'a IspRegistry) -> QueryContext<'a> {
-        QueryContext::new(&self.analysis, db, isps, &self.alerts, self.epoch)
+        QueryContext::new(self.analysis.view(), db, isps, &self.alerts, self.epoch)
             .with_scores(self.scores.as_deref())
+    }
+
+    /// Heap bytes the epoch holds: its query state, its alert log and
+    /// its score table, if any (what `serve.snapshot_bytes` reports).
+    pub fn heap_bytes(&self) -> usize {
+        self.analysis.heap_bytes()
+            + self.alerts.capacity() * std::mem::size_of::<Alert>()
+            + self.scores.as_ref().map_or(0, |t| t.heap_bytes())
     }
 }
 
@@ -163,9 +175,11 @@ impl SnapshotCell {
 /// (`serve.requests.*`, `serve.latency.*`), the count of requests whose
 /// handler panicked (`serve.handler_panics`, each answered `500`) and
 /// the per-hour publication timer (`serve.publish_time`: building the
-/// epoch's snapshot, swapping it in, dropping the one it replaced); all
-/// [variant](iotscope_obs::Stability::Variant) — request mixes and wall
-/// time are never reproducible.
+/// epoch's snapshot, swapping it in, dropping the one it replaced) and
+/// the heap bytes of the epoch last published (`serve.snapshot_bytes`,
+/// [`Snapshot::heap_bytes`]); all
+/// [variant](iotscope_obs::Stability::Variant) — request mixes, wall
+/// time and capacities are never reproducible.
 #[derive(Debug)]
 struct ServeMetrics {
     requests: [Counter; ENDPOINTS.len()],
@@ -173,6 +187,7 @@ struct ServeMetrics {
     not_found: Counter,
     handler_panics: Counter,
     publish_time: Timer,
+    snapshot_bytes: Gauge,
 }
 
 impl ServeMetrics {
@@ -188,6 +203,7 @@ impl ServeMetrics {
             not_found: registry.counter_variant("serve.requests.not_found"),
             handler_panics: registry.counter_variant("serve.handler_panics"),
             publish_time: registry.timer("serve.publish_time"),
+            snapshot_bytes: registry.gauge("serve.snapshot_bytes"),
         }
     }
 }
@@ -213,7 +229,7 @@ impl TelescopeService {
     pub fn new(db: DeviceDb, isps: IspRegistry, hours: u32) -> Self {
         let registry = Registry::new();
         let metrics = ServeMetrics::register(&registry);
-        let cell = SnapshotCell::new(Snapshot::empty(&db, hours));
+        let cell = SnapshotCell::new(Snapshot::empty(hours));
         TelescopeService {
             db,
             isps,
@@ -297,14 +313,15 @@ impl TelescopeService {
     /// [`StreamingAnalyzer::push_hour`]); the loop then invokes
     /// `on_alert` for each alert the hour raised (the live alert log —
     /// the CLI streams these to stdout) and publishes a new epoch
-    /// snapshot.
+    /// snapshot: [`StreamingAnalyzer::query_state`], the alert log and
+    /// a copy of the score table, never a clone of the whole analysis.
     ///
     /// Readers querying concurrently observe each epoch `k` as exactly
-    /// the analysis of the first `k` ingested hours: the published
-    /// clone differs from a batch run only in device-row order, which
-    /// [`Analysis`] equality ignores. Returns the final normalized
-    /// analysis and the full alert log, after republishing them at the
-    /// final epoch.
+    /// the query state of the first `k` ingested hours: the published
+    /// state differs from a batch run's only in device-row order, which
+    /// [`QueryState`] equality ignores. Returns the final normalized
+    /// analysis and the full alert log, after republishing the
+    /// analysis's query state at the final epoch.
     ///
     /// # Errors
     ///
@@ -343,10 +360,10 @@ impl TelescopeService {
                 alert_log = Arc::new(stream.alerts().to_vec());
             }
             pushed += 1;
-            self.cell.publish(Snapshot {
+            self.publish(Snapshot {
                 epoch: base_epoch + pushed,
                 last_interval: stream.last_interval(),
-                analysis: Arc::new(stream.snapshot()),
+                analysis: Arc::new(stream.query_state()),
                 alerts: Arc::clone(&alert_log),
                 scores: stream.scores().map(|t| Arc::new(t.clone())),
             });
@@ -358,14 +375,22 @@ impl TelescopeService {
         // is structurally equal to the last per-hour publication, just
         // with device rows in id order, so readers keep their
         // epoch↔prefix mapping.
-        self.cell.publish(Snapshot {
+        self.publish(Snapshot {
             epoch: base_epoch + pushed,
             last_interval,
-            analysis: Arc::new(analysis.clone()),
+            analysis: Arc::new(QueryState::of(&analysis)),
             alerts: alert_log,
             scores: scores.map(Arc::new),
         });
         Ok((analysis, alerts))
+    }
+
+    /// Swap `snapshot` in, after recording its size in
+    /// `serve.snapshot_bytes`.
+    fn publish(&self, snapshot: Snapshot) {
+        let bytes = i64::try_from(snapshot.heap_bytes()).unwrap_or(i64::MAX);
+        self.metrics.snapshot_bytes.set(bytes);
+        self.cell.publish(snapshot);
     }
 
     /// Answer one request: route `path`, execute it against the current
@@ -586,12 +611,35 @@ mod tests {
         (service, traffic)
     }
 
+    /// A service with intel synthesized from the batch analysis of the
+    /// whole window, exactly as the CLI `serve --intel` wiring does, so
+    /// it correlates with the scenario's ground truth; that analysis is
+    /// returned beside it.
+    fn service_with_intel(seed: u64) -> (TelescopeService, Vec<HourTraffic>, Analysis) {
+        use iotscope_core::malicious::select_candidates;
+        use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
+        use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
+
+        let built = PaperScenario::build(PaperScenarioConfig::tiny(seed));
+        let traffic = built.scenario.generate();
+        let batch = AnalysisPipeline::new(&built.inventory.db, 143)
+            .run(&traffic, &AnalyzeOptions::new())
+            .unwrap()
+            .analysis;
+        let candidates = select_candidates(batch.view(), 200);
+        let intel = IntelBuilder::new(IntelSynthConfig::paper(seed))
+            .build(&built.inventory.db, &candidates);
+        let service = TelescopeService::new(built.inventory.db, built.inventory.isps, 143)
+            .with_intel(IntelContext::from_synth(intel));
+        (service, traffic, batch)
+    }
+
     #[test]
     fn epoch_zero_serves_the_empty_state() {
         let (service, _) = service_with_traffic(71);
         let snap = service.snapshot();
         assert_eq!(snap.epoch, 0);
-        assert_eq!(snap.analysis.device_count(), 0);
+        assert_eq!(snap.analysis.view().device_count(), 0);
         let (code, body) = service.respond("/summary");
         assert_eq!(code, 200);
         assert!(body.contains("\"epoch\":0"));
@@ -610,7 +658,7 @@ mod tests {
         let snap = service.snapshot();
         assert_eq!(snap.epoch, 48);
         assert_eq!(snap.last_interval, Some(48));
-        assert_eq!(*snap.analysis, analysis);
+        assert_eq!(*snap.analysis, QueryState::of(&analysis));
         assert_eq!(*snap.alerts, alerts);
     }
 
@@ -630,6 +678,24 @@ mod tests {
         let (_, body) = service.respond("/metrics");
         assert!(body.contains("\"serve.publish_time\""), "{body}");
         assert!(body.contains("\"stream.state_bytes\""), "{body}");
+        assert!(body.contains("\"serve.snapshot_bytes\""), "{body}");
+    }
+
+    /// `serve.snapshot_bytes` is the last epoch's heap: its query state,
+    /// its alert log and its score table, counted part by part.
+    #[test]
+    fn snapshot_bytes_gauge_is_the_published_epochs_parts() {
+        let (service, traffic, _) = service_with_intel(79);
+        let gauge = || service.registry().snapshot().gauge("serve.snapshot_bytes");
+        assert_eq!(gauge(), Some(0), "nothing published before ingest");
+        service.ingest(&traffic, StreamConfig::default(), &mut |_| {});
+        let snap = service.snapshot();
+        let state = snap.analysis.heap_bytes();
+        let alerts = snap.alerts.capacity() * std::mem::size_of::<Alert>();
+        let scores = snap.scores.as_ref().expect("intel attached").heap_bytes();
+        assert!(state > 0 && alerts > 0 && scores > 0);
+        let parts = state + alerts + scores;
+        assert_eq!(gauge(), Some(i64::try_from(parts).unwrap()));
     }
 
     /// Driven as the CLI drives a store: the items are positions in an
@@ -650,11 +716,11 @@ mod tests {
         assert_eq!(failed.unwrap_err(), "unreadable");
         let snap = service.snapshot();
         assert_eq!((snap.epoch, snap.last_interval), (6, Some(6)));
-        let mut reference = Analyzer::new(service.db(), 143);
+        let mut reference = iotscope_core::Analyzer::new(service.db(), 143);
         for hour in &traffic[..6] {
             reference.ingest_hour(hour);
         }
-        assert_eq!(*snap.analysis, reference.finish());
+        assert_eq!(*snap.analysis, QueryState::of(&reference.finish()));
     }
 
     #[test]
@@ -727,30 +793,14 @@ mod tests {
 
     #[test]
     fn score_endpoints_serve_the_streamed_table() {
-        use iotscope_core::malicious::select_candidates;
-        use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
-        use iotscope_core::ScoreTable;
-        use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
-
-        let built = PaperScenario::build(PaperScenarioConfig::tiny(76));
-        let traffic = built.scenario.generate();
-        // Synthesize intel correlated with the scenario's ground truth,
-        // exactly as the CLI `serve --intel` wiring does.
-        let batch = AnalysisPipeline::new(&built.inventory.db, 143)
-            .run(&traffic, &AnalyzeOptions::new())
-            .unwrap()
-            .analysis;
-        let candidates = select_candidates(&batch, 200);
-        let intel =
-            IntelBuilder::new(IntelSynthConfig::paper(76)).build(&built.inventory.db, &candidates);
-        let service = TelescopeService::new(built.inventory.db, built.inventory.isps, 143)
-            .with_intel(IntelContext::from_synth(intel));
+        let (service, traffic, batch) = service_with_intel(76);
         service.ingest(&traffic, StreamConfig::default(), &mut |_| {});
 
         let snap = service.snapshot();
         let scores = snap.scores.as_deref().expect("intel run publishes scores");
+        assert_eq!(*snap.analysis, QueryState::of(&batch));
         let expected = ScoreTable::from_batch(
-            &snap.analysis,
+            &batch,
             service.db(),
             &service.intel().unwrap().index,
             Default::default(),

@@ -150,7 +150,7 @@ fn main() {
 
     // ---- phase 4: malware attribution ------------------------------------
     println!("== malware attribution ==");
-    let candidates = malicious::select_candidates(&analysis, 400);
+    let candidates = malicious::select_candidates(analysis.view(), 400);
     let intel =
         IntelBuilder::new(IntelSynthConfig::paper(31415)).build(&built.inventory.db, &candidates);
     let findings = attribution::attribute(

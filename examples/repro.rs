@@ -121,7 +121,7 @@ fn main() {
     );
 
     eprintln!("[4/4] intel correlation (Section V) ...");
-    let candidates = iotscope_core::malicious::select_candidates(&analysis, 4000);
+    let candidates = iotscope_core::malicious::select_candidates(analysis.view(), 4000);
     let intel = IntelBuilder::new(IntelSynthConfig::paper(args.seed))
         .build(&built.inventory.db, &candidates);
     let report = Report::build(&ReportContext {

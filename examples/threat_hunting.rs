@@ -27,7 +27,7 @@ fn main() {
     println!("inferred {} compromised devices", analysis.device_count());
 
     // Stand up the intel substrates (Cymon-like repo + malware DB).
-    let candidates = malicious::select_candidates(&analysis, 400);
+    let candidates = malicious::select_candidates(analysis.view(), 400);
     let intel =
         IntelBuilder::new(IntelSynthConfig::paper(1337)).build(&built.inventory.db, &candidates);
     println!(

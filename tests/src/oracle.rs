@@ -7,7 +7,8 @@
 //! segmented, sequential, routed in parallel or streamed, quarantining
 //! or strict)
 //! is compared to [`analyze`] in `tests/oracle.rs`, through the
-//! projection `Naive::from(&Analysis)`, and the behavior fold behind
+//! projection `Naive::from(&Analysis)` — a daemon's published epoch
+//! through the narrower [`Served`] — and the behavior fold behind
 //! the §VI/§VII follow-ups to [`behavior`]. Neither reference shares
 //! machinery with the code it checks: no column blocks, correlation
 //! index, aggregate tables or distinct sets — only [`classify()`], the
@@ -17,7 +18,7 @@
 use iotscope_core::analysis::{RealmSeries, ServiceKey};
 use iotscope_core::behavior::BehaviorVector;
 use iotscope_core::scan::protocol_table;
-use iotscope_core::{classify, Analysis, TrafficClass};
+use iotscope_core::{classify, Analysis, DeviceTable, QueryState, TrafficClass};
 use iotscope_devicedb::device::DeviceProfile;
 use iotscope_devicedb::{ConsumerKind, CountryCode, CpsService, DeviceDb, DeviceId, IotDevice};
 use iotscope_devicedb::{IspId, Realm};
@@ -124,6 +125,68 @@ pub struct Naive {
     pub unmatched_flows: u64,
     /// Their packets.
     pub unmatched_packets: u64,
+}
+
+/// What the query surface reads of an analysis, as plain values: a
+/// [`Naive`] restricted to the fields a [`QueryState`] keeps
+/// ([`Naive::served`]), or a published state read through its view
+/// (`Served::from(&QueryState)`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Served {
+    /// Window length in hours.
+    pub hours: u32,
+    /// Every correlated device.
+    pub devices: BTreeMap<DeviceId, Device>,
+    /// Packets per realm and transport, transports `[ICMP, TCP, UDP]`.
+    pub protocol_packets: [[u64; 3]; 2],
+    /// Flows from sources outside the inventory.
+    pub unmatched_flows: u64,
+    /// Their packets.
+    pub unmatched_packets: u64,
+}
+
+impl Naive {
+    /// The query-state projection of this analysis.
+    pub fn served(&self) -> Served {
+        Served {
+            hours: self.hours,
+            devices: self.devices.clone(),
+            protocol_packets: self.protocol_packets,
+            unmatched_flows: self.unmatched_flows,
+            unmatched_packets: self.unmatched_packets,
+        }
+    }
+}
+
+/// The projection of a published query state, read through its view.
+impl From<&QueryState> for Served {
+    fn from(state: &QueryState) -> Served {
+        let view = state.view();
+        Served {
+            hours: view.hours(),
+            devices: devices_of(view.devices()),
+            protocol_packets: view.protocol_packets(),
+            unmatched_flows: view.unmatched_flows(),
+            unmatched_packets: view.unmatched_packets(),
+        }
+    }
+}
+
+/// Every row of `table` as a plain [`Device`], keyed by id.
+fn devices_of(table: &DeviceTable) -> BTreeMap<DeviceId, Device> {
+    table
+        .rows()
+        .map(|o| {
+            let device = Device {
+                realm: o.realm,
+                first_interval: o.first_interval,
+                flows: o.flows,
+                packets: TrafficClass::ALL.map(|c| o.packets(c)),
+                days_active: o.days_active,
+            };
+            (o.device, device)
+        })
+        .collect()
 }
 
 fn realm_index(realm: Realm) -> usize {
@@ -375,20 +438,7 @@ impl Naive {
 /// The projection of an analysis, read through its public getters.
 impl From<&Analysis> for Naive {
     fn from(a: &Analysis) -> Naive {
-        let devices = a
-            .devices
-            .rows()
-            .map(|o| {
-                let device = Device {
-                    realm: o.realm,
-                    first_interval: o.first_interval,
-                    flows: o.flows,
-                    packets: TrafficClass::ALL.map(|c| o.packets(c)),
-                    days_active: o.days_active,
-                };
-                (o.device, device)
-            })
-            .collect();
+        let devices = devices_of(&a.devices);
         let series = |s: &[RealmSeries; 2]| {
             s.clone().map(|s| Series {
                 packets: s.packets,

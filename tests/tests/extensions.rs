@@ -89,7 +89,7 @@ fn attribution_scores_direct_contacts_highest() {
         .run(traffic, &AnalyzeOptions::new())
         .unwrap()
         .analysis;
-    let candidates = malicious::select_candidates(&analysis, 400);
+    let candidates = malicious::select_candidates(analysis.view(), 400);
     let intel =
         IntelBuilder::new(IntelSynthConfig::paper(404)).build(&built.inventory.db, &candidates);
     let vectors = behavior::extract(traffic, &built.inventory.db, 143);

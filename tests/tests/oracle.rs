@@ -28,7 +28,7 @@ use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_obs::Registry;
 use iotscope_serve::TelescopeService;
 use iotscope_telescope::HourTraffic;
-use iotscope_tests::oracle::{self, Naive};
+use iotscope_tests::oracle::{self, Naive, Served};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -493,7 +493,7 @@ proptest! {
         let (analysis, _) = service.ingest(&traffic, StreamConfig::default(), &mut |_| {});
         let last = service.snapshot();
         prop_assert_eq!(last.epoch, u64::from(hours));
-        prop_assert_eq!(&Naive::from(&*last.analysis), &want, "final epoch");
+        prop_assert_eq!(&Served::from(&*last.analysis), &want.served(), "final epoch");
         assert_finished(&want, &analysis, "service");
     }
 }

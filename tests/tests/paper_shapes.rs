@@ -52,7 +52,7 @@ fn headline_population_counts() {
 #[test]
 fn fig_1b_compromised_country_ranking() {
     let f = fixture();
-    let rows = characterize::compromised_by_country(&f.analysis, &f.built.inventory.db);
+    let rows = characterize::compromised_by_country(f.analysis.view(), &f.built.inventory.db);
     // Russia #1 (24.5%), China #2 (8.6%), U.S. #3 (8.1%).
     assert_eq!(rows[0].country.code(), "RU");
     let ru_share = rows[0].total() as f64 / 26_881.0;
@@ -127,7 +127,7 @@ fn fig_3_consumer_kind_mix() {
 fn table_i_consumer_isps() {
     let f = fixture();
     let rows = characterize::top_isps(
-        &f.analysis,
+        f.analysis.view(),
         &f.built.inventory.db,
         &f.built.inventory.isps,
         Realm::Consumer,
@@ -146,7 +146,7 @@ fn table_i_consumer_isps() {
 fn table_ii_cps_isps() {
     let f = fixture();
     let rows = characterize::top_isps(
-        &f.analysis,
+        f.analysis.view(),
         &f.built.inventory.db,
         &f.built.inventory.isps,
         Realm::Cps,
@@ -458,7 +458,7 @@ fn fig_10_service_time_series() {
 #[test]
 fn section_v_intel_results() {
     let f = fixture();
-    let candidates = malicious::select_candidates(&f.analysis, 4_000);
+    let candidates = malicious::select_candidates(f.analysis.view(), 4_000);
     assert!(
         (8_500..=8_900).contains(&candidates.len()),
         "{}",

@@ -164,7 +164,7 @@ fn fixture(seed: u64, hours: u32) -> Fixture {
         an.ingest_hour(h);
     }
     let analysis = an.finish();
-    let candidates = select_candidates(&analysis, 200);
+    let candidates = select_candidates(analysis.view(), 200);
     let intel =
         IntelBuilder::new(IntelSynthConfig::paper(seed)).build(&built.inventory.db, &candidates);
     let index = IntelIndex::build(&intel.threats, &intel.malware);

@@ -1,29 +1,32 @@
 //! The daemon's epoch-snapshot contract, under concurrency and over
 //! the wire.
 //!
-//! The PR-7 contract: while `TelescopeService::ingest` replays hours,
+//! The epoch contract: while `TelescopeService::ingest` replays hours,
 //! any reader at any moment loads a snapshot whose epoch `k` is
-//! *exactly* the analysis of the first `k` ingested hours — the naive
-//! reference's analysis of that prefix, not merely consistent with
-//! one. Readers never observe a torn or partially-ingested state, and
-//! epochs only move forward. The HTTP listener must round-trip the
-//! same snapshots over a real socket.
+//! *exactly* the query state of the first `k` ingested hours — the
+//! naive reference's analysis of that prefix, projected onto what the
+//! endpoints read (`oracle::Served`), not merely consistent with one.
+//! Readers never observe a torn or partially-ingested state, and
+//! epochs only move forward; every endpoint at epoch `k` answers as a
+//! service that ingested only those `k` hours. The HTTP listener must
+//! round-trip the same snapshots over a real socket.
 
 use iotscope_core::pipeline::{route_ahead, HourSource};
 use iotscope_core::stream::StreamConfig;
-use iotscope_core::{udp, QueryApi};
+use iotscope_core::QueryApi;
 use iotscope_devicedb::synth::{InventoryBuilder, SynthConfig, SynthOutput};
-use iotscope_devicedb::DeviceDb;
+use iotscope_devicedb::{DeviceDb, DeviceId};
+use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
+use iotscope_intel::IntelContext;
 use iotscope_net::flowtuple::FlowTuple;
-use iotscope_net::ports::ServiceRegistry;
 use iotscope_net::protocol::{IcmpType, TcpFlags};
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::UnixHour;
 use iotscope_net::NetError;
 use iotscope_serve::http::{HttpServer, MAX_CONNECTIONS, READ_TIMEOUT};
-use iotscope_serve::{Snapshot, TelescopeService};
+use iotscope_serve::{Snapshot, TelescopeService, ENDPOINTS};
 use iotscope_telescope::HourTraffic;
-use iotscope_tests::oracle::{self, Naive};
+use iotscope_tests::oracle::{self, Naive, Served};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -86,9 +89,10 @@ fn synth_traffic(db: &DeviceDb, seed: u64, num_hours: u32) -> Vec<HourTraffic> {
         .collect()
 }
 
-/// The naive reference's analysis of the first `k` hours.
-fn prefix_analysis(db: &DeviceDb, traffic: &[HourTraffic], k: usize) -> Naive {
-    oracle::analyze(db, WINDOW_HOURS, &traffic[..k])
+/// The naive reference's analysis of the first `k` hours, projected
+/// onto what a published epoch holds.
+fn prefix_state(db: &DeviceDb, traffic: &[HourTraffic], k: usize) -> Served {
+    oracle::analyze(db, WINDOW_HOURS, &traffic[..k]).served()
 }
 
 proptest! {
@@ -137,16 +141,16 @@ proptest! {
                 .collect()
         });
 
-        // The settled state is the full window's batch analysis.
+        // The settled state is the full window's.
         let last = service.snapshot();
         prop_assert_eq!(last.epoch, u64::from(num_hours));
-        let full = prefix_analysis(&inv.db, &traffic, num_hours as usize);
-        prop_assert_eq!(Naive::from(&*last.analysis), full);
+        let full = prefix_state(&inv.db, &traffic, num_hours as usize);
+        prop_assert_eq!(Served::from(&*last.analysis), full);
 
-        // Every snapshot any reader caught mid-ingest — its device and
-        // port tables as published, in first-seen order — is the
-        // reference analysis of its epoch's hour prefix.
-        let mut references: BTreeMap<u64, Naive> = BTreeMap::new();
+        // Every snapshot any reader caught mid-ingest — its device table
+        // as published, in first-seen order — is the reference state of
+        // its epoch's hour prefix.
+        let mut references: BTreeMap<u64, Served> = BTreeMap::new();
         for seen in observed {
             for window in seen.windows(2) {
                 prop_assert!(
@@ -159,10 +163,10 @@ proptest! {
             for (epoch, snap) in seen {
                 prop_assert!(epoch <= u64::from(num_hours));
                 let reference = references.entry(epoch).or_insert_with(|| {
-                    prefix_analysis(&inv.db, &traffic, epoch as usize)
+                    prefix_state(&inv.db, &traffic, epoch as usize)
                 });
                 prop_assert_eq!(
-                    &Naive::from(&*snap.analysis),
+                    &Served::from(&*snap.analysis),
                     &*reference,
                     "epoch {} snapshot is not the analysis of its first {} hours",
                     epoch,
@@ -174,7 +178,8 @@ proptest! {
 }
 
 /// A reader may hold a snapshot for as long as it likes: ten further
-/// hours of ingest leave it exactly as published.
+/// hours of ingest leave it exactly as published, the reference state
+/// of its two hours, and its answers with it.
 #[test]
 fn a_held_snapshot_is_unchanged_by_later_hours() {
     let inv = inventory();
@@ -182,22 +187,100 @@ fn a_held_snapshot_is_unchanged_by_later_hours() {
     let service = TelescopeService::new(inv.db.clone(), inv.isps.clone(), 12);
     service.ingest(&traffic[..2], StreamConfig::default(), &mut |_| {});
     let held = service.snapshot();
-    let as_published = (*held.analysis).clone();
-    let services = ServiceRegistry::standard();
-    let table_iv = udp::top_ports(&held.analysis, &services, 10);
-    assert!(!table_iv.is_empty(), "the synthetic hours carry UDP");
+    let reference = oracle::analyze(&inv.db, 12, &traffic[..2]).served();
+    assert_eq!(Served::from(&*held.analysis), reference);
+    let countries = held.query(service.db(), service.isps()).countries();
+    assert!(
+        !countries.is_empty(),
+        "the synthetic hours reach the inventory"
+    );
 
     service.ingest(&traffic[2..], StreamConfig::default(), &mut |_| {});
     assert_eq!(service.snapshot().epoch, 12);
     assert_eq!(held.epoch, 2);
-    assert_eq!(*held.analysis, as_published);
-    assert_eq!(udp::top_ports(&held.analysis, &services, 10), table_iv);
+    assert_eq!(Served::from(&*held.analysis), reference);
+    assert_eq!(
+        held.query(service.db(), service.isps()).countries(),
+        countries
+    );
     assert_ne!(*held.analysis, *service.snapshot().analysis);
 }
 
+/// What a service answers on every endpoint, in `ENDPOINTS` order, but
+/// `/metrics`: that one reports the process's own request counts and
+/// wall times, which no two services share.
+fn answers(service: &TelescopeService, device: DeviceId, score: DeviceId) -> Vec<(u16, String)> {
+    ENDPOINTS
+        .iter()
+        .filter(|e| **e != "metrics")
+        .map(|e| match *e {
+            "device" => format!("/device/{}", device.0),
+            "score" => format!("/score/{}", score.0),
+            "score_top" => "/score/top".to_owned(),
+            other => format!("/{other}"),
+        })
+        .map(|path| service.respond(&path))
+        .collect()
+}
+
+/// Epoch `k` of a long-running service is what a service that ingested
+/// only hours 1..=k serves: every endpoint answers byte-identically, at
+/// every `k` of a short window, with intel attached so the score
+/// endpoints answer from a table.
+#[test]
+fn every_endpoint_at_epoch_k_answers_as_a_service_fed_only_k_hours() {
+    const HOURS: u32 = 6;
+    let inv = inventory();
+    let traffic = synth_traffic(&inv.db, 2024, HOURS);
+    let observed: Vec<DeviceId> = oracle::analyze(&inv.db, HOURS, &traffic)
+        .devices
+        .into_keys()
+        .collect();
+    let synth = IntelBuilder::new(IntelSynthConfig::paper(2024)).build(&inv.db, &observed);
+    // One device the intel flags; one the first hour observes.
+    let score = synth.flagged_devices[0];
+    let intel = IntelContext::from_synth(synth);
+    let service =
+        || TelescopeService::new(inv.db.clone(), inv.isps.clone(), HOURS).with_intel(intel.clone());
+    let device = oracle::analyze(&inv.db, HOURS, &traffic[..1])
+        .devices
+        .into_keys()
+        .next()
+        .expect("hour 1 reaches the inventory");
+
+    let long_running = service();
+    let source = HourSource::Memory(&traffic);
+    let mut at_epoch = Vec::new();
+    let ingested = long_running.ingest_with(
+        0..source.len(),
+        StreamConfig::default(),
+        &mut |_| {},
+        |stream, k| {
+            // Hour k + 1 is not pushed yet: epoch k is published.
+            at_epoch.push(answers(&long_running, device, score));
+            stream.push_from(&source, k)
+        },
+    );
+    ingested.expect("memory hours");
+    at_epoch.push(answers(&long_running, device, score));
+
+    for (k, expected) in at_epoch.iter().enumerate() {
+        let fresh = service();
+        fresh.ingest(&traffic[..k], StreamConfig::default(), &mut |_| {});
+        assert_eq!(fresh.snapshot().epoch, k as u64);
+        assert_eq!(&answers(&fresh, device, score), expected, "epoch {k}");
+    }
+    let last = at_epoch.last().expect("the final epoch");
+    assert!(
+        last.iter().all(|(status, _)| *status == 200),
+        "every endpoint answers 200 on the whole window: {last:?}"
+    );
+}
+
 /// Ingest fed straight from a store, routed ahead as `serve` and
-/// `watch` feed it (a router thread and the publisher), publishes the
-/// reference analysis and the same alerts as ingest fed from memory.
+/// `watch` feed it (a router thread and the publisher), returns the
+/// reference analysis, publishes its query state and raises the same
+/// alerts as ingest fed from memory.
 /// Two corrupt hours stop it at the first, whichever worker routed
 /// either: the error names interval 5, the last published epoch is 4,
 /// and the router thread has exited (`route_ahead` joins it before it
@@ -248,7 +331,7 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
     let (ingested, last) = feed();
     let (analysis, alerts) = ingested.expect("clean store");
     assert_eq!(Naive::from(&analysis), reference);
-    assert_eq!(Naive::from(&*last.analysis), reference);
+    assert_eq!(Served::from(&*last.analysis), reference.served());
     assert_eq!(alerts, memory_alerts);
 
     // Flip the last byte of hours 5 and 9: hours 1..=4 publish, nothing
@@ -260,7 +343,7 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
         std::fs::write(&path, bytes).expect("rewrite hour file");
     }
     let named = format!("{} (interval 5): ", traffic[4].hour);
-    let prefix = oracle::analyze(&inv.db, HOURS, &traffic[..4]);
+    let prefix = oracle::analyze(&inv.db, HOURS, &traffic[..4]).served();
     for _ in 0..8 {
         let (ingested, last) = feed();
         let err = ingested.expect_err("corrupt hour must fail ingest");
@@ -268,7 +351,7 @@ fn store_fed_ingest_matches_memory_and_stops_at_a_corrupt_hour() {
         assert!(err.to_string().starts_with(&named), "{err}");
         assert_eq!(last.epoch, 4);
         assert_eq!(last.last_interval, Some(4));
-        assert_eq!(Naive::from(&*last.analysis), prefix);
+        assert_eq!(Served::from(&*last.analysis), prefix);
     }
     std::fs::remove_dir_all(&dir).expect("remove store");
 }
