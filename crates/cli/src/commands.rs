@@ -11,9 +11,11 @@ use iotscope_core::pipeline::{
 use iotscope_core::query::{QueryApi, QueryContext};
 use iotscope_core::report::{Report, ReportContext, ReportIntel};
 use iotscope_core::stream::{Alert, StreamConfig};
-use iotscope_core::{attribution, Analysis, Analyzer};
+use iotscope_core::{attribution, Analysis};
 use iotscope_devicedb::inventory_io::{self, LoadedInventory};
-use iotscope_intel::synth::{IntelBuilder, IntelOutput, IntelSynthConfig};
+use iotscope_devicedb::DeviceDb;
+use iotscope_intel::intel_io;
+use iotscope_intel::synth::{IntelBuilder, IntelSynthConfig};
 use iotscope_intel::IntelContext;
 use iotscope_net::segment::Manifest;
 use iotscope_net::store::{CollectSink, FlowStore, StoreFormat, StoreOptions};
@@ -30,7 +32,7 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The `--metrics[=json|text]` output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,10 +119,10 @@ where
 }
 
 /// Every core: the worker count of the write verbs' hour fan-out and of
-/// the daemon's start-up analysis. The daemon's replay takes two
-/// threads on any box ([`route_ahead`]): a router thread, and the
-/// publisher, which folds and publishes hours in order and routes the
-/// next ones itself whenever the hour it needs has not arrived.
+/// the analysis `simulate` builds the intel from. The daemon's replay
+/// takes two threads on any box ([`route_ahead`]): a router thread, and
+/// the publisher, which folds and publishes hours in order and routes
+/// the next ones itself whenever the hour it needs has not arrived.
 fn all_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -129,7 +131,13 @@ fn all_cores() -> usize {
 ///
 /// Writes the scenario's inventory, ground truth and 143 hours of
 /// traffic (in the store's one format, v3), the hours written on every
-/// core. `--scale` must be a finite number above zero.
+/// core, then the threat intel every `--intel` verb loads (`intel/`,
+/// see [`intel_io`]). The intel is fixed here, with the dataset, as
+/// the paper's external feeds are: [`IntelBuilder`] seeded with
+/// `--seed` flags devices among the candidates of one analysis of the
+/// window just written ([`analyze_window`] on every core, through the
+/// paper's window rule, against the inventory still in memory).
+/// `--scale` must be a finite number above zero.
 pub fn simulate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--out")
@@ -186,8 +194,24 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     )?;
     built.truth.save(out.join("truth.tsv"))?;
 
+    // The traffic generator is done: its memory goes to the analysis.
+    drop(built.scenario);
+    let db = &built.inventory.db;
+    let (store, stored) = open_window(&out)?;
+    let options = AnalyzeOptions::new().threads(all_cores());
+    let analysis = analyze_window(db, &store, &stored, options)?.analysis;
+    let candidates = QueryContext::batch(&analysis, db, &built.inventory.isps)
+        .candidates(INTEL_CANDIDATES_PER_REALM);
+    let intel = IntelBuilder::new(IntelSynthConfig::paper(seed)).build(db, &candidates);
+    intel_io::save(
+        &out.join(INTEL_DIR),
+        &intel.threats,
+        &intel.malware,
+        &intel.resolver,
+    )?;
+
     let mut text = format!(
-        "simulated {} devices, {} designated compromised, {} flows over 143 hours\nwrote {}/{{inventory.tsv, truth.tsv, darknet/}}",
+        "simulated {} devices, {} designated compromised, {} flows over 143 hours\nwrote {}/{{inventory.tsv, truth.tsv, intel/, darknet/}}",
         built.inventory.db.len(),
         built.truth.num_designated(),
         flows,
@@ -203,6 +227,19 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
 /// The timer `analyze`, `serve` and `watch` record the inventory load
 /// under: the start-up cost every verb pays before it touches a flow.
 const INVENTORY_LOAD_TIME: &str = "inventory.load_time";
+
+/// The timer `analyze`, `serve` and `watch` record the `--intel` load
+/// under, one span inside the daemon's `serve.startup_time`.
+const INTEL_LOAD_TIME: &str = "intel.load_time";
+
+/// A data directory's intel: what `simulate` writes and every `--intel`
+/// verb loads.
+const INTEL_DIR: &str = "intel";
+
+/// The top scanners per realm that join the DoS victims as intel
+/// candidates (§V): the devices `simulate` flags among and the Section V
+/// tables explore.
+const INTEL_CANDIDATES_PER_REALM: usize = 4_000;
 
 /// Open a data directory's store and apply the paper's window rule to
 /// it: every verb reads the hours of the returned [`StoredWindow`], so
@@ -238,12 +275,12 @@ fn dropped_days_note(label: &str, w: &StoredWindow) -> String {
 /// store (no hour is materialized): the one analysis behind every verb.
 /// A store error names the earliest window hour that failed.
 fn analyze_window(
-    inventory: &LoadedInventory,
+    db: &DeviceDb,
     store: &FlowStore,
     stored: &StoredWindow,
     options: AnalyzeOptions,
 ) -> Result<AnalysisOutcome, CliError> {
-    let pipeline = AnalysisPipeline::new(&inventory.db, stored.window.num_hours());
+    let pipeline = AnalysisPipeline::new(db, stored.window.num_hours());
     Ok(pipeline.run(store, &options.window(stored.window))?)
 }
 
@@ -257,7 +294,7 @@ fn analyze_dir(
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let (store, stored) = open_window(dir)?;
     let options = AnalyzeOptions::new().threads(threads);
-    let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
+    let analysis = analyze_window(&inventory.db, &store, &stored, options)?.analysis;
     Ok((inventory, stored, analysis))
 }
 
@@ -268,52 +305,42 @@ fn data_dir(opts: &ParsedArgs) -> Result<PathBuf, CliError> {
         .into())
 }
 
-/// The synthetic threat intel for an analysis, built the same way by
-/// every `--intel` verb: the batch query surface picks the candidates,
-/// and the stores are seeded from the inventory metadata, so every
-/// command over one data directory sees identical intel.
-fn synth_intel(inventory: &LoadedInventory, analysis: &Analysis) -> IntelOutput {
-    let candidates =
-        QueryContext::batch(analysis, &inventory.db, &inventory.isps).candidates(4_000);
-    let seed = inventory
-        .meta
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    IntelBuilder::new(IntelSynthConfig::paper(seed)).build(&inventory.db, &candidates)
+/// Load a data directory's `intel/` — the input every `--intel` verb
+/// joins against, written once by `simulate` — and time the load. A
+/// directory without it, or with a malformed file in it, is an error
+/// naming the path: the intel is never made up on the spot.
+fn load_intel(dir: &Path) -> Result<(IntelContext, Duration), CliError> {
+    let started = Instant::now();
+    let intel = intel_io::load(&dir.join(INTEL_DIR))?;
+    Ok((intel, started.elapsed()))
 }
 
 /// Start a [`TelescopeService`] over a data directory for `watch` and
-/// `serve`: load the inventory, open the stored window and, with
-/// `intel`, synthesize the intel from one batch analysis of it on every
-/// core (the routed feed at [`all_cores`] workers) — everything the
-/// daemon does before it is ready to ingest (the replay's feed starts
-/// with [`replay`], not here), timed as one span of
-/// `serve.startup_time` in the service's registry (with
-/// `inventory.load_time` inside it), so `/metrics` can say what a
-/// restart costs.
+/// `serve`: load the inventory, open the stored window (instrumented in
+/// the service's registry, so `/metrics` counts the replay's reads)
+/// and, with `intel`, load `intel/` — everything the daemon does before
+/// it is ready to ingest (the replay's feed starts with [`replay`], not
+/// here), timed as one span of `serve.startup_time` in the service's
+/// registry (with `inventory.load_time` and `intel.load_time` inside
+/// it), so `/metrics` can say what a restart costs.
 fn start_service(
     dir: &Path,
     intel: bool,
 ) -> Result<(TelescopeService, FlowStore, StoredWindow), CliError> {
     let started = Instant::now();
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
-    let load_time = started.elapsed();
+    let inventory_time = started.elapsed();
     let (store, stored) = open_window(dir)?;
-    let intel = if intel {
-        let options = AnalyzeOptions::new().threads(all_cores());
-        let analysis = analyze_window(&inventory, &store, &stored, options)?.analysis;
-        Some(IntelContext::from_synth(synth_intel(&inventory, &analysis)))
-    } else {
-        None
-    };
+    let intel = if intel { Some(load_intel(dir)?) } else { None };
     let mut service =
         TelescopeService::new(inventory.db, inventory.isps, stored.window.num_hours());
-    if let Some(ctx) = intel {
+    if let Some((ctx, took)) = intel {
+        service.registry().timer(INTEL_LOAD_TIME).record(took);
         service = service.with_intel(ctx);
     }
     let registry = service.registry();
-    registry.timer(INVENTORY_LOAD_TIME).record(load_time);
+    let store = store.instrumented(registry);
+    registry.timer(INVENTORY_LOAD_TIME).record(inventory_time);
     registry
         .timer("serve.startup_time")
         .record(started.elapsed());
@@ -409,27 +436,29 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
     if format.is_some() {
         options = options.metrics(&registry);
     }
-    let outcome = analyze_window(&inventory, &store, &stored, options)?;
+    let outcome = analyze_window(&inventory.db, &store, &stored, options)?;
     let stats = outcome.stats.as_ref().expect("stats were requested");
     let analysis = outcome.analysis;
-
-    let intel_out;
+    // Loaded after the analysis, into the memory its hour buffers
+    // freed, so the intel does not add to the analysis's peak.
     let intel = if opts.has("--intel") {
-        intel_out = synth_intel(&inventory, &analysis);
-        Some(ReportIntel {
-            threats: &intel_out.threats,
-            malware: &intel_out.malware,
-            resolver: &intel_out.resolver,
-            top_n_per_realm: 4_000,
-        })
+        let (intel, took) = load_intel(&dir)?;
+        registry.timer(INTEL_LOAD_TIME).record(took);
+        Some(intel)
     } else {
         None
     };
+
     let report = Report::build(&ReportContext {
         analysis: &analysis,
         db: &inventory.db,
         isps: &inventory.isps,
-        intel,
+        intel: intel.as_ref().map(|intel| ReportIntel {
+            threats: &intel.threats,
+            malware: &intel.malware,
+            resolver: &intel.resolver,
+            top_n_per_realm: INTEL_CANDIDATES_PER_REALM,
+        }),
     });
     let mut text = dropped_days_note("window", &stored);
     text.push_str(&report.render());
@@ -437,8 +466,7 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
         text.push_str(&render_store_stats(stats, &stored.dropped_days));
     }
     if let Some(format) = format {
-        let snapshot = outcome.metrics.expect("metrics were requested");
-        text.push_str(&render_metrics(&snapshot, format));
+        text.push_str(&render_metrics(&registry.snapshot(), format));
     }
     Ok(text)
 }
@@ -507,9 +535,8 @@ pub fn watch(args: &[String]) -> Result<String, CliError> {
 ///
 /// 1. **start-up**, nothing listening: load the inventory, open the
 ///    stored window — the hours `analyze` reads, after the paper's
-///    day-completeness rule — and, with `--intel`, analyze them once
-///    through the store-backed pipeline on every core to synthesize the
-///    intel context;
+///    day-completeness rule — and, with `--intel`, load the intel
+///    `simulate` wrote (`DIR/intel`); no hour is read yet;
 /// 2. bind the HTTP endpoint and print `serving on http://ADDR` —
 ///    readers see the empty epoch-0 snapshot from here — then the
 ///    dropped-days line, if the rule dropped any;
@@ -522,10 +549,10 @@ pub fn watch(args: &[String]) -> Result<String, CliError> {
 ///
 /// The order is a contract: `serving on` means *ready to ingest* —
 /// everything before it is start-up cost, every hour is decoded after
-/// it — which is what lets an operator (and the benchmark) read
+/// it, once — which is what lets an operator (and the benchmark) read
 /// start-up and ingest rate off the two lines. A read or decode error
-/// fails the command; no epoch is published for the failed hour or any
-/// after it.
+/// fails the command after `serving on` and the hours before the bad
+/// one; no epoch is published for the failed hour or any after it.
 ///
 /// With `--once` the process exits after ingest (the mode CI and tests
 /// drive); otherwise it keeps serving until killed. `--intel` attaches
@@ -572,32 +599,18 @@ pub fn serve(args: &[String], out: &mut dyn io::Write) -> Result<(), CliError> {
 }
 
 /// Fold the stored window for `investigate` in one pass: each hour of
-/// `stored` is fetched and decoded once, into the behavior fold and —
-/// with `analyze`, which `--intel` needs for its candidates — into an
-/// analyzer's hour sink beside it, which routes the hour and folds it
-/// at `finish`.
+/// `stored` is fetched and decoded once, into the behavior fold only.
 fn fold_window(
-    inventory: &LoadedInventory,
+    db: &DeviceDb,
     store: &FlowStore,
     stored: &StoredWindow,
-    analyze: bool,
-) -> Result<(HashMap<Ipv4Addr, BehaviorVector>, Option<Analysis>), CliError> {
-    let hours = stored.window.num_hours();
-    let mut behavior = BehaviorFold::new(&inventory.db, hours);
-    let mut analyzer = analyze.then(|| Analyzer::new(&inventory.db, hours));
+) -> Result<HashMap<Ipv4Addr, BehaviorVector>, CliError> {
+    let mut behavior = BehaviorFold::new(db, stored.window.num_hours());
     let source = HourSource::stored(store, stored);
     for k in 0..source.len() {
-        let interval = source.interval(k);
-        match &mut analyzer {
-            Some(an) => {
-                let mut both = (an.begin_hour(interval), behavior.begin_hour(interval));
-                source.visit(k, &mut both)?;
-                both.0.finish();
-            }
-            None => source.visit(k, &mut behavior.begin_hour(interval))?,
-        }
+        source.visit(k, &mut behavior.begin_hour(source.interval(k)))?;
     }
-    Ok((behavior.finish(), analyzer.map(Analyzer::finish)))
+    Ok(behavior.finish())
 }
 
 /// `iotscope investigate --data DIR [--intel]`
@@ -605,8 +618,8 @@ fn fold_window(
 /// The §VI/§VII follow-ups over the stored window: each stored hour is
 /// read and decoded once (the window is never held in memory) into the
 /// behavior vectors, which are then fingerprinted and clustered.
-/// `--intel` adds malware attribution; its intel is synthesized from
-/// the analysis the same pass folds beside the vectors.
+/// `--intel` adds malware attribution against the intel `simulate`
+/// wrote (`DIR/intel`).
 pub fn investigate(args: &[String]) -> Result<String, CliError> {
     let opts = ArgParser::new()
         .value("--data")
@@ -615,8 +628,12 @@ pub fn investigate(args: &[String]) -> Result<String, CliError> {
     let dir = data_dir(&opts)?;
     let inventory = inventory_io::load(dir.join("inventory.tsv"))?;
     let (store, stored) = open_window(&dir)?;
-    let (vectors, analysis) = fold_window(&inventory, &store, &stored, opts.has("--intel"))?;
-    let intel = analysis.map(|analysis| synth_intel(&inventory, &analysis));
+    let vectors = fold_window(&inventory.db, &store, &stored)?;
+    let intel = if opts.has("--intel") {
+        Some(load_intel(&dir)?.0)
+    } else {
+        None
+    };
     let mut out = dropped_days_note("window", &stored);
 
     let _ = writeln!(out, "== unindexed IoT candidates (fuzzy fingerprinting) ==");
@@ -1010,6 +1027,25 @@ mod tests {
         entry.split_once("\"spans\":")?.1.parse().ok()
     }
 
+    /// The value of counter `name` in a `--metrics=json` section.
+    fn counter_value(output: &str, name: &str) -> Option<u64> {
+        let entry = output.split_once(&format!("\"{name}\":{{"))?.1;
+        let entry = entry.split_once('}')?.0;
+        assert!(entry.contains("\"kind\":\"counter\""), "{entry}");
+        entry.split_once("\"value\":")?.1.parse().ok()
+    }
+
+    /// A fresh small store (`--tiny --scale 0.001`) at `seed`.
+    fn small_store(name: &str, seed: u64) -> PathBuf {
+        let dir = tmpdir(name);
+        let (dir_s, seed) = (dir.to_str().unwrap(), seed.to_string());
+        simulate(&args(&[
+            "--out", dir_s, "--tiny", "--seed", &seed, "--scale", "0.001",
+        ]))
+        .unwrap();
+        dir
+    }
+
     #[test]
     fn simulate_then_analyze_watch_investigate() {
         let dir = tmpdir("full");
@@ -1019,6 +1055,8 @@ mod tests {
         assert!(out.contains("designated compromised"));
         assert!(dir.join("inventory.tsv").is_file());
         assert!(dir.join("darknet").is_dir());
+        assert!(dir.join("intel/threats.tsv").is_file());
+        assert!(out.contains("intel/"), "{out}");
 
         let report = analyze(&args(&["--data", dir_s, "--intel"])).unwrap();
         assert!(report.contains("Fig 1b"));
@@ -1060,12 +1098,15 @@ mod tests {
         assert!(with_metrics.contains("\"pipeline.wall_time\""));
         assert!(with_metrics.contains("\"analysis.packets.consumer.tcp_scan\""));
         assert_eq!(timer_spans(&with_metrics, "inventory.load_time"), Some(1));
+        assert_eq!(timer_spans(&with_metrics, "intel.load_time"), Some(1));
         assert_eq!(timer_spans(&with_metrics, "serve.startup_time"), None);
 
         let watch_out = watch(&args(&["--data", dir_s, "--metrics=json"])).unwrap();
         // Start-up is one span, the inventory load one span inside it.
         assert_eq!(timer_spans(&watch_out, "inventory.load_time"), Some(1));
         assert_eq!(timer_spans(&watch_out, "serve.startup_time"), Some(1));
+        assert_eq!(timer_spans(&watch_out, "intel.load_time"), None);
+        assert_eq!(counter_value(&watch_out, "store.hours_read"), Some(143));
         assert!(watch_out.contains("devices discovered"));
         assert!(watch_out.contains("1050 compromised devices indexed"));
         assert!(watch_out.contains("SWEEP"));
@@ -1090,6 +1131,7 @@ mod tests {
         assert!(serve_out.contains("devices scored by threat intel"));
         // The registry `/metrics` serves, start-up included.
         assert_eq!(timer_spans(&serve_out, "inventory.load_time"), Some(1));
+        assert_eq!(timer_spans(&serve_out, "intel.load_time"), Some(1));
         assert_eq!(timer_spans(&serve_out, "serve.startup_time"), Some(1));
 
         let inv = investigate(&args(&["--data", dir_s, "--intel"])).unwrap();
@@ -1100,9 +1142,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `investigate --intel` reads the window once: its one pass
-    /// fetches each stored hour a single time for both the behavior
-    /// fold and the analysis, and that analysis is the pipeline's.
+    /// `investigate` reads the window once: its one pass fetches each
+    /// stored hour a single time for the behavior fold — with `--intel`
+    /// too, whose intel is loaded, not analyzed.
     #[test]
     fn investigate_reads_each_stored_hour_once() {
         let dir = tmpdir("investigate-once");
@@ -1118,12 +1160,177 @@ mod tests {
         let (store, stored) = open_window(&dir).unwrap();
         let registry = Registry::new();
         let instrumented = store.clone().instrumented(&registry);
-        let (vectors, analysis) = fold_window(&inventory, &instrumented, &stored, true).unwrap();
+        let vectors = fold_window(&inventory.db, &instrumented, &stored).unwrap();
         let hours_read = registry.snapshot().counter("store.hours_read");
         assert_eq!(hours_read, Some(stored.work.len() as u64));
         assert!(!vectors.is_empty());
-        let pipeline = analyze_window(&inventory, &store, &stored, AnalyzeOptions::new());
-        assert_eq!(analysis, Some(pipeline.unwrap().analysis));
+        let report = investigate(&args(&["--data", dir.to_str().unwrap(), "--intel"])).unwrap();
+        assert!(report.contains("attributions total"), "{report}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The daemon reads each window hour once — start-up reads none —
+    /// and `/metrics` says so: `store.hours_read` is the kept window's
+    /// 143 hours, beside one `intel.load_time` span.
+    #[test]
+    fn serve_intel_reads_each_window_hour_once_and_times_the_intel_load() {
+        let dir = small_store("serve-reads-once", 9);
+        let mut out = Vec::new();
+        let argv = [
+            "--data",
+            dir.to_str().unwrap(),
+            "--port",
+            "0",
+            "--once",
+            "--intel",
+            "--metrics=json",
+        ];
+        serve(&args(&argv), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.contains("ingest complete: 143 hours"), "{out}");
+        assert_eq!(counter_value(&out, "store.hours_read"), Some(143));
+        assert!(counter_value(&out, "store.bytes_read").is_some_and(|b| b > 0));
+        assert!(counter_value(&out, "store.records_decoded").is_some_and(|r| r > 0));
+        assert_eq!(timer_spans(&out, "intel.load_time"), Some(1));
+        assert_eq!(timer_spans(&out, "serve.startup_time"), Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The intel `simulate` writes is exactly what the old per-verb
+    /// synthesis built: [`IntelBuilder`] at the simulated seed over the
+    /// candidates of `analyze`'s analysis of the same directory — per
+    /// address event order, report order, resolver and index alike.
+    #[test]
+    fn simulated_intel_loads_to_the_intel_built_from_analyze_candidates() {
+        use iotscope_intel::ThreatRepo;
+        fn events(repo: &ThreatRepo) -> Vec<(Ipv4Addr, Vec<iotscope_intel::ThreatEvent>)> {
+            let mut all: Vec<_> = repo
+                .iter_flagged()
+                .map(|(ip, e)| (ip, e.to_vec()))
+                .collect();
+            all.sort_by_key(|(ip, _)| *ip);
+            all
+        }
+        fn families(ctx: &IntelContext) -> Vec<(String, String)> {
+            let mut all: Vec<_> = ctx
+                .resolver
+                .iter()
+                .map(|(hash, family)| (hash.to_string(), family.to_string()))
+                .collect();
+            all.sort();
+            all
+        }
+        for seed in [7, 13] {
+            let dir = small_store(&format!("intel-roundtrip-{seed}"), seed);
+            let inventory = inventory_io::load(dir.join("inventory.tsv")).unwrap();
+            let (store, stored) = open_window(&dir).unwrap();
+            let options = AnalyzeOptions::new().threads(2);
+            let analysis = analyze_window(&inventory.db, &store, &stored, options)
+                .unwrap()
+                .analysis;
+            let candidates = QueryContext::batch(&analysis, &inventory.db, &inventory.isps)
+                .candidates(INTEL_CANDIDATES_PER_REALM);
+            let want = IntelContext::from_synth(
+                IntelBuilder::new(IntelSynthConfig::paper(seed)).build(&inventory.db, &candidates),
+            );
+            let (got, _) = load_intel(&dir).unwrap();
+
+            assert!(
+                !candidates.is_empty() && !got.malware.is_empty(),
+                "seed {seed}"
+            );
+            assert_eq!(events(&got.threats), events(&want.threats), "seed {seed}");
+            assert_eq!(got.threats.num_events(), want.threats.num_events());
+            assert_eq!(got.malware.reports(), want.malware.reports(), "seed {seed}");
+            assert_eq!(families(&got), families(&want), "seed {seed}");
+            assert_eq!(got.index.len(), want.index.len(), "seed {seed}");
+            assert_eq!(got.index.heap_bytes(), want.index.heap_bytes());
+            let probes = events(&want.threats)
+                .into_iter()
+                .map(|(ip, _)| ip)
+                .chain(want.malware.contacted_ips().map(|(ip, _)| ip))
+                .chain(inventory.db.iter().map(|d| d.ip));
+            for ip in probes {
+                assert_eq!(got.index.lookup(ip), want.index.lookup(ip), "{ip}");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// `--intel` never makes intel up: on a data directory without
+    /// `intel/` every `--intel` verb fails with one error that names the
+    /// missing path and what writes it — whatever the inventory's
+    /// metadata says (no seed is assumed) — and the verbs without
+    /// `--intel` run as before.
+    #[test]
+    fn intel_verbs_without_an_intel_directory_fail_naming_it() {
+        let dir = small_store("no-intel", 10);
+        let intel = dir.join("intel");
+        std::fs::remove_dir_all(&intel).unwrap();
+        // A hand-made inventory carries no `meta|seed` line.
+        let inventory = dir.join("inventory.tsv");
+        let text = std::fs::read_to_string(&inventory).unwrap();
+        let kept: Vec<&str> = text.lines().filter(|l| !l.starts_with("meta|")).collect();
+        std::fs::write(&inventory, kept.join("\n") + "\n").unwrap();
+
+        let want = format!(
+            "intel error: no intel directory at {} (`iotscope simulate` writes it)",
+            intel.display()
+        );
+        let data = dir.to_str().unwrap();
+        let intel_args = args(&["--data", data, "--intel"]);
+        let mut serve_args = intel_args.clone();
+        serve_args.extend(args(&["--port", "0", "--once"]));
+        let mut served = Vec::new();
+        for (verb, result) in [
+            ("analyze", analyze(&intel_args).map(drop)),
+            ("watch", watch(&intel_args).map(drop)),
+            ("serve", serve(&serve_args, &mut served)),
+            ("investigate", investigate(&intel_args).map(drop)),
+        ] {
+            match result {
+                Err(CliError::Run(msg)) => assert_eq!(msg, want, "{verb}"),
+                other => panic!("{verb}: expected a run error, got {other:?}"),
+            }
+        }
+        assert!(served.is_empty(), "serve failed before it bound");
+        assert!(analyze(&args(&["--data", data])).is_ok());
+        assert!(investigate(&args(&["--data", data])).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A malformed intel file fails every `--intel` verb naming the file
+    /// and the line: nothing is skipped.
+    #[test]
+    fn a_malformed_intel_file_fails_naming_it() {
+        let dir = small_store("bad-intel", 11);
+        let data = dir.to_str().unwrap();
+        let threats = dir.join("intel/threats.tsv");
+        let good = std::fs::read_to_string(&threats).unwrap();
+        let lines = good.lines().count();
+        std::fs::write(&threats, format!("{good}event|10.0.0.1|Worm|x|1\n")).unwrap();
+        let err = analyze(&args(&["--data", data, "--intel"])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "intel error: {}:{}: unknown threat category \"Worm\"",
+                threats.display(),
+                lines + 1
+            )
+        );
+        std::fs::write(&threats, good).unwrap();
+
+        let corpus = dir.join("intel/sandbox.xml");
+        let good = std::fs::read_to_string(&corpus).unwrap();
+        std::fs::write(&corpus, format!("<report>\n</report>\n{good}")).unwrap();
+        let err = investigate(&args(&["--data", data, "--intel"])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "intel error: {}:1: invalid sandbox report: missing <sha256>",
+                corpus.display()
+            )
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1152,7 +1359,7 @@ mod tests {
         let registry = Registry::new();
         let instrumented = store.clone().instrumented(&registry);
         let options = AnalyzeOptions::new().threads(1).metrics(&registry);
-        let err = analyze_window(&inventory, &instrumented, &stored, options).unwrap_err();
+        let err = analyze_window(&inventory.db, &instrumented, &stored, options).unwrap_err();
         assert!(
             err.to_string()
                 .starts_with(&format!("store error: {hour} (interval 59): ")),

@@ -5,15 +5,17 @@
 //! flowtuple files, then run the analyses over it:
 //!
 //! ```text
-//! iotscope simulate --out data/ --tiny          # inventory + 143 hourly files
+//! iotscope simulate --out data/ --tiny          # inventory + 143 hourly files + intel
 //! iotscope analyze  --data data/ --intel        # every table & figure
 //! iotscope watch    --data data/                # streaming alerts
 //! iotscope investigate --data data/ --intel     # §VI/§VII follow-ups
 //! ```
 //!
 //! A data directory contains `inventory.tsv` (see
-//! [`iotscope_devicedb::inventory_io`]) and `darknet/` (an
-//! [`iotscope_net::store::FlowStore`]).
+//! [`iotscope_devicedb::inventory_io`]), `darknet/` (an
+//! [`iotscope_net::store::FlowStore`]) and `intel/`, the threat intel
+//! every `--intel` verb joins against (see
+//! [`iotscope_intel::intel_io`]).
 
 #![forbid(unsafe_code)]
 
@@ -55,6 +57,16 @@ impl From<iotscope_devicedb::inventory_io::InventoryIoError> for CliError {
     }
 }
 
+impl From<iotscope_intel::intel_io::IntelIoError> for CliError {
+    fn from(e: iotscope_intel::intel_io::IntelIoError) -> Self {
+        use iotscope_intel::intel_io::IntelIoError;
+        CliError::Run(match e {
+            IntelIoError::Missing(_) => format!("intel error: {e} (`iotscope simulate` writes it)"),
+            e => format!("intel error: {e}"),
+        })
+    }
+}
+
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Run(format!("i/o error: {e}"))
@@ -79,10 +91,12 @@ USAGE:
 COMMANDS:
     simulate     build a synthetic inventory + 143 hours of telescope
                  traffic into DIR (inventory.tsv + darknet/), writing
-                 the hours on every core; --scale is the packet-budget
-                 multiplier, a finite number > 0
+                 the hours on every core, and the threat intel the
+                 --intel verbs join against (intel/); --scale is the
+                 packet-budget multiplier, a finite number > 0
     analyze      run the full pipeline over DIR and print every table
-                 and figure of the paper (--intel adds Section V;
+                 and figure of the paper (--intel adds Section V,
+                 joined against DIR/intel;
                  --threads N sizes the store reader pool, --stats
                  appends per-stage read/ingest accounting;
                  --store is accepted as an alias for --data)
@@ -99,8 +113,8 @@ COMMANDS:
                  threat-intel score stage behind the score endpoints
     investigate  run the follow-up analyses over DIR, decoding each
                  stored hour once: fingerprint unindexed IoT devices and
-                 cluster botnets (--intel adds malware attribution, its
-                 intel drawn from an analysis folded in the same pass)
+                 cluster botnets (--intel adds malware attribution
+                 against DIR/intel)
     validate     check the pipeline's inference against the simulator's
                  ground-truth ledger (truth.tsv) in DIR
     migrate      --format v3 rewrites DIR/darknet's hour files as v3,

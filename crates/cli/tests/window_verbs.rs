@@ -3,9 +3,9 @@
 //!
 //! The complete-store goldens under `golden/` were written by the build
 //! that decoded the whole window into memory first; the verbs now read
-//! straight from the store (`investigate` decodes each hour once, for
-//! its behavior vectors and its `--intel` analysis alike) and must
-//! print the same thing. Every verb reads the hours of the paper's
+//! straight from the store (`investigate` decodes each hour once, into
+//! its behavior vectors; `--intel` loads the intel `simulate` wrote)
+//! and must print the same thing. Every verb reads the hours of the paper's
 //! day-completeness rule (§III-A2), as `analyze` does, so the short day
 //! on the `diff` side is dropped whole and named in the dropped-days
 //! line; `diff_short_day.txt` was re-pinned when `diff` stopped reading

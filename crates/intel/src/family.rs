@@ -117,6 +117,12 @@ impl FamilyResolver {
         self.by_hash.is_empty()
     }
 
+    /// Iterate `(hash, family)` pairs in unspecified (hash) order —
+    /// writers sort by hash themselves.
+    pub fn iter(&self) -> impl Iterator<Item = (&MalwareHash, MalwareFamily)> {
+        self.by_hash.iter().map(|(hash, family)| (hash, *family))
+    }
+
     /// Distinct families across all registered hashes, sorted.
     pub fn known_families(&self) -> Vec<MalwareFamily> {
         let mut v: Vec<MalwareFamily> = self

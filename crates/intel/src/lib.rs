@@ -15,12 +15,17 @@
 //! [`synth::IntelBuilder`] populates both stores *correlated with a
 //! simulation's ground truth* plus background noise, so the analysis
 //! pipeline's Section V joins exercise the same dataflow as the paper.
+//! [`intel_io`] writes them into a data directory once, when the
+//! dataset is made, and loads them back into an [`IntelContext`]: like
+//! the paper's feeds, they are an input of the analysis, not a product
+//! of it.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod family;
 pub mod index;
+pub mod intel_io;
 pub mod malwaredb;
 pub mod sandbox;
 pub mod synth;

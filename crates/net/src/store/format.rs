@@ -284,15 +284,6 @@ impl FlowSink for CollectSink {
     }
 }
 
-/// Two sinks fed by one decode: each block goes to the first, then the
-/// second, so an hour is decoded once for both.
-impl<A: FlowSink, B: FlowSink> FlowSink for (A, B) {
-    fn visit_block(&mut self, block: &ColumnBlock) {
-        self.0.visit_block(block);
-        self.1.visit_block(block);
-    }
-}
-
 /// The outcome of streaming one hour file through a [`FlowSink`] — the
 /// one decode result type.
 #[derive(Debug, Clone, PartialEq, Eq)]

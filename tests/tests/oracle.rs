@@ -165,9 +165,8 @@ fn fold_in_any_order(
     assert_counters(want, &registry, None, path);
 }
 
-/// Fold `store`'s hours of `window` as `investigate --intel` does: each
-/// hour fetched and decoded once into the pair of the analyzer's and the
-/// behavior fold's sinks.
+/// Fold `store`'s hours of `window` through the analyzer's and the
+/// behavior fold's hour sinks, each hour decoded into each.
 fn fold_store(
     db: &DeviceDb,
     store: &FlowStore,
@@ -179,9 +178,10 @@ fn fold_store(
     let source = HourSource::stored(store, &stored);
     for k in 0..source.len() {
         let interval = source.interval(k);
-        let mut both = (an.begin_hour(interval), fold.begin_hour(interval));
-        source.visit(k, &mut both).unwrap();
-        both.0.finish();
+        let mut hour = an.begin_hour(interval);
+        source.visit(k, &mut hour).unwrap();
+        hour.finish();
+        source.visit(k, &mut fold.begin_hour(interval)).unwrap();
     }
     (fold.finish(), an.finish())
 }
@@ -275,8 +275,8 @@ proptest! {
 
     /// The behavior fold against `oracle::behavior`: memory `extract`,
     /// `on_flows` in slices of random lengths, and a per-hour and a
-    /// segmented store decoded once per hour into the fold and the
-    /// analyzer side by side (the analysis checked too).
+    /// segmented store decoded into the fold and the analyzer (the
+    /// analysis checked too).
     #[test]
     fn behavior_vectors(
         seed: u64,
